@@ -3,8 +3,12 @@
 The flux of a Killing field k through a meridian is homologically
 invariant for a minimal immersion, linear in the conserved label tau on
 diagonal directions of su(n), and zero on every off-diagonal direction.
-Quadrature is product Gauss-Jacobi over the sphere factors, calibrated
-so the exact quadratic sphere averages hold to 1e-12.
+On a meridian X = (sigma1 w1, sigma2 w2) with unit vectors sigma1 in S^(p-1)
+and sigma2 in S^(q-1), the integrand K X . dX / |dX| is quadratic in sigma,
+because |dX|^2 = |d1|^2 |sigma1|^2 + |d2|^2 |sigma2|^2 = |d1|^2 + |d2|^2 is
+constant.  Any product sphere rule exact through degree 2 on each factor
+therefore gives the exact flux; the default rule (order 8) is exact
+through degree 7.
 """
 
 from __future__ import annotations
@@ -32,31 +36,33 @@ def sphere_volume(m: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def sphere_quadrature(m: int, order: int = 24) -> tuple[np.ndarray, np.ndarray]:
+def sphere_quadrature(m: int, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (N x (m+1)) and weights integrating polynomials on S^m exactly.
 
     Polar layers use Gauss-Jacobi rules in u = cos(theta) with weight
     (1-u^2)^((m-i-1)/2), absorbing the sine factors of the volume element
-    exactly; the azimuthal circle uses the uniform (trigonometrically
-    exact) rule.
+    exactly; the azimuthal circle uses the uniform rule on `order` nodes,
+    rotated from the first quadrant so that its reflections hold exactly
+    (sin(pi) is 0, not 1.2e-16).  The product is exact for every
+    polynomial of degree < order: the default order 8 covers the
+    quadratic integrand of :func:`torque` (|dX| is constant on a
+    meridian) and degree-4 moments, in 8^m nodes.
     """
     if m == 0:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if m == 1:
-        th = 2.0 * math.pi * np.arange(order) / order
-        return (np.stack([np.cos(th), np.sin(th)], axis=1),
-                np.full(order, 2.0 * math.pi / order))
+        quad, rho = np.divmod(4 * np.arange(order), order)
+        step = 0.5 * math.pi / order
+        z = np.array([1, 1j, -1, -1j])[quad] * (np.sin((order - rho) * step)
+                                                + 1j * np.sin(rho * step))
+        return np.stack([z.real, z.imag], axis=1), np.full(order, 2.0 * math.pi / order)
     a = (m - 2) / 2.0
     u, wu = roots_jacobi(order // 2 + 4, a, a)
     sub_pts, sub_wts = sphere_quadrature(m - 1, order)
-    pts = []
-    wts = []
-    for ui, wi in zip(u, wu):
-        s = math.sqrt(max(1.0 - ui * ui, 0.0))
-        for pt, w in zip(sub_pts, sub_wts):
-            pts.append(np.concatenate([[ui], s * pt]))
-            wts.append(wi * w)
-    return np.array(pts), np.array(wts)
+    s = np.sqrt(np.maximum(1.0 - u * u, 0.0))
+    pts = np.hstack([np.repeat(u, len(sub_wts))[:, None],
+                     (s[:, None, None] * sub_pts).reshape(-1, m)])
+    return pts, np.outer(wu, sub_wts).ravel()
 
 
 @dataclass(frozen=True)
@@ -154,22 +160,15 @@ def torque_closed_form(param: TwistParam, element: SuBasisElement) -> float:
 
 @lru_cache(maxsize=None)
 def _meridian_nodes(p: int, q: int, order: int):
-    """Stacked unit-sphere node blocks (sigma1 | sigma2) with product weights."""
-    n = p + q
-    if p == 1:
-        pts, wts = sphere_quadrature(n - 2, order)
-        ones = np.ones((len(wts), 1))
-        return np.hstack([ones, pts]), wts, np.array([0] * 1 + [1] * (n - 1))
-    pts1, wts1 = sphere_quadrature(p - 1, order)
+    """Unit-sphere node blocks (sigma1 | sigma2), product weights; sigma1 = 1 if p = 1."""
+    pts1, wts1 = (np.ones((1, 1)), np.ones(1)) if p == 1 else sphere_quadrature(p - 1, order)
     pts2, wts2 = sphere_quadrature(q - 1, order)
-    N1, N2 = len(wts1), len(wts2)
-    blocks = np.hstack([np.repeat(pts1, N2, axis=0), np.tile(pts2, (N1, 1))])
-    wts = np.repeat(wts1, N2) * np.tile(wts2, N1)
-    return blocks, wts, np.array([0] * p + [1] * q)
+    blocks = np.hstack([np.repeat(pts1, len(wts2), axis=0), np.tile(pts2, (len(wts1), 1))])
+    return blocks, np.outer(wts1, wts2).ravel()
 
 
 def torque(param: TwistParam, element: SuBasisElement, meridian_t: float = 0.0,
-           traj: TwistTrajectory | None = None, order: int = 24) -> TorqueReport:
+           traj: TwistTrajectory | None = None, order: int = 8) -> TorqueReport:
     """Numeric k-flux through the meridian at parameter time meridian_t.
 
     Integrates (K X . dX/dt / |dX/dt|) against the induced meridian
@@ -184,11 +183,9 @@ def torque(param: TwistParam, element: SuBasisElement, meridian_t: float = 0.0,
     d1 = w1.conjugate() ** (p - 1) * w2.conjugate() ** q
     d2 = -(w1.conjugate() ** p) * w2.conjugate() ** (q - 1)
     K = su_matrix(element, n)
-    sigma, wts, block = _meridian_nodes(p, q, order)
-    factors = np.where(block == 0, w1, w2)
-    dfactors = np.where(block == 0, d1, d2)
-    X = sigma * factors                 # (N, n) complex meridian points
-    dX = sigma * dfactors
+    sigma, wts = _meridian_nodes(p, q, order)
+    X = sigma * np.repeat([w1, w2], [p, q])     # (N, n) complex meridian points
+    dX = sigma * np.repeat([d1, d2], [p, q])
     KX = X @ K.T
     pairing = np.sum(KX.real * dX.real + KX.imag * dX.imag, axis=1)
     speed = np.sqrt(np.sum(dX.real**2 + dX.imag**2, axis=1))

@@ -157,10 +157,13 @@ def dpthat_dtau_cross_check(param: TwistParam, h: float | None = None) -> dict:
     The step default h = max(1e-6, 1e-4 tau) balances truncation against
     the achievable accuracy of the period computation.  A relative gap
     above 1e-4 is reported as a diagnostic warning, never swallowed.
+    A step that reaches tau = 0 from either side raises ValueError.
     """
     tau = param.tau
     if h is None:
         h = max(1e-6, 1e-4 * tau)
+    if abs(tau) <= h:
+        raise ValueError(f"finite-difference step h = {h} reaches 0 from tau = {tau}")
     value = dpthat_dtau(param)
     up = period_ode(TwistParam(param.pair, tau + h)).pthat
     dn = period_ode(TwistParam(param.pair, tau - h)).pthat

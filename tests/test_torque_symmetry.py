@@ -5,13 +5,13 @@ import pytest
 
 import sltwist.geometry as geo
 from sltwist.periods import period_ode
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, y_extrema
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, tau_max, y_extrema
 
 
 # -- sphere quadrature calibration ---------------------------------------------
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
 def test_quadrature_volume_and_component_averages(m):
     pts, wts = geo.sphere_quadrature(m)
     vol = geo.sphere_volume(m)
@@ -19,9 +19,46 @@ def test_quadrature_volume_and_component_averages(m):
     for i in range(m + 1):
         avg = float(np.sum(wts * pts[:, i] ** 2))
         assert abs(avg - vol / (m + 1)) < 1e-12
+        quartic = float(np.sum(wts * pts[:, i] ** 4))
+        assert abs(quartic - 3.0 * vol / ((m + 1) * (m + 3))) < 1e-12
     # odd moments vanish
     for i in range(m + 1):
         assert abs(float(np.sum(wts * pts[:, i]))) < 1e-12
+
+
+def test_circle_nodes_are_exactly_symmetric():
+    for order in (6, 8, 24):
+        pts, _ = geo.sphere_quadrature(1, order)
+        k = np.arange(order)
+        assert np.array_equal(pts[-k % order], pts * [1.0, -1.0])
+        assert np.array_equal(pts[(order // 2 - k) % order], pts * [-1.0, 1.0])
+    assert np.array_equal(geo.sphere_quadrature(1, 4)[0],
+                          [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
+def test_polar_layer_matches_loop_reference():
+    from scipy.special import roots_jacobi
+
+    m, order = 3, 8
+    sub_pts, sub_wts = geo.sphere_quadrature(m - 1, order)
+    u, wu = roots_jacobi(order // 2 + 4, (m - 2) / 2.0, (m - 2) / 2.0)
+    ref_pts, ref_wts = [], []
+    for ui, wi in zip(u, wu):
+        s = math.sqrt(max(1.0 - ui * ui, 0.0))
+        for pt, w in zip(sub_pts, sub_wts):
+            ref_pts.append(np.concatenate([[ui], s * pt]))
+            ref_wts.append(wi * w)
+    pts, wts = geo.sphere_quadrature(m, order)
+    assert np.array_equal(pts, np.array(ref_pts))
+    assert np.array_equal(wts, np.array(ref_wts))
+
+
+def test_meridian_node_count_bounded_through_n8():
+    from sltwist.geometry.torque import _meridian_nodes
+
+    for n in range(3, 9):
+        for p in range(1, n // 2 + 1):
+            assert len(_meridian_nodes(p, n - p, 8)[1]) <= 3 * 10**5, (p, n - p)
 
 
 # -- torques -------------------------------------------------------------------
@@ -80,6 +117,35 @@ def test_general_diagonal_direction():
     assert rep.abs_error < 1e-8
     expected = 2 * 0.05 * ((1.0 + 2.0) / 2 - (-3.0) / 3) * (2 * math.pi) * geo.sphere_volume(2)
     assert abs(rep.closed_form - expected) < 1e-12
+
+
+def _flux_elements(n):
+    return [geo.SuBasisElement(kind="rotation", indices=(0, n - 1)),
+            geo.SuBasisElement(kind="symmetric", indices=(0, 1))]
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3)])
+def test_default_order_flux_matches_order_24(p, q):
+    pair = AdmissiblePair(p, q)
+    param = TwistParam(pair, 0.5 * tau_max(pair))
+    for element in [geo.t_generator(pair)] + _flux_elements(pair.n):
+        for t in (0.3, 1.1):
+            low = geo.torque(param, element, meridian_t=t).numeric
+            high = geo.torque(param, element, meridian_t=t, order=24).numeric
+            assert abs(low - high) <= 1e-13, (element, t)
+
+
+@pytest.mark.parametrize("p,q", [(1, 7), (2, 6), (3, 5), (4, 4)])
+def test_torque_n8(p, q):
+    pair = AdmissiblePair(p, q)
+    param = TwistParam(pair, 0.5 * tau_max(pair))
+    tg = geo.t_generator(pair)
+    a = geo.torque(param, tg, meridian_t=0.3)
+    b = geo.torque(param, tg, meridian_t=1.1)
+    assert a.abs_error <= 1e-8
+    assert abs(a.numeric - b.numeric) <= 1e-8
+    off = geo.torque(param, _flux_elements(pair.n)[0], meridian_t=0.3)
+    assert abs(off.numeric) <= 1e-10
 
 
 def test_traceless_validation():

@@ -63,6 +63,13 @@ def test_derivative_formula_matches_finite_differences(p, q):
     assert res["rel_err"] < 1e-6
 
 
+def test_cross_check_refuses_step_reaching_zero_twist():
+    for tau in (1e-6, -1e-6, 5e-7):
+        with pytest.raises(ValueError, match=r"h = 1e-06 .* tau = ") as info:
+            dpthat_dtau_cross_check(TwistParam(AdmissiblePair(2, 3), tau))
+        assert "diverges" not in str(info.value)
+
+
 def test_derivative_positive_in_monotone_window():
     assert dpthat_dtau(TwistParam(AdmissiblePair(2, 3), 0.05)) > 0.0
 
