@@ -16,12 +16,13 @@ import numpy as np
 from . import geometry as geo
 from .closure import (RationalTarget, find_tau_for_angular_period,
                       half_period_classification, necklace, verify_closed)
+from .curve import Curve
 from .geometry.export import report_to_json
 from .ode_engine import EventError, IntegrationError, Tolerances
 from .periods import (partial_periods_quadrature, period_ode, pthat_quadrature,
                       verify_psi_constraint)
 from .twisted_curve import AdmissiblePair, TwistParam, f_poly, solve_w
-from .variation import check_asymptotics, dpthat_dtau_cross_check, solve_Q
+from .variation import check_asymptotics, dpthat_dtau_cross_check
 
 TOL_PRESETS = {
     "fast": Tolerances(abs_tol=1e-9, rel_tol=1e-9, event_tol=1e-10),
@@ -31,20 +32,12 @@ TOL_PRESETS = {
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        out = report_to_json(payload)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(out + "\n")
-        else:
-            print(out)
+    body = report_to_json(payload) if args.json else "\n".join(text_lines)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(body + "\n")
     else:
-        body = "\n".join(text_lines)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(body + "\n")
-        else:
-            print(body)
+        print(body)
 
 
 def _param(args) -> TwistParam:
@@ -70,14 +63,10 @@ def _parse_target(text: str) -> RationalTarget:
 
 
 def cmd_solve(args) -> int:
-    param = _param(args)
-    tol = TOL_PRESETS[args.tol]
-    if args.tau != 0.0:
-        data = period_ode(param, tol)
-        half_window = args.window if args.window else 2.0 * data.p_tau
-    else:
-        half_window = args.window if args.window else 5.0
-    traj = solve_w(param, (-half_window, half_window), tol)
+    curve = Curve(_param(args), TOL_PRESETS[args.tol])
+    half_window = args.window or (2.0 * curve.period.p_tau if args.tau != 0.0 else 5.0)
+    traj = curve.traj(-half_window, half_window)
+    param = curve.param
     ts = np.linspace(-half_window, half_window, args.samples)
     if args.format == "csv" and args.out:
         geo.trajectory_csv(param, traj, ts, args.out)
@@ -118,10 +107,9 @@ def cmd_closure(args) -> int:
     tol = TOL_PRESETS[args.tol]
     tau = find_tau_for_angular_period(pair, target, tol=tol)
     report = half_period_classification(pair, target)
-    param = TwistParam(pair, tau)
-    data = period_ode(param, tol)
-    check = verify_closed(param, report.k0, samples=args.samples or 20,
-                          tol=tol, data=data)
+    curve = Curve(TwistParam(pair, tau), tol)
+    data = curve.period
+    check = verify_closed(curve, report.k0, samples=args.samples or 20)
     payload = {"tau": tau, "pthat_error": abs(data.pthat - target.angle),
                "report": dataclasses.asdict(report),
                "closure_residual": check.closure_residual,
@@ -142,9 +130,9 @@ def cmd_necklace(args) -> int:
         raise SystemExit2("necklace requires --m")
     tol = TOL_PRESETS[args.tol]
     tau, k0 = necklace(pair, args.m, tol)
-    param = TwistParam(pair, tau)
-    data = period_ode(param, tol)
-    check = verify_closed(param, k0, samples=args.samples or 20, tol=tol, data=data)
+    curve = Curve(TwistParam(pair, tau), tol)
+    data = curve.period
+    check = verify_closed(curve, k0, samples=args.samples or 20)
     payload = {"tau": tau, "k0": k0, "p_tau": data.p_tau, "pthat": data.pthat,
                "closure_residual": check.closure_residual}
     _emit(args, payload, [
@@ -157,14 +145,14 @@ def cmd_necklace(args) -> int:
 
 
 def cmd_torque(args) -> int:
-    param = _param(args)
-    pair = param.pair
+    curve = Curve(_param(args), TOL_PRESETS[args.tol])
+    pair = curve.param.pair
     reports = []
     tgen = geo.t_generator(pair)
     for t0 in (0.3, 1.1):
-        reports.append(geo.torque(param, tgen, meridian_t=t0))
+        reports.append(geo.torque(curve, tgen, meridian_t=t0))
     offdiag = geo.SuBasisElement(kind="rotation", indices=(0, pair.n - 1))
-    reports.append(geo.torque(param, offdiag, meridian_t=0.3))
+    reports.append(geo.torque(curve, offdiag, meridian_t=0.3))
     payload = {"reports": [dataclasses.asdict(r) for r in reports],
                "meridian_gap": abs(reports[0].numeric - reports[1].numeric)}
     _emit(args, payload, [
@@ -188,9 +176,8 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_neck(args) -> int:
-    param = _param(args)
     b = args.window or 2.0
-    comp = geo.neck_rescale(param, args.waist, b)
+    comp = geo.neck_rescale(Curve(_param(args), TOL_PRESETS[args.tol]), args.waist, b)
     payload = {"beta": comp.beta, "max_error": comp.max_error,
                "window": comp.window, "waist_index": comp.waist_index,
                "waist_kind": comp.waist_kind, "catenoid_degree": comp.catenoid_degree}
@@ -216,7 +203,7 @@ def cmd_export(args) -> int:
         if (args.p, args.q) != (1, 2):
             raise SystemExit2("obj export supports the (1,2) surface case only")
         w = args.window or 3.0
-        sampler = geo.immersion_sampler(param, (-w, w))
+        sampler = geo.immersion_sampler(Curve(param, TOL_PRESETS[args.tol]), (-w, w))
         geo.export(sampler, (n_samples, n_samples), "obj", args.out)
     elif args.format == "json":
         data = period_ode(param, TOL_PRESETS[args.tol])
@@ -231,43 +218,44 @@ def cmd_export(args) -> int:
 def cmd_verify(args) -> int:
     param = _param(args)
     pair = param.pair
-    tol = TOL_PRESETS[args.tol]
+    curve = Curve(param, TOL_PRESETS[args.tol])
     failures = []
     checks: list[tuple[str, float, float]] = []
 
-    data = period_ode(param, tol)
-    traj = solve_w(param, (-10.0 * data.p_tau, 10.0 * data.p_tau), tol)
+    qp, qm = partial_periods_quadrature(param)
+    reach = 10.0 * (qp + qm) * (1.0 + 1e-6)
+    curve.traj(-reach, reach)           # sized once for every check below
+    data = curve.period
+    traj = curve.traj(-10.0 * data.p_tau, 10.0 * data.p_tau)
     drift = traj.drift
     checks.append(("I1 drift", drift.get("I1", 0.0), 1e-9))
     checks.append(("I2 drift", drift.get("I2", 0.0), 1e-9))
 
     ts = np.linspace(-10.0 * data.p_tau, 10.0 * data.p_tau, 400)
-    energy = max(abs(traj.ydot(t) ** 2 - 4.0 * f_poly(pair, traj.y(t))
-                     + 16.0 * param.tau**2) for t in ts)
-    checks.append(("energy residual", energy, 1e-8))
+    energy = np.max(np.abs(traj.ydot(ts) ** 2 - 4.0 * f_poly(pair, traj.y(ts))
+                           + 16.0 * param.tau**2))
+    checks.append(("energy residual", float(energy), 1e-8))
 
-    qp, qm = partial_periods_quadrature(param)
     checks.append(("period route gap", abs(qp + qm - data.p_tau), 1e-8))
     checks.append(("pthat route gap", abs(pthat_quadrature(param) - data.pthat), 1e-8))
     checks.append(("Psi(2p) residual",
                    abs(pair.p * data.psi1_2p + pair.q * data.psi2_2p), 1e-9))
-    checks.append(("psi constraint", verify_psi_constraint(param, 100), 1e-8))
+    checks.append(("psi constraint", verify_psi_constraint(curve, 100), 1e-8))
 
-    sol = solve_Q(param, tol)
-    checks.append(("Wronskian drift", sol.wronskian_drift, 1e-8))
-    cross = dpthat_dtau_cross_check(param)
+    checks.append(("Wronskian drift", curve.Q.wronskian_drift, 1e-8))
+    cross = dpthat_dtau_cross_check(curve)
     checks.append(("dpthat/dtau rel gap", cross["rel_err"], 1e-6))
 
-    sym = geo.symmetry_residuals(param, data=data)
+    sym = geo.symmetry_residuals(curve)
     for key, val in sym.items():
         checks.append((f"symmetry {key}", val, 1e-8))
 
-    tq = geo.torque(param, geo.t_generator(pair))
+    tq = geo.torque(curve, geo.t_generator(pair))
     checks.append(("torque t-generator", tq.abs_error, 1e-8))
-    off = geo.torque(param, geo.SuBasisElement(kind="rotation", indices=(0, pair.n - 1)))
+    off = geo.torque(curve, geo.SuBasisElement(kind="rotation", indices=(0, pair.n - 1)))
     checks.append(("torque off-diagonal", abs(off.numeric), 1e-10))
 
-    sampler = geo.immersion_sampler(param, (-0.8 * data.p_tau, 0.8 * data.p_tau))
+    sampler = geo.immersion_sampler(curve, (-0.8 * data.p_tau, 0.8 * data.p_tau))
     checks.append(("legendrian residual", geo.legendrian_residual(sampler, 100), 1e-6))
 
     lines = []

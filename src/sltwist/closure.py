@@ -16,9 +16,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import brentq
 
+from .curve import Curve
 from .ode_engine import Tolerances
-from .periods import PeriodData, period_ode, pthat_quadrature
-from .twisted_curve import AdmissiblePair, TwistParam, solve_w, tau_max
+from .periods import period_ode, pthat_quadrature
+from .twisted_curve import AdmissiblePair, TwistParam, tau_max
 
 __all__ = [
     "BracketingError", "RationalTarget", "ClosureReport", "ClosedCurveCheck", "k0_from_target",
@@ -132,8 +133,12 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
 
     tau0 = brentq(g_quad, lo, hi, xtol=1e-16, rtol=4 * np.finfo(float).eps)
 
+    periods: dict[float, float] = {}      # pthat by tau, for this call only
+
     def g_ode(t):
-        return period_ode(TwistParam(pair, t), tol).pthat - angle
+        if t not in periods:
+            periods[t] = period_ode(TwistParam(pair, t), tol).pthat
+        return periods[t] - angle
 
     err = g_ode(tau0)
     if abs(err) <= 1e-12:
@@ -156,30 +161,21 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
     return float(tau1)
 
 
-def verify_closed(param: TwistParam, k0: int, samples: int = 20,
-                  tol: Tolerances = Tolerances(),
-                  data: PeriodData | None = None) -> ClosedCurveCheck:
+def verify_closed(curve: Curve, k0: int, samples: int = 20) -> ClosedCurveCheck:
     """Closure and one-period rotation residuals over a long integration.
 
     closure_residual: max over samples of |w(t + 2 k0 p_tau) - w(t)|.
     rotation_residual: max of |w(t + 2 p_tau) - Mhat_{2 pthat} w(t)| with
     Mhat the diagonal phase rotation diag(e^{2i pthat/p}, e^{-2i pthat/q}).
     """
-    pair = param.pair
-    if data is None:
-        data = period_ode(param, tol)
+    pair, data = curve.param.pair, curve.period
     T = 2.0 * k0 * data.p_tau
-    traj = solve_w(param, (0.0, T + 2.0 * data.p_tau + 1e-6), tol)
-    m1 = np.exp(2j * data.pthat / pair.p)
-    m2 = np.exp(-2j * data.pthat / pair.q)
-    closure = 0.0
-    rotation = 0.0
-    for t in np.linspace(0.0, 2.0 * data.p_tau, samples):
-        a1, a2 = traj.w(t)
-        b1, b2 = traj.w(t + T)
-        closure = max(closure, abs(b1 - a1), abs(b2 - a2))
-        c1, c2 = traj.w(t + 2.0 * data.p_tau)
-        rotation = max(rotation, abs(c1 - m1 * a1), abs(c2 - m2 * a2))
+    traj = curve.traj(0.0, T + 2.0 * data.p_tau + 1e-6)
+    m = np.array([[np.exp(2j * data.pthat / pair.p)], [np.exp(-2j * data.pthat / pair.q)]])
+    ts = np.linspace(0.0, 2.0 * data.p_tau, samples)
+    a = np.array(traj.w(ts))
+    closure = np.max(np.abs(np.array(traj.w(ts + T)) - a))
+    rotation = np.max(np.abs(np.array(traj.w(ts + 2.0 * data.p_tau)) - m * a))
     return ClosedCurveCheck(closure_residual=float(closure),
                             rotation_residual=float(rotation))
 

@@ -33,11 +33,11 @@ def format_float(x: float) -> str:
 def trajectory_csv(param: TwistParam, traj, ts, path) -> Path:
     """Columns t, Re w1, Im w1, Re w2, Im w2 at the requested times."""
     path = Path(path)
+    ts = np.asarray(ts, dtype=float)
+    w1, w2 = traj.w(ts)
     lines = ["t,re_w1,im_w1,re_w2,im_w2"]
-    for t in ts:
-        w1, w2 = traj.w(float(t))
-        lines.append(",".join(format_float(v) for v in
-                              (t, w1.real, w1.imag, w2.real, w2.imag)))
+    for row in zip(ts, w1.real, w1.imag, w2.real, w2.imag):
+        lines.append(",".join(format_float(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -90,22 +90,11 @@ def _obj_mesh(sampler: Sampler, grid_spec, wrap_last: bool = True):
         angs = a_lo + (a_hi - a_lo) * np.arange(na) / na
     else:
         angs = np.linspace(a_lo, a_hi, na)
-    verts = []
-    for t in ts:
-        for a in angs:
-            z = sampler([t, a])
-            verts.append((z[0].real, z[1].real, z[2].real))
-    faces = []
-    for i in range(nt - 1):
-        for j in range(na):
-            jn = (j + 1) % na
-            if not wrap_last and jn == 0:
-                continue
-            a = i * na + j + 1
-            b = i * na + jn + 1
-            c = (i + 1) * na + jn + 1
-            d = (i + 1) * na + j + 1
-            faces.append((a, b, c, d))
+    grid = np.stack(np.meshgrid(ts, angs, indexing="ij"), axis=-1).reshape(-1, 2)
+    verts = sampler(grid)[:, :3].real
+    faces = [(i * na + j + 1, i * na + (j + 1) % na + 1,
+              (i + 1) * na + (j + 1) % na + 1, (i + 1) * na + j + 1)
+             for i in range(nt - 1) for j in range(na) if wrap_last or j + 1 < na]
     return verts, faces
 
 
@@ -134,11 +123,11 @@ def export(sampler_or_report, grid_spec=None, fmt: str = "csv", path="out") -> P
         header += [f"{part}_z{j + 1}" for j in range(sampler.m)
                    for part in ("re", "im")]
         lines = [",".join(header)]
-        for idx in np.ndindex(*counts):
-            u = [m[idx] for m in mesh]
-            z = sampler(u)
-            row = list(u) + [v for zz in z for v in (zz.real, zz.imag)]
-            lines.append(",".join(format_float(v) for v in row))
+        u = np.stack(mesh, axis=-1).reshape(-1, sampler.dim)
+        z = sampler(u)
+        rows = np.concatenate([u, np.stack([z.real, z.imag], axis=-1).reshape(len(u), -1)],
+                              axis=1)
+        lines += [",".join(format_float(v) for v in row) for row in rows]
         path.write_text("\n".join(lines) + "\n")
         return path
     if fmt == "obj":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..twisted_curve import TwistParam, TwistTrajectory, solve_w
+from ..curve import Curve
 
 __all__ = [
     "ImmersionPoint", "Sampler", "CurveSampler", "immerse",
@@ -38,7 +38,11 @@ class ImmersionPoint:
 
 
 class Sampler:
-    """Chart map u in R^dim -> point in C^m, optionally with known phase."""
+    """Chart map u in R^dim -> point in C^m, optionally with known phase.
+
+    Batched: ``u`` of shape (..., dim) maps to points of shape (..., m),
+    so one call evaluates a whole sample of chart points.
+    """
 
     def __init__(self, fn, dim: int, m: int, box=None, phase=None, name: str = ""):
         self._fn = fn
@@ -93,17 +97,17 @@ class CurveSampler:
 
 
 def _chart_point(m: int, u: np.ndarray) -> np.ndarray:
-    """Point of the real unit sphere S^m from polar chart angles."""
+    """Points of the real unit sphere S^m from polar chart angles u[..., :m]."""
     if m == 0:
-        return np.array([1.0])
+        return np.ones(u.shape[:-1] + (1,))
+    c, s = np.cos(u[..., 0]), np.sin(u[..., 0])
     if m == 1:
-        return np.array([math.cos(u[0]), math.sin(u[0])])
+        return np.stack([c, s], axis=-1)
     if m == 2:
-        st = math.sin(u[0])
-        return np.array([st * math.cos(u[1]), st * math.sin(u[1]), math.cos(u[0])])
+        return np.stack([s * np.cos(u[..., 1]), s * np.sin(u[..., 1]), c], axis=-1)
     # general polar recursion
-    head = _chart_point(m - 1, u[1:])
-    return np.concatenate([[math.cos(u[0])], math.sin(u[0]) * head])
+    return np.concatenate([c[..., None], s[..., None] * _chart_point(m - 1, u[..., 1:])],
+                          axis=-1)
 
 
 def _chart_box(m: int):
@@ -128,7 +132,7 @@ def equatorial_factor(m: int) -> Sampler:
 
 def point_factor() -> Sampler:
     """Degenerate zero-dimensional factor: the point 1 in S^1 subset C."""
-    return Sampler(lambda u: np.array([1.0 + 0.0j]), dim=0, m=1, box=[],
+    return Sampler(lambda u: np.ones(u.shape[:-1] + (1,), dtype=complex), dim=0, m=1, box=[],
                    phase=lambda u: 1.0 + 0.0j, name="point factor")
 
 
@@ -139,37 +143,30 @@ def equatorial_circle_curve() -> CurveSampler:
                         name="equatorial circle")
 
 
-def twist_curve_sampler(param: TwistParam, traj: TwistTrajectory | None = None,
-                        t_span=(-5.0, 5.0)) -> CurveSampler:
+def twist_curve_sampler(curve: Curve, t_span=(-5.0, 5.0)) -> CurveSampler:
     """The integrated twisted curve as a sampler with analytic tangents."""
-    if traj is None:
-        traj = solve_w(param, t_span)
-    p, q = param.pair.p, param.pair.q
-
-    def fn(t):
-        return traj.w(t)
+    traj = curve.traj(*t_span)
+    p, q = curve.param.pair.p, curve.param.pair.q
 
     def dfn(t):
         w1, w2 = traj.w(t)
         return (w1.conjugate() ** (p - 1) * w2.conjugate() ** q,
                 -(w1.conjugate() ** p) * w2.conjugate() ** (q - 1))
 
-    return CurveSampler(fn, dfn, name=f"twist curve ({p},{q}) tau={param.tau}")
+    return CurveSampler(traj.w, dfn, name=f"twist curve ({p},{q}) tau={curve.param.tau}")
 
 
 # -- the invariant immersion --------------------------------------------------
 
 
-def immerse(param: TwistParam, t: float, sigma1=None, sigma2=None,
-            traj: TwistTrajectory | None = None) -> ImmersionPoint:
+def immerse(curve: Curve, t: float, sigma1=None, sigma2=None) -> ImmersionPoint:
     """Point (w1 sigma1, w2 sigma2) of the invariant Legendrian cylinder.
 
     For p = 1 the first factor degenerates: pass sigma1 = None and a unit
     (n-1)-vector sigma2.
     """
-    pair = param.pair
-    if traj is None:
-        traj = solve_w(param, (min(t, 0.0) - 1e-9, max(t, 0.0) + 1e-9))
+    pair = curve.param.pair
+    traj = curve.traj(min(t, 0.0) - 1e-9, max(t, 0.0) + 1e-9)
     w1, w2 = traj.w(t)
     if pair.p == 1:
         if sigma1 is not None:
@@ -189,21 +186,20 @@ def immerse(param: TwistParam, t: float, sigma1=None, sigma2=None,
     return ImmersionPoint(coords=coords, domain=(t, tuple(s1), tuple(s2)))
 
 
-def immersion_sampler(param: TwistParam, t_range=(-2.0, 2.0),
-                      traj: TwistTrajectory | None = None) -> Sampler:
+def immersion_sampler(curve: Curve, t_range=(-2.0, 2.0)) -> Sampler:
     """Chart sampler (t, angles) -> X_tau for residual and export work."""
-    pair = param.pair
+    pair = curve.param.pair
     p, q = pair.p, pair.q
-    if traj is None:
-        traj = solve_w(param, (t_range[0] - 0.05, t_range[1] + 0.05))
+    traj = curve.traj(t_range[0] - 0.05, t_range[1] + 0.05)
 
     if p == 1:
         box = [tuple(t_range)] + _chart_box(pair.n - 2)
 
         def fn(u):
-            w1, w2 = traj.w(u[0])
-            sigma = _chart_point(pair.n - 2, u[1:])
-            return np.concatenate([[w1], w2 * sigma])
+            w1, w2 = traj.w(u[..., 0])
+            sigma = _chart_point(pair.n - 2, u[..., 1:])
+            return np.concatenate([np.asarray(w1)[..., None],
+                                   np.asarray(w2)[..., None] * sigma], axis=-1)
 
         return Sampler(fn, dim=1 + (pair.n - 2), m=pair.n, box=box,
                        name=f"cylinder ({p},{q})")
@@ -211,10 +207,11 @@ def immersion_sampler(param: TwistParam, t_range=(-2.0, 2.0),
     box = [tuple(t_range)] + _chart_box(p - 1) + _chart_box(q - 1)
 
     def fn(u):
-        w1, w2 = traj.w(u[0])
-        s1 = _chart_point(p - 1, u[1:p])
-        s2 = _chart_point(q - 1, u[p:])
-        return np.concatenate([w1 * s1, w2 * s2])
+        w1, w2 = traj.w(u[..., 0])
+        s1 = _chart_point(p - 1, u[..., 1:p])
+        s2 = _chart_point(q - 1, u[..., p:])
+        return np.concatenate([np.asarray(w1)[..., None] * s1,
+                               np.asarray(w2)[..., None] * s2], axis=-1)
 
     return Sampler(fn, dim=1 + (p - 1) + (q - 1), m=pair.n, box=box,
                    name=f"cylinder ({p},{q})")
@@ -226,22 +223,24 @@ _FD_STEP = 1e-3
 
 
 def _tangents(sampler: Sampler, u: np.ndarray, h: float = _FD_STEP) -> np.ndarray:
-    """Fourth-order central-difference tangents along each chart direction."""
+    """Fourth-order central-difference tangents along each chart direction.
+
+    Chart points u of shape (..., dim) give tangents of shape (..., m, dim).
+    """
     cols = []
-    for i in range(sampler.dim):
-        e = np.zeros(sampler.dim)
-        e[i] = 1.0
-        cols.append((-sampler(u + 2 * h * e) + 8 * sampler(u + h * e)
-                     - 8 * sampler(u - h * e) + sampler(u - 2 * h * e)) / (12 * h))
-    return np.array(cols).T          # m x dim complex
+    for e in h * np.eye(sampler.dim):
+        cols.append((-sampler(u + 2 * e) + 8 * sampler(u + e)
+                     - 8 * sampler(u - e) + sampler(u - 2 * e)) / (12 * h))
+    return np.stack(cols, axis=-1)
 
 
-def contact_pairing(point: np.ndarray, tangent: np.ndarray) -> float:
+def contact_pairing(point: np.ndarray, tangent: np.ndarray):
     """The contact form of the sphere applied to a tangent vector.
 
-    gamma_z(v) = sum_j x_j dy_j - y_j dx_j = Im <conj(z), v>.
+    gamma_z(v) = sum_j x_j dy_j - y_j dx_j = Im <conj(z), v>, summed over
+    the last axis, so stacks of points and tangents pair elementwise.
     """
-    return float(np.imag(np.sum(np.conj(point) * tangent)))
+    return np.imag(np.sum(np.conj(point) * tangent, axis=-1))
 
 
 def legendrian_residual(sampler: Sampler, sample_count: int = 200,
@@ -249,16 +248,12 @@ def legendrian_residual(sampler: Sampler, sample_count: int = 200,
     """max |gamma(tangent)| / |tangent| over finite-difference tangents."""
     if sampler.dim == 0:
         return 0.0
-    res = 0.0
-    for u in sampler.sample_points(sample_count, seed):
-        z = sampler(u)
-        T = _tangents(sampler, u)
-        for i in range(T.shape[1]):
-            v = T[:, i]
-            nrm = float(np.linalg.norm(np.concatenate([v.real, v.imag])))
-            if nrm > 0:
-                res = max(res, abs(contact_pairing(z, v)) / nrm)
-    return res
+    u = sampler.sample_points(sample_count, seed)
+    z = sampler(u)[..., None, :]                          # (N, 1, m)
+    T = np.swapaxes(_tangents(sampler, u), -1, -2)        # (N, dim, m)
+    nrm = np.sqrt(np.sum(T.real**2 + T.imag**2, axis=-1))
+    ok = nrm > 0
+    return float(np.max(np.abs(contact_pairing(z, T))[ok] / nrm[ok], initial=0.0))
 
 
 def lagrangian_phase(sampler: Sampler, u) -> complex:
@@ -296,11 +291,11 @@ def twisted_product(factor1: Sampler, factor2: Sampler, curve: CurveSampler,
     d1, d2 = factor1.dim, factor2.dim
 
     def fn(u):
-        t = u[0]
-        w1, w2 = curve(t)
-        x1 = factor1(u[1:1 + d1]) if d1 else factor1([])
-        x2 = factor2(u[1 + d1:]) if d2 else factor2([])
-        return np.concatenate([w1 * x1, w2 * x2])
+        t = u[..., 0]
+        w = np.array([curve(s) for s in t.ravel()]).reshape(t.shape + (2,))
+        x1 = factor1(u[..., 1:1 + d1])
+        x2 = factor2(u[..., 1 + d1:])
+        return np.concatenate([w[..., :1] * x1, w[..., 1:] * x2], axis=-1)
 
     box = [(-1.0, 1.0)] + list(factor1.box) + list(factor2.box)
     prod = Sampler(fn, dim=1 + d1 + d2, m=p + q, box=box,

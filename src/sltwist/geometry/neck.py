@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..catenoid import catenoid_lifetime, unit_profile
-from ..periods import PeriodData, period_ode
-from ..twisted_curve import TwistParam, solve_w, y_extrema
+from ..curve import Curve
 from .spheres import Waist, waists_and_bulges
 
 __all__ = ["NeckComparison", "neck_rescale"]
@@ -34,8 +33,7 @@ class NeckComparison:
     catenoid_degree: int
 
 
-def neck_rescale(param: TwistParam, waist_index: int, b: float,
-                 data: PeriodData | None = None,
+def neck_rescale(curve: Curve, waist_index: int, b: float,
                  grid_points: int = 81) -> NeckComparison:
     """Compare the rescaled neck at a waist with the unit catenoid.
 
@@ -45,12 +43,10 @@ def neck_rescale(param: TwistParam, waist_index: int, b: float,
     p in place of q and beta = sqrt(1 - y_max).  The window must stay
     below the catenoid lifetime of that degree.
     """
-    pair = param.pair
-    p, q, n = pair.p, pair.q, pair.n
-    if data is None:
-        data = period_ode(param)
-    waists, _ = waists_and_bulges(param, (-(abs(waist_index) + 2) * data.p_tau,
-                                          (abs(waist_index) + 2) * data.p_tau), data)
+    pair, data = curve.param.pair, curve.period
+    p, q = pair.p, pair.q
+    waists, _ = waists_and_bulges(curve, (-(abs(waist_index) + 2) * data.p_tau,
+                                          (abs(waist_index) + 2) * data.p_tau))
     match = [w for w in waists if w.index == waist_index]
     if not match:
         raise ValueError(f"waist index {waist_index} not found")
@@ -61,12 +57,12 @@ def neck_rescale(param: TwistParam, waist_index: int, b: float,
             f"window {b} exceeds the degree-{degree} catenoid lifetime")
     if degree < 2:
         raise ValueError("kind-1 necks need p >= 2")
-    y_min, y_max = y_extrema(param)
+    y_min, y_max = curve.extrema
     beta = math.sqrt(y_min) if waist.kind == 2 else math.sqrt(1.0 - y_max)
     scale = beta ** (2 - degree)
     t_w = waist.t
     span = (min(t_w - scale * b, 0.0) - 1e-6, max(t_w + scale * b, 0.0) + 1e-6)
-    traj = solve_w(param, span)
+    traj = curve.traj(*span)
     w1_w, w2_w = traj.w(t_w)
     phase = np.exp(1j * math.pi / (2 * degree))
     if waist.kind == 2:
@@ -75,11 +71,9 @@ def neck_rescale(param: TwistParam, waist_index: int, b: float,
         frame = np.diag([phase * abs(w1_w) / w1_w] * p + [abs(w2_w) / w2_w] * q)
     ts = np.linspace(-b, b, grid_points)
     model = unit_profile(degree, ts)
-    err = 0.0
-    for s, z0 in zip(ts, np.atleast_1d(model)):
-        w1, w2 = traj.w(t_w + scale * s)
-        z = phase * (w2 / w2_w if waist.kind == 2 else w1 / w1_w)
-        err = max(err, abs(z - z0))
+    w1, w2 = traj.w(t_w + scale * ts)
+    z = phase * (w2 / w2_w if waist.kind == 2 else w1 / w1_w)
+    err = np.max(np.abs(z - model))
     return NeckComparison(beta=float(beta), rescale_frame=frame,
                           max_error=float(err), window=float(b),
                           waist_index=waist_index, waist_kind=waist.kind,

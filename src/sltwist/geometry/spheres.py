@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..periods import PeriodData, period_ode
-from ..twisted_curve import TwistParam, solve_w
+from ..curve import Curve
 from .symmetry import reflection_matrix, ttilde
 
 __all__ = [
@@ -65,17 +64,14 @@ def _real_rep(U: np.ndarray, conjugates: bool) -> np.ndarray:
     return np.block([[A, B], [B, -A]])
 
 
-def waists_and_bulges(param: TwistParam, window,
-                      data: PeriodData | None = None) -> tuple[list[Waist], list[Bulge]]:
+def waists_and_bulges(curve: Curve, window) -> tuple[list[Waist], list[Bulge]]:
     """All waists and bulges whose parameter times meet the window.
 
     p = 1: waists at (2k-1) p_tau, all of kind 2.  p > 1: kind-1 waists
     at 2l p_tau - p_minus and kind-2 waists at 2l p_tau + p_plus,
     alternating.
     """
-    pair = param.pair
-    if data is None:
-        data = period_ode(param)
+    pair, data = curve.param.pair, curve.period
     t_lo, t_hi = float(window[0]), float(window[1])
     ptau = data.p_tau
     waists: list[Waist] = []
@@ -120,17 +116,14 @@ def _marked_set(pair, frame: np.ndarray) -> dict:
                            f"frame . (0 x S^{pair.q - 1})")}
 
 
-def approximating_spheres(param: TwistParam, k_range,
-                          data: PeriodData | None = None) -> list[MarkedSphere]:
+def approximating_spheres(curve: Curve, k_range) -> list[MarkedSphere]:
     """The marked equatorial spheres approximating the requested bulges.
 
     p = 1: frame(k) = Ttilde(2 k pthat).  p > 1: even bulges get
     Ttilde(2 l pthat), odd bulges get Ttilde(2 l pthat) composed with
     the antiholomorphic reflection across the kind-2 waist.
     """
-    pair = param.pair
-    if data is None:
-        data = period_ode(param)
+    pair, data = curve.param.pair, curve.period
     out = []
     for k in k_range:
         if pair.p == 1:
@@ -141,7 +134,7 @@ def approximating_spheres(param: TwistParam, k_range,
             l, odd = divmod(k, 2)
             U = ttilde(pair, 2.0 * l * data.pthat)
             if odd:
-                small = reflection_matrix(param, data, "+")
+                small = reflection_matrix(curve, "+")
                 D = np.diag([small[0, 0]] * pair.p + [small[1, 1]] * pair.q)
                 frame = _real_rep(U @ D, conjugates=True)
                 anti = True
@@ -165,8 +158,7 @@ def sphere_distance(sphere: MarkedSphere, z: np.ndarray) -> float:
     return float(math.sqrt(np.dot(im, im) + (np.linalg.norm(re) - 1.0) ** 2))
 
 
-def bulge_sphere_distance(param: TwistParam, k: int, b: float,
-                          data: PeriodData | None = None,
+def bulge_sphere_distance(curve: Curve, k: int, b: float,
                           t_points: int = 40, mer_points: int = 24) -> float:
     """max distance from the k-th almost spherical region to its sphere.
 
@@ -174,35 +166,18 @@ def bulge_sphere_distance(param: TwistParam, k: int, b: float,
     reflected for odd k when p > 1); the distance is sampled over a
     parameter grid of the immersion.
     """
-    pair = param.pair
-    if data is None:
-        data = period_ode(param)
-    sphere = approximating_spheres(param, [k], data)[0]
+    pair, data = curve.param.pair, curve.period
+    sphere = approximating_spheres(curve, [k])[0]
     if pair.p == 1:
         center = 2.0 * k * data.p_tau
-        ts = np.linspace(center - b, center + b, t_points)
     else:
         l, odd = divmod(k, 2)
-        if odd:
-            ts = np.linspace(2 * l * data.p_tau + 2 * data.p_plus - b,
-                             2 * l * data.p_tau + 2 * data.p_plus + b, t_points)
-        else:
-            ts = np.linspace(2 * l * data.p_tau - b, 2 * l * data.p_tau + b, t_points)
-    traj = solve_w(param, (min(ts.min(), 0.0) - 1e-6, max(ts.max(), 0.0) + 1e-6))
+        center = 2 * l * data.p_tau + (2 * data.p_plus if odd else 0.0)
+    ts = np.linspace(center - b, center + b, t_points)
+    w1, w2 = curve.traj(min(ts.min(), 0.0) - 1e-6, max(ts.max(), 0.0) + 1e-6).w(ts)
     angles = np.linspace(0.0, 2.0 * math.pi, mer_points, endpoint=False)
-    worst = 0.0
-    for t in ts:
-        w1, w2 = traj.w(t)
-        for th in angles:
-            if pair.p == 1:
-                sigma = np.zeros(pair.n - 1)
-                sigma[0], sigma[1] = math.cos(th), math.sin(th)
-                z = np.concatenate([[w1], w2 * sigma])
-            else:
-                s1 = np.zeros(pair.p)
-                s2 = np.zeros(pair.q)
-                s1[0] = 1.0
-                s2[0], s2[-1] = math.cos(th), math.sin(th)
-                z = np.concatenate([w1 * s1, w2 * s2])
-            worst = max(worst, sphere_distance(sphere, z))
-    return worst
+    ring = np.zeros((mer_points, pair.n))       # meridian directions of the second factor
+    ring[:, pair.p] = np.cos(angles)
+    ring[:, pair.p + 1 if pair.p == 1 else -1] = np.sin(angles)
+    z = w1[:, None, None] * np.eye(pair.n)[0] + w2[:, None, None] * ring
+    return max(sphere_distance(sphere, zz) for zz in z.reshape(-1, pair.n))

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..periods import PeriodData, period_ode
-from ..twisted_curve import TwistParam, alpha_tau, solve_w, tau_max
+from ..curve import Curve
+from ..twisted_curve import alpha_tau, tau_max
 
 __all__ = [
     "mhat", "ttilde", "reflection_matrix", "symmetry_residuals",
@@ -31,21 +31,21 @@ def ttilde(pair, x: float) -> np.ndarray:
     return np.diag(phases)
 
 
-def reflection_matrix(param: TwistParam, data: PeriodData,
-                      side: str = "+") -> np.ndarray:
+def reflection_matrix(curve: Curve, side: str = "+") -> np.ndarray:
     """Diagonal phase factor D of the antiholomorphic reflection w -> D conj(w).
 
     p = 1: D = diag(-1, 1).  p > 1: D has entries
     e^{i alpha/p + i psi1(2 p+-)} and e^{i alpha/q + i psi2(2 p+-)}
-    where the angle values come from the integrated trajectory.
+    where the angle values are integration endpoints on the trajectory.
     """
+    param = curve.param
     pair = param.pair
     if pair.p == 1:
         return np.diag([-1.0 + 0.0j, 1.0 + 0.0j])
     a = alpha_tau(param)
+    data = curve.period
     t_ref = 2.0 * data.p_plus if side == "+" else -2.0 * data.p_minus
-    traj = solve_w(param, (min(t_ref, 0.0), max(t_ref, 0.0)))
-    psi1, psi2 = traj.psi(t_ref)
+    psi1, psi2 = curve.traj(min(t_ref, 0.0), max(t_ref, 0.0)).endpoint_state(t_ref)[4:]
     return np.diag([np.exp(1j * (a / pair.p + psi1)),
                     np.exp(1j * (a / pair.q + psi2))])
 
@@ -62,9 +62,8 @@ def rotation_determinant_residual(pair, count: int = 20, seed: int = 0,
     return res
 
 
-def holomorphic_volume_reflection_residual(param: TwistParam,
-                                           data: PeriodData | None = None,
-                                           count: int = 10, seed: int = 1) -> float:
+def holomorphic_volume_reflection_residual(curve: Curve, count: int = 10,
+                                           seed: int = 1) -> float:
     """Residual of pulling the holomorphic volume form back to -conj.
 
     An antiholomorphic reflection A(z) = D conj(z) satisfies
@@ -73,14 +72,15 @@ def holomorphic_volume_reflection_residual(param: TwistParam,
     |det_C([A v_1 ... A v_n]) + conj(det_C([v_1 ... v_n]))| on random
     complex frames.
     """
-    pair = param.pair
+    return _omega_residual(curve.param.pair, reflection_matrix(curve, "+"), count, seed)
+
+
+def _omega_residual(pair, small: np.ndarray, count: int = 10, seed: int = 1) -> float:
+    """The residual above for the "+" reflection factor ``small`` (2 x 2)."""
     n = pair.n
-    if data is None:
-        data = period_ode(param)
     if pair.p == 1:
         D = np.diag([-1.0 + 0.0j] + [1.0 + 0.0j] * (n - 1))
     else:
-        small = reflection_matrix(param, data, "+")
         D = np.diag([small[0, 0]] * pair.p + [small[1, 1]] * pair.q)
     rng = np.random.default_rng(seed)
     res = 0.0
@@ -91,66 +91,53 @@ def holomorphic_volume_reflection_residual(param: TwistParam,
     return res
 
 
-def symmetry_residuals(param: TwistParam, samples: int = 40,
-                       data: PeriodData | None = None) -> dict[str, float]:
+def symmetry_residuals(curve: Curve, samples: int = 40) -> dict[str, float]:
     """Pointwise residuals of the discrete symmetry relations over a period.
 
     Keys: 'translation' for w(t + 2 p_tau) = Mhat_{2 pthat} w(t); the
     reflection relations ('reflection', 'reflection_ptau' for p = 1;
     'reflection_plus', 'reflection_minus' for p > 1); 'exchange' for the
     p = q swap w1(-t) = w2(t); 'det_rotation' and 'omega_reflection' for
-    the matrix-level checks.
+    the matrix-level checks.  Accepts both signs of tau.
     """
+    param = curve.param
     pair, tau = param.pair, param.tau
-    if not 0.0 < tau < tau_max(pair):
-        raise ValueError("symmetry check requires 0 < tau < tau_max")
-    if data is None:
-        data = period_ode(param)
+    if not 0.0 < abs(tau) < tau_max(pair):
+        raise ValueError("symmetry check requires 0 < |tau| < tau_max")
+    data = curve.period
     p, q = pair.p, pair.q
     ptau, phat = data.p_tau, data.pthat
-    traj = solve_w(param, (-2.2 * ptau, 3.2 * ptau))
-    M = mhat(pair, 2.0 * phat)
+    traj = curve.traj(-2.2 * ptau, 3.2 * ptau)
+    M = np.diag(mhat(pair, 2.0 * phat))[:, None]
+
+    def w(t):
+        return np.array(traj.w(t))           # 2 x len
+
+    def gap(a, b) -> float:
+        return float(np.max(np.abs(a - b)))
+
     out: dict[str, float] = {}
-
     ts = np.linspace(-0.5 * ptau, 0.5 * ptau, samples)
-    r = 0.0
-    for t in ts:
-        a = np.array(traj.w(t))
-        b = np.array(traj.w(t + 2.0 * ptau))
-        r = max(r, float(np.max(np.abs(b - M @ a))))
-    out["translation"] = r
+    out["translation"] = gap(w(ts + 2.0 * ptau), M * w(ts))
 
+    Dp = reflection_matrix(curve, "+")
     if p == 1:
-        C = reflection_matrix(param, data)
-        r1 = r2 = 0.0
-        for t in np.linspace(0.0, 1.4 * ptau, samples):
-            a = np.array(traj.w(t))
-            refl = C @ np.conj(a)
-            r1 = max(r1, float(np.max(np.abs(np.array(traj.w(-t)) - refl))))
-            r2 = max(r2, float(np.max(np.abs(np.array(traj.w(2.0 * ptau - t))
-                                             - M @ refl))))
-        out["reflection"] = r1
-        out["reflection_ptau"] = r2
+        C = np.diag(Dp)[:, None]
+        ts = np.linspace(0.0, 1.4 * ptau, samples)
+        refl = C * np.conj(w(ts))
+        out["reflection"] = gap(w(-ts), refl)
+        out["reflection_ptau"] = gap(w(2.0 * ptau - ts), M * refl)
     else:
-        Cp = reflection_matrix(param, data, "+")
-        Cm = reflection_matrix(param, data, "-")
-        rp = rm = 0.0
-        for t in np.linspace(-0.9 * ptau, 0.9 * ptau, samples):
-            a = np.array(traj.w(t))
-            rp = max(rp, float(np.max(np.abs(
-                np.array(traj.w(2.0 * data.p_plus - t)) - Cp @ np.conj(a)))))
-            rm = max(rm, float(np.max(np.abs(
-                np.array(traj.w(-2.0 * data.p_minus - t)) - Cm @ np.conj(a)))))
-        out["reflection_plus"] = rp
-        out["reflection_minus"] = rm
+        Cp = np.diag(Dp)[:, None]
+        Cm = np.diag(reflection_matrix(curve, "-"))[:, None]
+        ts = np.linspace(-0.9 * ptau, 0.9 * ptau, samples)
+        conj = np.conj(w(ts))
+        out["reflection_plus"] = gap(w(2.0 * data.p_plus - ts), Cp * conj)
+        out["reflection_minus"] = gap(w(-2.0 * data.p_minus - ts), Cm * conj)
         if p == q:
-            r = 0.0
-            for t in np.linspace(0.0, 1.5 * ptau, samples):
-                w1m, w2m = traj.w(-t)
-                w1p, w2p = traj.w(t)
-                r = max(r, abs(w1m - w2p), abs(w2m - w1p))
-            out["exchange"] = r
+            ts = np.linspace(0.0, 1.5 * ptau, samples)
+            out["exchange"] = gap(w(-ts), w(ts)[::-1])
 
     out["det_rotation"] = rotation_determinant_residual(pair)
-    out["omega_reflection"] = holomorphic_volume_reflection_residual(param, data)
+    out["omega_reflection"] = _omega_residual(pair, Dp)
     return out

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import roots_jacobi
 
-from ..twisted_curve import TwistParam, TwistTrajectory, solve_w
+from ..curve import Curve
+from ..twisted_curve import TwistParam
 
 __all__ = [
     "SuBasisElement", "TorqueReport", "sphere_volume", "sphere_quadrature",
@@ -35,7 +36,14 @@ def sphere_volume(m: int) -> float:
     return 2.0 * math.pi ** ((m + 1) / 2.0) / gamma_fn((m + 1) / 2.0)
 
 
-@lru_cache(maxsize=None)
+def _frozen(*arrays) -> tuple[np.ndarray, ...]:
+    """The arrays, read-only: a cached rule is shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=16)
 def sphere_quadrature(m: int, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (N x (m+1)) and weights integrating polynomials on S^m exactly.
 
@@ -49,20 +57,20 @@ def sphere_quadrature(m: int, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
     meridian) and degree-4 moments, in 8^m nodes.
     """
     if m == 0:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+        return _frozen(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
     if m == 1:
         quad, rho = np.divmod(4 * np.arange(order), order)
         step = 0.5 * math.pi / order
         z = np.array([1, 1j, -1, -1j])[quad] * (np.sin((order - rho) * step)
                                                 + 1j * np.sin(rho * step))
-        return np.stack([z.real, z.imag], axis=1), np.full(order, 2.0 * math.pi / order)
+        return _frozen(np.stack([z.real, z.imag], axis=1), np.full(order, 2.0 * math.pi / order))
     a = (m - 2) / 2.0
     u, wu = roots_jacobi(order // 2 + 4, a, a)
     sub_pts, sub_wts = sphere_quadrature(m - 1, order)
     s = np.sqrt(np.maximum(1.0 - u * u, 0.0))
     pts = np.hstack([np.repeat(u, len(sub_wts))[:, None],
                      (s[:, None, None] * sub_pts).reshape(-1, m)])
-    return pts, np.outer(wu, sub_wts).ravel()
+    return _frozen(pts, np.outer(wu, sub_wts).ravel())
 
 
 @dataclass(frozen=True)
@@ -158,27 +166,26 @@ def torque_closed_form(param: TwistParam, element: SuBasisElement) -> float:
     return 2.0 * tau * mean_gap * sphere_volume(p - 1) * sphere_volume(q - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _meridian_nodes(p: int, q: int, order: int):
     """Unit-sphere node blocks (sigma1 | sigma2), product weights; sigma1 = 1 if p = 1."""
     pts1, wts1 = (np.ones((1, 1)), np.ones(1)) if p == 1 else sphere_quadrature(p - 1, order)
     pts2, wts2 = sphere_quadrature(q - 1, order)
     blocks = np.hstack([np.repeat(pts1, len(wts2), axis=0), np.tile(pts2, (len(wts1), 1))])
-    return blocks, np.outer(wts1, wts2).ravel()
+    return _frozen(blocks, np.outer(wts1, wts2).ravel())
 
 
-def torque(param: TwistParam, element: SuBasisElement, meridian_t: float = 0.0,
-           traj: TwistTrajectory | None = None, order: int = 8) -> TorqueReport:
+def torque(curve: Curve, element: SuBasisElement, meridian_t: float = 0.0,
+           order: int = 8) -> TorqueReport:
     """Numeric k-flux through the meridian at parameter time meridian_t.
 
     Integrates (K X . dX/dt / |dX/dt|) against the induced meridian
     volume |w1|^(p-1) |w2|^(q-1) dv dv by product sphere quadrature.
     """
+    param = curve.param
     pair = param.pair
     p, q, n = pair.p, pair.q, pair.n
-    if traj is None:
-        span = (min(0.0, meridian_t) - 1e-6, max(0.0, meridian_t) + 1e-6)
-        traj = solve_w(param, span)
+    traj = curve.traj(min(0.0, meridian_t) - 1e-6, max(0.0, meridian_t) + 1e-6)
     w1, w2 = traj.w(meridian_t)
     d1 = w1.conjugate() ** (p - 1) * w2.conjugate() ** q
     d2 = -(w1.conjugate() ** p) * w2.conjugate() ** (q - 1)

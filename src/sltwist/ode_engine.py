@@ -79,10 +79,6 @@ class Trajectory:
         """State at time t (scalar -> 1-d array, array -> dim x len)."""
         return self.interpolant(t)
 
-    def derivative(self, t):
-        """Time derivative at t, evaluated through the field."""
-        return np.asarray(self.field(t, self.interpolant(t)), dtype=float)
-
     def covers(self, t) -> bool:
         lo, hi = min(self.t0, self.t1), max(self.t0, self.t1)
         return bool(np.all((np.asarray(t) >= lo - 1e-12) & (np.asarray(t) <= hi + 1e-12)))
@@ -117,25 +113,25 @@ def integrate(field, state0, span, tol: Tolerances = Tolerances(),
 
 
 def _grid_bracket(h, ta, tb, n=400):
-    """First sign-change subinterval of h on [ta, tb], scanning from ta."""
+    """First sign-change subinterval of h (vectorised) on [ta, tb], from ta."""
     ts = np.linspace(ta, tb, n)
-    vals = np.array([h(t) for t in ts])
+    vals = h(ts)
     if vals[0] == 0.0:
         return ta, ta
-    sign0 = np.sign(vals[0])
-    for i in range(1, n):
-        if vals[i] == 0.0 or np.sign(vals[i]) != sign0:
-            return ts[i - 1], ts[i]
-    raise EventError(f"no sign change of event function in [{ta}, {tb}]")
+    hit = np.flatnonzero((vals[1:] == 0.0) | (np.sign(vals[1:]) != np.sign(vals[0])))
+    if not len(hit):
+        raise EventError(f"no sign change of event function in [{ta}, {tb}]")
+    return ts[hit[0]], ts[hit[0] + 1]
 
 
 def locate_event(traj: Trajectory, g, bracket, g_prime=None) -> float:
     """First zero of ``g(t, state(t))`` in the bracket, on the dense output.
 
-    The bracket endpoints must produce a sign change of g (a grid scan is
-    used to localise the first crossing when g wiggles).  Refinement is
-    bisection/Brent on the interpolant, followed by one Newton step when
-    ``g_prime`` (dg/dt along the trajectory) is supplied.
+    The bracket endpoints must produce a sign change of g (a grid scan,
+    one interpolant read on the whole grid, localises the first crossing
+    when g wiggles; g gets the time array and the dim x len states, or one
+    state at a time if it takes no arrays).  Refinement is Brent on the
+    interpolant, then one Newton step when ``g_prime`` (dg/dt) is given.
     """
     ta, tb = float(bracket[0]), float(bracket[1])
     if not (traj.covers(ta) and traj.covers(tb)):
@@ -144,7 +140,14 @@ def locate_event(traj: Trajectory, g, bracket, g_prime=None) -> float:
     def h(t):
         return g(t, traj(t))
 
-    a, b = _grid_bracket(h, ta, tb)
+    def h_grid(ts):
+        states = traj(ts)
+        try:
+            return np.broadcast_to(np.asarray(g(ts, states), dtype=float), ts.shape)
+        except TypeError:       # g written for one state at a time
+            return np.array([g(t, s) for t, s in zip(ts, states.T)], dtype=float)
+
+    a, b = _grid_bracket(h_grid, ta, tb)
     if a == b:
         return a
     a, b = min(a, b), max(a, b)

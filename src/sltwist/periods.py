@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
+from .curve import Curve
 from .ode_engine import Tolerances, locate_event
-from .twisted_curve import (TwistParam, TwistTrajectory, f_poly, f_prime,
-                            f_taylor_coeffs, solve_w, tau_max, y_extrema)
+from .twisted_curve import (TwistParam, alpha_tau, f_poly, f_prime, f_taylor_coeffs,
+                            tau_max, y_extrema)
 
 __all__ = [
     "PeriodData", "partial_periods_quadrature", "pthat_quadrature",
@@ -73,12 +74,10 @@ def _root_weight(pair, y0: float, sign: int):
     return G
 
 
-def branch_integral(param: TwistParam, h) -> float:
-    """int_{y_min}^{y_max} h(y) dy / (2 sqrt(f(y) - 4 tau^2)).
+def _branch_halves(param: TwistParam, h) -> tuple[float, float]:
+    """int h(y) dy / (2 sqrt(f(y) - 4 tau^2)) over [y_min, q/n] and [q/n, y_max].
 
-    This is the integral of h(y(t)) dt over one monotone branch of y.
-    Split at q/n; each half is regularised by the s^2 substitution at
-    its singular endpoint.
+    Each half is regularised by the s^2 substitution at its singular endpoint.
     """
     pair = param.pair
     y_min, y_max = y_extrema(param)
@@ -89,6 +88,15 @@ def branch_integral(param: TwistParam, h) -> float:
                0.0, math.sqrt(qn - y_min))
     hi = _quad(lambda s: h(y_max - s * s) / math.sqrt(G_hi(s)),
                0.0, math.sqrt(y_max - qn))
+    return lo, hi
+
+
+def branch_integral(param: TwistParam, h) -> float:
+    """int_{y_min}^{y_max} h(y) dy / (2 sqrt(f(y) - 4 tau^2)).
+
+    This is the integral of h(y(t)) dt over one monotone branch of y.
+    """
+    lo, hi = _branch_halves(param, h)
     return lo + hi
 
 
@@ -104,14 +112,7 @@ def partial_periods_quadrature(param: TwistParam) -> tuple[float, float]:
         raise ValueError("tau = 0: the period integral diverges")
     if tau >= tm * (1 - 1e-10):
         raise ValueError("|tau| at tau_max: the orbit is a point, no period")
-    y_min, y_max = y_extrema(param)
-    qn = pair.q / pair.n
-    G_lo = _root_weight(pair, y_min, +1)
-    G_hi = _root_weight(pair, y_max, -1)
-    p_plus = _quad(lambda s: 1.0 / math.sqrt(G_lo(s)),
-                   0.0, math.sqrt(qn - y_min))
-    p_minus = _quad(lambda s: 1.0 / math.sqrt(G_hi(s)),
-                    0.0, math.sqrt(y_max - qn))
+    p_plus, p_minus = _branch_halves(param, lambda y: 1.0)
     if pair.p == 1:
         return p_plus + p_minus, 0.0
     return p_plus, p_minus
@@ -134,25 +135,28 @@ def pthat_quadrature_psi2(param: TwistParam) -> float:
 
 
 def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
-               traj: TwistTrajectory | None = None) -> PeriodData:
+               curve: Curve | None = None) -> PeriodData:
     """Period data from extremum events on the integrated curve.
 
     The events are the zeros of y' = -2 Re(w1^p w2^q), refined on the
     dense output with a Newton polish through y'' = 2 f'(y); the angles
     psi_i ride along as integrated components so they carry integrator
-    accuracy rather than interpolation accuracy.
+    accuracy rather than interpolation accuracy.  The trajectory is read
+    off ``curve`` (a new :class:`Curve` of ``(param, tol)`` by default).
     """
     pair = param.pair
+    if curve is None:
+        curve = Curve(param, tol)
     p_est_plus, p_est_minus = partial_periods_quadrature(param)
     p_est = p_est_plus + p_est_minus
-    if traj is None:
-        fwd = 2.0 * p_est * (1.0 + 1e-6) + 1e-3
-        bwd = -(1.5 * p_est_minus + 1e-3) if pair.p > 1 else 0.0
-        traj = solve_w(param, (bwd, fwd), tol)
+    fwd = 2.0 * p_est * (1.0 + 1e-6) + 1e-3
+    bwd = -(1.5 * p_est_minus + 1e-3) if pair.p > 1 else 0.0
+    traj = curve.traj(bwd, fwd)
 
     def g(t, s):
-        return -2.0 * (complex(s[0], s[1]) ** pair.p
-                       * complex(s[2], s[3]) ** pair.q).real
+        w = np.empty((2,) + np.shape(s)[1:], dtype=complex)
+        w.real, w.imag = s[0:4:2], s[1:4:2]
+        return -2.0 * (w[0] ** pair.p * w[1] ** pair.q).real
 
     def g_prime(t, s):
         return 2.0 * f_prime(pair, s[2] ** 2 + s[3] ** 2)
@@ -161,14 +165,11 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
         raise ValueError("tau = 0: y is not periodic")
 
     if pair.p > 1:
-        piece_fwd = traj.pieces[0]
-        p_plus = locate_event(piece_fwd, g, (0.5 * p_est_plus, 1.5 * p_est_plus), g_prime)
-        piece_bwd = traj.pieces[1]
-        t_back = locate_event(piece_bwd, g, (-0.5 * p_est_minus, -1.5 * p_est_minus), g_prime)
-        p_minus = -t_back
+        p_plus = locate_event(traj.pieces[0], g, (0.5 * p_est_plus, 1.5 * p_est_plus), g_prime)
+        p_minus = -locate_event(traj.pieces[1], g, (-0.5 * p_est_minus, -1.5 * p_est_minus),
+                                g_prime)
     else:
-        piece_fwd = traj.pieces[0]
-        p_plus = locate_event(piece_fwd, g, (0.5 * p_est, 1.5 * p_est), g_prime)
+        p_plus = locate_event(traj.pieces[0], g, (0.5 * p_est, 1.5 * p_est), g_prime)
         p_minus = 0.0
     p_tau = p_plus + p_minus
     psi1_2p, psi2_2p = traj.psi(2.0 * p_tau)
@@ -178,38 +179,33 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
                       psi1_2p=float(psi1_2p), psi2_2p=float(psi2_2p))
 
 
-def verify_psi_constraint(param: TwistParam, samples: int = 100,
-                          traj: TwistTrajectory | None = None,
-                          data: PeriodData | None = None) -> float:
+def verify_psi_constraint(curve: Curve, samples: int = 100) -> float:
     """Residual of the algebraic angle constraint along the curve.
 
     With Psi = p psi1 + q psi2 and a = arcsin(-tau/tau_max):
-    p = 1 requires 2 tau = sqrt(f(y)) cos(Psi) with Psi in (-pi/2, pi/2);
-    p > 1 requires -2 tau = sqrt(f(y)) sin(Psi + a) with Psi + a in (-pi, 0).
+    p = 1 requires 2 |tau| = sqrt(f(y)) cos(Psi) with Psi in (-pi/2, pi/2);
+    p > 1 requires -2 tau = sqrt(f(y)) sin(Psi + a) with Psi + a in
+    (-pi, 0) for tau > 0 and in (0, pi) for tau < 0.
     Returns the max residual; raises if a sign condition is violated.
     """
-    from .twisted_curve import alpha_tau
-
+    param = curve.param
     pair, tau = param.pair, param.tau
-    if not 0.0 < tau < tau_max(pair):
-        raise ValueError("psi constraint check requires 0 < tau < tau_max")
-    if data is None:
-        data = period_ode(param)
-    if traj is None:
-        traj = solve_w(param, (0.0, 2.0 * data.p_tau))
-    res = 0.0
-    for t in np.linspace(0.0, 2.0 * data.p_tau, samples):
-        s = traj.state(t)
-        y = s[2] ** 2 + s[3] ** 2
-        Psi = pair.p * s[4] + pair.q * s[5]
-        root = math.sqrt(max(f_poly(pair, y), 0.0))
-        if pair.p == 1:
-            if not -math.pi / 2 < Psi < math.pi / 2:
-                raise AssertionError(f"Psi={Psi} outside (-pi/2, pi/2) at t={t}")
-            res = max(res, abs(2.0 * tau - root * math.cos(Psi)))
-        else:
-            shifted = Psi + alpha_tau(param)
-            if not -math.pi < shifted < 0.0:
-                raise AssertionError(f"Psi+alpha={shifted} outside (-pi, 0) at t={t}")
-            res = max(res, abs(-2.0 * tau - root * math.sin(shifted)))
-    return res
+    if not 0.0 < abs(tau) < tau_max(pair):
+        raise ValueError("psi constraint check requires 0 < |tau| < tau_max")
+    p_tau = curve.period.p_tau
+    ts = np.linspace(0.0, 2.0 * p_tau, samples)
+    s = curve.traj(0.0, 2.0 * p_tau).state(ts)
+    Psi = pair.p * s[4] + pair.q * s[5]
+    root = np.sqrt(np.maximum(f_poly(pair, s[2] ** 2 + s[3] ** 2), 0.0))
+    if pair.p == 1:
+        lo, hi, res = -math.pi / 2, math.pi / 2, abs(2.0 * tau) - root * np.cos(Psi)
+        name = "Psi"
+    else:
+        Psi = Psi + alpha_tau(param)
+        lo, hi = (-math.pi, 0.0) if tau > 0.0 else (0.0, math.pi)
+        res, name = -2.0 * tau - root * np.sin(Psi), "Psi+alpha"
+    bad = np.flatnonzero(~((lo < Psi) & (Psi < hi)))
+    if len(bad):
+        i = bad[0]
+        raise AssertionError(f"{name}={Psi[i]} outside ({lo}, {hi}) at t={ts[i]}")
+    return float(np.max(np.abs(res)))

@@ -191,8 +191,11 @@ def initial_state(param: TwistParam) -> SphereState:
 # the integrated curve
 
 
-def _field(p: int, q: int, tau: float):
-    """Right-hand side for the real 6-vector (w1, w2, psi1, psi2)."""
+def _field(p: int, q: int, tau: float, linearised: bool = False):
+    """Right-hand side for the real 6-vector (w1, w2, psi1, psi2); with
+    ``linearised`` for the 8-vector that appends (Q, Q') of the linearised
+    equation Q'' = -2 n |w'|^2 Q."""
+    n = p + q
 
     def rhs(t, s):
         w1 = complex(s[0], s[1])
@@ -200,8 +203,10 @@ def _field(p: int, q: int, tau: float):
         c1 = w1.conjugate() ** (p - 1) * w2.conjugate() ** q
         c2 = -(w1.conjugate() ** p) * w2.conjugate() ** (q - 1)
         y = w2.real * w2.real + w2.imag * w2.imag
-        return (c1.real, c1.imag, c2.real, c2.imag,
-                2.0 * tau / (1.0 - y), -2.0 * tau / y)
+        out = (c1.real, c1.imag, c2.real, c2.imag, 2.0 * tau / (1.0 - y), -2.0 * tau / y)
+        if linearised:
+            return out + (s[7], -2.0 * n * (y ** (q - 1) * (1.0 - y) ** (p - 1)) * s[6])
+        return out
 
     return rhs
 
@@ -266,46 +271,70 @@ class TwistTrajectory:
         self._fwd = integrate(fld, s0, (0.0, hi), tol, inv) if hi > 0 else None
         self._bwd = integrate(fld, s0, (0.0, lo), tol, inv) if lo < 0 else None
 
-    # -- raw state access ---------------------------------------------------
+    # -- state access: scalar t gives scalars, an array of times gives arrays --
 
     def _raw(self, t):
-        t = float(t)
-        traj = self._fwd if t >= 0.0 else self._bwd
-        if traj is None or not traj.covers(t):
-            raise ValueError(f"t={t} outside integrated span [{self.t_lo}, {self.t_hi}]")
-        return traj(t)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        fwd = ts >= 0.0
+        out = np.empty((2 if self._tau0 else 6, len(ts)))
+        for traj, mask in ((self._fwd, fwd), (self._bwd, ~fwd)):
+            if mask.any():
+                if traj is None or not traj.covers(ts[mask]):
+                    raise ValueError(f"t={t} outside integrated span "
+                                     f"[{self.t_lo}, {self.t_hi}]")
+                out[:, mask] = traj(ts[mask])
+        return out
+
+    def _states(self, t) -> np.ndarray:
+        """Real 6 x len states at the times t."""
+        s = self._raw(t)
+        if not self._tau0:
+            return s * _CONJ[:, None] if self._neg else s
+        y = np.clip(s[0], 0.0, 1.0)
+        w1 = np.sqrt(1.0 - y)
+        if self.param.pair.p == 1:
+            w1 = np.where(np.atleast_1d(t) < 0.0, -w1, w1)
+        zero = np.zeros_like(y)
+        return np.array([w1, zero, np.sqrt(y), zero, zero, zero])
 
     def state(self, t) -> np.ndarray:
-        """Real 6-vector (Re w1, Im w1, Re w2, Im w2, psi1, psi2)."""
-        if self._tau0:
-            y, ydot = self._raw(t)
-            y = min(max(y, 0.0), 1.0)
-            w1 = math.sqrt(1.0 - y)
-            if self.param.pair.p == 1 and t < 0.0:
-                w1 = -w1
-            return np.array([w1, 0.0, math.sqrt(y), 0.0, 0.0, 0.0])
+        """Real 6-vector (Re w1, Im w1, Re w2, Im w2, psi1, psi2); 6 x len for arrays."""
+        s = self._states(t)
+        return s if np.ndim(t) else s[:, 0]
+
+    def w(self, t):
+        """(w1, w2): two complex numbers, or two complex arrays."""
+        s = self._states(t)
+        w = np.empty((2, s.shape[1]), dtype=complex)
+        w.real, w.imag = s[0:4:2], s[1:4:2]
+        return tuple(w) if np.ndim(t) else tuple(w[:, 0].tolist())
+
+    def y(self, t):
         s = self._raw(t)
+        y = np.clip(s[0], 0.0, 1.0) if self._tau0 else s[2] ** 2 + s[3] ** 2
+        return y if np.ndim(t) else float(y[0])
+
+    def ydot(self, t):
+        if self._tau0:
+            ydot = self._raw(t)[1]
+        else:
+            w1, w2 = self.w(np.atleast_1d(t))
+            ydot = -2.0 * (w1**self.param.pair.p * w2**self.param.pair.q).real
+        return ydot if np.ndim(t) else float(ydot[0])
+
+    def psi(self, t):
+        s = self._states(t)[4:]
+        return tuple(s) if np.ndim(t) else tuple(s[:, 0].tolist())
+
+    def endpoint_state(self, t: float) -> np.ndarray:
+        """The 6-vector state at t != 0 integrated from the last accepted step
+        before t: the integrator's accuracy, not the dense interpolant's."""
+        traj = self._fwd if t > 0.0 else self._bwd
+        if self._tau0 or t == 0.0 or traj is None or not traj.covers(t):
+            raise ValueError(f"no integrated endpoint at t={t} for tau={self.param.tau}")
+        k = np.flatnonzero(np.abs(traj.time_grid) < abs(t))[-1]
+        s = integrate(traj.field, traj.states[k], (traj.time_grid[k], t), self.tol).states[-1]
         return s * _CONJ if self._neg else s
-
-    def w(self, t) -> tuple[complex, complex]:
-        s = self.state(t)
-        return complex(s[0], s[1]), complex(s[2], s[3])
-
-    def y(self, t) -> float:
-        if self._tau0:
-            return float(min(max(self._raw(t)[0], 0.0), 1.0))
-        s = self._raw(t)
-        return float(s[2] ** 2 + s[3] ** 2)
-
-    def ydot(self, t) -> float:
-        if self._tau0:
-            return float(self._raw(t)[1])
-        w1, w2 = self.w(t)
-        return -2.0 * (w1**self.param.pair.p * w2**self.param.pair.q).real
-
-    def psi(self, t) -> tuple[float, float]:
-        s = self.state(t)
-        return float(s[4]), float(s[5])
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -339,20 +368,11 @@ def conjugate_family_check(param: TwistParam, samples: int = 50,
     """
     if t_max is None:
         t_max = 2.0
-    tau = abs(param.tau)
-    plus = solve_w(TwistParam(param.pair, tau), (0.0, t_max), tol)
+    pair, tau = param.pair, abs(param.tau)
+    ts = np.linspace(0.0, t_max, samples)
+    plus = np.array(solve_w(TwistParam(pair, tau), (0.0, t_max), tol).w(ts))
     if tau == 0.0:
-        return max(abs(complex(*plus.state(t)[:2].tolist()).imag) +
-                   abs(complex(*plus.state(t)[2:4].tolist()).imag)
-                   for t in np.linspace(0.0, t_max, samples))
-    pair = param.pair
-    w0 = initial_state(TwistParam(pair, -tau))
-    s0 = np.concatenate([w0.as_real(), [0.0, 0.0]])
-    minus = integrate(_field(pair.p, pair.q, -tau), s0, (0.0, t_max), tol)
-    res = 0.0
-    for t in np.linspace(0.0, t_max, samples):
-        a1, a2 = plus.w(t)
-        s = minus(t)
-        res = max(res, abs(complex(s[0], s[1]) - a1.conjugate()),
-                  abs(complex(s[2], s[3]) - a2.conjugate()))
-    return res
+        return float(np.max(np.abs(plus[0].imag) + np.abs(plus[1].imag)))
+    s0 = np.concatenate([initial_state(TwistParam(pair, -tau)).as_real(), [0.0, 0.0]])
+    s = integrate(_field(pair.p, pair.q, -tau), s0, (0.0, t_max), tol)(ts)
+    return float(np.max(np.abs(s[0:4:2] + 1j * s[1:4:2] - np.conj(plus))))

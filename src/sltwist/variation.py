@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catenoid import catenoid_lifetime
+from .curve import Curve
 from .ode_engine import Tolerances, integrate, locate_event
 from .periods import PeriodData, partial_periods_quadrature, period_ode, pthat_quadrature
-from .twisted_curve import TwistParam, solve_w, tau_max, y_extrema
+from .twisted_curve import TwistParam, _field, tau_max, y_extrema
 
 __all__ = [
     "LinearisedSolution", "AsymptoticsReport", "solve_Q", "dpthat_dtau",
@@ -52,62 +53,53 @@ class LinearisedSolution:
     _bwd: object
 
     def _state(self, t):
-        traj = self._fwd if t >= self.p_star else self._bwd
-        return traj(t)
+        """8-vector state at scalar t; 8 x len states at the times of an array t."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.empty((8, len(ts)))
+        fwd = ts >= self.p_star
+        for traj, mask in ((self._fwd, fwd), (self._bwd, ~fwd)):
+            if mask.any():
+                out[:, mask] = traj(ts[mask])
+        return out if np.ndim(t) else out[:, 0]
 
-    def Q(self, t) -> float:
-        return float(self._state(t)[6])
+    def Q(self, t):
+        return self._state(t)[6]
 
-    def Qdot(self, t) -> float:
-        return float(self._state(t)[7])
+    def Qdot(self, t):
+        return self._state(t)[7]
 
-    def y(self, t) -> float:
+    def y(self, t):
         s = self._state(t)
-        return float(s[2] ** 2 + s[3] ** 2)
+        return s[2] ** 2 + s[3] ** 2
 
-    def ydot(self, t) -> float:
+    def ydot(self, t):
         s = self._state(t)
         p, q = self.param.pair.p, self.param.pair.q
-        return -2.0 * (complex(s[0], s[1]) ** p * complex(s[2], s[3]) ** q).real
+        return -2.0 * ((s[0] + 1j * s[1]) ** p * (s[2] + 1j * s[3]) ** q).real
 
-    def wronskian(self, t) -> float:
-        s = self._state(t)
+    def wronskian(self, t):
         n, q = self.param.pair.n, self.param.pair.q
-        y = s[2] ** 2 + s[3] ** 2
-        return float((q - n * y) * s[7] + n * self.ydot(t) * s[6])
-
-
-def _augmented_field(p: int, q: int, tau: float):
-    n = p + q
-
-    def rhs(t, s):
-        w1 = complex(s[0], s[1])
-        w2 = complex(s[2], s[3])
-        c1 = w1.conjugate() ** (p - 1) * w2.conjugate() ** q
-        c2 = -(w1.conjugate() ** p) * w2.conjugate() ** (q - 1)
-        y = w2.real * w2.real + w2.imag * w2.imag
-        wdot2 = y ** (q - 1) * (1.0 - y) ** (p - 1)
-        return (c1.real, c1.imag, c2.real, c2.imag,
-                2.0 * tau / (1.0 - y), -2.0 * tau / y,
-                s[7], -2.0 * n * wdot2 * s[6])
-
-    return rhs
+        return (q - n * self.y(t)) * self.Qdot(t) + n * self.ydot(t) * self.Q(t)
 
 
 def solve_Q(param: TwistParam, tol: Tolerances = Tolerances(),
-            span_factor: float = 2.2) -> LinearisedSolution:
+            span_factor: float = 2.2, curve: Curve | None = None) -> LinearisedSolution:
     """Integrate Q along the curve, anchored where y crosses q/n.
 
     Q rides as two extra components (Q, Q') on the curve system so that
     every quantity shares one error control.  Initial data: n y'(t0)
     Q(t0) = 1 and Q'(t0) = 0 at t0 = p_star (p = 1) or t0 = 0 (p > 1).
+    The period and the anchor state are read off ``curve`` (a new
+    :class:`Curve` of ``(param, tol)`` by default).
     """
     pair, tau = param.pair, param.tau
     if not 0.0 < abs(tau) < tau_max(pair) * (1 - 1e-10):
         raise ValueError("solve_Q requires 0 < |tau| < tau_max")
     p, q, n = pair.p, pair.q, pair.n
-    data = period_ode(param, tol)
-    base = solve_w(param, (0.0, 1.05 * data.p_tau), tol)
+    if curve is None:
+        curve = Curve(param, tol)
+    data = curve.period
+    base = curve.traj(0.0, 1.05 * data.p_tau)
     if p == 1:
         def g(t, s):
             return (s[2] ** 2 + s[3] ** 2) - q / n
@@ -118,26 +110,25 @@ def solve_Q(param: TwistParam, tol: Tolerances = Tolerances(),
     s0 = base.state(p_star)
     ydot0 = base.ydot(p_star)
     state0 = np.concatenate([s0, [1.0 / (n * ydot0), 0.0]])
-    fld = _augmented_field(p, q, tau)
+    fld = _field(p, q, tau, linearised=True)
     hi = span_factor * data.p_tau
     fwd = integrate(fld, state0, (p_star, hi), tol)
     bwd = integrate(fld, state0, (p_star, -hi), tol)
     sol = LinearisedSolution(param=param, period=data, p_star=p_star,
                              wronskian_drift=0.0, _fwd=fwd, _bwd=bwd)
     ts = np.linspace(-2.0 * data.p_tau, 2.0 * data.p_tau, 101)
-    sol.wronskian_drift = float(max(abs(sol.wronskian(t) - 1.0) for t in ts))
+    sol.wronskian_drift = float(np.max(np.abs(sol.wronskian(ts) - 1.0)))
     return sol
 
 
-def dpthat_dtau(param: TwistParam, solution: LinearisedSolution | None = None) -> float:
+def dpthat_dtau(curve: Curve) -> float:
     """Exact derivative of the angular period with respect to tau.
 
     p = 1: 4(n-1) [Q(p_tau)/(q - n y(p_tau)) - Q(0)/(q - n y(0))];
     p > 1: 4 p q [Q(p+)/(q - n y(p+)) - Q(-p-)/(q - n y(-p-))].
     """
-    if solution is None:
-        solution = solve_Q(param)
-    pair = param.pair
+    solution = curve.Q
+    pair = curve.param.pair
     p, q, n = pair.p, pair.q, pair.n
     data = solution.period
     if p == 1:
@@ -151,22 +142,24 @@ def dpthat_dtau(param: TwistParam, solution: LinearisedSolution | None = None) -
     return float(factor * (hi - lo))
 
 
-def dpthat_dtau_cross_check(param: TwistParam, h: float | None = None) -> dict:
+def dpthat_dtau_cross_check(curve: Curve, h: float | None = None) -> dict:
     """Formula value vs central finite differences of the angular period.
 
-    The step default h = max(1e-6, 1e-4 tau) balances truncation against
-    the achievable accuracy of the period computation.  A relative gap
+    The step default h = max(1e-6, 1e-4 |tau|) balances truncation against
+    the achievable accuracy of the period computation.  The neighbours
+    tau +/- h are fresh curves at the same tolerance.  A relative gap
     above 1e-4 is reported as a diagnostic warning, never swallowed.
     A step that reaches tau = 0 from either side raises ValueError.
     """
+    param, tol = curve.param, curve.tol
     tau = param.tau
     if h is None:
-        h = max(1e-6, 1e-4 * tau)
+        h = max(1e-6, 1e-4 * abs(tau))
     if abs(tau) <= h:
         raise ValueError(f"finite-difference step h = {h} reaches 0 from tau = {tau}")
-    value = dpthat_dtau(param)
-    up = period_ode(TwistParam(param.pair, tau + h)).pthat
-    dn = period_ode(TwistParam(param.pair, tau - h)).pthat
+    value = dpthat_dtau(curve)
+    up = period_ode(TwistParam(param.pair, tau + h), tol).pthat
+    dn = period_ode(TwistParam(param.pair, tau - h), tol).pthat
     fd = (up - dn) / (2.0 * h)
     rel = abs(value - fd) / max(abs(fd), 1e-300)
     if rel > 1e-4:

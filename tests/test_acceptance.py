@@ -18,6 +18,7 @@ from sltwist.closure import (RationalTarget, find_tau_for_angular_period,
                              half_period_classification, necklace,
                              verify_closed)
 from sltwist.catenoid import lifetime_routes, verify_catenoid_symmetry
+from sltwist.curve import Curve
 from sltwist.periods import partial_periods_quadrature, period_ode
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, f_poly, solve_w,
                                    tau_max)
@@ -101,7 +102,7 @@ def test_criterion_05_derivative_formula():
     worst = 0.0
     for p, q in PAIRS:
         pair = AdmissiblePair(p, q)
-        res = dpthat_dtau_cross_check(TwistParam(pair, 0.5 * tau_max(pair)))
+        res = dpthat_dtau_cross_check(Curve(TwistParam(pair, 0.5 * tau_max(pair))))
         worst = max(worst, res["rel_err"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 60.0
@@ -176,15 +177,15 @@ def test_criterion_08_torque():
         pair = AdmissiblePair(p, q)
         param = TwistParam(pair, 0.5 * tau_max(pair))
         tg = geo.t_generator(pair)
-        a = geo.torque(param, tg, meridian_t=0.3)
-        b = geo.torque(param, tg, meridian_t=1.1)
+        a = geo.torque(Curve(param), tg, meridian_t=0.3)
+        b = geo.torque(Curve(param), tg, meridian_t=1.1)
         worst_diag = max(worst_diag, a.abs_error)
         worst_merid = max(worst_merid, abs(a.numeric - b.numeric))
         for el in geo.su_basis(pair.n):
             if el.kind != "diagonal":
-                rep = geo.torque(param, el, meridian_t=0.3)
+                rep = geo.torque(Curve(param), el, meridian_t=0.3)
                 worst_off = max(worst_off, abs(rep.numeric))
-    special = geo.torque(TwistParam(AdmissiblePair(1, 2), 0.1),
+    special = geo.torque(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)),
                          geo.t_generator(AdmissiblePair(1, 2)))
     special_gap = abs(special.numeric - 0.6 * math.pi)
     elapsed = time.perf_counter() - t0
@@ -208,7 +209,7 @@ def test_criterion_09_closure_and_necklaces():
     param = TwistParam(pair12, tau)
     data = period_ode(param)
     gap12 = abs(data.pthat - 4 * math.pi / 7)
-    check12 = verify_closed(param, k0, samples=20, data=data)
+    check12 = verify_closed(Curve(param), k0, samples=20)
 
     pair22 = AdmissiblePair(2, 2)
     results22 = []
@@ -217,7 +218,7 @@ def test_criterion_09_closure_and_necklaces():
         assert k0_m == expect_k0
         d = period_ode(TwistParam(pair22, tau_m))
         gap = abs(d.pthat - num * math.pi / den)
-        chk = verify_closed(TwistParam(pair22, tau_m), k0_m, samples=20, data=d)
+        chk = verify_closed(Curve(TwistParam(pair22, tau_m)), k0_m, samples=20)
         results22.append((gap, chk.closure_residual))
 
     targets = [(5, 9), (6, 11), (7, 13), (8, 15), (9, 17),
@@ -253,7 +254,7 @@ def test_criterion_10_symmetry_residuals(case_matrix):
     worst = 0.0
     worst_key = None
     for (p, q, frac), (param, data) in case_matrix.items():
-        res = geo.symmetry_residuals(param, data=data)
+        res = geo.symmetry_residuals(Curve(param))
         for key, val in res.items():
             if val > worst:
                 worst, worst_key = val, (p, q, frac, key)
@@ -277,8 +278,8 @@ def test_criterion_11_catenoid():
 
 def test_criterion_12_neck_scaling():
     pair = AdmissiblePair(1, 2)
-    c1 = geo.neck_rescale(TwistParam(pair, 1e-3), 1, 2.0)
-    c2 = geo.neck_rescale(TwistParam(pair, 2.5e-4), 1, 2.0)
+    c1 = geo.neck_rescale(Curve(TwistParam(pair, 1e-3)), 1, 2.0)
+    c2 = geo.neck_rescale(Curve(TwistParam(pair, 2.5e-4)), 1, 2.0)
     err_ratio = c1.max_error / c2.max_error
     beta_ratio = c1.beta / c2.beta
     factor = max(err_ratio / beta_ratio, beta_ratio / err_ratio)

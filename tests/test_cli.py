@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from sltwist.cli import main
 
 
@@ -44,6 +46,15 @@ def test_closure_subcommand():
 
 def test_verify_passes_for_symmetric_pair():
     assert main(["verify", "--p", "2", "--q", "2", "--tau", "0.06"]) == 0
+
+
+@pytest.mark.parametrize("p,q,tau", [(1, 2, -0.1), (2, 3, -0.05), (2, 2, -0.06),
+                                     (3, 4, -0.01)])
+def test_verify_passes_at_negative_twist(p, q, tau, capsys):
+    assert main(["verify", "--p", str(p), "--q", str(q), "--tau", str(tau)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == (18 if p == q else 17)     # the p = q exchange check
+    assert all(line.startswith("PASS") for line in lines)
 
 
 def test_argument_errors_exit_two():

@@ -10,6 +10,7 @@ from sltwist.closure import (BracketingError, RationalTarget,
                              find_tau_for_angular_period,
                              half_period_classification, k0_from_target,
                              necklace, necklace_scaling_ratio, verify_closed)
+from sltwist.curve import Curve
 from sltwist.periods import period_ode
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w
 
@@ -64,7 +65,7 @@ def test_necklace_smallest_cases():
     assert k0 == 7
     data = period_ode(TwistParam(pair, tau))
     assert abs(data.pthat - 4 * math.pi / 7) <= 1e-10
-    check = verify_closed(TwistParam(pair, tau), k0, samples=20, data=data)
+    check = verify_closed(Curve(TwistParam(pair, tau)), k0, samples=20)
     assert check.closure_residual <= 1e-7
     assert check.rotation_residual <= 1e-8
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sltwist.geometry as geo
+from sltwist.curve import Curve
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w, tau_max
 
 
@@ -15,7 +16,7 @@ def test_immerse_zero_twist_lands_on_real_sphere():
     traj = solve_w(param, (-2.0, 2.0))
     for t in (-1.5, -0.2, 0.8):
         for th in (0.0, 1.0, 2.5):
-            pt = geo.immerse(param, t, None, [math.cos(th), math.sin(th)], traj)
+            pt = geo.immerse(Curve(param), t, None, [math.cos(th), math.sin(th)])
             assert float(np.max(np.abs(pt.coords.imag))) < 1e-10
 
 
@@ -51,15 +52,15 @@ def test_immerse_validates_inputs():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     traj = solve_w(param, (0.0, 1.0))
     with pytest.raises(ValueError):
-        geo.immerse(param, 0.5, [1.0, 0.0], [2.0, 0.0, 0.0], traj)
-    pt = geo.immerse(param, 0.5, [1.0, 0.0], [0.0, 0.0, 1.0], traj)
+        geo.immerse(Curve(param), 0.5, [1.0, 0.0], [2.0, 0.0, 0.0])
+    pt = geo.immerse(Curve(param), 0.5, [1.0, 0.0], [0.0, 0.0, 1.0])
     assert abs(float(np.sum(np.abs(pt.coords) ** 2)) - 1.0) < 1e-10
 
 
 def test_pullback_metric_coefficients():
     # metric = |w'|^2 dt^2 + (1-y) g1 + y g2 checked by finite differences
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    sampler = geo.immersion_sampler(param, (-1.0, 1.0))
+    sampler = geo.immersion_sampler(Curve(param), (-1.0, 1.0))
     h = 1e-5
     traj = solve_w(param, (-1.2, 1.2))
     for u in sampler.sample_points(8, seed=2):
@@ -86,8 +87,38 @@ def test_pullback_metric_coefficients():
 
 def test_legendrian_residual_of_invariant_cylinder():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sampler = geo.immersion_sampler(param, (-1.5, 1.5))
+    sampler = geo.immersion_sampler(Curve(param), (-1.5, 1.5))
     assert geo.legendrian_residual(sampler, 500) < 1e-6
+
+
+def _legendrian_reference(sampler, count, seed, h=1e-3):
+    """The residual point by point and direction by direction."""
+    res = 0.0
+    for u in sampler.sample_points(count, seed):
+        z = sampler(u)
+        for i in range(sampler.dim):
+            e = np.zeros(sampler.dim)
+            e[i] = h
+            v = (-sampler(u + 2 * e) + 8 * sampler(u + e)
+                 - 8 * sampler(u - e) + sampler(u - 2 * e)) / (12 * h)
+            nrm = float(np.linalg.norm(np.concatenate([v.real, v.imag])))
+            res = max(res, abs(float(np.imag(np.sum(np.conj(z) * v)))) / nrm)
+    return res
+
+
+@pytest.mark.parametrize("p,q,tau", [(1, 3, 0.05), (2, 3, 0.05), (3, 4, -0.01)])
+def test_batch_sampler_matches_point_by_point(p, q, tau):
+    sampler = geo.immersion_sampler(Curve(TwistParam(AdmissiblePair(p, q), tau)), (-1.0, 1.0))
+    u = sampler.sample_points(30, seed=3)
+    z = sampler(u)
+    for i, ui in enumerate(u):
+        assert np.array_equal(sampler(ui), z[i])
+    ref = _legendrian_reference(sampler, 30, 3)
+    assert abs(geo.legendrian_residual(sampler, 30, 3) - ref) <= 1e-12 * ref
+    prod, _ = geo.twisted_product(geo.equatorial_factor(2), geo.equatorial_factor(3),
+                                  geo.equatorial_circle_curve(), t_samples=[0.3])
+    u = prod.sample_points(5, seed=1)
+    assert all(np.array_equal(prod(ui), zi) for ui, zi in zip(u, prod(u)))
 
 
 def test_legendrian_residual_of_real_equator():
@@ -114,7 +145,7 @@ def test_twisted_product_reproduces_cylinder():
     pair = AdmissiblePair(2, 3)
     param = TwistParam(pair, 0.05)
     traj = solve_w(param, (-2.0, 2.0))
-    curve = geo.twist_curve_sampler(param, traj)
+    curve = geo.twist_curve_sampler(Curve(param), (-2.0, 2.0))
     prod, _ = geo.twisted_product(geo.equatorial_factor(2),
                                   geo.equatorial_factor(3), curve)
     for u in prod.sample_points(10, seed=4):
@@ -129,11 +160,11 @@ def test_twisted_product_reproduces_cylinder():
 def test_twisted_product_phase_relation():
     pair = AdmissiblePair(1, 2)
     param = TwistParam(pair, 0.1)
-    curve = geo.twist_curve_sampler(param, t_span=(-2.0, 2.0))
+    curve = geo.twist_curve_sampler(Curve(param), t_span=(-2.0, 2.0))
     _, res = geo.twisted_product(geo.point_factor(), geo.equatorial_factor(2), curve)
     assert res < 1e-6
     pair23 = AdmissiblePair(2, 3)
-    curve23 = geo.twist_curve_sampler(TwistParam(pair23, 0.05), t_span=(-2.0, 2.0))
+    curve23 = geo.twist_curve_sampler(Curve(TwistParam(pair23, 0.05)), t_span=(-2.0, 2.0))
     _, res23 = geo.twisted_product(geo.equatorial_factor(2),
                                    geo.equatorial_factor(3), curve23)
     assert res23 < 1e-6

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sltwist.geometry as geo
+from sltwist.curve import Curve
 from sltwist.periods import PeriodData, period_ode
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w, y_extrema
 
@@ -14,7 +15,7 @@ from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w, y_extrema
 
 def test_neck_waist_radius_is_beta():
     param = TwistParam(AdmissiblePair(1, 2), 1e-3)
-    comp = geo.neck_rescale(param, 1, 2.0)
+    comp = geo.neck_rescale(Curve(param), 1, 2.0)
     assert abs(comp.beta - math.sqrt(y_extrema(param)[0])) < 1e-12
     assert comp.catenoid_degree == 2
     assert comp.waist_kind == 2
@@ -22,8 +23,8 @@ def test_neck_waist_radius_is_beta():
 
 def test_neck_error_small_and_beta_scaled():
     # the comparison error scales linearly in beta across a factor-4 tau step
-    c1 = geo.neck_rescale(TwistParam(AdmissiblePair(1, 2), 1e-3), 1, 2.0)
-    c2 = geo.neck_rescale(TwistParam(AdmissiblePair(1, 2), 2.5e-4), 1, 2.0)
+    c1 = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(1, 2), 1e-3)), 1, 2.0)
+    c2 = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(1, 2), 2.5e-4)), 1, 2.0)
     assert c1.max_error < 0.1          # measured 0.073 at tau = 1e-3, window 2
     err_ratio = c1.max_error / c2.max_error
     beta_ratio = c1.beta / c2.beta
@@ -33,7 +34,7 @@ def test_neck_error_small_and_beta_scaled():
 
 def test_neck_second_factor_model_for_2_3():
     param = TwistParam(AdmissiblePair(2, 3), 1e-4)
-    comp = geo.neck_rescale(param, 1, 0.6)
+    comp = geo.neck_rescale(Curve(param), 1, 0.6)
     assert comp.waist_kind == 2
     assert comp.catenoid_degree == 3      # degree-q catenoid profile
     assert comp.max_error < 0.12
@@ -41,7 +42,7 @@ def test_neck_second_factor_model_for_2_3():
 
 def test_neck_first_factor_model_for_2_3():
     param = TwistParam(AdmissiblePair(2, 3), 1e-4)
-    comp = geo.neck_rescale(param, 0, 2.0)
+    comp = geo.neck_rescale(Curve(param), 0, 2.0)
     assert comp.waist_kind == 1
     assert comp.catenoid_degree == 2      # degree-p catenoid (infinite lifetime)
     assert abs(comp.beta - math.sqrt(1.0 - y_extrema(param)[1])) < 1e-12
@@ -50,11 +51,11 @@ def test_neck_first_factor_model_for_2_3():
 def test_neck_window_beyond_lifetime_rejected():
     param = TwistParam(AdmissiblePair(2, 3), 1e-3)
     with pytest.raises(ValueError):
-        geo.neck_rescale(param, 1, 1.3)   # degree-3 lifetime is ~1.2143
+        geo.neck_rescale(Curve(param), 1, 1.3)   # degree-3 lifetime is ~1.2143
 
 
 def test_neck_frame_is_unitary():
-    comp = geo.neck_rescale(TwistParam(AdmissiblePair(1, 2), 1e-3), 1, 1.0)
+    comp = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(1, 2), 1e-3)), 1, 1.0)
     U = comp.rescale_frame
     assert np.allclose(U @ U.conj().T, np.eye(3), atol=1e-14)
 
@@ -88,7 +89,7 @@ def test_json_deterministic():
 
 def test_obj_export_valid_mesh(tmp_path):
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sampler = geo.immersion_sampler(param, (-2.0, 2.0))
+    sampler = geo.immersion_sampler(Curve(param), (-2.0, 2.0))
     path = geo.export(sampler, (20, 16), "obj", tmp_path / "neck.obj")
     verts, faces = geo.validate_obj(path)
     assert verts == 20 * 16
@@ -98,14 +99,14 @@ def test_obj_export_valid_mesh(tmp_path):
 
 def test_obj_export_rejects_wrong_shape(tmp_path):
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    sampler = geo.immersion_sampler(param, (-1.0, 1.0))
+    sampler = geo.immersion_sampler(Curve(param), (-1.0, 1.0))
     with pytest.raises(ValueError):
         geo.export(sampler, (8, 8), "obj", tmp_path / "bad.obj")
 
 
 def test_csv_grid_export(tmp_path):
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sampler = geo.immersion_sampler(param, (-1.0, 1.0))
+    sampler = geo.immersion_sampler(Curve(param), (-1.0, 1.0))
     path = geo.export(sampler, (5, 6), "csv", tmp_path / "grid.csv")
     lines = path.read_text().splitlines()
     assert len(lines) == 1 + 5 * 6
@@ -117,6 +118,6 @@ def test_csv_grid_export(tmp_path):
 
 def test_export_unknown_format(tmp_path):
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sampler = geo.immersion_sampler(param, (-1.0, 1.0))
+    sampler = geo.immersion_sampler(Curve(param), (-1.0, 1.0))
     with pytest.raises(ValueError):
         geo.export(sampler, (4, 4), "stl", tmp_path / "x.stl")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sltwist.curve import Curve
 from sltwist.periods import (partial_periods_quadrature, period_ode,
                              pthat_quadrature, pthat_quadrature_psi2,
                              verify_psi_constraint)
@@ -109,8 +110,8 @@ def test_angular_period_exceeds_quarter_turn():
 
 
 def test_psi_constraint_residual():
-    assert verify_psi_constraint(TwistParam(AdmissiblePair(1, 2), 0.1), 100) < 1e-8
-    assert verify_psi_constraint(TwistParam(AdmissiblePair(2, 3), 0.05), 100) < 1e-8
+    assert verify_psi_constraint(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)), 100) < 1e-8
+    assert verify_psi_constraint(Curve(TwistParam(AdmissiblePair(2, 3), 0.05)), 100) < 1e-8
 
 
 def test_psi_constraint_anchor_point():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sltwist.geometry as geo
+from sltwist.curve import Curve
 from sltwist.periods import period_ode
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, tau_max, y_extrema
 
@@ -61,24 +62,38 @@ def test_meridian_node_count_bounded_through_n8():
             assert len(_meridian_nodes(p, n - p, 8)[1]) <= 3 * 10**5, (p, n - p)
 
 
+def test_cached_rules_are_read_only_and_bounded():
+    from sltwist.geometry.torque import _meridian_nodes
+
+    for cached in (geo.sphere_quadrature, _meridian_nodes):
+        assert cached.cache_info().maxsize is not None
+    for arr in (*geo.sphere_quadrature(3), *_meridian_nodes(2, 3, 8)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    for order in range(4, 4 + 4 * geo.sphere_quadrature.cache_info().maxsize, 2):
+        geo.sphere_quadrature(1, order)         # circle rules: order nodes each
+    info = geo.sphere_quadrature.cache_info()
+    assert info.currsize <= info.maxsize
+
+
 # -- torques -------------------------------------------------------------------
 
 
 def test_generator_flux_value():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    rep = geo.torque(param, geo.t_generator(param.pair))
+    rep = geo.torque(Curve(param), geo.t_generator(param.pair))
     assert abs(rep.numeric - 0.6 * math.pi) < 1e-8
     assert rep.abs_error < 1e-8
 
 
 def test_generator_flux_closed_forms():
     p22 = TwistParam(AdmissiblePair(2, 2), 0.05)
-    rep = geo.torque(p22, geo.t_generator(p22.pair))
+    rep = geo.torque(Curve(p22), geo.t_generator(p22.pair))
     expected = 2 * 0.05 * (4.0 / 4.0) * (2 * math.pi) ** 2
     assert abs(rep.closed_form - expected) < 1e-14
     assert rep.abs_error < 1e-8
     p13 = TwistParam(AdmissiblePair(1, 3), 0.05)
-    rep13 = geo.torque(p13, geo.t_generator(p13.pair))
+    rep13 = geo.torque(Curve(p13), geo.t_generator(p13.pair))
     expected13 = 2 * 0.05 * (4.0 / 3.0) * geo.sphere_volume(2)
     assert abs(rep13.closed_form - expected13) < 1e-14
     assert rep13.abs_error < 1e-8
@@ -90,30 +105,30 @@ def test_all_off_diagonal_fluxes_vanish(p, q, tau):
     for element in geo.su_basis(p + q):
         if element.kind == "diagonal":
             continue
-        rep = geo.torque(param, element, meridian_t=0.4)
+        rep = geo.torque(Curve(param), element, meridian_t=0.4)
         assert abs(rep.numeric) < 1e-10, element
 
 
 def test_flux_is_meridian_independent():
     param = TwistParam(AdmissiblePair(2, 2), 0.05)
     tg = geo.t_generator(param.pair)
-    a = geo.torque(param, tg, meridian_t=0.3)
-    b = geo.torque(param, tg, meridian_t=1.1)
+    a = geo.torque(Curve(param), tg, meridian_t=0.3)
+    b = geo.torque(Curve(param), tg, meridian_t=1.1)
     assert abs(a.numeric - b.numeric) < 1e-8
 
 
 def test_flux_linear_in_twist():
     pair = AdmissiblePair(2, 3)
     tg = geo.t_generator(pair)
-    f1 = geo.torque(TwistParam(pair, 0.04), tg).numeric
-    f2 = geo.torque(TwistParam(pair, 0.08), tg).numeric
+    f1 = geo.torque(Curve(TwistParam(pair, 0.04)), tg).numeric
+    f2 = geo.torque(Curve(TwistParam(pair, 0.08)), tg).numeric
     assert abs(f2 / f1 - 2.0) < 1e-8
 
 
 def test_general_diagonal_direction():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     el = geo.diagonal_basis_element((1.0, 2.0, -0.5, -1.5, -1.0))
-    rep = geo.torque(param, el, meridian_t=0.7)
+    rep = geo.torque(Curve(param), el, meridian_t=0.7)
     assert rep.abs_error < 1e-8
     expected = 2 * 0.05 * ((1.0 + 2.0) / 2 - (-3.0) / 3) * (2 * math.pi) * geo.sphere_volume(2)
     assert abs(rep.closed_form - expected) < 1e-12
@@ -130,8 +145,8 @@ def test_default_order_flux_matches_order_24(p, q):
     param = TwistParam(pair, 0.5 * tau_max(pair))
     for element in [geo.t_generator(pair)] + _flux_elements(pair.n):
         for t in (0.3, 1.1):
-            low = geo.torque(param, element, meridian_t=t).numeric
-            high = geo.torque(param, element, meridian_t=t, order=24).numeric
+            low = geo.torque(Curve(param), element, meridian_t=t).numeric
+            high = geo.torque(Curve(param), element, meridian_t=t, order=24).numeric
             assert abs(low - high) <= 1e-13, (element, t)
 
 
@@ -140,11 +155,11 @@ def test_torque_n8(p, q):
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, 0.5 * tau_max(pair))
     tg = geo.t_generator(pair)
-    a = geo.torque(param, tg, meridian_t=0.3)
-    b = geo.torque(param, tg, meridian_t=1.1)
+    a = geo.torque(Curve(param), tg, meridian_t=0.3)
+    b = geo.torque(Curve(param), tg, meridian_t=1.1)
     assert a.abs_error <= 1e-8
     assert abs(a.numeric - b.numeric) <= 1e-8
-    off = geo.torque(param, _flux_elements(pair.n)[0], meridian_t=0.3)
+    off = geo.torque(Curve(param), _flux_elements(pair.n)[0], meridian_t=0.3)
     assert abs(off.numeric) <= 1e-10
 
 
@@ -157,7 +172,7 @@ def test_traceless_validation():
 
 
 def test_symmetry_residuals_p1():
-    res = geo.symmetry_residuals(TwistParam(AdmissiblePair(1, 2), 0.1))
+    res = geo.symmetry_residuals(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)))
     for key, val in res.items():
         assert val < 1e-8, (key, val)
     assert {"translation", "reflection", "reflection_ptau",
@@ -165,14 +180,14 @@ def test_symmetry_residuals_p1():
 
 
 def test_symmetry_residuals_p_gt_1():
-    res = geo.symmetry_residuals(TwistParam(AdmissiblePair(2, 3), 0.05))
+    res = geo.symmetry_residuals(Curve(TwistParam(AdmissiblePair(2, 3), 0.05)))
     for key, val in res.items():
         assert val < 1e-8, (key, val)
     assert {"reflection_plus", "reflection_minus"} <= set(res)
 
 
 def test_symmetry_residuals_exchange():
-    res = geo.symmetry_residuals(TwistParam(AdmissiblePair(2, 2), 0.06))
+    res = geo.symmetry_residuals(Curve(TwistParam(AdmissiblePair(2, 2), 0.06)))
     assert res["exchange"] < 1e-8
 
 
@@ -184,7 +199,7 @@ def test_rotation_determinants():
 def test_volume_form_reflection():
     for (p, q), tau in [((1, 2), 0.1), ((2, 3), 0.05), ((2, 2), 0.06)]:
         res = geo.holomorphic_volume_reflection_residual(
-            TwistParam(AdmissiblePair(p, q), tau))
+            Curve(TwistParam(AdmissiblePair(p, q), tau)))
         assert res < 1e-8
 
 
@@ -194,7 +209,7 @@ def test_volume_form_reflection():
 def test_waist_positions_p1():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     data = period_ode(param)
-    ws, bs = geo.waists_and_bulges(param, (-3 * data.p_tau, 3 * data.p_tau), data)
+    ws, bs = geo.waists_and_bulges(Curve(param), (-3 * data.p_tau, 3 * data.p_tau))
     ts = sorted(w.t for w in ws if abs(w.t) <= 3.5 * data.p_tau)
     expected = [k * data.p_tau for k in (-3, -1, 1, 3)]
     assert all(any(abs(t - e) < 1e-12 for t in ts) for e in expected)
@@ -205,7 +220,7 @@ def test_waist_positions_p1():
 def test_waists_alternate_for_p_gt_1():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     data = period_ode(param)
-    ws, _ = geo.waists_and_bulges(param, (-2 * data.p_tau, 4 * data.p_tau), data)
+    ws, _ = geo.waists_and_bulges(Curve(param), (-2 * data.p_tau, 4 * data.p_tau))
     kinds = [w.kind for w in sorted(ws, key=lambda w: w.t)]
     assert all(a != b for a, b in zip(kinds, kinds[1:]))
 
@@ -216,7 +231,7 @@ def test_waist_radii_match_extrema():
     param = TwistParam(AdmissiblePair(2, 2), 0.06)
     data = period_ode(param)
     y_min, y_max = y_extrema(param)
-    ws, _ = geo.waists_and_bulges(param, (0.0, 2 * data.p_tau), data)
+    ws, _ = geo.waists_and_bulges(Curve(param), (0.0, 2 * data.p_tau))
     traj = solve_w(param, (-2 * data.p_tau, 3 * data.p_tau))
     for w in ws:
         if -2 * data.p_tau < w.t < 3 * data.p_tau:
@@ -229,15 +244,15 @@ def test_waist_radii_match_extrema():
 
 def test_standard_sphere_is_identity_frame():
     param = TwistParam(AdmissiblePair(1, 2), 0.01)
-    sph = geo.approximating_spheres(param, [0])[0]
+    sph = geo.approximating_spheres(Curve(param), [0])[0]
     assert np.allclose(sph.frame, np.eye(6), atol=0)
     assert len(sph.marked_set["points"]) == 2
 
 
 def test_bulge_distance_linear_in_twist():
     pair = AdmissiblePair(1, 2)
-    d3 = geo.bulge_sphere_distance(TwistParam(pair, 1e-3), 0, 2.0)
-    d4 = geo.bulge_sphere_distance(TwistParam(pair, 1e-4), 0, 2.0)
+    d3 = geo.bulge_sphere_distance(Curve(TwistParam(pair, 1e-3)), 0, 2.0)
+    d4 = geo.bulge_sphere_distance(Curve(TwistParam(pair, 1e-4)), 0, 2.0)
     c3, c4 = d3 / 1e-3, d4 / 1e-4
     assert d3 < 10 * 1e-3
     assert 0.5 < c3 / c4 < 2.0          # stable constant over a tau decade
@@ -247,7 +262,7 @@ def test_next_sphere_frame_limit():
     pair = AdmissiblePair(1, 2)
     param = TwistParam(pair, 1e-4)
     data = period_ode(param)
-    sph = geo.approximating_spheres(param, [1], data)[0]
+    sph = geo.approximating_spheres(Curve(param), [1])[0]
     U = np.diag([-1.0 + 0j, np.exp(-1j * math.pi / 2), np.exp(-1j * math.pi / 2)])
     A, B = U.real, U.imag
     frame_limit = np.block([[A, -B], [B, A]])
@@ -256,5 +271,5 @@ def test_next_sphere_frame_limit():
 
 def test_orthogonal_frames():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    for sph in geo.approximating_spheres(param, range(-2, 3)):
+    for sph in geo.approximating_spheres(Curve(param), range(-2, 3)):
         assert np.allclose(sph.frame @ sph.frame.T, np.eye(10), atol=1e-12)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sltwist.curve import Curve
 from sltwist.periods import period_ode
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, tau_max
 from sltwist.variation import (asymptotic_constants, check_asymptotics,
@@ -59,26 +60,26 @@ def test_radius_combination_solves_linearised_equation():
 def test_derivative_formula_matches_finite_differences(p, q):
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, 0.5 * tau_max(pair))
-    res = dpthat_dtau_cross_check(param)
+    res = dpthat_dtau_cross_check(Curve(param))
     assert res["rel_err"] < 1e-6
 
 
 def test_cross_check_refuses_step_reaching_zero_twist():
     for tau in (1e-6, -1e-6, 5e-7):
         with pytest.raises(ValueError, match=r"h = 1e-06 .* tau = ") as info:
-            dpthat_dtau_cross_check(TwistParam(AdmissiblePair(2, 3), tau))
+            dpthat_dtau_cross_check(Curve(TwistParam(AdmissiblePair(2, 3), tau)))
         assert "diverges" not in str(info.value)
 
 
 def test_derivative_positive_in_monotone_window():
-    assert dpthat_dtau(TwistParam(AdmissiblePair(2, 3), 0.05)) > 0.0
+    assert dpthat_dtau(Curve(TwistParam(AdmissiblePair(2, 3), 0.05))) > 0.0
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
 @pytest.mark.parametrize("frac", [0.1, 0.9])
 def test_derivative_formula_across_twist_range(p, q, frac):
     pair = AdmissiblePair(p, q)
-    res = dpthat_dtau_cross_check(TwistParam(pair, frac * tau_max(pair)))
+    res = dpthat_dtau_cross_check(Curve(TwistParam(pair, frac * tau_max(pair))))
     assert res["rel_err"] < 1e-6
 
 
@@ -164,7 +165,7 @@ def test_angular_period_excess_measured_behaviour():
 def test_derivative_leading_order_at_small_tau():
     param = TwistParam(AdmissiblePair(1, 2), 1e-3)
     data = period_ode(param)
-    value = dpthat_dtau(param)
+    value = dpthat_dtau(Curve(param))
     ratio = value / (4.0 * param.pair.p / param.pair.q * data.p_tau)
     assert 0.9 < ratio < 1.1
 
@@ -172,5 +173,5 @@ def test_derivative_leading_order_at_small_tau():
 def test_derivative_small_tau_measured():
     param = TwistParam(AdmissiblePair(1, 2), 1e-3)
     data = period_ode(param)
-    ratio = dpthat_dtau(param) / (2.0 * data.p_tau)
+    ratio = dpthat_dtau(Curve(param)) / (2.0 * data.p_tau)
     assert abs(ratio - 0.638) < 5e-3      # approaches 1 from below with 1/log
