@@ -78,6 +78,18 @@ def _profile_field(n: int):
     return rhs
 
 
+def _read(fwd, bwd, t):
+    """w at scalar or array t: one array read of the forward piece for
+    t >= 0 and one of the backward piece for t < 0."""
+    tt = np.asarray(t, dtype=float)
+    out = np.empty(tt.shape, dtype=complex)
+    for traj, mask in ((fwd, tt >= 0), (bwd, tt < 0)):
+        if mask.any():
+            s = traj(tt[mask])
+            out[mask] = s[0] + 1j * s[1]
+    return complex(out) if tt.ndim == 0 else out
+
+
 @lru_cache(maxsize=None)
 def _unit_trajectories(n: int, span: float):
     w0 = np.exp(1j * math.pi / (2 * n))
@@ -104,12 +116,7 @@ def unit_profile(n: int, t):
     if np.max(np.abs(tt)) >= T1:
         raise ValueError(f"|t| >= lifetime T_1 = {T1} for n = {n}")
     span = max(_LIFETIME_FRACTION * T1, np.max(np.abs(tt)) * (1 + 1e-12))
-    fwd, bwd = _unit_trajectories(n, span)
-    out = np.empty(tt.shape, dtype=complex)
-    for i, ti in enumerate(tt):
-        s = fwd(ti) if ti >= 0 else bwd(ti)
-        out[i] = complex(s[0], s[1])
-    return complex(out[0]) if np.ndim(t) == 0 else out
+    return _read(*_unit_trajectories(n, span), t)
 
 
 def catenoid_flow(params: CatenoidParams, t, direct: bool = False):
@@ -129,16 +136,11 @@ def catenoid_flow(params: CatenoidParams, t, direct: bool = False):
         if np.max(np.abs(tt)) >= T:
             raise ValueError(f"|t| >= scaled lifetime {T}")
     fld = _profile_field(n)
-    out = np.empty(tt.shape, dtype=complex)
     tol = Tolerances()
-    pos = np.max(tt)
-    neg = np.min(tt)
-    fwd = integrate(fld, [w0.real, w0.imag], (0.0, max(pos, 1e-9)), tol) if pos >= 0 else None
-    bwd = integrate(fld, [w0.real, w0.imag], (0.0, min(neg, -1e-9)), tol) if neg < 0 else None
-    for i, ti in enumerate(tt):
-        s = fwd(ti) if ti >= 0 else bwd(ti)
-        out[i] = complex(s[0], s[1])
-    return complex(out[0]) if np.ndim(t) == 0 else out
+    hi, lo = tt.max(), tt.min()
+    fwd = integrate(fld, [w0.real, w0.imag], (0.0, max(hi, 1e-9)), tol) if hi >= 0 else None
+    bwd = integrate(fld, [w0.real, w0.imag], (0.0, min(lo, -1e-9)), tol) if lo < 0 else None
+    return _read(fwd, bwd, t)
 
 
 def verify_catenoid_symmetry(n: int, sample_count: int = 100,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -20,8 +19,8 @@ from .curve import Curve
 from .geometry.export import report_to_json
 from .ode_engine import EventError, IntegrationError, Tolerances
 from .periods import (partial_periods_quadrature, period_ode, pthat_quadrature,
-                      verify_psi_constraint)
-from .twisted_curve import AdmissiblePair, TwistParam, f_poly, solve_w
+                      pthat_quadrature_psi2)
+from .twisted_curve import AdmissiblePair, TwistParam, f_poly
 from .variation import check_asymptotics, dpthat_dtau_cross_check
 
 TOL_PRESETS = {
@@ -41,22 +40,15 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _param(args) -> TwistParam:
-    pair = AdmissiblePair(args.p, args.q)
-    if args.tau is None:
-        raise SystemExit2("--tau required for this subcommand")
-    return TwistParam(pair, args.tau)
-
-
-class SystemExit2(Exception):
-    """Argument-level error discovered after parsing."""
+    return TwistParam(AdmissiblePair(args.p, args.q), args.tau)
 
 
 def _parse_target(text: str) -> RationalTarget:
     try:
         a, b = text.split("/")
         return RationalTarget(int(a), int(b))
-    except (ValueError, TypeError) as exc:
-        raise SystemExit2(f"bad --target {text!r}: expected a/b in lowest terms: {exc}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a/b in lowest terms: {exc}")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -66,10 +58,9 @@ def cmd_solve(args) -> int:
     curve = Curve(_param(args), TOL_PRESETS[args.tol])
     half_window = args.window or (2.0 * curve.period.p_tau if args.tau != 0.0 else 5.0)
     traj = curve.traj(-half_window, half_window)
-    param = curve.param
-    ts = np.linspace(-half_window, half_window, args.samples)
-    if args.format == "csv" and args.out:
-        geo.trajectory_csv(param, traj, ts, args.out)
+    if args.out:
+        ts = np.linspace(-half_window, half_window, args.samples)
+        geo.trajectory_csv(curve.param, traj, ts, args.out)
         print(f"wrote {args.out}")
         return 0
     payload = {"p": args.p, "q": args.q, "tau": args.tau,
@@ -100,16 +91,13 @@ def cmd_periods(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    pair = AdmissiblePair(args.p, args.q)
-    if args.target is None:
-        raise SystemExit2("closure requires --target a/b")
-    target = _parse_target(args.target)
+    pair, target = AdmissiblePair(args.p, args.q), args.target
     tol = TOL_PRESETS[args.tol]
     tau = find_tau_for_angular_period(pair, target, tol=tol)
     report = half_period_classification(pair, target)
     curve = Curve(TwistParam(pair, tau), tol)
     data = curve.period
-    check = verify_closed(curve, report.k0, samples=args.samples or 20)
+    check = verify_closed(curve, report.k0, samples=args.samples)
     payload = {"tau": tau, "pthat_error": abs(data.pthat - target.angle),
                "report": dataclasses.asdict(report),
                "closure_residual": check.closure_residual,
@@ -126,13 +114,11 @@ def cmd_closure(args) -> int:
 
 def cmd_necklace(args) -> int:
     pair = AdmissiblePair(args.p, args.q)
-    if args.m is None:
-        raise SystemExit2("necklace requires --m")
     tol = TOL_PRESETS[args.tol]
     tau, k0 = necklace(pair, args.m, tol)
     curve = Curve(TwistParam(pair, tau), tol)
     data = curve.period
-    check = verify_closed(curve, k0, samples=args.samples or 20)
+    check = verify_closed(curve, k0, samples=args.samples)
     payload = {"tau": tau, "k0": k0, "p_tau": data.p_tau, "pthat": data.pthat,
                "closure_residual": check.closure_residual}
     _emit(args, payload, [
@@ -147,10 +133,8 @@ def cmd_necklace(args) -> int:
 def cmd_torque(args) -> int:
     curve = Curve(_param(args), TOL_PRESETS[args.tol])
     pair = curve.param.pair
-    reports = []
     tgen = geo.t_generator(pair)
-    for t0 in (0.3, 1.1):
-        reports.append(geo.torque(curve, tgen, meridian_t=t0))
+    reports = [geo.torque(curve, tgen, meridian_t=t0) for t0 in (0.3, 1.1)]
     offdiag = geo.SuBasisElement(kind="rotation", indices=(0, pair.n - 1))
     reports.append(geo.torque(curve, offdiag, meridian_t=0.3))
     payload = {"reports": [dataclasses.asdict(r) for r in reports],
@@ -166,7 +150,7 @@ def cmd_torque(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     pair = AdmissiblePair(args.p, args.q)
-    taus = [float(t) for t in (args.tau_list or "1e-2,1e-3,1e-4").split(",")]
+    taus = [float(t) for t in args.tau_list.split(",")]
     reports = check_asymptotics(pair, taus)
     payload = {"reports": [dataclasses.asdict(r) for r in reports]}
     lines = [f"{r.law_id:12s} tau={r.tau:<8g} measured={r.measured:<12.6g} "
@@ -176,7 +160,7 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_neck(args) -> int:
-    b = args.window or 2.0
+    b = args.window
     comp = geo.neck_rescale(Curve(_param(args), TOL_PRESETS[args.tol]), args.waist, b)
     payload = {"beta": comp.beta, "max_error": comp.max_error,
                "window": comp.window, "waist_index": comp.waist_index,
@@ -190,27 +174,20 @@ def cmd_neck(args) -> int:
 
 
 def cmd_export(args) -> int:
-    param = _param(args)
-    if args.out is None:
-        raise SystemExit2("export requires --out")
-    n_samples = args.samples or 64
-    if args.format == "csv":
-        tol = TOL_PRESETS[args.tol]
-        w = args.window or 5.0
-        traj = solve_w(param, (-w, w), tol)
-        geo.trajectory_csv(param, traj, np.linspace(-w, w, n_samples), args.out)
-    elif args.format == "obj":
-        if (args.p, args.q) != (1, 2):
-            raise SystemExit2("obj export supports the (1,2) surface case only")
-        w = args.window or 3.0
-        sampler = geo.immersion_sampler(Curve(param, TOL_PRESETS[args.tol]), (-w, w))
-        geo.export(sampler, (n_samples, n_samples), "obj", args.out)
-    elif args.format == "json":
-        data = period_ode(param, TOL_PRESETS[args.tol])
+    curve = Curve(_param(args), TOL_PRESETS[args.tol])
+    if args.format == "json":
         with open(args.out, "w") as fh:
-            fh.write(report_to_json(data, kind="PeriodData") + "\n")
+            fh.write(report_to_json(curve.period, kind="PeriodData") + "\n")
+    elif args.format == "csv":
+        w = args.window or 5.0
+        ts = np.linspace(-w, w, args.samples)
+        geo.trajectory_csv(curve.param, curve.traj(-w, w), ts, args.out)
     else:
-        raise SystemExit2(f"unsupported export format {args.format!r}")
+        if (args.p, args.q) != (1, 2):
+            raise ValueError("obj export supports the (1,2) surface case only")
+        w = args.window or 3.0
+        sampler = geo.immersion_sampler(curve, (-w, w))
+        geo.export(sampler, (args.samples, args.samples), "obj", args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -240,7 +217,8 @@ def cmd_verify(args) -> int:
     checks.append(("pthat route gap", abs(pthat_quadrature(param) - data.pthat), 1e-8))
     checks.append(("Psi(2p) residual",
                    abs(pair.p * data.psi1_2p + pair.q * data.psi2_2p), 1e-9))
-    checks.append(("psi constraint", verify_psi_constraint(curve, 100), 1e-8))
+    checks.append(("pthat psi2 route gap",
+                   abs(-0.5 * pair.q * data.psi2_2p - pthat_quadrature_psi2(param)), 1e-8))
 
     checks.append(("Wronskian drift", curve.Q.wronskian_drift, 1e-8))
     cross = dpthat_dtau_cross_check(curve)
@@ -258,8 +236,7 @@ def cmd_verify(args) -> int:
     sampler = geo.immersion_sampler(curve, (-0.8 * data.p_tau, 0.8 * data.p_tau))
     checks.append(("legendrian residual", geo.legendrian_residual(sampler, 100), 1e-6))
 
-    lines = []
-    payload = {}
+    lines, payload = [], {}
     for name, value, bound in checks:
         ok = value <= bound
         if not ok:
@@ -272,36 +249,51 @@ def cmd_verify(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
+# every option a subcommand may take; --p and --q are taken by all
+_OPTIONS = {
+    "tau": dict(type=float, required=True),
+    "target": dict(type=_parse_target, required=True,
+                   help="rational angular-period target a/b (times pi)"),
+    "m": dict(type=int, required=True),
+    "tau-list": dict(default="1e-2,1e-3,1e-4"),
+    "tol": dict(choices=sorted(TOL_PRESETS), default="standard"),
+    "json": dict(action="store_true"),
+    "out": dict(),
+    "format": dict(choices=("csv", "json", "obj"), default="csv"),
+    "samples": dict(type=int),
+    "window": dict(type=float),
+    "waist": dict(type=int, default=1),
+}
+
+# the options of each subcommand, with the settings that differ from _OPTIONS
+_REPORT = {"json": {}, "out": {}}
+_COMMANDS = {
+    "solve": {"tau": {}, "tol": {}, **_REPORT, "samples": {"default": 201}, "window": {}},
+    "periods": {"tau": {}, "tol": {}, **_REPORT},
+    "closure": {"target": {}, "tol": {}, **_REPORT, "samples": {"default": 20}},
+    "necklace": {"m": {}, "tol": {}, **_REPORT, "samples": {"default": 20}},
+    "torque": {"tau": {}, "tol": {}, **_REPORT},
+    "asymptotics": {"tau-list": {}, **_REPORT},
+    "neck": {"tau": {}, "tol": {}, **_REPORT, "window": {"default": 2.0}, "waist": {}},
+    "export": {"tau": {}, "tol": {}, "out": {"required": True}, "format": {},
+               "samples": {"default": 64}, "window": {}},
+    # verify's limits are fixed; the fast preset fails them at every pair
+    "verify": {"tau": {}, "tol": {"choices": ("standard", "strict")}, **_REPORT},
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sltwist",
         description="twisted special Legendrian curve laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
-    commands = {
-        "solve": cmd_solve, "periods": cmd_periods, "closure": cmd_closure,
-        "necklace": cmd_necklace, "torque": cmd_torque,
-        "asymptotics": cmd_asymptotics, "neck": cmd_neck,
-        "export": cmd_export, "verify": cmd_verify,
-    }
-    for name, fn in commands.items():
+    for name, options in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--p", type=int, required=True)
         p.add_argument("--q", type=int, required=True)
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--target", type=str, default=None,
-                       help="rational angular-period target a/b (times pi)")
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--tol", choices=sorted(TOL_PRESETS), default="standard")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", type=str, default="csv",
-                       choices=("csv", "json", "obj"))
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--window", type=float, default=None)
-        p.add_argument("--waist", type=int, default=1)
-        p.add_argument("--tau-list", type=str, default=None, dest="tau_list")
-        p.set_defaults(fn=fn)
+        for flag, settings in options.items():
+            p.add_argument(f"--{flag}", **{**_OPTIONS[flag], **settings})
+        p.set_defaults(fn=globals()[f"cmd_{name}"])
     return ap
 
 
@@ -309,9 +301,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -250,7 +250,9 @@ def legendrian_residual(sampler: Sampler, sample_count: int = 200,
         return 0.0
     u = sampler.sample_points(sample_count, seed)
     z = sampler(u)[..., None, :]                          # (N, 1, m)
-    T = np.swapaxes(_tangents(sampler, u), -1, -2)        # (N, dim, m)
+    # (N, dim, m), contiguous in m: each pairing, a near-cancelling sum,
+    # is then added up in the order of a one-point sum
+    T = np.ascontiguousarray(np.swapaxes(_tangents(sampler, u), -1, -2))
     nrm = np.sqrt(np.sum(T.real**2 + T.imag**2, axis=-1))
     ok = nrm > 0
     return float(np.max(np.abs(contact_pairing(z, T))[ok] / nrm[ok], initial=0.0))

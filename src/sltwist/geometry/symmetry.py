@@ -2,7 +2,7 @@
 
 The one-period translation acts by the diagonal rotation
 Mhat_x = diag(e^{ix/p}, e^{-ix/q}); reflections act antiholomorphically
-with phases read off the accumulated angles.  All relations are verified
+with phases read off arg w.  All relations are verified
 by comparing independently integrated trajectory values, never by
 construction.
 """
@@ -36,7 +36,8 @@ def reflection_matrix(curve: Curve, side: str = "+") -> np.ndarray:
 
     p = 1: D = diag(-1, 1).  p > 1: D has entries
     e^{i alpha/p + i psi1(2 p+-)} and e^{i alpha/q + i psi2(2 p+-)}
-    where the angle values are integration endpoints on the trajectory.
+    with e^{i psi} = (w/|w|) / (w(0)/|w(0)|) at an integration endpoint
+    on the trajectory.
     """
     param = curve.param
     pair = param.pair
@@ -45,9 +46,10 @@ def reflection_matrix(curve: Curve, side: str = "+") -> np.ndarray:
     a = alpha_tau(param)
     data = curve.period
     t_ref = 2.0 * data.p_plus if side == "+" else -2.0 * data.p_minus
-    psi1, psi2 = curve.traj(min(t_ref, 0.0), max(t_ref, 0.0)).endpoint_state(t_ref)[4:]
-    return np.diag([np.exp(1j * (a / pair.p + psi1)),
-                    np.exp(1j * (a / pair.q + psi2))])
+    traj = curve.traj(min(t_ref, 0.0), max(t_ref, 0.0))
+    s = traj.endpoint_state(t_ref)
+    w, w0 = s[0::2] + 1j * s[1::2], np.array(traj.w(0.0))
+    return np.diag(np.exp(1j * a / np.array([pair.p, pair.q])) * (w / abs(w)) / (w0 / abs(w0)))
 
 
 def rotation_determinant_residual(pair, count: int = 20, seed: int = 0,

@@ -67,13 +67,10 @@ class Trajectory:
     time_grid: np.ndarray
     states: np.ndarray            # shape (len(time_grid), dim)
     interpolant: object           # scipy OdeSolution
-    field: object                 # the right-hand side, kept for derivatives
+    field: object                 # the right-hand side, kept for endpoints
     tol: Tolerances
+    atol_scale: object = 1.0      # per-component factor on tol.abs_tol
     drift: dict = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
 
     def __call__(self, t):
         """State at time t (scalar -> 1-d array, array -> dim x len)."""
@@ -83,28 +80,36 @@ class Trajectory:
         lo, hi = min(self.t0, self.t1), max(self.t0, self.t1)
         return bool(np.all((np.asarray(t) >= lo - 1e-12) & (np.asarray(t) <= hi + 1e-12)))
 
+    def endpoint(self, t: float) -> np.ndarray:
+        """The state at t != t0 integrated from the last accepted step
+        before t: the integrator's accuracy, not the dense interpolant's."""
+        k = np.flatnonzero(np.abs(self.time_grid - self.t0) < abs(t - self.t0))[-1]
+        return integrate(self.field, self.states[k], (self.time_grid[k], t), self.tol,
+                         atol_scale=self.atol_scale).states[-1]
+
 
 def integrate(field, state0, span, tol: Tolerances = Tolerances(),
-              invariants=None) -> Trajectory:
+              invariants=None, atol_scale=1.0) -> Trajectory:
     """Integrate ``state' = field(t, state)`` over span = (t0, t1).
 
     Backward integration (t1 < t0) is allowed.  ``invariants`` maps a name
     to ``(fn, reference)``; the drift of ``fn(state)`` from ``reference``
-    is recorded over the accepted steps.
+    is recorded over the accepted steps.  ``atol_scale`` multiplies
+    ``tol.abs_tol``, per component when it is an array.
     """
     t0, t1 = float(span[0]), float(span[1])
     y0 = np.asarray(state0, dtype=float)
     if t0 == t1:
         raise ValueError("empty integration span")
     sol = solve_ivp(field, (t0, t1), y0, method="DOP853",
-                    rtol=tol.rel_tol, atol=tol.abs_tol,
+                    rtol=tol.rel_tol, atol=tol.abs_tol * np.asarray(atol_scale),
                     max_step=tol.max_step, dense_output=True)
     if not sol.success:
         last = sol.t[-1] if len(sol.t) else t0
         raise IntegrationError(
             f"integration stalled at t={last!r}: {sol.message}", last_time=last)
     traj = Trajectory(t0=t0, t1=t1, time_grid=sol.t, states=sol.y.T,
-                      interpolant=sol.sol, field=field, tol=tol)
+                      interpolant=sol.sol, field=field, tol=tol, atol_scale=atol_scale)
     if invariants:
         for name, (fn, ref) in invariants.items():
             vals = np.array([fn(s) for s in traj.states])
@@ -131,7 +136,8 @@ def locate_event(traj: Trajectory, g, bracket, g_prime=None) -> float:
     one interpolant read on the whole grid, localises the first crossing
     when g wiggles; g gets the time array and the dim x len states, or one
     state at a time if it takes no arrays).  Refinement is Brent on the
-    interpolant, then one Newton step when ``g_prime`` (dg/dt) is given.
+    interpolant, then one Newton step on the integrated state at that
+    time when ``g_prime`` (dg/dt) is given.
     """
     ta, tb = float(bracket[0]), float(bracket[1])
     if not (traj.covers(ta) and traj.covers(tb)):
@@ -152,11 +158,12 @@ def locate_event(traj: Trajectory, g, bracket, g_prime=None) -> float:
         return a
     a, b = min(a, b), max(a, b)
     t_star = brentq(h, a, b, xtol=traj.tol.event_tol, rtol=4 * np.finfo(float).eps)
-    if g_prime is not None:
-        deriv = g_prime(t_star, traj(t_star))
+    if g_prime is not None and t_star != traj.t0:
+        s = traj.endpoint(t_star)
+        deriv = g_prime(t_star, s)
         if deriv != 0.0:
-            step = h(t_star) / deriv
-            if abs(step) < 10 * traj.tol.event_tol:
+            step = g(t_star, s) / deriv
+            if abs(step) < 100 * traj.tol.event_tol:
                 t_star -= step
     lo, hi = min(ta, tb), max(ta, tb)
     return float(min(max(t_star, lo), hi))

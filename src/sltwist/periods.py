@@ -10,7 +10,7 @@ y = y_end +/- s^2 (the radicand divided by s^2 is then a polynomial in
 s^2, evaluated by the exact Taylor expansion of f about the root, so
 there is no cancellation at the endpoint).  Route two locates the
 extrema of y along the integrated curve as events and reads the angles
-psi_i off the same trajectory.
+psi_i off arg w on the same trajectory.
 """
 
 from __future__ import annotations
@@ -138,11 +138,14 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
                curve: Curve | None = None) -> PeriodData:
     """Period data from extremum events on the integrated curve.
 
-    The events are the zeros of y' = -2 Re(w1^p w2^q), refined on the
-    dense output with a Newton polish through y'' = 2 f'(y); the angles
-    psi_i ride along as integrated components so they carry integrator
-    accuracy rather than interpolation accuracy.  The trajectory is read
-    off ``curve`` (a new :class:`Curve` of ``(param, tol)`` by default).
+    The events are the zeros of y' = -2 Re(w1^p w2^q), located on the
+    dense output; the angles psi_i at 2 p_tau are read off arg w there
+    (:meth:`TwistTrajectory.psi`).  For p = 1, 2 p_tau is twice the event
+    time and a maximum of y, where psi1' = 2 tau/(1 - y) is about
+    1/(2 tau), so that event gets a Newton polish through y'' = 2 f'(y)
+    on the integrated state.  The
+    trajectory is read off ``curve`` (a new :class:`Curve` of
+    ``(param, tol)`` by default).
     """
     pair = param.pair
     if curve is None:
@@ -165,9 +168,8 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
         raise ValueError("tau = 0: y is not periodic")
 
     if pair.p > 1:
-        p_plus = locate_event(traj.pieces[0], g, (0.5 * p_est_plus, 1.5 * p_est_plus), g_prime)
-        p_minus = -locate_event(traj.pieces[1], g, (-0.5 * p_est_minus, -1.5 * p_est_minus),
-                                g_prime)
+        p_plus = locate_event(traj.pieces[0], g, (0.5 * p_est_plus, 1.5 * p_est_plus))
+        p_minus = -locate_event(traj.pieces[1], g, (-0.5 * p_est_minus, -1.5 * p_est_minus))
     else:
         p_plus = locate_event(traj.pieces[0], g, (0.5 * p_est, 1.5 * p_est), g_prime)
         p_minus = 0.0
@@ -194,9 +196,10 @@ def verify_psi_constraint(curve: Curve, samples: int = 100) -> float:
         raise ValueError("psi constraint check requires 0 < |tau| < tau_max")
     p_tau = curve.period.p_tau
     ts = np.linspace(0.0, 2.0 * p_tau, samples)
-    s = curve.traj(0.0, 2.0 * p_tau).state(ts)
-    Psi = pair.p * s[4] + pair.q * s[5]
-    root = np.sqrt(np.maximum(f_poly(pair, s[2] ** 2 + s[3] ** 2), 0.0))
+    traj = curve.traj(0.0, 2.0 * p_tau)
+    psi1, psi2 = traj.psi(ts)
+    Psi = pair.p * psi1 + pair.q * psi2
+    root = np.sqrt(np.maximum(f_poly(pair, traj.y(ts)), 0.0))
     if pair.p == 1:
         lo, hi, res = -math.pi / 2, math.pi / 2, abs(2.0 * tau) - root * np.cos(Psi)
         name = "Psi"

@@ -167,8 +167,11 @@ def initial_state(param: TwistParam) -> SphereState:
     """Canonical initial condition of the family.
 
     p > 1: (sqrt(p/n) e^{i a/2p}, sqrt(q/n) e^{i a/2q}) with
-    a = arcsin(-tau/tau_max); p = 1: (-i sgn(tau) sqrt(1-y_max), sqrt(y_max)).
-    Either way Im(w1^p w2^q) = -2 tau.
+    a = arcsin(-tau/tau_max); p = 1: the point y = y_max, as
+    w1 = -2 i tau / y_max^(q/2) and w2 = sqrt(1 - |w1|^2).
+    Either way Im(w1^p w2^q) = -2 tau; for p = 1 this and |w|^2 = 1 hold
+    to rounding even where 1 - y_max ~ 4 tau^2 is below the spacing of
+    doubles near 1, because the small |w1| is never taken from 1 - y_max.
     """
     pair, tau = param.pair, param.tau
     p, q, n = pair.p, pair.q, pair.n
@@ -183,18 +186,18 @@ def initial_state(param: TwistParam) -> SphereState:
         y_max = 1.0 if tau == 0.0 else q / n
     else:
         _, y_max = y_extrema(param)
-    s = 0.0 if tau == 0.0 else math.copysign(1.0, tau)
-    return SphereState(w1=-1j * s * math.sqrt(1.0 - y_max), w2=math.sqrt(y_max))
+    w1 = -2j * tau / y_max ** (q / 2)
+    return SphereState(w1=w1, w2=math.sqrt(1.0 - abs(w1) ** 2))
 
 
 # ---------------------------------------------------------------------------
 # the integrated curve
 
 
-def _field(p: int, q: int, tau: float, linearised: bool = False):
-    """Right-hand side for the real 6-vector (w1, w2, psi1, psi2); with
-    ``linearised`` for the 8-vector that appends (Q, Q') of the linearised
-    equation Q'' = -2 n |w'|^2 Q."""
+def _field(p: int, q: int, linearised: bool = False):
+    """Right-hand side for the real 4-vector w = (w1, w2); with ``linearised``
+    for the 6-vector that appends (Q, Q') of the linearised equation
+    Q'' = -2 n |w'|^2 Q.  tau enters only through the initial state."""
     n = p + q
 
     def rhs(t, s):
@@ -202,34 +205,31 @@ def _field(p: int, q: int, tau: float, linearised: bool = False):
         w2 = complex(s[2], s[3])
         c1 = w1.conjugate() ** (p - 1) * w2.conjugate() ** q
         c2 = -(w1.conjugate() ** p) * w2.conjugate() ** (q - 1)
-        y = w2.real * w2.real + w2.imag * w2.imag
-        out = (c1.real, c1.imag, c2.real, c2.imag, 2.0 * tau / (1.0 - y), -2.0 * tau / y)
         if linearised:
-            return out + (s[7], -2.0 * n * (y ** (q - 1) * (1.0 - y) ** (p - 1)) * s[6])
-        return out
+            y = w2.real * w2.real + w2.imag * w2.imag
+            return (c1.real, c1.imag, c2.real, c2.imag,
+                    s[5], -2.0 * n * (y ** (q - 1) * (1.0 - y) ** (p - 1)) * s[4])
+        return (c1.real, c1.imag, c2.real, c2.imag)
 
     return rhs
 
 
-def _tau0_field(pair: AdmissiblePair):
-    def rhs(t, s):
-        return (s[1], 2.0 * f_prime(pair, s[0]))
-
-    return rhs
-
-
-# linear map implementing w -> conj(w), psi -> -psi on the 6-vector
-_CONJ = np.array([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+# linear map implementing w -> conj(w) on the real 4-vector
+_CONJ = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 class TwistTrajectory:
     """Dense solution of the curve system over an interval containing 0.
 
-    Accessors return the curve w(t) = (w1, w2), the radius y = |w2|^2 and
-    its derivative, and the accumulated angles (psi1, psi2) with
-    psi(0) = 0.  For tau < 0 the tau > 0 solution is conjugated rather
-    than re-integrated, which enforces the conjugation symmetry exactly.
-    For tau = 0 the scalar y-equation drives the explicit real solution.
+    The integrated state is w alone.  Accessors return the curve
+    w(t) = (w1, w2), the radius y = |w2|^2 and its derivative, and the
+    accumulated angles (psi1, psi2) with psi(0) = 0, read off arg w.
+    For tau < 0 the tau > 0 solution is conjugated rather than
+    re-integrated, which enforces the conjugation symmetry exactly; for
+    tau = 0 the real initial state keeps w real.  At small tau the first
+    factor shrinks to |w1|^2 = 1 - y_max, about (2 tau)^(2/p); its
+    absolute tolerance is scaled by that much so that arg w1 keeps the
+    digits of arg w2.
     """
 
     def __init__(self, param: TwistParam, t_span=(0.0, 1.0),
@@ -239,66 +239,42 @@ class TwistTrajectory:
         lo = min(0.0, float(t_span[0]))
         hi = max(0.0, float(t_span[1]))
         self.t_lo, self.t_hi = lo, hi
-        pair, tau = param.pair, param.tau
-        self._neg = tau < 0.0
-        self._tau0 = tau == 0.0
-
-        if self._tau0:
-            p, q, n = pair.p, pair.q, pair.n
-            if p > 1:
-                y0 = [q / n, -4.0 * tau_max(pair)]
-            else:
-                y0 = [1.0, 0.0]
-            fld = _tau0_field(pair)
-            inv = {"energy": (lambda s: s[1] ** 2 - 4.0 * f_poly(pair, s[0]), 0.0)}
-            self._fwd = integrate(fld, y0, (0.0, hi), tol, inv) if hi > 0 else None
-            self._bwd = integrate(fld, y0, (0.0, lo), tol, inv) if lo < 0 else None
-            return
-
-        base = abs(tau)
-        w0 = initial_state(TwistParam(pair, base))
-        s0 = np.concatenate([w0.as_real(), [0.0, 0.0]])
-        fld = _field(pair.p, pair.q, base)
+        pair, base = param.pair, abs(param.tau)
         p, q = pair.p, pair.q
+        self._neg = param.tau < 0.0
+        s0 = initial_state(TwistParam(pair, base)).as_real()
+        fld = _field(p, q)
+        shrink = min(1.0, (2.0 * base) ** (2.0 / p)) if base else 1.0
+        scale = np.array([shrink, shrink, 1.0, 1.0])
 
-        def i1(s):
-            return s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2
-
-        def i2(s):
-            return (complex(s[0], s[1]) ** p * complex(s[2], s[3]) ** q).imag
-
-        inv = {"I1": (i1, 1.0), "I2": (i2, -2.0 * base)}
-        self._fwd = integrate(fld, s0, (0.0, hi), tol, inv) if hi > 0 else None
-        self._bwd = integrate(fld, s0, (0.0, lo), tol, inv) if lo < 0 else None
+        inv = {"I1": (lambda s: s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2, 1.0),
+               "I2": (lambda s: (complex(s[0], s[1]) ** p * complex(s[2], s[3]) ** q).imag,
+                      -2.0 * base)}
+        self._fwd = integrate(fld, s0, (0.0, hi), tol, inv, scale) if hi > 0 else None
+        self._bwd = integrate(fld, s0, (0.0, lo), tol, inv, scale) if lo < 0 else None
 
     # -- state access: scalar t gives scalars, an array of times gives arrays --
 
-    def _raw(self, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+    def _split(self, ts):
+        """(piece, mask) for each integrated piece holding some of the times ts."""
         fwd = ts >= 0.0
-        out = np.empty((2 if self._tau0 else 6, len(ts)))
         for traj, mask in ((self._fwd, fwd), (self._bwd, ~fwd)):
             if mask.any():
                 if traj is None or not traj.covers(ts[mask]):
-                    raise ValueError(f"t={t} outside integrated span "
+                    raise ValueError(f"t={ts[mask]} outside integrated span "
                                      f"[{self.t_lo}, {self.t_hi}]")
-                out[:, mask] = traj(ts[mask])
-        return out
+                yield traj, mask
 
     def _states(self, t) -> np.ndarray:
-        """Real 6 x len states at the times t."""
-        s = self._raw(t)
-        if not self._tau0:
-            return s * _CONJ[:, None] if self._neg else s
-        y = np.clip(s[0], 0.0, 1.0)
-        w1 = np.sqrt(1.0 - y)
-        if self.param.pair.p == 1:
-            w1 = np.where(np.atleast_1d(t) < 0.0, -w1, w1)
-        zero = np.zeros_like(y)
-        return np.array([w1, zero, np.sqrt(y), zero, zero, zero])
+        """Real 4 x len states at the times t."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        s = np.empty((4, len(ts)))
+        for traj, mask in self._split(ts):
+            s[:, mask] = traj(ts[mask])
+        return s * _CONJ[:, None] if self._neg else s
 
     def state(self, t) -> np.ndarray:
-        """Real 6-vector (Re w1, Im w1, Re w2, Im w2, psi1, psi2); 6 x len for arrays."""
+        """Real 4-vector (Re w1, Im w1, Re w2, Im w2); 4 x len for arrays."""
         s = self._states(t)
         return s if np.ndim(t) else s[:, 0]
 
@@ -306,34 +282,53 @@ class TwistTrajectory:
         """(w1, w2): two complex numbers, or two complex arrays."""
         s = self._states(t)
         w = np.empty((2, s.shape[1]), dtype=complex)
-        w.real, w.imag = s[0:4:2], s[1:4:2]
+        w.real, w.imag = s[0::2], s[1::2]
         return tuple(w) if np.ndim(t) else tuple(w[:, 0].tolist())
 
     def y(self, t):
-        s = self._raw(t)
-        y = np.clip(s[0], 0.0, 1.0) if self._tau0 else s[2] ** 2 + s[3] ** 2
+        s = self._states(t)
+        y = s[2] ** 2 + s[3] ** 2
         return y if np.ndim(t) else float(y[0])
 
     def ydot(self, t):
-        if self._tau0:
-            ydot = self._raw(t)[1]
-        else:
-            w1, w2 = self.w(np.atleast_1d(t))
-            ydot = -2.0 * (w1**self.param.pair.p * w2**self.param.pair.q).real
+        w1, w2 = self.w(np.atleast_1d(t))
+        ydot = -2.0 * (w1**self.param.pair.p * w2**self.param.pair.q).real
         return ydot if np.ndim(t) else float(ydot[0])
 
     def psi(self, t):
-        s = self._states(t)[4:]
-        return tuple(s) if np.ndim(t) else tuple(s[:, 0].tolist())
+        """Accumulated angles (psi1, psi2) with psi(0) = 0, read off arg w.
+
+        psi2 lifts arg w2 over the accepted steps: |psi2'| = 2|tau|/y is at
+        most (2|tau|)^(1-2/q), so no step turns w2 by pi.  Psi = p psi1 +
+        q psi2 is the principal arg of w1^p w2^q against its value at 0;
+        both lie on the line Im = -2 tau, so Psi needs no lift.  Then
+        psi1 = (Psi - q psi2)/p.
+        """
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        psi1, psi2 = np.empty((2, len(ts)))
+        p, q = self.param.pair.p, self.param.pair.q
+        for traj, mask in self._split(ts):
+            s = traj(ts[mask])
+            w1, w2 = s[0] + 1j * s[1], s[2] + 1j * s[3]
+            nodes = traj.states[:, 2] + 1j * traj.states[:, 3]
+            lift = np.unwrap(np.angle(nodes / nodes[0]))
+            k = np.searchsorted(np.abs(traj.time_grid), np.abs(ts[mask]), side="right")
+            k = np.minimum(k, len(nodes)) - 1
+            psi2[mask] = lift[k] + np.angle(w2 / nodes[k])
+            z0 = complex(*traj.states[0, :2]) ** p * complex(*traj.states[0, 2:]) ** q
+            Psi = np.angle(w1**p * w2**q * np.conj(z0))
+            psi1[mask] = (Psi - q * psi2[mask]) / p
+        if self._neg:
+            psi1, psi2 = -psi1, -psi2
+        return (psi1, psi2) if np.ndim(t) else (float(psi1[0]), float(psi2[0]))
 
     def endpoint_state(self, t: float) -> np.ndarray:
-        """The 6-vector state at t != 0 integrated from the last accepted step
+        """The 4-vector state at t != 0 integrated from the last accepted step
         before t: the integrator's accuracy, not the dense interpolant's."""
         traj = self._fwd if t > 0.0 else self._bwd
-        if self._tau0 or t == 0.0 or traj is None or not traj.covers(t):
+        if t == 0.0 or traj is None or not traj.covers(t):
             raise ValueError(f"no integrated endpoint at t={t} for tau={self.param.tau}")
-        k = np.flatnonzero(np.abs(traj.time_grid) < abs(t))[-1]
-        s = integrate(traj.field, traj.states[k], (traj.time_grid[k], t), self.tol).states[-1]
+        s = traj.endpoint(t)
         return s * _CONJ if self._neg else s
 
     # -- bookkeeping ----------------------------------------------------------
@@ -357,8 +352,7 @@ def solve_w(param: TwistParam, t_span, tol: Tolerances = Tolerances()) -> TwistT
     return TwistTrajectory(param, t_span, tol)
 
 
-def conjugate_family_check(param: TwistParam, samples: int = 50,
-                           t_max: float | None = None,
+def conjugate_family_check(param: TwistParam, samples: int = 50, t_max: float = 2.0,
                            tol: Tolerances = Tolerances()) -> float:
     """max |w_{-tau}(t) - conj(w_tau(t))| over a sample grid.
 
@@ -366,13 +360,11 @@ def conjugate_family_check(param: TwistParam, samples: int = 50,
     (bypassing the conjugation shortcut used by :func:`solve_w`), so the
     two sides are genuinely independent integrations.
     """
-    if t_max is None:
-        t_max = 2.0
     pair, tau = param.pair, abs(param.tau)
     ts = np.linspace(0.0, t_max, samples)
     plus = np.array(solve_w(TwistParam(pair, tau), (0.0, t_max), tol).w(ts))
     if tau == 0.0:
         return float(np.max(np.abs(plus[0].imag) + np.abs(plus[1].imag)))
-    s0 = np.concatenate([initial_state(TwistParam(pair, -tau)).as_real(), [0.0, 0.0]])
-    s = integrate(_field(pair.p, pair.q, -tau), s0, (0.0, t_max), tol)(ts)
-    return float(np.max(np.abs(s[0:4:2] + 1j * s[1:4:2] - np.conj(plus))))
+    s = integrate(_field(pair.p, pair.q), initial_state(TwistParam(pair, -tau)).as_real(),
+                  (0.0, t_max), tol)(ts)
+    return float(np.max(np.abs(s[0::2] + 1j * s[1::2] - np.conj(plus))))

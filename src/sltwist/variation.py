@@ -53,9 +53,9 @@ class LinearisedSolution:
     _bwd: object
 
     def _state(self, t):
-        """8-vector state at scalar t; 8 x len states at the times of an array t."""
+        """6-vector (w, Q, Q') at scalar t; 6 x len states at the times of an array t."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((8, len(ts)))
+        out = np.empty((6, len(ts)))
         fwd = ts >= self.p_star
         for traj, mask in ((self._fwd, fwd), (self._bwd, ~fwd)):
             if mask.any():
@@ -63,10 +63,10 @@ class LinearisedSolution:
         return out if np.ndim(t) else out[:, 0]
 
     def Q(self, t):
-        return self._state(t)[6]
+        return self._state(t)[4]
 
     def Qdot(self, t):
-        return self._state(t)[7]
+        return self._state(t)[5]
 
     def y(self, t):
         s = self._state(t)
@@ -107,10 +107,8 @@ def solve_Q(param: TwistParam, tol: Tolerances = Tolerances(),
         p_star = locate_event(base.pieces[0], g, (1e-6, data.p_tau))
     else:
         p_star = 0.0
-    s0 = base.state(p_star)
-    ydot0 = base.ydot(p_star)
-    state0 = np.concatenate([s0, [1.0 / (n * ydot0), 0.0]])
-    fld = _field(p, q, tau, linearised=True)
+    state0 = np.concatenate([base.state(p_star), [1.0 / (n * base.ydot(p_star)), 0.0]])
+    fld = _field(p, q, linearised=True)
     hi = span_factor * data.p_tau
     fwd = integrate(fld, state0, (p_star, hi), tol)
     bwd = integrate(fld, state0, (p_star, -hi), tol)

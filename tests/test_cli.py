@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from sltwist import cli
 from sltwist.cli import main
 
 
@@ -66,6 +67,44 @@ def test_argument_errors_exit_two():
     assert proc.returncode == 2
     proc = run_cli("periods", "--p", "1", "--q", "2", "--tau", "0.9")
     assert proc.returncode == 2
+
+
+# one argv of each shape the perfbench workloads send
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "2", "--q", "3", "--tau", "0.05", "--json"],
+    ["periods", "--p", "1", "--q", "2", "--tau", "1e-05", "--json"],
+    ["neck", "--p", "1", "--q", "2", "--tau", "0.0005", "--window", "2.0", "--json"],
+    ["asymptotics", "--p", "2", "--q", "2", "--tau-list", "0.001,0.0001", "--json"],
+    ["export", "--p", "1", "--q", "3", "--tau", "-0.05", "--format", "csv",
+     "--samples", "12000", "--out", "r-export.csv"],
+    ["solve", "--p", "2", "--q", "3", "--tau", "0.03", "--samples", "15000",
+     "--out", "r-solve.csv"],
+    ["closure", "--p", "1", "--q", "2", "--target", "4/7", "--json"],
+    ["necklace", "--p", "2", "--q", "2", "--m", "3", "--json"],
+    ["torque", "--p", "3", "--q", "4", "--tau", "-0.01", "--json"],
+])
+def test_benchmark_argv_shapes_parse(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert args.fn is getattr(cli, f"cmd_{argv[0]}")
+    assert (args.p, args.q) == (int(argv[2]), int(argv[4]))
+    for flag, text in zip(argv[5:], argv[6:]):
+        if not flag.startswith("--") or text.startswith("--"):
+            continue                            # --json, or a value
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if flag == "--target":
+            assert f"{value.numerator}/{value.denominator}" == text
+        else:
+            assert value == type(value)(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["periods", "--p", "1", "--q", "2", "--tau", "0.1", "--m", "3"],
+    ["verify", "--p", "1", "--q", "2", "--tau", "0.1", "--tol", "fast"],
+])
+def test_foreign_or_unchecked_options_exit_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_unattainable_target_exits_three():

@@ -95,6 +95,19 @@ def test_angles_are_monotone():
     assert all(b <= a + 1e-12 for a, b in zip(psi2, psi2[1:]))
 
 
+@pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 2), (2, 3)])
+@pytest.mark.parametrize("tau", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_small_twist_angles_from_w(p, q, tau):
+    # the psi2 side of the angular period read off arg w matches its
+    # quadrature, and the period integration stays short at small tau
+    param = TwistParam(AdmissiblePair(p, q), tau)
+    curve = Curve(param)
+    data = curve.period
+    assert abs(-0.5 * q * data.psi2_2p - pthat_quadrature_psi2(param)) <= 1e-10
+    steps = sum(len(piece.time_grid) - 1 for piece in curve.traj(0.0, 0.0).pieces)
+    assert steps <= 1000
+
+
 def test_angular_period_increasing_in_small_tau():
     for p, q in PAIRS:
         pair = AdmissiblePair(p, q)
