@@ -17,7 +17,7 @@ from .closure import (BracketingError, ClosedCurveCheck, ClosureReport,
                       scan_brackets, verify_closed)
 from .ode_engine import (EventError, IntegrationError, Tolerances, Trajectory,
                          integrate, locate_event)
-from .periods import (PeriodData, branch_integral, partial_periods_quadrature,
+from .periods import (PeriodData, angular_periods, branch_integral, partial_periods_quadrature,
                       period_ode, pthat_quadrature, pthat_quadrature_psi2,
                       verify_psi_constraint)
 from .twisted_curve import (AdmissiblePair, SphereState, TwistParam,

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from .curve import Curve
 from .ode_engine import Tolerances
-from .periods import period_ode, pthat_quadrature
+from .periods import angular_periods, period_ode, pthat_quadrature
 from .twisted_curve import AdmissiblePair, TwistParam, tau_max
 
 __all__ = [
@@ -89,15 +89,14 @@ def scan_brackets(pair: AdmissiblePair, target: RationalTarget,
                   points: int = _SCAN_POINTS) -> list[tuple[float, float]]:
     """All sign-change brackets of pthat(tau) - target on a geometric grid.
 
-    The grid is geometric in tau over [1e-5, 0.999(1-1e-9)] * tau_max,
-    which concentrates points where pthat varies logarithmically slowly
-    (small tau).  The attainable range is not assumed monotone: every
-    bracket is reported.
+    The grid is geometric in tau over [1e-5, 0.999] * tau_max, which
+    concentrates points where pthat varies logarithmically slowly (small
+    tau), and is evaluated by one call of :func:`angular_periods`.  The
+    attainable range is not assumed monotone: every bracket is reported.
     """
     tm = tau_max(pair)
     taus = np.geomspace(1e-5 * tm, 0.999 * tm, points)
-    vals = np.array([pthat_quadrature(TwistParam(pair, t)) - target.angle
-                     for t in taus])
+    vals = angular_periods(pair, taus) - target.angle
     out = []
     for i in range(len(taus) - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:

@@ -8,39 +8,50 @@ Route one is singular quadrature of the energy-level integrals
 with the square-root endpoint singularities removed by the substitution
 y = y_end +/- s^2 (the radicand divided by s^2 is then a polynomial in
 s^2, evaluated by the exact Taylor expansion of f about the root, so
-there is no cancellation at the endpoint).  Route two locates the
-extrema of y along the integrated curve as events and reads the angles
-psi_i off arg w on the same trajectory.
+there is no cancellation at the endpoint).  Then s = a sinh(u), with a^2
+the smaller of the branch length and the root's distance from 0 or 1
+(the pole of the angle weight 1/y or 1/(1 - y)), and one 64-node
+Gauss-Legendre rule in u sums both halves for an array of tau at once.
+A weight h is called as h(y, 1 - y), with 1 - y = (1 - y_end) -/+ s^2.
+Route two locates the extrema of y along the integrated curve as events
+and reads the angles psi_i off arg w on the same trajectory.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .curve import Curve
 from .ode_engine import Tolerances, locate_event
-from .twisted_curve import (TwistParam, alpha_tau, f_poly, f_prime, f_taylor_coeffs,
-                            tau_max, y_extrema)
+from .twisted_curve import (AdmissiblePair, TwistParam, alpha_tau, f_poly, f_prime,
+                            f_taylor_coeffs, tau_max, y_extrema)
 
 __all__ = [
-    "PeriodData", "partial_periods_quadrature", "pthat_quadrature",
+    "PeriodData", "partial_periods_quadrature", "pthat_quadrature", "angular_periods",
     "branch_integral", "period_ode", "verify_psi_constraint",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+
+def _gauss_legendre(n: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]: Newton on
+    the Legendre recurrence in t = 1 - |x| keeps the outer weights to rounding
+    (``leggauss`` is off by 1e-12 there)."""
+    t = 2.0 * np.sin(0.5 * np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5)) ** 2
+    for _ in range(10):
+        p, d = 1.0 - t, -t              # P_k(1 - t) and P_k - P_(k-1), up to k = n
+        for k in range(2, n + 1):
+            d = ((k - 1) * d - (2 * k - 1) * t * p) / k
+            p = p + d
+        dp = n * (p - d - (1.0 - t) * p) / (t * (2.0 - t))     # P_n' at x = 1 - t
+        t = t + p / dp
+    w = 1.0 / (t * (2.0 - t) * dp * dp)
+    return np.concatenate([0.5 * t, 1.0 - 0.5 * t]), np.concatenate([w, w])
 
 
-def _quad(fn, a, b) -> float:
-    # QUADPACK flags roundoff saturation near sharp weights; the achieved
-    # accuracy is certified by the independent trajectory route instead.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(fn, a, b, **_QUAD_OPTS)[0]
+_NODES, _WEIGHTS = _gauss_legendre()
 
 
 @dataclass(frozen=True)
@@ -59,45 +70,32 @@ class PeriodData:
     psi2_2p: float
 
 
-def _root_weight(pair, y0: float, sign: int):
-    """Polynomial G with f(y0 + sign s^2) - f(y0) = s^2 G(s^2) exactly."""
-    coeffs = f_taylor_coeffs(pair, y0)
-    signed = tuple(c * sign**k for k, c in enumerate(coeffs, start=1))
-
-    def G(s):
-        s2 = s * s
-        acc = 0.0
-        for c in signed[::-1]:
-            acc = acc * s2 + c
-        return acc  # f(y0 + sign s^2) - f(y0) = s^2 * acc, positive inside
-
-    return G
-
-
-def _branch_halves(param: TwistParam, h) -> tuple[float, float]:
-    """int h(y) dy / (2 sqrt(f(y) - 4 tau^2)) over [y_min, q/n] and [q/n, y_max].
-
-    Each half is regularised by the s^2 substitution at its singular endpoint.
-    """
-    pair = param.pair
-    y_min, y_max = y_extrema(param)
-    qn = pair.q / pair.n
-    G_lo = _root_weight(pair, y_min, +1)
-    G_hi = _root_weight(pair, y_max, -1)
-    lo = _quad(lambda s: h(y_min + s * s) / math.sqrt(G_lo(s)),
-               0.0, math.sqrt(qn - y_min))
-    hi = _quad(lambda s: h(y_max - s * s) / math.sqrt(G_hi(s)),
-               0.0, math.sqrt(y_max - qn))
+def _branch_halves(pair: AdmissiblePair, taus, h) -> tuple[np.ndarray, np.ndarray]:
+    """int h(y, 1 - y) dy / (2 sqrt(f(y) - 4 tau^2)) over [y_min, q/n] and
+    [q/n, y_max] for each tau of ``taus``, by the rule of the module docstring."""
+    y0 = np.array([y_extrema(TwistParam(pair, t)) for t in taus]).T[..., None]
+    sign = np.array([1.0, -1.0])[:, None, None]     # y = y_min + s^2 and y = y_max - s^2
+    length = sign * (pair.q / pair.n - y0)
+    a = np.sqrt(np.minimum(np.where(sign > 0, y0, 1.0 - y0), length))
+    span = np.arcsinh(np.sqrt(length) / a)
+    u = span * _NODES
+    s2 = (a * np.sinh(u)) ** 2
+    c = f_taylor_coeffs(pair, y0) * sign ** np.arange(1, pair.n + 1)[:, None, None, None]
+    G = c[-1]
+    for ck in c[-2::-1]:
+        G = G * s2 + ck             # f(y0 + sign s^2) - f(y0) = s^2 G, positive inside
+    g = h(y0 + sign * s2, (1.0 - y0) - sign * s2) * np.cosh(u) / np.sqrt(G)
+    lo, hi = (a * span * g) @ _WEIGHTS
     return lo, hi
 
 
 def branch_integral(param: TwistParam, h) -> float:
-    """int_{y_min}^{y_max} h(y) dy / (2 sqrt(f(y) - 4 tau^2)).
+    """int_{y_min}^{y_max} h(y, 1 - y) dy / (2 sqrt(f(y) - 4 tau^2)), h taking arrays.
 
     This is the integral of h(y(t)) dt over one monotone branch of y.
     """
-    lo, hi = _branch_halves(param, h)
-    return lo + hi
+    (lo,), (hi,) = _branch_halves(param.pair, [param.tau], h)
+    return float(lo + hi)
 
 
 def partial_periods_quadrature(param: TwistParam) -> tuple[float, float]:
@@ -112,16 +110,19 @@ def partial_periods_quadrature(param: TwistParam) -> tuple[float, float]:
         raise ValueError("tau = 0: the period integral diverges")
     if tau >= tm * (1 - 1e-10):
         raise ValueError("|tau| at tau_max: the orbit is a point, no period")
-    p_plus, p_minus = _branch_halves(param, lambda y: 1.0)
-    if pair.p == 1:
-        return p_plus + p_minus, 0.0
-    return p_plus, p_minus
+    (p_plus,), (p_minus,) = _branch_halves(pair, [tau], lambda y, one_minus_y: 1.0)
+    return (float(p_plus + p_minus), 0.0) if pair.p == 1 else (float(p_plus), float(p_minus))
+
+
+def angular_periods(pair: AdmissiblePair, taus) -> np.ndarray:
+    """pthat by quadrature for each tau of an array: p * int 2 tau/(1 - y)."""
+    lo, hi = _branch_halves(pair, taus, lambda y, one_minus_y: 1.0 / one_minus_y)
+    return 2.0 * pair.p * np.asarray(taus, dtype=float) * (lo + hi)
 
 
 def pthat_quadrature(param: TwistParam) -> float:
     """Angular period by quadrature: p * (change of psi1 over one branch)."""
-    p, tau = param.pair.p, param.tau
-    return p * branch_integral(param, lambda y: 2.0 * tau / (1.0 - y))
+    return float(angular_periods(param.pair, [param.tau])[0])
 
 
 def pthat_quadrature_psi2(param: TwistParam) -> float:
@@ -131,7 +132,7 @@ def pthat_quadrature_psi2(param: TwistParam) -> float:
     over a full period.
     """
     q, tau = param.pair.q, param.tau
-    return q * branch_integral(param, lambda y: 2.0 * tau / y)
+    return 2.0 * q * tau * branch_integral(param, lambda y, one_minus_y: 1.0 / y)
 
 
 def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),

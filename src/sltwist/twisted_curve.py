@@ -121,8 +121,8 @@ def _f_derivative_polys(p: int, q: int):
     return tuple(f.deriv(k) for k in range(1, p + q + 1))
 
 
-def f_taylor_coeffs(pair: AdmissiblePair, y0: float) -> np.ndarray:
-    """Coefficients c_k = f^(k)(y0)/k! for k = 1..n.
+def f_taylor_coeffs(pair: AdmissiblePair, y0) -> np.ndarray:
+    """Coefficients c_k = f^(k)(y0)/k! for k = 1..n, along axis 0 for an array y0.
 
     Since f is a degree-n polynomial, f(y0+d) - f(y0) = sum_k c_k d^k
     exactly; this is how differences of f are evaluated near its roots
@@ -256,8 +256,8 @@ class TwistTrajectory:
     # -- state access: scalar t gives scalars, an array of times gives arrays --
 
     def _split(self, ts):
-        """(piece, mask) for each integrated piece holding some of the times ts."""
-        fwd = ts >= 0.0
+        """(piece, mask) for each piece holding some of the times ts; t = 0 is on both."""
+        fwd = ts > 0.0 if self._fwd is None else ts >= 0.0
         for traj, mask in ((self._fwd, fwd), (self._bwd, ~fwd)):
             if mask.any():
                 if traj is None or not traj.covers(ts[mask]):

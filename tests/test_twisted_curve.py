@@ -204,3 +204,19 @@ def test_conjugate_family_independent_integrations(p, q, tau):
 
 def test_conjugate_family_zero_twist():
     assert conjugate_family_check(TwistParam(AdmissiblePair(1, 2), 0.0)) < 1e-10
+
+
+@pytest.mark.parametrize("span", [(-1.0, 0.0), (0.0, 1.0)])
+@pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 3, -0.05)])
+def test_time_zero_readable_on_one_sided_span(span, p, q, tau):
+    # t = 0 is the initial state of whichever piece was integrated
+    param = TwistParam(AdmissiblePair(p, q), tau)
+    traj = solve_w(param, span)
+    s0 = initial_state(param)
+    assert np.allclose(traj.state(0.0), s0.as_real(), rtol=0.0, atol=1e-15)
+    assert traj.w(0.0) == (complex(traj.state(0.0)[0], traj.state(0.0)[1]),
+                           complex(traj.state(0.0)[2], traj.state(0.0)[3]))
+    assert abs(traj.w(0.0)[1] - s0.w2) <= 1e-15
+    assert np.allclose(traj.psi(0.0), 0.0, rtol=0.0, atol=1e-15)
+    psi1, psi2 = traj.psi(np.array([0.0, span[0] + span[1]]))
+    assert (psi1[0], psi2[0]) == traj.psi(0.0)
