@@ -78,27 +78,20 @@ def _profile_field(n: int):
     return rhs
 
 
-def _read(fwd, bwd, t):
-    """w at scalar or array t: one array read of the forward piece for
-    t >= 0 and one of the backward piece for t < 0."""
+def _read(traj, t):
+    """w at scalar or array t, read off the (Re w, Im w) trajectory."""
     tt = np.asarray(t, dtype=float)
-    out = np.empty(tt.shape, dtype=complex)
-    for traj, mask in ((fwd, tt >= 0), (bwd, tt < 0)):
-        if mask.any():
-            s = traj(tt[mask])
-            out[mask] = s[0] + 1j * s[1]
-    return complex(out) if tt.ndim == 0 else out
+    s = traj(tt.ravel())
+    w = (s[0] + 1j * s[1]).reshape(tt.shape)
+    return complex(w) if tt.ndim == 0 else w
 
 
 @lru_cache(maxsize=None)
-def _unit_trajectories(n: int, span: float):
+def _unit_trajectory(n: int, span: float):
     w0 = np.exp(1j * math.pi / (2 * n))
-    fld = _profile_field(n)
     inv = {"Im_w^n": (lambda s: (complex(s[0], s[1]) ** n).imag, 1.0)}
-    tol = Tolerances()
-    fwd = integrate(fld, [w0.real, w0.imag], (0.0, span), tol, inv)
-    bwd = integrate(fld, [w0.real, w0.imag], (0.0, -span), tol, inv)
-    return fwd, bwd
+    return integrate(_profile_field(n), [w0.real, w0.imag], (-span, span), Tolerances(),
+                     inv, t0=0.0)
 
 
 def unit_profile(n: int, t):
@@ -116,7 +109,7 @@ def unit_profile(n: int, t):
     if np.max(np.abs(tt)) >= T1:
         raise ValueError(f"|t| >= lifetime T_1 = {T1} for n = {n}")
     span = max(_LIFETIME_FRACTION * T1, np.max(np.abs(tt)) * (1 + 1e-12))
-    return _read(*_unit_trajectories(n, span), t)
+    return _read(_unit_trajectory(n, span), t)
 
 
 def catenoid_flow(params: CatenoidParams, t, direct: bool = False):
@@ -135,21 +128,19 @@ def catenoid_flow(params: CatenoidParams, t, direct: bool = False):
         T = catenoid_lifetime(n) * lam ** (2.0 / n - 1.0)
         if np.max(np.abs(tt)) >= T:
             raise ValueError(f"|t| >= scaled lifetime {T}")
-    fld = _profile_field(n)
-    tol = Tolerances()
-    hi, lo = tt.max(), tt.min()
-    fwd = integrate(fld, [w0.real, w0.imag], (0.0, max(hi, 1e-9)), tol) if hi >= 0 else None
-    bwd = integrate(fld, [w0.real, w0.imag], (0.0, min(lo, -1e-9)), tol) if lo < 0 else None
-    return _read(fwd, bwd, t)
+    # the upper end stays above 0 so that t = 0 alone still has a span
+    span = (min(tt.min(), 0.0), max(tt.max(), 1e-9))
+    traj = integrate(_profile_field(n), [w0.real, w0.imag], span, Tolerances(), t0=0.0)
+    return _read(traj, t)
 
 
 def verify_catenoid_symmetry(n: int, sample_count: int = 100,
                              t_window: float | None = None) -> float:
     """max |w_1(-t) - e^{i pi/n} conj(w_1(t))| over samples.
 
-    Both sides come from genuinely separate integrations (forward and
-    backward), so this residual measures the reflection symmetry of the
-    profile rather than restating its construction.
+    The two sides of the unit trajectory are separate integrations from
+    0, so this residual measures the reflection symmetry of the profile
+    rather than restating its construction.
     """
     if t_window is None:
         t_window = 0.9 * catenoid_lifetime(n) if n >= 3 else 5.0

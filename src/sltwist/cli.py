@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from . import geometry as geo
-from .closure import (RationalTarget, find_tau_for_angular_period,
-                      half_period_classification, necklace, verify_closed)
+from .closure import (K0_CAP, RationalTarget, find_tau_for_angular_period,
+                      half_period_classification, k0_from_target, necklace, verify_closed)
 from .curve import Curve
 from .geometry.export import report_to_json
 from .ode_engine import EventError, IntegrationError, Tolerances
@@ -93,8 +93,11 @@ def cmd_periods(args) -> int:
 def cmd_closure(args) -> int:
     pair, target = AdmissiblePair(args.p, args.q), args.target
     tol = TOL_PRESETS[args.tol]
-    tau = find_tau_for_angular_period(pair, target, tol=tol)
     report = half_period_classification(pair, target)
+    if report.k0 is None:       # integer arithmetic: refuse before the tau search
+        raise ValueError(f"rotational order k0 = {k0_from_target(pair, target)} is above "
+                         f"the cap {K0_CAP}: closure cannot be verified")
+    tau = find_tau_for_angular_period(pair, target, tol=tol)
     curve = Curve(TwistParam(pair, tau), tol)
     data = curve.period
     check = verify_closed(curve, report.k0, samples=args.samples)

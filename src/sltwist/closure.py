@@ -22,13 +22,13 @@ from .periods import angular_periods, period_ode, pthat_quadrature
 from .twisted_curve import AdmissiblePair, TwistParam, tau_max
 
 __all__ = [
-    "BracketingError", "RationalTarget", "ClosureReport", "ClosedCurveCheck", "k0_from_target",
-    "find_tau_for_angular_period", "scan_brackets", "verify_closed",
+    "BracketingError", "RationalTarget", "ClosureReport", "ClosedCurveCheck", "K0_CAP",
+    "k0_from_target", "find_tau_for_angular_period", "scan_brackets", "verify_closed",
     "half_period_classification", "necklace", "necklace_scaling_ratio",
 ]
 
 _SCAN_POINTS = 200
-_K0_CAP = 10**6
+K0_CAP = 10**6           # larger rotational orders are reported as non-closing
 
 
 class BracketingError(ArithmeticError):
@@ -192,7 +192,7 @@ def half_period_classification(pair: AdmissiblePair,
     """
     p, q, n = pair.p, pair.q, pair.n
     k0 = k0_from_target(pair, target)
-    if k0 > _K0_CAP:
+    if k0 > K0_CAP:
         return ClosureReport(k0=None, per_generator="none (order above cap)",
                              half_period_type=None, topology="non-closing")
     product = (f"S^1 x S^{p - 1} x S^{q - 1}" if p > 1 else f"S^1 x S^{n - 2}")

@@ -166,7 +166,7 @@ def immerse(curve: Curve, t: float, sigma1=None, sigma2=None) -> ImmersionPoint:
     (n-1)-vector sigma2.
     """
     pair = curve.param.pair
-    traj = curve.traj(min(t, 0.0) - 1e-9, max(t, 0.0) + 1e-9)
+    traj = curve.traj(t - 1e-9, t + 1e-9)
     w1, w2 = traj.w(t)
     if pair.p == 1:
         if sigma1 is not None:

@@ -61,8 +61,7 @@ def neck_rescale(curve: Curve, waist_index: int, b: float,
     beta = math.sqrt(y_min) if waist.kind == 2 else math.sqrt(1.0 - y_max)
     scale = beta ** (2 - degree)
     t_w = waist.t
-    span = (min(t_w - scale * b, 0.0) - 1e-6, max(t_w + scale * b, 0.0) + 1e-6)
-    traj = curve.traj(*span)
+    traj = curve.traj(t_w - scale * b - 1e-6, t_w + scale * b + 1e-6)
     w1_w, w2_w = traj.w(t_w)
     phase = np.exp(1j * math.pi / (2 * degree))
     if waist.kind == 2:

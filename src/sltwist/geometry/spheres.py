@@ -174,7 +174,7 @@ def bulge_sphere_distance(curve: Curve, k: int, b: float,
         l, odd = divmod(k, 2)
         center = 2 * l * data.p_tau + (2 * data.p_plus if odd else 0.0)
     ts = np.linspace(center - b, center + b, t_points)
-    w1, w2 = curve.traj(min(ts.min(), 0.0) - 1e-6, max(ts.max(), 0.0) + 1e-6).w(ts)
+    w1, w2 = curve.traj(ts.min() - 1e-6, ts.max() + 1e-6).w(ts)
     angles = np.linspace(0.0, 2.0 * math.pi, mer_points, endpoint=False)
     ring = np.zeros((mer_points, pair.n))       # meridian directions of the second factor
     ring[:, pair.p] = np.cos(angles)

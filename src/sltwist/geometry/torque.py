@@ -185,7 +185,7 @@ def torque(curve: Curve, element: SuBasisElement, meridian_t: float = 0.0,
     param = curve.param
     pair = param.pair
     p, q, n = pair.p, pair.q, pair.n
-    traj = curve.traj(min(0.0, meridian_t) - 1e-6, max(0.0, meridian_t) + 1e-6)
+    traj = curve.traj(meridian_t - 1e-6, meridian_t + 1e-6)
     w1, w2 = traj.w(meridian_t)
     d1 = w1.conjugate() ** (p - 1) * w2.conjugate() ** q
     d2 = -(w1.conjugate() ** p) * w2.conjugate() ** (q - 1)

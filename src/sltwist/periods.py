@@ -169,10 +169,10 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
         raise ValueError("tau = 0: y is not periodic")
 
     if pair.p > 1:
-        p_plus = locate_event(traj.pieces[0], g, (0.5 * p_est_plus, 1.5 * p_est_plus))
-        p_minus = -locate_event(traj.pieces[1], g, (-0.5 * p_est_minus, -1.5 * p_est_minus))
+        p_plus = locate_event(traj.trajectory, g, (0.5 * p_est_plus, 1.5 * p_est_plus))
+        p_minus = -locate_event(traj.trajectory, g, (-0.5 * p_est_minus, -1.5 * p_est_minus))
     else:
-        p_plus = locate_event(traj.pieces[0], g, (0.5 * p_est, 1.5 * p_est), g_prime)
+        p_plus = locate_event(traj.trajectory, g, (0.5 * p_est, 1.5 * p_est), g_prime)
         p_minus = 0.0
     p_tau = p_plus + p_minus
     psi1_2p, psi2_2p = traj.psi(2.0 * p_tau)

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.optimize import brentq
 
-from .ode_engine import Tolerances, Trajectory, integrate
+from .ode_engine import Tolerances, integrate
 
 __all__ = [
     "AdmissiblePair", "TwistParam", "SphereState", "TwistTrajectory",
@@ -221,7 +221,8 @@ _CONJ = np.array([1.0, -1.0, 1.0, -1.0])
 class TwistTrajectory:
     """Dense solution of the curve system over an interval containing 0.
 
-    The integrated state is w alone.  Accessors return the curve
+    The integrated state is w alone, held as one :class:`Trajectory`
+    anchored at 0 (``trajectory``).  Accessors return the curve
     w(t) = (w1, w2), the radius y = |w2|^2 and its derivative, and the
     accumulated angles (psi1, psi2) with psi(0) = 0, read off arg w.
     For tau < 0 the tau > 0 solution is conjugated rather than
@@ -243,34 +244,20 @@ class TwistTrajectory:
         p, q = pair.p, pair.q
         self._neg = param.tau < 0.0
         s0 = initial_state(TwistParam(pair, base)).as_real()
-        fld = _field(p, q)
         shrink = min(1.0, (2.0 * base) ** (2.0 / p)) if base else 1.0
         scale = np.array([shrink, shrink, 1.0, 1.0])
 
         inv = {"I1": (lambda s: s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2, 1.0),
                "I2": (lambda s: (complex(s[0], s[1]) ** p * complex(s[2], s[3]) ** q).imag,
                       -2.0 * base)}
-        self._fwd = integrate(fld, s0, (0.0, hi), tol, inv, scale) if hi > 0 else None
-        self._bwd = integrate(fld, s0, (0.0, lo), tol, inv, scale) if lo < 0 else None
+        self.trajectory = integrate(_field(p, q), s0, (lo, hi), tol, inv, scale, t0=0.0)
+        self.drift = self.trajectory.drift
 
     # -- state access: scalar t gives scalars, an array of times gives arrays --
 
-    def _split(self, ts):
-        """(piece, mask) for each piece holding some of the times ts; t = 0 is on both."""
-        fwd = ts > 0.0 if self._fwd is None else ts >= 0.0
-        for traj, mask in ((self._fwd, fwd), (self._bwd, ~fwd)):
-            if mask.any():
-                if traj is None or not traj.covers(ts[mask]):
-                    raise ValueError(f"t={ts[mask]} outside integrated span "
-                                     f"[{self.t_lo}, {self.t_hi}]")
-                yield traj, mask
-
     def _states(self, t) -> np.ndarray:
         """Real 4 x len states at the times t."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        s = np.empty((4, len(ts)))
-        for traj, mask in self._split(ts):
-            s[:, mask] = traj(ts[mask])
+        s = self.trajectory(np.atleast_1d(np.asarray(t, dtype=float)))
         return s * _CONJ[:, None] if self._neg else s
 
     def state(self, t) -> np.ndarray:
@@ -298,26 +285,29 @@ class TwistTrajectory:
     def psi(self, t):
         """Accumulated angles (psi1, psi2) with psi(0) = 0, read off arg w.
 
-        psi2 lifts arg w2 over the accepted steps: |psi2'| = 2|tau|/y is at
-        most (2|tau|)^(1-2/q), so no step turns w2 by pi.  Psi = p psi1 +
-        q psi2 is the principal arg of w1^p w2^q against its value at 0;
-        both lie on the line Im = -2 tau, so Psi needs no lift.  Then
-        psi1 = (Psi - q psi2)/p.
+        psi2 lifts arg w2 over the accepted steps, outward from 0 on each
+        side: |psi2'| = 2|tau|/y is at most (2|tau|)^(1-2/q), so no step
+        turns w2 by pi.  Psi = p psi1 + q psi2 is the principal arg of
+        w1^p w2^q against its value at 0; both lie on the line
+        Im = -2 tau, so Psi needs no lift.  Then psi1 = (Psi - q psi2)/p.
         """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        psi1, psi2 = np.empty((2, len(ts)))
         p, q = self.param.pair.p, self.param.pair.q
-        for traj, mask in self._split(ts):
-            s = traj(ts[mask])
-            w1, w2 = s[0] + 1j * s[1], s[2] + 1j * s[3]
-            nodes = traj.states[:, 2] + 1j * traj.states[:, 3]
-            lift = np.unwrap(np.angle(nodes / nodes[0]))
-            k = np.searchsorted(np.abs(traj.time_grid), np.abs(ts[mask]), side="right")
-            k = np.minimum(k, len(nodes)) - 1
-            psi2[mask] = lift[k] + np.angle(w2 / nodes[k])
-            z0 = complex(*traj.states[0, :2]) ** p * complex(*traj.states[0, 2:]) ** q
-            Psi = np.angle(w1**p * w2**q * np.conj(z0))
-            psi1[mask] = (Psi - q * psi2[mask]) / p
+        s = self.trajectory(ts)         # the tau >= 0 solution
+        w1, w2 = s[0] + 1j * s[1], s[2] + 1j * s[3]
+        grid, states = self.trajectory.time_grid, self.trajectory.states
+        i0 = np.searchsorted(grid, 0.0)
+        nodes = states[:, 2] + 1j * states[:, 3]
+        lift = np.empty(len(grid))
+        lift[i0:] = np.unwrap(np.angle(nodes[i0:] / nodes[i0]))
+        lift[i0::-1] = np.unwrap(np.angle(nodes[i0::-1] / nodes[i0]))
+        # the last node from 0 towards each t
+        k = np.where(ts >= 0.0, np.searchsorted(grid, ts, side="right") - 1,
+                     np.searchsorted(grid, ts))
+        psi2 = lift[k] + np.angle(w2 / nodes[k])
+        z0 = complex(*states[i0, :2]) ** p * complex(*states[i0, 2:]) ** q
+        Psi = np.angle(w1**p * w2**q * np.conj(z0))
+        psi1 = (Psi - q * psi2) / p
         if self._neg:
             psi1, psi2 = -psi1, -psi2
         return (psi1, psi2) if np.ndim(t) else (float(psi1[0]), float(psi2[0]))
@@ -325,26 +315,8 @@ class TwistTrajectory:
     def endpoint_state(self, t: float) -> np.ndarray:
         """The 4-vector state at t != 0 integrated from the last accepted step
         before t: the integrator's accuracy, not the dense interpolant's."""
-        traj = self._fwd if t > 0.0 else self._bwd
-        if t == 0.0 or traj is None or not traj.covers(t):
-            raise ValueError(f"no integrated endpoint at t={t} for tau={self.param.tau}")
-        s = traj.endpoint(t)
+        s = self.trajectory.endpoint(t)
         return s * _CONJ if self._neg else s
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    @property
-    def drift(self) -> dict:
-        out: dict[str, float] = {}
-        for traj in (self._fwd, self._bwd):
-            if traj is not None:
-                for k, v in traj.drift.items():
-                    out[k] = max(out.get(k, 0.0), v)
-        return out
-
-    @property
-    def pieces(self) -> list[Trajectory]:
-        return [t for t in (self._fwd, self._bwd) if t is not None]
 
 
 def solve_w(param: TwistParam, t_span, tol: Tolerances = Tolerances()) -> TwistTrajectory:

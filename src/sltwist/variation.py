@@ -20,7 +20,7 @@ import numpy as np
 
 from .catenoid import catenoid_lifetime
 from .curve import Curve
-from .ode_engine import Tolerances, integrate, locate_event
+from .ode_engine import Tolerances, Trajectory, integrate, locate_event
 from .periods import PeriodData, partial_periods_quadrature, period_ode, pthat_quadrature
 from .twisted_curve import TwistParam, _field, tau_max, y_extrema
 
@@ -42,38 +42,28 @@ class LinearisedSolution:
     ``Q`` and ``Qdot`` are callables on [-2 p_tau, 2 p_tau].  ``p_star``
     is the anchor time (the unique t in (0, p_tau) with y = q/n) for
     p = 1, or 0 for p > 1.  ``wronskian_drift`` is the measured maximum
-    of |(q - ny) Q' + n y' Q - 1| over the covered interval.
+    of |(q - ny) Q' + n y' Q - 1| over the covered interval.  ``trajectory``
+    holds (w, Q, Q'), integrated both ways from ``p_star``.
     """
 
     param: TwistParam
     period: PeriodData
     p_star: float
     wronskian_drift: float
-    _fwd: object
-    _bwd: object
-
-    def _state(self, t):
-        """6-vector (w, Q, Q') at scalar t; 6 x len states at the times of an array t."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((6, len(ts)))
-        fwd = ts >= self.p_star
-        for traj, mask in ((self._fwd, fwd), (self._bwd, ~fwd)):
-            if mask.any():
-                out[:, mask] = traj(ts[mask])
-        return out if np.ndim(t) else out[:, 0]
+    trajectory: Trajectory
 
     def Q(self, t):
-        return self._state(t)[4]
+        return self.trajectory(t)[4]
 
     def Qdot(self, t):
-        return self._state(t)[5]
+        return self.trajectory(t)[5]
 
     def y(self, t):
-        s = self._state(t)
+        s = self.trajectory(t)
         return s[2] ** 2 + s[3] ** 2
 
     def ydot(self, t):
-        s = self._state(t)
+        s = self.trajectory(t)
         p, q = self.param.pair.p, self.param.pair.q
         return -2.0 * ((s[0] + 1j * s[1]) ** p * (s[2] + 1j * s[3]) ** q).real
 
@@ -104,16 +94,14 @@ def solve_Q(param: TwistParam, tol: Tolerances = Tolerances(),
         def g(t, s):
             return (s[2] ** 2 + s[3] ** 2) - q / n
 
-        p_star = locate_event(base.pieces[0], g, (1e-6, data.p_tau))
+        p_star = locate_event(base.trajectory, g, (1e-6, data.p_tau))
     else:
         p_star = 0.0
     state0 = np.concatenate([base.state(p_star), [1.0 / (n * base.ydot(p_star)), 0.0]])
-    fld = _field(p, q, linearised=True)
     hi = span_factor * data.p_tau
-    fwd = integrate(fld, state0, (p_star, hi), tol)
-    bwd = integrate(fld, state0, (p_star, -hi), tol)
+    traj = integrate(_field(p, q, linearised=True), state0, (-hi, hi), tol, t0=p_star)
     sol = LinearisedSolution(param=param, period=data, p_star=p_star,
-                             wronskian_drift=0.0, _fwd=fwd, _bwd=bwd)
+                             wronskian_drift=0.0, trajectory=traj)
     ts = np.linspace(-2.0 * data.p_tau, 2.0 * data.p_tau, 101)
     sol.wronskian_drift = float(np.max(np.abs(sol.wronskian(ts) - 1.0)))
     return sol

@@ -112,6 +112,16 @@ def test_unattainable_target_exits_three():
     assert proc.returncode == 3
 
 
+def test_closure_refuses_order_above_cap_before_search(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "find_tau_for_angular_period",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["closure", "--p", "1", "--q", "2", "--target", "550001/1000000"]) == 2
+    err = capsys.readouterr().err
+    assert "k0 = 2000000" in err and "cap 1000000" in err
+    assert calls == []
+
+
 def test_solve_csv(tmp_path):
     out = tmp_path / "w.csv"
     code = main(["solve", "--p", "1", "--q", "2", "--tau", "0.1",

@@ -33,7 +33,7 @@ def test_verify_integrates_each_curve_once(monkeypatch, capsys):
     original = ode_engine.integrate
     _rebind_everywhere(monkeypatch, original, counting)
     assert main(["verify", "--p", "2", "--q", "2", "--tau", "0.06"]) == 0
-    assert len(calls) <= 10
+    assert len(calls) <= 6
 
 
 def test_curve_lives_only_for_the_call(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from sltwist.ode_engine import (EventError, IntegrationError, Tolerances,
                                 integrate, locate_event)
 from sltwist.periods import partial_periods_quadrature
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, initial_state
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, initial_state, tau_max
 
 
 def twisted_field(p, q):
@@ -52,7 +52,7 @@ def test_locate_event_ydot_matches_quadrature():
     traj = integrate(twisted_field(1, 2), s0, (0.0, 1.6 * p_est))
 
     def g(t, s):
-        return -2.0 * (complex(s[0], s[1]) * complex(s[2], s[3]) ** 2).real
+        return -2.0 * ((s[0] + 1j * s[1]) * (s[2] + 1j * s[3]) ** 2).real
 
     t_star = locate_event(traj, g, (0.4 * p_est, 1.5 * p_est))
     assert abs(t_star - p_est) < 1e-8
@@ -130,3 +130,38 @@ def test_blowup_reports_last_time():
         integrate(lambda t, s: [s[0] ** 2], [1.0], (0.0, 2.0))
     assert err.value.last_time is not None
     assert err.value.last_time <= 2.0
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 4)])
+def test_two_sided_trajectory_equals_one_sided_runs(p, q):
+    # one integration anchored inside the span is the forward and the
+    # backward run from the anchor, bit for bit, and costs their steps
+    pair = AdmissiblePair(p, q)
+    s0 = initial_state(TwistParam(pair, 0.3 * tau_max(pair))).as_real()
+    field = twisted_field(p, q)
+    inv = {"norm": (lambda s: float(np.dot(s, s)), 1.0)}
+    both = integrate(field, s0, (-6.0, 8.0), invariants=inv, t0=0.0)
+    fwd = integrate(field, s0, (0.0, 8.0), invariants=inv)
+    bwd = integrate(field, s0, (0.0, -6.0), invariants=inv)
+    for side, ts in ((fwd, np.linspace(0.0, 8.0, 200)), (bwd, np.linspace(-6.0, 0.0, 200))):
+        assert np.array_equal(both(ts), side(ts))
+        assert all(np.array_equal(both(t), side(t)) for t in ts[::20])
+    assert np.array_equal(both.time_grid, np.concatenate([bwd.time_grid, fwd.time_grid[1:]]))
+    assert both.drift["norm"] == max(fwd.drift["norm"], bwd.drift["norm"])
+    for t in (2.5, 7.9):
+        assert np.array_equal(both.endpoint(t), fwd.endpoint(t))
+        assert np.array_equal(both.endpoint(-0.75 * t), bwd.endpoint(-0.75 * t))
+    steps = len(fwd.time_grid) - 1 + len(bwd.time_grid) - 1
+    assert len(both.time_grid) - 1 == steps
+    assert (both.time_grid[0], both.t0, both.time_grid[-1]) == (-6.0, 0.0, 8.0)
+
+
+def test_anchor_and_reads_outside_span_rejected():
+    with pytest.raises(ValueError):
+        integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=2.0)
+    traj = integrate(lambda t, s: [1.0], [0.0], (-1.0, 1.0), t0=0.0)
+    for read in (lambda: traj(1.5), lambda: traj(np.array([-1.5, 0.0])),
+                 lambda: traj.endpoint(0.0), lambda: traj.endpoint(-2.0),
+                 lambda: locate_event(traj, lambda t, s: t - 0.5, (0.0, 2.0))):
+        with pytest.raises(ValueError):
+            read()

@@ -104,7 +104,7 @@ def test_small_twist_angles_from_w(p, q, tau):
     curve = Curve(param)
     data = curve.period
     assert abs(-0.5 * q * data.psi2_2p - pthat_quadrature_psi2(param)) <= 1e-10
-    steps = sum(len(piece.time_grid) - 1 for piece in curve.traj(0.0, 0.0).pieces)
+    steps = len(curve.traj(0.0, 0.0).trajectory.time_grid) - 1
     assert steps <= 1000
 
 

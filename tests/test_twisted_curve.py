@@ -220,3 +220,19 @@ def test_time_zero_readable_on_one_sided_span(span, p, q, tau):
     assert np.allclose(traj.psi(0.0), 0.0, rtol=0.0, atol=1e-15)
     psi1, psi2 = traj.psi(np.array([0.0, span[0] + span[1]]))
     assert (psi1[0], psi2[0]) == traj.psi(0.0)
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 4)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_two_sided_curve_reads_as_its_one_sided_spans(p, q, sign):
+    # psi is lifted outward from 0 on each side, so a span on both sides
+    # of 0 reads w and psi exactly as the two one-sided spans do; the
+    # spans are long enough for arg w2 to wrap on each side
+    pair = AdmissiblePair(p, q)
+    param = TwistParam(pair, sign * 0.3 * tau_max(pair))
+    both = solve_w(param, (-25.0, 30.0))
+    fwd, bwd = solve_w(param, (0.0, 30.0)), solve_w(param, (-25.0, 0.0))
+    for side, ts in ((fwd, np.linspace(0.0, 30.0, 150)), (bwd, np.linspace(-25.0, 0.0, 150))):
+        for a, b in zip(both.psi(ts) + both.w(ts), side.psi(ts) + side.w(ts)):
+            assert np.array_equal(a, b)
+    assert both.drift == {k: max(fwd.drift[k], bwd.drift[k]) for k in fwd.drift}
