@@ -86,7 +86,7 @@ def _read(traj, t):
     return complex(w) if tt.ndim == 0 else w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)      # spans above 0.995 T_1 come one per call; keep a few
 def _unit_trajectory(n: int, span: float):
     w0 = np.exp(1j * math.pi / (2 * n))
     inv = {"Im_w^n": (lambda s: (complex(s[0], s[1]) ** n).imag, 1.0)}

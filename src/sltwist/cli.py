@@ -163,8 +163,9 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_neck(args) -> int:
-    b = args.window
-    comp = geo.neck_rescale(Curve(_param(args), TOL_PRESETS[args.tol]), args.waist, b)
+    curve = Curve(_param(args), TOL_PRESETS[args.tol])
+    comp = geo.neck_rescale(curve, args.waist, args.window)
+    b = comp.window
     payload = {"beta": comp.beta, "max_error": comp.max_error,
                "window": comp.window, "waist_index": comp.waist_index,
                "waist_kind": comp.waist_kind, "catenoid_degree": comp.catenoid_degree}
@@ -277,7 +278,7 @@ _COMMANDS = {
     "necklace": {"m": {}, "tol": {}, **_REPORT, "samples": {"default": 20}},
     "torque": {"tau": {}, "tol": {}, **_REPORT},
     "asymptotics": {"tau-list": {}, **_REPORT},
-    "neck": {"tau": {}, "tol": {}, **_REPORT, "window": {"default": 2.0}, "waist": {}},
+    "neck": {"tau": {}, "tol": {}, **_REPORT, "window": {}, "waist": {}},
     "export": {"tau": {}, "tol": {}, "out": {"required": True}, "format": {},
                "samples": {"default": 64}, "window": {}},
     # verify's limits are fixed; the fast preset fails them at every pair

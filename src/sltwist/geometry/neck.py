@@ -33,7 +33,7 @@ class NeckComparison:
     catenoid_degree: int
 
 
-def neck_rescale(curve: Curve, waist_index: int, b: float,
+def neck_rescale(curve: Curve, waist_index: int, b: float | None = None,
                  grid_points: int = 81) -> NeckComparison:
     """Compare the rescaled neck at a waist with the unit catenoid.
 
@@ -41,7 +41,8 @@ def neck_rescale(curve: Curve, waist_index: int, b: float,
     profile through z2(s) = e^{i pi/2q} w2(beta^(2-q) s + t_w) / w2(t_w)
     with beta = sqrt(y_min); kind-1 waists use the mirrored formula with
     p in place of q and beta = sqrt(1 - y_max).  The window must stay
-    below the catenoid lifetime of that degree.
+    below the catenoid lifetime of that degree; by default it is 2.0 for
+    degree 2 and half the lifetime T_1 for degree >= 3.
     """
     pair, data = curve.param.pair, curve.period
     p, q = pair.p, pair.q
@@ -52,6 +53,8 @@ def neck_rescale(curve: Curve, waist_index: int, b: float,
         raise ValueError(f"waist index {waist_index} not found")
     waist: Waist = match[0]
     degree = q if waist.kind == 2 else p
+    if b is None:
+        b = 2.0 if degree < 3 else 0.5 * catenoid_lifetime(degree)
     if degree >= 3 and b >= catenoid_lifetime(degree):
         raise ValueError(
             f"window {b} exceeds the degree-{degree} catenoid lifetime")

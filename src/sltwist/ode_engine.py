@@ -1,27 +1,30 @@
 """Deterministic initial-value solver with dense output and event location.
 
-Thin layer over scipy's DOP853 (embedded Runge-Kutta of order 8 with a
-7th-order continuous extension).  Everything downstream talks to
-:class:`Trajectory` and :func:`locate_event`; nothing else in the package
-calls scipy's integrators directly.
-
-The initial state of :func:`integrate` is given at an anchor time inside
-the span, and one :class:`Trajectory` covers the span on both sides of it.
+An owned DOP853 (Runge-Kutta pair of order 8, 7th-order dense output) whose
+step control is scipy's ``solve_ivp(method="DOP853")``, step for step: its
+initial step, the scale ``atol + rtol max(|y|, |y_new|)`` per real component,
+the combined err5/err3 norm, safety 0.9, exponent -1/8, step factors in
+[0.2, 10] and none above 1 right after a rejection, a 10-ulp minimum step and
+the last step clipped to the span.  The stages run as straight-line float code
+generated per state dimension.  :func:`integrate` starts at an anchor time
+inside the span, and one :class:`Trajectory` covers both sides of it.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
 from scipy.optimize import brentq
 
 
 class IntegrationError(RuntimeError):
     """Step-size underflow or non-finite field evaluation.
 
-    ``last_time`` holds the furthest time the integrator reached.
+    ``last_time`` holds the last accepted time.
     """
 
     def __init__(self, message, last_time=None):
@@ -54,34 +57,189 @@ class Tolerances:
             raise ValueError("event_tol must not exceed abs_tol")
 
 
+# The DOP853 tableau of scipy.integrate._ivp.dop853_coefficients to the last bit,
+# rows ended by ";": nodes C of the 16 stages; rows 1-15 of A (a_sj, j < s; row 12
+# is the weight vector B of y_new, 13-15 make the dense-output stages); the error
+# weights E5, E3 over stages 0-12; the 4 rows of dense-output weights D.
+_ROWS = [[float(v) for v in row.split()] for row in """
+    0 0.05260015195876773 0.0789002279381516 0.1183503419072274 0.2816496580927726
+    0.3333333333333333 0.25 0.3076923076923077 0.6512820512820513 0.6 0.8571428571428571 1.0
+    1.0 0.1 0.2 0.7777777777777778 ; 0.05260015195876773 ; 0.0197250569845379
+    0.0591751709536137 ; 0.02958758547680685 0 0.08876275643042054 ; 0.2413651341592667 0
+    -0.8845494793282861 0.924834003261792 ; 0.037037037037037035 0 0 0.17082860872947386
+    0.12546768756682242 ; 0.037109375 0 0 0.17025221101954405 0.06021653898045596 -0.017578125
+    ; 0.03709200011850479 0 0 0.17038392571223998 0.10726203044637328 -0.015319437748624402
+    0.008273789163814023 ; 0.6241109587160757 0 0 -3.3608926294469414 -0.868219346841726
+    27.59209969944671 20.154067550477894 -43.48988418106996 ; 0.47766253643826434 0 0
+    -2.4881146199716677 -0.590290826836843 21.230051448181193 15.279233632882423
+    -33.28821096898486 -0.020331201708508627 ; -0.9371424300859873 0 0 5.186372428844064
+    1.0914373489967295 -8.149787010746927 -18.52006565999696 22.739487099350505
+    2.4936055526796523 -3.0467644718982196 ; 2.273310147516538 0 0 -10.53449546673725
+    -2.0008720582248625 -17.9589318631188 27.94888452941996 -2.8589982771350235
+    -8.87285693353063 12.360567175794303 0.6433927460157636 ; 0.054293734116568765 0 0 0 0
+    4.450312892752409 1.8915178993145003 -5.801203960010585 0.3111643669578199
+    -0.1521609496625161 0.20136540080403034 0.04471061572777259 ; 0.056167502283047954 0 0 0 0
+    0 0.25350021021662483 -0.2462390374708025 -0.12419142326381637 0.15329179827876568
+    0.00820105229563469 0.007567897660545699 -0.008298 ; 0.03183464816350214 0 0 0 0
+    0.028300909672366776 0.053541988307438566 -0.05492374857139099 0 0 -0.00010834732869724932
+    0.0003825710908356584 -0.00034046500868740456 0.1413124436746325 ; -0.42889630158379194 0 0
+    0 0 -4.697621415361164 7.683421196062599 4.06898981839711 0.3567271874552811 0 0 0
+    -0.0013990241651590145 2.9475147891527724 -9.15095847217987 ; 0.01312004499419488 0 0 0 0
+    -1.2251564463762044 -0.4957589496572502 1.6643771824549864 -0.35032884874997366
+    0.3341791187130175 0.08192320648511571 -0.022355307863886294 0 ; -0.18980075407240762 0 0 0
+    0 4.450312892752409 1.8915178993145003 -5.801203960010585 -0.4226823213237919
+    -0.1521609496625161 0.20136540080403034 0.02265179219836082 0 ; -8.428938276109013 0 0 0 0
+    0.5667149535193777 -3.0689499459498917 2.38466765651207 2.117034582445028
+    -0.871391583777973 2.2404374302607883 0.6315787787694688 -0.08899033645133331
+    18.148505520854727 -9.194632392478356 -4.436036387594894 ; 10.427508642579134 0 0 0 0
+    242.28349177525817 165.20045171727028 -374.5467547226902 -22.113666853125306
+    7.733432668472264 -30.674084731089398 -9.332130526430229 15.697238121770845
+    -31.139403219565178 -9.35292435884448 35.81684148639408 ; 19.985053242002433 0 0 0 0
+    -387.0373087493518 -189.17813819516758 527.8081592054236 -11.57390253995963 6.8812326946963
+    -1.0006050966910838 0.7777137798053443 -2.778205752353508 -60.19669523126412
+    84.32040550667716 11.99229113618279 ; -25.69393346270375 0 0 0 0 -154.18974869023643
+    -231.5293791760455 357.6391179106141 93.40532418362432 -37.45832313645163 104.0996495089623
+    29.8402934266605 -43.53345659001114 96.32455395918828 -39.17726167561544
+    -149.72683625798564 ;""".split(";")[:-1]]
+_C, _A, _E5, _E3, _D = _ROWS[0], [[]] + _ROWS[1:16], _ROWS[16], _ROWS[17], np.array(_ROWS[18:])
+_KEPT = [s for s in range(16) if _D[:, s].any()]   # stages the dense output reads: 0, 5-15
+
+
+@lru_cache(maxsize=None)
+def _stepper(dim: int):
+    """Straight-line ``attempt(fun, t, h, y, f = y'(t), atol, rtol)``, one step of
+    size h -> ``(y_new, f_new, |err5/scale|^2, |err3/scale|^2, K = stages 0, 5-11)``,
+    and ``extend(fun, t, h, y, K, f_new)`` -> dense-output stages 13-15, flat."""
+    comp = range(dim)
+
+    def vec(fmt):
+        return "".join(fmt.format(i=i) + ", " for i in comp)
+
+    def comb(weights, i):
+        return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(weights) if w)
+
+    def stage(s):
+        arg = "".join(f"y{i} + ({comb(_A[s], i)}) * h, " for i in comp)
+        return f"    {vec(f'k{s}_{{i}}')}= fun(t + {_C[s]!r} * h, ({arg}))"
+
+    kept = "".join(vec(f"k{s}_{{i}}") for s in _KEPT if s < 12)     # stages 0, 5-11
+    attempt = ["def attempt(fun, t, h, y, f, atol, rtol):", f"    {vec('y{i}')}= y",
+               f"    {vec('k0_{i}')}= f", f"    {vec('a{i}')}= atol",
+               *[stage(s) for s in range(1, 12)],
+               *[f"    n{i} = y{i} + h * ({comb(_A[12], i)})" for i in comp],
+               f"    {vec('k12_{i}')}= fun(t + h, ({vec('n{i}')}))"]
+    for i in comp:
+        attempt += [f"    s{i} = a{i} + max(abs(y{i}), abs(n{i})) * rtol",
+                    f"    e5_{i} = ({comb(_E5, i)}) / s{i}",
+                    f"    e3_{i} = ({comb(_E3, i)}) / s{i}"]
+    attempt.append(f"    return ({vec('n{i}')}), ({vec('k12_{i}')}), "
+                   + " + ".join(f"e5_{i} * e5_{i}" for i in comp) + ", "
+                   + " + ".join(f"e3_{i} * e3_{i}" for i in comp) + f", ({kept})")
+    extend = ["def extend(fun, t, h, y, K, f):", f"    {vec('y{i}')}= y", f"    {kept}= K",
+              f"    {vec('k12_{i}')}= f", *[stage(s) for s in (13, 14, 15)],
+              "    return (" + "".join(vec(f"k{s}_{{i}}") for s in (13, 14, 15)) + ")"]
+    scope = {}
+    exec(compile("\n".join(attempt + extend), f"<dop853 dim={dim}>", "exec"), scope)
+    return scope["attempt"], scope["extend"]
+
+
+def _initial_step(field, t0, y0, f0, span, direction, atol, rtol, max_step):
+    """scipy's ``select_initial_step`` for the order-7 error estimate."""
+    y0, f0 = np.asarray(y0), np.asarray(f0, dtype=float)
+    scale, rms = np.asarray(atol) + np.abs(y0) * rtol, len(y0) ** 0.5
+    d0, d1 = np.linalg.norm(y0 / scale) / rms, np.linalg.norm(f0 / scale) / rms
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = np.asarray(field(t0 + h0 * direction, y0 + h0 * direction * f0), dtype=float)
+    d2 = np.linalg.norm((f1 - f0) / scale) / rms / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
+    return float(min(100 * h0, h1, span, max_step))
+
+
+def _leg(field, y0, t0, t1, tol, atol):
+    """One run t0 -> t1: times, states, then origin, h, y_origin, F per step, ascending."""
+    dim = len(y0)
+    attempt, extend = _stepper(dim)
+    rtol, max_step = max(tol.rel_tol, 100 * np.finfo(float).eps), tol.max_step
+    direction = 1.0 if t1 > t0 else -1.0
+    y = tuple(y0.tolist())
+    f = tuple(field(t0, y))
+    h_abs = _initial_step(field, t0, y, f, abs(t1 - t0), direction, atol, rtol, max_step)
+    t, ts, ys, ks = t0, array("d", [t0]), array("d", y), array("d")
+    while direction * (t - t1) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(f"step size {h_abs!r} underflows at t={t!r}", t)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, e5, e3, K = attempt(field, t, h, y, f, atol, rtol)
+            err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * dim) if e5 or e3 else 0.0
+            if not math.isfinite(err):
+                raise IntegrationError(f"non-finite state in a step {h!r} from t={t!r}", t)
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        ks.extend(K + f_new + extend(field, t, h, y, K, f_new))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.extend(y)
+    T, Y = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, dim)
+    K = np.frombuffer(ks).reshape(len(T) - 1, len(_KEPT), dim)
+    H, dY = np.diff(T), np.diff(Y, axis=0)
+    F, h = np.empty((len(H), 7, dim)), H[:, None]
+    F[:, :3] = np.stack([dY, h * K[:, 0] - dY,
+                         2 * dY - h * (K[:, _KEPT.index(12)] + K[:, 0])], axis=1)
+    F[:, 3:] = h[:, None] * np.einsum("ij,sjd->sid", _D[:, _KEPT], K)
+    order = slice(None, None, int(direction))
+    return T[order], Y[order], T[:-1][order], H[order], Y[:-1][order], F[order]
+
+
 @dataclass
 class Trajectory:
     """Dense-output solution of an autonomous first-order system.
 
-    Integrated outward from the anchor ``t0``; ``time_grid`` and
-    ``states`` hold the accepted steps of both sides in ascending time.
-    States are real vectors; complex pairs are stored as consecutive
-    (re, im) components.  ``drift`` records, for each named invariant,
-    the maximum deviation from its reference value over the accepted
-    integration steps.  Immutable after construction in practice: nothing
-    in the package mutates a built trajectory.
+    Integrated outward from the anchor ``t0``; ``time_grid`` and ``states`` hold
+    the accepted steps of both sides in ascending time.  Segment k is the step
+    from ``origin[k]`` of signed size ``h[k]``: ``y_origin[k] + P((t - origin[k])
+    / h[k])``, P with coefficients ``F[k]``.  Complex pairs are stored as (re, im)
+    components.  ``drift`` maps each named invariant to its maximum deviation
+    from its reference over the accepted steps.  Nothing mutates a trajectory.
     """
 
     t0: float
     time_grid: np.ndarray
     states: np.ndarray            # shape (len(time_grid), dim)
-    interpolant: OdeSolution
+    origin: np.ndarray            # per segment, shape (len(time_grid) - 1,)
+    h: np.ndarray
+    y_origin: np.ndarray          # per segment, shape (segments, dim)
+    F: np.ndarray                 # per segment, shape (segments, 7, dim)
     field: object                 # the right-hand side, kept for endpoints
     tol: Tolerances
     atol_scale: object = 1.0      # per-component factor on tol.abs_tol
     drift: dict = field(default_factory=dict)
 
     def __call__(self, t):
-        """State at time t in the span (scalar -> 1-d array, array -> dim x len)."""
+        """State at time t in the span (scalar -> 1-d array, array -> dim x len);
+        a grid node reads the segment below it, as scipy's OdeSolution does,
+        and Horner's rule alternates x and 1 - x, as its DOP853 output does."""
         if not self.covers(t):
             raise ValueError(f"t in [{np.min(t)}, {np.max(t)}] outside the integrated "
                              f"span [{self.time_grid[0]}, {self.time_grid[-1]}]")
-        return self.interpolant(t)
+        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        k = np.clip(np.searchsorted(self.time_grid, tt, side="left") - 1, 0, len(self.h) - 1)
+        x = ((tt - self.origin[k]) / self.h[k])[:, None]
+        c, x1 = self.F[k].transpose(1, 0, 2), 1 - x
+        y = ((((((c[6] * x + c[5]) * x1 + c[4]) * x + c[3]) * x1 + c[2]) * x + c[1]) * x1
+             + c[0]) * x + self.y_origin[k]
+        return y.T if np.ndim(t) else y[0]
 
     def covers(self, t) -> bool:
         t, grid = np.asarray(t), self.time_grid
@@ -93,26 +251,10 @@ class Trajectory:
         if t == self.t0 or not self.covers(t):
             raise ValueError(f"no integrated endpoint at t={t}")
         forward = t > self.t0
-        if forward:
-            k = np.searchsorted(self.time_grid, t) - 1
-        else:
-            k = np.searchsorted(self.time_grid, t, side="right")
+        k = np.searchsorted(self.time_grid, t, side="left" if forward else "right") - forward
         leg = integrate(self.field, self.states[k], (self.time_grid[k], t), self.tol,
                         atol_scale=self.atol_scale)
         return leg.states[-1 if forward else 0]
-
-
-def _leg(field, y0, t0, t1, tol, atol_scale):
-    """One DOP853 run from t0 to t1: (times, states, interpolants), ascending in time."""
-    sol = solve_ivp(field, (t0, t1), y0, method="DOP853",
-                    rtol=tol.rel_tol, atol=tol.abs_tol * np.asarray(atol_scale),
-                    max_step=tol.max_step, dense_output=True)
-    if not sol.success:
-        last = sol.t[-1] if len(sol.t) else t0
-        raise IntegrationError(
-            f"integration stalled at t={last!r}: {sol.message}", last_time=last)
-    order = slice(None, None, 1 if t1 > t0 else -1)
-    return sol.t[order], sol.y.T[order], sol.sol.interpolants[order]
 
 
 def integrate(field, state0, span, tol: Tolerances = Tolerances(),
@@ -122,7 +264,8 @@ def integrate(field, state0, span, tol: Tolerances = Tolerances(),
 
     ``t0`` defaults to span[0], so span = (a, b) with b < a integrates
     backward from a.  Each side is the run a one-sided span from t0 would
-    make, step for step.  ``invariants`` maps a name to ``(fn, reference)``;
+    make, step for step.  ``field`` gets a tuple of floats (an array in the
+    initial-step probe).  ``invariants`` maps a name to ``(fn, reference)``;
     the drift of ``fn(state)`` from ``reference`` is recorded over the
     accepted steps.  ``atol_scale`` multiplies ``tol.abs_tol``, per
     component when it is an array.
@@ -134,16 +277,19 @@ def integrate(field, state0, span, tol: Tolerances = Tolerances(),
     if not lo <= t0 <= hi:
         raise ValueError(f"anchor t0={t0} outside the span [{lo}, {hi}]")
     y0 = np.asarray(state0, dtype=float)
-    anchor = (np.array([t0]), y0[None], [])
-    fwd = _leg(field, y0, t0, hi, tol, atol_scale) if hi > t0 else anchor
-    bwd = _leg(field, y0, t0, lo, tol, atol_scale) if lo < t0 else anchor
-    grid = np.concatenate([bwd[0], fwd[0][1:]])
-    traj = Trajectory(t0=t0, time_grid=grid, states=np.concatenate([bwd[1], fwd[1][1:]]),
-                      interpolant=OdeSolution(grid, bwd[2] + fwd[2]), field=field,
-                      tol=tol, atol_scale=atol_scale)
+    atol = tuple(np.broadcast_to(tol.abs_tol * np.asarray(atol_scale, dtype=float),
+                                 y0.shape).tolist())
+    anchor = (np.array([t0]), y0[None], np.empty(0), np.empty(0),
+              np.empty((0, len(y0))), np.empty((0, 7, len(y0))))
+    fwd = _leg(field, y0, t0, hi, tol, atol) if hi > t0 else anchor
+    bwd = _leg(field, y0, t0, lo, tol, atol) if lo < t0 else anchor
+    traj = Trajectory(t0, np.concatenate([bwd[0], fwd[0][1:]]),
+                      np.concatenate([bwd[1], fwd[1][1:]]),
+                      *(np.concatenate(pair) for pair in zip(bwd[2:], fwd[2:])),
+                      field=field, tol=tol, atol_scale=atol_scale)
     if invariants:
         for name, (fn, ref) in invariants.items():
-            vals = np.array([fn(s) for s in traj.states])
+            vals = np.array([fn(s) for s in traj.states.tolist()])
             traj.drift[name] = float(np.max(np.abs(vals - ref)))
     return traj
 

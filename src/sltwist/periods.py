@@ -141,12 +141,12 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
 
     The events are the zeros of y' = -2 Re(w1^p w2^q), located on the
     dense output; the angles psi_i at 2 p_tau are read off arg w there
-    (:meth:`TwistTrajectory.psi`).  For p = 1, 2 p_tau is twice the event
-    time and a maximum of y, where psi1' = 2 tau/(1 - y) is about
-    1/(2 tau), so that event gets a Newton polish through y'' = 2 f'(y)
-    on the integrated state.  The
-    trajectory is read off ``curve`` (a new :class:`Curve` of
-    ``(param, tol)`` by default).
+    (:meth:`TwistTrajectory.psi`).  For p = 1, 2 p_tau is a maximum of y,
+    where psi1' = 2 tau/(1 - y) is about 1/(2 tau); the event located is
+    that maximum, with a Newton polish through y'' = 2 f'(y) on the
+    integrated state, and p_tau is half its time (at the minimum, y'' is
+    only 2 q y_min^(q-1), so a state error moves the event that much more).
+    The trajectory is read off ``curve`` (a new Curve of (param, tol) by default).
     """
     pair = param.pair
     if curve is None:
@@ -172,7 +172,7 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
         p_plus = locate_event(traj.trajectory, g, (0.5 * p_est_plus, 1.5 * p_est_plus))
         p_minus = -locate_event(traj.trajectory, g, (-0.5 * p_est_minus, -1.5 * p_est_minus))
     else:
-        p_plus = locate_event(traj.trajectory, g, (0.5 * p_est, 1.5 * p_est), g_prime)
+        p_plus = 0.5 * locate_event(traj.trajectory, g, (1.5 * p_est, fwd), g_prime)
         p_minus = 0.0
     p_tau = p_plus + p_minus
     psi1_2p, psi2_2p = traj.psi(2.0 * p_tau)

@@ -84,3 +84,17 @@ def test_degree_two_scaling_keeps_time():
     t = 0.9
     expected = math.sqrt(lam) * unit_profile(2, t)
     assert abs(catenoid_flow(params, t) - expected) < 1e-12
+
+
+def test_unit_trajectory_cache_stays_bounded():
+    # every call past 0.995 T_1 asks for its own span; the cache keeps at most 8
+    from sltwist.catenoid import _unit_trajectory
+
+    _unit_trajectory.cache_clear()
+    T1 = catenoid_lifetime(3)
+    ts = np.linspace(0.9955, 0.9984, 30) * T1
+    first = unit_profile(3, ts[0])
+    for t in ts:
+        unit_profile(3, t)
+    assert _unit_trajectory.cache_info().currsize <= 8
+    assert unit_profile(3, ts[0]) == first      # rebuilt after eviction, same bits

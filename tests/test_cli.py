@@ -155,6 +155,23 @@ def test_neck_subcommand():
     assert float(data["max_error"]) < 0.1
 
 
+@pytest.mark.parametrize("p,q", [(1, 3), (2, 3)])
+def test_neck_default_window_is_half_the_degree_three_lifetime(p, q):
+    from sltwist.catenoid import catenoid_lifetime
+
+    proc = run_cli("neck", "--p", str(p), "--q", str(q), "--tau", "0.001", "--json")
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["catenoid_degree"] == 3
+    assert float(data["window"]) == 0.5 * catenoid_lifetime(3)
+
+
+def test_neck_explicit_window_past_lifetime_exits_two():
+    proc = run_cli("neck", "--p", "1", "--q", "3", "--tau", "0.001", "--window", "2.0")
+    assert proc.returncode == 2
+    assert "window 2.0 exceeds the degree-3 catenoid lifetime" in proc.stderr
+
+
 def test_export_obj(tmp_path):
     out = tmp_path / "x.obj"
     code = main(["export", "--p", "1", "--q", "2", "--tau", "0.1",

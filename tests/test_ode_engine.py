@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
 
+from sltwist import ode_engine
+from sltwist.catenoid import _profile_field, catenoid_lifetime
 from sltwist.ode_engine import (EventError, IntegrationError, Tolerances,
                                 integrate, locate_event)
 from sltwist.periods import partial_periods_quadrature
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, initial_state, tau_max
+from sltwist.twisted_curve import (AdmissiblePair, TwistParam, _field, initial_state,
+                                   tau_max)
 
 
 def twisted_field(p, q):
@@ -100,13 +105,14 @@ def test_backward_integration_returns_start():
 
 
 def test_interpolant_reproduces_grid_states():
+    # both sides of the anchor: forward segments end at a node (x = 1),
+    # backward ones start there (x = 0); a scalar read equals the array read
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     s0 = initial_state(param).as_real()
-    tol = Tolerances()
-    traj = integrate(twisted_field(2, 3), s0, (0.0, 8.0), tol)
-    gap = max(float(np.max(np.abs(traj(t) - s)))
-              for t, s in zip(traj.time_grid, traj.states))
-    assert gap <= tol.abs_tol
+    traj = integrate(twisted_field(2, 3), s0, (-5.0, 8.0), t0=0.0)
+    reads = traj(traj.time_grid)
+    assert np.max(np.abs(reads.T - traj.states)) <= 1e-14
+    assert all(np.array_equal(traj(t), reads[:, j]) for j, t in enumerate(traj.time_grid))
 
 
 def test_drift_recording():
@@ -126,10 +132,25 @@ def test_tolerances_validation():
 
 
 def test_blowup_reports_last_time():
+    # y' = y^2, y(0) = 1 blows up at t = 1; the steps underflow where the
+    # discrete solution does, 1.5e-13 past it (solve_ivp stops at the same time)
     with pytest.raises(IntegrationError) as err:
         integrate(lambda t, s: [s[0] ** 2], [1.0], (0.0, 2.0))
-    assert err.value.last_time is not None
-    assert err.value.last_time <= 2.0
+    assert 0.9 <= err.value.last_time <= 1.0 + 1e-12
+    assert repr(err.value.last_time) in str(err.value) and "step size" in str(err.value)
+
+
+def test_non_finite_field_reports_last_accepted_time():
+    def field(t, s):
+        return [math.nan if t > 0.5 else 1.0]
+
+    with pytest.raises(IntegrationError) as err:
+        integrate(field, [0.0], (0.0, 1.0))
+    assert 0.0 < err.value.last_time <= 0.5
+    assert repr(err.value.last_time) in str(err.value) and "non-finite" in str(err.value)
+    with pytest.raises(IntegrationError) as err:
+        integrate(lambda t, s: [math.nan], [0.0], (0.0, 1.0))
+    assert err.value.last_time == 0.0
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 4)])
@@ -165,3 +186,74 @@ def test_anchor_and_reads_outside_span_rejected():
                  lambda: locate_event(traj, lambda t, s: t - 0.5, (0.0, 2.0))):
         with pytest.raises(ValueError):
             read()
+
+
+# -- the owned DOP853 against scipy's solve_ivp, the second route ----------
+
+def test_tableau_literals_are_scipys_bit_for_bit():
+    n = scipy_dop853.N_STAGES
+    assert np.array_equal(ode_engine._C, scipy_dop853.C)
+    for s in range(1, 16):
+        assert np.array_equal(ode_engine._A[s], scipy_dop853.A[s, :s])
+    assert np.array_equal(ode_engine._A[n], scipy_dop853.B)
+    assert np.array_equal(ode_engine._E5, scipy_dop853.E5)
+    assert np.array_equal(ode_engine._E3, scipy_dop853.E3)
+    assert np.array_equal(ode_engine._D, scipy_dop853.D)
+    # the compiled stepper carries each coefficient it uses as a literal
+    attempt, extend = ode_engine._stepper(2)
+    consts = set(attempt.__code__.co_consts) | set(extend.__code__.co_consts)
+    used = [*scipy_dop853.C[1:n], *scipy_dop853.C[n + 1:], *scipy_dop853.A[1:n + 4].ravel(),
+            *scipy_dop853.E5, *scipy_dop853.E3]
+    assert {float(v) for v in used if v} <= consts
+
+
+def _reference_case(field, y0, span, tol=Tolerances(), atol_scale=1.0):
+    """Our trajectory and solve_ivp's DOP853 run over the same span."""
+    ours = integrate(field, y0, span, tol, atol_scale=atol_scale)
+    ref = solve_ivp(field, span, y0, method="DOP853", rtol=tol.rel_tol,
+                    atol=tol.abs_tol * np.asarray(atol_scale), dense_output=True)
+    assert ref.success
+    steps, ref_steps = len(ours.time_grid) - 1, len(ref.t) - 1
+    assert abs(steps - ref_steps) <= max(2, 0.01 * ref_steps)
+    end = ours.states[-1 if span[1] > span[0] else 0]
+    assert np.max(np.abs(end - ref.y[:, -1])) <= 1e-11
+    ts = np.linspace(*span, 200)
+    if np.max(np.abs(ours(ts) - ref.sol(ts))) > 1e-10:
+        # both interpolants are off by more than that: compare their errors
+        # against a run at 10 times tighter tolerances
+        tight = solve_ivp(field, span, y0, method="DOP853", rtol=tol.rel_tol / 10,
+                          atol=tol.abs_tol / 10 * np.asarray(atol_scale), dense_output=True)
+        ours_err, ref_err = (np.max(np.abs(y - tight.sol(ts))) for y in (ours(ts), ref.sol(ts)))
+        assert ours_err <= 3 * ref_err
+    return ours
+
+
+_PAIRS_N8 = [(p, q) for p in range(1, 5) for q in range(max(p, 2), 9 - p)]
+
+
+@pytest.mark.parametrize("p,q", _PAIRS_N8)
+@pytest.mark.parametrize("frac", [1e-5, 0.1, 0.5, 0.9])
+def test_curve_matches_solve_ivp(p, q, frac):
+    pair = AdmissiblePair(p, q)
+    param = TwistParam(pair, frac * tau_max(pair))
+    p_tau, _ = partial_periods_quadrature(param)
+    shrink = min(1.0, (2.0 * param.tau) ** (2.0 / p))
+    _reference_case(_field(p, q), initial_state(param).as_real(), (0.0, 2.2 * p_tau),
+                    atol_scale=np.array([shrink, shrink, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 4)])
+def test_linearised_field_matches_solve_ivp(p, q):
+    pair = AdmissiblePair(p, q)
+    param = TwistParam(pair, 0.3 * tau_max(pair))
+    p_tau, _ = partial_periods_quadrature(param)
+    y0 = np.concatenate([initial_state(param).as_real(), [1.0, 0.0]])
+    _reference_case(_field(p, q, linearised=True), y0, (0.0, 2.2 * p_tau))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_catenoid_field_matches_solve_ivp(n):
+    w0 = np.exp(1j * math.pi / (2 * n))
+    span = (0.0, -0.99 * catenoid_lifetime(n))
+    _reference_case(_profile_field(n), [w0.real, w0.imag], span)
+

@@ -145,3 +145,18 @@ def test_degenerate_tau_rejected():
         partial_periods_quadrature(TwistParam(pair, 0.0))
     with pytest.raises(ValueError):
         partial_periods_quadrature(TwistParam(pair, tau_max(pair)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 6])
+def test_p1_period_event_at_the_maximum_keeps_pthat_digits(q):
+    # p = 1 reads psi1 at 2 p_tau, a maximum of y where psi1' ~ 1/(2 tau); the
+    # event there is well conditioned, while the minimum at p_tau (y'' ~ 2q
+    # y_min^(q-1)) moved by state errors of 1e-15 took pthat 1e-11 off
+    from sltwist.ode_engine import Tolerances
+    from sltwist.variation import dpthat_dtau_cross_check
+
+    pair = AdmissiblePair(1, q)
+    for frac in (0.02, 0.05, 0.1, 0.2):
+        param = TwistParam(pair, frac * tau_max(pair))
+        assert abs(period_ode(param).pthat - pthat_quadrature_psi2(param)) <= 2e-12
+        assert dpthat_dtau_cross_check(Curve(param, Tolerances()))["rel_err"] <= 1e-7
