@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import beta as beta_fn
 
 from .ode_engine import Tolerances, integrate
+from .periods import _NODES, _WEIGHTS
 
 __all__ = [
     "CatenoidParams", "catenoid_lifetime", "lifetime_routes",
@@ -42,23 +41,28 @@ class CatenoidParams:
 
 
 def lifetime_routes(n: int) -> tuple[float, float]:
-    """Unit-profile lifetime by (singular quadrature, Beta closed form).
+    """Unit-profile lifetime by (quadrature, Beta closed form).
 
     T_1 = int_1^inf dy / (2 sqrt(y^n - 1)).  The substitution y = u^{-1/n}
-    maps this to (1/2n) int_0^1 u^{1/2 - 1/n - 1} (1-u)^{-1/2} du, whose
-    algebraic endpoint singularities are fed to adaptive weighted
-    quadrature on the two halves.
+    maps this to (1/2n) int_0^1 u^{a - 1} (1-u)^{-1/2} du, a = 1/2 - 1/n.
+    Split at u = 1/2, u = v^{2n} on the left and 1 - u = s^2 on the right
+    remove both endpoint singularities:
+
+        T_1 = int_0^{2^{-1/2n}} v^{n-3} dv / sqrt(1 - v^{2n})
+              + (1/n) int_0^{2^{-1/2}} (1 - s^2)^{a-1} ds,
+
+    two analytic integrands summed by the 64-node Gauss-Legendre rule of
+    :mod:`.periods`.  The closed form is B(a, 1/2) / 2n from ``math.gamma``.
     """
     if n < 3:
         raise ValueError("lifetime is infinite for n < 3")
     a = 0.5 - 1.0 / n
-    c = 1.0 / (2.0 * n)
-    left = quad(lambda u: c / math.sqrt(1.0 - u), 0.0, 0.5,
-                weight="alg", wvar=(a - 1.0, 0.0), epsabs=1e-14, epsrel=1e-14)[0]
-    right = quad(lambda u: c * u ** (a - 1.0), 0.5, 1.0,
-                 weight="alg", wvar=(0.0, -0.5), epsabs=1e-14, epsrel=1e-14)[0]
-    closed = beta_fn(a, 0.5) / (2.0 * n)
-    return left + right, closed
+    v_end, s_end = 0.5 ** (0.5 / n), math.sqrt(0.5)
+    v, s = v_end * _NODES, s_end * _NODES
+    left = v_end * (v ** (n - 3) / np.sqrt(1.0 - v ** (2 * n))) @ _WEIGHTS
+    right = s_end * ((1.0 - s * s) ** (a - 1.0)) @ _WEIGHTS / n
+    closed = math.gamma(a) * math.sqrt(math.pi) / math.gamma(a + 0.5) / (2.0 * n)
+    return float(left + right), closed
 
 
 def catenoid_lifetime(n: int) -> float:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curve import Curve
-from .ode_engine import Tolerances
+from .ode_engine import Tolerances, brent
 from .periods import angular_periods, period_ode, pthat_quadrature
 from .twisted_curve import AdmissiblePair, TwistParam, tau_max
 
@@ -130,7 +129,7 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
     def g_quad(t):
         return pthat_quadrature(TwistParam(pair, t)) - angle
 
-    tau0 = brentq(g_quad, lo, hi, xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    tau0 = brent(g_quad, lo, hi, 1e-16)
 
     periods: dict[float, float] = {}      # pthat by tau, for this call only
 
@@ -156,7 +155,7 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
     else:
         raise BracketingError(
             f"integrated-route refinement failed to bracket the target near tau={tau0}")
-    tau1 = brentq(g_ode, a, b, xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    tau1 = brent(g_ode, a, b, 1e-16)
     return float(tau1)
 
 

@@ -40,9 +40,11 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None,
     Kind-2 waists (second factor minimal) rescale onto the degree-q unit
     profile through z2(s) = e^{i pi/2q} w2(beta^(2-q) s + t_w) / w2(t_w)
     with beta = sqrt(y_min); kind-1 waists use the mirrored formula with
-    p in place of q and beta = sqrt(1 - y_max).  The window must stay
-    below the catenoid lifetime of that degree; by default it is 2.0 for
-    degree 2 and half the lifetime T_1 for degree >= 3.
+    p in place of q and beta = sqrt(1 - y_max).  For tau < 0 the curve is
+    the conjugate of the tau > 0 one, and so are the phase e^{-i pi/2k},
+    the frame and the model profile.  The window must stay below the
+    catenoid lifetime of that degree; by default it is 2.0 for degree 2
+    and half the lifetime T_1 for degree >= 3.
     """
     pair, data = curve.param.pair, curve.period
     p, q = pair.p, pair.q
@@ -66,13 +68,16 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None,
     t_w = waist.t
     traj = curve.traj(t_w - scale * b - 1e-6, t_w + scale * b + 1e-6)
     w1_w, w2_w = traj.w(t_w)
-    phase = np.exp(1j * math.pi / (2 * degree))
+    negative = curve.param.tau < 0.0
+    phase = np.exp((-1j if negative else 1j) * math.pi / (2 * degree))
     if waist.kind == 2:
         frame = np.diag([abs(w1_w) / w1_w] * p + [phase * abs(w2_w) / w2_w] * q)
     else:
         frame = np.diag([phase * abs(w1_w) / w1_w] * p + [abs(w2_w) / w2_w] * q)
     ts = np.linspace(-b, b, grid_points)
     model = unit_profile(degree, ts)
+    if negative:
+        model = np.conj(model)
     w1, w2 = traj.w(t_w + scale * ts)
     z = phase * (w2 / w2_w if waist.kind == 2 else w1 / w1_w)
     err = np.max(np.abs(z - model))

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import roots_jacobi
 
 from ..curve import Curve
 from ..twisted_curve import TwistParam
@@ -33,7 +31,25 @@ __all__ = [
 
 def sphere_volume(m: int) -> float:
     """Volume (m-dimensional measure) of the unit sphere S^m."""
-    return 2.0 * math.pi ** ((m + 1) / 2.0) / gamma_fn((m + 1) / 2.0)
+    return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
+
+
+def _gegenbauer_rule(k: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """k-point Gauss rule for the weight (1 - u^2)^a on [-1, 1], a > -1/2.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    symmetric recurrence (zero diagonal, off-diagonal sqrt(j (j + 2a) /
+    ((2j + 2a)^2 - 1))), the weights mu0 times the squared first eigenvector
+    components, mu0 = sqrt(pi) Gamma(a + 1) / Gamma(a + 3/2) the total mass.
+    Nodes are made exactly odd and weights exactly even, as scipy's
+    ``roots_jacobi`` makes them, and the weights sum to mu0.
+    """
+    j = np.arange(1, k)
+    off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a) ** 2 - 1.0))
+    u, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = v[0] ** 2
+    u, w = (u - u[::-1]) / 2, (w + w[::-1]) / 2
+    return u, w * (math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5) / w.sum())
 
 
 def _frozen(*arrays) -> tuple[np.ndarray, ...]:
@@ -65,7 +81,7 @@ def sphere_quadrature(m: int, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
                                                 + 1j * np.sin(rho * step))
         return _frozen(np.stack([z.real, z.imag], axis=1), np.full(order, 2.0 * math.pi / order))
     a = (m - 2) / 2.0
-    u, wu = roots_jacobi(order // 2 + 4, a, a)
+    u, wu = _gegenbauer_rule(order // 2 + 4, a)
     sub_pts, sub_wts = sphere_quadrature(m - 1, order)
     s = np.sqrt(np.maximum(1.0 - u * u, 0.0))
     pts = np.hstack([np.repeat(u, len(sub_wts))[:, None],

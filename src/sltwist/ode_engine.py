@@ -8,6 +8,10 @@ the combined err5/err3 norm, safety 0.9, exponent -1/8, step factors in
 the last step clipped to the span.  The stages run as straight-line float code
 generated per state dimension.  :func:`integrate` starts at an anchor time
 inside the span, and one :class:`Trajectory` covers both sides of it.
+
+:func:`brent` is the package's one scalar root finder, a line-for-line port
+of scipy's ``brentq`` (``brentq.c``): :func:`locate_event` refines event
+times with it, and the closure search its tau.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
+
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)    # brentq's smallest rtol
+_BRENT_MAXITER = 100
 
 
 class IntegrationError(RuntimeError):
@@ -294,6 +300,64 @@ def integrate(field, state0, span, tol: Tolerances = Tolerances(),
     return traj
 
 
+def _value(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def brent(f, a: float, b: float, xtol: float) -> float:
+    """A root of the scalar f in [a, b], where f changes sign.
+
+    scipy's ``brentq`` step for step, with its errors, at rtol = 4 eps and
+    maxiter = 100: inverse quadratic or secant steps that stay well inside
+    the bracket, bisection otherwise, and convergence once the bracket is
+    narrower than xtol + rtol |x|.  The same f, bracket and xtol give the same
+    root, bit for bit.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = _value(f, xpre), _value(f, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                                    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                                               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry                         # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _value(f, xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
 def _grid_bracket(h, ta, tb, n=400):
     """First sign-change subinterval of h (vectorised) on [ta, tb], from ta."""
     ts = np.linspace(ta, tb, n)
@@ -328,7 +392,7 @@ def locate_event(traj: Trajectory, g, bracket, g_prime=None) -> float:
     if a == b:
         return a
     a, b = min(a, b), max(a, b)
-    t_star = brentq(h, a, b, xtol=traj.tol.event_tol, rtol=4 * np.finfo(float).eps)
+    t_star = brent(h, a, b, traj.tol.event_tol)
     if g_prime is not None and t_star != traj.t0:
         s = traj.endpoint(t_star)
         deriv = g_prime(t_star, s)

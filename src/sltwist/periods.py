@@ -26,8 +26,8 @@ import numpy as np
 
 from .curve import Curve
 from .ode_engine import Tolerances, locate_event
-from .twisted_curve import (AdmissiblePair, TwistParam, alpha_tau, f_poly, f_prime,
-                            f_taylor_coeffs, tau_max, y_extrema)
+from .twisted_curve import (AdmissiblePair, TwistParam, _extrema, alpha_tau, f_poly,
+                            f_prime, f_taylor_coeffs, tau_max, y_extrema)
 
 __all__ = [
     "PeriodData", "partial_periods_quadrature", "pthat_quadrature", "angular_periods",
@@ -70,10 +70,11 @@ class PeriodData:
     psi2_2p: float
 
 
-def _branch_halves(pair: AdmissiblePair, taus, h) -> tuple[np.ndarray, np.ndarray]:
+def _branch_halves(pair: AdmissiblePair, extrema, h) -> tuple[np.ndarray, np.ndarray]:
     """int h(y, 1 - y) dy / (2 sqrt(f(y) - 4 tau^2)) over [y_min, q/n] and
-    [q/n, y_max] for each tau of ``taus``, by the rule of the module docstring."""
-    y0 = np.array([y_extrema(TwistParam(pair, t)) for t in taus]).T[..., None]
+    [q/n, y_max] for each tau, by the rule of the module docstring; ``extrema``
+    is (y_min, y_max), two arrays over tau or two floats for one tau."""
+    y0 = np.reshape(extrema, (2, -1, 1))
     sign = np.array([1.0, -1.0])[:, None, None]     # y = y_min + s^2 and y = y_max - s^2
     length = sign * (pair.q / pair.n - y0)
     a = np.sqrt(np.minimum(np.where(sign > 0, y0, 1.0 - y0), length))
@@ -94,7 +95,7 @@ def branch_integral(param: TwistParam, h) -> float:
 
     This is the integral of h(y(t)) dt over one monotone branch of y.
     """
-    (lo,), (hi,) = _branch_halves(param.pair, [param.tau], h)
+    (lo,), (hi,) = _branch_halves(param.pair, y_extrema(param), h)
     return float(lo + hi)
 
 
@@ -110,19 +111,24 @@ def partial_periods_quadrature(param: TwistParam) -> tuple[float, float]:
         raise ValueError("tau = 0: the period integral diverges")
     if tau >= tm * (1 - 1e-10):
         raise ValueError("|tau| at tau_max: the orbit is a point, no period")
-    (p_plus,), (p_minus,) = _branch_halves(pair, [tau], lambda y, one_minus_y: 1.0)
+    (p_plus,), (p_minus,) = _branch_halves(pair, y_extrema(param), lambda y, one_minus_y: 1.0)
     return (float(p_plus + p_minus), 0.0) if pair.p == 1 else (float(p_plus), float(p_minus))
+
+
+def _psi1_weight(y, one_minus_y):
+    return 1.0 / one_minus_y
 
 
 def angular_periods(pair: AdmissiblePair, taus) -> np.ndarray:
     """pthat by quadrature for each tau of an array: p * int 2 tau/(1 - y)."""
-    lo, hi = _branch_halves(pair, taus, lambda y, one_minus_y: 1.0 / one_minus_y)
+    lo, hi = _branch_halves(pair, _extrema(pair, taus), _psi1_weight)
     return 2.0 * pair.p * np.asarray(taus, dtype=float) * (lo + hi)
 
 
 def pthat_quadrature(param: TwistParam) -> float:
     """Angular period by quadrature: p * (change of psi1 over one branch)."""
-    return float(angular_periods(param.pair, [param.tau])[0])
+    p, tau = param.pair.p, param.tau
+    return 2.0 * p * tau * branch_integral(param, _psi1_weight)
 
 
 def pthat_quadrature_psi2(param: TwistParam) -> float:

@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import brentq
 
 from .ode_engine import Tolerances, integrate
 
@@ -35,6 +34,7 @@ __all__ = [
 # tau this close to tau_max is treated as the constant-y solution; the two
 # roots of f(y) = 4 tau^2 coalesce and refining them is meaningless.
 _TAU_MAX_MARGIN = 1e-10
+_UPPER_ROW = np.array([[0.0], [1.0]])      # marks the y_max row of _extrema
 
 
 @dataclass(frozen=True)
@@ -132,34 +132,59 @@ def f_taylor_coeffs(pair: AdmissiblePair, y0) -> np.ndarray:
     return np.array([d(y0) / math.factorial(k + 1) for k, d in enumerate(derivs)])
 
 
-def y_extrema(param: TwistParam) -> tuple[float, float]:
-    """The two roots of f(y) = 4 tau^2 in (0, 1), bracketing q/n.
+def _extrema(pair: AdmissiblePair, taus) -> tuple[np.ndarray, np.ndarray]:
+    """(y_min, y_max) for each tau of an array: the two roots of f(y) = 4 tau^2
+    in (0, 1), bracketing q/n.
 
-    Refuses |tau| within a relative 1e-10 of tau_max (coalescing roots)
-    and tau = 0 (double roots at the endpoints).
+    Refuses |tau| above tau_max, within a relative 1e-10 of it (coalescing
+    roots), tau = 0 (double roots at the endpoints) and NaN, naming the
+    first such tau.  Both roots of every tau come from one Newton iteration on
+    h(y) = ln(f(y) / 4 tau^2), which is concave, started where h < 0 outside
+    each root, so the iterates move monotonically towards it.  A root is done
+    when its next step reverses direction or stops shrinking relative to y
+    (y_min) or 1 - y (y_max): that is the Newton step in ln y or ln(1 - y),
+    which shrinks from the first step, while the step in y itself first
+    grows near 0 and 1.
     """
-    pair, tau = param.pair, abs(param.tau)
-    tm = tau_max(pair)
-    if tau == 0.0:
-        raise ValueError("tau = 0: f(y) = 0 has no interior double root to split")
-    if tau >= tm * (1 - _TAU_MAX_MARGIN):
-        raise ValueError("|tau| too close to tau_max: extrema coalesce at q/n")
     p, q, n = pair.p, pair.q, pair.n
+    tau = np.abs(np.asarray(taus, dtype=float))
+    tm = tau_max(pair)
+    bad = ~(tau > 0.0) | (tau >= tm * (1 - _TAU_MAX_MARGIN))
+    if bad.any():
+        t = tau[np.argmax(bad)]
+        if math.isnan(t):
+            raise ValueError("tau is NaN")
+        if t > tm * (1 + 1e-12):
+            raise ValueError(f"|tau|={t} exceeds tau_max={tm}")
+        if t == 0.0:
+            raise ValueError("tau = 0: f(y) = 0 has no interior double root to split")
+        raise ValueError("|tau| too close to tau_max: extrema coalesce at q/n")
     target = 4.0 * tau * tau
+    # Starts from the leading-order root asymptotics, moved 4x outward to
+    # guarantee h < 0; the while-loops only fire very close to tau_max.
+    lo = np.minimum((2.0 * tau) ** (2.0 / q) / 4.0, 0.5 * q / n)
+    while (inside := f_poly(pair, lo) >= target).any():
+        lo = np.where(inside, 0.5 * lo, lo)
+    hi = 1.0 - np.minimum((2.0 * tau) ** (2.0 / p) / 4.0, 0.5 * p / n)
+    while (inside := f_poly(pair, hi) >= target).any():
+        hi = np.where(inside, 1.0 - 0.5 * (1.0 - hi), hi)
+    y = np.stack([lo, hi])
+    last = np.full(y.shape, np.inf)
+    while True:
+        e = 1.0 - y
+        dy = np.log(target / (y**q * e**p)) / (q / y - p / e)
+        rel = dy / (y - _UPPER_ROW)             # dy / y and dy / -(1 - y): > 0 ahead
+        go = (0.0 < rel) & (rel < last)         # a stopped root keeps its y, so stays stopped
+        if not go.any():
+            return y[0], y[1]
+        y = y + dy * go
+        last = np.where(go, rel, last)
 
-    def g(y):
-        return f_poly(pair, y) - target
 
-    # Brackets from the leading-order root asymptotics, shrunk 4x to
-    # guarantee the sign; the while-loops only fire very close to tau_max.
-    lo = min((2.0 * tau) ** (2.0 / q) / 4.0, 0.5 * q / n)
-    while g(lo) >= 0.0:
-        lo *= 0.5
-    hi = 1.0 - min((2.0 * tau) ** (2.0 / p) / 4.0, 0.5 * p / n)
-    while g(hi) >= 0.0:
-        hi = 1.0 - 0.5 * (1.0 - hi)
-    y_min = brentq(g, lo, q / n, xtol=1e-15, rtol=4 * np.finfo(float).eps)
-    y_max = brentq(g, q / n, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+@lru_cache(maxsize=64)     # one curve asks for its extrema from several routes
+def y_extrema(param: TwistParam) -> tuple[float, float]:
+    """The two roots of f(y) = 4 tau^2 in (0, 1), bracketing q/n (see :func:`_extrema`)."""
+    (y_min,), (y_max,) = _extrema(param.pair, [param.tau])
     return float(y_min), float(y_max)
 
 

@@ -48,6 +48,17 @@ def test_neck_first_factor_model_for_2_3():
     assert abs(comp.beta - math.sqrt(1.0 - y_extrema(param)[1])) < 1e-12
 
 
+@pytest.mark.parametrize("p,q,tau", [(1, 2, 1e-3), (2, 3, 1e-3), (2, 2, 1e-3), (2, 2, 1e-4)])
+def test_neck_at_negative_tau_models_the_conjugate_catenoid(p, q, tau):
+    # the -tau curve is the conjugate of the +tau one, and so is its neck model
+    plus = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(p, q), tau)), 1)
+    minus = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(p, q), -tau)), 1)
+    assert abs(minus.max_error - plus.max_error) <= 1e-12
+    assert np.allclose(minus.rescale_frame, plus.rescale_frame.conj(), rtol=0, atol=1e-15)
+    if (p, q, tau) != (2, 2, 1e-3):         # +tau itself measures 0.142 there
+        assert minus.max_error < 0.1
+
+
 def test_neck_window_beyond_lifetime_rejected():
     param = TwistParam(AdmissiblePair(2, 3), 1e-3)
     with pytest.raises(ValueError):

@@ -92,6 +92,34 @@ def test_y_extrema_rejects_degenerate_tau():
         y_extrema(TwistParam(pair, tau_max(pair)))
 
 
+def test_extrema_of_an_array_name_its_first_bad_tau():
+    from sltwist.twisted_curve import _extrema
+
+    pair = AdmissiblePair(1, 2)
+    tm = tau_max(pair)
+    for taus, message in [([0.1, 0.0, 2 * tm], "tau = 0"),
+                          ([0.1, -2 * tm, 0.0], f"|tau|={2 * tm} exceeds tau_max"),
+                          ([0.1, tm, 0.0], "too close to tau_max"),
+                          ([0.1, math.nan], "tau is NaN")]:
+        with pytest.raises(ValueError, match=message.replace("|", r"\|")):
+            _extrema(pair, taus)
+    y_min, y_max = _extrema(pair, [0.1, -0.1, 0.05])
+    one = [y_extrema(TwistParam(pair, t)) for t in (0.1, 0.1, 0.05)]
+    assert np.allclose(np.transpose(one), [y_min, y_max], rtol=4e-16, atol=0)
+
+
+def test_y_extrema_cache_stays_bounded():
+    # one curve asks for its extrema from several routes; the cache keeps at most 64
+    y_extrema.cache_clear()
+    pair = AdmissiblePair(2, 3)
+    taus = np.linspace(0.01, 0.9, 100) * tau_max(pair)
+    first = y_extrema(TwistParam(pair, taus[0]))
+    for t in taus:
+        y_extrema(TwistParam(pair, t))
+    assert y_extrema.cache_info().currsize <= 64
+    assert y_extrema(TwistParam(pair, taus[0])) == first     # rebuilt after eviction, same bits
+
+
 def test_initial_state_values():
     s = initial_state(TwistParam(AdmissiblePair(2, 2), 0.0))
     assert abs(s.w1 - math.sqrt(0.5)) < 1e-15 and abs(s.w2 - math.sqrt(0.5)) < 1e-15
