@@ -51,6 +51,17 @@ def _parse_target(text: str) -> RationalTarget:
         raise argparse.ArgumentTypeError(f"expected a/b in lowest terms: {exc}")
 
 
+def _bounded(kind, ok, what: str):
+    """An argparse type: ``kind(text)``, refused unless it is ``what``."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    parse.__name__ = kind.__name__      # argparse names it in "invalid int value"
+    return parse
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -264,8 +275,8 @@ _OPTIONS = {
     "json": dict(action="store_true"),
     "out": dict(),
     "format": dict(choices=("csv", "json", "obj"), default="csv"),
-    "samples": dict(type=int),
-    "window": dict(type=float),
+    "samples": dict(type=_bounded(int, lambda n: n >= 2, "an integer >= 2")),
+    "window": dict(type=_bounded(float, lambda w: 0.0 < w < float("inf"), "a finite number > 0")),
     "waist": dict(type=int, default=1),
 }
 

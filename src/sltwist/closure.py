@@ -84,8 +84,7 @@ def k0_from_target(pair: AdmissiblePair, target: RationalTarget) -> int:
     return L * b // math.gcd(a, L * b)
 
 
-def scan_brackets(pair: AdmissiblePair, target: RationalTarget,
-                  points: int = _SCAN_POINTS) -> list[tuple[float, float]]:
+def scan_brackets(pair: AdmissiblePair, target: RationalTarget) -> list[tuple[float, float]]:
     """All sign-change brackets of pthat(tau) - target on a geometric grid.
 
     The grid is geometric in tau over [1e-5, 0.999] * tau_max, which
@@ -94,7 +93,7 @@ def scan_brackets(pair: AdmissiblePair, target: RationalTarget,
     attainable range is not assumed monotone: every bracket is reported.
     """
     tm = tau_max(pair)
-    taus = np.geomspace(1e-5 * tm, 0.999 * tm, points)
+    taus = np.geomspace(1e-5 * tm, 0.999 * tm, _SCAN_POINTS)
     vals = angular_periods(pair, taus) - target.angle
     out = []
     for i in range(len(taus) - 1):
@@ -104,26 +103,22 @@ def scan_brackets(pair: AdmissiblePair, target: RationalTarget,
 
 
 def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
-                                bracket_hint: tuple[float, float] | None = None,
                                 tol: Tolerances = Tolerances()) -> float:
     """The tau whose angular period equals the rational target.
 
-    Scan-and-bracket on the quadrature route, Brent refinement there,
-    then a final Brent pass on the integrated (event-located) angular
-    period so that |pthat_ode(tau) - target| <= 1e-10.
+    Brent on the quadrature route in the first bracket of :func:`scan_brackets`
+    (a warning if there are more, BracketingError if none), then Brent on the
+    integrated (event-located) angular period to |pthat_ode - target| <= 1e-10.
     """
     angle = target.angle
-    if bracket_hint is not None:
-        brackets = [tuple(map(float, bracket_hint))]
-    else:
-        brackets = scan_brackets(pair, target)
-        if not brackets:
-            raise BracketingError(
-                f"target {target.numerator}pi/{target.denominator} not bracketed: "
-                "outside the attainable angular-period range")
-        if len(brackets) > 1:
-            warnings.warn(f"{len(brackets)} brackets found for target "
-                          f"{target.numerator}/{target.denominator}; using the first")
+    brackets = scan_brackets(pair, target)
+    if not brackets:
+        raise BracketingError(
+            f"target {target.numerator}pi/{target.denominator} not bracketed: "
+            "outside the attainable angular-period range")
+    if len(brackets) > 1:
+        warnings.warn(f"{len(brackets)} brackets found for target "
+                      f"{target.numerator}/{target.denominator}; using the first")
     lo, hi = brackets[0]
 
     def g_quad(t):

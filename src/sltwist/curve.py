@@ -11,23 +11,19 @@ from __future__ import annotations
 from functools import cached_property
 
 from .ode_engine import Tolerances
-from .twisted_curve import TwistParam, TwistTrajectory, solve_w, y_extrema
+from .twisted_curve import TwistParam, TwistTrajectory, solve_w
 
 __all__ = ["Curve"]
 
 
 class Curve:
-    """The curve of ``param`` at ``tol``: extrema, period data, one
-    trajectory and the linearised solution, each computed on first use."""
+    """The curve of ``param`` at ``tol``: period data, one trajectory and
+    the linearised solution, each computed on first use."""
 
     def __init__(self, param: TwistParam, tol: Tolerances = Tolerances()):
         self.param = param
         self.tol = tol
         self._traj: TwistTrajectory | None = None
-
-    @cached_property
-    def extrema(self) -> tuple[float, float]:
-        return y_extrema(self.param)
 
     @cached_property
     def period(self):

@@ -81,40 +81,29 @@ def report_from_json(text: str, cls, kind: str | None = None):
     return cls(**kwargs)
 
 
-def _obj_mesh(sampler: Sampler, grid_spec, wrap_last: bool = True):
-    """Vertices and quad faces of a 2-parameter sampler grid."""
+def _obj_mesh(sampler: Sampler, grid_spec):
+    """Vertices and quad faces of a 2-parameter sampler grid, closed in the second angle."""
     nt, na = int(grid_spec[0]), int(grid_spec[1])
     (t_lo, t_hi), (a_lo, a_hi) = sampler.box[0], sampler.box[1]
     ts = np.linspace(t_lo, t_hi, nt)
-    if wrap_last:
-        angs = a_lo + (a_hi - a_lo) * np.arange(na) / na
-    else:
-        angs = np.linspace(a_lo, a_hi, na)
+    angs = a_lo + (a_hi - a_lo) * np.arange(na) / na
     grid = np.stack(np.meshgrid(ts, angs, indexing="ij"), axis=-1).reshape(-1, 2)
     verts = sampler(grid)[:, :3].real
     faces = [(i * na + j + 1, i * na + (j + 1) % na + 1,
               (i + 1) * na + (j + 1) % na + 1, (i + 1) * na + j + 1)
-             for i in range(nt - 1) for j in range(na) if wrap_last or j + 1 < na]
+             for i in range(nt - 1) for j in range(na)]
     return verts, faces
 
 
-def export(sampler_or_report, grid_spec=None, fmt: str = "csv", path="out") -> Path:
-    """Write a sampler grid or a report to csv / json / obj.
+def export(sampler: Sampler, grid_spec, fmt: str, path) -> Path:
+    """Write a sampler grid, ``grid_spec`` points per chart axis, as csv or obj.
 
     OBJ output is limited to 2-parameter samplers in C^3 (surface images
     of the (1,2) family); the projection to R^3 is the fixed linear map
     taking componentwise real parts.
     """
     path = Path(path)
-    if fmt == "json":
-        path.write_text(report_to_json(sampler_or_report) + "\n")
-        return path
-    if not isinstance(sampler_or_report, Sampler):
-        raise TypeError("csv/obj export expects a sampler")
-    sampler = sampler_or_report
     if fmt == "csv":
-        if grid_spec is None:
-            raise ValueError("csv export needs a grid spec")
         counts = [int(c) for c in grid_spec]
         axes = [np.linspace(lo, hi, c)
                 for (lo, hi), c in zip(sampler.box, counts)]
@@ -133,8 +122,6 @@ def export(sampler_or_report, grid_spec=None, fmt: str = "csv", path="out") -> P
     if fmt == "obj":
         if sampler.dim != 2 or sampler.m != 3:
             raise ValueError("obj export needs a 2-parameter sampler in C^3")
-        if grid_spec is None:
-            raise ValueError("obj export needs a grid spec")
         verts, faces = _obj_mesh(sampler, grid_spec)
         lines = [f"# projection: {_OBJ_PROJECTION}"]
         for v in verts:

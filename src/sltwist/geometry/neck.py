@@ -15,6 +15,7 @@ import numpy as np
 
 from ..catenoid import catenoid_lifetime, unit_profile
 from ..curve import Curve
+from ..twisted_curve import y_extrema
 from .spheres import Waist, waists_and_bulges
 
 __all__ = ["NeckComparison", "neck_rescale"]
@@ -33,8 +34,7 @@ class NeckComparison:
     catenoid_degree: int
 
 
-def neck_rescale(curve: Curve, waist_index: int, b: float | None = None,
-                 grid_points: int = 81) -> NeckComparison:
+def neck_rescale(curve: Curve, waist_index: int, b: float | None = None) -> NeckComparison:
     """Compare the rescaled neck at a waist with the unit catenoid.
 
     Kind-2 waists (second factor minimal) rescale onto the degree-q unit
@@ -44,7 +44,7 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None,
     the conjugate of the tau > 0 one, and so are the phase e^{-i pi/2k},
     the frame and the model profile.  The window must stay below the
     catenoid lifetime of that degree; by default it is 2.0 for degree 2
-    and half the lifetime T_1 for degree >= 3.
+    and half the lifetime T_1 for degree >= 3.  The error is sampled at 81 times.
     """
     pair, data = curve.param.pair, curve.period
     p, q = pair.p, pair.q
@@ -60,9 +60,7 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None,
     if degree >= 3 and b >= catenoid_lifetime(degree):
         raise ValueError(
             f"window {b} exceeds the degree-{degree} catenoid lifetime")
-    if degree < 2:
-        raise ValueError("kind-1 necks need p >= 2")
-    y_min, y_max = curve.extrema
+    y_min, y_max = y_extrema(curve.param)
     beta = math.sqrt(y_min) if waist.kind == 2 else math.sqrt(1.0 - y_max)
     scale = beta ** (2 - degree)
     t_w = waist.t
@@ -74,7 +72,7 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None,
         frame = np.diag([abs(w1_w) / w1_w] * p + [phase * abs(w2_w) / w2_w] * q)
     else:
         frame = np.diag([phase * abs(w1_w) / w1_w] * p + [abs(w2_w) / w2_w] * q)
-    ts = np.linspace(-b, b, grid_points)
+    ts = np.linspace(-b, b, 81)
     model = unit_profile(degree, ts)
     if negative:
         model = np.conj(model)

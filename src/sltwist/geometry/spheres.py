@@ -158,14 +158,14 @@ def sphere_distance(sphere: MarkedSphere, z: np.ndarray) -> float:
     return float(math.sqrt(np.dot(im, im) + (np.linalg.norm(re) - 1.0) ** 2))
 
 
-def bulge_sphere_distance(curve: Curve, k: int, b: float,
-                          t_points: int = 40, mer_points: int = 24) -> float:
+def bulge_sphere_distance(curve: Curve, k: int, b: float) -> float:
     """max distance from the k-th almost spherical region to its sphere.
 
     The region is the core [-b, b] of the k-th bulge (translated, and
     reflected for odd k when p > 1); the distance is sampled over a
-    parameter grid of the immersion.
+    40 x 24 grid of times and meridian angles of the immersion.
     """
+    t_points, mer_points = 40, 24
     pair, data = curve.param.pair, curve.period
     sphere = approximating_spheres(curve, [k])[0]
     if pair.p == 1:

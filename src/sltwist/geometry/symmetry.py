@@ -52,49 +52,43 @@ def reflection_matrix(curve: Curve, side: str = "+") -> np.ndarray:
     return np.diag(np.exp(1j * a / np.array([pair.p, pair.q])) * (w / abs(w)) / (w0 / abs(w0)))
 
 
-def rotation_determinant_residual(pair, count: int = 20, seed: int = 0,
-                                  n_block: bool = True) -> float:
-    """max |det_C - 1| of the block rotations at random parameters."""
-    rng = np.random.default_rng(seed)
+def rotation_determinant_residual(pair) -> float:
+    """max |det_C - 1| of the block rotations Ttilde_x at 20 random x in [-20, 20]."""
+    rng = np.random.default_rng(0)
     res = 0.0
-    for _ in range(count):
+    for _ in range(20):
         x = float(rng.uniform(-20.0, 20.0))
-        M = ttilde(pair, x) if n_block else mhat(pair, x)
-        res = max(res, abs(np.linalg.det(M) - 1.0))
+        res = max(res, abs(np.linalg.det(ttilde(pair, x)) - 1.0))
     return res
 
 
-def holomorphic_volume_reflection_residual(curve: Curve, count: int = 10,
-                                           seed: int = 1) -> float:
+def holomorphic_volume_reflection_residual(curve: Curve) -> float:
     """Residual of pulling the holomorphic volume form back to -conj.
 
     An antiholomorphic reflection A(z) = D conj(z) satisfies
     A* Omega = det(D) conj(Omega) on frames; the reflections of the
     invariant cylinders have det(D) = -1.  Evaluates
-    |det_C([A v_1 ... A v_n]) + conj(det_C([v_1 ... v_n]))| on random
+    |det_C([A v_1 ... A v_n]) + conj(det_C([v_1 ... v_n]))| on 10 random
     complex frames.
     """
-    return _omega_residual(curve.param.pair, reflection_matrix(curve, "+"), count, seed)
+    return _omega_residual(curve.param.pair, reflection_matrix(curve, "+"))
 
 
-def _omega_residual(pair, small: np.ndarray, count: int = 10, seed: int = 1) -> float:
+def _omega_residual(pair, small: np.ndarray) -> float:
     """The residual above for the "+" reflection factor ``small`` (2 x 2)."""
     n = pair.n
-    if pair.p == 1:
-        D = np.diag([-1.0 + 0.0j] + [1.0 + 0.0j] * (n - 1))
-    else:
-        D = np.diag([small[0, 0]] * pair.p + [small[1, 1]] * pair.q)
-    rng = np.random.default_rng(seed)
+    D = np.diag([small[0, 0]] * pair.p + [small[1, 1]] * pair.q)
+    rng = np.random.default_rng(1)
     res = 0.0
-    for _ in range(count):
+    for _ in range(10):
         V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         AV = D @ np.conj(V)
         res = max(res, abs(np.linalg.det(AV) + np.conj(np.linalg.det(V))))
     return res
 
 
-def symmetry_residuals(curve: Curve, samples: int = 40) -> dict[str, float]:
-    """Pointwise residuals of the discrete symmetry relations over a period.
+def symmetry_residuals(curve: Curve) -> dict[str, float]:
+    """Pointwise residuals of the discrete symmetry relations, each at 40 times.
 
     Keys: 'translation' for w(t + 2 p_tau) = Mhat_{2 pthat} w(t); the
     reflection relations ('reflection', 'reflection_ptau' for p = 1;
@@ -109,6 +103,7 @@ def symmetry_residuals(curve: Curve, samples: int = 40) -> dict[str, float]:
     data = curve.period
     p, q = pair.p, pair.q
     ptau, phat = data.p_tau, data.pthat
+    samples = 40
     traj = curve.traj(-2.2 * ptau, 3.2 * ptau)
     M = np.diag(mhat(pair, 2.0 * phat))[:, None]
 

@@ -33,7 +33,7 @@ class IntegrationError(RuntimeError):
     ``last_time`` holds the last accepted time.
     """
 
-    def __init__(self, message, last_time=None):
+    def __init__(self, message, last_time):
         super().__init__(message)
         self.last_time = last_time
 
@@ -44,7 +44,7 @@ class EventError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Integrator tolerances.
+    """Integrator tolerances; the error control alone bounds the step size.
 
     event_tol is in time units and must not exceed abs_tol so that event
     times are at least as accurate as the states they are read from.
@@ -52,11 +52,10 @@ class Tolerances:
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
-    max_step: float = np.inf
     event_tol: float = 1e-13
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "max_step", "event_tol"):
+        for name in ("abs_tol", "rel_tol", "event_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.event_tol > self.abs_tol:
@@ -149,7 +148,7 @@ def _stepper(dim: int):
     return scope["attempt"], scope["extend"]
 
 
-def _initial_step(field, t0, y0, f0, span, direction, atol, rtol, max_step):
+def _initial_step(field, t0, y0, f0, span, direction, atol, rtol):
     """scipy's ``select_initial_step`` for the order-7 error estimate."""
     y0, f0 = np.asarray(y0), np.asarray(f0, dtype=float)
     scale, rms = np.asarray(atol) + np.abs(y0) * rtol, len(y0) ** 0.5
@@ -158,22 +157,22 @@ def _initial_step(field, t0, y0, f0, span, direction, atol, rtol, max_step):
     f1 = np.asarray(field(t0 + h0 * direction, y0 + h0 * direction * f0), dtype=float)
     d2 = np.linalg.norm((f1 - f0) / scale) / rms / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
-    return float(min(100 * h0, h1, span, max_step))
+    return float(min(100 * h0, h1, span))
 
 
 def _leg(field, y0, t0, t1, tol, atol):
     """One run t0 -> t1: times, states, then origin, h, y_origin, F per step, ascending."""
     dim = len(y0)
     attempt, extend = _stepper(dim)
-    rtol, max_step = max(tol.rel_tol, 100 * np.finfo(float).eps), tol.max_step
+    rtol = max(tol.rel_tol, 100 * np.finfo(float).eps)
     direction = 1.0 if t1 > t0 else -1.0
     y = tuple(y0.tolist())
     f = tuple(field(t0, y))
-    h_abs = _initial_step(field, t0, y, f, abs(t1 - t0), direction, atol, rtol, max_step)
+    h_abs = _initial_step(field, t0, y, f, abs(t1 - t0), direction, atol, rtol)
     t, ts, ys, ks = t0, array("d", [t0]), array("d", y), array("d")
     while direction * (t - t1) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -358,9 +357,9 @@ def brent(f, a: float, b: float, xtol: float) -> float:
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
-def _grid_bracket(h, ta, tb, n=400):
-    """First sign-change subinterval of h (vectorised) on [ta, tb], from ta."""
-    ts = np.linspace(ta, tb, n)
+def _grid_bracket(h, ta, tb):
+    """First sign-change subinterval of h (vectorised) on 400 points of [ta, tb], from ta."""
+    ts = np.linspace(ta, tb, 400)
     vals = h(ts)
     if vals[0] == 0.0:
         return ta, ta

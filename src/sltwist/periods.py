@@ -26,7 +26,7 @@ import numpy as np
 
 from .curve import Curve
 from .ode_engine import Tolerances, locate_event
-from .twisted_curve import (AdmissiblePair, TwistParam, _extrema, alpha_tau, f_poly,
+from .twisted_curve import (AdmissiblePair, TwistParam, _extrema, _ydot, alpha_tau, f_poly,
                             f_prime, f_taylor_coeffs, tau_max, y_extrema)
 
 __all__ = [
@@ -35,10 +35,11 @@ __all__ = [
 ]
 
 
-def _gauss_legendre(n: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]: Newton on
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 64-point Gauss-Legendre rule on [0, 1]: Newton on
     the Legendre recurrence in t = 1 - |x| keeps the outer weights to rounding
     (``leggauss`` is off by 1e-12 there)."""
+    n = 64
     t = 2.0 * np.sin(0.5 * np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5)) ** 2
     for _ in range(10):
         p, d = 1.0 - t, -t              # P_k(1 - t) and P_k - P_(k-1), up to k = n
@@ -164,15 +165,10 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
     traj = curve.traj(bwd, fwd)
 
     def g(t, s):
-        w = np.empty((2,) + np.shape(s)[1:], dtype=complex)
-        w.real, w.imag = s[0:4:2], s[1:4:2]
-        return -2.0 * (w[0] ** pair.p * w[1] ** pair.q).real
+        return _ydot(pair, s)
 
     def g_prime(t, s):
         return 2.0 * f_prime(pair, s[2] ** 2 + s[3] ** 2)
-
-    if param.tau == 0.0:
-        raise ValueError("tau = 0: y is not periodic")
 
     if pair.p > 1:
         p_plus = locate_event(traj.trajectory, g, (0.5 * p_est_plus, 1.5 * p_est_plus))

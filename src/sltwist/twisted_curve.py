@@ -239,6 +239,13 @@ def _field(p: int, q: int, linearised: bool = False):
     return rhs
 
 
+def _ydot(pair: AdmissiblePair, s):
+    """y' = -2 Re(w1^p w2^q) of real states (Re w1, Im w1, Re w2, Im w2, ...) on axis 0."""
+    w = np.empty((2,) + np.shape(s)[1:], dtype=complex)
+    w.real, w.imag = s[0:4:2], s[1:4:2]
+    return -2.0 * (w[0] ** pair.p * w[1] ** pair.q).real
+
+
 # linear map implementing w -> conj(w) on the real 4-vector
 _CONJ = np.array([1.0, -1.0, 1.0, -1.0])
 
@@ -258,8 +265,7 @@ class TwistTrajectory:
     digits of arg w2.
     """
 
-    def __init__(self, param: TwistParam, t_span=(0.0, 1.0),
-                 tol: Tolerances = Tolerances()):
+    def __init__(self, param: TwistParam, t_span, tol: Tolerances):
         self.param = param
         self.tol = tol
         lo = min(0.0, float(t_span[0]))
@@ -303,8 +309,7 @@ class TwistTrajectory:
         return y if np.ndim(t) else float(y[0])
 
     def ydot(self, t):
-        w1, w2 = self.w(np.atleast_1d(t))
-        ydot = -2.0 * (w1**self.param.pair.p * w2**self.param.pair.q).real
+        ydot = _ydot(self.param.pair, self._states(t))
         return ydot if np.ndim(t) else float(ydot[0])
 
     def psi(self, t):
@@ -349,19 +354,18 @@ def solve_w(param: TwistParam, t_span, tol: Tolerances = Tolerances()) -> TwistT
     return TwistTrajectory(param, t_span, tol)
 
 
-def conjugate_family_check(param: TwistParam, samples: int = 50, t_max: float = 2.0,
-                           tol: Tolerances = Tolerances()) -> float:
-    """max |w_{-tau}(t) - conj(w_tau(t))| over a sample grid.
+def conjugate_family_check(param: TwistParam) -> float:
+    """max |w_{-tau}(t) - conj(w_tau(t))| at 50 times in [0, 2], standard tolerances.
 
     The -tau member is integrated directly from its own initial condition
     (bypassing the conjugation shortcut used by :func:`solve_w`), so the
     two sides are genuinely independent integrations.
     """
-    pair, tau = param.pair, abs(param.tau)
-    ts = np.linspace(0.0, t_max, samples)
-    plus = np.array(solve_w(TwistParam(pair, tau), (0.0, t_max), tol).w(ts))
+    pair, tau, tol = param.pair, abs(param.tau), Tolerances()
+    ts = np.linspace(0.0, 2.0, 50)
+    plus = np.array(solve_w(TwistParam(pair, tau), (0.0, 2.0), tol).w(ts))
     if tau == 0.0:
         return float(np.max(np.abs(plus[0].imag) + np.abs(plus[1].imag)))
     s = integrate(_field(pair.p, pair.q), initial_state(TwistParam(pair, -tau)).as_real(),
-                  (0.0, t_max), tol)(ts)
+                  (0.0, 2.0), tol)(ts)
     return float(np.max(np.abs(s[0::2] + 1j * s[1::2] - np.conj(plus))))

