@@ -23,7 +23,7 @@ from .periods import (PeriodData, angular_periods, branch_integral, partial_peri
 from .twisted_curve import (AdmissiblePair, SphereState, TwistParam,
                             TwistTrajectory, alpha_tau, conjugate_family_check,
                             f_poly, f_prime, initial_state, solve_w, tau_max,
-                            y_extrema)
+                            velocity, y_extrema)
 from .variation import (AsymptoticsReport, LinearisedSolution, asymptotic_constants,
                         check_asymptotics, dpthat_dtau, dpthat_dtau_cross_check,
                         solve_Q, time_scale)

@@ -35,7 +35,7 @@ class Curve:
     def Q(self):
         from .variation import solve_Q
 
-        return solve_Q(self.param, self.tol, curve=self)
+        return solve_Q(self)
 
     def traj(self, lo: float, hi: float) -> TwistTrajectory:
         """The trajectory, covering [lo, hi] and 0.

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..curve import Curve
+from ..twisted_curve import velocity
 
 __all__ = [
     "ImmersionPoint", "Sampler", "CurveSampler", "immerse",
@@ -144,14 +145,9 @@ def equatorial_circle_curve() -> CurveSampler:
 def twist_curve_sampler(curve: Curve, t_span=(-5.0, 5.0)) -> CurveSampler:
     """The integrated twisted curve as a sampler with analytic tangents."""
     traj = curve.traj(*t_span)
-    p, q = curve.param.pair.p, curve.param.pair.q
-
-    def dfn(t):
-        w1, w2 = traj.w(t)
-        return (w1.conjugate() ** (p - 1) * w2.conjugate() ** q,
-                -(w1.conjugate() ** p) * w2.conjugate() ** (q - 1))
-
-    return CurveSampler(traj.w, dfn, name=f"twist curve ({p},{q}) tau={curve.param.tau}")
+    pair = curve.param.pair
+    return CurveSampler(traj.w, lambda t: velocity(pair, *traj.w(t)),
+                        name=f"twist curve ({pair.p},{pair.q}) tau={curve.param.tau}")
 
 
 # -- the invariant immersion --------------------------------------------------

@@ -47,7 +47,7 @@ def reflection_matrix(curve: Curve, side: str = "+") -> np.ndarray:
     data = curve.period
     t_ref = 2.0 * data.p_plus if side == "+" else -2.0 * data.p_minus
     traj = curve.traj(t_ref, t_ref)
-    s = traj.endpoint_state(t_ref)
+    s = traj.trajectory.endpoint(t_ref)
     w, w0 = s[0::2] + 1j * s[1::2], np.array(traj.w(0.0))
     return np.diag(np.exp(1j * a / np.array([pair.p, pair.q])) * (w / abs(w)) / (w0 / abs(w0)))
 

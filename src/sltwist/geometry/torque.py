@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..curve import Curve
-from ..twisted_curve import TwistParam
+from ..twisted_curve import TwistParam, velocity
 
 __all__ = [
     "SuBasisElement", "TorqueReport", "sphere_volume", "sphere_quadrature",
@@ -203,8 +203,7 @@ def torque(curve: Curve, element: SuBasisElement, meridian_t: float = 0.0,
     p, q, n = pair.p, pair.q, pair.n
     traj = curve.traj(meridian_t - 1e-6, meridian_t + 1e-6)
     w1, w2 = traj.w(meridian_t)
-    d1 = w1.conjugate() ** (p - 1) * w2.conjugate() ** q
-    d2 = -(w1.conjugate() ** p) * w2.conjugate() ** (q - 1)
+    d1, d2 = velocity(pair, w1, w2)
     K = su_matrix(element, n)
     sigma, wts = _meridian_nodes(p, q, order)
     X = sigma * np.repeat([w1, w2], [p, q])     # (N, n) complex meridian points

@@ -7,7 +7,9 @@ For an admissible integer pair (p, q), n = p + q, the curves solve
 
 with the two conserved quantities I1 = |w|^2 and I2 = Im(w1^p w2^q).
 The canonical one-parameter family is labelled by tau = -I2/2 with
-|tau| <= tau_max(p, q).  The radius function y = |w2|^2 obeys
+|tau| <= tau_max(p, q); conjugation maps the tau member to the -tau
+member.  The field is written once, in :func:`_field`, and w1^p w2^q
+once, in :func:`_twist`.  The radius function y = |w2|^2 obeys
 
     y'^2 = 4 (f(y) - 4 tau^2),      f(y) = y^q (1 - y)^p,
 
@@ -28,7 +30,7 @@ from .ode_engine import Tolerances, integrate
 __all__ = [
     "AdmissiblePair", "TwistParam", "SphereState", "TwistTrajectory",
     "tau_max", "alpha_tau", "f_poly", "f_prime", "f_taylor_coeffs",
-    "y_extrema", "initial_state", "solve_w", "conjugate_family_check",
+    "y_extrema", "initial_state", "velocity", "solve_w", "conjugate_family_check",
 ]
 
 # tau this close to tau_max is treated as the constant-y solution; the two
@@ -64,6 +66,8 @@ class TwistParam:
 
     def __post_init__(self):
         tm = tau_max(self.pair)
+        if math.isnan(self.tau):
+            raise ValueError("tau is NaN")
         if abs(self.tau) > tm * (1 + 1e-12):
             raise ValueError(f"|tau|={abs(self.tau)} exceeds tau_max={tm}")
 
@@ -239,30 +243,39 @@ def _field(p: int, q: int, linearised: bool = False):
     return rhs
 
 
+def velocity(pair: AdmissiblePair, w1: complex, w2: complex) -> tuple[complex, complex]:
+    """(w1', w2') at the point (w1, w2): the field of :func:`_field`, bit for bit."""
+    c = _field(pair.p, pair.q)(0.0, (w1.real, w1.imag, w2.real, w2.imag))
+    return complex(c[0], c[1]), complex(c[2], c[3])
+
+
+def _twist(pair: AdmissiblePair, w1, w2):
+    """w1^p w2^q, of complex numbers or arrays; its imaginary part is I2 = -2 tau."""
+    return w1 ** pair.p * w2 ** pair.q
+
+
 def _ydot(pair: AdmissiblePair, s):
     """y' = -2 Re(w1^p w2^q) of real states (Re w1, Im w1, Re w2, Im w2, ...) on axis 0."""
     w = np.empty((2,) + np.shape(s)[1:], dtype=complex)
     w.real, w.imag = s[0:4:2], s[1:4:2]
-    return -2.0 * (w[0] ** pair.p * w[1] ** pair.q).real
-
-
-# linear map implementing w -> conj(w) on the real 4-vector
-_CONJ = np.array([1.0, -1.0, 1.0, -1.0])
+    return -2.0 * _twist(pair, w[0], w[1]).real
 
 
 class TwistTrajectory:
     """Dense solution of the curve system over an interval containing 0.
 
     The integrated state is w alone, held as one :class:`Trajectory`
-    anchored at 0 (``trajectory``).  Accessors return the curve
-    w(t) = (w1, w2), the radius y = |w2|^2 and its derivative, and the
-    accumulated angles (psi1, psi2) with psi(0) = 0, read off arg w.
-    For tau < 0 the tau > 0 solution is conjugated rather than
-    re-integrated, which enforces the conjugation symmetry exactly; for
-    tau = 0 the real initial state keeps w real.  At small tau the first
-    factor shrinks to |w1|^2 = 1 - y_max, about (2 tau)^(2/p); its
-    absolute tolerance is scaled by that much so that arg w1 keeps the
-    digits of arg w2.
+    anchored at 0 (``trajectory``) and integrated from
+    :func:`initial_state` for either sign of tau.  Accessors return the
+    curve w(t) = (w1, w2), the radius y = |w2|^2 and its derivative, and
+    the accumulated angles (psi1, psi2) with psi(0) = 0, read off arg w.
+    The -tau curve is the exact conjugate of the tau curve: the initial
+    states are conjugate, and the integrator commutes with conjugation
+    bit for bit (its tableau is real, rounding is symmetric in sign and
+    step control reads only |state|).  For tau = 0 the real initial state
+    keeps w real.  At small tau the first factor shrinks to
+    |w1|^2 = 1 - y_max, about (2 |tau|)^(2/p); its absolute tolerance is
+    scaled by that much so that arg w1 keeps the digits of arg w2.
     """
 
     def __init__(self, param: TwistParam, t_span, tol: Tolerances):
@@ -271,25 +284,22 @@ class TwistTrajectory:
         lo = min(0.0, float(t_span[0]))
         hi = max(0.0, float(t_span[1]))
         self.t_lo, self.t_hi = lo, hi
-        pair, base = param.pair, abs(param.tau)
-        p, q = pair.p, pair.q
-        self._neg = param.tau < 0.0
-        s0 = initial_state(TwistParam(pair, base)).as_real()
-        shrink = min(1.0, (2.0 * base) ** (2.0 / p)) if base else 1.0
+        pair, tau = param.pair, param.tau
+        shrink = min(1.0, (2.0 * abs(tau)) ** (2.0 / pair.p)) if tau else 1.0
         scale = np.array([shrink, shrink, 1.0, 1.0])
 
         inv = {"I1": (lambda s: s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2, 1.0),
-               "I2": (lambda s: (complex(s[0], s[1]) ** p * complex(s[2], s[3]) ** q).imag,
-                      -2.0 * base)}
-        self.trajectory = integrate(_field(p, q), s0, (lo, hi), tol, inv, scale, t0=0.0)
+               "I2": (lambda s: _twist(pair, complex(s[0], s[1]), complex(s[2], s[3])).imag,
+                      -2.0 * tau)}
+        self.trajectory = integrate(_field(pair.p, pair.q), initial_state(param).as_real(),
+                                    (lo, hi), tol, inv, scale, t0=0.0)
         self.drift = self.trajectory.drift
 
     # -- state access: scalar t gives scalars, an array of times gives arrays --
 
     def _states(self, t) -> np.ndarray:
         """Real 4 x len states at the times t."""
-        s = self.trajectory(np.atleast_1d(np.asarray(t, dtype=float)))
-        return s * _CONJ[:, None] if self._neg else s
+        return self.trajectory(np.atleast_1d(np.asarray(t, dtype=float)))
 
     def state(self, t) -> np.ndarray:
         """Real 4-vector (Re w1, Im w1, Re w2, Im w2); 4 x len for arrays."""
@@ -322,8 +332,9 @@ class TwistTrajectory:
         Im = -2 tau, so Psi needs no lift.  Then psi1 = (Psi - q psi2)/p.
         """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        p, q = self.param.pair.p, self.param.pair.q
-        s = self.trajectory(ts)         # the tau >= 0 solution
+        pair = self.param.pair
+        p, q = pair.p, pair.q
+        s = self.trajectory(ts)
         w1, w2 = s[0] + 1j * s[1], s[2] + 1j * s[3]
         grid, states = self.trajectory.time_grid, self.trajectory.states
         i0 = np.searchsorted(grid, 0.0)
@@ -335,18 +346,10 @@ class TwistTrajectory:
         k = np.where(ts >= 0.0, np.searchsorted(grid, ts, side="right") - 1,
                      np.searchsorted(grid, ts))
         psi2 = lift[k] + np.angle(w2 / nodes[k])
-        z0 = complex(*states[i0, :2]) ** p * complex(*states[i0, 2:]) ** q
-        Psi = np.angle(w1**p * w2**q * np.conj(z0))
+        z0 = _twist(pair, complex(*states[i0, :2]), complex(*states[i0, 2:]))
+        Psi = np.angle(_twist(pair, w1, w2) * np.conj(z0))
         psi1 = (Psi - q * psi2) / p
-        if self._neg:
-            psi1, psi2 = -psi1, -psi2
         return (psi1, psi2) if np.ndim(t) else (float(psi1[0]), float(psi2[0]))
-
-    def endpoint_state(self, t: float) -> np.ndarray:
-        """The 4-vector state at t != 0 integrated from the last accepted step
-        before t: the integrator's accuracy, not the dense interpolant's."""
-        s = self.trajectory.endpoint(t)
-        return s * _CONJ if self._neg else s
 
 
 def solve_w(param: TwistParam, t_span, tol: Tolerances = Tolerances()) -> TwistTrajectory:
@@ -357,15 +360,14 @@ def solve_w(param: TwistParam, t_span, tol: Tolerances = Tolerances()) -> TwistT
 def conjugate_family_check(param: TwistParam) -> float:
     """max |w_{-tau}(t) - conj(w_tau(t))| at 50 times in [0, 2], standard tolerances.
 
-    The -tau member is integrated directly from its own initial condition
-    (bypassing the conjugation shortcut used by :func:`solve_w`), so the
-    two sides are genuinely independent integrations.
+    The |tau| member comes from :func:`solve_w`; the -|tau| member is
+    integrated by a plain :func:`integrate` call without solve_w's
+    absolute-tolerance scale, so it takes different steps and the two
+    sides are independent integrations.  At tau = 0 both are real.
     """
     pair, tau, tol = param.pair, abs(param.tau), Tolerances()
     ts = np.linspace(0.0, 2.0, 50)
     plus = np.array(solve_w(TwistParam(pair, tau), (0.0, 2.0), tol).w(ts))
-    if tau == 0.0:
-        return float(np.max(np.abs(plus[0].imag) + np.abs(plus[1].imag)))
     s = integrate(_field(pair.p, pair.q), initial_state(TwistParam(pair, -tau)).as_real(),
                   (0.0, 2.0), tol)(ts)
     return float(np.max(np.abs(s[0::2] + 1j * s[1::2] - np.conj(plus))))

@@ -89,7 +89,7 @@ def test_criterion_03_dual_route_periods(case_matrix):
 def test_criterion_04_wronskian(case_matrix):
     worst = 0.0
     for (p, q, frac), (param, data) in case_matrix.items():
-        sol = solve_Q(param)
+        sol = solve_Q(Curve(param))
         ts = np.linspace(-2.0 * data.p_tau, 2.0 * data.p_tau, 50)
         worst = max(worst, max(abs(sol.wronskian(t) - 1.0) for t in ts))
     ok = worst <= 1e-8

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -90,6 +91,31 @@ def test_window_and_samples_out_of_range_exit_two(argv, flag, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"argument {flag}: " in err
+
+
+# NaN passes every range test; TwistParam refuses it for every p
+@pytest.mark.parametrize("argv", [
+    ["solve", "--p", "2", "--q", "3", "--tau", "nan", "--window", "1"],
+    ["torque", "--p", "2", "--q", "3", "--tau", "nan", "--json"],
+    ["export", "--p", "2", "--q", "3", "--tau", "nan", "--format", "csv",
+     "--samples", "5", "--out", "nan.csv"],
+    ["solve", "--p", "1", "--q", "2", "--tau", "nan", "--window", "1"],
+])
+def test_nan_tau_exits_two(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: tau is NaN\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_cross_check_prints_only_its_verify_line(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "--p", "2", "--q", "2", "--tau", "1e-5")
+    assert code == 1
+    assert [line.split()[0] for line in out.splitlines() if "dpthat/dtau" in line] == ["FAIL"]
+    assert err == "" and caught == []
 
 
 # one argv of each shape the perfbench workloads send

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from sltwist.periods import period_ode
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, SphereState,
                                    conjugate_family_check, f_poly, f_prime,
                                    initial_state, solve_w, tau_max, y_extrema)
@@ -216,13 +218,26 @@ def test_solve_w_initial_conditions_of_y():
     assert abs(traj.ydot(0.0)) < 1e-10
 
 
-def test_negative_twist_is_conjugate_view():
-    plus = solve_w(TwistParam(AdmissiblePair(1, 2), 0.1), (0.0, 3.0))
-    minus = solve_w(TwistParam(AdmissiblePair(1, 2), -0.1), (0.0, 3.0))
-    for t in np.linspace(0.0, 3.0, 20):
-        a1, a2 = plus.w(t)
-        b1, b2 = minus.w(t)
-        assert b1 == a1.conjugate() and b2 == a2.conjugate()
+# The -tau curve is integrated from its own initial state, and the integrator
+# commutes with conjugation bit for bit: every read is the exact conjugate.
+@pytest.mark.parametrize("frac", [0.3, 1e-4])
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 3), (1, 6), (4, 4), (2, 5), (1, 3)])
+def test_negative_twist_is_exact_conjugate(p, q, frac):
+    pair = AdmissiblePair(p, q)
+    plus, minus = (TwistParam(pair, sign * frac * tau_max(pair)) for sign in (1.0, -1.0))
+    a, b = solve_w(plus, (-2.0, 3.0)), solve_w(minus, (-2.0, 3.0))
+    conj = np.array([1.0, -1.0, 1.0, -1.0])
+    assert np.array_equal(b.trajectory.time_grid, a.trajectory.time_grid)
+    assert np.array_equal(b.trajectory.states, a.trajectory.states * conj)
+    assert b.drift == a.drift
+    ts = np.linspace(-2.0, 3.0, 41)
+    for psi_b, psi_a in zip(b.psi(ts), a.psi(ts)):
+        assert np.array_equal(psi_b, -psi_a)
+    t = 2.345
+    assert t not in a.trajectory.time_grid
+    assert np.array_equal(b.trajectory.endpoint(t), a.trajectory.endpoint(t) * conj)
+    da, db = period_ode(plus), period_ode(minus)
+    assert db == replace(da, pthat=-da.pthat, psi1_2p=-da.psi1_2p, psi2_2p=-da.psi2_2p)
 
 
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 3, 0.07)])

@@ -15,7 +15,7 @@ PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
 def test_wronskian_is_one_along_solution():
     for (p, q), tau in [((1, 2), 0.1), ((2, 3), 0.05), ((2, 2), 0.06)]:
-        sol = solve_Q(TwistParam(AdmissiblePair(p, q), tau))
+        sol = solve_Q(Curve(TwistParam(AdmissiblePair(p, q), tau)))
         assert sol.wronskian_drift < 1e-8
         ts = np.linspace(-2.0 * sol.period.p_tau, 2.0 * sol.period.p_tau, 50)
         assert max(abs(sol.wronskian(t) - 1.0) for t in ts) < 1e-8
@@ -24,7 +24,7 @@ def test_wronskian_is_one_along_solution():
 def test_companion_initial_conditions():
     pair = AdmissiblePair(2, 2)
     tau = 0.06
-    sol = solve_Q(TwistParam(pair, tau))
+    sol = solve_Q(Curve(TwistParam(pair, tau)))
     expected = -1.0 / (4.0 * pair.n * math.sqrt(tau_max(pair) ** 2 - tau**2))
     assert abs(sol.Q(0.0) - expected) < 1e-12
     assert abs(sol.Qdot(0.0)) < 1e-14
@@ -33,7 +33,7 @@ def test_companion_initial_conditions():
 
 def test_anchor_time_for_degenerate_first_factor():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sol = solve_Q(param)
+    sol = solve_Q(Curve(param))
     assert 0.0 < sol.p_star < sol.period.p_tau
     assert abs(sol.y(sol.p_star) - 2.0 / 3.0) < 1e-10
 
