@@ -17,6 +17,7 @@ import numpy as np
 
 from .ode_engine import Tolerances, integrate
 from .periods import _NODES, _WEIGHTS
+from .twisted_curve import _compiled, _cpow_source
 
 __all__ = [
     "CatenoidParams", "catenoid_lifetime", "lifetime_routes",
@@ -74,12 +75,12 @@ def catenoid_lifetime(n: int) -> float:
     return by_quad
 
 
+@lru_cache(maxsize=None)
 def _profile_field(n: int):
-    def rhs(t, s):
-        d = complex(s[0], -s[1]) ** (n - 1)
-        return (d.real, d.imag)
-
-    return rhs
+    """w' = conj(w)^(n-1) for (Re w, Im w), generated as the curve field is."""
+    body = ["z1r, z1i = s", "z1i = -z1i", *_cpow_source("z", [n - 1]),
+            f"return (z{n - 1}r, z{n - 1}i)"]
+    return _compiled(f"profile field n={n}", body)
 
 
 def _read(traj, t):

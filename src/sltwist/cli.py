@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
 import numpy as np
@@ -264,6 +265,9 @@ def cmd_verify(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
+# argparse reads a negative number as a value only as -1 or -.5, and this as a flag
+_NEGATIVE_EXPONENT = re.compile(r"-[\d.]+e[-+]?\d+", re.IGNORECASE)
+
 # every option a subcommand may take; --p and --q are taken by all
 _OPTIONS = {
     "tau": dict(type=float, required=True),
@@ -313,6 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):       # "--tau -9.3e-05" -> "--tau=-9.3e-05"
+        if argv[i - 1].startswith("--") and _NEGATIVE_EXPONENT.fullmatch(argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

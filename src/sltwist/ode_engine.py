@@ -5,9 +5,11 @@ step control is scipy's ``solve_ivp(method="DOP853")``, step for step: its
 initial step, the scale ``atol + rtol max(|y|, |y_new|)`` per real component,
 the combined err5/err3 norm, safety 0.9, exponent -1/8, step factors in
 [0.2, 10] and none above 1 right after a rejection, a 10-ulp minimum step and
-the last step clipped to the span.  The stages run as straight-line float code
-generated per state dimension.  :func:`integrate` starts at an anchor time
-inside the span, and one :class:`Trajectory` covers both sides of it.
+the last step clipped to the span.  The stages of a step run as straight-line
+float code generated per state dimension; the dense-output stages 13-15, which
+no step control reads, once per leg on arrays of all its steps, so a field takes
+arrays too.  :func:`integrate` starts at an anchor time inside the span, and one
+:class:`Trajectory` covers both sides of it.
 
 :func:`brent` is the package's one scalar root finder, a line-for-line port
 of scipy's ``brentq`` (``brentq.c``): :func:`locate_event` refines event
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -108,13 +110,13 @@ _ROWS = [[float(v) for v in row.split()] for row in """
     -149.72683625798564 ;""".split(";")[:-1]]
 _C, _A, _E5, _E3, _D = _ROWS[0], [[]] + _ROWS[1:16], _ROWS[16], _ROWS[17], np.array(_ROWS[18:])
 _KEPT = [s for s in range(16) if _D[:, s].any()]   # stages the dense output reads: 0, 5-15
+_STEPPED = _KEPT.index(13)                           # of them, 0 and 5-12 come from the step
 
 
 @lru_cache(maxsize=None)
 def _stepper(dim: int):
     """Straight-line ``attempt(fun, t, h, y, f = y'(t), atol, rtol)``, one step of
-    size h -> ``(y_new, f_new, |err5/scale|^2, |err3/scale|^2, K = stages 0, 5-11)``,
-    and ``extend(fun, t, h, y, K, f_new)`` -> dense-output stages 13-15, flat."""
+    size h -> ``(y_new, f_new, |err5/scale|^2, |err3/scale|^2, K = stages 0, 5-12)``."""
     comp = range(dim)
 
     def vec(fmt):
@@ -127,7 +129,7 @@ def _stepper(dim: int):
         arg = "".join(f"y{i} + ({comb(_A[s], i)}) * h, " for i in comp)
         return f"    {vec(f'k{s}_{{i}}')}= fun(t + {_C[s]!r} * h, ({arg}))"
 
-    kept = "".join(vec(f"k{s}_{{i}}") for s in _KEPT if s < 12)     # stages 0, 5-11
+    kept = "".join(vec(f"k{s}_{{i}}") for s in _KEPT[:_STEPPED])
     attempt = ["def attempt(fun, t, h, y, f, atol, rtol):", f"    {vec('y{i}')}= y",
                f"    {vec('k0_{i}')}= f", f"    {vec('a{i}')}= atol",
                *[stage(s) for s in range(1, 12)],
@@ -140,12 +142,9 @@ def _stepper(dim: int):
     attempt.append(f"    return ({vec('n{i}')}), ({vec('k12_{i}')}), "
                    + " + ".join(f"e5_{i} * e5_{i}" for i in comp) + ", "
                    + " + ".join(f"e3_{i} * e3_{i}" for i in comp) + f", ({kept})")
-    extend = ["def extend(fun, t, h, y, K, f):", f"    {vec('y{i}')}= y", f"    {kept}= K",
-              f"    {vec('k12_{i}')}= f", *[stage(s) for s in (13, 14, 15)],
-              "    return (" + "".join(vec(f"k{s}_{{i}}") for s in (13, 14, 15)) + ")"]
     scope = {}
-    exec(compile("\n".join(attempt + extend), f"<dop853 dim={dim}>", "exec"), scope)
-    return scope["attempt"], scope["extend"]
+    exec(compile("\n".join(attempt), f"<dop853 dim={dim}>", "exec"), scope)
+    return scope["attempt"]
 
 
 def _initial_step(field, t0, y0, f0, span, direction, atol, rtol):
@@ -163,13 +162,14 @@ def _initial_step(field, t0, y0, f0, span, direction, atol, rtol):
 def _leg(field, y0, t0, t1, tol, atol):
     """One run t0 -> t1: times, states, then origin, h, y_origin, F per step, ascending."""
     dim = len(y0)
-    attempt, extend = _stepper(dim)
+    attempt = _stepper(dim)
     rtol = max(tol.rel_tol, 100 * np.finfo(float).eps)
     direction = 1.0 if t1 > t0 else -1.0
     y = tuple(y0.tolist())
     f = tuple(field(t0, y))
     h_abs = _initial_step(field, t0, y, f, abs(t1 - t0), direction, atol, rtol)
     t, ts, ys, ks = t0, array("d", [t0]), array("d", y), array("d")
+    room = (0.0,) * (dim * (len(_KEPT) - _STEPPED))    # for stages 13-15, filled in after
     while direction * (t - t1) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -192,13 +192,21 @@ def _leg(field, y0, t0, t1, tol, atol):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
-        ks.extend(K + f_new + extend(field, t, h, y, K, f_new))
+        ks.extend(K)
+        ks.extend(room)
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.extend(y)
     T, Y = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, dim)
     K = np.frombuffer(ks).reshape(len(T) - 1, len(_KEPT), dim)
     H, dY = np.diff(T), np.diff(Y, axis=0)
+    # stages 13-15 of all steps: one field call each on (dim, steps) arrays,
+    # formed as a scalar stage of attempt is, product for product, so bit for bit
+    k = dict(zip(_KEPT, K.transpose(1, 2, 0)))      # stage -> (dim, steps) view of K
+    for s in _KEPT[_STEPPED:]:
+        comb = reduce(np.add, (w * k[j] for j, w in enumerate(_A[s]) if w))
+        for row, value in zip(k[s], field(T[:-1] + _C[s] * H, Y[:-1].T + comb * H)):
+            row[...] = value
     F, h = np.empty((len(H), 7, dim)), H[:, None]
     F[:, :3] = np.stack([dY, h * K[:, 0] - dY,
                          2 * dY - h * (K[:, _KEPT.index(12)] + K[:, 0])], axis=1)
@@ -269,11 +277,13 @@ def integrate(field, state0, span, tol: Tolerances = Tolerances(),
 
     ``t0`` defaults to span[0], so span = (a, b) with b < a integrates
     backward from a.  Each side is the run a one-sided span from t0 would
-    make, step for step.  ``field`` gets a tuple of floats (an array in the
-    initial-step probe).  ``invariants`` maps a name to ``(fn, reference)``;
-    the drift of ``fn(state)`` from ``reference`` is recorded over the
-    accepted steps.  ``atol_scale`` multiplies ``tol.abs_tol``, per
-    component when it is an array.
+    make, step for step.  ``field`` gets a tuple of floats in a step and
+    arrays in the initial-step probe and in the dense-output stages of each
+    side ((dim, steps) states); it returns dim floats or arrays.
+    ``invariants`` maps a name to ``(fn, reference)``; the drift of
+    ``fn(state)`` from ``reference`` is recorded over the accepted steps.
+    ``atol_scale`` multiplies ``tol.abs_tol``, per component when it is an
+    array.
     """
     lo, hi = sorted((float(span[0]), float(span[1])))
     t0 = float(span[0]) if t0 is None else float(t0)

@@ -223,24 +223,54 @@ def initial_state(param: TwistParam) -> SphereState:
 # the integrated curve
 
 
+def _cprod(out: str, a: str, b: str) -> str:
+    """Source of ``out = a b``, complex numbers held as ``{x}r, {x}i``: CPython's ``c_prod``."""
+    return f"{out}r, {out}i = {a}r * {b}r - {a}i * {b}i, {a}r * {b}i + {a}i * {b}r"
+
+
+def _cpow_source(z: str, exponents) -> list[str]:
+    """Source setting ``{z}{k}r, {z}{k}i`` to z^k, z = ``{z}1r + i {z}1i``, for each
+    k >= 1 of exponents, multiplied as CPython's ``complex ** k`` for a small k:
+    binary powering from the lowest bit (``c_powu`` minus its leading ``1 *``),
+    each product a ``c_prod``; squarings and partial products are shared."""
+    top = max(exponents).bit_length()
+    lines = [_cprod(f"{z}{2 << j}", f"{z}{1 << j}", f"{z}{1 << j}") for j in range(top - 1)]
+    for k in exponents:
+        bits = [1 << j for j in range(top) if k >> j & 1]
+        lines += [_cprod(f"{z}{sum(bits[:j + 1])}", f"{z}{sum(bits[:j])}", f"{z}{bits[j]}")
+                  for j in range(1, len(bits))]
+    return list(dict.fromkeys(lines))           # a product two powers share, once
+
+
+def _compiled(label: str, body: list[str]):
+    """``rhs(t, s)`` compiled from its body lines."""
+    scope = {}
+    exec(compile("\n".join(["def rhs(t, s):", *("    " + line for line in body)]),
+                 f"<{label}>", "exec"), scope)
+    return scope["rhs"]
+
+
+@lru_cache(maxsize=None)
 def _field(p: int, q: int, linearised: bool = False):
     """Right-hand side for the real 4-vector w = (w1, w2); with ``linearised``
     for the 6-vector that appends (Q, Q') of the linearised equation
-    Q'' = -2 n |w'|^2 Q.  tau enters only through the initial state."""
-    n = p + q
+    Q'' = -2 n |w'|^2 Q.  tau enters only through the initial state.
 
-    def rhs(t, s):
-        w1 = complex(s[0], s[1])
-        w2 = complex(s[2], s[3])
-        c1 = w1.conjugate() ** (p - 1) * w2.conjugate() ** q
-        c2 = -(w1.conjugate() ** p) * w2.conjugate() ** (q - 1)
-        if linearised:
-            y = w2.real * w2.real + w2.imag * w2.imag
-            return (c1.real, c1.imag, c2.real, c2.imag,
-                    s[5], -2.0 * n * (y ** (q - 1) * (1.0 - y) ** (p - 1)) * s[4])
-        return (c1.real, c1.imag, c2.real, c2.imag)
-
-    return rhs
+    Generated once per key as straight-line real arithmetic that takes a tuple
+    of floats or a (dim, N) array.  Its powers multiply as in :func:`_cpow_source`,
+    so it is CPython's complex formula bit for bit.  Q's y^(q-1) (1-y)^(p-1)
+    keeps ``**``, numpy's power on arrays, which may differ in the last bit.
+    """
+    # a = conj(w1), b = conj(w2); w1' = c = a^(p-1) b^q and w2' = d = -a^p b^(q-1)
+    c1 = _cprod("c", f"a{p - 1}", f"b{q}") if p > 1 else f"cr, ci = b{q}r, b{q}i"
+    body = [f"a1r, a1i, b1r, b1i{', Q, dQ' * linearised} = s", "a1i, b1i = -a1i, -b1i",
+            *_cpow_source("a", [k for k in (p - 1, p) if k]), *_cpow_source("b", [q - 1, q]),
+            c1, _cprod("d", f"-a{p}", f"b{q - 1}"),
+            "return (cr, ci, dr, di)"]
+    if linearised:
+        body[-1:] = ["y = b1r * b1r + b1i * b1i", "return (cr, ci, dr, di, dQ, "
+                     f"{-2.0 * (p + q)!r} * (y ** {q - 1} * (1.0 - y) ** {p - 1}) * Q)"]
+    return _compiled(f"curve field p={p} q={q}{' linearised' * linearised}", body)
 
 
 def velocity(pair: AdmissiblePair, w1: complex, w2: complex) -> tuple[complex, complex]:

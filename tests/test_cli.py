@@ -77,6 +77,14 @@ def test_argument_errors_exit_two(capsys):
     assert run(capsys, "periods", "--p", "1", "--q", "2", "--tau", "0.9")[0] == 2
 
 
+def test_negative_exponent_tau_is_a_value(capsys):
+    # argparse alone reads -9.3e-05 as a flag: "expected one argument"
+    tau = "-9.295160030897801e-05"
+    code, out, err = run(capsys, "periods", "--p", "2", "--q", "3", "--tau", tau)
+    assert code == 0 and err == ""
+    assert run(capsys, "periods", "--p", "2", "--q", "3", f"--tau={tau}") == (0, out, "")
+
+
 # a window must be positive and finite, a sample count at least 2
 @pytest.mark.parametrize("argv,flag", [
     (["neck", "--p", "1", "--q", "2", "--tau", "0.001", "--window", "-1"], "--window"),

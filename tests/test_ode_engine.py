@@ -14,15 +14,42 @@ from sltwist.twisted_curve import (AdmissiblePair, TwistParam, _field, initial_s
                                    tau_max)
 
 
-def twisted_field(p, q):
+_PAIRS_N8 = [(p, q) for p in range(1, 5) for q in range(max(p, 2), 9 - p)]
+
+
+def twisted_field(p, q, linearised=False):
+    """The curve system in CPython complex arithmetic, the hand-written
+    reference of the generated ``_field``; a (dim, N) array of states is
+    evaluated one column at a time, in Python floats."""
+    n = p + q
+
     def rhs(t, s):
+        if np.ndim(s[0]):
+            return np.array([rhs(t, col) for col in np.transpose(s).tolist()]).T
         w1 = complex(s[0], s[1])
         w2 = complex(s[2], s[3])
         d1 = w1.conjugate() ** (p - 1) * w2.conjugate() ** q
         d2 = -(w1.conjugate() ** p) * w2.conjugate() ** (q - 1)
+        if linearised:
+            y = w2.real * w2.real + w2.imag * w2.imag
+            return (d1.real, d1.imag, d2.real, d2.imag,
+                    s[5], -2.0 * n * (y ** (q - 1) * (1.0 - y) ** (p - 1)) * s[4])
         return (d1.real, d1.imag, d2.real, d2.imag)
 
     return rhs
+
+
+def profile_field(n):
+    """The catenoid profile field w' = conj(w)^(n-1) in CPython complex arithmetic."""
+    def rhs(t, s):
+        d = complex(s[0], -s[1]) ** (n - 1)
+        return (d.real, d.imag)
+
+    return rhs
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
 
 
 def test_zero_field_constant():
@@ -199,12 +226,84 @@ def test_tableau_literals_are_scipys_bit_for_bit():
     assert np.array_equal(ode_engine._E5, scipy_dop853.E5)
     assert np.array_equal(ode_engine._E3, scipy_dop853.E3)
     assert np.array_equal(ode_engine._D, scipy_dop853.D)
-    # the compiled stepper carries each coefficient it uses as a literal
-    attempt, extend = ode_engine._stepper(2)
-    consts = set(attempt.__code__.co_consts) | set(extend.__code__.co_consts)
-    used = [*scipy_dop853.C[1:n], *scipy_dop853.C[n + 1:], *scipy_dop853.A[1:n + 4].ravel(),
+    # the compiled step carries each coefficient it uses as a literal; the
+    # dense-output stages 13-15 read rows 13-15 of _A, pinned above
+    consts = set(ode_engine._stepper(2).__code__.co_consts)
+    used = [*scipy_dop853.C[1:n], *scipy_dop853.A[1:n + 1].ravel(),
             *scipy_dop853.E5, *scipy_dop853.E3]
     assert {float(v) for v in used if v} <= consts
+
+
+# -- the generated fields and the one-pass dense stages ----------------------
+
+@pytest.mark.parametrize("p,q", _PAIRS_N8)
+def test_generated_field_is_the_complex_formula_bit_for_bit(p, q):
+    rng = np.random.default_rng(10 * p + q)
+    states = rng.uniform(-1.5, 1.5, (4, 400)) * 10.0 ** rng.uniform(-2, 0.5, (4, 400))
+    ours, ref = _field(p, q), twisted_field(p, q)
+    assert np.array_equal(_bits(ours(0.0, states)), _bits(ref(0.0, states)))
+    for col in states.T[:100].tolist():
+        assert np.array_equal(_bits(ours(0.0, tuple(col))), _bits(ref(0.0, tuple(col))))
+    # the linearised field on scalars; on arrays numpy's ** may differ in the last bit
+    ours, ref = _field(p, q, linearised=True), twisted_field(p, q, linearised=True)
+    for col in rng.uniform(-1.0, 1.0, (100, 6)).tolist():
+        assert np.array_equal(_bits(ours(0.0, tuple(col))), _bits(ref(0.0, tuple(col))))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_generated_profile_field_is_the_complex_formula_bit_for_bit(n):
+    states = np.random.default_rng(n).uniform(-1.5, 1.5, (2, 400))
+    ours, ref = _profile_field(n), profile_field(n)
+    reference = [ref(0.0, tuple(col)) for col in states.T.tolist()]
+    assert np.array_equal(_bits(ours(0.0, states)), _bits(np.transpose(reference)))
+    for col, want in zip(states.T.tolist(), reference):
+        assert np.array_equal(_bits(ours(0.0, tuple(col))), _bits(want))
+
+
+def _scalar_dense_rows(traj):
+    """``F[:, 3:]`` of a trajectory rebuilt one step at a time: stages 0, 5-12
+    from the scalar step ``attempt``, stages 13-15 in Python floats from rows
+    13-15 of ``_A`` (the weighted sum in column order, times h, plus y)."""
+    field, dim = traj.field, traj.states.shape[1]
+    attempt, A, C, kept = ode_engine._stepper(dim), ode_engine._A, ode_engine._C, ode_engine._KEPT
+    K = []
+    for t, h, y in zip(traj.origin.tolist(), traj.h.tolist(), traj.y_origin.tolist()):
+        *_, stepped = attempt(field, t, h, tuple(y), tuple(field(t, tuple(y))), (1.0,) * dim, 1.0)
+        k = {s: stepped[dim * j:dim * (j + 1)] for j, s in enumerate(kept[:9])}
+        for s in (13, 14, 15):
+            arg = []
+            for i in range(dim):
+                terms = [w * k[j][i] for j, w in enumerate(A[s]) if w]
+                comb = terms[0]
+                for term in terms[1:]:
+                    comb = comb + term
+                arg.append(y[i] + comb * h)
+            k[s] = tuple(field(t + C[s] * h, tuple(arg)))
+        K.append([k[s] for s in kept])
+    return traj.h[:, None, None] * np.einsum("ij,sjd->sid", ode_engine._D[:, kept], np.array(K))
+
+
+def _curve_trajectory(p, q):
+    pair = AdmissiblePair(p, q)
+    s0 = initial_state(TwistParam(pair, 0.2 * tau_max(pair))).as_real()
+    return integrate(_field(p, q), s0, (-4.0, 6.0), t0=0.0)
+
+
+def _profile_trajectory(n):
+    w0, half = np.exp(1j * math.pi / (2 * n)), 0.9 * catenoid_lifetime(n)
+    return integrate(_profile_field(n), [w0.real, w0.imag], (-half, half), t0=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _curve_trajectory(2, 3), lambda: _curve_trajectory(1, 6),
+    lambda: _profile_trajectory(4),
+    # a field that ignores its state returns floats, broadcast over the steps
+    lambda: integrate(lambda t, s: [0.5, -0.25], [1.0, 2.0], (-3.0, 4.0), t0=0.0),
+], ids=["(2,3)", "(1,6)", "catenoid n=4", "constant"])
+def test_one_pass_dense_stages_equal_scalar_steps(build):
+    traj = build()
+    assert (traj.h < 0).any() and (traj.h > 0).any()
+    assert np.array_equal(_bits(traj.F[:, 3:]), _bits(_scalar_dense_rows(traj)))
 
 
 def _reference_case(field, y0, span, tol=Tolerances(), atol_scale=1.0):
@@ -226,9 +325,6 @@ def _reference_case(field, y0, span, tol=Tolerances(), atol_scale=1.0):
         ours_err, ref_err = (np.max(np.abs(y - tight.sol(ts))) for y in (ours(ts), ref.sol(ts)))
         assert ours_err <= 3 * ref_err
     return ours
-
-
-_PAIRS_N8 = [(p, q) for p in range(1, 5) for q in range(max(p, 2), 9 - p)]
 
 
 @pytest.mark.parametrize("p,q", _PAIRS_N8)
