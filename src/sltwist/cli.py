@@ -72,7 +72,7 @@ def cmd_solve(args) -> int:
     traj = curve.traj(-half_window, half_window)
     if args.out:
         ts = np.linspace(-half_window, half_window, args.samples)
-        geo.trajectory_csv(curve.param, traj, ts, args.out)
+        geo.trajectory_csv(traj, ts, args.out)
         print(f"wrote {args.out}")
         return 0
     payload = {"p": args.p, "q": args.q, "tau": args.tau,
@@ -87,14 +87,15 @@ def cmd_periods(args) -> int:
     tol = TOL_PRESETS[args.tol]
     data = period_ode(param, tol)
     qp, qm = partial_periods_quadrature(param)
+    gap = abs(qp + qm - data.p_tau)
     payload = dataclasses.asdict(data)
     payload.update({
         "p_plus_quadrature": qp, "p_minus_quadrature": qm,
         "pthat_quadrature": pthat_quadrature(param),
-        "route_gap_p_tau": abs(qp + qm - data.p_tau),
+        "route_gap_p_tau": gap,
     })
     _emit(args, payload, [
-        f"p_tau   = {data.p_tau!r}   (quadrature gap {abs(qp + qm - data.p_tau):.2e})",
+        f"p_tau   = {data.p_tau!r}   (quadrature gap {gap:.2e})",
         f"p_plus  = {data.p_plus!r}",
         f"p_minus = {data.p_minus!r}",
         f"pthat   = {data.pthat!r}",
@@ -113,12 +114,13 @@ def cmd_closure(args) -> int:
     curve = Curve(TwistParam(pair, tau), tol)
     data = curve.period
     check = verify_closed(curve, report.k0, samples=args.samples)
-    payload = {"tau": tau, "pthat_error": abs(data.pthat - target.angle),
+    error = abs(data.pthat - target.angle)
+    payload = {"tau": tau, "pthat_error": error,
                "report": dataclasses.asdict(report),
                "closure_residual": check.closure_residual,
                "rotation_residual": check.rotation_residual}
     _emit(args, payload, [
-        f"tau = {tau!r}  (pthat error {abs(data.pthat - target.angle):.2e})",
+        f"tau = {tau!r}  (pthat error {error:.2e})",
         f"k0 = {report.k0}, topology {report.topology}",
         f"generator {report.per_generator}, half-period type {report.half_period_type}",
         f"closure residual {check.closure_residual:.2e}, "
@@ -152,12 +154,12 @@ def cmd_torque(args) -> int:
     reports = [geo.torque(curve, tgen, meridian_t=t0) for t0 in (0.3, 1.1)]
     offdiag = geo.SuBasisElement(kind="rotation", indices=(0, pair.n - 1))
     reports.append(geo.torque(curve, offdiag, meridian_t=0.3))
-    payload = {"reports": [dataclasses.asdict(r) for r in reports],
-               "meridian_gap": abs(reports[0].numeric - reports[1].numeric)}
+    gap = abs(reports[0].numeric - reports[1].numeric)
+    payload = {"reports": [dataclasses.asdict(r) for r in reports], "meridian_gap": gap}
     _emit(args, payload, [
         f"t-generator flux {reports[0].numeric!r} vs closed form "
         f"{reports[0].closed_form!r} (abs err {reports[0].abs_error:.2e})",
-        f"meridian independence gap {abs(reports[0].numeric - reports[1].numeric):.2e}",
+        f"meridian independence gap {gap:.2e}",
         f"off-diagonal flux {reports[2].numeric:.2e}",
     ])
     return 0
@@ -197,7 +199,7 @@ def cmd_export(args) -> int:
     elif args.format == "csv":
         w = args.window or 5.0
         ts = np.linspace(-w, w, args.samples)
-        geo.trajectory_csv(curve.param, curve.traj(-w, w), ts, args.out)
+        geo.trajectory_csv(curve.traj(-w, w), ts, args.out)
     else:
         if (args.p, args.q) != (1, 2):
             raise ValueError("obj export supports the (1,2) surface case only")

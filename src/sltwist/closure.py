@@ -161,10 +161,12 @@ def verify_closed(curve: Curve, k0: int, samples: int = 20) -> ClosedCurveCheck:
     rotation_residual: max of |w(t + 2 p_tau) - Mhat_{2 pthat} w(t)| with
     Mhat the diagonal phase rotation diag(e^{2i pthat/p}, e^{-2i pthat/q}).
     """
+    from .geometry.symmetry import mhat     # keeps geometry out of `import sltwist`
+
     pair, data = curve.param.pair, curve.period
     T = 2.0 * k0 * data.p_tau
     traj = curve.traj(0.0, T + 2.0 * data.p_tau + 1e-6)
-    m = np.array([[np.exp(2j * data.pthat / pair.p)], [np.exp(-2j * data.pthat / pair.q)]])
+    m = np.diag(mhat(pair, 2.0 * data.pthat))[:, None]
     ts = np.linspace(0.0, 2.0 * data.p_tau, samples)
     a = np.array(traj.w(ts))
     closure = np.max(np.abs(np.array(traj.w(ts + T)) - a))

@@ -15,16 +15,24 @@ __all__ = [
 ]
 
 
+def _cs_rates(pair: AdmissiblePair, c: float) -> tuple[float, float, float, float]:
+    """(sin c, cos c) and the rotation rates sin^q c cos^(p-2) c and
+    sin^(q-2) c cos^p c of the CS curve's two factors, for c in (0, pi/2)."""
+    if not 0.0 < c < math.pi / 2:
+        raise ValueError("c must lie in (0, pi/2)")
+    p, q = pair.p, pair.q
+    s, co = math.sin(c), math.cos(c)
+    return s, co, s**q * co ** (p - 2), s ** (q - 2) * co**p
+
+
 def cs_parameters(pair: AdmissiblePair, c: float) -> tuple[float, float]:
     """Phase-drift parameters (a, b) of the explicit twisted CS curve.
 
     a = pi/2 and b = sin^(q-2)c cos^(p-2)c (p sin^2 c - q cos^2 c);
     b = 0 exactly when tan^2 c = q/p, the minimal (untwisted-phase) case.
     """
-    if not 0.0 < c < math.pi / 2:
-        raise ValueError("c must lie in (0, pi/2)")
     p, q = pair.p, pair.q
-    s, co = math.sin(c), math.cos(c)
+    s, co, _, _ = _cs_rates(pair, c)
     b = s ** (q - 2) * co ** (p - 2) * (p * s * s - q * co * co)
     return math.pi / 2.0, b
 
@@ -38,21 +46,13 @@ def cs_curve(pair: AdmissiblePair, c: float, t) -> tuple[complex, complex]:
     of e^{i(a+bt)} conj(w1)^p conj(w2)^q forces rate1 = sin^q c cos^(p-2) c
     (these also reproduce the homogeneous curve at the extreme twist).
     """
-    if not 0.0 < c < math.pi / 2:
-        raise ValueError("c must lie in (0, pi/2)")
-    p, q = pair.p, pair.q
-    s, co = math.sin(c), math.cos(c)
-    rate1 = s**q * co ** (p - 2)
-    rate2 = s ** (q - 2) * co**p
+    s, co, rate1, rate2 = _cs_rates(pair, c)
     return (co * np.exp(1j * rate1 * np.asarray(t)),
             s * np.exp(-1j * rate2 * np.asarray(t)))
 
 
 def cs_curve_sampler(pair: AdmissiblePair, c: float) -> CurveSampler:
-    p, q = pair.p, pair.q
-    s, co = math.sin(c), math.cos(c)
-    rate1 = s**q * co ** (p - 2)
-    rate2 = s ** (q - 2) * co**p
+    s, co, rate1, rate2 = _cs_rates(pair, c)
 
     def fn(t):
         return (co * complex(math.cos(rate1 * t), math.sin(rate1 * t)),
@@ -62,7 +62,7 @@ def cs_curve_sampler(pair: AdmissiblePair, c: float) -> CurveSampler:
         w1, w2 = fn(t)
         return (1j * rate1 * w1, -1j * rate2 * w2)
 
-    return CurveSampler(fn, dfn, name=f"CS curve ({p},{q}) c={c}")
+    return CurveSampler(fn, dfn, name=f"CS curve ({pair.p},{pair.q}) c={c}")
 
 
 def cs_residual(pair: AdmissiblePair, c: float) -> tuple[float, float, float]:
@@ -95,9 +95,7 @@ def cs_closing_period(pair: AdmissiblePair, m: int, n: int) -> tuple[float, floa
     if math.gcd(m, n) != 1 or m <= 0 or n <= 0:
         raise ValueError("m, n must be coprime positive integers")
     c = math.atan(math.sqrt(m / n))
-    p, q = pair.p, pair.q
-    rate1 = math.sin(c) ** q * math.cos(c) ** (p - 2)
-    return c, 2.0 * math.pi * m / rate1
+    return c, 2.0 * math.pi * m / _cs_rates(pair, c)[2]
 
 
 def hs_curve(m: int, n: int, s) -> np.ndarray:

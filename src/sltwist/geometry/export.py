@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..twisted_curve import TwistParam
 from .immersion import Sampler
 
 __all__ = [
@@ -30,16 +29,23 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def trajectory_csv(param: TwistParam, traj, ts, path) -> Path:
-    """Columns t, Re w1, Im w1, Re w2, Im w2 at the requested times."""
+def _line(row, sep: str) -> str:
+    """The numbers of a row, each by :func:`format_float`, joined by ``sep``."""
+    return sep.join(format_float(v) for v in row)
+
+
+def _write(path, lines) -> Path:
     path = Path(path)
-    ts = np.asarray(ts, dtype=float)
-    w1, w2 = traj.w(ts)
-    lines = ["t,re_w1,im_w1,re_w2,im_w2"]
-    for row in zip(ts, w1.real, w1.imag, w2.real, w2.imag):
-        lines.append(",".join(format_float(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def trajectory_csv(traj, ts, path) -> Path:
+    """Columns t, Re w1, Im w1, Re w2, Im w2 at the requested times."""
+    ts = np.asarray(ts, dtype=float)
+    w1, w2 = traj.w(ts)
+    rows = zip(ts, w1.real, w1.imag, w2.real, w2.imag)
+    return _write(path, ["t,re_w1,im_w1,re_w2,im_w2", *(_line(row, ",") for row in rows)])
 
 
 def _encode(value):
@@ -69,11 +75,9 @@ def report_to_json(report, kind: str | None = None) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ": "), indent=1)
 
 
-def report_from_json(text: str, cls, kind: str | None = None):
-    """Rebuild a flat float-field dataclass from its JSON form."""
-    data = json.loads(text)
-    if kind is not None:
-        data = data[kind]
+def report_from_json(text: str, cls, kind: str):
+    """Rebuild a flat float-field dataclass from its JSON form, written with ``kind``."""
+    data = json.loads(text)[kind]
     kwargs = {}
     for f in dataclasses.fields(cls):
         v = data[f.name]
@@ -102,7 +106,6 @@ def export(sampler: Sampler, grid_spec, fmt: str, path) -> Path:
     of the (1,2) family); the projection to R^3 is the fixed linear map
     taking componentwise real parts.
     """
-    path = Path(path)
     if fmt == "csv":
         counts = [int(c) for c in grid_spec]
         axes = [np.linspace(lo, hi, c)
@@ -111,25 +114,18 @@ def export(sampler: Sampler, grid_spec, fmt: str, path) -> Path:
         header = [f"u{i}" for i in range(sampler.dim)]
         header += [f"{part}_z{j + 1}" for j in range(sampler.m)
                    for part in ("re", "im")]
-        lines = [",".join(header)]
         u = np.stack(mesh, axis=-1).reshape(-1, sampler.dim)
         z = sampler(u)
         rows = np.concatenate([u, np.stack([z.real, z.imag], axis=-1).reshape(len(u), -1)],
                               axis=1)
-        lines += [",".join(format_float(v) for v in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
-        return path
+        return _write(path, [",".join(header), *(_line(row, ",") for row in rows)])
     if fmt == "obj":
         if sampler.dim != 2 or sampler.m != 3:
             raise ValueError("obj export needs a 2-parameter sampler in C^3")
         verts, faces = _obj_mesh(sampler, grid_spec)
-        lines = [f"# projection: {_OBJ_PROJECTION}"]
-        for v in verts:
-            lines.append("v " + " ".join(format_float(x) for x in v))
-        for f in faces:
-            lines.append("f " + " ".join(str(i) for i in f))
-        path.write_text("\n".join(lines) + "\n")
-        return path
+        return _write(path, [f"# projection: {_OBJ_PROJECTION}",
+                             *("v " + _line(v, " ") for v in verts),
+                             *("f " + " ".join(str(i) for i in f) for f in faces)])
     raise ValueError(f"unsupported format {fmt!r}")
 
 

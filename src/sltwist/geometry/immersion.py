@@ -63,7 +63,7 @@ class Sampler:
             raise ValueError(f"sampler {self.name!r} has no analytic phase")
         return self._phase(np.atleast_1d(np.asarray(u, dtype=float)))
 
-    def sample_points(self, count: int, seed: int = 0) -> np.ndarray:
+    def sample_points(self, count: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
@@ -142,7 +142,7 @@ def equatorial_circle_curve() -> CurveSampler:
                         name="equatorial circle")
 
 
-def twist_curve_sampler(curve: Curve, t_span=(-5.0, 5.0)) -> CurveSampler:
+def twist_curve_sampler(curve: Curve, t_span) -> CurveSampler:
     """The integrated twisted curve as a sampler with analytic tangents."""
     traj = curve.traj(*t_span)
     pair = curve.param.pair
@@ -153,7 +153,7 @@ def twist_curve_sampler(curve: Curve, t_span=(-5.0, 5.0)) -> CurveSampler:
 # -- the invariant immersion --------------------------------------------------
 
 
-def immerse(curve: Curve, t: float, sigma1=None, sigma2=None) -> ImmersionPoint:
+def immerse(curve: Curve, t: float, sigma1, sigma2) -> ImmersionPoint:
     """Point (w1 sigma1, w2 sigma2) of the invariant Legendrian cylinder.
 
     For p = 1 the first factor degenerates: pass sigma1 = None and a unit
@@ -180,7 +180,7 @@ def immerse(curve: Curve, t: float, sigma1=None, sigma2=None) -> ImmersionPoint:
     return ImmersionPoint(coords=coords, domain=(t, tuple(s1), tuple(s2)))
 
 
-def immersion_sampler(curve: Curve, t_range=(-2.0, 2.0)) -> Sampler:
+def immersion_sampler(curve: Curve, t_range) -> Sampler:
     """Chart sampler (t, angles) -> X_tau; for p = 1 the first factor is the point 1."""
     pair = curve.param.pair
     p, q = pair.p, pair.q
@@ -224,8 +224,7 @@ def contact_pairing(point: np.ndarray, tangent: np.ndarray):
     return np.imag(np.sum(np.conj(point) * tangent, axis=-1))
 
 
-def legendrian_residual(sampler: Sampler, sample_count: int = 200,
-                        seed: int = 0) -> float:
+def legendrian_residual(sampler: Sampler, sample_count: int, seed: int = 0) -> float:
     """max |gamma(tangent)| / |tangent| over finite-difference tangents."""
     if sampler.dim == 0:
         return 0.0

@@ -3,7 +3,9 @@
 Magnifying the immersion by 1/beta about a waist (beta = the minimal
 sphere-factor radius) and rescaling time by beta^(2-k) turns the shrinking
 factor into the unit catenoid profile of degree k up to O(beta); the
-comparison error over a fixed window is the measured deviation.
+comparison error over a fixed window is the measured deviation.  Waist k
+sits at (2k - 1) p_tau for p = 1; for p > 1, with k = 2l or 2l + 1, at
+2l p_tau - p_minus (first factor minimal) or 2l p_tau + p_plus (second).
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 from ..catenoid import catenoid_lifetime, unit_profile
 from ..curve import Curve
 from ..twisted_curve import y_extrema
-from .spheres import Waist, waists_and_bulges
+from .spheres import _waist
+from .symmetry import _blocks
 
 __all__ = ["NeckComparison", "neck_rescale"]
 
@@ -46,15 +49,9 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None) -> Neck
     catenoid lifetime of that degree; by default it is 2.0 for degree 2
     and half the lifetime T_1 for degree >= 3.  The error is sampled at 81 times.
     """
-    pair, data = curve.param.pair, curve.period
-    p, q = pair.p, pair.q
-    waists, _ = waists_and_bulges(curve, (-(abs(waist_index) + 2) * data.p_tau,
-                                          (abs(waist_index) + 2) * data.p_tau))
-    match = [w for w in waists if w.index == waist_index]
-    if not match:
-        raise ValueError(f"waist index {waist_index} not found")
-    waist: Waist = match[0]
-    degree = q if waist.kind == 2 else p
+    pair = curve.param.pair
+    waist = _waist(curve.period, pair, waist_index)
+    degree = pair.q if waist.kind == 2 else pair.p
     if b is None:
         b = 2.0 if degree < 3 else 0.5 * catenoid_lifetime(degree)
     if degree >= 3 and b >= catenoid_lifetime(degree):
@@ -69,9 +66,9 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None) -> Neck
     negative = curve.param.tau < 0.0
     phase = np.exp((-1j if negative else 1j) * math.pi / (2 * degree))
     if waist.kind == 2:
-        frame = np.diag([abs(w1_w) / w1_w] * p + [phase * abs(w2_w) / w2_w] * q)
+        frame = np.diag(_blocks(pair, abs(w1_w) / w1_w, phase * abs(w2_w) / w2_w))
     else:
-        frame = np.diag([phase * abs(w1_w) / w1_w] * p + [abs(w2_w) / w2_w] * q)
+        frame = np.diag(_blocks(pair, phase * abs(w1_w) / w1_w, abs(w2_w) / w2_w))
     ts = np.linspace(-b, b, 81)
     model = unit_profile(degree, ts)
     if negative:

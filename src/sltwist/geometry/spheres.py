@@ -4,6 +4,10 @@ Between consecutive minima of a sphere-factor radius the cylinder bulges
 out; as tau -> 0 each bulge image hugs an equatorial special Legendrian
 sphere obtained from the standard one by the accumulated diagonal
 rotation (and, on odd bulges for p > 1, one antiholomorphic reflection).
+
+Waist k sits at a closed-form time (:func:`_waist`): (2k - 1) p_tau, where
+the second factor is minimal, for p = 1; for p > 1, with k = 2l or 2l + 1,
+2l p_tau - p_minus (first factor minimal) or 2l p_tau + p_plus (second).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..curve import Curve
-from .symmetry import reflection_matrix, ttilde
+from .symmetry import _blocks, reflection_matrix, ttilde
 
 __all__ = [
     "Waist", "Bulge", "MarkedSphere", "waists_and_bulges",
@@ -53,7 +57,7 @@ class MarkedSphere:
     index: int
     frame: np.ndarray
     marked_set: dict
-    antiholomorphic: bool = False
+    antiholomorphic: bool
 
 
 def _real_rep(U: np.ndarray, conjugates: bool) -> np.ndarray:
@@ -64,43 +68,30 @@ def _real_rep(U: np.ndarray, conjugates: bool) -> np.ndarray:
     return np.block([[A, B], [B, -A]])
 
 
-def waists_and_bulges(curve: Curve, window) -> tuple[list[Waist], list[Bulge]]:
-    """All waists and bulges whose parameter times meet the window.
+def _waist(data, pair, k: int) -> Waist:
+    """Waist k of the curve with period data ``data``, at its closed-form time."""
+    if pair.p == 1:
+        return Waist(index=k, t=(2 * k - 1) * data.p_tau, kind=2)
+    l, odd = divmod(k, 2)
+    if odd:
+        return Waist(index=k, t=2 * l * data.p_tau + data.p_plus, kind=2)
+    return Waist(index=k, t=2 * l * data.p_tau - data.p_minus, kind=1)
 
-    p = 1: waists at (2k-1) p_tau, all of kind 2.  p > 1: kind-1 waists
-    at 2l p_tau - p_minus and kind-2 waists at 2l p_tau + p_plus,
-    alternating.
+
+def waists_and_bulges(curve: Curve, window) -> tuple[list[Waist], list[Bulge]]:
+    """The waists within 2 p_tau of the window and the bulges that meet it.
+
+    Waist times are those of :func:`_waist`, alternating in kind for p > 1;
+    bulge k lies between waists k and k + 1.
     """
     pair, data = curve.param.pair, curve.period
     t_lo, t_hi = float(window[0]), float(window[1])
     ptau = data.p_tau
-    waists: list[Waist] = []
-    bulges: list[Bulge] = []
-    if pair.p == 1:
-        k_lo = math.floor((t_lo / ptau + 1.0) / 2.0) - 1
-        k_hi = math.ceil((t_hi / ptau + 1.0) / 2.0) + 1
-        for k in range(k_lo, k_hi + 1):
-            t = (2 * k - 1) * ptau
-            if t_lo - 2 * ptau <= t <= t_hi + 2 * ptau:
-                waists.append(Waist(index=k, t=t, kind=2))
-        for k in range(k_lo, k_hi):
-            lo, hi = (2 * k - 1) * ptau, (2 * k + 1) * ptau
-            if hi >= t_lo and lo <= t_hi:
-                bulges.append(Bulge(index=k, t_lo=lo, t_hi=hi))
-    else:
-        l_lo = math.floor(t_lo / (2 * ptau)) - 1
-        l_hi = math.ceil(t_hi / (2 * ptau)) + 1
-        for l in range(l_lo, l_hi + 1):
-            t1 = 2 * l * ptau - data.p_minus
-            t2 = 2 * l * ptau + data.p_plus
-            if t_lo - 2 * ptau <= t1 <= t_hi + 2 * ptau:
-                waists.append(Waist(index=2 * l, t=t1, kind=1))
-            if t_lo - 2 * ptau <= t2 <= t_hi + 2 * ptau:
-                waists.append(Waist(index=2 * l + 1, t=t2, kind=2))
-        waists.sort(key=lambda w: w.t)
-        for a, b in zip(waists, waists[1:]):
-            if b.t >= t_lo and a.t <= t_hi:
-                bulges.append(Bulge(index=a.index, t_lo=a.t, t_hi=b.t))
+    k_max = math.ceil(max(abs(t_lo), abs(t_hi)) / ptau) + 4
+    every = [_waist(data, pair, k) for k in range(-k_max, k_max + 1)]
+    waists = [w for w in every if t_lo - 2 * ptau <= w.t <= t_hi + 2 * ptau]
+    bulges = [Bulge(index=a.index, t_lo=a.t, t_hi=b.t)
+              for a, b in zip(every, every[1:]) if b.t >= t_lo and a.t <= t_hi]
     return waists, bulges
 
 
@@ -126,21 +117,12 @@ def approximating_spheres(curve: Curve, k_range) -> list[MarkedSphere]:
     pair, data = curve.param.pair, curve.period
     out = []
     for k in k_range:
-        if pair.p == 1:
-            U = ttilde(pair, 2.0 * k * data.pthat)
-            frame = _real_rep(U, conjugates=False)
-            anti = False
-        else:
-            l, odd = divmod(k, 2)
-            U = ttilde(pair, 2.0 * l * data.pthat)
-            if odd:
-                small = reflection_matrix(curve, "+")
-                D = np.diag([small[0, 0]] * pair.p + [small[1, 1]] * pair.q)
-                frame = _real_rep(U @ D, conjugates=True)
-                anti = True
-            else:
-                frame = _real_rep(U, conjugates=False)
-                anti = False
+        l, anti = (k, False) if pair.p == 1 else (k // 2, k % 2 == 1)
+        U = ttilde(pair, 2.0 * l * data.pthat)
+        if anti:
+            small = reflection_matrix(curve, "+")
+            U = U @ np.diag(_blocks(pair, small[0, 0], small[1, 1]))
+        frame = _real_rep(U, conjugates=anti)
         if not np.allclose(frame @ frame.T, np.eye(2 * pair.n), atol=1e-12):
             raise AssertionError(f"frame for bulge {k} is not orthogonal")
         out.append(MarkedSphere(index=k, frame=frame,

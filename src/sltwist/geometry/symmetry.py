@@ -12,12 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..curve import Curve
-from ..twisted_curve import alpha_tau, tau_max
+from ..twisted_curve import _w, alpha_tau
 
 __all__ = [
     "mhat", "ttilde", "reflection_matrix", "symmetry_residuals",
     "rotation_determinant_residual", "holomorphic_volume_reflection_residual",
 ]
+
+
+def _blocks(pair, a, b) -> np.ndarray:
+    """The diagonal of diag(a Id_p, b Id_q): a p times, then b q times."""
+    return np.repeat([a, b], [pair.p, pair.q])
 
 
 def mhat(pair, x: float) -> np.ndarray:
@@ -27,11 +32,10 @@ def mhat(pair, x: float) -> np.ndarray:
 
 def ttilde(pair, x: float) -> np.ndarray:
     """Block rotation diag(e^{ix/p} Id_p, e^{-ix/q} Id_q) in SU(n)."""
-    phases = [np.exp(1j * x / pair.p)] * pair.p + [np.exp(-1j * x / pair.q)] * pair.q
-    return np.diag(phases)
+    return np.diag(_blocks(pair, np.exp(1j * x / pair.p), np.exp(-1j * x / pair.q)))
 
 
-def reflection_matrix(curve: Curve, side: str = "+") -> np.ndarray:
+def reflection_matrix(curve: Curve, side: str) -> np.ndarray:
     """Diagonal phase factor D of the antiholomorphic reflection w -> D conj(w).
 
     p = 1: D = diag(-1, 1).  p > 1: D has entries
@@ -47,8 +51,7 @@ def reflection_matrix(curve: Curve, side: str = "+") -> np.ndarray:
     data = curve.period
     t_ref = 2.0 * data.p_plus if side == "+" else -2.0 * data.p_minus
     traj = curve.traj(t_ref, t_ref)
-    s = traj.trajectory.endpoint(t_ref)
-    w, w0 = s[0::2] + 1j * s[1::2], np.array(traj.w(0.0))
+    w, w0 = _w(traj.trajectory.endpoint(t_ref)), np.array(traj.w(0.0))
     return np.diag(np.exp(1j * a / np.array([pair.p, pair.q])) * (w / abs(w)) / (w0 / abs(w0)))
 
 
@@ -77,7 +80,7 @@ def holomorphic_volume_reflection_residual(curve: Curve) -> float:
 def _omega_residual(pair, small: np.ndarray) -> float:
     """The residual above for the "+" reflection factor ``small`` (2 x 2)."""
     n = pair.n
-    D = np.diag([small[0, 0]] * pair.p + [small[1, 1]] * pair.q)
+    D = np.diag(_blocks(pair, small[0, 0], small[1, 1]))
     rng = np.random.default_rng(1)
     res = 0.0
     for _ in range(10):
@@ -96,11 +99,7 @@ def symmetry_residuals(curve: Curve) -> dict[str, float]:
     p = q swap w1(-t) = w2(t); 'det_rotation' and 'omega_reflection' for
     the matrix-level checks.  Accepts both signs of tau.
     """
-    param = curve.param
-    pair, tau = param.pair, param.tau
-    if not 0.0 < abs(tau) < tau_max(pair):
-        raise ValueError("symmetry check requires 0 < |tau| < tau_max")
-    data = curve.period
+    pair, data = curve.param.pair, curve.period
     p, q = pair.p, pair.q
     ptau, phat = data.p_tau, data.pthat
     samples = 40

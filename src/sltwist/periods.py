@@ -26,8 +26,8 @@ import numpy as np
 
 from .curve import Curve
 from .ode_engine import Tolerances, locate_event
-from .twisted_curve import (AdmissiblePair, TwistParam, _extrema, _ydot, alpha_tau, f_poly,
-                            f_prime, f_taylor_coeffs, tau_max, y_extrema)
+from .twisted_curve import (AdmissiblePair, TwistParam, _extrema, _y, _ydot, alpha_tau, f_poly,
+                            f_prime, f_taylor_coeffs, y_extrema)
 
 __all__ = [
     "PeriodData", "partial_periods_quadrature", "pthat_quadrature", "angular_periods",
@@ -104,14 +104,10 @@ def partial_periods_quadrature(param: TwistParam) -> tuple[float, float]:
     """(p_plus, p_minus) by singular quadrature.
 
     For p = 1 returns (p_tau, 0.0): the partial split is a p > 1 notion
-    and the whole branch integral is the half-period.
+    and the whole branch integral is the half-period.  tau = 0 and |tau| at
+    tau_max are refused by :func:`y_extrema`.
     """
-    pair, tau = param.pair, abs(param.tau)
-    tm = tau_max(pair)
-    if tau == 0.0:
-        raise ValueError("tau = 0: the period integral diverges")
-    if tau >= tm * (1 - 1e-10):
-        raise ValueError("|tau| at tau_max: the orbit is a point, no period")
+    pair = param.pair
     (p_plus,), (p_minus,) = _branch_halves(pair, y_extrema(param), lambda y, one_minus_y: 1.0)
     return (float(p_plus + p_minus), 0.0) if pair.p == 1 else (float(p_plus), float(p_minus))
 
@@ -168,7 +164,7 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
         return _ydot(pair, s)
 
     def g_prime(t, s):
-        return 2.0 * f_prime(pair, s[2] ** 2 + s[3] ** 2)
+        return 2.0 * f_prime(pair, _y(s))
 
     if pair.p > 1:
         p_plus = locate_event(traj.trajectory, g, (0.5 * p_est_plus, 1.5 * p_est_plus))
@@ -184,8 +180,8 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
                       psi1_2p=float(psi1_2p), psi2_2p=float(psi2_2p))
 
 
-def verify_psi_constraint(curve: Curve, samples: int = 100) -> float:
-    """Residual of the algebraic angle constraint along the curve.
+def verify_psi_constraint(curve: Curve) -> float:
+    """Residual of the algebraic angle constraint along the curve, at 100 times.
 
     With Psi = p psi1 + q psi2 and a = arcsin(-tau/tau_max):
     p = 1 requires 2 |tau| = sqrt(f(y)) cos(Psi) with Psi in (-pi/2, pi/2);
@@ -195,10 +191,8 @@ def verify_psi_constraint(curve: Curve, samples: int = 100) -> float:
     """
     param = curve.param
     pair, tau = param.pair, param.tau
-    if not 0.0 < abs(tau) < tau_max(pair):
-        raise ValueError("psi constraint check requires 0 < |tau| < tau_max")
     p_tau = curve.period.p_tau
-    ts = np.linspace(0.0, 2.0 * p_tau, samples)
+    ts = np.linspace(0.0, 2.0 * p_tau, 100)
     traj = curve.traj(0.0, 2.0 * p_tau)
     psi1, psi2 = traj.psi(ts)
     Psi = pair.p * psi1 + pair.q * psi2

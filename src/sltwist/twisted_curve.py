@@ -284,11 +284,22 @@ def _twist(pair: AdmissiblePair, w1, w2):
     return w1 ** pair.p * w2 ** pair.q
 
 
-def _ydot(pair: AdmissiblePair, s):
-    """y' = -2 Re(w1^p w2^q) of real states (Re w1, Im w1, Re w2, Im w2, ...) on axis 0."""
+def _w(s) -> np.ndarray:
+    """(w1, w2) of real states (Re w1, Im w1, Re w2, Im w2, ...) on axis 0, as one
+    complex array of two rows; each component keeps its bits, signed zeros included."""
     w = np.empty((2,) + np.shape(s)[1:], dtype=complex)
     w.real, w.imag = s[0:4:2], s[1:4:2]
-    return -2.0 * _twist(pair, w[0], w[1]).real
+    return w
+
+
+def _y(s):
+    """y = |w2|^2 of real states on axis 0."""
+    return s[2] ** 2 + s[3] ** 2
+
+
+def _ydot(pair: AdmissiblePair, s):
+    """y' = -2 Re(w1^p w2^q) of real states on axis 0."""
+    return -2.0 * _twist(pair, *_w(s)).real
 
 
 class TwistTrajectory:
@@ -338,14 +349,11 @@ class TwistTrajectory:
 
     def w(self, t):
         """(w1, w2): two complex numbers, or two complex arrays."""
-        s = self._states(t)
-        w = np.empty((2, s.shape[1]), dtype=complex)
-        w.real, w.imag = s[0::2], s[1::2]
+        w = _w(self._states(t))
         return tuple(w) if np.ndim(t) else tuple(w[:, 0].tolist())
 
     def y(self, t):
-        s = self._states(t)
-        y = s[2] ** 2 + s[3] ** 2
+        y = _y(self._states(t))
         return y if np.ndim(t) else float(y[0])
 
     def ydot(self, t):
@@ -365,6 +373,8 @@ class TwistTrajectory:
         pair = self.param.pair
         p, q = pair.p, pair.q
         s = self.trajectory(ts)
+        # re + 1j im, not _w: the sum can turn a -0.0 component into +0.0, and at
+        # zero twist for p = 1, where w1(0) = 0 and Im w stays +-0, arg reads that sign
         w1, w2 = s[0] + 1j * s[1], s[2] + 1j * s[3]
         grid, states = self.trajectory.time_grid, self.trajectory.states
         i0 = np.searchsorted(grid, 0.0)
@@ -398,6 +408,6 @@ def conjugate_family_check(param: TwistParam) -> float:
     pair, tau, tol = param.pair, abs(param.tau), Tolerances()
     ts = np.linspace(0.0, 2.0, 50)
     plus = np.array(solve_w(TwistParam(pair, tau), (0.0, 2.0), tol).w(ts))
-    s = integrate(_field(pair.p, pair.q), initial_state(TwistParam(pair, -tau)).as_real(),
-                  (0.0, 2.0), tol)(ts)
-    return float(np.max(np.abs(s[0::2] + 1j * s[1::2] - np.conj(plus))))
+    minus = _w(integrate(_field(pair.p, pair.q), initial_state(TwistParam(pair, -tau)).as_real(),
+                         (0.0, 2.0), tol)(ts))
+    return float(np.max(np.abs(minus - np.conj(plus))))

@@ -21,7 +21,7 @@ from .catenoid import catenoid_lifetime
 from .curve import Curve
 from .ode_engine import Trajectory, integrate, locate_event
 from .periods import PeriodData, partial_periods_quadrature, period_ode, pthat_quadrature
-from .twisted_curve import TwistParam, _field, _ydot, tau_max, y_extrema
+from .twisted_curve import TwistParam, _field, _y, _ydot, y_extrema
 
 __all__ = [
     "LinearisedSolution", "AsymptoticsReport", "solve_Q", "dpthat_dtau",
@@ -54,15 +54,11 @@ class LinearisedSolution:
         return self.trajectory(t)[5]
 
     def y(self, t):
-        s = self.trajectory(t)
-        return s[2] ** 2 + s[3] ** 2
-
-    def ydot(self, t):
-        return _ydot(self.param.pair, self.trajectory(t))
+        return _y(self.trajectory(t))
 
     def wronskian(self, t):
-        n, q = self.param.pair.n, self.param.pair.q
-        return (q - n * self.y(t)) * self.Qdot(t) + n * self.ydot(t) * self.Q(t)
+        pair, s = self.param.pair, self.trajectory(t)
+        return (pair.q - pair.n * _y(s)) * s[5] + pair.n * _ydot(pair, s) * s[4]
 
 
 def solve_Q(curve: Curve) -> LinearisedSolution:
@@ -74,15 +70,13 @@ def solve_Q(curve: Curve) -> LinearisedSolution:
     The period, the anchor state and the tolerances are the curve's own.
     """
     param, tol = curve.param, curve.tol
-    pair, tau = param.pair, param.tau
-    if not 0.0 < abs(tau) < tau_max(pair) * (1 - 1e-10):
-        raise ValueError("solve_Q requires 0 < |tau| < tau_max")
+    pair = param.pair
     p, q, n = pair.p, pair.q, pair.n
     data = curve.period
     base = curve.traj(0.0, 1.05 * data.p_tau)
     if p == 1:
         def g(t, s):
-            return (s[2] ** 2 + s[3] ** 2) - q / n
+            return _y(s) - q / n
 
         p_star = locate_event(base.trajectory, g, (1e-6, data.p_tau))
     else:
@@ -113,8 +107,8 @@ def dpthat_dtau(curve: Curve) -> float:
     else:
         t_hi, t_lo = data.p_plus, -data.p_minus
         factor = 4.0 * p * q
-    hi = solution.Q(t_hi) / (q - n * solution.y(t_hi))
-    lo = solution.Q(t_lo) / (q - n * solution.y(t_lo))
+    hi, lo = (s[4] / (q - n * _y(s))
+              for s in (solution.trajectory(t_hi), solution.trajectory(t_lo)))
     return float(factor * (hi - lo))
 
 

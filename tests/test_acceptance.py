@@ -267,7 +267,7 @@ def test_criterion_11_catenoid():
     by_quad, by_beta = lifetime_routes(3)
     route_gap = abs(by_quad - by_beta)
     location = abs(by_quad - 1.2143)
-    sym = verify_catenoid_symmetry(3, 100)
+    sym = verify_catenoid_symmetry(3)
     ok = route_gap <= 1e-10 and location < 1e-4 and sym <= 1e-9
     report(11, "catenoid", ok,
            f"T1(3) = {by_quad:.6f}, route gap {route_gap:.1e}, symmetry {sym:.1e}")

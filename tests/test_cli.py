@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from sltwist import cli
@@ -240,6 +241,72 @@ def test_export_obj(tmp_path):
 
     verts, faces = validate_obj(out)
     assert verts == 144
+
+
+@pytest.mark.parametrize("k", range(-8, 9))
+def test_neck_finds_every_waist_at_p_one(k, capsys):
+    # waist k of a p = 1 curve sits at (2k - 1) p_tau; k = 6, 7, -5 and -6 once exited 2
+    code, out, err = run(capsys, "neck", "--p", "1", "--q", "2", "--tau", "0.05",
+                         "--waist", str(k), "--json")
+    assert code == 0, err
+    assert json.loads(out)["waist_index"] == k
+
+
+def _curve(p, q, tau):
+    from sltwist.curve import Curve
+    from sltwist.twisted_curve import AdmissiblePair, TwistParam
+
+    return Curve(TwistParam(AdmissiblePair(p, q), tau), cli.TOL_PRESETS["standard"])
+
+
+def test_export_json_round_trips_the_period_data(tmp_path, capsys):
+    from sltwist.geometry import report_from_json
+    from sltwist.periods import PeriodData
+
+    out = tmp_path / "p.json"
+    code, stdout, _ = run(capsys, "export", "--p", "1", "--q", "2", "--tau", "0.1",
+                          "--format", "json", "--out", str(out))
+    assert (code, stdout) == (0, f"wrote {out}\n")
+    back = report_from_json(out.read_text(), PeriodData, "PeriodData")
+    assert back == _curve(1, 2, 0.1).period
+
+
+def test_export_csv_rows_are_the_curve(tmp_path, capsys):
+    from sltwist.geometry import format_float
+
+    out = tmp_path / "w.csv"
+    code, _, _ = run(capsys, "export", "--p", "2", "--q", "3", "--tau", "0.05",
+                     "--samples", "9", "--out", str(out))
+    assert code == 0
+    ts = np.linspace(-5.0, 5.0, 9)             # the default csv window is 5.0
+    w1, w2 = _curve(2, 3, 0.05).traj(-5.0, 5.0).w(ts)
+    rows = [",".join(format_float(v) for v in (t, a.real, a.imag, b.real, b.imag))
+            for t, a, b in zip(ts, w1, w2)]
+    assert out.read_text() == "\n".join(["t,re_w1,im_w1,re_w2,im_w2", *rows]) + "\n"
+
+
+def test_solve_without_out_reports_the_drift(capsys):
+    code, out, _ = run(capsys, "solve", "--p", "1", "--q", "2", "--tau", "0.1", "--json")
+    assert code == 0
+    data = json.loads(out)
+    curve = _curve(1, 2, 0.1)
+    window = 2.0 * curve.period.p_tau          # the default half window
+    assert float(data["window"]) == window
+    assert {k: float(v) for k, v in data["drift"].items()} == curve.traj(-window, window).drift
+    code, out, _ = run(capsys, "solve", "--p", "1", "--q", "2", "--tau", "0.1",
+                       "--window", "1.5")
+    assert code == 0
+    assert out.startswith("drift over [-1.5, 1.5]: I1=")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_report_out_writes_what_stdout_would_show(json_flag, tmp_path, capsys):
+    argv = ["periods", "--p", "2", "--q", "3", "--tau", "0.05", *json_flag]
+    _, shown, _ = run(capsys, *argv)
+    out = tmp_path / "report.txt"
+    code, stdout, _ = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (0, "")
+    assert out.read_text() == shown
 
 
 def test_strict_preset_never_looser():

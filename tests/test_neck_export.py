@@ -71,19 +71,45 @@ def test_neck_frame_is_unitary():
     assert np.allclose(U @ U.conj().T, np.eye(3), atol=1e-14)
 
 
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
+def test_neck_resolves_every_waist_at_its_closed_form_time(p, q):
+    # waist k is at (2k - 1) p_tau for p = 1 (k = 6 was once "not found"); for
+    # p > 1 at 2l p_tau - p_minus (k = 2l) or 2l p_tau + p_plus (k = 2l + 1)
+    curve = Curve(TwistParam(AdmissiblePair(p, q), 0.05))
+    data = curve.period
+    y_min, y_max = y_extrema(curve.param)
+    traj = curve.traj(-18.0 * data.p_tau, 18.0 * data.p_tau)
+    for k in range(-8, 9):
+        l, odd = divmod(k, 2)
+        if p == 1:
+            t, kind = (2 * k - 1) * data.p_tau, 2
+        else:
+            t, kind = (2 * l * data.p_tau + data.p_plus, 2) if odd else \
+                (2 * l * data.p_tau - data.p_minus, 1)
+        comp = geo.neck_rescale(curve, k)
+        assert (comp.waist_index, comp.waist_kind) == (k, kind)
+        assert comp.catenoid_degree == (q if kind == 2 else p)
+        # the frame's unrotated block is the unit phase of that factor at t
+        w1, w2 = traj.w(t)
+        unrotated = comp.rescale_frame[0, 0] if kind == 2 else comp.rescale_frame[-1, -1]
+        assert unrotated == (abs(w1) / w1 if kind == 2 else abs(w2) / w2)
+        assert abs(traj.y(t) - (y_min if kind == 2 else y_max)) < 1e-9
+
+
 # -- export ----------------------------------------------------------------------
 
 
 def test_trajectory_csv_schema(tmp_path):
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     traj = solve_w(param, (-1.0, 1.0))
-    path = geo.trajectory_csv(param, traj, np.linspace(-1, 1, 7), tmp_path / "w.csv")
+    ts = np.linspace(-1, 1, 7)
+    path = geo.trajectory_csv(traj, ts, tmp_path / "w.csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "t,re_w1,im_w1,re_w2,im_w2"
     assert len(lines) == 8
-    row = [float(x) for x in lines[1].split(",")]
-    w1, w2 = traj.w(row[0])
-    assert abs(complex(row[1], row[2]) - w1) < 1e-16
+    w1, w2 = traj.w(ts)
+    assert lines[1:] == [",".join(geo.format_float(v) for v in (t, a.real, a.imag, b.real, b.imag))
+                         for t, a, b in zip(ts, w1, w2)]
 
 
 def test_period_report_roundtrip_bit_exact():
@@ -105,7 +131,10 @@ def test_obj_export_valid_mesh(tmp_path):
     verts, faces = geo.validate_obj(path)
     assert verts == 20 * 16
     assert faces == 19 * 16
-    assert path.read_text().startswith("# projection: Re z1, Re z2, Re z3")
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# projection: Re z1, Re z2, Re z3"
+    first = sampler(np.array([[-2.0, 0.0]]))[0, :3].real
+    assert lines[1] == "v " + " ".join(geo.format_float(x) for x in first)
 
 
 def test_obj_export_rejects_wrong_shape(tmp_path):

@@ -123,8 +123,8 @@ def test_angular_period_exceeds_quarter_turn():
 
 
 def test_psi_constraint_residual():
-    assert verify_psi_constraint(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)), 100) < 1e-8
-    assert verify_psi_constraint(Curve(TwistParam(AdmissiblePair(2, 3), 0.05)), 100) < 1e-8
+    assert verify_psi_constraint(Curve(TwistParam(AdmissiblePair(1, 2), 0.1))) < 1e-8
+    assert verify_psi_constraint(Curve(TwistParam(AdmissiblePair(2, 3), 0.05))) < 1e-8
 
 
 def test_psi_constraint_anchor_point():

@@ -242,6 +242,60 @@ def test_waist_radii_match_extrema():
                 assert abs(y - (1.0 - y_min)) < 1e-9   # p = q symmetry
 
 
+def _per_p_waists_and_bulges(curve, window):
+    """waists_and_bulges as written before the closed-form waist: one branch per p.
+    The reference of the test below."""
+    from sltwist.geometry.spheres import Bulge, Waist
+
+    pair, data = curve.param.pair, curve.period
+    t_lo, t_hi = float(window[0]), float(window[1])
+    ptau = data.p_tau
+    waists, bulges = [], []
+    if pair.p == 1:
+        k_lo = math.floor((t_lo / ptau + 1.0) / 2.0) - 1
+        k_hi = math.ceil((t_hi / ptau + 1.0) / 2.0) + 1
+        for k in range(k_lo, k_hi + 1):
+            t = (2 * k - 1) * ptau
+            if t_lo - 2 * ptau <= t <= t_hi + 2 * ptau:
+                waists.append(Waist(index=k, t=t, kind=2))
+        for k in range(k_lo, k_hi):
+            lo, hi = (2 * k - 1) * ptau, (2 * k + 1) * ptau
+            if hi >= t_lo and lo <= t_hi:
+                bulges.append(Bulge(index=k, t_lo=lo, t_hi=hi))
+    else:
+        l_lo = math.floor(t_lo / (2 * ptau)) - 1
+        l_hi = math.ceil(t_hi / (2 * ptau)) + 1
+        for l in range(l_lo, l_hi + 1):
+            t1 = 2 * l * ptau - data.p_minus
+            t2 = 2 * l * ptau + data.p_plus
+            if t_lo - 2 * ptau <= t1 <= t_hi + 2 * ptau:
+                waists.append(Waist(index=2 * l, t=t1, kind=1))
+            if t_lo - 2 * ptau <= t2 <= t_hi + 2 * ptau:
+                waists.append(Waist(index=2 * l + 1, t=t2, kind=2))
+        waists.sort(key=lambda w: w.t)
+        for a, b in zip(waists, waists[1:]):
+            if b.t >= t_lo and a.t <= t_hi:
+                bulges.append(Bulge(index=a.index, t_lo=a.t, t_hi=b.t))
+    return waists, bulges
+
+
+def test_closed_form_waists_equal_the_per_p_enumeration():
+    # 7 pairs x 45 offsets x 13 lengths = 4095 windows, with edges on
+    # multiples of p_tau / 2, where waists sit exactly 2 p_tau outside them
+    windows = 0
+    for p, q in [(1, 2), (1, 3), (1, 6), (2, 2), (2, 3), (3, 3), (3, 4)]:
+        pair = AdmissiblePair(p, q)
+        curve = Curve(TwistParam(pair, 0.3 * tau_max(pair)))
+        ptau = curve.period.p_tau
+        for offset in np.arange(-11.0, 11.25, 0.5):
+            for length in np.arange(0.0, 6.25, 0.5):
+                window = (offset * ptau, (offset + length) * ptau)
+                assert geo.waists_and_bulges(curve, window) == \
+                    _per_p_waists_and_bulges(curve, window), (p, q, window)
+                windows += 1
+    assert windows >= 4000
+
+
 def test_standard_sphere_is_identity_frame():
     param = TwistParam(AdmissiblePair(1, 2), 0.01)
     sph = geo.approximating_spheres(Curve(param), [0])[0]

@@ -279,3 +279,56 @@ def test_two_sided_curve_reads_as_its_one_sided_spans(p, q, sign):
         for a, b in zip(both.psi(ts) + both.w(ts), side.psi(ts) + side.w(ts)):
             assert np.array_equal(a, b)
     assert both.drift == {k: max(fwd.drift[k], bwd.drift[k]) for k in fwd.drift}
+
+
+@pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (1, 2, -0.1), (1, 3, -1e-3), (1, 2, 0.0),
+                                     (2, 3, 0.05), (2, 3, -0.05), (3, 4, -0.02), (2, 3, 0.0)])
+def test_state_readers_equal_the_expressions_they_replace(p, q, tau):
+    # bit for bit, on the 4-component curve and the 6-component (w, Q, Q')
+    # states, at dense reads and grid nodes; at zero twist Im w stays +-0,
+    # and _w keeps the sign of each zero (re + 1j im would not)
+    from sltwist.curve import Curve
+    from sltwist.twisted_curve import _w, _y, _ydot
+
+    pair = AdmissiblePair(p, q)
+    curve = Curve(TwistParam(pair, tau))
+    traj = curve.traj(-3.0, 3.0)
+    ts = np.concatenate([np.linspace(-3.0, 3.0, 61), [0.0, -0.0]])
+    states = [traj.trajectory(ts), traj.trajectory.states.T, traj.trajectory.states[9]]
+    if tau:
+        lin = curve.Q.trajectory
+        states += [lin(ts), lin.states.T, lin(0.5)]
+        assert curve.Q.y(ts).tobytes() == (lin(ts)[2] ** 2 + lin(ts)[3] ** 2).tobytes()
+    elif p == 1:                # w1(0) = -0j
+        assert np.signbit(traj.trajectory.states[:, 1::2]).any()
+    for s in states:
+        w = np.empty((2,) + s.shape[1:], dtype=complex)
+        w.real, w.imag = s[0:4:2], s[1:4:2]
+        assert _w(s).tobytes() == w.tobytes()
+        assert np.asarray(_y(s)).tobytes() == np.asarray(s[2] ** 2 + s[3] ** 2).tobytes()
+        assert (np.asarray(_ydot(pair, s)).tobytes()
+                == np.asarray(-2.0 * (w[0] ** p * w[1] ** q).real).tobytes())
+    four = traj.trajectory(ts)
+    assert np.array(traj.w(ts)).tobytes() == _w(four).tobytes()
+    assert traj.y(ts).tobytes() == (four[2] ** 2 + four[3] ** 2).tobytes()
+
+
+@pytest.mark.parametrize("which", ["partial_periods_quadrature", "solve_Q",
+                                   "verify_psi_constraint", "symmetry_residuals"])
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
+def test_tau_domain_is_refused_once_by_the_extrema(which, p, q):
+    # tau = 0 and |tau| within the margin of tau_max reach y_extrema's refusal
+    import sltwist.geometry as geo
+    from sltwist.curve import Curve
+    from sltwist.periods import partial_periods_quadrature, verify_psi_constraint
+    from sltwist.variation import solve_Q
+
+    pair = AdmissiblePair(p, q)
+    call = {"partial_periods_quadrature": lambda c: partial_periods_quadrature(c.param),
+            "solve_Q": solve_Q, "verify_psi_constraint": verify_psi_constraint,
+            "symmetry_residuals": geo.symmetry_residuals}[which]
+    for tau, message in [(0.0, "tau = 0"), (-0.0, "tau = 0"),
+                         (tau_max(pair) * (1 - 1e-11), "too close to tau_max"),
+                         (-tau_max(pair), "too close to tau_max")]:
+        with pytest.raises(ValueError, match=message):
+            call(Curve(TwistParam(pair, tau)))
