@@ -110,9 +110,8 @@ def cmd_closure(args) -> int:
     if report.k0 is None:       # integer arithmetic: refuse before the tau search
         raise ValueError(f"rotational order k0 = {k0_from_target(pair, target)} is above "
                          f"the cap {K0_CAP}: closure cannot be verified")
-    tau = find_tau_for_angular_period(pair, target, tol=tol)
-    curve = Curve(TwistParam(pair, tau), tol)
-    data = curve.period
+    curve = find_tau_for_angular_period(pair, target, tol=tol)
+    tau, data = curve.param.tau, curve.period
     check = verify_closed(curve, report.k0, samples=args.samples)
     error = abs(data.pthat - target.angle)
     payload = {"tau": tau, "pthat_error": error,
@@ -132,9 +131,8 @@ def cmd_closure(args) -> int:
 def cmd_necklace(args) -> int:
     pair = AdmissiblePair(args.p, args.q)
     tol = TOL_PRESETS[args.tol]
-    tau, k0 = necklace(pair, args.m, tol)
-    curve = Curve(TwistParam(pair, tau), tol)
-    data = curve.period
+    curve, k0 = necklace(pair, args.m, tol)
+    tau, data = curve.param.tau, curve.period
     check = verify_closed(curve, k0, samples=args.samples)
     payload = {"tau": tau, "k0": k0, "p_tau": data.p_tau, "pthat": data.pthat,
                "closure_residual": check.closure_residual}

@@ -7,8 +7,8 @@ from .export import (export, format_float, report_from_json, report_to_json,
 from .immersion import (CurveSampler, ImmersionPoint, Sampler, contact_pairing,
                         equatorial_circle_curve, equatorial_factor, immerse,
                         immersion_sampler, lagrangian_phase,
-                        legendrian_residual, point_factor, twist_curve_sampler,
-                        twisted_product)
+                        legendrian_residual, phase_relation_residual, point_factor,
+                        twist_curve_sampler, twisted_product)
 from .neck import NeckComparison, neck_rescale
 from .spheres import (Bulge, MarkedSphere, Waist, approximating_spheres,
                       bulge_sphere_distance, sphere_distance, waists_and_bulges)

@@ -52,17 +52,14 @@ def cs_curve(pair: AdmissiblePair, c: float, t) -> tuple[complex, complex]:
 
 
 def cs_curve_sampler(pair: AdmissiblePair, c: float) -> CurveSampler:
-    s, co, rate1, rate2 = _cs_rates(pair, c)
-
-    def fn(t):
-        return (co * complex(math.cos(rate1 * t), math.sin(rate1 * t)),
-                s * complex(math.cos(rate2 * t), -math.sin(rate2 * t)))
+    _, _, rate1, rate2 = _cs_rates(pair, c)
 
     def dfn(t):
-        w1, w2 = fn(t)
+        w1, w2 = cs_curve(pair, c, t)
         return (1j * rate1 * w1, -1j * rate2 * w2)
 
-    return CurveSampler(fn, dfn, name=f"CS curve ({pair.p},{pair.q}) c={c}")
+    return CurveSampler(lambda t: cs_curve(pair, c, t), dfn,
+                        name=f"CS curve ({pair.p},{pair.q}) c={c}")
 
 
 def cs_residual(pair: AdmissiblePair, c: float) -> tuple[float, float, float]:
@@ -118,12 +115,8 @@ def hs_curve_sampler(m: int, n: int) -> CurveSampler:
     r1 = math.sqrt(m / n)
     r2 = math.sqrt(n / m)
 
-    def fn(t):
-        z = hs_curve(m, n, t)
-        return complex(z[0]), complex(z[1])
-
     def dfn(t):
-        w1, w2 = fn(t)
+        w1, w2 = hs_curve(m, n, t)
         return 1j * r1 * w1, -1j * r2 * w2
 
-    return CurveSampler(fn, dfn, name=f"HS curve ({m},{n})")
+    return CurveSampler(lambda t: hs_curve(m, n, t), dfn, name=f"HS curve ({m},{n})")

@@ -1,5 +1,10 @@
 """Immersions built from twisting curves, and their Legendrian/phase checks.
 
+Every invariant cone is a twisted product (w1 X1, w2 X2) of special
+Legendrian factors X1 in S^(2p-1), X2 in S^(2q-1) and a twisting curve
+(w1, w2) in S^3: :func:`twisted_product` builds it, with :func:`_cone` as
+its point map, and the invariant cylinder is the product of two equators.
+
 A sampler is a chart map u -> point of S^{2m-1} subset C^m together with
 its parameter dimension; tangent vectors are taken by fourth-order
 central differences in the chart, so every check here is independent of
@@ -21,7 +26,7 @@ __all__ = [
     "immersion_sampler", "equatorial_factor", "point_factor",
     "equatorial_circle_curve", "twist_curve_sampler",
     "legendrian_residual", "lagrangian_phase", "twisted_product",
-    "contact_pairing",
+    "phase_relation_residual", "contact_pairing",
 ]
 
 
@@ -73,18 +78,19 @@ class Sampler:
 
 
 class CurveSampler:
-    """A curve t -> (w1, w2) in S^3 with analytic derivative and phase."""
+    """A curve t -> (w1, w2) in S^3, read at a time or an array of times,
+    with analytic derivative and phase at one time."""
 
     def __init__(self, fn, dfn, name: str):
         self._fn = fn
         self._dfn = dfn
         self.name = name
 
-    def __call__(self, t: float) -> tuple[complex, complex]:
-        return self._fn(float(t))
+    def __call__(self, t):
+        return self._fn(t)
 
     def derivative(self, t: float) -> tuple[complex, complex]:
-        return self._dfn(float(t))
+        return self._dfn(t)
 
     def phase(self, t: float) -> complex:
         w1, w2 = self(t)
@@ -137,8 +143,8 @@ def point_factor() -> Sampler:
 
 def equatorial_circle_curve() -> CurveSampler:
     """The equatorial twisting curve w(t) = (cos t, sin t)."""
-    return CurveSampler(lambda t: (complex(math.cos(t)), complex(math.sin(t))),
-                        lambda t: (complex(-math.sin(t)), complex(math.cos(t))),
+    return CurveSampler(lambda t: (np.cos(t), np.sin(t)),
+                        lambda t: (-np.sin(t), np.cos(t)),
                         name="equatorial circle")
 
 
@@ -153,6 +159,26 @@ def twist_curve_sampler(curve: Curve, t_span) -> CurveSampler:
 # -- the invariant immersion --------------------------------------------------
 
 
+def _cone(w1, w2, x1, x2) -> np.ndarray:
+    """The point (w1 x1, w2 x2) of the twisted product, over the leading axes."""
+    return np.concatenate([np.asarray(w1)[..., None] * x1,
+                           np.asarray(w2)[..., None] * x2], axis=-1)
+
+
+def twisted_product(factor1: Sampler, factor2: Sampler, curve: CurveSampler,
+                    t_range) -> Sampler:
+    """The twisted product (w1 X1, w2 X2): chart (t, u1, u2), t in ``t_range``."""
+    d1 = factor1.dim
+
+    def fn(u):
+        w1, w2 = curve(u[..., 0])
+        return _cone(w1, w2, factor1(u[..., 1:1 + d1]), factor2(u[..., 1 + d1:]))
+
+    return Sampler(fn, dim=1 + d1 + factor2.dim, m=factor1.m + factor2.m,
+                   box=[tuple(t_range)] + factor1.box + factor2.box,
+                   name=f"{factor1.name} *w* {factor2.name}")
+
+
 def immerse(curve: Curve, t: float, sigma1, sigma2) -> ImmersionPoint:
     """Point (w1 sigma1, w2 sigma2) of the invariant Legendrian cylinder.
 
@@ -160,42 +186,27 @@ def immerse(curve: Curve, t: float, sigma1, sigma2) -> ImmersionPoint:
     (n-1)-vector sigma2.
     """
     pair = curve.param.pair
-    traj = curve.traj(t - 1e-9, t + 1e-9)
-    w1, w2 = traj.w(t)
     if pair.p == 1:
         if sigma1 is not None:
             raise ValueError("p = 1 has no first sphere factor")
-        s2 = np.asarray(sigma2, dtype=float)
-        if abs(np.dot(s2, s2) - 1.0) > 1e-12 or s2.shape != (pair.n - 1,):
-            raise ValueError("sigma2 must be a unit (n-1)-vector")
-        coords = np.concatenate([[w1], w2 * s2])
-        return ImmersionPoint(coords=coords, domain=(t, None, tuple(s2)))
-    s1 = np.asarray(sigma1, dtype=float)
-    s2 = np.asarray(sigma2, dtype=float)
-    if s1.shape != (pair.p,) or abs(np.dot(s1, s1) - 1.0) > 1e-12:
-        raise ValueError("sigma1 must be a unit p-vector")
-    if s2.shape != (pair.q,) or abs(np.dot(s2, s2) - 1.0) > 1e-12:
-        raise ValueError("sigma2 must be a unit q-vector")
-    coords = np.concatenate([w1 * s1, w2 * s2])
-    return ImmersionPoint(coords=coords, domain=(t, tuple(s1), tuple(s2)))
+        sigma1 = (1.0,)
+    sigmas = []
+    for name, sigma, dim in (("sigma1", sigma1, pair.p), ("sigma2", sigma2, pair.q)):
+        s = np.asarray(sigma, dtype=float)
+        if s.shape != (dim,) or abs(np.dot(s, s) - 1.0) > 1e-12:
+            raise ValueError(f"{name} must be a unit {dim}-vector")
+        sigmas.append(s)
+    w1, w2 = curve.traj(t - 1e-9, t + 1e-9).w(t)
+    domain = (t, None if pair.p == 1 else tuple(sigmas[0]), tuple(sigmas[1]))
+    return ImmersionPoint(coords=_cone(w1, w2, *sigmas), domain=domain)
 
 
 def immersion_sampler(curve: Curve, t_range) -> Sampler:
     """Chart sampler (t, angles) -> X_tau; for p = 1 the first factor is the point 1."""
     pair = curve.param.pair
-    p, q = pair.p, pair.q
-    traj = curve.traj(t_range[0] - 0.05, t_range[1] + 0.05)
-    box = [tuple(t_range)] + _chart_box(p - 1) + _chart_box(q - 1)
-
-    def fn(u):
-        w1, w2 = traj.w(u[..., 0])
-        s1 = _chart_point(p - 1, u[..., 1:p])
-        s2 = _chart_point(q - 1, u[..., p:])
-        return np.concatenate([np.asarray(w1)[..., None] * s1,
-                               np.asarray(w2)[..., None] * s2], axis=-1)
-
-    return Sampler(fn, dim=1 + (p - 1) + (q - 1), m=pair.n, box=box,
-                   name=f"cylinder ({p},{q})")
+    return twisted_product(
+        equatorial_factor(pair.p), equatorial_factor(pair.q),
+        twist_curve_sampler(curve, (t_range[0] - 0.05, t_range[1] + 0.05)), t_range)
 
 
 # -- differential checks -------------------------------------------------------
@@ -255,9 +266,9 @@ def lagrangian_phase(sampler: Sampler, u) -> complex:
     return complex(det / abs(det))
 
 
-def twisted_product(factor1: Sampler, factor2: Sampler, curve: CurveSampler,
-                    t_samples=None) -> tuple[Sampler, float]:
-    """Product sampler (w1 X1, w2 X2) and its phase-relation residual.
+def phase_relation_residual(factor1: Sampler, factor2: Sampler, curve: CurveSampler,
+                            t_samples) -> float:
+    """Residual of the phase relation of the twisted product at the times t_samples.
 
     The measured phase (frame determinant with finite-difference
     tangents) is compared against
@@ -269,21 +280,8 @@ def twisted_product(factor1: Sampler, factor2: Sampler, curve: CurveSampler,
     residual is the max |measured - predicted| over 5 random factor points per t.
     """
     p, q = factor1.m, factor2.m
-    d1, d2 = factor1.dim, factor2.dim
-
-    def fn(u):
-        t = u[..., 0]
-        w = np.array([curve(s) for s in t.ravel()]).reshape(t.shape + (2,))
-        x1 = factor1(u[..., 1:1 + d1])
-        x2 = factor2(u[..., 1 + d1:])
-        return np.concatenate([w[..., :1] * x1, w[..., 1:] * x2], axis=-1)
-
-    box = [(-1.0, 1.0)] + list(factor1.box) + list(factor2.box)
-    prod = Sampler(fn, dim=1 + d1 + d2, m=p + q, box=box,
-                   name=f"{factor1.name} *w* {factor2.name}")
-
-    if t_samples is None:
-        t_samples = np.linspace(-0.8, 0.8, 5)
+    d1 = factor1.dim
+    prod = twisted_product(factor1, factor2, curve, (min(t_samples), max(t_samples)))
     rng = np.random.default_rng(0)
     residual = 0.0
     for t in t_samples:
@@ -299,4 +297,4 @@ def twisted_product(factor1: Sampler, factor2: Sampler, curve: CurveSampler,
                          * np.exp(1j * ((p - 1) * np.angle(w1)
                                         + (q - 1) * np.angle(w2))))
             residual = max(residual, abs(measured - predicted))
-    return prod, float(residual)
+    return float(residual)

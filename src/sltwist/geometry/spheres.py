@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..curve import Curve
+from .immersion import _cone
 from .symmetry import _blocks, reflection_matrix, ttilde
 
 __all__ = [
@@ -158,8 +159,9 @@ def bulge_sphere_distance(curve: Curve, k: int, b: float) -> float:
     ts = np.linspace(center - b, center + b, t_points)
     w1, w2 = curve.traj(ts.min() - 1e-6, ts.max() + 1e-6).w(ts)
     angles = np.linspace(0.0, 2.0 * math.pi, mer_points, endpoint=False)
-    ring = np.zeros((mer_points, pair.n))       # meridian directions of the second factor
-    ring[:, pair.p] = np.cos(angles)
-    ring[:, pair.p + 1 if pair.p == 1 else -1] = np.sin(angles)
-    z = w1[:, None, None] * np.eye(pair.n)[0] + w2[:, None, None] * ring
+    sigma1 = np.broadcast_to(np.eye(pair.p)[0], (mer_points, pair.p))   # (w1 e_1, w2 sigma2)
+    sigma2 = np.zeros((mer_points, pair.q))
+    sigma2[:, 0] = np.cos(angles)
+    sigma2[:, 1 if pair.p == 1 else -1] = np.sin(angles)
+    z = _cone(w1[:, None], w2[:, None], sigma1, sigma2)
     return max(sphere_distance(sphere, zz) for zz in z.reshape(-1, pair.n))

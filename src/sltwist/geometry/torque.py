@@ -21,7 +21,7 @@ import numpy as np
 
 from ..curve import Curve
 from ..twisted_curve import TwistParam, velocity
-from .symmetry import _blocks
+from .immersion import _cone
 
 __all__ = [
     "SuBasisElement", "TorqueReport", "sphere_volume", "sphere_quadrature",
@@ -207,8 +207,8 @@ def torque(curve: Curve, element: SuBasisElement, meridian_t: float = 0.0,
     d1, d2 = velocity(pair, w1, w2)
     K = su_matrix(element, n)
     sigma, wts = _meridian_nodes(p, q, order)
-    X = sigma * _blocks(pair, w1, w2)           # (N, n) complex meridian points
-    dX = sigma * _blocks(pair, d1, d2)
+    X = _cone(w1, w2, sigma[:, :p], sigma[:, p:])       # (N, n) complex meridian points
+    dX = _cone(d1, d2, sigma[:, :p], sigma[:, p:])
     KX = X @ K.T
     pairing = np.sum(KX.real * dX.real + KX.imag * dX.imag, axis=1)
     speed = np.sqrt(np.sum(dX.real**2 + dX.imag**2, axis=1))

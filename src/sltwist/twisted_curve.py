@@ -71,10 +71,6 @@ class TwistParam:
         if abs(self.tau) > tm * (1 + 1e-12):
             raise ValueError(f"|tau|={abs(self.tau)} exceeds tau_max={tm}")
 
-    @property
-    def tau_max(self) -> float:
-        return tau_max(self.pair)
-
 
 @dataclass(frozen=True)
 class SphereState:
@@ -87,10 +83,6 @@ class SphereState:
         r = abs(self.w1) ** 2 + abs(self.w2) ** 2
         if abs(r - 1.0) > 1e-10:
             raise ValueError(f"|w|^2 = {r} is not 1 within 1e-10")
-
-    @property
-    def y(self) -> float:
-        return abs(self.w2) ** 2
 
     def as_real(self) -> np.ndarray:
         return np.array([self.w1.real, self.w1.imag, self.w2.real, self.w2.imag])

@@ -204,21 +204,18 @@ def test_criterion_08_torque():
 def test_criterion_09_closure_and_necklaces():
     t0 = time.perf_counter()
     pair12 = AdmissiblePair(1, 2)
-    tau, k0 = necklace(pair12, 2)
+    curve12, k0 = necklace(pair12, 2)
     assert k0 == 7
-    param = TwistParam(pair12, tau)
-    data = period_ode(param)
-    gap12 = abs(data.pthat - 4 * math.pi / 7)
-    check12 = verify_closed(Curve(param), k0, samples=20)
+    gap12 = abs(curve12.period.pthat - 4 * math.pi / 7)
+    check12 = verify_closed(curve12, k0, samples=20)
 
     pair22 = AdmissiblePair(2, 2)
     results22 = []
     for m, expect_k0, num, den in ((2, 7, 4, 7), (3, 11, 6, 11)):
-        tau_m, k0_m = necklace(pair22, m)
+        curve_m, k0_m = necklace(pair22, m)
         assert k0_m == expect_k0
-        d = period_ode(TwistParam(pair22, tau_m))
-        gap = abs(d.pthat - num * math.pi / den)
-        chk = verify_closed(Curve(TwistParam(pair22, tau_m)), k0_m, samples=20)
+        gap = abs(curve_m.period.pthat - num * math.pi / den)
+        chk = verify_closed(curve_m, k0_m, samples=20)
         results22.append((gap, chk.closure_residual))
 
     targets = [(5, 9), (6, 11), (7, 13), (8, 15), (9, 17),
@@ -227,10 +224,9 @@ def test_criterion_09_closure_and_necklaces():
     worst_target_gap = 0.0
     for a, b in targets:
         tgt = RationalTarget(a, b)
-        tau_t = find_tau_for_angular_period(pair12, tgt)
-        taus.append(tau_t)
-        d = period_ode(TwistParam(pair12, tau_t))
-        worst_target_gap = max(worst_target_gap, abs(d.pthat - tgt.angle))
+        curve_t = find_tau_for_angular_period(pair12, tgt)
+        taus.append(curve_t.param.tau)
+        worst_target_gap = max(worst_target_gap, abs(curve_t.period.pthat - tgt.angle))
     distinct = len(set(round(t, 13) for t in taus)) == len(targets)
     elapsed = time.perf_counter() - t0
 
@@ -296,9 +292,8 @@ def test_criterion_13_half_period_parity():
     rep = half_period_classification(pair, target)
     assert rep.k0 == 10 and rep.k0 % 2 == 0
     assert rep.half_period_type == (1, 0)
-    tau = find_tau_for_angular_period(pair, target)
-    param = TwistParam(pair, tau)
-    data = period_ode(param)
+    curve = find_tau_for_angular_period(pair, target)
+    param, data = curve.param, curve.period
     traj = solve_w(param, (0.0, (rep.k0 + 1) * data.p_tau))
     worst = 0.0
     for t in np.linspace(0.0, data.p_tau, 12):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sltwist import cli
+from sltwist import curve as curve_mod
 from sltwist.cli import main
 
 
@@ -178,6 +179,29 @@ def test_closure_refuses_order_above_cap_before_search(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "k0 = 2000000" in err and "cap 1000000" in err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("closure", "--p", "2", "--q", "3", "--target", "3/5"),
+    ("necklace", "--p", "1", "--q", "2", "--m", "8"),
+])
+def test_closure_search_hands_back_the_curve_it_checked(monkeypatch, capsys, argv):
+    # the found tau is integrated once for its period inside the search and
+    # once more over the closing span, not a third time for a new Curve
+    spans = []
+    solve_w = curve_mod.solve_w
+
+    def counted(param, span, tol):
+        spans.append((param.tau, span))
+        return solve_w(param, span, tol)
+
+    monkeypatch.setattr(curve_mod, "solve_w", counted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    tau = float(out.split()[2])             # "tau = <repr>"
+    found = [span for t, span in spans if t == tau]
+    assert len(found) == 2
+    assert found[0][0] == found[1][0] and found[0][1] < found[1][1]
 
 
 def test_solve_csv(tmp_path):

@@ -10,9 +10,7 @@ from sltwist.closure import (BracketingError, RationalTarget,
                              find_tau_for_angular_period,
                              half_period_classification, k0_from_target,
                              necklace, necklace_scaling_ratio, verify_closed)
-from sltwist.curve import Curve
-from sltwist.periods import period_ode
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w
+from sltwist.twisted_curve import AdmissiblePair, solve_w
 
 
 def test_rational_target_validation():
@@ -48,9 +46,8 @@ def test_rotation_order_against_brute_force(a, b, pq):
 def test_find_tau_realises_rational_target():
     pair = AdmissiblePair(1, 2)
     target = RationalTarget(4, 7)
-    tau = find_tau_for_angular_period(pair, target)
-    data = period_ode(TwistParam(pair, tau))
-    assert abs(data.pthat - target.angle) <= 1e-10
+    curve = find_tau_for_angular_period(pair, target)
+    assert abs(curve.period.pthat - target.angle) <= 1e-10
 
 
 def test_quarter_turn_unattainable():
@@ -61,29 +58,26 @@ def test_quarter_turn_unattainable():
 
 def test_necklace_smallest_cases():
     pair = AdmissiblePair(1, 2)
-    tau, k0 = necklace(pair, 2)
+    curve, k0 = necklace(pair, 2)
     assert k0 == 7
-    data = period_ode(TwistParam(pair, tau))
-    assert abs(data.pthat - 4 * math.pi / 7) <= 1e-10
-    check = verify_closed(Curve(TwistParam(pair, tau)), k0, samples=20)
+    assert abs(curve.period.pthat - 4 * math.pi / 7) <= 1e-10
+    check = verify_closed(curve, k0, samples=20)
     assert check.closure_residual <= 1e-7
     assert check.rotation_residual <= 1e-8
 
 
 def test_necklace_symmetric_pair():
     pair = AdmissiblePair(2, 2)
-    tau, k0 = necklace(pair, 3)
+    curve, k0 = necklace(pair, 3)
     assert k0 == 11
-    data = period_ode(TwistParam(pair, tau))
-    assert abs(data.pthat - 6 * math.pi / 11) <= 1e-10
+    assert abs(curve.period.pthat - 6 * math.pi / 11) <= 1e-10
 
 
 def test_necklace_four_dimensional():
     pair = AdmissiblePair(1, 3)
-    tau, k0 = necklace(pair, 2)
+    curve, k0 = necklace(pair, 2)
     assert k0 == 11
-    data = period_ode(TwistParam(pair, tau))
-    assert abs(data.pthat - 6 * math.pi / 11) <= 1e-10
+    assert abs(curve.period.pthat - 6 * math.pi / 11) <= 1e-10
 
 
 def test_necklace_rejects_asymmetric_pair():
@@ -93,8 +87,8 @@ def test_necklace_rejects_asymmetric_pair():
 
 def test_necklace_scaling_order_of_magnitude():
     pair = AdmissiblePair(1, 2)
-    tau, _ = necklace(pair, 25)
-    ratio = necklace_scaling_ratio(pair, 25, tau)
+    curve, _ = necklace(pair, 25)
+    ratio = necklace_scaling_ratio(pair, 25, curve.param.tau)
     assert 0.2 < ratio < 5.0
 
 
@@ -149,9 +143,8 @@ def test_strict_half_period_relation():
     # the sign flip on the first block, and fully after 2 k0
     pair = AdmissiblePair(2, 3)
     target = RationalTarget(3, 5)
-    tau = find_tau_for_angular_period(pair, target)
-    param = TwistParam(pair, tau)
-    data = period_ode(param)
+    curve = find_tau_for_angular_period(pair, target)
+    param, data = curve.param, curve.period
     k0 = 10
     traj = solve_w(param, (0.0, (2 * k0 + 2) * data.p_tau))
     half = max(
@@ -171,9 +164,8 @@ def test_closed_curve_injective_within_period():
     from scipy.spatial import cKDTree
 
     pair = AdmissiblePair(1, 2)
-    tau, k0 = necklace(pair, 2)
-    param = TwistParam(pair, tau)
-    data = period_ode(param)
+    curve, k0 = necklace(pair, 2)
+    param, data = curve.param, curve.period
     T = 2 * k0 * data.p_tau
     traj = solve_w(param, (0.0, T))
     ts = np.arange(0.0, T, 1e-3)

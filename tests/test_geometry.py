@@ -115,8 +115,8 @@ def test_batch_sampler_matches_point_by_point(p, q, tau):
         assert np.array_equal(sampler(ui), z[i])
     ref = _legendrian_reference(sampler, 30, 3)
     assert abs(geo.legendrian_residual(sampler, 30, 3) - ref) <= 1e-12 * ref
-    prod, _ = geo.twisted_product(geo.equatorial_factor(2), geo.equatorial_factor(3),
-                                  geo.equatorial_circle_curve(), t_samples=[0.3])
+    prod = geo.twisted_product(geo.equatorial_factor(2), geo.equatorial_factor(3),
+                               geo.equatorial_circle_curve(), (-1.0, 1.0))
     u = prod.sample_points(5, seed=1)
     assert all(np.array_equal(prod(ui), zi) for ui, zi in zip(u, prod(u)))
 
@@ -146,8 +146,8 @@ def test_twisted_product_reproduces_cylinder():
     param = TwistParam(pair, 0.05)
     traj = solve_w(param, (-2.0, 2.0))
     curve = geo.twist_curve_sampler(Curve(param), (-2.0, 2.0))
-    prod, _ = geo.twisted_product(geo.equatorial_factor(2),
-                                  geo.equatorial_factor(3), curve)
+    prod = geo.twisted_product(geo.equatorial_factor(2),
+                               geo.equatorial_factor(3), curve, (-1.0, 1.0))
     for u in prod.sample_points(10, seed=4):
         w1, w2 = traj.w(u[0])
         s1 = np.array([math.cos(u[1]), math.sin(u[1])])
@@ -161,19 +161,22 @@ def test_twisted_product_phase_relation():
     pair = AdmissiblePair(1, 2)
     param = TwistParam(pair, 0.1)
     curve = geo.twist_curve_sampler(Curve(param), t_span=(-2.0, 2.0))
-    _, res = geo.twisted_product(geo.point_factor(), geo.equatorial_factor(2), curve)
+    res = geo.phase_relation_residual(geo.point_factor(), geo.equatorial_factor(2), curve,
+                                      np.linspace(-0.8, 0.8, 5))
     assert res < 1e-6
     pair23 = AdmissiblePair(2, 3)
     curve23 = geo.twist_curve_sampler(Curve(TwistParam(pair23, 0.05)), t_span=(-2.0, 2.0))
-    _, res23 = geo.twisted_product(geo.equatorial_factor(2),
-                                   geo.equatorial_factor(3), curve23)
+    res23 = geo.phase_relation_residual(geo.equatorial_factor(2),
+                                        geo.equatorial_factor(3), curve23,
+                                        np.linspace(-0.8, 0.8, 5))
     assert res23 < 1e-6
 
 
 def test_equatorial_twisting_curve_gives_real_sphere():
-    prod, res = geo.twisted_product(
-        geo.equatorial_factor(2), geo.equatorial_factor(2),
-        geo.equatorial_circle_curve(), t_samples=np.linspace(0.3, 1.2, 4))
+    factors = geo.equatorial_factor(2), geo.equatorial_factor(2)
+    circle = geo.equatorial_circle_curve()
+    res = geo.phase_relation_residual(*factors, circle, np.linspace(0.3, 1.2, 4))
+    prod = geo.twisted_product(*factors, circle, (-1.0, 1.0))
     assert res < 1e-6
     for u in prod.sample_points(10, seed=5):
         u[0] = 0.8
@@ -182,8 +185,78 @@ def test_equatorial_twisting_curve_gives_real_sphere():
 
 def test_planar_phase_curve_product_phases():
     hs = geo.hs_curve_sampler(1, 2)
-    _, res = geo.twisted_product(geo.point_factor(), geo.point_factor(), hs)
+    res = geo.phase_relation_residual(geo.point_factor(), geo.point_factor(), hs,
+                                      np.linspace(-0.8, 0.8, 5))
     assert res < 1e-6
+
+
+def _reference_cylinder(curve, t_range):
+    """The invariant cylinder written out on its own: (w1 s1, w2 s2) with
+    the real chart points s1, s2, the reference for the product's points."""
+    pair = curve.param.pair
+    p, q = pair.p, pair.q
+    traj = curve.traj(t_range[0] - 0.05, t_range[1] + 0.05)
+
+    def fn(u):
+        w1, w2 = traj.w(u[..., 0])
+        s1 = geo.immersion._chart_point(p - 1, u[..., 1:p])
+        s2 = geo.immersion._chart_point(q - 1, u[..., p:])
+        return np.concatenate([np.asarray(w1)[..., None] * s1,
+                               np.asarray(w2)[..., None] * s2], axis=-1)
+
+    return fn
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 4), (1, 6)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cylinder_is_the_twisted_product_bit_for_bit(p, q, sign):
+    pair = AdmissiblePair(p, q)
+    curve = Curve(TwistParam(pair, sign * 0.3 * tau_max(pair)))
+    t_range = (-1.2, 0.9)
+    sampler = geo.immersion_sampler(curve, t_range)
+    assert sampler.box[0] == t_range and sampler.dim == pair.n - 1
+    u = sampler.sample_points(1000, seed=7)
+    z = sampler(u)
+    ref = _reference_cylinder(curve, t_range)(u)
+    assert z.tobytes() == ref.astype(complex).tobytes()
+    assert z[0].tobytes() == sampler(u[0]).tobytes()
+
+
+def test_product_reads_its_curve_inside_the_integrated_span():
+    # the product's time box is t_range, not a fixed (-1, 1) beyond the curve
+    curve = geo.twist_curve_sampler(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)), (0.0, 0.5))
+    prod = geo.twisted_product(geo.point_factor(), geo.equatorial_factor(2), curve,
+                               (0.05, 0.45))
+    u = prod.sample_points(200, seed=1)
+    assert np.all((0.05 <= u[:, 0]) & (u[:, 0] <= 0.45))
+    assert np.all(np.isfinite(prod(u)))
+
+
+def test_curve_samplers_read_arrays():
+    ts = np.linspace(-3.0, 3.0, 41)
+    twist = geo.twist_curve_sampler(Curve(TwistParam(AdmissiblePair(2, 3), -0.05)), (-3.0, 3.0))
+    w1, w2 = twist(ts)
+    for i, t in enumerate(ts):
+        a1, a2 = twist(t)
+        assert (complex(w1[i]), complex(w2[i])) == (a1, a2)
+    pair, c = AdmissiblePair(2, 3), 0.7
+    co, s = math.cos(c), math.sin(c)
+    rate1, rate2 = s**3, s * co**2                  # sin^q c cos^(p-2) c, sin^(q-2) c cos^p c
+    r1, r2, root = math.sqrt(1 / 2), math.sqrt(2), math.sqrt(3)
+    scalar = {                                      # each curve's formula, one time at a time
+        "cs": lambda t: (co * complex(math.cos(rate1 * t), math.sin(rate1 * t)),
+                         s * complex(math.cos(rate2 * t), -math.sin(rate2 * t))),
+        "hs": lambda t: (math.sqrt(2) / root * complex(math.cos(r1 * t), math.sin(r1 * t)),
+                         1j / root * complex(math.cos(r2 * t), -math.sin(r2 * t))),
+        "circle": lambda t: (complex(math.cos(t)), complex(math.sin(t))),
+    }
+    samplers = {"cs": geo.cs_curve_sampler(pair, c), "hs": geo.hs_curve_sampler(1, 2),
+                "circle": geo.equatorial_circle_curve()}
+    for name, sampler in samplers.items():
+        w1, w2 = sampler(ts)
+        ref = np.array([scalar[name](t) for t in ts])
+        assert np.max(np.abs(w1 - ref[:, 0])) <= 1e-15, name
+        assert np.max(np.abs(w2 - ref[:, 1])) <= 1e-15, name
 
 
 # -- explicit curve families ---------------------------------------------------
