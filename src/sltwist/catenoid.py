@@ -94,9 +94,7 @@ def _read(traj, t):
 @lru_cache(maxsize=8)      # spans above 0.995 T_1 come one per call; keep a few
 def _unit_trajectory(n: int, span: float):
     w0 = np.exp(1j * math.pi / (2 * n))
-    inv = {"Im_w^n": (lambda s: (complex(s[0], s[1]) ** n).imag, 1.0)}
-    return integrate(_profile_field(n), [w0.real, w0.imag], (-span, span), Tolerances(),
-                     inv, t0=0.0)
+    return integrate(_profile_field(n), [w0.real, w0.imag], (-span, span), Tolerances(), t0=0.0)
 
 
 def unit_profile(n: int, t):

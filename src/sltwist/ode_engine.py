@@ -5,11 +5,12 @@ step control is scipy's ``solve_ivp(method="DOP853")``, step for step: its
 initial step, the scale ``atol + rtol max(|y|, |y_new|)`` per real component,
 the combined err5/err3 norm, safety 0.9, exponent -1/8, step factors in
 [0.2, 10] and none above 1 right after a rejection, a 10-ulp minimum step and
-the last step clipped to the span.  The stages of a step run as straight-line
-float code generated per state dimension; the dense-output stages 13-15, which
-no step control reads, once per leg on arrays of all its steps, so a field takes
-arrays too.  :func:`integrate` starts at an anchor time inside the span, and one
-:class:`Trajectory` covers both sides of it.
+the last step clipped to the span; one tolerance is both atol and rtol.  A
+step runs as straight-line float code generated per state dimension; the
+dense-output stages 13-15, which no step control reads, once per side on arrays
+of all its steps, so a field takes arrays too.  :func:`integrate` starts at an
+explicit anchor inside the span, and one :class:`Trajectory` covers both sides
+of it; an endpoint runs the step loop alone, without dense output.
 
 :func:`brent` is the package's one scalar root finder, a line-for-line port
 of scipy's ``brentq`` (``brentq.c``): :func:`locate_event` refines event
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -46,22 +47,19 @@ class EventError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Integrator tolerances; the error control alone bounds the step size.
+    """One step tolerance, absolute and relative alike; the error control alone
+    bounds the step size.  Events are located to a tenth of it, in time units,
+    so event times are at least as accurate as the states they are read from."""
 
-    event_tol is in time units and must not exceed abs_tol so that event
-    times are at least as accurate as the states they are read from.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    event_tol: float = 1e-13
+    tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "event_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.event_tol > self.abs_tol:
-            raise ValueError("event_tol must not exceed abs_tol")
+        if not self.tol > 0:
+            raise ValueError("tol must be strictly positive")
+
+    @property
+    def event_tol(self) -> float:
+        return self.tol / 10
 
 
 # The DOP853 tableau of scipy.integrate._ivp.dop853_coefficients to the last bit,
@@ -159,17 +157,18 @@ def _initial_step(field, t0, y0, f0, span, direction, atol, rtol):
     return float(min(100 * h0, h1, span))
 
 
-def _leg(field, y0, t0, t1, tol, atol):
-    """One run t0 -> t1: times, states, then origin, h, y_origin, F per step, ascending."""
+def _steps(field, y0, t0, t1, tol, atol):
+    """The accepted steps of one run t0 -> t1, in stepping order: times, states and
+    each step's stages 0, 5-12, with room for the stages 13-15 :func:`_dense` fills."""
     dim = len(y0)
     attempt = _stepper(dim)
-    rtol = max(tol.rel_tol, 100 * np.finfo(float).eps)
+    rtol = max(tol.tol, 100 * np.finfo(float).eps)
     direction = 1.0 if t1 > t0 else -1.0
     y = tuple(y0.tolist())
     f = tuple(field(t0, y))
     h_abs = _initial_step(field, t0, y, f, abs(t1 - t0), direction, atol, rtol)
     t, ts, ys, ks = t0, array("d", [t0]), array("d", y), array("d")
-    room = (0.0,) * (dim * (len(_KEPT) - _STEPPED))    # for stages 13-15, filled in after
+    room = (0.0,) * (dim * (len(_KEPT) - _STEPPED))
     while direction * (t - t1) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -198,7 +197,13 @@ def _leg(field, y0, t0, t1, tol, atol):
         ts.append(t)
         ys.extend(y)
     T, Y = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, dim)
-    K = np.frombuffer(ks).reshape(len(T) - 1, len(_KEPT), dim)
+    return T, Y, np.frombuffer(ks).reshape(len(T) - 1, len(_KEPT), dim)
+
+
+def _dense(field, T, Y, K):
+    """One run of :func:`_steps` as ascending times and states, then origin, h,
+    y_origin and F per step."""
+    dim = Y.shape[1]
     H, dY = np.diff(T), np.diff(Y, axis=0)
     # stages 13-15 of all steps: one field call each on (dim, steps) arrays,
     # formed as a scalar stage of attempt is, product for product, so bit for bit
@@ -211,7 +216,7 @@ def _leg(field, y0, t0, t1, tol, atol):
     F[:, :3] = np.stack([dY, h * K[:, 0] - dY,
                          2 * dY - h * (K[:, _KEPT.index(12)] + K[:, 0])], axis=1)
     F[:, 3:] = h[:, None] * np.einsum("ij,sjd->sid", _D[:, _KEPT], K)
-    order = slice(None, None, int(direction))
+    order = slice(None, None, 1 if T[-1] > T[0] else -1)
     return T[order], Y[order], T[:-1][order], H[order], Y[:-1][order], F[order]
 
 
@@ -223,8 +228,8 @@ class Trajectory:
     the accepted steps of both sides in ascending time.  Segment k is the step
     from ``origin[k]`` of signed size ``h[k]``: ``y_origin[k] + P((t - origin[k])
     / h[k])``, P with coefficients ``F[k]``.  Complex pairs are stored as (re, im)
-    components.  ``drift`` maps each named invariant to its maximum deviation
-    from its reference over the accepted steps.  Nothing mutates a trajectory.
+    components.  ``field``, ``tol`` and the per-component ``atol`` of the steps
+    are kept for endpoints.  Nothing mutates a trajectory.
     """
 
     t0: float
@@ -234,10 +239,9 @@ class Trajectory:
     h: np.ndarray
     y_origin: np.ndarray          # per segment, shape (segments, dim)
     F: np.ndarray                 # per segment, shape (segments, 7, dim)
-    field: object                 # the right-hand side, kept for endpoints
+    field: object
     tol: Tolerances
-    atol_scale: object = 1.0      # per-component factor on tol.abs_tol
-    drift: dict = field(default_factory=dict)
+    atol: tuple
 
     def __call__(self, t):
         """State at time t in the span (scalar -> 1-d array, array -> dim x len);
@@ -259,54 +263,44 @@ class Trajectory:
         return bool(np.all((t >= grid[0] - 1e-12) & (t <= grid[-1] + 1e-12)))
 
     def endpoint(self, t: float) -> np.ndarray:
-        """The state at t != t0 integrated from the last accepted step
-        between t0 and t: the integrator's accuracy, not the dense interpolant's."""
+        """The state at t != t0 stepped from the last accepted step between t0 and
+        t: the integrator's accuracy, not the dense interpolant's."""
         if t == self.t0 or not self.covers(t):
             raise ValueError(f"no integrated endpoint at t={t}")
         forward = t > self.t0
         k = np.searchsorted(self.time_grid, t, side="left" if forward else "right") - forward
-        leg = integrate(self.field, self.states[k], (self.time_grid[k], t), self.tol,
-                        atol_scale=self.atol_scale)
-        return leg.states[-1 if forward else 0]
+        return _steps(self.field, self.states[k], float(self.time_grid[k]), float(t),
+                      self.tol, self.atol)[1][-1]
 
 
-def integrate(field, state0, span, tol: Tolerances = Tolerances(),
-              invariants=None, atol_scale=1.0, t0=None) -> Trajectory:
-    """Integrate ``state' = field(t, state)`` from ``state0`` at ``t0`` to
-    both ends of span, forward first.
+def integrate(field, state0, span, tol: Tolerances = Tolerances(), atol_scale=1.0, *,
+              t0) -> Trajectory:
+    """Integrate ``state' = field(t, state)`` from ``state0`` at the anchor
+    ``t0`` to both ends of span, forward first.
 
-    ``t0`` defaults to span[0], so span = (a, b) with b < a integrates
-    backward from a.  Each side is the run a one-sided span from t0 would
-    make, step for step.  ``field`` gets a tuple of floats in a step and
-    arrays in the initial-step probe and in the dense-output stages of each
-    side ((dim, steps) states); it returns dim floats or arrays.
-    ``invariants`` maps a name to ``(fn, reference)``; the drift of
-    ``fn(state)`` from ``reference`` is recorded over the accepted steps.
-    ``atol_scale`` multiplies ``tol.abs_tol``, per component when it is an
-    array.
+    Each side is the run a one-sided span from t0 would make, step for step.
+    ``field`` gets a tuple of floats in a step and arrays in the initial-step
+    probe and in the dense-output stages of each side ((dim, steps) states);
+    it returns dim floats or arrays.  ``atol_scale`` multiplies ``tol.tol``
+    in the absolute tolerance, per component when it is an array.
     """
     lo, hi = sorted((float(span[0]), float(span[1])))
-    t0 = float(span[0]) if t0 is None else float(t0)
+    t0 = float(t0)
     if lo == hi:
         raise ValueError("empty integration span")
     if not lo <= t0 <= hi:
         raise ValueError(f"anchor t0={t0} outside the span [{lo}, {hi}]")
     y0 = np.asarray(state0, dtype=float)
-    atol = tuple(np.broadcast_to(tol.abs_tol * np.asarray(atol_scale, dtype=float),
+    atol = tuple(np.broadcast_to(tol.tol * np.asarray(atol_scale, dtype=float),
                                  y0.shape).tolist())
     anchor = (np.array([t0]), y0[None], np.empty(0), np.empty(0),
               np.empty((0, len(y0))), np.empty((0, 7, len(y0))))
-    fwd = _leg(field, y0, t0, hi, tol, atol) if hi > t0 else anchor
-    bwd = _leg(field, y0, t0, lo, tol, atol) if lo < t0 else anchor
-    traj = Trajectory(t0, np.concatenate([bwd[0], fwd[0][1:]]),
+    fwd = _dense(field, *_steps(field, y0, t0, hi, tol, atol)) if hi > t0 else anchor
+    bwd = _dense(field, *_steps(field, y0, t0, lo, tol, atol)) if lo < t0 else anchor
+    return Trajectory(t0, np.concatenate([bwd[0], fwd[0][1:]]),
                       np.concatenate([bwd[1], fwd[1][1:]]),
                       *(np.concatenate(pair) for pair in zip(bwd[2:], fwd[2:])),
-                      field=field, tol=tol, atol_scale=atol_scale)
-    if invariants:
-        for name, (fn, ref) in invariants.items():
-            vals = np.array([fn(s) for s in traj.states.tolist()])
-            traj.drift[name] = float(np.max(np.abs(vals - ref)))
-    return traj
+                      field=field, tol=tol, atol=atol)
 
 
 def _value(f, x: float) -> float:

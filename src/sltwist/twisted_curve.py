@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -320,13 +320,19 @@ class TwistTrajectory:
         pair, tau = param.pair, param.tau
         shrink = min(1.0, (2.0 * abs(tau)) ** (2.0 / pair.p)) if tau else 1.0
         scale = np.array([shrink, shrink, 1.0, 1.0])
-
-        inv = {"I1": (lambda s: s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2, 1.0),
-               "I2": (lambda s: _twist(pair, complex(s[0], s[1]), complex(s[2], s[3])).imag,
-                      -2.0 * tau)}
         self.trajectory = integrate(_field(pair.p, pair.q), initial_state(param).as_real(),
-                                    (lo, hi), tol, inv, scale, t0=0.0)
-        self.drift = self.trajectory.drift
+                                    (lo, hi), tol, scale, t0=0.0)
+
+    @cached_property
+    def drift(self) -> dict:
+        """Maximum deviation of I1 = |w|^2 from 1 and of I2 = Im(w1^p w2^q) (CPython
+        complex arithmetic) from -2 tau over the accepted steps, on first read."""
+        pair, states = self.param.pair, self.trajectory.states.tolist()
+        i1 = np.array([s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2 for s in states])
+        i2 = np.array([_twist(pair, complex(s[0], s[1]), complex(s[2], s[3])).imag
+                       for s in states])
+        return {"I1": float(np.max(np.abs(i1 - 1.0))),
+                "I2": float(np.max(np.abs(i2 + 2.0 * self.param.tau)))}
 
     # -- state access: scalar t gives scalars, an array of times gives arrays --
 
@@ -360,17 +366,18 @@ class TwistTrajectory:
         turns w2 by pi.  Psi = p psi1 + q psi2 is the principal arg of
         w1^p w2^q against its value at 0; both lie on the line
         Im = -2 tau, so Psi needs no lift.  Then psi1 = (Psi - q psi2)/p.
+        At tau = 0 for p = 1, w1 passes through 0 at t = 0, so arg w1 and
+        psi are undefined there, and refused.
         """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         pair = self.param.pair
         p, q = pair.p, pair.q
-        s = self.trajectory(ts)
-        # re + 1j im, not _w: the sum can turn a -0.0 component into +0.0, and at
-        # zero twist for p = 1, where w1(0) = 0 and Im w stays +-0, arg reads that sign
-        w1, w2 = s[0] + 1j * s[1], s[2] + 1j * s[3]
+        if p == 1 and self.param.tau == 0.0:
+            raise ValueError("psi is undefined at tau = 0 for p = 1: w1 passes through 0 at t = 0")
+        w1, w2 = _w(self.trajectory(ts))
         grid, states = self.trajectory.time_grid, self.trajectory.states
         i0 = np.searchsorted(grid, 0.0)
-        nodes = states[:, 2] + 1j * states[:, 3]
+        nodes = _w(states.T)[1]
         lift = np.empty(len(grid))
         lift[i0:] = np.unwrap(np.angle(nodes[i0:] / nodes[i0]))
         lift[i0::-1] = np.unwrap(np.angle(nodes[i0::-1] / nodes[i0]))
@@ -378,7 +385,7 @@ class TwistTrajectory:
         k = np.where(ts >= 0.0, np.searchsorted(grid, ts, side="right") - 1,
                      np.searchsorted(grid, ts))
         psi2 = lift[k] + np.angle(w2 / nodes[k])
-        z0 = _twist(pair, complex(*states[i0, :2]), complex(*states[i0, 2:]))
+        z0 = _twist(pair, *_w(states[i0]).tolist())
         Psi = np.angle(_twist(pair, w1, w2) * np.conj(z0))
         psi1 = (Psi - q * psi2) / p
         return (psi1, psi2) if np.ndim(t) else (float(psi1[0]), float(psi2[0]))
@@ -401,5 +408,5 @@ def conjugate_family_check(param: TwistParam) -> float:
     ts = np.linspace(0.0, 2.0, 50)
     plus = np.array(solve_w(TwistParam(pair, tau), (0.0, 2.0), tol).w(ts))
     minus = _w(integrate(_field(pair.p, pair.q), initial_state(TwistParam(pair, -tau)).as_real(),
-                         (0.0, 2.0), tol)(ts))
+                         (0.0, 2.0), tol, t0=0.0)(ts))
     return float(np.max(np.abs(minus - np.conj(plus))))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,15 +37,13 @@ class LinearisedSolution:
 
     ``Q`` and ``Qdot`` are callables on [-2 p_tau, 2 p_tau].  ``p_star``
     is the anchor time (the unique t in (0, p_tau) with y = q/n) for
-    p = 1, or 0 for p > 1.  ``wronskian_drift`` is the measured maximum
-    of |(q - ny) Q' + n y' Q - 1| over the covered interval.  ``trajectory``
-    holds (w, Q, Q'), integrated both ways from ``p_star``.
+    p = 1, or 0 for p > 1.  ``trajectory`` holds (w, Q, Q'), integrated
+    both ways from ``p_star``.
     """
 
     param: TwistParam
     period: PeriodData
     p_star: float
-    wronskian_drift: float
     trajectory: Trajectory
 
     def Q(self, t):
@@ -59,6 +58,12 @@ class LinearisedSolution:
     def wronskian(self, t):
         pair, s = self.param.pair, self.trajectory(t)
         return (pair.q - pair.n * _y(s)) * s[5] + pair.n * _ydot(pair, s) * s[4]
+
+    @cached_property
+    def wronskian_drift(self) -> float:
+        """max |(q - n y) Q' + n y' Q - 1| at 101 times of [-2 p_tau, 2 p_tau]."""
+        ts = np.linspace(-2.0 * self.period.p_tau, 2.0 * self.period.p_tau, 101)
+        return float(np.max(np.abs(self.wronskian(ts) - 1.0)))
 
 
 def solve_Q(curve: Curve) -> LinearisedSolution:
@@ -84,11 +89,7 @@ def solve_Q(curve: Curve) -> LinearisedSolution:
     state0 = np.concatenate([base.state(p_star), [1.0 / (n * base.ydot(p_star)), 0.0]])
     hi = 2.2 * data.p_tau
     traj = integrate(_field(p, q, linearised=True), state0, (-hi, hi), tol, t0=p_star)
-    sol = LinearisedSolution(param=param, period=data, p_star=p_star,
-                             wronskian_drift=0.0, trajectory=traj)
-    ts = np.linspace(-2.0 * data.p_tau, 2.0 * data.p_tau, 101)
-    sol.wronskian_drift = float(np.max(np.abs(sol.wronskian(ts) - 1.0)))
-    return sol
+    return LinearisedSolution(param=param, period=data, p_star=p_star, trajectory=traj)
 
 
 def dpthat_dtau(curve: Curve) -> float:

@@ -9,7 +9,7 @@ diff; a value that every caller leaves alone belongs inside its function.
 import ast
 from pathlib import Path
 
-SETTABLE_VALUES = 31
+SETTABLE_VALUES = 25
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sltwist"
 

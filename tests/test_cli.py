@@ -337,6 +337,5 @@ def test_strict_preset_never_looser():
     from sltwist.cli import TOL_PRESETS
 
     std, strict = TOL_PRESETS["standard"], TOL_PRESETS["strict"]
-    assert strict.abs_tol <= std.abs_tol
-    assert strict.rel_tol <= std.rel_tol
+    assert strict.tol <= std.tol
     assert strict.event_tol <= std.event_tol

@@ -68,11 +68,17 @@ def test_array_accessors_equal_scalar_ones_bitwise(p, q, tau):
     traj = solve_w(TwistParam(AdmissiblePair(p, q), tau), (-2.5, 3.0))
     ts = np.concatenate([np.linspace(-2.5, 3.0, 37), [0.0]])
     w1, w2 = traj.w(ts)
-    psi1, psi2 = traj.psi(ts)
+    undefined = p == 1 and tau == 0.0        # w1 passes through 0 at t = 0
+    if undefined:
+        for t in (ts, 0.5):
+            with pytest.raises(ValueError, match="psi is undefined at tau = 0 for p = 1"):
+                traj.psi(t)
+    else:
+        psi1, psi2 = traj.psi(ts)
     states, ys, ydots = traj.state(ts), traj.y(ts), traj.ydot(ts)
     for i, t in enumerate(ts):
         assert traj.w(t) == (w1[i], w2[i])
-        assert traj.psi(t) == (psi1[i], psi2[i])
+        assert undefined or traj.psi(t) == (psi1[i], psi2[i])
         assert traj.y(t) == ys[i] and traj.ydot(t) == ydots[i]
         assert np.array_equal(traj.state(t), states[:, i])
     assert isinstance(traj.w(0.5)[0], complex) and isinstance(traj.y(0.5), float)

@@ -7,6 +7,7 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
 
 from sltwist import ode_engine
 from sltwist.catenoid import _profile_field, catenoid_lifetime
+from sltwist.curve import Curve
 from sltwist.ode_engine import (EventError, IntegrationError, Tolerances,
                                 integrate, locate_event)
 from sltwist.periods import partial_periods_quadrature
@@ -53,26 +54,26 @@ def _bits(values):
 
 
 def test_zero_field_constant():
-    traj = integrate(lambda t, s: [0.0, 0.0], [3.0, -1.5], (0.0, 1.0))
+    traj = integrate(lambda t, s: [0.0, 0.0], [3.0, -1.5], (0.0, 1.0), t0=0.0)
     assert np.allclose(traj(1.0), [3.0, -1.5], atol=0)
 
 
 def test_exponential_endpoint():
-    traj = integrate(lambda t, s: [s[0]], [1.0], (0.0, 1.0))
+    traj = integrate(lambda t, s: [s[0]], [1.0], (0.0, 1.0), t0=0.0)
     assert abs(traj(1.0)[0] - math.e) < 1e-10
 
 
 def test_twisted_field_stays_on_sphere():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     s0 = initial_state(param).as_real()
-    traj = integrate(twisted_field(1, 2), s0, (0.0, 20.0))
+    traj = integrate(twisted_field(1, 2), s0, (0.0, 20.0), t0=0.0)
     ts = np.linspace(0.0, 20.0, 500)
     norms = [np.dot(traj(t), traj(t)) for t in ts]
     assert max(abs(v - 1.0) for v in norms) < 1e-10
 
 
 def test_locate_event_linear():
-    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0))
+    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=0.0)
     t = locate_event(traj, lambda t, s: t - 0.5, (0.0, 1.0))
     assert abs(t - 0.5) < 1e-13
 
@@ -81,7 +82,7 @@ def test_locate_event_ydot_matches_quadrature():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     p_est, _ = partial_periods_quadrature(param)
     s0 = initial_state(param).as_real()
-    traj = integrate(twisted_field(1, 2), s0, (0.0, 1.6 * p_est))
+    traj = integrate(twisted_field(1, 2), s0, (0.0, 1.6 * p_est), t0=0.0)
 
     def g(t, s):
         return -2.0 * ((s[0] + 1j * s[1]) * (s[2] + 1j * s[3]) ** 2).real
@@ -94,7 +95,7 @@ def test_locate_event_y_level():
     param = TwistParam(AdmissiblePair(1, 2), 0.05)
     p_est, _ = partial_periods_quadrature(param)
     s0 = initial_state(param).as_real()
-    traj = integrate(twisted_field(1, 2), s0, (0.0, p_est))
+    traj = integrate(twisted_field(1, 2), s0, (0.0, p_est), t0=0.0)
 
     def g(t, s):
         return s[2] ** 2 + s[3] ** 2 - 2.0 / 3.0
@@ -105,7 +106,7 @@ def test_locate_event_y_level():
 
 
 def test_no_sign_change_raises():
-    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0))
+    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=0.0)
     with pytest.raises(EventError):
         locate_event(traj, lambda t, s: 1.0 + t, (0.0, 1.0))
 
@@ -114,11 +115,10 @@ def test_tolerance_tightening_consistency():
     field = twisted_field(2, 3)
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     s0 = initial_state(param).as_real()
-    loose = Tolerances(abs_tol=1e-10, rel_tol=1e-10, event_tol=1e-11)
-    tight = Tolerances(abs_tol=1e-11, rel_tol=1e-11, event_tol=1e-12)
-    end_a = integrate(field, s0, (0.0, 10.0), loose)(10.0)
-    end_b = integrate(field, s0, (0.0, 10.0), tight)(10.0)
-    assert np.max(np.abs(end_a - end_b)) < 10 * loose.abs_tol
+    loose, tight = Tolerances(1e-10), Tolerances(1e-11)
+    end_a = integrate(field, s0, (0.0, 10.0), loose, t0=0.0)(10.0)
+    end_b = integrate(field, s0, (0.0, 10.0), tight, t0=0.0)(10.0)
+    assert np.max(np.abs(end_a - end_b)) < 10 * loose.tol
 
 
 def test_backward_integration_returns_start():
@@ -126,9 +126,9 @@ def test_backward_integration_returns_start():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     s0 = initial_state(param).as_real()
     tol = Tolerances()
-    fwd = integrate(field, s0, (0.0, 5.0), tol)
-    back = integrate(field, fwd(5.0), (5.0, 0.0), tol)
-    assert np.max(np.abs(back(0.0) - s0)) < 10 * tol.abs_tol
+    fwd = integrate(field, s0, (0.0, 5.0), tol, t0=0.0)
+    back = integrate(field, fwd(5.0), (0.0, 5.0), tol, t0=5.0)
+    assert np.max(np.abs(back(0.0) - s0)) < 10 * tol.tol
 
 
 def test_interpolant_reproduces_grid_states():
@@ -142,27 +142,22 @@ def test_interpolant_reproduces_grid_states():
     assert all(np.array_equal(traj(t), reads[:, j]) for j, t in enumerate(traj.time_grid))
 
 
-def test_drift_recording():
-    field = twisted_field(1, 2)
-    param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    s0 = initial_state(param).as_real()
-    inv = {"norm": (lambda s: float(np.dot(s, s)), 1.0)}
-    traj = integrate(field, s0, (0.0, 10.0), invariants=inv)
-    assert 0.0 <= traj.drift["norm"] < 1e-10
-
-
 def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        Tolerances(event_tol=1e-3, abs_tol=1e-6)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            Tolerances(bad)
+    # event_tol = tol / 10 is each preset's former literal, bit for bit
+    from sltwist.cli import TOL_PRESETS
+
+    events = [TOL_PRESETS[name].event_tol for name in ("fast", "standard", "strict")]
+    assert _bits(events).tolist() == _bits([1e-10, 1e-13, 5e-14]).tolist()
 
 
 def test_blowup_reports_last_time():
     # y' = y^2, y(0) = 1 blows up at t = 1; the steps underflow where the
     # discrete solution does, 1.5e-13 past it (solve_ivp stops at the same time)
     with pytest.raises(IntegrationError) as err:
-        integrate(lambda t, s: [s[0] ** 2], [1.0], (0.0, 2.0))
+        integrate(lambda t, s: [s[0] ** 2], [1.0], (0.0, 2.0), t0=0.0)
     assert 0.9 <= err.value.last_time <= 1.0 + 1e-12
     assert repr(err.value.last_time) in str(err.value) and "step size" in str(err.value)
 
@@ -172,11 +167,11 @@ def test_non_finite_field_reports_last_accepted_time():
         return [math.nan if t > 0.5 else 1.0]
 
     with pytest.raises(IntegrationError) as err:
-        integrate(field, [0.0], (0.0, 1.0))
+        integrate(field, [0.0], (0.0, 1.0), t0=0.0)
     assert 0.0 < err.value.last_time <= 0.5
     assert repr(err.value.last_time) in str(err.value) and "non-finite" in str(err.value)
     with pytest.raises(IntegrationError) as err:
-        integrate(lambda t, s: [math.nan], [0.0], (0.0, 1.0))
+        integrate(lambda t, s: [math.nan], [0.0], (0.0, 1.0), t0=0.0)
     assert err.value.last_time == 0.0
 
 
@@ -187,15 +182,13 @@ def test_two_sided_trajectory_equals_one_sided_runs(p, q):
     pair = AdmissiblePair(p, q)
     s0 = initial_state(TwistParam(pair, 0.3 * tau_max(pair))).as_real()
     field = twisted_field(p, q)
-    inv = {"norm": (lambda s: float(np.dot(s, s)), 1.0)}
-    both = integrate(field, s0, (-6.0, 8.0), invariants=inv, t0=0.0)
-    fwd = integrate(field, s0, (0.0, 8.0), invariants=inv)
-    bwd = integrate(field, s0, (0.0, -6.0), invariants=inv)
+    both = integrate(field, s0, (-6.0, 8.0), t0=0.0)
+    fwd = integrate(field, s0, (0.0, 8.0), t0=0.0)
+    bwd = integrate(field, s0, (-6.0, 0.0), t0=0.0)
     for side, ts in ((fwd, np.linspace(0.0, 8.0, 200)), (bwd, np.linspace(-6.0, 0.0, 200))):
         assert np.array_equal(both(ts), side(ts))
         assert all(np.array_equal(both(t), side(t)) for t in ts[::20])
     assert np.array_equal(both.time_grid, np.concatenate([bwd.time_grid, fwd.time_grid[1:]]))
-    assert both.drift["norm"] == max(fwd.drift["norm"], bwd.drift["norm"])
     for t in (2.5, 7.9):
         assert np.array_equal(both.endpoint(t), fwd.endpoint(t))
         assert np.array_equal(both.endpoint(-0.75 * t), bwd.endpoint(-0.75 * t))
@@ -204,7 +197,51 @@ def test_two_sided_trajectory_equals_one_sided_runs(p, q):
     assert (both.time_grid[0], both.t0, both.time_grid[-1]) == (-6.0, 0.0, 8.0)
 
 
+def _integrated_endpoint(traj, t, atol_scale):
+    """The state at t as a whole integrate run from the last accepted step
+    between the anchor and t, the way endpoints used to be read."""
+    forward = t > traj.t0
+    k = np.searchsorted(traj.time_grid, t, side="left" if forward else "right") - forward
+    leg = integrate(traj.field, traj.states[k], (traj.time_grid[k], t), traj.tol, atol_scale,
+                    t0=traj.time_grid[k])
+    return leg.states[-1 if forward else 0]
+
+
+def _assert_endpoints_equal_integrate_runs(traj, ts, atol_scale, monkeypatch):
+    want = [_integrated_endpoint(traj, t, atol_scale) for t in ts]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an endpoint ran integrate or the dense-output stages")
+
+    with monkeypatch.context() as m:
+        m.setattr(ode_engine, "integrate", forbidden)
+        m.setattr(ode_engine, "_dense", forbidden)
+        got = [traj.endpoint(t) for t in ts]
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("frac", [0.3, -0.3, 1e-4, -1e-4])
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (1, 6)])
+def test_endpoint_is_an_integrate_run_bit_for_bit(p, q, frac, monkeypatch):
+    # the step loop alone from the last accepted step: the same initial-step
+    # probe and the same steps as a whole integrate call, on both sides of
+    # the anchor, on the curve (with its per-component atol) and on (w, Q, Q')
+    pair = AdmissiblePair(p, q)
+    curve = Curve(TwistParam(pair, frac * tau_max(pair)))
+    traj = curve.traj(-3.0, 4.0).trajectory
+    scale = np.array(traj.atol) / traj.tol.tol
+    assert tuple((traj.tol.tol * scale).tolist()) == traj.atol
+    ts = [-2.9, -1.3, -0.01, 0.01, 1.7, 3.95, traj.time_grid[1], traj.time_grid[-2]]
+    _assert_endpoints_equal_integrate_runs(traj, ts, scale, monkeypatch)
+    lin, p_tau = curve.Q.trajectory, curve.period.p_tau
+    ts = [lin.t0 + f * p_tau for f in (-2.0, -0.4, 0.3, 1.2)]
+    _assert_endpoints_equal_integrate_runs(lin, ts, 1.0, monkeypatch)
+
+
 def test_anchor_and_reads_outside_span_rejected():
+    with pytest.raises(TypeError):                  # the anchor is required
+        integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0))
     with pytest.raises(ValueError):
         integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=2.0)
     traj = integrate(lambda t, s: [1.0], [0.0], (-1.0, 1.0), t0=0.0)
@@ -308,9 +345,9 @@ def test_one_pass_dense_stages_equal_scalar_steps(build):
 
 def _reference_case(field, y0, span, tol=Tolerances(), atol_scale=1.0):
     """Our trajectory and solve_ivp's DOP853 run over the same span."""
-    ours = integrate(field, y0, span, tol, atol_scale=atol_scale)
-    ref = solve_ivp(field, span, y0, method="DOP853", rtol=tol.rel_tol,
-                    atol=tol.abs_tol * np.asarray(atol_scale), dense_output=True)
+    ours = integrate(field, y0, span, tol, atol_scale, t0=span[0])
+    ref = solve_ivp(field, span, y0, method="DOP853", rtol=tol.tol,
+                    atol=tol.tol * np.asarray(atol_scale), dense_output=True)
     assert ref.success
     steps, ref_steps = len(ours.time_grid) - 1, len(ref.t) - 1
     assert abs(steps - ref_steps) <= max(2, 0.01 * ref_steps)
@@ -320,8 +357,8 @@ def _reference_case(field, y0, span, tol=Tolerances(), atol_scale=1.0):
     if np.max(np.abs(ours(ts) - ref.sol(ts))) > 1e-10:
         # both interpolants are off by more than that: compare their errors
         # against a run at 10 times tighter tolerances
-        tight = solve_ivp(field, span, y0, method="DOP853", rtol=tol.rel_tol / 10,
-                          atol=tol.abs_tol / 10 * np.asarray(atol_scale), dense_output=True)
+        tight = solve_ivp(field, span, y0, method="DOP853", rtol=tol.tol / 10,
+                          atol=tol.tol / 10 * np.asarray(atol_scale), dense_output=True)
         ours_err, ref_err = (np.max(np.abs(y - tight.sol(ts))) for y in (ours(ts), ref.sol(ts)))
         assert ours_err <= 3 * ref_err
     return ours

@@ -186,6 +186,28 @@ def test_solve_w_conserved_drift(p, q, tau):
     assert traj.drift["I2"] < 1e-9
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 3), (1, 6), (4, 4), (2, 5), (1, 3)])
+def test_drift_is_computed_on_first_read_as_the_invariants_were(p, q, sign):
+    # the per-state I1 and I2 of the invariants hook integrate used to take,
+    # each against its reference over the accepted steps
+    from sltwist.twisted_curve import _twist
+
+    pair = AdmissiblePair(p, q)
+    tau = sign * 0.3 * tau_max(pair)
+    traj = solve_w(TwistParam(pair, tau), (-5.0, 6.0))
+    assert "drift" not in traj.__dict__
+    inv = {"I1": (lambda s: s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2, 1.0),
+           "I2": (lambda s: _twist(pair, complex(s[0], s[1]), complex(s[2], s[3])).imag,
+                  -2.0 * tau)}
+    states = traj.trajectory.states.tolist()
+    want = {name: float(np.max(np.abs(np.array([fn(s) for s in states]) - ref)))
+            for name, (fn, ref) in inv.items()}
+    drift = traj.drift
+    assert "drift" in traj.__dict__ and traj.drift is drift
+    assert list(drift.items()) == list(want.items())   # maxima of |.| >= 0: == is bitwise
+
+
 def test_solve_w_second_derivative_matches_force():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     traj = solve_w(param, (0.0, 6.0))

@@ -16,6 +16,9 @@ PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 def test_wronskian_is_one_along_solution():
     for (p, q), tau in [((1, 2), 0.1), ((2, 3), 0.05), ((2, 2), 0.06)]:
         sol = solve_Q(Curve(TwistParam(AdmissiblePair(p, q), tau)))
+        assert "wronskian_drift" not in sol.__dict__            # computed on first read
+        grid = np.linspace(-2.0 * sol.period.p_tau, 2.0 * sol.period.p_tau, 101)
+        assert sol.wronskian_drift == float(np.max(np.abs(sol.wronskian(grid) - 1.0)))
         assert sol.wronskian_drift < 1e-8
         ts = np.linspace(-2.0 * sol.period.p_tau, 2.0 * sol.period.p_tau, 50)
         assert max(abs(sol.wronskian(t) - 1.0) for t in ts) < 1e-8
