@@ -21,9 +21,8 @@ from .periods import (PeriodData, angular_periods, branch_integral, partial_peri
                       period_ode, pthat_quadrature, pthat_quadrature_psi2,
                       verify_psi_constraint)
 from .twisted_curve import (AdmissiblePair, SphereState, TwistParam,
-                            TwistTrajectory, alpha_tau, conjugate_family_check,
-                            f_poly, f_prime, initial_state, solve_w, tau_max,
-                            velocity, y_extrema)
+                            TwistTrajectory, alpha_tau, f_poly, f_prime,
+                            initial_state, solve_w, tau_max, velocity, y_extrema)
 from .variation import (AsymptoticsReport, LinearisedSolution, asymptotic_constants,
                         check_asymptotics, dpthat_dtau, dpthat_dtau_cross_check,
                         solve_Q, time_scale)

@@ -137,15 +137,14 @@ def catenoid_flow(params: CatenoidParams, t, direct: bool = False):
     return _read(traj, t)
 
 
-def verify_catenoid_symmetry(n: int, t_window: float | None = None) -> float:
-    """max |w_1(-t) - e^{i pi/n} conj(w_1(t))| at 100 times in [0, t_window].
+def verify_catenoid_symmetry(n: int) -> float:
+    """max |w_1(-t) - e^{i pi/n} conj(w_1(t))| at 100 times in [0, 0.9 T_1], or [0, 5] for n = 2.
 
     The two sides of the unit trajectory are separate integrations from
     0, so this residual measures the reflection symmetry of the profile
     rather than restating its construction.
     """
-    if t_window is None:
-        t_window = 0.9 * catenoid_lifetime(n) if n >= 3 else 5.0
+    t_window = 0.9 * catenoid_lifetime(n) if n >= 3 else 5.0
     phase = np.exp(1j * math.pi / n)
     ts = np.linspace(0.0, t_window, 100)
     left = unit_profile(n, -ts)

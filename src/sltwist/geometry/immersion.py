@@ -14,7 +14,6 @@ the closed-form derivatives used elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,25 +21,10 @@ from ..curve import Curve
 from ..twisted_curve import velocity
 
 __all__ = [
-    "ImmersionPoint", "Sampler", "CurveSampler", "immerse",
-    "immersion_sampler", "equatorial_factor", "point_factor",
-    "equatorial_circle_curve", "twist_curve_sampler",
-    "legendrian_residual", "lagrangian_phase", "twisted_product",
-    "phase_relation_residual", "contact_pairing",
+    "Sampler", "CurveSampler", "immersion_sampler", "equatorial_factor",
+    "twist_curve_sampler", "legendrian_residual", "lagrangian_phase",
+    "twisted_product", "phase_relation_residual", "contact_pairing",
 ]
-
-
-@dataclass(frozen=True)
-class ImmersionPoint:
-    """A point of the immersion together with its domain coordinates."""
-
-    coords: np.ndarray                      # complex n-vector, unit norm
-    domain: tuple
-
-    def __post_init__(self):
-        r = float(np.sum(np.abs(self.coords) ** 2))
-        if abs(r - 1.0) > 1e-10:
-            raise ValueError(f"|coords|^2 = {r} is not 1 within 1e-10")
 
 
 class Sampler:
@@ -124,28 +108,17 @@ def _chart_box(m: int):
 def equatorial_factor(m: int) -> Sampler:
     """The standard real equator S^{m-1} in C^m, special Legendrian.
 
-    Oriented so the Lagrangian phase is identically 1.
+    Oriented so the Lagrangian phase is identically 1.  For m = 1 it is
+    the zero-dimensional factor, the point 1 in S^1 subset C.
     """
     if m < 1:
         raise ValueError("ambient complex dimension must be >= 1")
     if m == 1:
-        return point_factor()
+        return Sampler(lambda u: np.ones(u.shape[:-1] + (1,), dtype=complex), dim=0, m=1,
+                       box=[], phase=lambda u: 1.0 + 0.0j, name="point factor")
     return Sampler(lambda u: _chart_point(m - 1, u).astype(complex),
                    dim=m - 2 + 1, m=m, box=_chart_box(m - 1),
                    phase=lambda u: 1.0 + 0.0j, name=f"equator S^{m-1}")
-
-
-def point_factor() -> Sampler:
-    """Degenerate zero-dimensional factor: the point 1 in S^1 subset C."""
-    return Sampler(lambda u: np.ones(u.shape[:-1] + (1,), dtype=complex), dim=0, m=1, box=[],
-                   phase=lambda u: 1.0 + 0.0j, name="point factor")
-
-
-def equatorial_circle_curve() -> CurveSampler:
-    """The equatorial twisting curve w(t) = (cos t, sin t)."""
-    return CurveSampler(lambda t: (np.cos(t), np.sin(t)),
-                        lambda t: (-np.sin(t), np.cos(t)),
-                        name="equatorial circle")
 
 
 def twist_curve_sampler(curve: Curve, t_span) -> CurveSampler:
@@ -177,28 +150,6 @@ def twisted_product(factor1: Sampler, factor2: Sampler, curve: CurveSampler,
     return Sampler(fn, dim=1 + d1 + factor2.dim, m=factor1.m + factor2.m,
                    box=[tuple(t_range)] + factor1.box + factor2.box,
                    name=f"{factor1.name} *w* {factor2.name}")
-
-
-def immerse(curve: Curve, t: float, sigma1, sigma2) -> ImmersionPoint:
-    """Point (w1 sigma1, w2 sigma2) of the invariant Legendrian cylinder.
-
-    For p = 1 the first factor degenerates: pass sigma1 = None and a unit
-    (n-1)-vector sigma2.
-    """
-    pair = curve.param.pair
-    if pair.p == 1:
-        if sigma1 is not None:
-            raise ValueError("p = 1 has no first sphere factor")
-        sigma1 = (1.0,)
-    sigmas = []
-    for name, sigma, dim in (("sigma1", sigma1, pair.p), ("sigma2", sigma2, pair.q)):
-        s = np.asarray(sigma, dtype=float)
-        if s.shape != (dim,) or abs(np.dot(s, s) - 1.0) > 1e-12:
-            raise ValueError(f"{name} must be a unit {dim}-vector")
-        sigmas.append(s)
-    w1, w2 = curve.traj(t - 1e-9, t + 1e-9).w(t)
-    domain = (t, None if pair.p == 1 else tuple(sigmas[0]), tuple(sigmas[1]))
-    return ImmersionPoint(coords=_cone(w1, w2, *sigmas), domain=domain)
 
 
 def immersion_sampler(curve: Curve, t_range) -> Sampler:

@@ -16,7 +16,7 @@ from ..twisted_curve import _w, alpha_tau
 
 __all__ = [
     "mhat", "ttilde", "reflection_matrix", "symmetry_residuals",
-    "rotation_determinant_residual", "holomorphic_volume_reflection_residual",
+    "rotation_determinant_residual",
 ]
 
 
@@ -65,20 +65,16 @@ def rotation_determinant_residual(pair) -> float:
     return res
 
 
-def holomorphic_volume_reflection_residual(curve: Curve) -> float:
+def _omega_residual(pair, small: np.ndarray) -> float:
     """Residual of pulling the holomorphic volume form back to -conj.
 
-    An antiholomorphic reflection A(z) = D conj(z) satisfies
-    A* Omega = det(D) conj(Omega) on frames; the reflections of the
-    invariant cylinders have det(D) = -1.  Evaluates
-    |det_C([A v_1 ... A v_n]) + conj(det_C([v_1 ... v_n]))| on 10 random
-    complex frames.
+    An antiholomorphic reflection A(z) = D conj(z), D = diag(d1 Id_p, d2 Id_q)
+    from the 2 x 2 factor ``small``, satisfies A* Omega = det(D) conj(Omega)
+    on frames; the reflections of the invariant cylinders have det(D) = -1.
+    Evaluates the max of |det_C(A V) + conj(det_C(V))|, which is
+    |det V| |det D + 1|, over 10 random complex Gaussian frames V, so it
+    scales with |det V| as well as with the error in det D.
     """
-    return _omega_residual(curve.param.pair, reflection_matrix(curve, "+"))
-
-
-def _omega_residual(pair, small: np.ndarray) -> float:
-    """The residual above for the "+" reflection factor ``small`` (2 x 2)."""
     n = pair.n
     D = np.diag(_blocks(pair, small[0, 0], small[1, 1]))
     rng = np.random.default_rng(1)

@@ -71,10 +71,11 @@ class PeriodData:
     psi2_2p: float
 
 
-def _branch_halves(pair: AdmissiblePair, extrema, h) -> tuple[np.ndarray, np.ndarray]:
+def _branch_halves(pair: AdmissiblePair, taus, extrema, h) -> tuple[np.ndarray, np.ndarray]:
     """int h(y, 1 - y) dy / (2 sqrt(f(y) - 4 tau^2)) over [y_min, q/n] and
     [q/n, y_max] for each tau, by the rule of the module docstring; ``extrema``
-    is (y_min, y_max), two arrays over tau or two floats for one tau."""
+    is (y_min, y_max) of ``taus``, two arrays over tau or two floats for one
+    tau.  A sum that is not finite is refused, naming its tau."""
     y0 = np.reshape(extrema, (2, -1, 1))
     sign = np.array([1.0, -1.0])[:, None, None]     # y = y_min + s^2 and y = y_max - s^2
     length = sign * (pair.q / pair.n - y0)
@@ -88,6 +89,10 @@ def _branch_halves(pair: AdmissiblePair, extrema, h) -> tuple[np.ndarray, np.nda
         G = G * s2 + ck             # f(y0 + sign s^2) - f(y0) = s^2 G, positive inside
     g = h(y0 + sign * s2, (1.0 - y0) - sign * s2) * np.cosh(u) / np.sqrt(G)
     lo, hi = (a * span * g) @ _WEIGHTS
+    finite = np.isfinite(lo + hi)
+    if not finite.all():
+        tau = abs(np.ravel(taus)[np.argmin(finite)])
+        raise ArithmeticError(f"the branch quadrature at |tau|={tau} is not finite")
     return lo, hi
 
 
@@ -96,7 +101,7 @@ def branch_integral(param: TwistParam, h) -> float:
 
     This is the integral of h(y(t)) dt over one monotone branch of y.
     """
-    (lo,), (hi,) = _branch_halves(param.pair, y_extrema(param), h)
+    (lo,), (hi,) = _branch_halves(param.pair, param.tau, y_extrema(param), h)
     return float(lo + hi)
 
 
@@ -108,7 +113,8 @@ def partial_periods_quadrature(param: TwistParam) -> tuple[float, float]:
     tau_max are refused by :func:`y_extrema`.
     """
     pair = param.pair
-    (p_plus,), (p_minus,) = _branch_halves(pair, y_extrema(param), lambda y, one_minus_y: 1.0)
+    (p_plus,), (p_minus,) = _branch_halves(pair, param.tau, y_extrema(param),
+                                           lambda y, one_minus_y: 1.0)
     return (float(p_plus + p_minus), 0.0) if pair.p == 1 else (float(p_plus), float(p_minus))
 
 
@@ -118,7 +124,7 @@ def _psi1_weight(y, one_minus_y):
 
 def angular_periods(pair: AdmissiblePair, taus) -> np.ndarray:
     """pthat by quadrature for each tau of an array: p * int 2 tau/(1 - y)."""
-    lo, hi = _branch_halves(pair, _extrema(pair, taus), _psi1_weight)
+    lo, hi = _branch_halves(pair, taus, _extrema(pair, taus), _psi1_weight)
     return 2.0 * pair.p * np.asarray(taus, dtype=float) * (lo + hi)
 
 

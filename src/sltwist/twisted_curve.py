@@ -30,7 +30,7 @@ from .ode_engine import Tolerances, integrate
 __all__ = [
     "AdmissiblePair", "TwistParam", "SphereState", "TwistTrajectory",
     "tau_max", "alpha_tau", "f_poly", "f_prime", "f_taylor_coeffs",
-    "y_extrema", "initial_state", "velocity", "solve_w", "conjugate_family_check",
+    "y_extrema", "initial_state", "velocity", "solve_w",
 ]
 
 # tau this close to tau_max is treated as the constant-y solution; the two
@@ -133,8 +133,9 @@ def _extrema(pair: AdmissiblePair, taus) -> tuple[np.ndarray, np.ndarray]:
     in (0, 1), bracketing q/n.
 
     Refuses |tau| above tau_max, within a relative 1e-10 of it (coalescing
-    roots), tau = 0 (double roots at the endpoints) and NaN, naming the
-    first such tau.  Both roots of every tau come from one Newton iteration on
+    roots), tau = 0 (double roots at the endpoints), NaN, and tau so small
+    that 4 tau^2 underflows or y_max comes out NaN or 1, naming the first
+    such tau.  Both roots of every tau come from one Newton iteration on
     h(y) = ln(f(y) / 4 tau^2), which is concave, started where h < 0 outside
     each root, so the iterates move monotonically towards it.  A root is done
     when its next step reverses direction or stops shrinking relative to y
@@ -156,6 +157,8 @@ def _extrema(pair: AdmissiblePair, taus) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("tau = 0: f(y) = 0 has no interior double root to split")
         raise ValueError("|tau| too close to tau_max: extrema coalesce at q/n")
     target = 4.0 * tau * tau
+    if not target.all():
+        raise ValueError(f"|tau|={tau[np.argmin(target)]} is too small: 4 tau^2 underflows to 0")
     # Starts from the leading-order root asymptotics, moved 4x outward to
     # guarantee h < 0; the while-loops only fire very close to tau_max.
     lo = np.minimum((2.0 * tau) ** (2.0 / q) / 4.0, 0.5 * q / n)
@@ -172,6 +175,9 @@ def _extrema(pair: AdmissiblePair, taus) -> tuple[np.ndarray, np.ndarray]:
         rel = dy / (y - _UPPER_ROW)             # dy / y and dy / -(1 - y): > 0 ahead
         go = (0.0 < rel) & (rel < last)         # a stopped root keeps its y, so stays stopped
         if not go.any():
+            if not (y[1] < 1.0).all():          # NaN or 1: 1 - y_max is below one ulp of 1
+                raise ValueError(f"|tau|={tau[np.argmin(y[1] < 1.0)]} is too small: 1 - y_max "
+                                 "is not resolved next to 1 in double precision")
             return y[0], y[1]
         y = y + dy * go
         last = np.where(go, rel, last)
@@ -394,19 +400,3 @@ class TwistTrajectory:
 def solve_w(param: TwistParam, t_span, tol: Tolerances = Tolerances()) -> TwistTrajectory:
     """Integrate the canonical curve over an interval containing 0."""
     return TwistTrajectory(param, t_span, tol)
-
-
-def conjugate_family_check(param: TwistParam) -> float:
-    """max |w_{-tau}(t) - conj(w_tau(t))| at 50 times in [0, 2], standard tolerances.
-
-    The |tau| member comes from :func:`solve_w`; the -|tau| member is
-    integrated by a plain :func:`integrate` call without solve_w's
-    absolute-tolerance scale, so it takes different steps and the two
-    sides are independent integrations.  At tau = 0 both are real.
-    """
-    pair, tau, tol = param.pair, abs(param.tau), Tolerances()
-    ts = np.linspace(0.0, 2.0, 50)
-    plus = np.array(solve_w(TwistParam(pair, tau), (0.0, 2.0), tol).w(ts))
-    minus = _w(integrate(_field(pair.p, pair.q), initial_state(TwistParam(pair, -tau)).as_real(),
-                         (0.0, 2.0), tol, t0=0.0)(ts))
-    return float(np.max(np.abs(minus - np.conj(plus))))

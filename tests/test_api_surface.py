@@ -1,17 +1,44 @@
-"""A ratchet on the package's settable values.
+"""Ratchets on the package's settable values and on its unreached public names.
 
 Counts every parameter default (positional and keyword-only) and every
 annotated class attribute with a value in ``src/sltwist``.  A new option
 changes the count, so it has to change ``SETTABLE_VALUES`` in the same
 diff; a value that every caller leaves alone belongs inside its function.
+
+A public name of ``sltwist`` or ``sltwist.geometry`` is reached when the
+package's own code (outside the ``__init__.py`` re-exports) refers to it
+as a name or an attribute, or a file of the benchmark, ``perfbench/``,
+names it, in code or in a string such as a traced span.  The names that
+only tests reach are pinned in ``TESTS_ONLY``: a new one, or a kept one
+that the program comes to reach, changes the pin in the same diff.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SETTABLE_VALUES = 25
+SETTABLE_VALUES = 24
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sltwist"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sltwist"
+
+TESTS_ONLY = {
+    # candidates for a row of verify or neck, each a second route
+    "verify_psi_constraint",        # the angle constraint along the curve
+    "verify_catenoid_symmetry",     # the neck profile's reflection symmetry
+    "catenoid_flow",                # the profile by its direct flow
+    "bulge_sphere_distance",        # a bulge against its approximating sphere
+    "phase_relation_residual",      # the cone's special Lagrangian phase
+    # the explicit curves, which a twisted product can take as its curve
+    "cs_residual",
+    "cs_closing_period",
+    "hs_curve_sampler",
+    # the paper's necklace law, to be measured as a limit
+    "necklace_scaling_ratio",
+    # the su(n) basis of the torque fluxes' acceptance criterion
+    "su_basis",
+    "diagonal_basis_element",
+}
 
 
 def _settable_values(tree: ast.AST) -> int:
@@ -31,6 +58,47 @@ def test_counter_sees_every_kind_of_default():
                      "g = lambda x=0: x\n"
                      "class C:\n    u: int\n    v: int = 3\n    w = 4\n")
     assert _settable_values(tree) == 4          # b, c, x and v
+
+
+def _referenced(tree: ast.AST, strings: bool = False) -> set:
+    """Every name and attribute in the tree, and with ``strings`` every word
+    of its string constants."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def _public_names() -> set:
+    """The names that ``sltwist`` and ``sltwist.geometry`` import in their
+    ``__init__.py``, skipping private ones."""
+    out = set()
+    for init in (PACKAGE / "__init__.py", PACKAGE / "geometry" / "__init__.py"):
+        for node in ast.walk(ast.parse(init.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                out.update(a.name for a in node.names if not a.name.startswith("_"))
+    return out
+
+
+def test_scanner_sees_names_attributes_and_benchmark_strings():
+    tree = ast.parse("import m\nm.a(b)\nSPANS = ('x.c', 'd')\n")
+    assert _referenced(tree) == {"m", "a", "b", "SPANS"}        # not c or d
+    assert _referenced(tree, strings=True) == {"m", "a", "b", "SPANS", "x", "c", "d"}
+
+
+def test_unreached_public_names_are_pinned():
+    reached = set()
+    for f in PACKAGE.rglob("*.py"):
+        if f.name != "__init__.py":
+            reached |= _referenced(ast.parse(f.read_text()))
+    for f in (ROOT / "perfbench").glob("*.py"):
+        reached |= _referenced(ast.parse(f.read_text()), strings=True)
+    assert _public_names() - reached == TESTS_ONLY
 
 
 def test_settable_value_count_is_pinned():

@@ -50,7 +50,7 @@ def test_flow_outside_lifetime_raises():
 
 def test_reflection_symmetry_residual():
     assert verify_catenoid_symmetry(3) < 1e-9
-    assert verify_catenoid_symmetry(2, t_window=5.0) < 1e-9
+    assert verify_catenoid_symmetry(2) < 1e-9
 
 
 def test_reflection_symmetry_fixed_point():

@@ -1,4 +1,5 @@
 import json
+import signal
 import subprocess
 import sys
 import warnings
@@ -117,6 +118,30 @@ def test_nan_tau_exits_two(argv, capsys, tmp_path, monkeypatch):
     assert (code, out) == (2, "")
     assert err == "error: tau is NaN\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# below what doubles resolve: 4 tau^2 underflows, 1 - y_max is under one ulp
+# of 1, or the branch quadrature is not finite (numpy warns of the NaN first)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv,expected", [
+    (["periods", "--p", "2", "--q", "3", "--tau", "1e-200"], 2),
+    (["asymptotics", "--p", "2", "--q", "3", "--tau-list", "1e-200"], 2),
+    (["asymptotics", "--p", "1", "--q", "2", "--tau-list", "1e-9"], 2),
+    (["asymptotics", "--p", "4", "--q", "4", "--tau-list", "1e-30"], 3),
+])
+def test_unresolved_tiny_tau_is_refused_at_once(argv, expected, capsys):
+    def hung(signum, frame):
+        raise TimeoutError(f"{argv} still runs after 20 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (expected, "")
+    assert f"|tau|={float(argv[-1])} " in err
 
 
 def test_failed_cross_check_prints_only_its_verify_line(capsys):

@@ -8,19 +8,23 @@ from sltwist.curve import Curve
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w, tau_max
 
 
+# the equatorial twisting curve w(t) = (cos t, sin t)
+CIRCLE = geo.CurveSampler(lambda t: (np.cos(t), np.sin(t)), lambda t: (-np.sin(t), np.cos(t)),
+                          name="equatorial circle")
+
+
 # -- immersion and Legendrian checks -----------------------------------------
 
 
-def test_immerse_zero_twist_lands_on_real_sphere():
-    param = TwistParam(AdmissiblePair(1, 2), 0.0)
-    traj = solve_w(param, (-2.0, 2.0))
-    for t in (-1.5, -0.2, 0.8):
-        for th in (0.0, 1.0, 2.5):
-            pt = geo.immerse(Curve(param), t, None, [math.cos(th), math.sin(th)])
-            assert float(np.max(np.abs(pt.coords.imag))) < 1e-10
+@pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3)])
+def test_zero_twist_cylinder_lands_on_real_sphere(p, q):
+    sampler = geo.immersion_sampler(Curve(TwistParam(AdmissiblePair(p, q), 0.0)), (-1.5, 1.5))
+    z = sampler(sampler.sample_points(200, seed=0))
+    assert z.shape == (200, p + q)
+    assert np.all(z.imag == 0.0)
 
 
-def test_immerse_extreme_twist_matches_homogeneous_formula():
+def test_extreme_twist_homogeneous_formula_p1():
     pair = AdmissiblePair(1, 2)
     tm = tau_max(pair)
     param = TwistParam(pair, tm)
@@ -46,15 +50,6 @@ def test_extreme_twist_homogeneous_formula_p_gt_1(p, q):
         ref2 = math.sqrt(q / n) * np.exp(-1j * math.pi / (4 * q)) * np.exp(-2j * n * tm * t / q)
         assert abs(w1 - ref1) < 1e-9
         assert abs(w2 - ref2) < 1e-9
-
-
-def test_immerse_validates_inputs():
-    param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    traj = solve_w(param, (0.0, 1.0))
-    with pytest.raises(ValueError):
-        geo.immerse(Curve(param), 0.5, [1.0, 0.0], [2.0, 0.0, 0.0])
-    pt = geo.immerse(Curve(param), 0.5, [1.0, 0.0], [0.0, 0.0, 1.0])
-    assert abs(float(np.sum(np.abs(pt.coords) ** 2)) - 1.0) < 1e-10
 
 
 def test_pullback_metric_coefficients():
@@ -116,7 +111,7 @@ def test_batch_sampler_matches_point_by_point(p, q, tau):
     ref = _legendrian_reference(sampler, 30, 3)
     assert abs(geo.legendrian_residual(sampler, 30, 3) - ref) <= 1e-12 * ref
     prod = geo.twisted_product(geo.equatorial_factor(2), geo.equatorial_factor(3),
-                               geo.equatorial_circle_curve(), (-1.0, 1.0))
+                               CIRCLE, (-1.0, 1.0))
     u = prod.sample_points(5, seed=1)
     assert all(np.array_equal(prod(ui), zi) for ui, zi in zip(u, prod(u)))
 
@@ -161,7 +156,7 @@ def test_twisted_product_phase_relation():
     pair = AdmissiblePair(1, 2)
     param = TwistParam(pair, 0.1)
     curve = geo.twist_curve_sampler(Curve(param), t_span=(-2.0, 2.0))
-    res = geo.phase_relation_residual(geo.point_factor(), geo.equatorial_factor(2), curve,
+    res = geo.phase_relation_residual(geo.equatorial_factor(1), geo.equatorial_factor(2), curve,
                                       np.linspace(-0.8, 0.8, 5))
     assert res < 1e-6
     pair23 = AdmissiblePair(2, 3)
@@ -174,9 +169,8 @@ def test_twisted_product_phase_relation():
 
 def test_equatorial_twisting_curve_gives_real_sphere():
     factors = geo.equatorial_factor(2), geo.equatorial_factor(2)
-    circle = geo.equatorial_circle_curve()
-    res = geo.phase_relation_residual(*factors, circle, np.linspace(0.3, 1.2, 4))
-    prod = geo.twisted_product(*factors, circle, (-1.0, 1.0))
+    res = geo.phase_relation_residual(*factors, CIRCLE, np.linspace(0.3, 1.2, 4))
+    prod = geo.twisted_product(*factors, CIRCLE, (-1.0, 1.0))
     assert res < 1e-6
     for u in prod.sample_points(10, seed=5):
         u[0] = 0.8
@@ -185,7 +179,7 @@ def test_equatorial_twisting_curve_gives_real_sphere():
 
 def test_planar_phase_curve_product_phases():
     hs = geo.hs_curve_sampler(1, 2)
-    res = geo.phase_relation_residual(geo.point_factor(), geo.point_factor(), hs,
+    res = geo.phase_relation_residual(geo.equatorial_factor(1), geo.equatorial_factor(1), hs,
                                       np.linspace(-0.8, 0.8, 5))
     assert res < 1e-6
 
@@ -225,7 +219,7 @@ def test_cylinder_is_the_twisted_product_bit_for_bit(p, q, sign):
 def test_product_reads_its_curve_inside_the_integrated_span():
     # the product's time box is t_range, not a fixed (-1, 1) beyond the curve
     curve = geo.twist_curve_sampler(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)), (0.0, 0.5))
-    prod = geo.twisted_product(geo.point_factor(), geo.equatorial_factor(2), curve,
+    prod = geo.twisted_product(geo.equatorial_factor(1), geo.equatorial_factor(2), curve,
                                (0.05, 0.45))
     u = prod.sample_points(200, seed=1)
     assert np.all((0.05 <= u[:, 0]) & (u[:, 0] <= 0.45))
@@ -251,7 +245,7 @@ def test_curve_samplers_read_arrays():
         "circle": lambda t: (complex(math.cos(t)), complex(math.sin(t))),
     }
     samplers = {"cs": geo.cs_curve_sampler(pair, c), "hs": geo.hs_curve_sampler(1, 2),
-                "circle": geo.equatorial_circle_curve()}
+                "circle": CIRCLE}
     for name, sampler in samplers.items():
         w1, w2 = sampler(ts)
         ref = np.array([scalar[name](t) for t in ts])

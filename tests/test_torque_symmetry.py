@@ -188,19 +188,14 @@ def test_symmetry_residuals_p_gt_1():
 
 def test_symmetry_residuals_exchange():
     res = geo.symmetry_residuals(Curve(TwistParam(AdmissiblePair(2, 2), 0.06)))
-    assert res["exchange"] < 1e-8
+    for key, val in res.items():
+        assert val < 1e-8, (key, val)
+    assert {"exchange", "omega_reflection"} <= set(res)
 
 
 def test_rotation_determinants():
     assert geo.rotation_determinant_residual(AdmissiblePair(2, 3)) < 1e-12
     assert geo.rotation_determinant_residual(AdmissiblePair(1, 2)) < 1e-12
-
-
-def test_volume_form_reflection():
-    for (p, q), tau in [((1, 2), 0.1), ((2, 3), 0.05), ((2, 2), 0.06)]:
-        res = geo.holomorphic_volume_reflection_residual(
-            Curve(TwistParam(AdmissiblePair(p, q), tau)))
-        assert res < 1e-8
 
 
 # -- waists, bulges, spheres ------------------------------------------------------

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from sltwist.ode_engine import Tolerances, integrate
 from sltwist.periods import period_ode
-from sltwist.twisted_curve import (AdmissiblePair, TwistParam, SphereState,
-                                   conjugate_family_check, f_poly, f_prime,
-                                   initial_state, solve_w, tau_max, y_extrema)
+from sltwist.twisted_curve import (AdmissiblePair, TwistParam, SphereState, _field, _w,
+                                   f_poly, f_prime, initial_state, solve_w, tau_max,
+                                   y_extrema)
 
 PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
@@ -263,12 +264,16 @@ def test_negative_twist_is_exact_conjugate(p, q, frac):
 
 
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 3, 0.07)])
-def test_conjugate_family_independent_integrations(p, q, tau):
-    assert conjugate_family_check(TwistParam(AdmissiblePair(p, q), tau)) < 1e-9
-
-
-def test_conjugate_family_zero_twist():
-    assert conjugate_family_check(TwistParam(AdmissiblePair(1, 2), 0.0)) < 1e-10
+def test_solve_w_atol_scale_agrees_with_unscaled_integration(p, q, tau):
+    # solve_w scales the absolute tolerance of w1 by about |w1|^2 at small tau; a
+    # plain integration without the scale takes other steps to the same curve
+    param = TwistParam(AdmissiblePair(p, q), tau)
+    ts = np.linspace(0.0, 2.0, 50)
+    scaled = solve_w(param, (0.0, 2.0))
+    plain = integrate(_field(p, q), initial_state(param).as_real(), (0.0, 2.0), Tolerances(),
+                      t0=0.0)
+    assert scaled.trajectory.atol != plain.atol
+    assert np.max(np.abs(_w(plain(ts)) - np.array(scaled.w(ts)))) < 1e-9
 
 
 @pytest.mark.parametrize("span", [(-1.0, 0.0), (0.0, 1.0)])
