@@ -78,17 +78,19 @@ def _branch_halves(pair: AdmissiblePair, taus, extrema, h) -> tuple[np.ndarray, 
     tau.  A sum that is not finite is refused, naming its tau."""
     y0 = np.reshape(extrema, (2, -1, 1))
     sign = np.array([1.0, -1.0])[:, None, None]     # y = y_min + s^2 and y = y_max - s^2
-    length = sign * (pair.q / pair.n - y0)
-    a = np.sqrt(np.minimum(np.where(sign > 0, y0, 1.0 - y0), length))
-    span = np.arcsinh(np.sqrt(length) / a)
-    u = span * _NODES
-    s2 = (a * np.sinh(u)) ** 2
-    c = f_taylor_coeffs(pair, y0) * sign ** np.arange(1, pair.n + 1)[:, None, None, None]
-    G = c[-1]
-    for ck in c[-2::-1]:
-        G = G * s2 + ck             # f(y0 + sign s^2) - f(y0) = s^2 G, positive inside
-    g = h(y0 + sign * s2, (1.0 - y0) - sign * s2) * np.cosh(u) / np.sqrt(G)
-    lo, hi = (a * span * g) @ _WEIGHTS
+    # a G that rounds below 0 turns the sum NaN: the refusal below names its tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        length = sign * (pair.q / pair.n - y0)
+        a = np.sqrt(np.minimum(np.where(sign > 0, y0, 1.0 - y0), length))
+        span = np.arcsinh(np.sqrt(length) / a)
+        u = span * _NODES
+        s2 = (a * np.sinh(u)) ** 2
+        c = f_taylor_coeffs(pair, y0) * sign ** np.arange(1, pair.n + 1)[:, None, None, None]
+        G = c[-1]
+        for ck in c[-2::-1]:
+            G = G * s2 + ck         # f(y0 + sign s^2) - f(y0) = s^2 G, positive inside
+        g = h(y0 + sign * s2, (1.0 - y0) - sign * s2) * np.cosh(u) / np.sqrt(G)
+        lo, hi = (a * span * g) @ _WEIGHTS
     finite = np.isfinite(lo + hi)
     if not finite.all():
         tau = abs(np.ravel(taus)[np.argmin(finite)])

@@ -169,18 +169,21 @@ def _extrema(pair: AdmissiblePair, taus) -> tuple[np.ndarray, np.ndarray]:
         hi = np.where(inside, 1.0 - 0.5 * (1.0 - hi), hi)
     y = np.stack([lo, hi])
     last = np.full(y.shape, np.inf)
-    while True:
-        e = 1.0 - y
-        dy = np.log(target / (y**q * e**p)) / (q / y - p / e)
-        rel = dy / (y - _UPPER_ROW)             # dy / y and dy / -(1 - y): > 0 ahead
-        go = (0.0 < rel) & (rel < last)         # a stopped root keeps its y, so stays stopped
-        if not go.any():
-            if not (y[1] < 1.0).all():          # NaN or 1: 1 - y_max is below one ulp of 1
-                raise ValueError(f"|tau|={tau[np.argmin(y[1] < 1.0)]} is too small: 1 - y_max "
-                                 "is not resolved next to 1 in double precision")
-            return y[0], y[1]
-        y = y + dy * go
-        last = np.where(go, rel, last)
+    # a y_max that reaches 1 divides by zero and turns NaN: the refusal below names its tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            e = 1.0 - y
+            dy = np.log(target / (y**q * e**p)) / (q / y - p / e)
+            rel = dy / (y - _UPPER_ROW)         # dy / y and dy / -(1 - y): > 0 ahead
+            go = (0.0 < rel) & (rel < last)     # a stopped root keeps its y, so stays stopped
+            if not go.any():
+                break
+            y = y + dy * go
+            last = np.where(go, rel, last)
+    if not (y[1] < 1.0).all():                  # NaN or 1: 1 - y_max is below one ulp of 1
+        raise ValueError(f"|tau|={tau[np.argmin(y[1] < 1.0)]} is too small: 1 - y_max "
+                         "is not resolved next to 1 in double precision")
+    return y[0], y[1]
 
 
 @lru_cache(maxsize=64)     # one curve asks for its extrema from several routes

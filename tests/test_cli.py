@@ -121,8 +121,7 @@ def test_nan_tau_exits_two(argv, capsys, tmp_path, monkeypatch):
 
 
 # below what doubles resolve: 4 tau^2 underflows, 1 - y_max is under one ulp
-# of 1, or the branch quadrature is not finite (numpy warns of the NaN first)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# of 1, or the branch quadrature is not finite
 @pytest.mark.parametrize("argv,expected", [
     (["periods", "--p", "2", "--q", "3", "--tau", "1e-200"], 2),
     (["asymptotics", "--p", "2", "--q", "3", "--tau-list", "1e-200"], 2),
@@ -136,11 +135,15 @@ def test_unresolved_tiny_tau_is_refused_at_once(argv, expected, capsys):
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(20)
     try:
-        code, out, err = run(capsys, *argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert (code, out) == (expected, "")
+    assert (code, out, caught) == (expected, "", [])
+    prefix = {2: "error: ", 3: "numerical failure: "}[expected]
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
     assert f"|tau|={float(argv[-1])} " in err
 
 

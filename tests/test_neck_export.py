@@ -112,6 +112,53 @@ def test_trajectory_csv_schema(tmp_path):
                          for t, a, b in zip(ts, w1, w2)]
 
 
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e308, -1e-300, 2.0, 0.1, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("shape", [(10, 1), (7, 3), (2, 5), (1, 5), (1, 1)])
+def test_block_matches_format_float_per_number(shape):
+    from sltwist.geometry.export import _block
+
+    rng = np.random.default_rng(sum(shape))
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    rows.flat[:len(EDGE_VALUES)] = EDGE_VALUES[:rows.size]    # all of them in the wider blocks
+    reference = "\n".join(",".join(geo.format_float(v) for v in row) for row in rows)
+    assert _block(",".join(["%.17g"] * shape[1]), rows) == reference
+    assert _block("v" + " %.17g" * shape[1], rows) == "\n".join(
+        "v " + line.replace(",", " ") for line in reference.splitlines())
+
+
+class _EdgeTrajectory:
+    """Stands in for a trajectory: w1 = (t reversed) + i t, w2 = 0.1 + i nan."""
+
+    def w(self, ts):
+        w1 = np.zeros(len(ts), dtype=complex)
+        w1.real, w1.imag = ts[::-1], ts
+        return w1, np.full(len(ts), complex(0.1, math.nan))
+
+
+def test_trajectory_csv_edge_values_and_empty(tmp_path):
+    ts = np.array(EDGE_VALUES[:7])
+    path = geo.trajectory_csv(_EdgeTrajectory(), ts, tmp_path / "edge.csv")
+    w1, w2 = _EdgeTrajectory().w(ts)
+    rows = [",".join(geo.format_float(v) for v in (t, a.real, a.imag, b.real, b.imag))
+            for t, a, b in zip(ts, w1, w2)]
+    assert path.read_text() == "\n".join(["t,re_w1,im_w1,re_w2,im_w2", *rows]) + "\n"
+    # no rows: the header line alone, no blank line after it
+    empty = geo.trajectory_csv(_EdgeTrajectory(), [], tmp_path / "empty.csv")
+    assert empty.read_bytes() == b"t,re_w1,im_w1,re_w2,im_w2\n"
+
+
+@pytest.mark.parametrize("nt,na", [(2, 3), (3, 5), (12, 12)])
+def test_obj_faces_are_the_wrapped_quads(nt, na, tmp_path):
+    sampler = geo.immersion_sampler(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)), (-1.0, 1.0))
+    lines = geo.export(sampler, (nt, na), "obj", tmp_path / "m.obj").read_text().splitlines()
+    quads = [(i * na + j + 1, i * na + (j + 1) % na + 1,
+              (i + 1) * na + (j + 1) % na + 1, (i + 1) * na + j + 1)
+             for i in range(nt - 1) for j in range(na)]
+    assert lines[1 + nt * na:] == ["f %d %d %d %d" % quad for quad in quads]
+
+
 def test_period_report_roundtrip_bit_exact():
     data = period_ode(TwistParam(AdmissiblePair(2, 3), 0.05))
     text = geo.report_to_json(data, kind="PeriodData")
