@@ -150,8 +150,8 @@ def cmd_torque(args) -> int:
     pair = curve.param.pair
     tgen = geo.t_generator(pair)
     reports = [geo.torque(curve, tgen, meridian_t=t0) for t0 in (0.3, 1.1)]
-    offdiag = geo.SuBasisElement(kind="rotation", indices=(0, pair.n - 1))
-    reports.append(geo.torque(curve, offdiag, meridian_t=0.3))
+    reports.append(geo.torque(curve, geo.rotation_generator(pair.n, 0, pair.n - 1),
+                              meridian_t=0.3))
     gap = abs(reports[0].numeric - reports[1].numeric)
     payload = {"reports": [dataclasses.asdict(r) for r in reports], "meridian_gap": gap}
     _emit(args, payload, [
@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
 
     tq = geo.torque(curve, geo.t_generator(pair))
     checks.append(("torque t-generator", tq.abs_error, 1e-8))
-    off = geo.torque(curve, geo.SuBasisElement(kind="rotation", indices=(0, pair.n - 1)))
+    off = geo.torque(curve, geo.rotation_generator(pair.n, 0, pair.n - 1))
     checks.append(("torque off-diagonal", abs(off.numeric), 1e-10))
 
     sampler = geo.immersion_sampler(curve, (-0.8 * data.p_tau, 0.8 * data.p_tau))

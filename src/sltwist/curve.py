@@ -41,7 +41,8 @@ class Curve:
         """The trajectory, covering [lo, hi] and 0.
 
         A span beyond the one integrated so far is integrated afresh over
-        the union of both, so every caller reads the same trajectory.
+        the union of both; a read made before came from the narrower one,
+        so two reads of one time may differ in the last bits.
         """
         t = self._traj
         if t is None or lo < t.t_lo or hi > t.t_hi:

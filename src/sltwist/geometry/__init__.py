@@ -12,8 +12,7 @@ from .spheres import (Bulge, MarkedSphere, Waist, approximating_spheres,
                       bulge_sphere_distance, sphere_distance, waists_and_bulges)
 from .symmetry import (mhat, reflection_matrix, rotation_determinant_residual,
                        symmetry_residuals, ttilde)
-from .torque import (SuBasisElement, TorqueReport, diagonal_basis_element,
-                     sphere_quadrature, sphere_volume, su_basis, su_matrix,
-                     t_generator, torque, torque_closed_form)
+from .torque import (TorqueReport, rotation_generator, sphere_quadrature,
+                     sphere_volume, su_basis, t_generator, torque, torque_closed_form)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -43,7 +43,9 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None) -> Neck
     Kind-2 waists (second factor minimal) rescale onto the degree-q unit
     profile through z2(s) = e^{i pi/2q} w2(beta^(2-q) s + t_w) / w2(t_w)
     with beta = sqrt(y_min); kind-1 waists use the mirrored formula with
-    p in place of q and beta = sqrt(1 - y_max).  For tau < 0 the curve is
+    p in place of q, beta = sqrt(1 - y_max) and time run backwards
+    (t_w - beta^(2-p) s), as w1' has the opposite sign of w2'; for p = q,
+    w1(-t) = w2(t) maps one kind onto the other.  For tau < 0 the curve is
     the conjugate of the tau > 0 one, and so are the phase e^{-i pi/2k},
     the frame and the model profile.  The window must stay below the
     catenoid lifetime of that degree; by default it is 2.0 for degree 2
@@ -73,7 +75,7 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None) -> Neck
     model = unit_profile(degree, ts)
     if negative:
         model = np.conj(model)
-    w1, w2 = traj.w(t_w + scale * ts)
+    w1, w2 = traj.w(t_w + (1.0 if waist.kind == 2 else -1.0) * scale * ts)
     z = phase * (w2 / w2_w if waist.kind == 2 else w1 / w1_w)
     err = np.max(np.abs(z - model))
     return NeckComparison(beta=float(beta), rescale_frame=frame,

@@ -1,8 +1,9 @@
 """Killing-field fluxes through meridians of the invariant cylinders.
 
-The flux of a Killing field k through a meridian is homologically
-invariant for a minimal immersion, linear in the conserved label tau on
-diagonal directions of su(n), and zero on every off-diagonal direction.
+The flux of the Killing field K X of a direction K of su(n), an n x n
+matrix, through a meridian is homologically invariant for a minimal
+immersion and linear in K and in the conserved label tau; it reads only
+K's diagonal, so it is zero on every off-diagonal direction.
 On a meridian X = (sigma1 w1, sigma2 w2) with unit vectors sigma1 in S^(p-1)
 and sigma2 in S^(q-1), the integrand K X . dX / |dX| is quadratic in sigma,
 because |dX|^2 = |d1|^2 |sigma1|^2 + |d2|^2 |sigma2|^2 = |d1|^2 + |d2|^2 is
@@ -24,9 +25,8 @@ from ..twisted_curve import TwistParam, velocity
 from .immersion import _cone
 
 __all__ = [
-    "SuBasisElement", "TorqueReport", "sphere_volume", "sphere_quadrature",
-    "su_matrix", "t_generator", "diagonal_basis_element", "torque",
-    "torque_closed_form", "su_basis",
+    "TorqueReport", "sphere_volume", "sphere_quadrature", "t_generator",
+    "rotation_generator", "su_basis", "torque", "torque_closed_form",
 ]
 
 
@@ -90,66 +90,27 @@ def sphere_quadrature(m: int, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(pts, np.outer(wu, sub_wts).ravel())
 
 
-@dataclass(frozen=True)
-class SuBasisElement:
-    """A direction in su(n): traceless diagonal, rotation, or i*symmetric."""
-
-    kind: str                              # 'diagonal' | 'rotation' | 'symmetric'
-    entries: tuple | None = None           # diagonal entries (imaginary parts)
-    indices: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.kind == "diagonal":
-            if self.entries is None:
-                raise ValueError("diagonal element needs entries")
-            if abs(sum(self.entries)) > 1e-12:
-                raise ValueError("diagonal entries must sum to zero (traceless)")
-        elif self.kind in ("rotation", "symmetric"):
-            if self.indices is None or self.indices[0] == self.indices[1]:
-                raise ValueError(f"{self.kind} element needs distinct indices")
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
+def t_generator(pair) -> np.ndarray:
+    """Generator of the diagonal rotation family: i diag(1/p,...,-1/q,...)."""
+    return np.diag(1j * np.array((1.0 / pair.p,) * pair.p + (-1.0 / pair.q,) * pair.q))
 
 
-def su_matrix(element: SuBasisElement, n: int) -> np.ndarray:
-    """The complex n x n matrix of the basis element."""
+def rotation_generator(n: int, i: int, j: int) -> np.ndarray:
+    """R_ij in su(n): the rotation taking e_i towards e_j."""
     K = np.zeros((n, n), dtype=complex)
-    if element.kind == "diagonal":
-        if len(element.entries) != n:
-            raise ValueError("diagonal length must equal n")
-        np.fill_diagonal(K, 1j * np.asarray(element.entries, dtype=float))
-    elif element.kind == "rotation":
-        i, j = element.indices
-        K[j, i] = 1.0
-        K[i, j] = -1.0
-    else:
-        i, j = element.indices
-        K[j, i] = 1j
-        K[i, j] = 1j
+    K[j, i], K[i, j] = 1.0, -1.0
     return K
 
 
-def t_generator(pair) -> SuBasisElement:
-    """Generator of the diagonal rotation family: i diag(1/p,...,-1/q,...)."""
-    return SuBasisElement(kind="diagonal",
-                          entries=(1.0 / pair.p,) * pair.p + (-1.0 / pair.q,) * pair.q)
-
-
-def diagonal_basis_element(entries) -> SuBasisElement:
-    return SuBasisElement(kind="diagonal", entries=tuple(entries))
-
-
-def su_basis(n: int) -> list[SuBasisElement]:
+def su_basis(n: int) -> list[np.ndarray]:
     """A full basis of su(n): n-1 diagonal plus all R_ij and i S_ij."""
-    out = []
-    for i in range(n - 1):
-        e = [0.0] * n
-        e[i], e[i + 1] = 1.0, -1.0
-        out.append(SuBasisElement(kind="diagonal", entries=tuple(e)))
+    e = np.eye(n)
+    out = [np.diag(1j * (e[i] - e[i + 1])) for i in range(n - 1)]
     for i in range(n):
         for j in range(i + 1, n):
-            out.append(SuBasisElement(kind="rotation", indices=(i, j)))
-            out.append(SuBasisElement(kind="symmetric", indices=(i, j)))
+            S = np.zeros((n, n), dtype=complex)
+            S[i, j] = S[j, i] = 1j
+            out += [rotation_generator(n, i, j), S]
     return out
 
 
@@ -157,30 +118,25 @@ def su_basis(n: int) -> list[SuBasisElement]:
 class TorqueReport:
     """Numeric vs closed-form meridian flux of one su(n) direction."""
 
-    basis: SuBasisElement
     meridian_t: float
     numeric: float
     closed_form: float
     abs_error: float
 
 
-def torque_closed_form(param: TwistParam, element: SuBasisElement) -> float:
-    """Flux predicted by the invariant-theory formula.
+def torque_closed_form(param: TwistParam, K: np.ndarray) -> float:
+    """Flux predicted by the invariant-theory formula, a linear functional of K.
 
-    Diagonal i diag(lam, mu): 2 tau (mean lam - mean mu) Vol Vol for
-    p > 1 and 2 tau (lam - mean mu) Vol(S^(n-2)) for p = 1; zero on
-    off-diagonal directions.
+    Only the diagonal i diag(lam, mu) of K contributes: 2 tau (mean lam -
+    mean mu) Vol(S^(p-1)) Vol(S^(q-1)) for p > 1 and 2 tau (lam - mean mu)
+    Vol(S^(q-1)) for p = 1, so every off-diagonal direction gives zero.
     """
-    pair, tau = param.pair, param.tau
-    p, q, n = pair.p, pair.q, pair.n
-    if element.kind != "diagonal":
-        return 0.0
-    lam = element.entries[:p]
-    mu = element.entries[p:]
-    mean_gap = sum(lam) / p - sum(mu) / q
-    if p == 1:
-        return 2.0 * tau * mean_gap * sphere_volume(n - 2)
-    return 2.0 * tau * mean_gap * sphere_volume(p - 1) * sphere_volume(q - 1)
+    p, q = param.pair.p, param.pair.q
+    lam = K.diagonal().imag.tolist()
+    flux = 2.0 * param.tau * (sum(lam[:p]) / p - sum(lam[p:]) / q)
+    if p > 1:                           # for p = 1 the first factor is the point 1
+        flux *= sphere_volume(p - 1)
+    return flux * sphere_volume(q - 1) + 0.0       # + 0.0: a zero flux is +0
 
 
 @lru_cache(maxsize=4)
@@ -192,9 +148,9 @@ def _meridian_nodes(p: int, q: int, order: int):
     return _frozen(blocks, np.outer(wts1, wts2).ravel())
 
 
-def torque(curve: Curve, element: SuBasisElement, meridian_t: float = 0.0,
+def torque(curve: Curve, K: np.ndarray, meridian_t: float = 0.0,
            order: int = 8) -> TorqueReport:
-    """Numeric k-flux through the meridian at parameter time meridian_t.
+    """Numeric flux of K in su(n) (to 1e-12) through the meridian at time meridian_t.
 
     Integrates (K X . dX/dt / |dX/dt|) against the induced meridian
     volume |w1|^(p-1) |w2|^(q-1) dv dv by product sphere quadrature.
@@ -202,10 +158,12 @@ def torque(curve: Curve, element: SuBasisElement, meridian_t: float = 0.0,
     param = curve.param
     pair = param.pair
     p, q, n = pair.p, pair.q, pair.n
+    K = np.asarray(K)
+    if K.shape != (n, n) or np.abs(K + K.conj().T).max() > 1e-12 or abs(np.trace(K)) > 1e-12:
+        raise ValueError(f"K must be an anti-Hermitian traceless {n} x {n} matrix")
     traj = curve.traj(meridian_t - 1e-6, meridian_t + 1e-6)
     w1, w2 = traj.w(meridian_t)
     d1, d2 = velocity(pair, w1, w2)
-    K = su_matrix(element, n)
     sigma, wts = _meridian_nodes(p, q, order)
     X = _cone(w1, w2, sigma[:, :p], sigma[:, p:])       # (N, n) complex meridian points
     dX = _cone(d1, d2, sigma[:, :p], sigma[:, p:])
@@ -214,7 +172,7 @@ def torque(curve: Curve, element: SuBasisElement, meridian_t: float = 0.0,
     speed = np.sqrt(np.sum(dX.real**2 + dX.imag**2, axis=1))
     density = abs(w1) ** (p - 1) * abs(w2) ** (q - 1)
     total = float(np.sum(wts * pairing / speed) * density)
-    closed = torque_closed_form(param, element)
-    return TorqueReport(basis=element, meridian_t=float(meridian_t),
+    closed = torque_closed_form(param, K)
+    return TorqueReport(meridian_t=float(meridian_t),
                         numeric=total, closed_form=float(closed),
                         abs_error=float(abs(total - closed)))

@@ -181,9 +181,9 @@ def test_criterion_08_torque():
         b = geo.torque(Curve(param), tg, meridian_t=1.1)
         worst_diag = max(worst_diag, a.abs_error)
         worst_merid = max(worst_merid, abs(a.numeric - b.numeric))
-        for el in geo.su_basis(pair.n):
-            if el.kind != "diagonal":
-                rep = geo.torque(Curve(param), el, meridian_t=0.3)
+        for K in geo.su_basis(pair.n):
+            if not K.diagonal().any():
+                rep = geo.torque(Curve(param), K, meridian_t=0.3)
                 worst_off = max(worst_off, abs(rep.numeric))
     special = geo.torque(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)),
                          geo.t_generator(AdmissiblePair(1, 2)))

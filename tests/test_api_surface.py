@@ -17,7 +17,7 @@ import ast
 import re
 from pathlib import Path
 
-SETTABLE_VALUES = 24
+SETTABLE_VALUES = 22
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sltwist"
@@ -37,7 +37,6 @@ TESTS_ONLY = {
     "necklace_scaling_ratio",
     # the su(n) basis of the torque fluxes' acceptance criterion
     "su_basis",
-    "diagonal_basis_element",
 }
 
 

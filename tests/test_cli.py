@@ -249,6 +249,14 @@ def test_torque_subcommand(capsys):
     assert float(data["meridian_gap"]) < 1e-8
 
 
+def test_torque_json_reports_carry_no_basis_and_no_negative_zero(capsys):
+    code, out, _ = run(capsys, "torque", "--p", "2", "--q", "3", "--tau", "-0.05", "--json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert reports[2]["closed_form"] == "0"          # the off-diagonal direction
+    assert all("basis" not in r for r in reports)
+
+
 def test_asymptotics_subcommand(capsys):
     code, out, _ = run(capsys, "asymptotics", "--p", "2", "--q", "2",
                        "--tau-list", "1e-2,1e-3", "--json")

@@ -46,6 +46,17 @@ def test_neck_first_factor_model_for_2_3():
     assert comp.waist_kind == 1
     assert comp.catenoid_degree == 2      # degree-p catenoid (infinite lifetime)
     assert abs(comp.beta - math.sqrt(1.0 - y_extrema(param)[1])) < 1e-12
+    assert comp.max_error < 0.1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("tau", [1e-3, -1e-3])
+def test_neck_waist_kinds_agree_under_exchange(p, tau):
+    # for p = q, w1(-t) = w2(t) maps waist 0 (kind 1) onto waist 1 (kind 2)
+    curve = Curve(TwistParam(AdmissiblePair(p, p), tau))
+    first, second = geo.neck_rescale(curve, 0), geo.neck_rescale(curve, 1)
+    assert (first.waist_kind, second.waist_kind) == (1, 2)
+    assert abs(first.max_error - second.max_error) <= 1e-9
 
 
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 1e-3), (2, 3, 1e-3), (2, 2, 1e-3), (2, 2, 1e-4)])

@@ -102,11 +102,12 @@ def test_generator_flux_closed_forms():
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 3, 0.05)])
 def test_all_off_diagonal_fluxes_vanish(p, q, tau):
     param = TwistParam(AdmissiblePair(p, q), tau)
-    for element in geo.su_basis(p + q):
-        if element.kind == "diagonal":
+    for K in geo.su_basis(p + q):
+        if K.diagonal().any():
             continue
-        rep = geo.torque(Curve(param), element, meridian_t=0.4)
-        assert abs(rep.numeric) < 1e-10, element
+        rep = geo.torque(Curve(param), K, meridian_t=0.4)
+        assert abs(rep.numeric) < 1e-10, K
+        assert rep.closed_form == 0.0
 
 
 def test_flux_is_meridian_independent():
@@ -127,16 +128,29 @@ def test_flux_linear_in_twist():
 
 def test_general_diagonal_direction():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    el = geo.diagonal_basis_element((1.0, 2.0, -0.5, -1.5, -1.0))
-    rep = geo.torque(Curve(param), el, meridian_t=0.7)
+    K = np.diag(1j * np.array((1.0, 2.0, -0.5, -1.5, -1.0)))
+    rep = geo.torque(Curve(param), K, meridian_t=0.7)
     assert rep.abs_error < 1e-8
     expected = 2 * 0.05 * ((1.0 + 2.0) / 2 - (-3.0) / 3) * (2 * math.pi) * geo.sphere_volume(2)
     assert abs(rep.closed_form - expected) < 1e-12
 
 
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 3)])
+def test_general_direction_matches_closed_form(p, q):
+    # a random real combination of the whole basis: diagonal and off-diagonal at once
+    n = p + q
+    param = TwistParam(AdmissiblePair(p, q), 0.5 * tau_max(AdmissiblePair(p, q)))
+    coeffs = np.random.default_rng(n).standard_normal(n * n - 1)
+    K = sum(c * B for c, B in zip(coeffs, geo.su_basis(n)))
+    rep = geo.torque(Curve(param), K, meridian_t=0.4)
+    assert rep.abs_error <= 1e-8
+    assert rep.closed_form != 0.0
+
+
 def _flux_elements(n):
-    return [geo.SuBasisElement(kind="rotation", indices=(0, n - 1)),
-            geo.SuBasisElement(kind="symmetric", indices=(0, 1))]
+    S = np.zeros((n, n), dtype=complex)
+    S[0, 1] = S[1, 0] = 1j
+    return [geo.rotation_generator(n, 0, n - 1), S]
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3)])
@@ -164,8 +178,19 @@ def test_torque_n8(p, q):
 
 
 def test_traceless_validation():
-    with pytest.raises(ValueError):
-        geo.diagonal_basis_element((1.0, 1.0, -1.0))
+    curve = Curve(TwistParam(AdmissiblePair(1, 2), 0.1))
+    with pytest.raises(ValueError, match="traceless"):
+        geo.torque(curve, 1j * np.diag([1.0, 1.0, -1.0]))
+
+
+def test_torque_refuses_wrong_shape_and_non_anti_hermitian():
+    curve = Curve(TwistParam(AdmissiblePair(1, 2), 0.1))
+    with pytest.raises(ValueError, match="3 x 3"):
+        geo.torque(curve, geo.t_generator(AdmissiblePair(2, 2)))
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        geo.torque(curve, -1j * geo.rotation_generator(3, 0, 2))     # Hermitian
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        geo.torque(curve, np.diag([1.0, 0.0, -1.0]))                # real diagonal
 
 
 # -- symmetry relations ----------------------------------------------------------
