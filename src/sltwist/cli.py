@@ -1,13 +1,16 @@
 """Command-line front end: every operation as a subcommand.
 
 Exit codes: 0 success, 1 invariant-suite violation, 2 argument errors,
-3 numerical failure (integration, bracketing, lifetime).
+3 numerical failure (integration, bracketing, lifetime), 141 stdout
+closed by its reader before the output was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import os
 import re
 import sys
 
@@ -300,6 +303,7 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)     # built once per process; parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sltwist",
@@ -311,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, required=True)
         for flag, settings in options.items():
             p.add_argument(f"--{flag}", **{**_OPTIONS[flag], **settings})
-        p.set_defaults(fn=globals()[f"cmd_{name}"])
     return ap
 
 
@@ -322,7 +325,14 @@ def main(argv=None) -> int:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up per call, so that a cmd_* rebound after the parser was built is run
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()          # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the Python docs' recipe: the unwritten rest goes to devnull, not to a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -172,7 +172,7 @@ def test_failed_cross_check_prints_only_its_verify_line(capsys):
 ])
 def test_benchmark_argv_shapes_parse(argv):
     args = cli.build_parser().parse_args(argv)
-    assert args.fn is getattr(cli, f"cmd_{argv[0]}")
+    assert args.command == argv[0] and callable(getattr(cli, f"cmd_{argv[0]}"))
     assert (args.p, args.q) == (int(argv[2]), int(argv[4]))
     for flag, text in zip(argv[5:], argv[6:]):
         if not flag.startswith("--") or text.startswith("--"):
@@ -375,3 +375,44 @@ def test_strict_preset_never_looser():
     std, strict = TOL_PRESETS["standard"], TOL_PRESETS["strict"]
     assert strict.tol <= std.tol
     assert strict.event_tol <= std.event_tol
+
+
+_VERIFY = ("verify", "--p", "2", "--q", "2", "--tau", "0.06")
+_TORQUE = ("torque", "--p", "3", "--q", "4", "--tau", "-0.01", "--json")
+
+
+def test_one_process_prints_what_a_fresh_process_prints(capsys):
+    # the parser is built once per process: a second call and a call after a
+    # usage error must not see anything the first call left behind
+    assert cli.build_parser() is cli.build_parser()
+    assert run(capsys, *_VERIFY)[0] == 0
+    code, out, _ = run(capsys, *_TORQUE)
+    fresh = run_cli(*_TORQUE)
+    assert code == fresh.returncode == 0
+    assert out == fresh.stdout
+    assert run(capsys, "torque", "--p", "3", "--q", "4")[0] == 2       # --tau missing
+    assert run(capsys, *_TORQUE)[1:] == (fresh.stdout, "")
+
+
+def test_a_rebound_subcommand_runs_after_the_parser_is_built(monkeypatch, capsys):
+    # tracers wrap cmd_* after an earlier call may have built the parser
+    cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_torque", lambda args: calls.append(args.tau) or 0)
+    assert run(capsys, *_TORQUE)[0] == 0
+    assert calls == [-0.01]
+
+
+@pytest.mark.parametrize("argv", [
+    _TORQUE,
+    ("export", "--p", "1", "--q", "2", "--tau", "0.1", "--format", "csv",
+     "--samples", "2000", "--out", "/dev/stdout"),
+])
+def test_reader_closing_stdout_early_exits_141_without_traceback(argv):
+    # the read end is closed before the child writes, as `| head -c 0` closes it
+    proc = subprocess.Popen([sys.executable, "-m", "sltwist.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

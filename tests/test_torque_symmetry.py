@@ -55,11 +55,15 @@ def test_polar_layer_matches_loop_reference():
 
 
 def test_meridian_node_count_bounded_through_n8():
+    import inspect
+
     from sltwist.geometry.torque import _meridian_nodes
 
+    order = inspect.signature(geo.torque).parameters["order"].default
     for n in range(3, 9):
         for p in range(1, n // 2 + 1):
-            assert len(_meridian_nodes(p, n - p, 8)[1]) <= 3 * 10**5, (p, n - p)
+            # 32,768: the n = 7 count of the order-8 rule
+            assert len(_meridian_nodes(p, n - p, order)[1]) <= 32_768, (p, n - p)
 
 
 def test_cached_rules_are_read_only_and_bounded():
@@ -162,6 +166,36 @@ def test_default_order_flux_matches_order_24(p, q):
             low = geo.torque(Curve(param), element, meridian_t=t).numeric
             high = geo.torque(Curve(param), element, meridian_t=t, order=24).numeric
             assert abs(low - high) <= 1e-13, (element, t)
+
+
+def _four_directions(pair):
+    """The t-generator, R_{0,n-1}, i S_01 and a random combination of su_basis(n)."""
+    n = pair.n
+    coeffs = np.random.default_rng(n).standard_normal(n * n - 1)
+    return [geo.t_generator(pair), *_flux_elements(n),
+            sum(c * B for c, B in zip(coeffs, geo.su_basis(n)))]
+
+
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in (6, 7, 8) for p in range(1, n // 2 + 1)])
+def test_default_order_flux_matches_order_8(p, q):
+    # order 24 is out of reach past n = 5; order 8 is the rule the default replaced
+    pair = AdmissiblePair(p, q)
+    for sign in (1.0, -1.0):
+        curve = Curve(TwistParam(pair, sign * 0.5 * tau_max(pair)))
+        for K in _four_directions(pair):
+            low = geo.torque(curve, K, meridian_t=0.3).numeric
+            high = geo.torque(curve, K, meridian_t=0.3, order=8).numeric
+            assert abs(low - high) <= 1e-13, (sign, K)
+
+
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in range(3, 9) for p in range(1, n // 2 + 1)])
+def test_default_order_off_diagonal_flux_is_exactly_zero(p, q):
+    pair = AdmissiblePair(p, q)
+    K = geo.rotation_generator(pair.n, 0, pair.n - 1)       # verify's off-diagonal row
+    for sign in (1.0, -1.0):
+        curve = Curve(TwistParam(pair, sign * 0.5 * tau_max(pair)))
+        for t in (0.3, 1.1):
+            assert geo.torque(curve, K, meridian_t=t).numeric == 0.0, (sign, t)
 
 
 @pytest.mark.parametrize("p,q", [(1, 7), (2, 6), (3, 5), (4, 4)])
