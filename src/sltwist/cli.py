@@ -1,15 +1,15 @@
 """Command-line front end: every operation as a subcommand.
 
 Exit codes: 0 success, 1 invariant-suite violation, 2 argument errors,
-3 numerical failure (integration, bracketing, lifetime), 141 stdout
-closed by its reader before the output was written (128 + SIGPIPE).
+3 numerical failure (integration, bracketing, lifetime), 141 a pipe
+written to (stdout or an --out FIFO) closed by its reader before the
+output was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import os
 import re
 import sys
@@ -303,7 +303,6 @@ _COMMANDS = {
 }
 
 
-@functools.lru_cache(maxsize=None)     # built once per process; parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sltwist",
@@ -315,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, required=True)
         for flag, settings in options.items():
             p.add_argument(f"--{flag}", **{**_OPTIONS[flag], **settings})
+        p.set_defaults(fn=globals()[f"cmd_{name}"])
     return ap
 
 
@@ -325,13 +325,21 @@ def main(argv=None) -> int:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
-        # looked up per call, so that a cmd_* rebound after the parser was built is run
-        code = globals()[f"cmd_{args.command}"](args)
+        code = args.fn(args)
         sys.stdout.flush()          # a reader gone early shows here, not at exit
         return code
     except BrokenPipeError:
-        # the Python docs' recipe: the unwritten rest goes to devnull, not to a traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # a pipe written to (stdout or an --out FIFO) lost its reader, as SIGPIPE
+        # ends a C tool.  Only a process's own stdout still holding unwritten bytes
+        # goes to devnull (the Python docs' recipe), so its flush at exit prints
+        # no traceback; a caller's redirected or working stdout is left alone
+        if sys.stdout is sys.__stdout__:
+            try:
+                sys.stdout.flush()
+            except BrokenPipeError:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         return 141
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

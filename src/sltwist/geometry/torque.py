@@ -8,7 +8,7 @@ On a meridian X = (sigma1 w1, sigma2 w2) with unit vectors sigma1 in S^(p-1)
 and sigma2 in S^(q-1), the integrand K X . dX / |dX| is quadratic in sigma,
 because |dX|^2 = |d1|^2 |sigma1|^2 + |d2|^2 |sigma2|^2 = |d1|^2 + |d2|^2 is
 constant.  Any product sphere rule exact through degree 2 on each factor
-therefore gives the exact flux.  The default rule, order 4, is the
+therefore gives the exact flux.  `torque`'s default rule, order 4, is the
 smallest order that does so and whose circle keeps both reflections
 x -> -x and y -> -y (order 3 has no node at -x for its node x): the
 flux of R_{0,n-1}, the off-diagonal direction `verify` checks, then sums
@@ -66,7 +66,7 @@ def _frozen(*arrays) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=16)
-def sphere_quadrature(m: int, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def sphere_quadrature(m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (N x (m+1)) and weights integrating polynomials on S^m exactly.
 
     Polar layers use Gauss-Jacobi rules in u = cos(theta) with weight
@@ -74,10 +74,7 @@ def sphere_quadrature(m: int, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
     exactly; the azimuthal circle uses the uniform rule on `order` nodes,
     rotated from the first quadrant so that its reflections hold exactly
     (sin(pi) is 0, not 1.2e-16).  The product is exact for every
-    polynomial of degree < order: the default order 8 covers degree-4
-    moments, in 8^m nodes.  :func:`torque` asks for order 4, the smallest
-    order exact on its quadratic integrand (|dX| is constant on a
-    meridian) whose circle holds the reflections x -> -x and y -> -y.
+    polynomial of degree < order.
     """
     if m == 0:
         return _frozen(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))

@@ -17,7 +17,7 @@ import ast
 import re
 from pathlib import Path
 
-SETTABLE_VALUES = 22
+SETTABLE_VALUES = 21
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sltwist"

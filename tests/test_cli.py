@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -172,7 +175,7 @@ def test_failed_cross_check_prints_only_its_verify_line(capsys):
 ])
 def test_benchmark_argv_shapes_parse(argv):
     args = cli.build_parser().parse_args(argv)
-    assert args.command == argv[0] and callable(getattr(cli, f"cmd_{argv[0]}"))
+    assert args.fn is getattr(cli, f"cmd_{argv[0]}")
     assert (args.p, args.q) == (int(argv[2]), int(argv[4]))
     for flag, text in zip(argv[5:], argv[6:]):
         if not flag.startswith("--") or text.startswith("--"):
@@ -377,30 +380,20 @@ def test_strict_preset_never_looser():
     assert strict.event_tol <= std.event_tol
 
 
-_VERIFY = ("verify", "--p", "2", "--q", "2", "--tau", "0.06")
 _TORQUE = ("torque", "--p", "3", "--q", "4", "--tau", "-0.01", "--json")
 
 
-def test_one_process_prints_what_a_fresh_process_prints(capsys):
-    # the parser is built once per process: a second call and a call after a
-    # usage error must not see anything the first call left behind
-    assert cli.build_parser() is cli.build_parser()
-    assert run(capsys, *_VERIFY)[0] == 0
-    code, out, _ = run(capsys, *_TORQUE)
-    fresh = run_cli(*_TORQUE)
-    assert code == fresh.returncode == 0
-    assert out == fresh.stdout
-    assert run(capsys, "torque", "--p", "3", "--q", "4")[0] == 2       # --tau missing
-    assert run(capsys, *_TORQUE)[1:] == (fresh.stdout, "")
+def test_broken_pipe_in_process_exits_141_and_leaves_stdout_alone(monkeypatch):
+    # an in-process caller's redirected stdout has no file descriptor to point at devnull
+    def closed_reader(args):
+        raise BrokenPipeError(32, "Broken pipe")
 
-
-def test_a_rebound_subcommand_runs_after_the_parser_is_built(monkeypatch, capsys):
-    # tracers wrap cmd_* after an earlier call may have built the parser
-    cli.build_parser()
-    calls = []
-    monkeypatch.setattr(cli, "cmd_torque", lambda args: calls.append(args.tau) or 0)
-    assert run(capsys, *_TORQUE)[0] == 0
-    assert calls == [-0.01]
+    monkeypatch.setattr(cli, "cmd_torque", closed_reader)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(_TORQUE)) == 141
+        print("still open")
+    assert buf.getvalue() == "still open\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -409,10 +402,26 @@ def test_a_rebound_subcommand_runs_after_the_parser_is_built(monkeypatch, capsys
      "--samples", "2000", "--out", "/dev/stdout"),
 ])
 def test_reader_closing_stdout_early_exits_141_without_traceback(argv):
-    # the read end is closed before the child writes, as `| head -c 0` closes it
-    proc = subprocess.Popen([sys.executable, "-m", "sltwist.cli", *argv],
+    # the read end is closed before the child writes, as `| head -c 0` closes it;
+    # stdout is block-buffered, as in a shell, so unwritten bytes outlive the error
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "sltwist.cli", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+def test_out_fifo_closed_early_exits_141_without_traceback(tmp_path):
+    # the broken pipe is the --out file, not stdout
+    fifo = tmp_path / "out.csv"
+    os.mkfifo(fifo)
+    proc = subprocess.Popen([sys.executable, "-m", "sltwist.cli", "export", "--p", "1",
+                             "--q", "2", "--tau", "0.1", "--format", "csv",
+                             "--samples", "2000", "--out", str(fifo)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    os.close(os.open(fifo, os.O_RDONLY))      # waits for the writer, then leaves
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
     assert err == b""

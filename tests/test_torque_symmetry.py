@@ -14,7 +14,7 @@ from sltwist.twisted_curve import AdmissiblePair, TwistParam, tau_max, y_extrema
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
 def test_quadrature_volume_and_component_averages(m):
-    pts, wts = geo.sphere_quadrature(m)
+    pts, wts = geo.sphere_quadrature(m, 8)
     vol = geo.sphere_volume(m)
     assert abs(float(wts.sum()) - vol) < 1e-12 * max(vol, 1.0)
     for i in range(m + 1):
@@ -71,7 +71,7 @@ def test_cached_rules_are_read_only_and_bounded():
 
     for cached in (geo.sphere_quadrature, _meridian_nodes):
         assert cached.cache_info().maxsize is not None
-    for arr in (*geo.sphere_quadrature(3), *_meridian_nodes(2, 3, 8)):
+    for arr in (*geo.sphere_quadrature(3, 8), *_meridian_nodes(2, 3, 8)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
     for order in range(4, 4 + 4 * geo.sphere_quadrature.cache_info().maxsize, 2):
