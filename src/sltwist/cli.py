@@ -256,7 +256,7 @@ def cmd_verify(args) -> int:
 
     lines, payload = [], {}
     for name, value, bound in checks:
-        ok = value <= bound
+        ok = bool(value <= bound)
         if not ok:
             failures.append(name)
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name:24s} {value:.3e} (limit {bound:.0e})")

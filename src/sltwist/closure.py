@@ -155,14 +155,14 @@ def verify_closed(curve: Curve, k0: int, samples: int = 20) -> ClosedCurveCheck:
 
     closure_residual: max over samples of |w(t + 2 k0 p_tau) - w(t)|.
     rotation_residual: max of |w(t + 2 p_tau) - Mhat_{2 pthat} w(t)| with
-    Mhat the diagonal phase rotation diag(e^{2i pthat/p}, e^{-2i pthat/q}).
+    Mhat the phases (e^{2i pthat/p}, e^{-2i pthat/q}) of the diagonal rotation.
     """
     from .geometry.symmetry import mhat     # keeps geometry out of `import sltwist`
 
     pair, data = curve.param.pair, curve.period
     T = 2.0 * k0 * data.p_tau
     traj = curve.traj(0.0, T + 2.0 * data.p_tau + 1e-6)
-    m = np.diag(mhat(pair, 2.0 * data.pthat))[:, None]
+    m = mhat(pair, 2.0 * data.pthat)[:, None]
     ts = np.linspace(0.0, 2.0 * data.p_tau, samples)
     a = np.array(traj.w(ts))
     closure = np.max(np.abs(np.array(traj.w(ts + T)) - a))

@@ -10,7 +10,7 @@ from .immersion import (CurveSampler, Sampler, contact_pairing, equatorial_facto
 from .neck import NeckComparison, neck_rescale
 from .spheres import (Bulge, MarkedSphere, Waist, approximating_spheres,
                       bulge_sphere_distance, sphere_distance, waists_and_bulges)
-from .symmetry import (mhat, reflection_matrix, rotation_determinant_residual,
+from .symmetry import (mhat, reflection_phases, rotation_determinant_residual,
                        symmetry_residuals, ttilde)
 from .torque import (TorqueReport, rotation_generator, sphere_quadrature,
                      sphere_volume, su_basis, t_generator, torque, torque_closed_form)

@@ -29,7 +29,7 @@ class NeckComparison:
     """Rescaled profile vs unit catenoid over the window [-b, b]."""
 
     beta: float
-    rescale_frame: np.ndarray      # unitary n x n repositioning matrix
+    rescale_phases: np.ndarray     # n unit phases, the diagonal repositioning map
     max_error: float
     window: float
     waist_index: int
@@ -47,9 +47,11 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None) -> Neck
     (t_w - beta^(2-p) s), as w1' has the opposite sign of w2'; for p = q,
     w1(-t) = w2(t) maps one kind onto the other.  For tau < 0 the curve is
     the conjugate of the tau > 0 one, and so are the phase e^{-i pi/2k},
-    the frame and the model profile.  The window must stay below the
+    the rescale phases and the model profile.  The window must stay below the
     catenoid lifetime of that degree; by default it is 2.0 for degree 2
     and half the lifetime T_1 for degree >= 3.  The error is sampled at 81 times.
+    ``rescale_phases``, the diagonal of the repositioning map, turn each factor
+    at the waist to the positive real axis, the shrinking one then by e^{i pi/2k}.
     """
     pair = curve.param.pair
     waist = _waist(curve.period, pair, waist_index)
@@ -68,9 +70,9 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None) -> Neck
     negative = curve.param.tau < 0.0
     phase = np.exp((-1j if negative else 1j) * math.pi / (2 * degree))
     if waist.kind == 2:
-        frame = np.diag(_blocks(pair, abs(w1_w) / w1_w, phase * abs(w2_w) / w2_w))
+        phases = _blocks(pair, abs(w1_w) / w1_w, phase * abs(w2_w) / w2_w)
     else:
-        frame = np.diag(_blocks(pair, phase * abs(w1_w) / w1_w, abs(w2_w) / w2_w))
+        phases = _blocks(pair, phase * abs(w1_w) / w1_w, abs(w2_w) / w2_w)
     ts = np.linspace(-b, b, 81)
     model = unit_profile(degree, ts)
     if negative:
@@ -78,7 +80,7 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None) -> Neck
     w1, w2 = traj.w(t_w + (1.0 if waist.kind == 2 else -1.0) * scale * ts)
     z = phase * (w2 / w2_w if waist.kind == 2 else w1 / w1_w)
     err = np.max(np.abs(z - model))
-    return NeckComparison(beta=float(beta), rescale_frame=frame,
+    return NeckComparison(beta=float(beta), rescale_phases=phases,
                           max_error=float(err), window=float(b),
                           waist_index=waist_index, waist_kind=waist.kind,
                           catenoid_degree=degree)

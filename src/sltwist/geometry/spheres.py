@@ -3,7 +3,8 @@
 Between consecutive minima of a sphere-factor radius the cylinder bulges
 out; as tau -> 0 each bulge image hugs an equatorial special Legendrian
 sphere obtained from the standard one by the accumulated diagonal
-rotation (and, on odd bulges for p > 1, one antiholomorphic reflection).
+rotation (and, on odd bulges for p > 1, one antiholomorphic reflection);
+both are diagonal, so a sphere is positioned by n unit phases.
 
 Waist k sits at a closed-form time (:func:`_waist`): (2k - 1) p_tau, where
 the second factor is minimal, for p = 1; for p > 1, with k = 2l or 2l + 1,
@@ -19,7 +20,7 @@ import numpy as np
 
 from ..curve import Curve
 from .immersion import _cone
-from .symmetry import _blocks, reflection_matrix, ttilde
+from .symmetry import _blocks, reflection_phases, ttilde
 
 __all__ = [
     "Waist", "Bulge", "MarkedSphere", "waists_and_bulges",
@@ -47,26 +48,19 @@ class Bulge:
 
 @dataclass(frozen=True)
 class MarkedSphere:
-    """Equatorial sphere with marked set, positioned by a real-orthogonal frame.
+    """Equatorial sphere with marked set, positioned by n unit phases.
 
-    ``frame`` is the 2n x 2n real matrix of the (anti)unitary positioning
-    map in stacked coordinates (Re z; Im z); ``antiholomorphic`` records
-    whether it conjugates.  Index 0 is the standard real equator with the
-    identity frame.
+    The real unit sphere is moved by z -> diag(phases) z, or by
+    z -> diag(phases) conj(z) when ``antiholomorphic``; as a real point is
+    its own conjugate, both give the same sphere, and ``antiholomorphic``
+    only records which map the bulge follows.  Index 0 is the standard
+    real equator, every phase 1.
     """
 
     index: int
-    frame: np.ndarray
+    phases: np.ndarray
     marked_set: dict
     antiholomorphic: bool
-
-
-def _real_rep(U: np.ndarray, conjugates: bool) -> np.ndarray:
-    """Real 2n x 2n matrix of z -> U z or z -> U conj(z) in stacked coords."""
-    A, B = U.real, U.imag
-    if not conjugates:
-        return np.block([[A, -B], [B, A]])
-    return np.block([[A, B], [B, -A]])
 
 
 def _waist(data, pair, k: int) -> Waist:
@@ -96,49 +90,44 @@ def waists_and_bulges(curve: Curve, window) -> tuple[list[Waist], list[Bulge]]:
     return waists, bulges
 
 
-def _marked_set(pair, frame: np.ndarray) -> dict:
-    n = pair.n
-    e1 = np.zeros(2 * n)
-    e1[0] = 1.0
+def _marked_set(pair, phases: np.ndarray) -> dict:
     if pair.p == 1:
-        plus = frame @ e1
-        return {"points": (plus[:n] + 1j * plus[n:],
-                           -(plus[:n] + 1j * plus[n:]))}
-    return {"subspheres": (f"frame . (S^{pair.p - 1} x 0)",
-                           f"frame . (0 x S^{pair.q - 1})")}
+        plus = phases[0] * np.eye(pair.n)[0]
+        return {"points": (plus, -plus)}
+    return {"subspheres": (f"diag(phases) . (S^{pair.p - 1} x 0)",
+                           f"diag(phases) . (0 x S^{pair.q - 1})")}
 
 
 def approximating_spheres(curve: Curve, k_range) -> list[MarkedSphere]:
     """The marked equatorial spheres approximating the requested bulges.
 
-    p = 1: frame(k) = Ttilde(2 k pthat).  p > 1: even bulges get
-    Ttilde(2 l pthat), odd bulges get Ttilde(2 l pthat) composed with
-    the antiholomorphic reflection across the kind-2 waist.
+    p = 1: phases(k) = Ttilde(2 k pthat).  p > 1: even bulges get
+    Ttilde(2 l pthat), odd bulges get Ttilde(2 l pthat) times the phases
+    D of the antiholomorphic reflection across the kind-2 waist.
     """
     pair, data = curve.param.pair, curve.period
     out = []
     for k in k_range:
         l, anti = (k, False) if pair.p == 1 else (k // 2, k % 2 == 1)
-        U = ttilde(pair, 2.0 * l * data.pthat)
+        phases = ttilde(pair, 2.0 * l * data.pthat)
         if anti:
-            small = reflection_matrix(curve, "+")
-            U = U @ np.diag(_blocks(pair, small[0, 0], small[1, 1]))
-        frame = _real_rep(U, conjugates=anti)
-        if not np.allclose(frame @ frame.T, np.eye(2 * pair.n), atol=1e-12):
-            raise AssertionError(f"frame for bulge {k} is not orthogonal")
-        out.append(MarkedSphere(index=k, frame=frame,
-                                marked_set=_marked_set(pair, frame),
+            phases = phases * _blocks(pair, *reflection_phases(curve, "+"))
+        out.append(MarkedSphere(index=k, phases=phases,
+                                marked_set=_marked_set(pair, phases),
                                 antiholomorphic=anti))
     return out
 
 
-def sphere_distance(sphere: MarkedSphere, z: np.ndarray) -> float:
-    """Euclidean distance from z in C^n to the positioned real equator."""
-    n = len(z)
-    stacked = np.concatenate([np.real(z), np.imag(z)])
-    u = sphere.frame.T @ stacked
-    re, im = u[:n], u[n:]
-    return float(math.sqrt(np.dot(im, im) + (np.linalg.norm(re) - 1.0) ** 2))
+def sphere_distance(sphere: MarkedSphere, z: np.ndarray) -> float | np.ndarray:
+    """Euclidean distance from z in C^n to the positioned real equator.
+
+    ``z`` is one point, or a stack of points along its last axis; the
+    result is a float, or an array of the stack's shape.  With
+    u = conj(phases) z the distance is sqrt(|Im u|^2 + (|Re u| - 1)^2).
+    """
+    u = np.conj(sphere.phases) * z
+    re, im = u.real, u.imag
+    return np.sqrt(np.sum(im * im, axis=-1) + (np.linalg.norm(re, axis=-1) - 1.0) ** 2)
 
 
 def bulge_sphere_distance(curve: Curve, k: int, b: float) -> float:
@@ -164,4 +153,4 @@ def bulge_sphere_distance(curve: Curve, k: int, b: float) -> float:
     sigma2[:, 0] = np.cos(angles)
     sigma2[:, 1 if pair.p == 1 else -1] = np.sin(angles)
     z = _cone(w1[:, None], w2[:, None], sigma1, sigma2)
-    return max(sphere_distance(sphere, zz) for zz in z.reshape(-1, pair.n))
+    return float(np.max(sphere_distance(sphere, z)))

@@ -99,7 +99,9 @@ def t_generator(pair) -> np.ndarray:
 
 
 def rotation_generator(n: int, i: int, j: int) -> np.ndarray:
-    """R_ij in su(n): the rotation taking e_i towards e_j."""
+    """R_ij in su(n): the rotation taking e_i towards e_j, for i != j in [0, n)."""
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"R_ij needs i != j in [0, {n}), not i = {i}, j = {j}")
     K = np.zeros((n, n), dtype=complex)
     K[j, i], K[i, j] = 1.0, -1.0
     return K

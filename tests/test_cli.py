@@ -159,6 +159,15 @@ def test_failed_cross_check_prints_only_its_verify_line(capsys):
     assert err == "" and caught == []
 
 
+def test_verify_json_pass_flags_are_booleans(capsys):
+    # a numpy bool, which a numpy float64 value gives, is encoded as the string "True"
+    code, out, _ = run(capsys, "verify", "--p", "2", "--q", "5", "--tau", "0.01", "--json")
+    checks = json.loads(out)["checks"]
+    assert {"symmetry det_rotation", "symmetry omega_reflection"} <= set(checks)
+    assert {type(c["pass"]) for c in checks.values()} == {bool}
+    assert code == (0 if all(c["pass"] for c in checks.values()) else 1)
+
+
 # one argv of each shape the perfbench workloads send
 @pytest.mark.parametrize("argv", [
     ["verify", "--p", "2", "--q", "3", "--tau", "0.05", "--json"],

@@ -123,7 +123,7 @@ def test_array_residuals_match_point_by_point_loops(p, q, tau):
     curve = Curve(TwistParam(AdmissiblePair(p, q), tau))
     data = curve.period
     traj = curve.traj(-2.2 * data.p_tau, 4.0 * data.p_tau + 1e-6)   # all that is read below
-    M = geo.mhat(curve.param.pair, 2.0 * data.pthat)
+    M = np.diag(geo.mhat(curve.param.pair, 2.0 * data.pthat))
     translation = max(np.max(np.abs(np.array(traj.w(t + 2.0 * data.p_tau))
                                     - M @ np.array(traj.w(t))))
                       for t in np.linspace(-0.5 * data.p_tau, 0.5 * data.p_tau, 40))

@@ -65,7 +65,7 @@ def test_neck_at_negative_tau_models_the_conjugate_catenoid(p, q, tau):
     plus = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(p, q), tau)), 1)
     minus = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(p, q), -tau)), 1)
     assert abs(minus.max_error - plus.max_error) <= 1e-12
-    assert np.allclose(minus.rescale_frame, plus.rescale_frame.conj(), rtol=0, atol=1e-15)
+    assert np.allclose(minus.rescale_phases, plus.rescale_phases.conj(), rtol=0, atol=1e-15)
     if (p, q, tau) != (2, 2, 1e-3):         # +tau itself measures 0.142 there
         assert minus.max_error < 0.1
 
@@ -78,8 +78,8 @@ def test_neck_window_beyond_lifetime_rejected():
 
 def test_neck_frame_is_unitary():
     comp = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(1, 2), 1e-3)), 1, 1.0)
-    U = comp.rescale_frame
-    assert np.allclose(U @ U.conj().T, np.eye(3), atol=1e-14)
+    assert comp.rescale_phases.shape == (3,)
+    assert np.allclose(np.abs(comp.rescale_phases) ** 2, 1.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
@@ -100,9 +100,9 @@ def test_neck_resolves_every_waist_at_its_closed_form_time(p, q):
         comp = geo.neck_rescale(curve, k)
         assert (comp.waist_index, comp.waist_kind) == (k, kind)
         assert comp.catenoid_degree == (q if kind == 2 else p)
-        # the frame's unrotated block is the unit phase of that factor at t
+        # the unrotated block's phase is the unit phase of that factor at t
         w1, w2 = traj.w(t)
-        unrotated = comp.rescale_frame[0, 0] if kind == 2 else comp.rescale_frame[-1, -1]
+        unrotated = comp.rescale_phases[0] if kind == 2 else comp.rescale_phases[-1]
         assert unrotated == (abs(w1) / w1 if kind == 2 else abs(w2) / w2)
         assert abs(traj.y(t) - (y_min if kind == 2 else y_max)) < 1e-9
 

@@ -227,6 +227,16 @@ def test_torque_refuses_wrong_shape_and_non_anti_hermitian():
         geo.torque(curve, np.diag([1.0, 0.0, -1.0]))                # real diagonal
 
 
+def test_rotation_generator_refuses_equal_or_out_of_range_indices():
+    # R_11 would be -E_11, not in su(3); j = -1 would wrap round to R_02
+    for i, j in [(1, 1), (0, -1), (-1, 2), (0, 3), (3, 0)]:
+        with pytest.raises(ValueError, match="R_ij"):
+            geo.rotation_generator(3, i, j)
+    for i, j in [(0, 1), (2, 0), (1, 2)]:
+        K = geo.rotation_generator(3, i, j)
+        assert np.array_equal(K, -K.conj().T) and K.trace() == 0
+
+
 # -- symmetry relations ----------------------------------------------------------
 
 
@@ -234,6 +244,7 @@ def test_symmetry_residuals_p1():
     res = geo.symmetry_residuals(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)))
     for key, val in res.items():
         assert val < 1e-8, (key, val)
+        assert type(val) is float, key      # a numpy float64 gives verify a numpy bool
     assert {"translation", "reflection", "reflection_ptau",
             "det_rotation", "omega_reflection"} <= set(res)
 
@@ -242,6 +253,7 @@ def test_symmetry_residuals_p_gt_1():
     res = geo.symmetry_residuals(Curve(TwistParam(AdmissiblePair(2, 3), 0.05)))
     for key, val in res.items():
         assert val < 1e-8, (key, val)
+        assert type(val) is float, key      # a numpy float64 gives verify a numpy bool
     assert {"reflection_plus", "reflection_minus"} <= set(res)
 
 
@@ -249,12 +261,22 @@ def test_symmetry_residuals_exchange():
     res = geo.symmetry_residuals(Curve(TwistParam(AdmissiblePair(2, 2), 0.06)))
     for key, val in res.items():
         assert val < 1e-8, (key, val)
+        assert type(val) is float, key      # a numpy float64 gives verify a numpy bool
     assert {"exchange", "omega_reflection"} <= set(res)
 
 
 def test_rotation_determinants():
     assert geo.rotation_determinant_residual(AdmissiblePair(2, 3)) < 1e-12
     assert geo.rotation_determinant_residual(AdmissiblePair(1, 2)) < 1e-12
+
+
+def test_reflection_phases_refuse_an_unknown_side():
+    for p, q in [(1, 2), (2, 3)]:
+        curve = Curve(TwistParam(AdmissiblePair(p, q), 0.05))
+        assert geo.reflection_phases(curve, "+").shape == (2,)
+        for side in ["plus", "", "+-", "-1"]:
+            with pytest.raises(ValueError, match="side"):
+                geo.reflection_phases(curve, side)
 
 
 # -- waists, bulges, spheres ------------------------------------------------------
@@ -353,7 +375,7 @@ def test_closed_form_waists_equal_the_per_p_enumeration():
 def test_standard_sphere_is_identity_frame():
     param = TwistParam(AdmissiblePair(1, 2), 0.01)
     sph = geo.approximating_spheres(Curve(param), [0])[0]
-    assert np.allclose(sph.frame, np.eye(6), atol=0)
+    assert np.array_equal(sph.phases, np.ones(3))
     assert len(sph.marked_set["points"]) == 2
 
 
@@ -366,18 +388,63 @@ def test_bulge_distance_linear_in_twist():
     assert 0.5 < c3 / c4 < 2.0          # stable constant over a tau decade
 
 
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 2)])
+def test_bulge_distance_linear_in_twist_for_both_kinds_of_bulge(p, q):
+    # odd bulges are positioned through the reflection phases, even ones without
+    for k in range(-1, 3):
+        d3, d4 = (geo.bulge_sphere_distance(Curve(TwistParam(AdmissiblePair(p, q), tau)), k, 0.5)
+                  for tau in (1e-3, 1e-4))
+        assert d3 < 10 * 1e-3, k
+        assert 0.5 < (d3 / 1e-3) / (d4 / 1e-4) < 2.0, k
+
+
 def test_next_sphere_frame_limit():
     pair = AdmissiblePair(1, 2)
     param = TwistParam(pair, 1e-4)
     data = period_ode(param)
     sph = geo.approximating_spheres(Curve(param), [1])[0]
-    U = np.diag([-1.0 + 0j, np.exp(-1j * math.pi / 2), np.exp(-1j * math.pi / 2)])
-    A, B = U.real, U.imag
-    frame_limit = np.block([[A, -B], [B, A]])
-    assert float(np.max(np.abs(sph.frame - frame_limit))) < 5e-3
+    limit = np.array([-1.0 + 0j, np.exp(-1j * math.pi / 2), np.exp(-1j * math.pi / 2)])
+    gap = sph.phases - limit
+    assert max(np.max(np.abs(gap.real)), np.max(np.abs(gap.imag))) < 5e-3
 
 
 def test_orthogonal_frames():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     for sph in geo.approximating_spheres(Curve(param), range(-2, 3)):
-        assert np.allclose(sph.frame @ sph.frame.T, np.eye(10), atol=1e-12)
+        assert np.allclose(np.abs(sph.phases) ** 2, 1.0, atol=1e-12)
+
+
+def _both_kinds_of_sphere():
+    # for p > 1 even bulges are positioned holomorphically (bulge 2: a nontrivial
+    # rotation, bulge 0 has none) and odd ones antiholomorphically
+    spheres = geo.approximating_spheres(Curve(TwistParam(AdmissiblePair(2, 3), 0.05)), [2, 1])
+    assert [s.antiholomorphic for s in spheres] == [False, True]
+    return spheres
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_sphere_distance_on_and_off_the_positioned_equator(which):
+    sph = _both_kinds_of_sphere()[which]
+    U = np.diag(sph.phases)                 # the matrix route of the positioning map
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        x = rng.standard_normal(5)
+        x /= np.linalg.norm(x)
+        # a real point is its own conjugate: z -> U z and z -> U conj(z) agree on it
+        assert geo.sphere_distance(sph, U @ x) <= 1e-15
+        assert geo.sphere_distance(sph, U @ np.conj(x)) <= 1e-15
+        # off along the normals x (radial) and i y (y real): distance hypot(r, s)
+        y = rng.standard_normal(5)
+        r, s = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+        z = U @ ((1.0 + r) * x + 1j * s * (y / np.linalg.norm(y)))
+        assert geo.sphere_distance(sph, z) == pytest.approx(math.hypot(r, s), abs=1e-15)
+
+
+def test_stacked_sphere_distance_equals_the_per_point_values():
+    rng = np.random.default_rng(6)
+    z = rng.standard_normal((4, 7, 5)) + 1j * rng.standard_normal((4, 7, 5))
+    for sph in _both_kinds_of_sphere():
+        stacked = geo.sphere_distance(sph, z)
+        assert stacked.shape == (4, 7)
+        assert np.array_equal(stacked, [[geo.sphere_distance(sph, zz) for zz in row]
+                                        for row in z])
