@@ -8,8 +8,8 @@ catenoid necks of the associated rotationally invariant Legendrian
 cylinders.
 """
 
-from .catenoid import (CatenoidParams, catenoid_flow, catenoid_lifetime,
-                       lifetime_routes, unit_profile, verify_catenoid_symmetry)
+from .catenoid import (catenoid_lifetime, lifetime_routes, unit_profile,
+                       verify_catenoid_symmetry)
 from .closure import (BracketingError, ClosedCurveCheck, ClosureReport,
                       RationalTarget,
                       find_tau_for_angular_period, half_period_classification,
@@ -18,8 +18,7 @@ from .closure import (BracketingError, ClosedCurveCheck, ClosureReport,
 from .ode_engine import (EventError, IntegrationError, Tolerances, Trajectory,
                          integrate, locate_event)
 from .periods import (PeriodData, angular_periods, branch_integral, partial_periods_quadrature,
-                      period_ode, pthat_quadrature, pthat_quadrature_psi2,
-                      verify_psi_constraint)
+                      period_ode, pthat_quadrature, pthat_quadrature_psi2)
 from .twisted_curve import (AdmissiblePair, SphereState, TwistParam,
                             TwistTrajectory, alpha_tau, f_poly, f_prime,
                             initial_state, solve_w, tau_max, velocity, y_extrema)

@@ -3,14 +3,13 @@
 The unit profile w_1 starts at e^{i pi/2n} and conserves Im(w^n) = 1.
 For n = 2 it is explicit, (e^t + i e^-t)/sqrt(2), and lives forever;
 for n >= 3 it blows up at a finite lifetime T_1 in both directions.
-The scaled family w_lam(t) = lam^{1/n} w_1(lam^{1-2/n} t) conserves
-Im(w^n) = lam and models the neck profiles of the invariant cylinders.
+It is the model that the rescaled neck profiles of the invariant
+cylinders approach.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,25 +19,10 @@ from .periods import _NODES, _WEIGHTS
 from .twisted_curve import _compiled, _cpow_source
 
 __all__ = [
-    "CatenoidParams", "catenoid_lifetime", "lifetime_routes",
-    "catenoid_flow", "unit_profile", "verify_catenoid_symmetry",
+    "catenoid_lifetime", "lifetime_routes", "unit_profile", "verify_catenoid_symmetry",
 ]
 
 _LIFETIME_FRACTION = 0.995  # integrate the unit profile up to this fraction of T_1
-
-
-@dataclass(frozen=True)
-class CatenoidParams:
-    """Twist degree n >= 2 and scale lam > 0 (waist radius lam^{1/n})."""
-
-    n: int
-    lam: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
 
 
 def lifetime_routes(n: int) -> tuple[float, float]:
@@ -83,14 +67,6 @@ def _profile_field(n: int):
     return _compiled(f"profile field n={n}", body)
 
 
-def _read(traj, t):
-    """w at scalar or array t, read off the (Re w, Im w) trajectory."""
-    tt = np.asarray(t, dtype=float)
-    s = traj(tt.ravel())
-    w = (s[0] + 1j * s[1]).reshape(tt.shape)
-    return complex(w) if tt.ndim == 0 else w
-
-
 @lru_cache(maxsize=8)      # spans above 0.995 T_1 come one per call; keep a few
 def _unit_trajectory(n: int, span: float):
     w0 = np.exp(1j * math.pi / (2 * n))
@@ -112,29 +88,9 @@ def unit_profile(n: int, t):
     if np.max(np.abs(tt)) >= T1:
         raise ValueError(f"|t| >= lifetime T_1 = {T1} for n = {n}")
     span = max(_LIFETIME_FRACTION * T1, np.max(np.abs(tt)) * (1 + 1e-12))
-    return _read(_unit_trajectory(n, span), t)
-
-
-def catenoid_flow(params: CatenoidParams, t, direct: bool = False):
-    """Scaled flow w_lam(t) = lam^{1/n} w_1(lam^{1-2/n} t).
-
-    ``direct=True`` integrates the field from the scaled initial value
-    instead of applying the scaling law, as an independent route for
-    verifying the scaling symmetry.
-    """
-    n, lam = params.n, params.lam
-    if not direct:
-        return lam ** (1.0 / n) * unit_profile(n, lam ** (1.0 - 2.0 / n) * np.asarray(t))
-    w0 = lam ** (1.0 / n) * np.exp(1j * math.pi / (2 * n))
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    if n >= 3:
-        T = catenoid_lifetime(n) * lam ** (2.0 / n - 1.0)
-        if np.max(np.abs(tt)) >= T:
-            raise ValueError(f"|t| >= scaled lifetime {T}")
-    # the upper end stays above 0 so that t = 0 alone still has a span
-    span = (min(tt.min(), 0.0), max(tt.max(), 1e-9))
-    traj = integrate(_profile_field(n), [w0.real, w0.imag], span, Tolerances(), t0=0.0)
-    return _read(traj, t)
+    s = _unit_trajectory(n, span)(tt.ravel())          # (Re w, Im w)
+    w = (s[0] + 1j * s[1]).reshape(np.shape(t))
+    return complex(w) if np.ndim(t) == 0 else w
 
 
 def verify_catenoid_symmetry(n: int) -> float:

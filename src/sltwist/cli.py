@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import geometry as geo
+from .catenoid import verify_catenoid_symmetry
 from .closure import (K0_CAP, RationalTarget, find_tau_for_angular_period,
                       half_period_classification, k0_from_target, necklace, verify_closed)
 from .curve import Curve
@@ -181,13 +182,16 @@ def cmd_neck(args) -> int:
     curve = Curve(_param(args), TOL_PRESETS[args.tol])
     comp = geo.neck_rescale(curve, args.waist, args.window)
     b = comp.window
+    symmetry = verify_catenoid_symmetry(comp.catenoid_degree)
     payload = {"beta": comp.beta, "max_error": comp.max_error,
                "window": comp.window, "waist_index": comp.waist_index,
-               "waist_kind": comp.waist_kind, "catenoid_degree": comp.catenoid_degree}
+               "waist_kind": comp.waist_kind, "catenoid_degree": comp.catenoid_degree,
+               "profile_symmetry": symmetry}
     _emit(args, payload, [
         f"waist {comp.waist_index} (kind {comp.waist_kind}), "
         f"degree-{comp.catenoid_degree} catenoid, beta = {comp.beta!r}",
         f"max |profile - catenoid| over [-{b}, {b}] = {comp.max_error!r}",
+        f"unit profile reflection residual {symmetry:.2e}",
     ])
     return 0
 

@@ -2,10 +2,11 @@
 
 Numbers are written with 17 significant digits so that identical inputs
 produce byte-identical files and JSON reports round-trip bit-exactly.
-:func:`format_float` defines the digits.  Files are written one block of
-rows at a time: a line template of ``%.17g`` fields (``%d`` for OBJ faces)
-repeated once per row and applied by a single ``%``, which gives the same
-bytes as :func:`format_float` because both call the same double-to-string
+:func:`format_float` defines the digits.  Files are made and written a
+fixed block of rows at a time, so no file is held whole in memory: a line
+template of ``%.17g`` fields (``%d`` for OBJ faces) repeated once per row
+of the block and applied by a single ``%``, which gives the same bytes as
+:func:`format_float` because both call the same double-to-string
 conversion.
 """
 
@@ -29,23 +30,27 @@ __all__ = [
 # real part, which sends the tau -> 0 limit sphere to the round sphere.
 _OBJ_PROJECTION = "Re z1, Re z2, Re z3"
 
+_BLOCK_ROWS = 4096      # rows made, formatted and written at a time
+
 
 def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _block(line: str, rows: np.ndarray) -> str:
-    """``line % row`` for each row of a 2-d array, one line each, by one ``%``."""
-    return "\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())
+def _write(path, header: str, *sections) -> Path:
+    """The header line, then the rows of each section, one line each.
 
-
-def _write(path, *parts: str) -> Path:
-    """Each non-empty part, then a newline."""
+    A section is (line, count, rows): ``line`` is the ``%`` template of one
+    row and ``rows(i, j)`` returns rows i..j-1 of the ``count`` as a 2-d
+    array.  Rows are made, formatted and written _BLOCK_ROWS at a time.
+    """
     path = Path(path)
     with path.open("w") as fh:
-        for part in parts:
-            if part:
-                fh.write(part)
+        fh.write(header + "\n")
+        for line, count, rows in sections:
+            for i in range(0, count, _BLOCK_ROWS):
+                block = rows(i, min(i + _BLOCK_ROWS, count))
+                fh.write("\n".join([line] * len(block)) % tuple(block.ravel().tolist()))
                 fh.write("\n")
     return path
 
@@ -53,9 +58,12 @@ def _write(path, *parts: str) -> Path:
 def trajectory_csv(traj, ts, path) -> Path:
     """Columns t, Re w1, Im w1, Re w2, Im w2 at the requested times."""
     ts = np.asarray(ts, dtype=float)
-    w1, w2 = traj.w(ts)
-    rows = np.column_stack([ts, w1.real, w1.imag, w2.real, w2.imag])
-    return _write(path, "t,re_w1,im_w1,re_w2,im_w2", _block(",".join(["%.17g"] * 5), rows))
+
+    def rows(i, j):
+        w1, w2 = traj.w(ts[i:j])
+        return np.column_stack([ts[i:j], w1.real, w1.imag, w2.real, w2.imag])
+
+    return _write(path, "t,re_w1,im_w1,re_w2,im_w2", (",".join(["%.17g"] * 5), len(ts), rows))
 
 
 def _encode(value):
@@ -95,20 +103,10 @@ def report_from_json(text: str, cls, kind: str):
     return cls(**kwargs)
 
 
-def _obj_mesh(sampler: Sampler, grid_spec):
-    """Vertices and quad faces of a 2-parameter sampler grid, closed in the second angle."""
-    nt, na = int(grid_spec[0]), int(grid_spec[1])
-    (t_lo, t_hi), (a_lo, a_hi) = sampler.box[0], sampler.box[1]
-    ts = np.linspace(t_lo, t_hi, nt)
-    angs = a_lo + (a_hi - a_lo) * np.arange(na) / na
-    grid = np.stack(np.meshgrid(ts, angs, indexing="ij"), axis=-1).reshape(-1, 2)
-    verts = sampler(grid)[:, :3].real
-    # 1-based corners (i, j), (i, j+1), (i+1, j+1), (i+1, j), j wrapping mod na
-    here = np.arange(nt - 1)[:, None] * na + 1
-    j, j_next = np.arange(na), (np.arange(na) + 1) % na
-    faces = np.stack([here + j, here + j_next, here + na + j_next, here + na + j],
-                     axis=-1).reshape(-1, 4)
-    return verts, faces
+def _grid(axes, i: int, j: int) -> np.ndarray:
+    """Points i..j-1 of the grid of ``axes``, the last axis fastest, one per row."""
+    index = np.unravel_index(np.arange(i, j), [len(ax) for ax in axes])
+    return np.stack([ax[k] for ax, k in zip(axes, index)], axis=-1)
 
 
 def export(sampler: Sampler, grid_spec, fmt: str, path) -> Path:
@@ -122,21 +120,41 @@ def export(sampler: Sampler, grid_spec, fmt: str, path) -> Path:
         counts = [int(c) for c in grid_spec]
         axes = [np.linspace(lo, hi, c)
                 for (lo, hi), c in zip(sampler.box, counts)]
-        mesh = np.meshgrid(*axes, indexing="ij")
         header = [f"u{i}" for i in range(sampler.dim)]
         header += [f"{part}_z{j + 1}" for j in range(sampler.m)
                    for part in ("re", "im")]
-        u = np.stack(mesh, axis=-1).reshape(-1, sampler.dim)
-        z = sampler(u)
-        rows = np.concatenate([u, np.stack([z.real, z.imag], axis=-1).reshape(len(u), -1)],
-                              axis=1)
-        return _write(path, ",".join(header), _block(",".join(["%.17g"] * rows.shape[1]), rows))
+
+        def rows(i, j):
+            u = _grid(axes, i, j)
+            z = sampler(u)
+            return np.concatenate([u, np.stack([z.real, z.imag], axis=-1).reshape(len(u), -1)],
+                                  axis=1)
+
+        return _write(path, ",".join(header),
+                      (",".join(["%.17g"] * len(header)), math.prod(counts), rows))
     if fmt == "obj":
         if sampler.dim != 2 or sampler.m != 3:
             raise ValueError("obj export needs a 2-parameter sampler in C^3")
-        verts, faces = _obj_mesh(sampler, grid_spec)
+        nt, na = int(grid_spec[0]), int(grid_spec[1])
+        (t_lo, t_hi), (a_lo, a_hi) = sampler.box[0], sampler.box[1]
+        ts = np.linspace(t_lo, t_hi, nt)
+        angs = a_lo + (a_hi - a_lo) * np.arange(na) / na
+
+        def verts(i, j):
+            return sampler(_grid((ts, angs), i, j))[:, :3].real
+
+        def faces(i, j):
+            # face f = r na + c has the 1-based corners (r, c), (r, c+1), (r+1, c+1),
+            # (r+1, c), c + 1 wrapping mod na
+            f = np.arange(i, j)
+            c = f % na
+            here, c_next = f - c + 1, (c + 1) % na
+            return np.stack([here + c, here + c_next, here + na + c_next, here + na + c],
+                            axis=-1)
+
         return _write(path, f"# projection: {_OBJ_PROJECTION}",
-                      _block("v %.17g %.17g %.17g", verts), _block("f %d %d %d %d", faces))
+                      ("v %.17g %.17g %.17g", nt * na, verts),
+                      ("f %d %d %d %d", (nt - 1) * na, faces))
     raise ValueError(f"unsupported format {fmt!r}")
 
 

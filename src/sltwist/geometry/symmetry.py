@@ -75,9 +75,9 @@ def _omega_residual(pair, d: np.ndarray) -> float:
     An antiholomorphic reflection A(z) = D conj(z), D = diag(d1 Id_p, d2 Id_q)
     from the phases ``d`` = (d1, d2), satisfies A* Omega = det(D) conj(Omega)
     on frames; the reflections of the invariant cylinders have det(D) = -1.
-    Evaluates the max of |det_C(A V) + conj(det_C(V))|, which is
-    |det V| |det D + 1|, over 10 random complex Gaussian frames V, so it
-    scales with |det V| as well as with the error in det D.
+    Evaluates the max of |det_C(A V) + conj(det_C(V))| / |det_C(V)|, which
+    is |det D + 1|, over 10 random complex Gaussian frames V; dividing by
+    |det V| keeps the frames' random volume out of the residual.
     """
     n = pair.n
     D = np.diag(_blocks(pair, *d))
@@ -85,8 +85,8 @@ def _omega_residual(pair, d: np.ndarray) -> float:
     res = 0.0
     for _ in range(10):
         V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        AV = D @ np.conj(V)
-        res = max(res, abs(np.linalg.det(AV) + np.conj(np.linalg.det(V))))
+        det_v = np.linalg.det(V)
+        res = max(res, abs(np.linalg.det(D @ np.conj(V)) + np.conj(det_v)) / abs(det_v))
     return float(res)
 
 

@@ -19,19 +19,18 @@ and reads the angles psi_i off arg w on the same trajectory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import Curve
 from .ode_engine import Tolerances, locate_event
-from .twisted_curve import (AdmissiblePair, TwistParam, _extrema, _y, _ydot, alpha_tau, f_poly,
-                            f_prime, f_taylor_coeffs, y_extrema)
+from .twisted_curve import (AdmissiblePair, TwistParam, _extrema, _y, _ydot, f_prime,
+                            f_taylor_coeffs, y_extrema)
 
 __all__ = [
     "PeriodData", "partial_periods_quadrature", "pthat_quadrature", "angular_periods",
-    "branch_integral", "period_ode", "verify_psi_constraint",
+    "branch_integral", "period_ode",
 ]
 
 
@@ -186,34 +185,3 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
     return PeriodData(p_plus=float(p_plus), p_minus=float(p_minus),
                       p_tau=float(p_tau), pthat=float(pthat),
                       psi1_2p=float(psi1_2p), psi2_2p=float(psi2_2p))
-
-
-def verify_psi_constraint(curve: Curve) -> float:
-    """Residual of the algebraic angle constraint along the curve, at 100 times.
-
-    With Psi = p psi1 + q psi2 and a = arcsin(-tau/tau_max):
-    p = 1 requires 2 |tau| = sqrt(f(y)) cos(Psi) with Psi in (-pi/2, pi/2);
-    p > 1 requires -2 tau = sqrt(f(y)) sin(Psi + a) with Psi + a in
-    (-pi, 0) for tau > 0 and in (0, pi) for tau < 0.
-    Returns the max residual; raises if a sign condition is violated.
-    """
-    param = curve.param
-    pair, tau = param.pair, param.tau
-    p_tau = curve.period.p_tau
-    ts = np.linspace(0.0, 2.0 * p_tau, 100)
-    traj = curve.traj(0.0, 2.0 * p_tau)
-    psi1, psi2 = traj.psi(ts)
-    Psi = pair.p * psi1 + pair.q * psi2
-    root = np.sqrt(np.maximum(f_poly(pair, traj.y(ts)), 0.0))
-    if pair.p == 1:
-        lo, hi, res = -math.pi / 2, math.pi / 2, abs(2.0 * tau) - root * np.cos(Psi)
-        name = "Psi"
-    else:
-        Psi = Psi + alpha_tau(param)
-        lo, hi = (-math.pi, 0.0) if tau > 0.0 else (0.0, math.pi)
-        res, name = -2.0 * tau - root * np.sin(Psi), "Psi+alpha"
-    bad = np.flatnonzero(~((lo < Psi) & (Psi < hi)))
-    if len(bad):
-        i = bad[0]
-        raise AssertionError(f"{name}={Psi[i]} outside ({lo}, {hi}) at t={ts[i]}")
-    return float(np.max(np.abs(res)))

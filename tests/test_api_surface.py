@@ -17,25 +17,23 @@ import ast
 import re
 from pathlib import Path
 
-SETTABLE_VALUES = 21
+SETTABLE_VALUES = 20
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sltwist"
 
 TESTS_ONLY = {
-    # candidates for a row of verify or neck, each a second route
-    "verify_psi_constraint",        # the angle constraint along the curve
-    "verify_catenoid_symmetry",     # the neck profile's reflection symmetry
-    "catenoid_flow",                # the profile by its direct flow
-    "bulge_sphere_distance",        # a bulge against its approximating sphere
-    "phase_relation_residual",      # the cone's special Lagrangian phase
-    # the explicit curves, which a twisted product can take as its curve
+    # item 5: the cone's special Lagrangian phase, a candidate row of verify
+    "phase_relation_residual",
+    # item 6: the explicit curves, which a twisted product can take as its curve
     "cs_residual",
     "cs_closing_period",
     "hs_curve_sampler",
-    # the paper's necklace law, to be measured as a limit
+    # item 11: the paper's small-twist laws, to be measured as limits: the
+    # necklace law, and a bulge's approach to its sphere as tau -> 0
     "necklace_scaling_ratio",
-    # the su(n) basis of the torque fluxes' acceptance criterion
+    "bulge_sphere_distance",
+    # acceptance criterion 8: the su(n) basis of the torque fluxes
     "su_basis",
 }
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sltwist.catenoid import (CatenoidParams, catenoid_flow, catenoid_lifetime,
-                              lifetime_routes, unit_profile,
+from sltwist.catenoid import (catenoid_lifetime, lifetime_routes, unit_profile,
                               verify_catenoid_symmetry)
 
 
@@ -15,12 +14,12 @@ def test_explicit_degree_two_profile():
 
 
 def test_initial_condition_degree_three():
-    w = catenoid_flow(CatenoidParams(3, 1.0), 0.0)
+    w = unit_profile(3, 0.0)
     assert abs(w - np.exp(1j * math.pi / 6.0)) < 1e-15
 
 
 def test_conserved_quantity_along_flow():
-    w = catenoid_flow(CatenoidParams(3, 1.0), 0.5)
+    w = unit_profile(3, 0.5)
     assert abs((w**3).imag - 1.0) < 1e-10
 
 
@@ -58,32 +57,13 @@ def test_reflection_symmetry_fixed_point():
     assert abs(w0 - np.exp(1j * math.pi / 3.0) * np.conj(w0)) < 1e-15
 
 
-def test_scaling_family_against_direct_integration():
-    for lam in (0.04, 0.5):
-        params = CatenoidParams(3, lam)
-        ts = np.linspace(-0.3, 0.3, 7)
-        scaled = catenoid_flow(params, ts)
-        direct = catenoid_flow(params, ts, direct=True)
-        assert float(np.max(np.abs(scaled - direct))) < 1e-10
-
-
 def test_radius_energy_relation():
-    lam = 0.7
-    params = CatenoidParams(4, lam)
     for t in np.linspace(-0.5, 0.5, 21):
-        w = catenoid_flow(params, t)
+        w = unit_profile(4, t)
         y = abs(w) ** 2
-        # the scaled flow solves the same field, so y' = 2 Re(conj(w)^n)
+        # the profile solves w' = conj(w)^3, so y' = 2 Re(conj(w)^4) and Im(w^4) = 1
         ydot = 2.0 * (np.conj(w) ** 4).real
-        assert abs(ydot**2 - 4.0 * (y**4 - lam**2)) < 1e-9
-
-
-def test_degree_two_scaling_keeps_time():
-    lam = 2.0
-    params = CatenoidParams(2, lam)
-    t = 0.9
-    expected = math.sqrt(lam) * unit_profile(2, t)
-    assert abs(catenoid_flow(params, t) - expected) < 1e-12
+        assert abs(ydot**2 - 4.0 * (y**4 - 1.0)) < 1e-9
 
 
 def test_unit_trajectory_cache_stays_bounded():

@@ -285,6 +285,17 @@ def test_neck_subcommand(capsys):
     assert float(data["max_error"]) < 0.1
 
 
+@pytest.mark.parametrize("p,q,waist,degree", [(2, 3, 0, 2), (2, 3, 1, 3), (1, 4, 1, 4)])
+def test_neck_reports_the_profile_symmetry(p, q, waist, degree, capsys):
+    # the reflection residual of the unit profile the neck is compared with
+    code, out, err = run(capsys, "neck", "--p", str(p), "--q", str(q), "--tau", "0.001",
+                         "--waist", str(waist), "--json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["catenoid_degree"] == degree
+    assert float(data["profile_symmetry"]) <= 1e-9
+
+
 @pytest.mark.parametrize("p,q", [(1, 3), (2, 3)])
 def test_neck_default_window_is_half_the_degree_three_lifetime(p, q, capsys):
     from sltwist.catenoid import catenoid_lifetime

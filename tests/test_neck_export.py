@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -127,16 +128,60 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, 1e308, -1e-300, 2.0, 0.1, math.inf, -math.inf,
 
 
 @pytest.mark.parametrize("shape", [(10, 1), (7, 3), (2, 5), (1, 5), (1, 1)])
-def test_block_matches_format_float_per_number(shape):
-    from sltwist.geometry.export import _block
+def test_block_matches_format_float_per_number(shape, tmp_path, monkeypatch):
+    export_module = importlib.import_module("sltwist.geometry.export")   # not geo.export
 
+    monkeypatch.setattr(export_module, "_BLOCK_ROWS", 3)    # whole and partial blocks
     rng = np.random.default_rng(sum(shape))
     rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
     rows.flat[:len(EDGE_VALUES)] = EDGE_VALUES[:rows.size]    # all of them in the wider blocks
-    reference = "\n".join(",".join(geo.format_float(v) for v in row) for row in rows)
-    assert _block(",".join(["%.17g"] * shape[1]), rows) == reference
-    assert _block("v" + " %.17g" * shape[1], rows) == "\n".join(
-        "v " + line.replace(",", " ") for line in reference.splitlines())
+    reference = [",".join(geo.format_float(v) for v in row) for row in rows]
+    path = export_module._write(tmp_path / "b.txt", "header",
+                                (",".join(["%.17g"] * shape[1]), len(rows), lambda i, j: rows[i:j]),
+                                ("v" + " %.17g" * shape[1], len(rows), lambda i, j: rows[i:j]))
+    assert path.read_text() == "\n".join(
+        ["header", *reference, *("v " + line.replace(",", " ") for line in reference)]) + "\n"
+
+
+def test_exports_in_blocks_of_three_rows_match_row_by_row_files(tmp_path, monkeypatch):
+    # numbers from one evaluation of the whole grid, each line formatted on its own
+    export_module = importlib.import_module("sltwist.geometry.export")   # not geo.export
+
+    monkeypatch.setattr(export_module, "_BLOCK_ROWS", 3)
+
+    def lines(rows):
+        return [",".join(geo.format_float(v) for v in row) for row in rows]
+
+    traj = solve_w(TwistParam(AdmissiblePair(2, 3), 0.05), (-1.0, 1.0))
+    ts = np.linspace(-1.0, 1.0, 16)
+    w1, w2 = traj.w(ts)
+    path = geo.trajectory_csv(traj, ts, tmp_path / "w.csv")
+    rows = np.column_stack([ts, w1.real, w1.imag, w2.real, w2.imag])
+    assert path.read_bytes() == "\n".join(["t,re_w1,im_w1,re_w2,im_w2", *lines(rows)]).encode() + b"\n"
+
+    counts = (4, 3, 2, 5)           # a 4-parameter sampler, 120 rows
+    sampler = geo.immersion_sampler(Curve(TwistParam(AdmissiblePair(2, 3), 0.05)), (-1.0, 1.0))
+    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(sampler.box, counts)]
+    u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    z = sampler(u)
+    header = "u0,u1,u2,u3," + ",".join(f"{part}_z{j}" for j in range(1, 6) for part in ("re", "im"))
+    rows = np.concatenate([u, np.stack([z.real, z.imag], axis=-1).reshape(len(u), -1)], axis=1)
+    path = geo.export(sampler, counts, "csv", tmp_path / "g.csv")
+    assert path.read_bytes() == "\n".join([header, *lines(rows)]).encode() + b"\n"
+
+    nt, na = 4, 5
+    sampler = geo.immersion_sampler(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)), (-1.0, 1.0))
+    (t_lo, t_hi), (a_lo, a_hi) = sampler.box
+    grid = [(t, a_lo + (a_hi - a_lo) * j / na) for t in np.linspace(t_lo, t_hi, nt)
+            for j in range(na)]
+    verts = sampler(np.array(grid))[:, :3].real
+    faces = ["f %d %d %d %d" % (i * na + j + 1, i * na + (j + 1) % na + 1,
+                                (i + 1) * na + (j + 1) % na + 1, (i + 1) * na + j + 1)
+             for i in range(nt - 1) for j in range(na)]
+    path = geo.export(sampler, (nt, na), "obj", tmp_path / "m.obj")
+    expected = ["# projection: Re z1, Re z2, Re z3",
+                *("v " + line.replace(",", " ") for line in lines(verts)), *faces]
+    assert path.read_bytes() == "\n".join(expected).encode() + b"\n"
 
 
 class _EdgeTrajectory:

@@ -5,8 +5,7 @@ import pytest
 
 from sltwist.curve import Curve
 from sltwist.periods import (partial_periods_quadrature, period_ode,
-                             pthat_quadrature, pthat_quadrature_psi2,
-                             verify_psi_constraint)
+                             pthat_quadrature, pthat_quadrature_psi2)
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w, tau_max
 
 PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
@@ -120,11 +119,6 @@ def test_angular_period_exceeds_quarter_turn():
     data = period_ode(TwistParam(AdmissiblePair(1, 2), 0.01))
     assert data.pthat > math.pi / 2.0
     assert data.pthat - math.pi / 2.0 < 0.15
-
-
-def test_psi_constraint_residual():
-    assert verify_psi_constraint(Curve(TwistParam(AdmissiblePair(1, 2), 0.1))) < 1e-8
-    assert verify_psi_constraint(Curve(TwistParam(AdmissiblePair(2, 3), 0.05))) < 1e-8
 
 
 def test_psi_constraint_anchor_point():

@@ -270,6 +270,19 @@ def test_rotation_determinants():
     assert geo.rotation_determinant_residual(AdmissiblePair(1, 2)) < 1e-12
 
 
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 5), (3, 4), (4, 4)])
+def test_omega_residual_is_the_reflection_determinant_error(p, q):
+    # a reflection with det D = -e^{i eps}: the residual is |det D + 1| = 2 sin(eps/2),
+    # whatever the volume of the random frames, and fails verify's 1e-8
+    from sltwist.geometry.symmetry import _omega_residual
+
+    eps = 1e-6
+    d = np.array([np.exp(1j * (math.pi + eps) / p), 1.0])
+    res = _omega_residual(AdmissiblePair(p, q), d)
+    assert abs(res - eps) <= 0.01 * eps
+    assert res > 1e-8
+
+
 def test_reflection_phases_refuse_an_unknown_side():
     for p, q in [(1, 2), (2, 3)]:
         curve = Curve(TwistParam(AdmissiblePair(p, q), 0.05))

@@ -341,19 +341,18 @@ def test_state_readers_equal_the_expressions_they_replace(p, q, tau):
 
 
 @pytest.mark.parametrize("which", ["partial_periods_quadrature", "solve_Q",
-                                   "verify_psi_constraint", "symmetry_residuals"])
+                                   "symmetry_residuals"])
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
 def test_tau_domain_is_refused_once_by_the_extrema(which, p, q):
     # tau = 0 and |tau| within the margin of tau_max reach y_extrema's refusal
     import sltwist.geometry as geo
     from sltwist.curve import Curve
-    from sltwist.periods import partial_periods_quadrature, verify_psi_constraint
+    from sltwist.periods import partial_periods_quadrature
     from sltwist.variation import solve_Q
 
     pair = AdmissiblePair(p, q)
     call = {"partial_periods_quadrature": lambda c: partial_periods_quadrature(c.param),
-            "solve_Q": solve_Q, "verify_psi_constraint": verify_psi_constraint,
-            "symmetry_residuals": geo.symmetry_residuals}[which]
+            "solve_Q": solve_Q, "symmetry_residuals": geo.symmetry_residuals}[which]
     for tau, message in [(0.0, "tau = 0"), (-0.0, "tau = 0"),
                          (tau_max(pair) * (1 - 1e-11), "too close to tau_max"),
                          (-tau_max(pair), "too close to tau_max")]:
