@@ -123,6 +123,10 @@ def _psi1_weight(y, one_minus_y):
     return 1.0 / one_minus_y
 
 
+def _psi2_weight(y, one_minus_y):
+    return 1.0 / y
+
+
 def angular_periods(pair: AdmissiblePair, taus) -> np.ndarray:
     """pthat by quadrature for each tau of an array: p * int 2 tau/(1 - y)."""
     lo, hi = _branch_halves(pair, taus, _extrema(pair, taus), _psi1_weight)
@@ -131,8 +135,7 @@ def angular_periods(pair: AdmissiblePair, taus) -> np.ndarray:
 
 def pthat_quadrature(param: TwistParam) -> float:
     """Angular period by quadrature: p * (change of psi1 over one branch)."""
-    p, tau = param.pair.p, param.tau
-    return 2.0 * p * tau * branch_integral(param, _psi1_weight)
+    return 2.0 * param.pair.p * param.tau * branch_integral(param, _psi1_weight)
 
 
 def pthat_quadrature_psi2(param: TwistParam) -> float:
@@ -141,8 +144,7 @@ def pthat_quadrature_psi2(param: TwistParam) -> float:
     Equal to :func:`pthat_quadrature` because p psi1 + q psi2 vanishes
     over a full period.
     """
-    q, tau = param.pair.q, param.tau
-    return 2.0 * q * tau * branch_integral(param, lambda y, one_minus_y: 1.0 / y)
+    return 2.0 * param.pair.q * param.tau * branch_integral(param, _psi2_weight)
 
 
 def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
@@ -150,10 +152,11 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
     """Period data from extremum events on the integrated curve.
 
     The events are the zeros of y' = -2 Re(w1^p w2^q), located on the
-    dense output; the angles psi_i at 2 p_tau are read off arg w there
-    (:meth:`TwistTrajectory.psi`).  For p = 1, 2 p_tau is a maximum of y,
-    where psi1' = 2 tau/(1 - y) is about 1/(2 tau); the event located is
-    that maximum, with a Newton polish through y'' = 2 f'(y) on the
+    dense output; the angles psi_i at 2 p_tau are read off arg w at the
+    integrated endpoint there (the dense output is less accurate), by the
+    lift of :meth:`TwistTrajectory.psi`.  For p = 1, 2 p_tau is a maximum
+    of y, where psi1' = 2 tau/(1 - y) is about 1/(2 tau); the event located
+    is that maximum, with a Newton polish through y'' = 2 f'(y) on the
     integrated state, and p_tau is half its time (at the minimum, y'' is
     only 2 q y_min^(q-1), so a state error moves the event that much more).
     The trajectory is read off ``curve`` (a new Curve of (param, tol) by default).
@@ -180,8 +183,8 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
         p_plus = 0.5 * locate_event(traj.trajectory, g, (1.5 * p_est, fwd), g_prime)
         p_minus = 0.0
     p_tau = p_plus + p_minus
-    psi1_2p, psi2_2p = traj.psi(2.0 * p_tau)
-    pthat = 0.5 * pair.p * psi1_2p
+    t_end = np.array([2.0 * p_tau])
+    (psi1_2p,), (psi2_2p,) = traj._lift(t_end, traj.trajectory.endpoint(t_end[0])[:, None])
     return PeriodData(p_plus=float(p_plus), p_minus=float(p_minus),
-                      p_tau=float(p_tau), pthat=float(pthat),
+                      p_tau=float(p_tau), pthat=float(0.5 * pair.p * psi1_2p),
                       psi1_2p=float(psi1_2p), psi2_2p=float(psi2_2p))

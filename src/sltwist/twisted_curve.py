@@ -379,11 +379,16 @@ class TwistTrajectory:
         psi are undefined there, and refused.
         """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
+        psi1, psi2 = self._lift(ts, self.trajectory(ts))
+        return (psi1, psi2) if np.ndim(t) else (float(psi1[0]), float(psi2[0]))
+
+    def _lift(self, ts, s):
+        """(psi1, psi2) at the times ts from the 4 x len states s there (see :meth:`psi`)."""
         pair = self.param.pair
         p, q = pair.p, pair.q
         if p == 1 and self.param.tau == 0.0:
             raise ValueError("psi is undefined at tau = 0 for p = 1: w1 passes through 0 at t = 0")
-        w1, w2 = _w(self.trajectory(ts))
+        w1, w2 = _w(s)
         grid, states = self.trajectory.time_grid, self.trajectory.states
         i0 = np.searchsorted(grid, 0.0)
         nodes = _w(states.T)[1]
@@ -396,8 +401,7 @@ class TwistTrajectory:
         psi2 = lift[k] + np.angle(w2 / nodes[k])
         z0 = _twist(pair, *_w(states[i0]).tolist())
         Psi = np.angle(_twist(pair, w1, w2) * np.conj(z0))
-        psi1 = (Psi - q * psi2) / p
-        return (psi1, psi2) if np.ndim(t) else (float(psi1[0]), float(psi2[0]))
+        return (Psi - q * psi2) / p, psi2
 
 
 def solve_w(param: TwistParam, t_span, tol: Tolerances = Tolerances()) -> TwistTrajectory:

@@ -12,6 +12,7 @@ import pytest
 
 from sltwist import cli
 from sltwist import curve as curve_mod
+from sltwist import variation
 from sltwist.cli import main
 
 
@@ -150,12 +151,16 @@ def test_unresolved_tiny_tau_is_refused_at_once(argv, expected, capsys):
     assert f"|tau|={float(argv[-1])} " in err
 
 
-def test_failed_cross_check_prints_only_its_verify_line(capsys):
+def test_failed_cross_check_prints_only_its_verify_line(capsys, monkeypatch):
+    # the exact formula off by a relative 1e-5 fails the derivative row, and only it
+    formula = variation.dpthat_dtau
+    monkeypatch.setattr(variation, "dpthat_dtau", lambda curve: (1.0 + 1e-5) * formula(curve))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, "verify", "--p", "2", "--q", "2", "--tau", "1e-5")
     assert code == 1
-    assert [line.split()[0] for line in out.splitlines() if "dpthat/dtau" in line] == ["FAIL"]
+    assert [line.split()[:2] for line in out.splitlines()
+            if not line.startswith("PASS")] == [["FAIL", "dpthat/dtau"]]
     assert err == "" and caught == []
 
 

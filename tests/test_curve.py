@@ -11,6 +11,7 @@ import sltwist.periods as periods
 from sltwist.cli import main
 from sltwist.curve import Curve
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w, tau_max
+from sltwist.variation import dpthat_dtau_cross_check
 
 PAIRS_N5 = [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3)]
 
@@ -33,7 +34,18 @@ def test_verify_integrates_each_curve_once(monkeypatch, capsys):
     original = ode_engine.integrate
     _rebind_everywhere(monkeypatch, original, counting)
     assert main(["verify", "--p", "2", "--q", "2", "--tau", "0.06"]) == 0
-    assert len(calls) <= 6
+    assert len(calls) == 2              # the curve and its linearisation
+
+
+def test_cross_check_integrates_nothing(monkeypatch):
+    curve = Curve(TwistParam(AdmissiblePair(2, 3), 1e-5))
+    assert curve.Q.period is curve.period
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("integrate called")
+
+    _rebind_everywhere(monkeypatch, ode_engine.integrate, refusing)
+    assert dpthat_dtau_cross_check(curve)["rel_err"] <= 1e-6
 
 
 def test_curve_lives_only_for_the_call(monkeypatch, capsys):
@@ -46,9 +58,7 @@ def test_curve_lives_only_for_the_call(monkeypatch, capsys):
 
     monkeypatch.setattr(Curve, "__init__", recording)
     assert main(["verify", "--p", "1", "--q", "2", "--tau", "0.1"]) == 0
-    # the call's own curve, plus the fresh tau +/- h neighbours of the
-    # finite-difference check
-    assert [tau for tau, _ in refs].count(0.1) == 1
+    assert [tau for tau, _ in refs] == [0.1]
     assert all(ref() is None for _, ref in refs)
 
 

@@ -145,12 +145,17 @@ def test_degenerate_tau_rejected():
 def test_p1_period_event_at_the_maximum_keeps_pthat_digits(q):
     # p = 1 reads psi1 at 2 p_tau, a maximum of y where psi1' ~ 1/(2 tau); the
     # event there is well conditioned, while the minimum at p_tau (y'' ~ 2q
-    # y_min^(q-1)) moved by state errors of 1e-15 took pthat 1e-11 off
-    from sltwist.ode_engine import Tolerances
-    from sltwist.variation import dpthat_dtau_cross_check
+    # y_min^(q-1)) moved by state errors of 1e-15 took pthat 1e-11 off; the
+    # integrated pthat keeps its derivative too: central differences of two more
+    # integrated curves at tau +/- h against the exact formula
+    from sltwist.variation import dpthat_dtau
 
     pair = AdmissiblePair(1, q)
     for frac in (0.02, 0.05, 0.1, 0.2):
         param = TwistParam(pair, frac * tau_max(pair))
-        assert abs(period_ode(param).pthat - pthat_quadrature_psi2(param)) <= 2e-12
-        assert dpthat_dtau_cross_check(Curve(param, Tolerances()))["rel_err"] <= 1e-7
+        curve = Curve(param)
+        assert abs(curve.period.pthat - pthat_quadrature_psi2(param)) <= 2e-12
+        h = max(1e-6, 1e-4 * param.tau)
+        fd = (period_ode(TwistParam(pair, param.tau + h)).pthat
+              - period_ode(TwistParam(pair, param.tau - h)).pthat) / (2.0 * h)
+        assert abs(dpthat_dtau(curve) - fd) <= 1e-7 * abs(fd)

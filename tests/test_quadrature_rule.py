@@ -191,10 +191,10 @@ def test_ode_periods_match_mpmath_at_33_small_tau(tau):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: the Taylor coefficients of f at y_max are evaluated in the "
+    "ROADMAP item 1(b): the Taylor coefficients of f at y_max are evaluated in the "
     "monomial basis at y_max ~ 1 - 2e-4, so c_1 = f'(y_max) ~ -3(1 - y_max)^2 keeps "
-    "only 8 digits and the quadrature p_minus is off by 1.5e-9; coefficients in the "
-    "gap 1 - y_max would fix it"))
+    "only 8 digits and the quadrature p_minus is off by 1.5e-9; expanded from the "
+    "factors (y_max + d)^q (1 - y_max - d)^p they bring it within 1.7e-13"))
 def test_quadrature_p_minus_matches_mpmath_at_33_small_tau():
     pair = AdmissiblePair(3, 3)
     _, hi = _mp_halves(pair, SMALL_33[0], "period", exact=True, dps=40)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sltwist import variation
 from sltwist.curve import Curve
-from sltwist.periods import period_ode
+from sltwist.periods import _branch_halves, period_ode
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, tau_max
 from sltwist.variation import (asymptotic_constants, check_asymptotics,
                                dpthat_dtau, dpthat_dtau_cross_check, solve_Q,
@@ -67,11 +68,42 @@ def test_derivative_formula_matches_finite_differences(p, q):
     assert res["rel_err"] < 1e-6
 
 
-def test_cross_check_refuses_step_reaching_zero_twist():
+def test_cross_check_passes_at_tiny_twist():
+    # the step h = 1e-2 |tau| keeps every neighbour on the side of tau
     for tau in (1e-6, -1e-6, 5e-7):
-        with pytest.raises(ValueError, match=r"h = 1e-06 .* tau = ") as info:
-            dpthat_dtau_cross_check(Curve(TwistParam(AdmissiblePair(2, 3), tau)))
-        assert "diverges" not in str(info.value)
+        res = dpthat_dtau_cross_check(Curve(TwistParam(AdmissiblePair(2, 3), tau)))
+        assert res["rel_err"] <= 1e-6
+
+
+def _sweep(taus):
+    for p, q in [(1, 2), (1, 3), (1, 6), (2, 2), (2, 3), (3, 3), (4, 4)]:
+        for tau in taus:
+            yield pytest.param(p, q, tau, id=f"{p}{q}-{tau}", marks=[pytest.mark.xfail(
+                strict=True, reason=(
+                    "ROADMAP item 1(b): the quadrature's Taylor coefficients of f at "
+                    "y_max are evaluated in the monomial basis, so P is off by about "
+                    "2.7e-6 relative in its difference at (4,4), tau = 1e-6; expanded "
+                    "from the factors they bring it within 1.1e-9"))]
+                if (p, q, tau) == (4, 4, 1e-6) else [])
+
+
+@pytest.mark.parametrize("p,q,tau", _sweep([1e-4, 1e-5, 1e-6, "0.9999tau_max"]))
+def test_cross_check_at_small_twist_and_near_tau_max(p, q, tau, monkeypatch):
+    # at both signs, and every mutation of a relative 1e-5 fails the row where it passes:
+    # the formula, or every quadrature value
+    pair = AdmissiblePair(p, q)
+    if tau == "0.9999tau_max":
+        tau = 0.9999 * tau_max(pair)
+    for sign in (1.0, -1.0):
+        curve = Curve(TwistParam(pair, sign * tau))
+        assert dpthat_dtau_cross_check(curve)["rel_err"] <= 1e-6
+        with monkeypatch.context() as m:
+            m.setattr(variation, "dpthat_dtau", lambda c: (1.0 + 1e-5) * dpthat_dtau(c))
+            assert dpthat_dtau_cross_check(curve)["rel_err"] > 1e-6
+        with monkeypatch.context() as m:
+            m.setattr(variation, "_branch_halves",
+                      lambda *args: [(1.0 + 1e-5) * x for x in _branch_halves(*args)])
+            assert dpthat_dtau_cross_check(curve)["rel_err"] > 1e-6
 
 
 def test_derivative_positive_in_monotone_window():
