@@ -17,7 +17,7 @@ import numpy as np
 
 from ..catenoid import catenoid_lifetime, unit_profile
 from ..curve import Curve
-from ..twisted_curve import y_extrema
+from ..twisted_curve import _gaps
 from .spheres import _waist
 from .symmetry import _blocks
 
@@ -61,8 +61,7 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None) -> Neck
     if degree >= 3 and b >= catenoid_lifetime(degree):
         raise ValueError(
             f"window {b} exceeds the degree-{degree} catenoid lifetime")
-    y_min, y_max = y_extrema(curve.param)
-    beta = math.sqrt(y_min) if waist.kind == 2 else math.sqrt(1.0 - y_max)
+    beta = math.sqrt(_gaps(curve.param)[waist.kind == 1])      # sqrt(y_min), sqrt(1 - y_max)
     scale = beta ** (2 - degree)
     t_w = waist.t
     traj = curve.traj(t_w - scale * b - 1e-6, t_w + scale * b + 1e-6)

@@ -5,14 +5,15 @@ Route one is singular quadrature of the energy-level integrals
     p+ = int_{y_min}^{q/n} dy / (2 sqrt(f(y) - 4 tau^2)),
     p- = int_{q/n}^{y_max} dy / (2 sqrt(f(y) - 4 tau^2)),
 
-with the square-root endpoint singularities removed by the substitution
-y = y_end +/- s^2 (the radicand divided by s^2 is then a polynomial in
-s^2, evaluated by the exact Taylor expansion of f about the root, so
-there is no cancellation at the endpoint).  Then s = a sinh(u), with a^2
-the smaller of the branch length and the root's distance from 0 or 1
-(the pole of the angle weight 1/y or 1/(1 - y)), and one 64-node
-Gauss-Legendre rule in u sums both halves for an array of tau at once.
-A weight h is called as h(y, 1 - y), with 1 - y = (1 - y_end) -/+ s^2.
+with the square-root endpoint singularities removed by u = s^2, the
+distance of y from its root.  Each root is held as its distance r from 0
+(y_min) or 1 (1 - y_max), so both halves are one formula: the radicand over
+s^2 is a polynomial in u from the factors (r + u)^a ((1 - r) - u)^b of f,
+with no cancellation at the root.  Then s = d sinh(v), with d^2 the smaller
+of the branch length and r (the pole of the angle weight 1/y or 1/(1 - y)),
+and one 64-node Gauss-Legendre rule in v sums both halves for an array of
+tau at once.  A weight h is called as h(y, 1 - y): (r + u, (1 - r) - u) on
+y_min's half, the pair swapped on y_max's.
 Route two locates the extrema of y along the integrated curve as events
 and reads the angles psi_i off arg w on the same trajectory.
 """
@@ -25,8 +26,8 @@ import numpy as np
 
 from .curve import Curve
 from .ode_engine import Tolerances, locate_event
-from .twisted_curve import (AdmissiblePair, TwistParam, _extrema, _y, _ydot, f_prime,
-                            f_taylor_coeffs, y_extrema)
+from .twisted_curve import (AdmissiblePair, TwistParam, _extrema, _gaps, _y, _ydot, f_prime,
+                            f_taylor_coeffs)
 
 __all__ = [
     "PeriodData", "partial_periods_quadrature", "pthat_quadrature", "angular_periods",
@@ -70,26 +71,27 @@ class PeriodData:
     psi2_2p: float
 
 
-def _branch_halves(pair: AdmissiblePair, taus, extrema, h) -> tuple[np.ndarray, np.ndarray]:
+def _branch_halves(pair: AdmissiblePair, taus, gaps, h) -> tuple[np.ndarray, np.ndarray]:
     """int h(y, 1 - y) dy / (2 sqrt(f(y) - 4 tau^2)) over [y_min, q/n] and
-    [q/n, y_max] for each tau, by the rule of the module docstring; ``extrema``
-    is (y_min, y_max) of ``taus``, two arrays over tau or two floats for one
+    [q/n, y_max] for each tau, by the rule of the module docstring; ``gaps`` is
+    (y_min, 1 - y_max) of ``taus``, two arrays over tau or two floats for one
     tau.  A sum that is not finite is refused, naming its tau."""
-    y0 = np.reshape(extrema, (2, -1, 1))
-    sign = np.array([1.0, -1.0])[:, None, None]     # y = y_min + s^2 and y = y_max - s^2
+    p, q, n = pair.p, pair.q, pair.n
+    r = np.reshape(gaps, (2, -1, 1))
+    c = np.stack([f_taylor_coeffs(q, p, r[0]), f_taylor_coeffs(p, q, r[1])], axis=1)
     # a G that rounds below 0 turns the sum NaN: the refusal below names its tau
     with np.errstate(divide="ignore", invalid="ignore"):
-        length = sign * (pair.q / pair.n - y0)
-        a = np.sqrt(np.minimum(np.where(sign > 0, y0, 1.0 - y0), length))
-        span = np.arcsinh(np.sqrt(length) / a)
-        u = span * _NODES
-        s2 = (a * np.sinh(u)) ** 2
-        c = f_taylor_coeffs(pair, y0) * sign ** np.arange(1, pair.n + 1)[:, None, None, None]
+        length = np.array([q, p]).reshape(2, 1, 1) / n - r     # from the root to q/n
+        d = np.sqrt(np.minimum(r, length))
+        span = np.arcsinh(np.sqrt(length) / d)
+        v = span * _NODES
+        s2 = (d * np.sinh(v)) ** 2
         G = c[-1]
         for ck in c[-2::-1]:
-            G = G * s2 + ck         # f(y0 + sign s^2) - f(y0) = s^2 G, positive inside
-        g = h(y0 + sign * s2, (1.0 - y0) - sign * s2) * np.cosh(u) / np.sqrt(G)
-        lo, hi = (a * span * g) @ _WEIGHTS
+            G = G * s2 + ck         # f(y) - 4 tau^2 = s^2 G, positive inside
+        near, far = r + s2, (1.0 - r) - s2
+        g = h(np.stack([near[0], far[1]]), np.stack([far[0], near[1]])) * np.cosh(v) / np.sqrt(G)
+        lo, hi = (d * span * g) @ _WEIGHTS
     finite = np.isfinite(lo + hi)
     if not finite.all():
         tau = abs(np.ravel(taus)[np.argmin(finite)])
@@ -102,7 +104,7 @@ def branch_integral(param: TwistParam, h) -> float:
 
     This is the integral of h(y(t)) dt over one monotone branch of y.
     """
-    (lo,), (hi,) = _branch_halves(param.pair, param.tau, y_extrema(param), h)
+    (lo,), (hi,) = _branch_halves(param.pair, param.tau, _gaps(param), h)
     return float(lo + hi)
 
 
@@ -111,10 +113,10 @@ def partial_periods_quadrature(param: TwistParam) -> tuple[float, float]:
 
     For p = 1 returns (p_tau, 0.0): the partial split is a p > 1 notion
     and the whole branch integral is the half-period.  tau = 0 and |tau| at
-    tau_max are refused by :func:`y_extrema`.
+    tau_max are refused by :func:`_extrema`.
     """
     pair = param.pair
-    (p_plus,), (p_minus,) = _branch_halves(pair, param.tau, y_extrema(param),
+    (p_plus,), (p_minus,) = _branch_halves(pair, param.tau, _gaps(param),
                                            lambda y, one_minus_y: 1.0)
     return (float(p_plus + p_minus), 0.0) if pair.p == 1 else (float(p_plus), float(p_minus))
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .ode_engine import Tolerances, integrate
 
@@ -36,7 +35,6 @@ __all__ = [
 # tau this close to tau_max is treated as the constant-y solution; the two
 # roots of f(y) = 4 tau^2 coalesce and refining them is meaningless.
 _TAU_MAX_MARGIN = 1e-10
-_UPPER_ROW = np.array([[0.0], [1.0]])      # marks the y_max row of _extrema
 
 
 @dataclass(frozen=True)
@@ -111,37 +109,34 @@ def f_prime(pair: AdmissiblePair, y):
     return y ** (pair.q - 1) * (1.0 - y) ** (pair.p - 1) * (pair.q - pair.n * y)
 
 
-@lru_cache(maxsize=None)
-def _f_derivative_polys(p: int, q: int):
-    f = Polynomial([0.0] * q + [1.0]) * Polynomial([1.0, -1.0]) ** p
-    return tuple(f.deriv(k) for k in range(1, p + q + 1))
+def f_taylor_coeffs(a: int, b: int, r) -> np.ndarray:
+    """c_k, k = 1..a+b, of (r + u)^a ((1 - r) - u)^b - r^a (1 - r)^b = sum_k c_k u^k,
+    along axis 0 for an array r: f about y = r with (a, b) = (q, p), or about
+    1 - y = r with (a, b) = (p, q).  Multiplied out factor by factor, so a
+    root's distance r from 0 or 1 keeps its digits, and so do differences of f
+    near its roots."""
+    r = np.asarray(r, dtype=float)
+    c = np.zeros((a + b + 1,) + r.shape)
+    c[0] = 1.0
+    for k, (x, du) in enumerate([(r, 1.0)] * a + [(1.0 - r, -1.0)] * b):
+        c[1:k + 2] = x * c[1:k + 2] + du * c[:k + 1]        # times (x + du u)
+        c[0] = x * c[0]
+    return c[1:]
 
 
-def f_taylor_coeffs(pair: AdmissiblePair, y0) -> np.ndarray:
-    """Coefficients c_k = f^(k)(y0)/k! for k = 1..n, along axis 0 for an array y0.
-
-    Since f is a degree-n polynomial, f(y0+d) - f(y0) = sum_k c_k d^k
-    exactly; this is how differences of f are evaluated near its roots
-    without catastrophic cancellation.
-    """
-    derivs = _f_derivative_polys(pair.p, pair.q)
-    return np.array([d(y0) / math.factorial(k + 1) for k, d in enumerate(derivs)])
-
-
-def _extrema(pair: AdmissiblePair, taus) -> tuple[np.ndarray, np.ndarray]:
-    """(y_min, y_max) for each tau of an array: the two roots of f(y) = 4 tau^2
-    in (0, 1), bracketing q/n.
+def _extrema(pair: AdmissiblePair, taus) -> np.ndarray:
+    """(y_min, 1 - y_max) for each tau of an array, as two rows: the roots of
+    f(y) = 4 tau^2 as their distances r from 0 and from 1, both solving
+    r^a (1 - r)^b = 4 tau^2 in (0, a/n), with (a, b) = (q, p) and (p, q).
 
     Refuses |tau| above tau_max, within a relative 1e-10 of it (coalescing
     roots), tau = 0 (double roots at the endpoints), NaN, and tau so small
-    that 4 tau^2 underflows or y_max comes out NaN or 1, naming the first
-    such tau.  Both roots of every tau come from one Newton iteration on
-    h(y) = ln(f(y) / 4 tau^2), which is concave, started where h < 0 outside
-    each root, so the iterates move monotonically towards it.  A root is done
-    when its next step reverses direction or stops shrinking relative to y
-    (y_min) or 1 - y (y_max): that is the Newton step in ln y or ln(1 - y),
-    which shrinks from the first step, while the step in y itself first
-    grows near 0 and 1.
+    that 4 tau^2 underflows or 1 - y_max rounds to 1, naming the first such
+    tau.  Both roots come from one Newton iteration on the concave h(r) =
+    ln(r^a (1 - r)^b / 4 tau^2), started below the root where h < 0, so r
+    rises monotonically.  A root is done when its next step reverses or stops
+    shrinking relative to r: that is the Newton step in ln r, which shrinks
+    from the first step, while the step in r itself first grows.
     """
     p, q, n = pair.p, pair.q, pair.n
     tau = np.abs(np.asarray(taus, dtype=float))
@@ -159,38 +154,47 @@ def _extrema(pair: AdmissiblePair, taus) -> tuple[np.ndarray, np.ndarray]:
     target = 4.0 * tau * tau
     if not target.all():
         raise ValueError(f"|tau|={tau[np.argmin(target)]} is too small: 4 tau^2 underflows to 0")
-    # Starts from the leading-order root asymptotics, moved 4x outward to
-    # guarantee h < 0; the while-loops only fire very close to tau_max.
-    lo = np.minimum((2.0 * tau) ** (2.0 / q) / 4.0, 0.5 * q / n)
-    while (inside := f_poly(pair, lo) >= target).any():
-        lo = np.where(inside, 0.5 * lo, lo)
-    hi = 1.0 - np.minimum((2.0 * tau) ** (2.0 / p) / 4.0, 0.5 * p / n)
-    while (inside := f_poly(pair, hi) >= target).any():
-        hi = np.where(inside, 1.0 - 0.5 * (1.0 - hi), hi)
-    y = np.stack([lo, hi])
-    last = np.full(y.shape, np.inf)
-    # a y_max that reaches 1 divides by zero and turns NaN: the refusal below names its tau
-    with np.errstate(divide="ignore", invalid="ignore"):
+    a = np.array([[q], [p]], dtype=float)      # y_min's row, then 1 - y_max's
+    b = n - a
+    low = np.array([[True], [False]])
+
+    def F(r, e):        # r^a e^b as y^q (1 - y)^p, by int powers as f_poly: y_min keeps its bits
+        return np.where(low, r, e) ** q * np.where(low, e, r) ** p
+
+    # starts from the leading order r ~ (2 tau)^(2/a), 4x nearer 0 so that h < 0;
+    # the while-loop only fires very close to tau_max
+    r = np.stack([np.minimum((2.0 * tau) ** (2.0 / k) / 4.0, 0.5 * k / n) for k in (q, p)])
+    while (inside := F(r, 1.0 - r) >= target).any():
+        r = np.where(inside, 0.5 * r, r)
+    last = np.full(r.shape, np.inf)
+    # a power that underflows turns a step infinite: the roots it reaches are refused
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
-            e = 1.0 - y
-            dy = np.log(target / (y**q * e**p)) / (q / y - p / e)
-            rel = dy / (y - _UPPER_ROW)         # dy / y and dy / -(1 - y): > 0 ahead
-            go = (0.0 < rel) & (rel < last)     # a stopped root keeps its y, so stays stopped
+            e = 1.0 - r
+            dr = np.log(target / F(r, e)) / (a / r - b / e)
+            rel = dr / r                        # the step in ln r: > 0 ahead
+            go = (0.0 < rel) & (rel < last)     # a stopped root keeps its r, so stays stopped
             if not go.any():
                 break
-            y = y + dy * go
+            r = r + dr * go
             last = np.where(go, rel, last)
-    if not (y[1] < 1.0).all():                  # NaN or 1: 1 - y_max is below one ulp of 1
-        raise ValueError(f"|tau|={tau[np.argmin(y[1] < 1.0)]} is too small: 1 - y_max "
+    if not (1.0 - r[1] < 1.0).all():           # NaN, or 1 - y_max below one ulp of 1
+        raise ValueError(f"|tau|={tau[np.argmin(1.0 - r[1] < 1.0)]} is too small: 1 - y_max "
                          "is not resolved next to 1 in double precision")
-    return y[0], y[1]
+    return r
 
 
 @lru_cache(maxsize=64)     # one curve asks for its extrema from several routes
+def _gaps(param: TwistParam) -> tuple[float, float]:
+    """(y_min, 1 - y_max) of one tau (see :func:`_extrema`)."""
+    (r0,), (r1,) = _extrema(param.pair, [param.tau])
+    return float(r0), float(r1)
+
+
 def y_extrema(param: TwistParam) -> tuple[float, float]:
     """The two roots of f(y) = 4 tau^2 in (0, 1), bracketing q/n (see :func:`_extrema`)."""
-    (y_min,), (y_max,) = _extrema(param.pair, [param.tau])
-    return float(y_min), float(y_max)
+    y_min, gap = _gaps(param)
+    return y_min, 1.0 - gap
 
 
 def initial_state(param: TwistParam) -> SphereState:

@@ -20,11 +20,11 @@ import numpy as np
 
 from .catenoid import catenoid_lifetime
 from .curve import Curve
-from .ode_engine import Trajectory, integrate, locate_event
+from .ode_engine import Trajectory, integrate
 # variation.period_ode stays a name of this module: perfbench's tracer looks it up here
 from .periods import (PeriodData, _branch_halves, _psi2_weight,  # noqa: F401
                       partial_periods_quadrature, period_ode, pthat_quadrature)
-from .twisted_curve import TwistParam, _extrema, _field, _y, _ydot, tau_max, y_extrema
+from .twisted_curve import TwistParam, _extrema, _field, _gaps, _y, _ydot, initial_state, tau_max
 
 __all__ = [
     "LinearisedSolution", "AsymptoticsReport", "solve_Q", "dpthat_dtau",
@@ -37,15 +37,13 @@ __all__ = [
 class LinearisedSolution:
     """The normalised companion solution Q of the linearised equation.
 
-    ``Q`` and ``Qdot`` are callables on [-2 p_tau, 2 p_tau].  ``p_star``
-    is the anchor time (the unique t in (0, p_tau) with y = q/n) for
-    p = 1, or 0 for p > 1.  ``trajectory`` holds (w, Q, Q'), integrated
-    both ways from ``p_star``.
+    ``Q`` and ``Qdot`` are callables on [-2 p_tau, 2 p_tau].  ``trajectory``
+    holds (w, Q, Q'), integrated both ways from the curve's initial state
+    at t = 0.
     """
 
     param: TwistParam
     period: PeriodData
-    p_star: float
     trajectory: Trajectory
 
     def Q(self, t):
@@ -69,29 +67,24 @@ class LinearisedSolution:
 
 
 def solve_Q(curve: Curve) -> LinearisedSolution:
-    """Integrate Q along ``curve`` on [-2.2 p_tau, 2.2 p_tau], anchored at y = q/n.
+    """Integrate Q along ``curve`` on [-2.2 p_tau, 2.2 p_tau] from t = 0.
 
-    Q rides as two extra components (Q, Q') on the curve system so that
-    every quantity shares one error control.  Initial data: n y'(t0)
-    Q(t0) = 1 and Q'(t0) = 0 at t0 = p_star (p = 1) or t0 = 0 (p > 1).
-    The period, the anchor state and the tolerances are the curve's own.
+    Q rides as two extra components (Q, Q') on the curve system so that every
+    quantity shares one error control.  w(0) is :func:`initial_state`, and
+    (Q, Q')(0) = (1/(n y'(0)), 0) for p > 1, or (0, 1/(q - n y(0))) for p = 1,
+    where the curve starts at y_max with y'(0) = 0: the Wronskian is 1, and Q
+    is fixed up to adding q - n y, which cancels in :func:`dpthat_dtau`.
     """
     param, tol = curve.param, curve.tol
     pair = param.pair
     p, q, n = pair.p, pair.q, pair.n
     data = curve.period
-    base = curve.traj(0.0, 1.05 * data.p_tau)
-    if p == 1:
-        def g(t, s):
-            return _y(s) - q / n
-
-        p_star = locate_event(base.trajectory, g, (1e-6, data.p_tau))
-    else:
-        p_star = 0.0
-    state0 = np.concatenate([base.state(p_star), [1.0 / (n * base.ydot(p_star)), 0.0]])
+    w0 = initial_state(param).as_real()
+    Q0 = [1.0 / (n * _ydot(pair, w0)), 0.0] if p > 1 else [0.0, 1.0 / (q - n * _y(w0))]
     hi = 2.2 * data.p_tau
-    traj = integrate(_field(p, q, linearised=True), state0, (-hi, hi), tol, t0=p_star)
-    return LinearisedSolution(param=param, period=data, p_star=p_star, trajectory=traj)
+    traj = integrate(_field(p, q, linearised=True), np.concatenate([w0, Q0]), (-hi, hi), tol,
+                     t0=0.0)
+    return LinearisedSolution(param=param, period=data, trajectory=traj)
 
 
 def dpthat_dtau(curve: Curve) -> float:
@@ -177,11 +170,9 @@ def _law_values(pair, tau: float, law_id: str) -> tuple[float, float]:
     p, q = pair.p, pair.q
     param = TwistParam(pair, tau)
     if law_id == "ymin":
-        y_min, _ = y_extrema(param)
-        return y_min, (2.0 * tau) ** (2.0 / q)
+        return _gaps(param)[0], (2.0 * tau) ** (2.0 / q)
     if law_id == "ymax_gap":
-        _, y_max = y_extrema(param)
-        return 1.0 - y_max, (2.0 * tau) ** (2.0 / p)
+        return _gaps(param)[1], (2.0 * tau) ** (2.0 / p)
     pp, pm = partial_periods_quadrature(param)
     if law_id == "pt_plus":
         return pp, asymptotic_constants(q) * time_scale(q, tau)
@@ -193,8 +184,11 @@ def _law_values(pair, tau: float, law_id: str) -> tuple[float, float]:
         mult = 2.0 if p == q else 1.0
         return pp + pm, mult * asymptotic_constants(q) * time_scale(q, tau)
     if law_id == "pthat_excess":
-        phat = pthat_quadrature(param)
-        return phat - math.pi / 2.0, (4.0 * p / q) * tau * (pp + pm)
+        excess = pthat_quadrature(param) - math.pi / 2.0
+        if abs(excess) < 1e-12:     # right to 0.5% at 7.4e-13, roundoff at 3e-14 and below
+            raise ArithmeticError(f"at |tau|={abs(tau)} the excess pthat - pi/2 = {excess:.3g} "
+                                  "is below 1e-12, where it is roundoff")
+        return excess, (4.0 * p / q) * tau * (pp + pm)
     raise ValueError(f"unknown law {law_id!r}; choose from {ASYMPTOTIC_LAWS}")
 
 

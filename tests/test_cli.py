@@ -77,6 +77,20 @@ def test_verify_passes_at_negative_twist(p, q, tau, capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+@pytest.mark.parametrize("p,q", [(3, 3), (4, 4)])
+def test_verify_passes_next_to_y_max_at_small_twist(p, q, capsys):
+    # 1 - y_max is 2e-4 and 2e-3: the quadrature's half next to 1 keeps its digits
+    assert main(["verify", "--p", str(p), "--q", str(q), "--tau", "1e-6"]) == 0
+    assert all(line.startswith("PASS") for line in capsys.readouterr().out.splitlines())
+
+
+def test_asymptotics_resolves_the_gap_next_to_one(capsys):
+    # 1 - y_max = 1.4e-12 is held as itself, never as a difference from 1
+    code, out, err = run(capsys, "asymptotics", "--p", "4", "--q", "4", "--tau-list", "1e-24")
+    assert (code, err) == (0, "")
+    assert "ratio=1.0000" in next(line for line in out.splitlines() if line.startswith("ymax_gap"))
+
+
 def test_argument_errors_exit_two(capsys):
     assert run(capsys, "closure", "--p", "1", "--q", "2")[0] == 2
     assert run(capsys, "closure", "--p", "1", "--q", "2", "--target", "4:7")[0] == 2

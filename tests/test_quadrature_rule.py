@@ -1,12 +1,13 @@
 """The sinh-mapped Gauss-Legendre branch quadrature against independent references.
 
-* mpmath on the same double roots, the same double Taylor coefficients and
-  the same double split point q/n: this isolates the quadrature rule.
+* mpmath on the same double root distances (y_min and 1 - y_max), the same
+  double Taylor coefficients and the same double splits q/n and p/n: this
+  isolates the quadrature rule.
 * QUADPACK (``scipy.integrate.quad``) on the same s-integrand, over every
   pair with n <= 8 and both signs of tau.
 * The closure scan against a scan built from the QUADPACK reference.
-* 40-digit mpmath roots and exact Taylor coefficients (the true periods)
-  at (3,3) and small tau, where the two routes of ``periods`` differ.
+* 40-digit mpmath roots and exact Taylor coefficients (the true periods and
+  angular periods) at small tau, where y_max sits next to 1.
 """
 
 import math
@@ -20,8 +21,7 @@ from scipy.integrate import quad
 from sltwist.closure import RationalTarget, scan_brackets
 from sltwist.periods import (_gauss_legendre, partial_periods_quadrature, period_ode,
                              pthat_quadrature, pthat_quadrature_psi2)
-from sltwist.twisted_curve import (AdmissiblePair, TwistParam, f_taylor_coeffs, tau_max,
-                                   y_extrema)
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, _gaps, f_taylor_coeffs, tau_max
 
 ALL_PAIRS = [(p, n - p) for n in range(3, 9) for p in range(1, n // 2 + 1)]
 WEIGHTS = {"period": lambda y, one_minus_y: 1.0,
@@ -29,50 +29,59 @@ WEIGHTS = {"period": lambda y, one_minus_y: 1.0,
            "psi2": lambda y, one_minus_y: 1.0 / y}
 
 
-def _exact_taylor(pair, y0):
-    """c_k = f^(k)(y0)/k!, k = 1..n, expanded from the factors of f in mpmath."""
-    p, q = pair.p, pair.q
-    c = [mp.mpf(0)] * (p + q + 1)
-    for i in range(q + 1):
-        for j in range(p + 1):
-            c[i + j] += (mp.binomial(q, i) * y0 ** (q - i)
-                         * mp.binomial(p, j) * (1 - y0) ** (p - j) * (-1) ** j)
+def _rows(pair):
+    """(a, b) of r^a (1 - r)^b = 4 tau^2, for r = y_min and then r = 1 - y_max."""
+    return (pair.q, pair.p), (pair.p, pair.q)
+
+
+def _exact_taylor(a, b, r):
+    """c_k, k = 1..a+b, of (r + u)^a (1 - r - u)^b - r^a (1 - r)^b, expanded in mpmath."""
+    c = [mp.mpf(0)] * (a + b + 1)
+    for i in range(a + 1):
+        for j in range(b + 1):
+            c[i + j] += (mp.binomial(a, i) * r ** (a - i)
+                         * mp.binomial(b, j) * (1 - r) ** (b - j) * (-1) ** j)
     return c[1:]
 
 
-def _mp_halves(pair, tau, weight, exact=False, dps=30):
-    """(lo, hi) halves of int h dy / (2 sqrt(f(y) - 4 tau^2)) by mpmath.
+def _y_pair(half, near, far):
+    """(y, 1 - y) from the distances of y from its root's end of [0, 1] and from the
+    other end: y_min's half (0) is next to 0, y_max's (1) next to 1."""
+    return (near, far) if half == 0 else (far, near)
 
-    exact=False: the double roots, Taylor coefficients and q/n of the
-    library; exact=True: roots refined to ``dps`` digits, exact Taylor
-    coefficients and the exact split q/n.
+
+def _mp_halves(pair, tau, weight, exact=False, dps=30):
+    """(lo, hi) halves of int h dy / (2 sqrt(f(y) - 4 tau^2)) by mpmath, with
+    y = r + s^2 (y_min's half) or 1 - y = r + s^2 (y_max's), r the root's
+    distance from 0 or 1.
+
+    exact=False: the double distances, Taylor coefficients and a/n of the
+    library; exact=True: r solved from r^a (1 - r)^b = 4 tau^2 here to ``dps``
+    digits, exact Taylor coefficients and the exact split a/n.
     """
     with mp.workdps(dps):
-        roots = [mp.mpf(r) for r in y_extrema(TwistParam(pair, tau))]
-        if exact:
-            target = 4 * mp.mpf(tau) ** 2
-            roots = [mp.findroot(lambda y: y ** pair.q * (1 - y) ** pair.p - target, r)
-                     for r in roots]
-            qn = mp.mpf(pair.q) / pair.n
-        else:
-            qn = mp.mpf(pair.q / pair.n)
+        target = 4 * mp.mpf(tau) ** 2
         out = []
-        for y0, sign in zip(roots, (1, -1)):
-            coeffs = (_exact_taylor(pair, y0) if exact else
-                      [mp.mpf(float(c)) for c in f_taylor_coeffs(pair, float(y0))])
-            c = [ck * sign ** k for k, ck in enumerate(coeffs, start=1)]
+        for half, ((a, b), r) in enumerate(zip(_rows(pair), _gaps(TwistParam(pair, tau)))):
+            if exact:
+                r = mp.findroot(lambda x, a=a, b=b: x ** a * (1 - x) ** b - target, mp.mpf(r))
+                c = _exact_taylor(a, b, r)
+                split = mp.mpf(a) / pair.n
+            else:
+                c = [mp.mpf(float(ck)) for ck in f_taylor_coeffs(a, b, r)]
+                r, split = mp.mpf(r), mp.mpf(a / pair.n)
 
-            def integrand(s, y0=y0, sign=sign, c=c):
+            def integrand(s, r=r, c=c, half=half):
                 s2 = s * s
                 G = c[-1]
                 for ck in c[-2::-1]:
                     G = G * s2 + ck
-                return WEIGHTS[weight](y0 + sign * s2, (1 - y0) - sign * s2) / mp.sqrt(G)
+                return WEIGHTS[weight](*_y_pair(half, r + s2, (1 - r) - s2)) / mp.sqrt(G)
 
-            # break points at a, 8a, 64a, ... resolve the pole at distance a
-            end = mp.sqrt(sign * (qn - y0))
-            a = mp.sqrt(min(y0 if sign > 0 else 1 - y0, end ** 2))
-            points = [mp.mpf(0)] + [a * 8 ** k for k in range(40) if a * 8 ** k < end] + [end]
+            # break points at d, 8d, 64d, ... resolve the pole at distance r = d^2
+            end = mp.sqrt(split - r)
+            d = mp.sqrt(min(r, end ** 2))
+            points = [mp.mpf(0)] + [d * 8 ** k for k in range(40) if d * 8 ** k < end] + [end]
             out.append(mp.quad(integrand, points))
         return out
 
@@ -80,19 +89,19 @@ def _mp_halves(pair, tau, weight, exact=False, dps=30):
 def _quadpack_halves(pair, tau, weight):
     """(lo, hi) by QUADPACK on the same s-integrand as the library."""
     out = []
-    for y0, sign in zip(y_extrema(TwistParam(pair, tau)), (1.0, -1.0)):
-        c = (f_taylor_coeffs(pair, y0) * sign ** np.arange(1, pair.n + 1)).tolist()
+    for half, ((a, b), r) in enumerate(zip(_rows(pair), _gaps(TwistParam(pair, tau)))):
+        c = f_taylor_coeffs(a, b, r).tolist()
 
-        def integrand(s, y0=y0, sign=sign, c=c):
+        def integrand(s, r=r, c=c, half=half):
             s2 = s * s
             G = 0.0
             for ck in c[::-1]:
                 G = G * s2 + ck
-            return WEIGHTS[weight](y0 + sign * s2, (1.0 - y0) - sign * s2) / math.sqrt(G)
+            return WEIGHTS[weight](*_y_pair(half, r + s2, (1.0 - r) - s2)) / math.sqrt(G)
 
-        end = math.sqrt(sign * (pair.q / pair.n - y0))
-        a = math.sqrt(min(y0 if sign > 0 else 1.0 - y0, end**2))
-        points = [a * 8**k for k in range(40) if a * 8**k < end]
+        end = math.sqrt(a / pair.n - r)
+        d = math.sqrt(min(r, end**2))
+        points = [d * 8**k for k in range(40) if d * 8**k < end]
         out.append(quad(integrand, 0.0, end, epsabs=0.0, epsrel=1e-13, limit=200,
                         points=points)[0])
     return out
@@ -190,12 +199,23 @@ def test_ode_periods_match_mpmath_at_33_small_tau(tau):
     assert _rel(partial_periods_quadrature(TwistParam(pair, tau))[0], lo) <= 1e-14
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1(b): the Taylor coefficients of f at y_max are evaluated in the "
-    "monomial basis at y_max ~ 1 - 2e-4, so c_1 = f'(y_max) ~ -3(1 - y_max)^2 keeps "
-    "only 8 digits and the quadrature p_minus is off by 1.5e-9; expanded from the "
-    "factors (y_max + d)^q (1 - y_max - d)^p they bring it within 1.7e-13"))
-def test_quadrature_p_minus_matches_mpmath_at_33_small_tau():
-    pair = AdmissiblePair(3, 3)
-    _, hi = _mp_halves(pair, SMALL_33[0], "period", exact=True, dps=40)
-    assert _rel(partial_periods_quadrature(TwistParam(pair, SMALL_33[0]))[1], hi) <= 1e-12
+@pytest.mark.parametrize("p,q,tau", [(3, 3, SMALL_33[0]), (4, 4, 1e-5), (4, 4, 1e-6)])
+def test_quadrature_p_minus_matches_mpmath_at_small_tau(p, q, tau):
+    # 1 - y_max is 2.0e-4 and 2.2e-3 at 1e-6: the half next to 1 keeps every digit
+    pair = AdmissiblePair(p, q)
+    _, hi = _mp_halves(pair, tau, "period", exact=True, dps=40)
+    assert _rel(partial_periods_quadrature(TwistParam(pair, tau))[1], hi) <= 1e-13
+
+
+@pytest.mark.parametrize("p,q,tau", [(2, 2, 1e-10), (2, 2, 1e-12), (1, 2, 1e-8)])
+def test_angular_period_excess_matches_mpmath_at_tiny_tau(p, q, tau):
+    # pthat - pi/2 is 1e-10 to 2e-7 here, so pthat needs all its digits; the
+    # reference subtracts the same double pi/2.  At (2,2), 1e-12 the excess is
+    # 1.07e-10 and 1e-6 of it is below half an ulp of pi/2: there the bound is
+    # 4 ulps of pthat
+    pair = AdmissiblePair(p, q)
+    with mp.workdps(40):
+        ref = 2 * p * mp.mpf(tau) * sum(_mp_halves(pair, tau, "psi1", exact=True, dps=40))
+        excess = float(ref - mp.mpf(math.pi / 2))
+    got = pthat_quadrature(TwistParam(pair, tau)) - math.pi / 2
+    assert abs(got - excess) <= max(1e-6 * excess, 4 * math.ulp(math.pi / 2)), (got, excess)

@@ -4,8 +4,9 @@ scipy is a test dependency only; each replaced piece keeps it as a reference:
 
 * ``ode_engine.brent`` against ``scipy.optimize.brentq``, bit for bit, at the
   library's own call sites (event location, both closure passes) and on the
-  brackets of f(y) = 4 tau^2.
-* The array Newton of ``twisted_curve._extrema`` against brentq roots.
+  brackets of r^a (1 - r)^b = 4 tau^2, the extrema's distances from 0 and 1.
+* The array Newton of ``twisted_curve._extrema`` against brentq roots, each
+  root solved for as its distance from 0 (y_min) or 1 (y_max).
 * The Golub-Welsch Gegenbauer rule of ``geometry.torque`` against
   ``scipy.special.roots_jacobi``.
 * The lifetime quadrature and Beta value of ``catenoid.lifetime_routes``
@@ -29,36 +30,36 @@ from sltwist.catenoid import lifetime_routes
 from sltwist.closure import RationalTarget, find_tau_for_angular_period, scan_brackets
 from sltwist.geometry.torque import _gegenbauer_rule
 from sltwist.periods import angular_periods, period_ode
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, _extrema, f_poly, tau_max
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, _extrema, tau_max
 
 EPS = np.finfo(float).eps
 ALL_PAIRS = [(p, n - p) for n in range(3, 9) for p in range(1, n // 2 + 1)]
 
 
 def _outer_brackets(pair, tau):
-    """The brackets (lo, q/n) and (q/n, hi) of the two roots, with g = f - 4 tau^2."""
+    """For y_min and then 1 - y_max, the root distance r from 0 or 1: the function
+    g(r) = r^a (1 - r)^b - 4 tau^2 and its bracket (lo, a/n)."""
     p, q, n = pair.p, pair.q, pair.n
     target = 4.0 * tau * tau
+    out = []
+    for a, b in ((q, p), (p, q)):
+        def g(r, a=a, b=b):
+            return r**a * (1.0 - r) ** b - target
 
-    def g(y):
-        return f_poly(pair, y) - target
-
-    lo = min((2.0 * tau) ** (2.0 / q) / 4.0, 0.5 * q / n)
-    while g(lo) >= 0.0:
-        lo *= 0.5
-    hi = 1.0 - min((2.0 * tau) ** (2.0 / p) / 4.0, 0.5 * p / n)
-    while g(hi) >= 0.0:
-        hi = 1.0 - 0.5 * (1.0 - hi)
-    return g, (lo, q / n), (q / n, hi)
+        lo = min((2.0 * tau) ** (2.0 / a) / 4.0, 0.5 * a / n)
+        while g(lo) >= 0.0:
+            lo *= 0.5
+        out.append((g, (lo, a / n)))
+    return out
 
 
 def _brentq_extrema(pair, taus):
-    """(y_min, y_max) arrays by scalar brentq, xtol 1e-15, per tau."""
+    """(y_min, 1 - y_max) arrays by scalar brentq on each distance, xtol 1e-15, per tau."""
     out = []
     for tau in np.abs(np.asarray(taus, dtype=float)):
-        g, left, right = _outer_brackets(pair, tau)
-        out.append([brentq(g, *b, xtol=1e-15, rtol=4 * EPS) for b in (left, right)])
-    return tuple(np.array(out).T)
+        out.append([brentq(g, *b, xtol=1e-15, rtol=4 * EPS)
+                    for g, b in _outer_brackets(pair, tau)])
+    return np.array(out).T
 
 
 def _checked_brent(calls):
@@ -101,8 +102,7 @@ def test_brent_is_brentq_on_the_extrema_brackets():
     for p, q in [(1, 2), (2, 3), (3, 5), (4, 4)]:
         pair = AdmissiblePair(p, q)
         for tau in np.geomspace(1e-6, 0.999, 100) * tau_max(pair):
-            g, left, right = _outer_brackets(pair, tau)
-            for b in (left, right):
+            for g, b in _outer_brackets(pair, tau):
                 assert (ode_engine.brent(g, *b, 1e-15)
                         == brentq(g, *b, xtol=1e-15, rtol=4 * EPS)), (p, q, tau, b)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as hs
 
 from sltwist.ode_engine import Tolerances, integrate
 from sltwist.periods import period_ode
-from sltwist.twisted_curve import (AdmissiblePair, TwistParam, SphereState, _field, _w,
+from sltwist.twisted_curve import (AdmissiblePair, TwistParam, SphereState, _field, _gaps, _w,
                                    f_poly, f_prime, initial_state, solve_w, tau_max,
                                    y_extrema)
 
@@ -106,20 +106,21 @@ def test_extrema_of_an_array_name_its_first_bad_tau():
                           ([0.1, math.nan], "tau is NaN")]:
         with pytest.raises(ValueError, match=message.replace("|", r"\|")):
             _extrema(pair, taus)
-    y_min, y_max = _extrema(pair, [0.1, -0.1, 0.05])
+    y_min, gap = _extrema(pair, [0.1, -0.1, 0.05])
     one = [y_extrema(TwistParam(pair, t)) for t in (0.1, 0.1, 0.05)]
-    assert np.allclose(np.transpose(one), [y_min, y_max], rtol=4e-16, atol=0)
+    assert np.allclose(np.transpose(one), [y_min, 1.0 - gap], rtol=4e-16, atol=0)
 
 
 def test_y_extrema_cache_stays_bounded():
-    # one curve asks for its extrema from several routes; the cache keeps at most 64
-    y_extrema.cache_clear()
+    # one curve asks for its extrema from several routes; the cache of the
+    # distances y_min and 1 - y_max that y_extrema reads keeps at most 64
+    _gaps.cache_clear()
     pair = AdmissiblePair(2, 3)
     taus = np.linspace(0.01, 0.9, 100) * tau_max(pair)
     first = y_extrema(TwistParam(pair, taus[0]))
     for t in taus:
         y_extrema(TwistParam(pair, t))
-    assert y_extrema.cache_info().currsize <= 64
+    assert _gaps.cache_info().currsize <= 64
     assert y_extrema(TwistParam(pair, taus[0])) == first     # rebuilt after eviction, same bits
 
 

@@ -6,7 +6,7 @@ import pytest
 from sltwist import variation
 from sltwist.curve import Curve
 from sltwist.periods import _branch_halves, period_ode
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, tau_max
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, tau_max, y_extrema
 from sltwist.variation import (asymptotic_constants, check_asymptotics,
                                dpthat_dtau, dpthat_dtau_cross_check, solve_Q,
                                time_scale)
@@ -26,20 +26,27 @@ def test_wronskian_is_one_along_solution():
 
 
 def test_companion_initial_conditions():
+    # p > 1: the curve starts at y = q/n, and (Q, Q')(0) = (1/(n y'(0)), 0)
     pair = AdmissiblePair(2, 2)
     tau = 0.06
     sol = solve_Q(Curve(TwistParam(pair, tau)))
     expected = -1.0 / (4.0 * pair.n * math.sqrt(tau_max(pair) ** 2 - tau**2))
+    assert sol.trajectory.t0 == 0.0
     assert abs(sol.Q(0.0) - expected) < 1e-12
     assert abs(sol.Qdot(0.0)) < 1e-14
-    assert sol.p_star == 0.0
+    assert abs(sol.wronskian(0.0) - 1.0) < 1e-14
 
 
 def test_anchor_time_for_degenerate_first_factor():
+    # p = 1: the curve starts at y_max, where y'(0) = 0, and (Q, Q')(0) = (0, 1/(q - n y(0)))
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     sol = solve_Q(Curve(param))
-    assert 0.0 < sol.p_star < sol.period.p_tau
-    assert abs(sol.y(sol.p_star) - 2.0 / 3.0) < 1e-10
+    _, y_max = y_extrema(param)
+    assert sol.trajectory.t0 == 0.0
+    assert sol.Q(0.0) == 0.0
+    assert abs(sol.Qdot(0.0) * (2.0 - 3.0 * y_max) - 1.0) < 1e-14
+    assert abs(sol.wronskian(0.0) - 1.0) < 1e-14
+    assert sol.wronskian_drift < 1e-8
 
 
 def test_radius_combination_solves_linearised_equation():
@@ -78,13 +85,7 @@ def test_cross_check_passes_at_tiny_twist():
 def _sweep(taus):
     for p, q in [(1, 2), (1, 3), (1, 6), (2, 2), (2, 3), (3, 3), (4, 4)]:
         for tau in taus:
-            yield pytest.param(p, q, tau, id=f"{p}{q}-{tau}", marks=[pytest.mark.xfail(
-                strict=True, reason=(
-                    "ROADMAP item 1(b): the quadrature's Taylor coefficients of f at "
-                    "y_max are evaluated in the monomial basis, so P is off by about "
-                    "2.7e-6 relative in its difference at (4,4), tau = 1e-6; expanded "
-                    "from the factors they bring it within 1.1e-9"))]
-                if (p, q, tau) == (4, 4, 1e-6) else [])
+            yield pytest.param(p, q, tau, id=f"{p}{q}-{tau}")
 
 
 @pytest.mark.parametrize("p,q,tau", _sweep([1e-4, 1e-5, 1e-6, "0.9999tau_max"]))
@@ -174,8 +175,10 @@ def test_total_period_law_symmetric_pair():
 
 @pytest.mark.xfail(strict=True, reason=(
     "quoted leading-order law for the angular-period excess: the measured "
-    "ratio tends to q/2 (not 1) for q > 2 and converges only "
-    "logarithmically for q = 2; see decisions ledger"))
+    "ratio tends to q/2 (not 1) for q > 2 (1.5000 for (3,3), 2.0000 for (2,4) "
+    "and (4,4), 3.0000 for (2,6) at tau = 1e-16) and converges only "
+    "logarithmically for q = 2 ((2,2): 0.957, 0.964, 0.969 at 1e-10, 1e-12, "
+    "1e-14); see decisions ledger"))
 def test_angular_period_excess_law_as_stated():
     for (p, q) in PAIRS:
         r = check_asymptotics(AdmissiblePair(p, q), [1e-2, 1e-4], "pthat_excess")
