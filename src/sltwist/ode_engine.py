@@ -12,9 +12,9 @@ of all its steps, so a field takes arrays too.  :func:`integrate` starts at an
 explicit anchor inside the span, and one :class:`Trajectory` covers both sides
 of it; an endpoint runs the step loop alone, without dense output.
 
-:func:`brent` is the package's one scalar root finder, a line-for-line port
-of scipy's ``brentq`` (``brentq.c``): :func:`locate_event` refines event
-times with it, and the closure search its tau.
+:func:`locate_event` finds an event time by Newton's method on integrated
+endpoints, from a seed.  :func:`brent`, a line-for-line port of scipy's
+``brentq`` (``brentq.c``), serves the closure search for its tau.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-_BRENT_RTOL = 4 * float(np.finfo(float).eps)    # brentq's smallest rtol
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)    # brentq's smallest rtol, and the event stop's
 _BRENT_MAXITER = 100
 
 
@@ -42,14 +42,15 @@ class IntegrationError(RuntimeError):
 
 
 class EventError(RuntimeError):
-    """No sign change of the event function in the given bracket."""
+    """An event's Newton iterate left its bracket, or Newton did not converge."""
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """One step tolerance, absolute and relative alike; the error control alone
-    bounds the step size.  Events are located to a tenth of it, in time units,
-    so event times are at least as accurate as the states they are read from."""
+    bounds the step size.  ``event_tol``, a tenth of it, bounds the last Newton
+    step of an event time (plus 4 ulps of t), so event times are at least as
+    accurate as the integrated states they are read from."""
 
     tol: float = 1e-12
 
@@ -361,47 +362,22 @@ def brent(f, a: float, b: float, xtol: float) -> float:
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
-def _grid_bracket(h, ta, tb):
-    """First sign-change subinterval of h (vectorised) on 400 points of [ta, tb], from ta."""
-    ts = np.linspace(ta, tb, 400)
-    vals = h(ts)
-    if vals[0] == 0.0:
-        return ta, ta
-    hit = np.flatnonzero((vals[1:] == 0.0) | (np.sign(vals[1:]) != np.sign(vals[0])))
-    if not len(hit):
-        raise EventError(f"no sign change of event function in [{ta}, {tb}]")
-    return ts[hit[0]], ts[hit[0] + 1]
+def locate_event(traj: Trajectory, g, g_prime, t: float, bracket) -> float:
+    """The zero of ``g(t, state(t))`` that Newton's method reaches from the seed t.
 
-
-def locate_event(traj: Trajectory, g, bracket, g_prime=None) -> float:
-    """First zero of ``g(t, state(t))`` in the bracket, on the dense output.
-
-    The bracket endpoints must produce a sign change of g (a grid scan,
-    one interpolant read on the whole grid, localises the first crossing
-    when g wiggles; g gets the time array and the dim x len states, so it
-    must take arrays).  Refinement is Brent on the interpolant, then one
-    Newton step on the integrated state at that time when ``g_prime``
-    (dg/dt) is given.
+    g and its time derivative ``g_prime`` are read off the integrated state
+    (:meth:`Trajectory.endpoint`) at each iterate.  The iteration stops once a
+    step is within ``event_tol + 4 eps |t|``; an iterate outside the bracket, or
+    20 steps without convergence, raise :class:`EventError`.
     """
-    ta, tb = float(bracket[0]), float(bracket[1])
-
-    def h(t):
-        return g(t, traj(t))
-
-    def h_grid(ts):
-        return np.broadcast_to(np.asarray(g(ts, traj(ts)), dtype=float), ts.shape)
-
-    a, b = _grid_bracket(h_grid, ta, tb)
-    if a == b:
-        return a
-    a, b = min(a, b), max(a, b)
-    t_star = brent(h, a, b, traj.tol.event_tol)
-    if g_prime is not None and t_star != traj.t0:
-        s = traj.endpoint(t_star)
-        deriv = g_prime(t_star, s)
-        if deriv != 0.0:
-            step = g(t_star, s) / deriv
-            if abs(step) < 100 * traj.tol.event_tol:
-                t_star -= step
-    lo, hi = min(ta, tb), max(ta, tb)
-    return float(min(max(t_star, lo), hi))
+    lo, hi = sorted((float(bracket[0]), float(bracket[1])))
+    t = float(t)
+    for _ in range(20):
+        s = traj.endpoint(t)
+        step = g(t, s) / g_prime(t, s)
+        t -= step
+        if not lo <= t <= hi:
+            raise EventError(f"a Newton iterate t={t} left the bracket [{lo}, {hi}]")
+        if abs(step) <= traj.tol.event_tol + _BRENT_RTOL * abs(t):
+            return float(t)
+    raise EventError(f"Newton did not converge in 20 steps in [{lo}, {hi}]")

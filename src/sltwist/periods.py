@@ -153,14 +153,14 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
                curve: Curve | None = None) -> PeriodData:
     """Period data from extremum events on the integrated curve.
 
-    The events are the zeros of y' = -2 Re(w1^p w2^q), located on the
-    dense output; the angles psi_i at 2 p_tau are read off arg w at the
-    integrated endpoint there (the dense output is less accurate), by the
+    The events are the zeros of y' = -2 Re(w1^p w2^q), located by Newton's
+    method through y'' = 2 f'(y) on integrated endpoints, seeded by the
+    quadrature's estimates; the angles psi_i at 2 p_tau are read off arg w at
+    the integrated endpoint there (the dense output is less accurate), by the
     lift of :meth:`TwistTrajectory.psi`.  For p = 1, 2 p_tau is a maximum
     of y, where psi1' = 2 tau/(1 - y) is about 1/(2 tau); the event located
-    is that maximum, with a Newton polish through y'' = 2 f'(y) on the
-    integrated state, and p_tau is half its time (at the minimum, y'' is
-    only 2 q y_min^(q-1), so a state error moves the event that much more).
+    is that maximum, and p_tau is half its time (at the minimum, y'' is only
+    2 q y_min^(q-1), so a state error moves the event that much more).
     The trajectory is read off ``curve`` (a new Curve of (param, tol) by default).
     """
     pair = param.pair
@@ -179,10 +179,13 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
         return 2.0 * f_prime(pair, _y(s))
 
     if pair.p > 1:
-        p_plus = locate_event(traj.trajectory, g, (0.5 * p_est_plus, 1.5 * p_est_plus))
-        p_minus = -locate_event(traj.trajectory, g, (-0.5 * p_est_minus, -1.5 * p_est_minus))
+        p_plus = locate_event(traj.trajectory, g, g_prime, p_est_plus,
+                              (0.5 * p_est_plus, 1.5 * p_est_plus))
+        p_minus = -locate_event(traj.trajectory, g, g_prime, -p_est_minus,
+                                (-0.5 * p_est_minus, -1.5 * p_est_minus))
     else:
-        p_plus = 0.5 * locate_event(traj.trajectory, g, (1.5 * p_est, fwd), g_prime)
+        p_plus = 0.5 * locate_event(traj.trajectory, g, g_prime, 2.0 * p_est,
+                                    (1.5 * p_est, fwd))
         p_minus = 0.0
     p_tau = p_plus + p_minus
     t_end = np.array([2.0 * p_tau])

@@ -7,13 +7,10 @@ import numpy as np
 import pytest
 
 import sltwist.ode_engine as ode_engine
-import sltwist.periods as periods
 from sltwist.cli import main
 from sltwist.curve import Curve
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w, tau_max
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w
 from sltwist.variation import dpthat_dtau_cross_check
-
-PAIRS_N5 = [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3)]
 
 
 def _rebind_everywhere(monkeypatch, original, replacement):
@@ -92,37 +89,6 @@ def test_array_accessors_equal_scalar_ones_bitwise(p, q, tau):
         assert traj.y(t) == ys[i] and traj.ydot(t) == ydots[i]
         assert np.array_equal(traj.state(t), states[:, i])
     assert isinstance(traj.w(0.5)[0], complex) and isinstance(traj.y(0.5), float)
-
-
-def _scalar_scan(h, ta, tb, n=400):
-    """The 400-point scan one point at a time, as a reference."""
-    ts = np.linspace(ta, tb, n)
-    vals = [h(t) for t in ts]
-    if vals[0] == 0.0:
-        return ta, ta
-    for i in range(1, n):
-        if vals[i] == 0.0 or np.sign(vals[i]) != np.sign(vals[0]):
-            return ts[i - 1], ts[i]
-    raise AssertionError("no sign change")
-
-
-@pytest.mark.parametrize("p,q", PAIRS_N5)
-def test_vectorised_grid_bracket_matches_scalar_scan(p, q, monkeypatch):
-    events = []
-    locate = periods.locate_event
-
-    def recording(traj, g, bracket, g_prime=None):
-        events.append((traj, g, bracket))
-        return locate(traj, g, bracket, g_prime)
-
-    monkeypatch.setattr(periods, "locate_event", recording)
-    pair = AdmissiblePair(p, q)
-    for frac in (0.1, 0.5, 0.9):
-        periods.period_ode(TwistParam(pair, frac * tau_max(pair)))
-    assert len(events) == 3 * (2 if p > 1 else 1)
-    for traj, g, (ta, tb) in events:
-        vectorised = ode_engine._grid_bracket(lambda ts: g(ts, traj(ts)), ta, tb)
-        assert vectorised == _scalar_scan(lambda t: g(t, traj(t)), ta, tb)
 
 
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 2, -0.06)])

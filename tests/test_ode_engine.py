@@ -74,7 +74,7 @@ def test_twisted_field_stays_on_sphere():
 
 def test_locate_event_linear():
     traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=0.0)
-    t = locate_event(traj, lambda t, s: t - 0.5, (0.0, 1.0))
+    t = locate_event(traj, lambda t, s: t - 0.5, lambda t, s: 1.0, 0.7, (0.0, 1.0))
     assert abs(t - 0.5) < 1e-13
 
 
@@ -87,7 +87,11 @@ def test_locate_event_ydot_matches_quadrature():
     def g(t, s):
         return -2.0 * ((s[0] + 1j * s[1]) * (s[2] + 1j * s[3]) ** 2).real
 
-    t_star = locate_event(traj, g, (0.4 * p_est, 1.5 * p_est))
+    def g_prime(t, s):                  # y'' = 2 f'(y), f'(y) = y (2 - 3 y) for (1, 2)
+        y = s[2] ** 2 + s[3] ** 2
+        return 2.0 * y * (2.0 - 3.0 * y)
+
+    t_star = locate_event(traj, g, g_prime, 0.95 * p_est, (0.4 * p_est, 1.5 * p_est))
     assert abs(t_star - p_est) < 1e-8
 
 
@@ -100,15 +104,28 @@ def test_locate_event_y_level():
     def g(t, s):
         return s[2] ** 2 + s[3] ** 2 - 2.0 / 3.0
 
-    t_star = locate_event(traj, g, (1e-4, 0.99 * p_est))
+    def g_prime(t, s):                  # y'
+        return -2.0 * ((s[0] + 1j * s[1]) * (s[2] + 1j * s[3]) ** 2).real
+
+    t_star = locate_event(traj, g, g_prime, 0.5 * p_est, (1e-4, 0.99 * p_est))
     y = traj(t_star)[2] ** 2 + traj(t_star)[3] ** 2
     assert abs(y - 2.0 / 3.0) < 1e-10
 
 
 def test_no_sign_change_raises():
+    # g has no zero in the bracket: the first Newton iterate leaves it
     traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=0.0)
-    with pytest.raises(EventError):
-        locate_event(traj, lambda t, s: 1.0 + t, (0.0, 1.0))
+    with pytest.raises(EventError, match="left the bracket"):
+        locate_event(traj, lambda t, s: 1.0 + t, lambda t, s: 1.0, 0.5, (0.0, 1.0))
+
+
+def test_newton_without_convergence_raises():
+    # Newton on u^3 - 2u + 2 cycles between u = 0 and 1 exactly; u = t - 1
+    # keeps the iterates off the anchor t0 = 0, which has no endpoint
+    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 3.0), t0=0.0)
+    with pytest.raises(EventError, match="did not converge"):
+        locate_event(traj, lambda t, s: (t - 1.0) ** 3 - 2.0 * (t - 1.0) + 2.0,
+                     lambda t, s: 3.0 * (t - 1.0) ** 2 - 2.0, 1.0, (0.5, 2.5))
 
 
 def test_tolerance_tightening_consistency():
@@ -247,7 +264,8 @@ def test_anchor_and_reads_outside_span_rejected():
     traj = integrate(lambda t, s: [1.0], [0.0], (-1.0, 1.0), t0=0.0)
     for read in (lambda: traj(1.5), lambda: traj(np.array([-1.5, 0.0])),
                  lambda: traj.endpoint(0.0), lambda: traj.endpoint(-2.0),
-                 lambda: locate_event(traj, lambda t, s: t - 0.5, (0.0, 2.0))):
+                 lambda: locate_event(traj, lambda t, s: t - 0.5, lambda t, s: 1.0, 1.5,
+                                      (0.0, 2.0))):
         with pytest.raises(ValueError):
             read()
 

@@ -159,3 +159,25 @@ def test_p1_period_event_at_the_maximum_keeps_pthat_digits(q):
         fd = (period_ode(TwistParam(pair, param.tau + h)).pthat
               - period_ode(TwistParam(pair, param.tau - h)).pthat) / (2.0 * h)
         assert abs(dpthat_dtau(curve) - fd) <= 1e-7 * abs(fd)
+
+
+@pytest.mark.parametrize("scale", [1 + 1e-6, 1 + 1e-3])
+def test_ode_route_does_not_follow_its_seed(scale, monkeypatch):
+    # the quadrature's estimates only seed Newton on the integrated states, so
+    # scaled estimates give the same p_tau and pthat; an event time may end on a
+    # neighbouring float, as Newton's last step can alternate between two.
+    # Scaled down, the span sized from them would end before the p = 1 maximum
+    import sltwist.periods as periods
+
+    quadrature = periods.partial_periods_quadrature
+    cases = [((2, 3), 0.3), ((1, 2), 0.3), ((3, 4), 1e-3), ((1, 6), 1e-3), ((2, 2), 0.9)]
+    params = [TwistParam(AdmissiblePair(p, q), frac * tau_max(AdmissiblePair(p, q)))
+              for (p, q), frac in cases]
+    exact = [period_ode(param) for param in params]
+    monkeypatch.setattr(periods, "partial_periods_quadrature",
+                        lambda param: tuple(scale * e for e in quadrature(param)))
+    for param, data in zip(params, exact):
+        seeded = period_ode(param)
+        assert (seeded.p_tau, seeded.pthat) == (data.p_tau, data.pthat), param
+        for a, b in ((seeded.p_plus, data.p_plus), (seeded.p_minus, data.p_minus)):
+            assert abs(a - b) <= 4 * np.spacing(b), (param, a, b)

@@ -3,7 +3,7 @@
 scipy is a test dependency only; each replaced piece keeps it as a reference:
 
 * ``ode_engine.brent`` against ``scipy.optimize.brentq``, bit for bit, at the
-  library's own call sites (event location, both closure passes) and on the
+  library's own call sites (both closure passes) and on the
   brackets of r^a (1 - r)^b = 4 tau^2, the extrema's distances from 0 and 1.
 * The array Newton of ``twisted_curve._extrema`` against brentq roots, each
   root solved for as its distance from 0 (y_min) or 1 (y_max).
@@ -29,8 +29,8 @@ import sltwist.periods as periods_mod
 from sltwist.catenoid import lifetime_routes
 from sltwist.closure import RationalTarget, find_tau_for_angular_period, scan_brackets
 from sltwist.geometry.torque import _gegenbauer_rule
-from sltwist.periods import angular_periods, period_ode
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, _extrema, tau_max
+from sltwist.periods import angular_periods
+from sltwist.twisted_curve import AdmissiblePair, _extrema, tau_max
 
 EPS = np.finfo(float).eps
 ALL_PAIRS = [(p, n - p) for n in range(3, 9) for p in range(1, n // 2 + 1)]
@@ -75,17 +75,6 @@ def _checked_brent(calls):
 
 
 # -- Brent -------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 4), (2, 2)])
-def test_brent_is_brentq_at_the_event_call_sites(p, q, monkeypatch):
-    calls = []
-    monkeypatch.setattr(ode_engine, "brent", _checked_brent(calls))
-    pair = AdmissiblePair(p, q)
-    for frac in (1e-3, 0.1, 0.6):
-        period_ode(TwistParam(pair, frac * tau_max(pair)))
-    assert len(calls) == (3 if p == 1 else 6)
-    assert all(ours == ref for ours, ref in calls), calls
 
 
 def test_brent_is_brentq_in_both_closure_passes(monkeypatch):
