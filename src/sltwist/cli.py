@@ -18,12 +18,14 @@ import numpy as np
 
 from . import geometry as geo
 from .catenoid import verify_catenoid_symmetry
-from .closure import (K0_CAP, RationalTarget, find_tau_for_angular_period,
-                      half_period_classification, k0_from_target, necklace, verify_closed)
+from .closure import (RationalTarget, find_tau_for_angular_period, half_period_classification,
+                      necklace, verify_closed)
 from .curve import Curve
 from .geometry.export import report_to_json
+from .geometry.immersion import _sampler_span
+from .geometry.neck import _neck_span
 from .ode_engine import EventError, IntegrationError, Tolerances
-from .periods import (partial_periods_quadrature, period_ode, pthat_quadrature,
+from .periods import (_period_span, partial_periods_quadrature, period_ode, pthat_quadrature,
                       pthat_quadrature_psi2)
 from .twisted_curve import AdmissiblePair, TwistParam, f_poly
 from .variation import check_asymptotics, dpthat_dtau_cross_check
@@ -71,9 +73,12 @@ def _bounded(kind, ok, what: str):
 
 
 def cmd_solve(args) -> int:
-    curve = Curve(_param(args), TOL_PRESETS[args.tol])
-    half_window = args.window or (2.0 * curve.period.p_tau if args.tau != 0.0 else 5.0)
-    traj = curve.traj(-half_window, half_window)
+    param = _param(args)
+    by_period = not args.window and args.tau != 0.0     # the window is 2 p_tau both ways
+    reach = _period_span(param, 1)[1] if by_period else args.window or 5.0
+    curve = Curve(param, TOL_PRESETS[args.tol], span=(-reach, reach))
+    half_window = 2.0 * curve.period.p_tau if by_period else reach
+    traj = curve.traj
     if args.out:
         ts = np.linspace(-half_window, half_window, args.samples)
         geo.trajectory_csv(traj, ts, args.out)
@@ -111,10 +116,7 @@ def cmd_closure(args) -> int:
     pair, target = AdmissiblePair(args.p, args.q), args.target
     tol = TOL_PRESETS[args.tol]
     report = half_period_classification(pair, target)
-    if report.k0 is None:       # integer arithmetic: refuse before the tau search
-        raise ValueError(f"rotational order k0 = {k0_from_target(pair, target)} is above "
-                         f"the cap {K0_CAP}: closure cannot be verified")
-    curve = find_tau_for_angular_period(pair, target, tol=tol)
+    curve = find_tau_for_angular_period(pair, target, tol=tol)     # refuses k0 above K0_CAP
     tau, data = curve.param.tau, curve.period
     check = verify_closed(curve, report.k0, samples=args.samples)
     error = abs(data.pthat - target.angle)
@@ -150,10 +152,11 @@ def cmd_necklace(args) -> int:
 
 
 def cmd_torque(args) -> int:
-    curve = Curve(_param(args), TOL_PRESETS[args.tol])
+    meridians = (0.3, 1.1)
+    curve = Curve(_param(args), TOL_PRESETS[args.tol], span=meridians)
     pair = curve.param.pair
     tgen = geo.t_generator(pair)
-    reports = [geo.torque(curve, tgen, meridian_t=t0) for t0 in (0.3, 1.1)]
+    reports = [geo.torque(curve, tgen, meridian_t=t0) for t0 in meridians]
     reports.append(geo.torque(curve, geo.rotation_generator(pair.n, 0, pair.n - 1),
                               meridian_t=0.3))
     gap = abs(reports[0].numeric - reports[1].numeric)
@@ -179,7 +182,8 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_neck(args) -> int:
-    curve = Curve(_param(args), TOL_PRESETS[args.tol])
+    param = _param(args)
+    curve = Curve(param, TOL_PRESETS[args.tol], span=_neck_span(param, args.waist, args.window))
     comp = geo.neck_rescale(curve, args.waist, args.window)
     b = comp.window
     symmetry = verify_catenoid_symmetry(comp.catenoid_degree)
@@ -197,19 +201,19 @@ def cmd_neck(args) -> int:
 
 
 def cmd_export(args) -> int:
-    curve = Curve(_param(args), TOL_PRESETS[args.tol])
+    param, tol = _param(args), TOL_PRESETS[args.tol]
     if args.format == "json":
         with open(args.out, "w") as fh:
-            fh.write(report_to_json(curve.period, kind="PeriodData") + "\n")
+            fh.write(report_to_json(period_ode(param, tol), kind="PeriodData") + "\n")
     elif args.format == "csv":
         w = args.window or 5.0
         ts = np.linspace(-w, w, args.samples)
-        geo.trajectory_csv(curve.traj(-w, w), ts, args.out)
+        geo.trajectory_csv(Curve(param, tol, span=(-w, w)).traj, ts, args.out)
     else:
         if (args.p, args.q) != (1, 2):
             raise ValueError("obj export supports the (1,2) surface case only")
         w = args.window or 3.0
-        sampler = geo.immersion_sampler(curve, (-w, w))
+        sampler = geo.immersion_sampler(Curve(param, tol, span=_sampler_span((-w, w))), (-w, w))
         geo.export(sampler, (args.samples, args.samples), "obj", args.out)
     print(f"wrote {args.out}")
     return 0
@@ -218,15 +222,13 @@ def cmd_export(args) -> int:
 def cmd_verify(args) -> int:
     param = _param(args)
     pair = param.pair
-    curve = Curve(param, TOL_PRESETS[args.tol])
     failures = []
     checks: list[tuple[str, float, float]] = []
 
     qp, qm = partial_periods_quadrature(param)
-    reach = 10.0 * (qp + qm) * (1.0 + 1e-6)
-    curve.traj(-reach, reach)           # sized once for every check below
-    data = curve.period
-    traj = curve.traj(-10.0 * data.p_tau, 10.0 * data.p_tau)
+    reach = 10.0 * (qp + qm) * (1.0 + 1e-6)     # every check below reads within 10 p_tau
+    curve = Curve(param, TOL_PRESETS[args.tol], span=(-reach, reach))
+    data, traj = curve.period, curve.traj
     checks.append(("I1 drift", traj.drift["I1"], 1e-9))
     checks.append(("I2 drift", traj.drift["I2"], 1e-9))
 

@@ -17,7 +17,7 @@ import numpy as np
 from .curve import Curve
 from .ode_engine import Tolerances, brent
 # closure.period_ode stays a name of this module: perfbench's tracer looks it up here
-from .periods import angular_periods, period_ode, pthat_quadrature  # noqa: F401
+from .periods import _period_span, angular_periods, period_ode, pthat_quadrature  # noqa: F401
 from .twisted_curve import AdmissiblePair, TwistParam, tau_max
 
 __all__ = [
@@ -102,11 +102,17 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
                                 tol: Tolerances = Tolerances()) -> Curve:
     """The curve at ``tol`` whose angular period equals the rational target.
 
-    Brent on the quadrature route in the first bracket of :func:`scan_brackets`
-    (a warning if there are more, BracketingError if none), then Brent on the
-    integrated (event-located) angular period to |pthat_ode - target| <= 1e-10.
-    The curve returned is the one whose period was checked, with its trajectory.
+    A rotational order k0 above ``K0_CAP`` is refused first.  Then Brent on the
+    quadrature route in the first bracket of :func:`scan_brackets` (a warning if
+    there are more, BracketingError if none), then Brent on the integrated
+    (event-located) angular period to |pthat_ode - target| <= 1e-10.  Each curve
+    tried spans what :func:`verify_closed` reads for k0: the one returned, whose
+    period was checked, is integrated once.
     """
+    k0 = k0_from_target(pair, target)
+    if k0 > K0_CAP:
+        raise ValueError(f"rotational order k0 = {k0} is above the cap {K0_CAP}: "
+                         "closure cannot be verified")
     angle = target.angle
     brackets = scan_brackets(pair, target)
     if not brackets:
@@ -127,7 +133,8 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
 
     def g_ode(t):
         if t not in curves:
-            curves[t] = Curve(TwistParam(pair, t), tol)
+            param = TwistParam(pair, t)
+            curves[t] = Curve(param, tol, span=_period_span(param, k0 + 1))
         return curves[t].period.pthat - angle
 
     err = g_ode(tau0)
@@ -156,12 +163,13 @@ def verify_closed(curve: Curve, k0: int, samples: int = 20) -> ClosedCurveCheck:
     closure_residual: max over samples of |w(t + 2 k0 p_tau) - w(t)|.
     rotation_residual: max of |w(t + 2 p_tau) - Mhat_{2 pthat} w(t)| with
     Mhat the phases (e^{2i pthat/p}, e^{-2i pthat/q}) of the diagonal rotation.
+    ``curve``'s span must hold ``_period_span(param, k0 + 1)``.
     """
     from .geometry.symmetry import mhat     # keeps geometry out of `import sltwist`
 
     pair, data = curve.param.pair, curve.period
     T = 2.0 * k0 * data.p_tau
-    traj = curve.traj(0.0, T + 2.0 * data.p_tau + 1e-6)
+    traj = curve.traj
     m = mhat(pair, 2.0 * data.pthat)[:, None]
     ts = np.linspace(0.0, 2.0 * data.p_tau, samples)
     a = np.array(traj.w(ts))

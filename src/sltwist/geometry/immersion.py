@@ -121,9 +121,9 @@ def equatorial_factor(m: int) -> Sampler:
                    phase=lambda u: 1.0 + 0.0j, name=f"equator S^{m-1}")
 
 
-def twist_curve_sampler(curve: Curve, t_span) -> CurveSampler:
+def twist_curve_sampler(curve: Curve) -> CurveSampler:
     """The integrated twisted curve as a sampler with analytic tangents."""
-    traj = curve.traj(*t_span)
+    traj = curve.traj
     pair = curve.param.pair
     return CurveSampler(traj.w, lambda t: velocity(pair, *traj.w(t)),
                         name=f"twist curve ({pair.p},{pair.q}) tau={curve.param.tau}")
@@ -152,12 +152,17 @@ def twisted_product(factor1: Sampler, factor2: Sampler, curve: CurveSampler,
                    name=f"{factor1.name} *w* {factor2.name}")
 
 
+def _sampler_span(t_range) -> tuple[float, float]:
+    """The span a sampler over the chart times ``t_range`` reads: 0.05 past the box."""
+    return t_range[0] - 0.05, t_range[1] + 0.05
+
+
 def immersion_sampler(curve: Curve, t_range) -> Sampler:
-    """Chart sampler (t, angles) -> X_tau; for p = 1 the first factor is the point 1."""
+    """Chart sampler (t, angles) -> X_tau; for p = 1 the first factor is the point 1.
+    ``curve``'s span must hold :func:`_sampler_span` of ``t_range``."""
     pair = curve.param.pair
-    return twisted_product(
-        equatorial_factor(pair.p), equatorial_factor(pair.q),
-        twist_curve_sampler(curve, (t_range[0] - 0.05, t_range[1] + 0.05)), t_range)
+    return twisted_product(equatorial_factor(pair.p), equatorial_factor(pair.q),
+                           twist_curve_sampler(curve), t_range)
 
 
 # -- differential checks -------------------------------------------------------

@@ -63,14 +63,15 @@ class MarkedSphere:
     antiholomorphic: bool
 
 
-def _waist(data, pair, k: int) -> Waist:
-    """Waist k of the curve with period data ``data``, at its closed-form time."""
+def _waist(pair, p_plus: float, p_minus: float, k: int) -> Waist:
+    """Waist k at its closed-form time, from the partial periods p_plus and p_minus."""
+    p_tau = p_plus + p_minus
     if pair.p == 1:
-        return Waist(index=k, t=(2 * k - 1) * data.p_tau, kind=2)
+        return Waist(index=k, t=(2 * k - 1) * p_tau, kind=2)
     l, odd = divmod(k, 2)
     if odd:
-        return Waist(index=k, t=2 * l * data.p_tau + data.p_plus, kind=2)
-    return Waist(index=k, t=2 * l * data.p_tau - data.p_minus, kind=1)
+        return Waist(index=k, t=2 * l * p_tau + p_plus, kind=2)
+    return Waist(index=k, t=2 * l * p_tau - p_minus, kind=1)
 
 
 def waists_and_bulges(curve: Curve, window) -> tuple[list[Waist], list[Bulge]]:
@@ -83,7 +84,7 @@ def waists_and_bulges(curve: Curve, window) -> tuple[list[Waist], list[Bulge]]:
     t_lo, t_hi = float(window[0]), float(window[1])
     ptau = data.p_tau
     k_max = math.ceil(max(abs(t_lo), abs(t_hi)) / ptau) + 4
-    every = [_waist(data, pair, k) for k in range(-k_max, k_max + 1)]
+    every = [_waist(pair, data.p_plus, data.p_minus, k) for k in range(-k_max, k_max + 1)]
     waists = [w for w in every if t_lo - 2 * ptau <= w.t <= t_hi + 2 * ptau]
     bulges = [Bulge(index=a.index, t_lo=a.t, t_hi=b.t)
               for a, b in zip(every, every[1:]) if b.t >= t_lo and a.t <= t_hi]
@@ -146,7 +147,7 @@ def bulge_sphere_distance(curve: Curve, k: int, b: float) -> float:
         l, odd = divmod(k, 2)
         center = 2 * l * data.p_tau + (2 * data.p_plus if odd else 0.0)
     ts = np.linspace(center - b, center + b, t_points)
-    w1, w2 = curve.traj(ts.min() - 1e-6, ts.max() + 1e-6).w(ts)
+    w1, w2 = curve.traj.w(ts)
     angles = np.linspace(0.0, 2.0 * math.pi, mer_points, endpoint=False)
     sigma1 = np.broadcast_to(np.eye(pair.p)[0], (mer_points, pair.p))   # (w1 e_1, w2 sigma2)
     sigma2 = np.zeros((mer_points, pair.q))

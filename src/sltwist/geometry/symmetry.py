@@ -53,8 +53,7 @@ def reflection_phases(curve: Curve, side: str) -> np.ndarray:
     a = alpha_tau(param)
     data = curve.period
     t_ref = 2.0 * data.p_plus if side == "+" else -2.0 * data.p_minus
-    traj = curve.traj(t_ref, t_ref)
-    w, w0 = _w(traj.trajectory.endpoint(t_ref)), np.array(traj.w(0.0))
+    w, w0 = _w(curve.traj.trajectory.endpoint(t_ref)), np.array(curve.traj.w(0.0))
     return np.exp(1j * a / np.array([pair.p, pair.q])) * (w / abs(w)) / (w0 / abs(w0))
 
 
@@ -103,11 +102,10 @@ def symmetry_residuals(curve: Curve) -> dict[str, float]:
     p, q = pair.p, pair.q
     ptau, phat = data.p_tau, data.pthat
     samples = 40
-    traj = curve.traj(-2.2 * ptau, 3.2 * ptau)
     M = mhat(pair, 2.0 * phat)[:, None]
 
     def w(t):
-        return np.array(traj.w(t))           # 2 x len
+        return np.array(curve.traj.w(t))     # 2 x len
 
     def gap(a, b) -> float:
         return float(np.max(np.abs(a - b)))

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..curve import Curve
-from ..twisted_curve import TwistParam, velocity
+from ..twisted_curve import TwistParam, _w, velocity
 from .immersion import _cone
 
 __all__ = [
@@ -158,7 +158,8 @@ def torque(curve: Curve, K: np.ndarray, meridian_t: float = 0.0,
     """Numeric flux of K in su(n) (to 1e-12) through the meridian at time meridian_t.
 
     Integrates (K X . dX/dt / |dX/dt|) against the induced meridian
-    volume |w1|^(p-1) |w2|^(q-1) dv dv by product sphere quadrature.
+    volume |w1|^(p-1) |w2|^(q-1) dv dv by product sphere quadrature; w is
+    read off the integrated endpoint at meridian_t, not the dense output.
     """
     param = curve.param
     pair = param.pair
@@ -166,8 +167,8 @@ def torque(curve: Curve, K: np.ndarray, meridian_t: float = 0.0,
     K = np.asarray(K)
     if K.shape != (n, n) or np.abs(K + K.conj().T).max() > 1e-12 or abs(np.trace(K)) > 1e-12:
         raise ValueError(f"K must be an anti-Hermitian traceless {n} x {n} matrix")
-    traj = curve.traj(meridian_t - 1e-6, meridian_t + 1e-6)
-    w1, w2 = traj.w(meridian_t)
+    traj = curve.traj.trajectory
+    w1, w2 = _w(traj.endpoint(meridian_t) if meridian_t != traj.t0 else traj(0.0)).tolist()
     d1, d2 = velocity(pair, w1, w2)
     sigma, wts = _meridian_nodes(p, q, order)
     X = _cone(w1, w2, sigma[:, :p], sigma[:, p:])       # (N, n) complex meridian points

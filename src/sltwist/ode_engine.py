@@ -366,18 +366,21 @@ def locate_event(traj: Trajectory, g, g_prime, t: float, bracket) -> float:
     """The zero of ``g(t, state(t))`` that Newton's method reaches from the seed t.
 
     g and its time derivative ``g_prime`` are read off the integrated state
-    (:meth:`Trajectory.endpoint`) at each iterate.  The iteration stops once a
-    step is within ``event_tol + 4 eps |t|``; an iterate outside the bracket, or
-    20 steps without convergence, raise :class:`EventError`.
+    (:meth:`Trajectory.endpoint`) at each iterate.  It stops at a step within
+    ``stop = event_tol + 4 eps |t|``, or at g's rounding floor, where steps stop
+    shrinking (a flat extremum): a step no smaller than the last, within 100 stop.
+    An iterate outside the bracket, or 20 steps without either, raise :class:`EventError`.
     """
     lo, hi = sorted((float(bracket[0]), float(bracket[1])))
-    t = float(t)
+    t, last = float(t), math.inf
     for _ in range(20):
         s = traj.endpoint(t)
         step = g(t, s) / g_prime(t, s)
         t -= step
         if not lo <= t <= hi:
             raise EventError(f"a Newton iterate t={t} left the bracket [{lo}, {hi}]")
-        if abs(step) <= traj.tol.event_tol + _BRENT_RTOL * abs(t):
+        stop = traj.tol.event_tol + _BRENT_RTOL * abs(t)
+        if abs(step) <= stop or last <= abs(step) <= 100.0 * stop:
             return float(t)
+        last = abs(step)
     raise EventError(f"Newton did not converge in 20 steps in [{lo}, {hi}]")

@@ -149,6 +149,15 @@ def pthat_quadrature_psi2(param: TwistParam) -> float:
     return 2.0 * param.pair.q * param.tau * branch_integral(param, _psi2_weight)
 
 
+def _period_span(param: TwistParam, periods: int) -> tuple[float, float]:
+    """The span :func:`period_ode` reads, forward over ``periods`` periods 2 p_tau,
+    from the quadrature's partial periods: 1e-6 relative and 1e-3 past 2 p_tau, and
+    back to 1.5 p_minus and 1e-3 for p > 1, where -p_minus is an event."""
+    p_est_plus, p_est_minus = partial_periods_quadrature(param)
+    fwd = 2.0 * periods * (p_est_plus + p_est_minus) * (1.0 + 1e-6) + 1e-3
+    return (-(1.5 * p_est_minus + 1e-3) if param.pair.p > 1 else 0.0), fwd
+
+
 def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
                curve: Curve | None = None) -> PeriodData:
     """Period data from extremum events on the integrated curve.
@@ -161,16 +170,16 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
     of y, where psi1' = 2 tau/(1 - y) is about 1/(2 tau); the event located
     is that maximum, and p_tau is half its time (at the minimum, y'' is only
     2 q y_min^(q-1), so a state error moves the event that much more).
-    The trajectory is read off ``curve`` (a new Curve of (param, tol) by default).
+    The trajectory is read off ``curve``, whose span must hold
+    :func:`_period_span` (a new Curve of (param, tol) over it by default).
     """
     pair = param.pair
+    span = _period_span(param, 1)
     if curve is None:
-        curve = Curve(param, tol)
+        curve = Curve(param, tol, span=span)
     p_est_plus, p_est_minus = partial_periods_quadrature(param)
     p_est = p_est_plus + p_est_minus
-    fwd = 2.0 * p_est * (1.0 + 1e-6) + 1e-3
-    bwd = -(1.5 * p_est_minus + 1e-3) if pair.p > 1 else 0.0
-    traj = curve.traj(bwd, fwd)
+    traj = curve.traj
 
     def g(t, s):
         return _ydot(pair, s)
@@ -185,7 +194,7 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
                                 (-0.5 * p_est_minus, -1.5 * p_est_minus))
     else:
         p_plus = 0.5 * locate_event(traj.trajectory, g, g_prime, 2.0 * p_est,
-                                    (1.5 * p_est, fwd))
+                                    (1.5 * p_est, span[1]))
         p_minus = 0.0
     p_tau = p_plus + p_minus
     t_end = np.array([2.0 * p_tau])

@@ -329,7 +329,6 @@ class TwistTrajectory:
         self.tol = tol
         lo = min(0.0, float(t_span[0]))
         hi = max(0.0, float(t_span[1]))
-        self.t_lo, self.t_hi = lo, hi
         pair, tau = param.pair, param.tau
         shrink = min(1.0, (2.0 * abs(tau)) ** (2.0 / pair.p)) if tau else 1.0
         scale = np.array([shrink, shrink, 1.0, 1.0])

@@ -19,7 +19,8 @@ from sltwist.closure import (RationalTarget, find_tau_for_angular_period,
                              verify_closed)
 from sltwist.catenoid import lifetime_routes, verify_catenoid_symmetry
 from sltwist.curve import Curve
-from sltwist.periods import partial_periods_quadrature, period_ode
+from sltwist.geometry.neck import _neck_span
+from sltwist.periods import _period_span, partial_periods_quadrature, period_ode
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, f_poly, solve_w,
                                    tau_max)
 from sltwist.variation import (check_asymptotics, dpthat_dtau_cross_check,
@@ -89,7 +90,7 @@ def test_criterion_03_dual_route_periods(case_matrix):
 def test_criterion_04_wronskian(case_matrix):
     worst = 0.0
     for (p, q, frac), (param, data) in case_matrix.items():
-        sol = solve_Q(Curve(param))
+        sol = solve_Q(Curve(param, span=_period_span(param, 1)))
         ts = np.linspace(-2.0 * data.p_tau, 2.0 * data.p_tau, 50)
         worst = max(worst, max(abs(sol.wronskian(t) - 1.0) for t in ts))
     ok = worst <= 1e-8
@@ -102,7 +103,8 @@ def test_criterion_05_derivative_formula():
     worst = 0.0
     for p, q in PAIRS:
         pair = AdmissiblePair(p, q)
-        res = dpthat_dtau_cross_check(Curve(TwistParam(pair, 0.5 * tau_max(pair))))
+        param = TwistParam(pair, 0.5 * tau_max(pair))
+        res = dpthat_dtau_cross_check(Curve(param, span=_period_span(param, 1)))
         worst = max(worst, res["rel_err"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 60.0
@@ -177,15 +179,16 @@ def test_criterion_08_torque():
         pair = AdmissiblePair(p, q)
         param = TwistParam(pair, 0.5 * tau_max(pair))
         tg = geo.t_generator(pair)
-        a = geo.torque(Curve(param), tg, meridian_t=0.3)
-        b = geo.torque(Curve(param), tg, meridian_t=1.1)
+        curve = Curve(param, span=(0.3, 1.1))
+        a = geo.torque(curve, tg, meridian_t=0.3)
+        b = geo.torque(curve, tg, meridian_t=1.1)
         worst_diag = max(worst_diag, a.abs_error)
         worst_merid = max(worst_merid, abs(a.numeric - b.numeric))
         for K in geo.su_basis(pair.n):
             if not K.diagonal().any():
-                rep = geo.torque(Curve(param), K, meridian_t=0.3)
+                rep = geo.torque(curve, K, meridian_t=0.3)
                 worst_off = max(worst_off, abs(rep.numeric))
-    special = geo.torque(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)),
+    special = geo.torque(Curve(TwistParam(AdmissiblePair(1, 2), 0.1), span=(0.0, 1.0)),
                          geo.t_generator(AdmissiblePair(1, 2)))
     special_gap = abs(special.numeric - 0.6 * math.pi)
     elapsed = time.perf_counter() - t0
@@ -250,7 +253,8 @@ def test_criterion_10_symmetry_residuals(case_matrix):
     worst = 0.0
     worst_key = None
     for (p, q, frac), (param, data) in case_matrix.items():
-        res = geo.symmetry_residuals(Curve(param))
+        reach = _period_span(param, 2)[1]      # symmetry_residuals reads within 3 p_tau
+        res = geo.symmetry_residuals(Curve(param, span=(-reach, reach)))
         for key, val in res.items():
             if val > worst:
                 worst, worst_key = val, (p, q, frac, key)
@@ -274,8 +278,8 @@ def test_criterion_11_catenoid():
 
 def test_criterion_12_neck_scaling():
     pair = AdmissiblePair(1, 2)
-    c1 = geo.neck_rescale(Curve(TwistParam(pair, 1e-3)), 1, 2.0)
-    c2 = geo.neck_rescale(Curve(TwistParam(pair, 2.5e-4)), 1, 2.0)
+    c1, c2 = (geo.neck_rescale(Curve(param, span=_neck_span(param, 1, 2.0)), 1, 2.0)
+              for param in (TwistParam(pair, 1e-3), TwistParam(pair, 2.5e-4)))
     err_ratio = c1.max_error / c2.max_error
     beta_ratio = c1.beta / c2.beta
     factor = max(err_ratio / beta_ratio, beta_ratio / err_ratio)

@@ -231,9 +231,10 @@ def test_unattainable_target_exits_three():
 
 
 def test_closure_refuses_order_above_cap_before_search(monkeypatch, capsys):
+    import sltwist.closure as closure
+
     calls = []
-    monkeypatch.setattr(cli, "find_tau_for_angular_period",
-                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(closure, "scan_brackets", lambda *args, **kwargs: calls.append(args))
     assert main(["closure", "--p", "1", "--q", "2", "--target", "550001/1000000"]) == 2
     err = capsys.readouterr().err
     assert "k0 = 2000000" in err and "cap 1000000" in err
@@ -245,8 +246,8 @@ def test_closure_refuses_order_above_cap_before_search(monkeypatch, capsys):
     ("necklace", "--p", "1", "--q", "2", "--m", "8"),
 ])
 def test_closure_search_hands_back_the_curve_it_checked(monkeypatch, capsys, argv):
-    # the found tau is integrated once for its period inside the search and
-    # once more over the closing span, not a third time for a new Curve
+    # the found tau is integrated once, over the closing span, inside the search:
+    # not again for its closure check, nor for a new Curve
     spans = []
     solve_w = curve_mod.solve_w
 
@@ -259,8 +260,7 @@ def test_closure_search_hands_back_the_curve_it_checked(monkeypatch, capsys, arg
     assert code == 0
     tau = float(out.split()[2])             # "tau = <repr>"
     found = [span for t, span in spans if t == tau]
-    assert len(found) == 2
-    assert found[0][0] == found[1][0] and found[0][1] < found[1][1]
+    assert len(found) == 1
 
 
 def test_solve_csv(tmp_path):
@@ -354,11 +354,14 @@ def test_neck_finds_every_waist_at_p_one(k, capsys):
     assert json.loads(out)["waist_index"] == k
 
 
-def _curve(p, q, tau):
+def _curve(p, q, tau, span=None):
+    """The curve a subcommand builds over ``span``, by default its period events' span."""
     from sltwist.curve import Curve
+    from sltwist.periods import _period_span
     from sltwist.twisted_curve import AdmissiblePair, TwistParam
 
-    return Curve(TwistParam(AdmissiblePair(p, q), tau), cli.TOL_PRESETS["standard"])
+    param = TwistParam(AdmissiblePair(p, q), tau)
+    return Curve(param, cli.TOL_PRESETS["standard"], span=span or _period_span(param, 1))
 
 
 def test_export_json_round_trips_the_period_data(tmp_path, capsys):
@@ -381,7 +384,7 @@ def test_export_csv_rows_are_the_curve(tmp_path, capsys):
                      "--samples", "9", "--out", str(out))
     assert code == 0
     ts = np.linspace(-5.0, 5.0, 9)             # the default csv window is 5.0
-    w1, w2 = _curve(2, 3, 0.05).traj(-5.0, 5.0).w(ts)
+    w1, w2 = _curve(2, 3, 0.05, (-5.0, 5.0)).traj.w(ts)
     rows = [",".join(format_float(v) for v in (t, a.real, a.imag, b.real, b.imag))
             for t, a, b in zip(ts, w1, w2)]
     assert out.read_text() == "\n".join(["t,re_w1,im_w1,re_w2,im_w2", *rows]) + "\n"
@@ -391,10 +394,11 @@ def test_solve_without_out_reports_the_drift(capsys):
     code, out, _ = run(capsys, "solve", "--p", "1", "--q", "2", "--tau", "0.1", "--json")
     assert code == 0
     data = json.loads(out)
-    curve = _curve(1, 2, 0.1)
+    reach = _curve(1, 2, 0.1).span[1]          # integrated both ways
+    curve = _curve(1, 2, 0.1, (-reach, reach))
     window = 2.0 * curve.period.p_tau          # the default half window
     assert float(data["window"]) == window
-    assert {k: float(v) for k, v in data["drift"].items()} == curve.traj(-window, window).drift
+    assert {k: float(v) for k, v in data["drift"].items()} == curve.traj.drift
     code, out, _ = run(capsys, "solve", "--p", "1", "--q", "2", "--tau", "0.1",
                        "--window", "1.5")
     assert code == 0

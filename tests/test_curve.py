@@ -9,7 +9,8 @@ import pytest
 import sltwist.ode_engine as ode_engine
 from sltwist.cli import main
 from sltwist.curve import Curve
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w
+from sltwist.periods import _period_span
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, _field, solve_w
 from sltwist.variation import dpthat_dtau_cross_check
 
 
@@ -34,8 +35,45 @@ def test_verify_integrates_each_curve_once(monkeypatch, capsys):
     assert len(calls) == 2              # the curve and its linearisation
 
 
+@pytest.mark.parametrize("argv,linearised", [
+    ("solve --p 2 --q 3 --tau 0.05", 0),
+    ("solve --p 2 --q 3 --tau 0.05 --window 3", 0),
+    ("periods --p 2 --q 3 --tau 0.05", 0),
+    ("torque --p 2 --q 3 --tau 0.05", 0),
+    ("neck --p 2 --q 3 --tau 0.001", 0),
+    ("neck --p 3 --q 3 --tau 0.001 --waist 0", 0),
+    ("neck --p 2 --q 2 --tau 0.001 --waist 3", 0),
+    ("neck --p 1 --q 2 --tau 0.05 --waist 6", 0),
+    ("export --p 2 --q 3 --tau 0.05 --format csv", 0),
+    ("export --p 1 --q 2 --tau 0.1 --format json", 0),
+    ("export --p 1 --q 2 --tau 0.1 --format obj", 0),
+    ("necklace --p 1 --q 2 --m 8", 0),
+    ("closure --p 2 --q 3 --target 3/5", 0),
+    ("verify --p 2 --q 3 --tau 0.05", 1),
+])
+def test_each_subcommand_integrates_each_curve_once(monkeypatch, capsys, tmp_path, argv,
+                                                    linearised):
+    # one integration of the curve system per distinct tau (initial state), and
+    # Q's own for verify: no read re-integrates a curve over a wider span (the
+    # neck's degree-3 catenoid profile integrates a system of its own)
+    p, q = (int(v) for v in argv.split()[2:5:2])
+    curve_states, others = [], []
+
+    def counting(field, state0, *args, **kwargs):
+        (curve_states if field is _field(p, q) else others).append(tuple(state0))
+        return original(field, state0, *args, **kwargs)
+
+    original = ode_engine.integrate
+    _rebind_everywhere(monkeypatch, original, counting)
+    out = ["--out", str(tmp_path / "x")] if argv.startswith("export") else []
+    assert main(argv.split() + out) == 0
+    assert curve_states and len(curve_states) == len(set(curve_states))
+    assert sum(len(s) == 6 for s in others) == linearised
+
+
 def test_cross_check_integrates_nothing(monkeypatch):
-    curve = Curve(TwistParam(AdmissiblePair(2, 3), 1e-5))
+    param = TwistParam(AdmissiblePair(2, 3), 1e-5)
+    curve = Curve(param, span=_period_span(param, 1))
     assert curve.Q.period is curve.period
 
     def refusing(*args, **kwargs):
@@ -59,14 +97,25 @@ def test_curve_lives_only_for_the_call(monkeypatch, capsys):
     assert all(ref() is None for _, ref in refs)
 
 
-def test_curve_computes_each_piece_once():
-    curve = Curve(TwistParam(AdmissiblePair(2, 3), 0.05))
+def test_curve_computes_each_piece_once(monkeypatch):
+    param = TwistParam(AdmissiblePair(2, 3), 0.05)
+    curve = Curve(param, span=_period_span(param, 1))
     assert curve.period is curve.period
-    traj = curve.traj(-curve.period.p_tau, curve.period.p_tau)
-    assert curve.traj(0.0, 0.5 * curve.period.p_tau) is traj
-    wider = curve.traj(0.0, 3.0 * curve.period.p_tau)
-    assert wider is not traj and wider.t_lo <= traj.t_lo
+    assert curve.traj is curve.traj
     assert curve.Q is curve.Q and curve.Q.period is curve.period
+    # a read outside the stated span is refused, naming it, and integrates nothing
+    lo, hi = curve.span
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("integrate called")
+
+    _rebind_everywhere(monkeypatch, ode_engine.integrate, refusing)
+    for t in (hi + 1.0, lo - 1.0, np.array([0.0, hi + 1.0])):
+        with pytest.raises(ValueError, match=f"outside the integrated span \\[{lo}, {hi}\\]"):
+            curve.traj.w(t)
+    with pytest.raises(ValueError, match="no integrated endpoint"):
+        curve.traj.trajectory.endpoint(hi + 1.0)
+    assert curve.traj is curve.traj
 
 
 @pytest.mark.parametrize("tau", [0.05, -0.05, 0.0])
@@ -96,9 +145,10 @@ def test_array_residuals_match_point_by_point_loops(p, q, tau):
     import sltwist.geometry as geo
     from sltwist.closure import verify_closed
 
-    curve = Curve(TwistParam(AdmissiblePair(p, q), tau))
-    data = curve.period
-    traj = curve.traj(-2.2 * data.p_tau, 4.0 * data.p_tau + 1e-6)   # all that is read below
+    param = TwistParam(AdmissiblePair(p, q), tau)
+    reach = _period_span(param, 2)[1]       # verify_closed(curve, 1) reads to 4 p_tau
+    curve = Curve(param, span=(-reach, reach))
+    data, traj = curve.period, curve.traj
     M = np.diag(geo.mhat(curve.param.pair, 2.0 * data.pthat))
     translation = max(np.max(np.abs(np.array(traj.w(t + 2.0 * data.p_tau))
                                     - M @ np.array(traj.w(t))))

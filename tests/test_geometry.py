@@ -5,6 +5,7 @@ import pytest
 
 import sltwist.geometry as geo
 from sltwist.curve import Curve
+from sltwist.geometry.immersion import _sampler_span
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w, tau_max
 
 
@@ -13,12 +14,17 @@ CIRCLE = geo.CurveSampler(lambda t: (np.cos(t), np.sin(t)), lambda t: (-np.sin(t
                           name="equatorial circle")
 
 
+def _sampler(param, t_range):
+    """The immersion over the chart times t_range, its curve over the span it reads."""
+    return geo.immersion_sampler(Curve(param, span=_sampler_span(t_range)), t_range)
+
+
 # -- immersion and Legendrian checks -----------------------------------------
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3)])
 def test_zero_twist_cylinder_lands_on_real_sphere(p, q):
-    sampler = geo.immersion_sampler(Curve(TwistParam(AdmissiblePair(p, q), 0.0)), (-1.5, 1.5))
+    sampler = _sampler(TwistParam(AdmissiblePair(p, q), 0.0), (-1.5, 1.5))
     z = sampler(sampler.sample_points(200, seed=0))
     assert z.shape == (200, p + q)
     assert np.all(z.imag == 0.0)
@@ -55,7 +61,7 @@ def test_extreme_twist_homogeneous_formula_p_gt_1(p, q):
 def test_pullback_metric_coefficients():
     # metric = |w'|^2 dt^2 + (1-y) g1 + y g2 checked by finite differences
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    sampler = geo.immersion_sampler(Curve(param), (-1.0, 1.0))
+    sampler = _sampler(param, (-1.0, 1.0))
     h = 1e-5
     traj = solve_w(param, (-1.2, 1.2))
     for u in sampler.sample_points(8, seed=2):
@@ -82,7 +88,7 @@ def test_pullback_metric_coefficients():
 
 def test_legendrian_residual_of_invariant_cylinder():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sampler = geo.immersion_sampler(Curve(param), (-1.5, 1.5))
+    sampler = _sampler(param, (-1.5, 1.5))
     assert geo.legendrian_residual(sampler, 500) < 1e-6
 
 
@@ -103,7 +109,7 @@ def _legendrian_reference(sampler, count, seed, h=1e-3):
 
 @pytest.mark.parametrize("p,q,tau", [(1, 3, 0.05), (2, 3, 0.05), (3, 4, -0.01)])
 def test_batch_sampler_matches_point_by_point(p, q, tau):
-    sampler = geo.immersion_sampler(Curve(TwistParam(AdmissiblePair(p, q), tau)), (-1.0, 1.0))
+    sampler = _sampler(TwistParam(AdmissiblePair(p, q), tau), (-1.0, 1.0))
     u = sampler.sample_points(30, seed=3)
     z = sampler(u)
     for i, ui in enumerate(u):
@@ -140,7 +146,7 @@ def test_twisted_product_reproduces_cylinder():
     pair = AdmissiblePair(2, 3)
     param = TwistParam(pair, 0.05)
     traj = solve_w(param, (-2.0, 2.0))
-    curve = geo.twist_curve_sampler(Curve(param), (-2.0, 2.0))
+    curve = geo.twist_curve_sampler(Curve(param, span=(-2.0, 2.0)))
     prod = geo.twisted_product(geo.equatorial_factor(2),
                                geo.equatorial_factor(3), curve, (-1.0, 1.0))
     for u in prod.sample_points(10, seed=4):
@@ -155,12 +161,12 @@ def test_twisted_product_reproduces_cylinder():
 def test_twisted_product_phase_relation():
     pair = AdmissiblePair(1, 2)
     param = TwistParam(pair, 0.1)
-    curve = geo.twist_curve_sampler(Curve(param), t_span=(-2.0, 2.0))
+    curve = geo.twist_curve_sampler(Curve(param, span=(-2.0, 2.0)))
     res = geo.phase_relation_residual(geo.equatorial_factor(1), geo.equatorial_factor(2), curve,
                                       np.linspace(-0.8, 0.8, 5))
     assert res < 1e-6
     pair23 = AdmissiblePair(2, 3)
-    curve23 = geo.twist_curve_sampler(Curve(TwistParam(pair23, 0.05)), t_span=(-2.0, 2.0))
+    curve23 = geo.twist_curve_sampler(Curve(TwistParam(pair23, 0.05), span=(-2.0, 2.0)))
     res23 = geo.phase_relation_residual(geo.equatorial_factor(2),
                                         geo.equatorial_factor(3), curve23,
                                         np.linspace(-0.8, 0.8, 5))
@@ -189,7 +195,7 @@ def _reference_cylinder(curve, t_range):
     the real chart points s1, s2, the reference for the product's points."""
     pair = curve.param.pair
     p, q = pair.p, pair.q
-    traj = curve.traj(t_range[0] - 0.05, t_range[1] + 0.05)
+    traj = curve.traj
 
     def fn(u):
         w1, w2 = traj.w(u[..., 0])
@@ -205,8 +211,8 @@ def _reference_cylinder(curve, t_range):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_cylinder_is_the_twisted_product_bit_for_bit(p, q, sign):
     pair = AdmissiblePair(p, q)
-    curve = Curve(TwistParam(pair, sign * 0.3 * tau_max(pair)))
     t_range = (-1.2, 0.9)
+    curve = Curve(TwistParam(pair, sign * 0.3 * tau_max(pair)), span=_sampler_span(t_range))
     sampler = geo.immersion_sampler(curve, t_range)
     assert sampler.box[0] == t_range and sampler.dim == pair.n - 1
     u = sampler.sample_points(1000, seed=7)
@@ -218,7 +224,7 @@ def test_cylinder_is_the_twisted_product_bit_for_bit(p, q, sign):
 
 def test_product_reads_its_curve_inside_the_integrated_span():
     # the product's time box is t_range, not a fixed (-1, 1) beyond the curve
-    curve = geo.twist_curve_sampler(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)), (0.0, 0.5))
+    curve = geo.twist_curve_sampler(Curve(TwistParam(AdmissiblePair(1, 2), 0.1), span=(0.0, 0.5)))
     prod = geo.twisted_product(geo.equatorial_factor(1), geo.equatorial_factor(2), curve,
                                (0.05, 0.45))
     u = prod.sample_points(200, seed=1)
@@ -228,7 +234,8 @@ def test_product_reads_its_curve_inside_the_integrated_span():
 
 def test_curve_samplers_read_arrays():
     ts = np.linspace(-3.0, 3.0, 41)
-    twist = geo.twist_curve_sampler(Curve(TwistParam(AdmissiblePair(2, 3), -0.05)), (-3.0, 3.0))
+    twist = geo.twist_curve_sampler(Curve(TwistParam(AdmissiblePair(2, 3), -0.05),
+                                          span=(-3.0, 3.0)))
     w1, w2 = twist(ts)
     for i, t in enumerate(ts):
         a1, a2 = twist(t)

@@ -7,16 +7,28 @@ import pytest
 
 import sltwist.geometry as geo
 from sltwist.curve import Curve
-from sltwist.periods import PeriodData, period_ode
+from sltwist.geometry.immersion import _sampler_span
+from sltwist.geometry.neck import _neck_span
+from sltwist.periods import PeriodData, _period_span, period_ode
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w, y_extrema
 
 
 # -- neck rescaling --------------------------------------------------------------
 
 
+def _neck(param, waist, b=None):
+    """neck_rescale at ``waist`` on a curve over the span it reads."""
+    return geo.neck_rescale(Curve(param, span=_neck_span(param, waist, b)), waist, b)
+
+
+def _sampler(param, t_range):
+    """The immersion over the chart times t_range, its curve over the span it reads."""
+    return geo.immersion_sampler(Curve(param, span=_sampler_span(t_range)), t_range)
+
+
 def test_neck_waist_radius_is_beta():
     param = TwistParam(AdmissiblePair(1, 2), 1e-3)
-    comp = geo.neck_rescale(Curve(param), 1, 2.0)
+    comp = _neck(param, 1, 2.0)
     assert abs(comp.beta - math.sqrt(y_extrema(param)[0])) < 1e-12
     assert comp.catenoid_degree == 2
     assert comp.waist_kind == 2
@@ -24,8 +36,8 @@ def test_neck_waist_radius_is_beta():
 
 def test_neck_error_small_and_beta_scaled():
     # the comparison error scales linearly in beta across a factor-4 tau step
-    c1 = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(1, 2), 1e-3)), 1, 2.0)
-    c2 = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(1, 2), 2.5e-4)), 1, 2.0)
+    c1 = _neck(TwistParam(AdmissiblePair(1, 2), 1e-3), 1, 2.0)
+    c2 = _neck(TwistParam(AdmissiblePair(1, 2), 2.5e-4), 1, 2.0)
     assert c1.max_error < 0.1          # measured 0.073 at tau = 1e-3, window 2
     err_ratio = c1.max_error / c2.max_error
     beta_ratio = c1.beta / c2.beta
@@ -35,7 +47,7 @@ def test_neck_error_small_and_beta_scaled():
 
 def test_neck_second_factor_model_for_2_3():
     param = TwistParam(AdmissiblePair(2, 3), 1e-4)
-    comp = geo.neck_rescale(Curve(param), 1, 0.6)
+    comp = _neck(param, 1, 0.6)
     assert comp.waist_kind == 2
     assert comp.catenoid_degree == 3      # degree-q catenoid profile
     assert comp.max_error < 0.12
@@ -43,7 +55,7 @@ def test_neck_second_factor_model_for_2_3():
 
 def test_neck_first_factor_model_for_2_3():
     param = TwistParam(AdmissiblePair(2, 3), 1e-4)
-    comp = geo.neck_rescale(Curve(param), 0, 2.0)
+    comp = _neck(param, 0, 2.0)
     assert comp.waist_kind == 1
     assert comp.catenoid_degree == 2      # degree-p catenoid (infinite lifetime)
     assert abs(comp.beta - math.sqrt(1.0 - y_extrema(param)[1])) < 1e-12
@@ -54,7 +66,9 @@ def test_neck_first_factor_model_for_2_3():
 @pytest.mark.parametrize("tau", [1e-3, -1e-3])
 def test_neck_waist_kinds_agree_under_exchange(p, tau):
     # for p = q, w1(-t) = w2(t) maps waist 0 (kind 1) onto waist 1 (kind 2)
-    curve = Curve(TwistParam(AdmissiblePair(p, p), tau))
+    param = TwistParam(AdmissiblePair(p, p), tau)
+    (lo, _), (_, hi) = _neck_span(param, 0, None), _neck_span(param, 1, None)
+    curve = Curve(param, span=(lo, hi))
     first, second = geo.neck_rescale(curve, 0), geo.neck_rescale(curve, 1)
     assert (first.waist_kind, second.waist_kind) == (1, 2)
     assert abs(first.max_error - second.max_error) <= 1e-9
@@ -63,8 +77,8 @@ def test_neck_waist_kinds_agree_under_exchange(p, tau):
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 1e-3), (2, 3, 1e-3), (2, 2, 1e-3), (2, 2, 1e-4)])
 def test_neck_at_negative_tau_models_the_conjugate_catenoid(p, q, tau):
     # the -tau curve is the conjugate of the +tau one, and so is its neck model
-    plus = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(p, q), tau)), 1)
-    minus = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(p, q), -tau)), 1)
+    plus = _neck(TwistParam(AdmissiblePair(p, q), tau), 1)
+    minus = _neck(TwistParam(AdmissiblePair(p, q), -tau), 1)
     assert abs(minus.max_error - plus.max_error) <= 1e-12
     assert np.allclose(minus.rescale_phases, plus.rescale_phases.conj(), rtol=0, atol=1e-15)
     if (p, q, tau) != (2, 2, 1e-3):         # +tau itself measures 0.142 there
@@ -73,12 +87,14 @@ def test_neck_at_negative_tau_models_the_conjugate_catenoid(p, q, tau):
 
 def test_neck_window_beyond_lifetime_rejected():
     param = TwistParam(AdmissiblePair(2, 3), 1e-3)
-    with pytest.raises(ValueError):
-        geo.neck_rescale(Curve(param), 1, 1.3)   # degree-3 lifetime is ~1.2143
+    for refused in (lambda: _neck_span(param, 1, 1.3),     # degree-3 lifetime is ~1.2143
+                    lambda: geo.neck_rescale(Curve(param, span=_period_span(param, 1)), 1, 1.3)):
+        with pytest.raises(ValueError, match="exceeds the degree-3 catenoid lifetime"):
+            refused()
 
 
 def test_neck_frame_is_unitary():
-    comp = geo.neck_rescale(Curve(TwistParam(AdmissiblePair(1, 2), 1e-3)), 1, 1.0)
+    comp = _neck(TwistParam(AdmissiblePair(1, 2), 1e-3), 1, 1.0)
     assert comp.rescale_phases.shape == (3,)
     assert np.allclose(np.abs(comp.rescale_phases) ** 2, 1.0, atol=1e-14)
 
@@ -87,10 +103,11 @@ def test_neck_frame_is_unitary():
 def test_neck_resolves_every_waist_at_its_closed_form_time(p, q):
     # waist k is at (2k - 1) p_tau for p = 1 (k = 6 was once "not found"); for
     # p > 1 at 2l p_tau - p_minus (k = 2l) or 2l p_tau + p_plus (k = 2l + 1)
-    curve = Curve(TwistParam(AdmissiblePair(p, q), 0.05))
-    data = curve.period
-    y_min, y_max = y_extrema(curve.param)
-    traj = curve.traj(-18.0 * data.p_tau, 18.0 * data.p_tau)
+    param = TwistParam(AdmissiblePair(p, q), 0.05)
+    reach = _period_span(param, 9)[1]      # 18 p_tau
+    curve = Curve(param, span=(-reach, reach))
+    data, traj = curve.period, curve.traj
+    y_min, y_max = y_extrema(param)
     for k in range(-8, 9):
         l, odd = divmod(k, 2)
         if p == 1:
@@ -160,7 +177,7 @@ def test_exports_in_blocks_of_three_rows_match_row_by_row_files(tmp_path, monkey
     assert path.read_bytes() == "\n".join(["t,re_w1,im_w1,re_w2,im_w2", *lines(rows)]).encode() + b"\n"
 
     counts = (4, 3, 2, 5)           # a 4-parameter sampler, 120 rows
-    sampler = geo.immersion_sampler(Curve(TwistParam(AdmissiblePair(2, 3), 0.05)), (-1.0, 1.0))
+    sampler = _sampler(TwistParam(AdmissiblePair(2, 3), 0.05), (-1.0, 1.0))
     axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(sampler.box, counts)]
     u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
     z = sampler(u)
@@ -170,7 +187,7 @@ def test_exports_in_blocks_of_three_rows_match_row_by_row_files(tmp_path, monkey
     assert path.read_bytes() == "\n".join([header, *lines(rows)]).encode() + b"\n"
 
     nt, na = 4, 5
-    sampler = geo.immersion_sampler(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)), (-1.0, 1.0))
+    sampler = _sampler(TwistParam(AdmissiblePair(1, 2), 0.1), (-1.0, 1.0))
     (t_lo, t_hi), (a_lo, a_hi) = sampler.box
     grid = [(t, a_lo + (a_hi - a_lo) * j / na) for t in np.linspace(t_lo, t_hi, nt)
             for j in range(na)]
@@ -207,7 +224,7 @@ def test_trajectory_csv_edge_values_and_empty(tmp_path):
 
 @pytest.mark.parametrize("nt,na", [(2, 3), (3, 5), (12, 12)])
 def test_obj_faces_are_the_wrapped_quads(nt, na, tmp_path):
-    sampler = geo.immersion_sampler(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)), (-1.0, 1.0))
+    sampler = _sampler(TwistParam(AdmissiblePair(1, 2), 0.1), (-1.0, 1.0))
     lines = geo.export(sampler, (nt, na), "obj", tmp_path / "m.obj").read_text().splitlines()
     quads = [(i * na + j + 1, i * na + (j + 1) % na + 1,
               (i + 1) * na + (j + 1) % na + 1, (i + 1) * na + j + 1)
@@ -229,7 +246,7 @@ def test_json_deterministic():
 
 def test_obj_export_valid_mesh(tmp_path):
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sampler = geo.immersion_sampler(Curve(param), (-2.0, 2.0))
+    sampler = _sampler(param, (-2.0, 2.0))
     path = geo.export(sampler, (20, 16), "obj", tmp_path / "neck.obj")
     verts, faces = geo.validate_obj(path)
     assert verts == 20 * 16
@@ -242,14 +259,14 @@ def test_obj_export_valid_mesh(tmp_path):
 
 def test_obj_export_rejects_wrong_shape(tmp_path):
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    sampler = geo.immersion_sampler(Curve(param), (-1.0, 1.0))
+    sampler = _sampler(param, (-1.0, 1.0))
     with pytest.raises(ValueError):
         geo.export(sampler, (8, 8), "obj", tmp_path / "bad.obj")
 
 
 def test_csv_grid_export(tmp_path):
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sampler = geo.immersion_sampler(Curve(param), (-1.0, 1.0))
+    sampler = _sampler(param, (-1.0, 1.0))
     path = geo.export(sampler, (5, 6), "csv", tmp_path / "grid.csv")
     lines = path.read_text().splitlines()
     assert len(lines) == 1 + 5 * 6
@@ -261,6 +278,6 @@ def test_csv_grid_export(tmp_path):
 
 def test_export_unknown_format(tmp_path):
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sampler = geo.immersion_sampler(Curve(param), (-1.0, 1.0))
+    sampler = _sampler(param, (-1.0, 1.0))
     with pytest.raises(ValueError):
         geo.export(sampler, (4, 4), "stl", tmp_path / "x.stl")

@@ -10,7 +10,7 @@ from sltwist.catenoid import _profile_field, catenoid_lifetime
 from sltwist.curve import Curve
 from sltwist.ode_engine import (EventError, IntegrationError, Tolerances,
                                 integrate, locate_event)
-from sltwist.periods import partial_periods_quadrature
+from sltwist.periods import _period_span, partial_periods_quadrature
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, _field, initial_state,
                                    tau_max)
 
@@ -245,8 +245,10 @@ def test_endpoint_is_an_integrate_run_bit_for_bit(p, q, frac, monkeypatch):
     # probe and the same steps as a whole integrate call, on both sides of
     # the anchor, on the curve (with its per-component atol) and on (w, Q, Q')
     pair = AdmissiblePair(p, q)
-    curve = Curve(TwistParam(pair, frac * tau_max(pair)))
-    traj = curve.traj(-3.0, 4.0).trajectory
+    param = TwistParam(pair, frac * tau_max(pair))
+    lo, hi = _period_span(param, 1)
+    curve = Curve(param, span=(min(lo, -3.0), max(hi, 4.0)))
+    traj = curve.traj.trajectory
     scale = np.array(traj.atol) / traj.tol.tol
     assert tuple((traj.tol.tol * scale).tolist()) == traj.atol
     ts = [-2.9, -1.3, -0.01, 0.01, 1.7, 3.95, traj.time_grid[1], traj.time_grid[-2]]

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from sltwist.curve import Curve
-from sltwist.periods import (partial_periods_quadrature, period_ode,
+from sltwist.periods import (_period_span, partial_periods_quadrature, period_ode,
                              pthat_quadrature, pthat_quadrature_psi2)
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w, tau_max
 
 PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+
+
+def _curve(param):
+    """The curve over the span its period events are read from."""
+    return Curve(param, span=_period_span(param, 1))
 
 
 @pytest.mark.parametrize("p,q", PAIRS)
@@ -100,10 +105,10 @@ def test_small_twist_angles_from_w(p, q, tau):
     # the psi2 side of the angular period read off arg w matches its
     # quadrature, and the period integration stays short at small tau
     param = TwistParam(AdmissiblePair(p, q), tau)
-    curve = Curve(param)
+    curve = _curve(param)
     data = curve.period
     assert abs(-0.5 * q * data.psi2_2p - pthat_quadrature_psi2(param)) <= 1e-10
-    steps = len(curve.traj(0.0, 0.0).trajectory.time_grid) - 1
+    steps = len(curve.traj.trajectory.time_grid) - 1
     assert steps <= 1000
 
 
@@ -153,7 +158,7 @@ def test_p1_period_event_at_the_maximum_keeps_pthat_digits(q):
     pair = AdmissiblePair(1, q)
     for frac in (0.02, 0.05, 0.1, 0.2):
         param = TwistParam(pair, frac * tau_max(pair))
-        curve = Curve(param)
+        curve = _curve(param)
         assert abs(curve.period.pthat - pthat_quadrature_psi2(param)) <= 2e-12
         h = max(1e-6, 1e-4 * param.tau)
         fd = (period_ode(TwistParam(pair, param.tau + h)).pthat
@@ -181,3 +186,18 @@ def test_ode_route_does_not_follow_its_seed(scale, monkeypatch):
         assert (seeded.p_tau, seeded.pthat) == (data.p_tau, data.pthat), param
         for a, b in ((seeded.p_plus, data.p_plus), (seeded.p_minus, data.p_minus)):
             assert abs(a - b) <= 4 * np.spacing(b), (param, a, b)
+
+
+@pytest.mark.parametrize("p,q", [(3, 3), (3, 4), (3, 5), (4, 4)])
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+def test_periods_exit_zero_near_tau_max(p, q, k, capsys):
+    # at (1 - 10^-k) tau_max the extrema are flat (y'' = 2 f'(y) is small) and y'
+    # sits at its rounding floor there, so Newton's steps stall above the step
+    # stop: the locator stops at that floor instead of running out of steps
+    import json
+
+    from sltwist.cli import main
+
+    tau = (1.0 - 10.0 ** -k) * tau_max(AdmissiblePair(p, q))
+    assert main(["periods", "--p", str(p), "--q", str(q), "--tau", repr(tau), "--json"]) == 0
+    assert float(json.loads(capsys.readouterr().out)["route_gap_p_tau"]) <= 1e-8

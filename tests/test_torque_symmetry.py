@@ -5,8 +5,17 @@ import pytest
 
 import sltwist.geometry as geo
 from sltwist.curve import Curve
-from sltwist.periods import period_ode
+from sltwist.periods import _period_span, period_ode
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, tau_max, y_extrema
+
+
+def _curve(param, span=None):
+    """The curve over ``span``, by default two periods each way, which holds
+    every read of the symmetry, sphere and waist checks below."""
+    if span is None:
+        reach = _period_span(param, 2)[1]
+        span = (-reach, reach)
+    return Curve(param, span=span)
 
 
 # -- sphere quadrature calibration ---------------------------------------------
@@ -85,19 +94,19 @@ def test_cached_rules_are_read_only_and_bounded():
 
 def test_generator_flux_value():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    rep = geo.torque(Curve(param), geo.t_generator(param.pair))
+    rep = geo.torque(_curve(param, (0.0, 1.0)), geo.t_generator(param.pair))
     assert abs(rep.numeric - 0.6 * math.pi) < 1e-8
     assert rep.abs_error < 1e-8
 
 
 def test_generator_flux_closed_forms():
     p22 = TwistParam(AdmissiblePair(2, 2), 0.05)
-    rep = geo.torque(Curve(p22), geo.t_generator(p22.pair))
+    rep = geo.torque(_curve(p22, (0.0, 1.0)), geo.t_generator(p22.pair))
     expected = 2 * 0.05 * (4.0 / 4.0) * (2 * math.pi) ** 2
     assert abs(rep.closed_form - expected) < 1e-14
     assert rep.abs_error < 1e-8
     p13 = TwistParam(AdmissiblePair(1, 3), 0.05)
-    rep13 = geo.torque(Curve(p13), geo.t_generator(p13.pair))
+    rep13 = geo.torque(_curve(p13, (0.0, 1.0)), geo.t_generator(p13.pair))
     expected13 = 2 * 0.05 * (4.0 / 3.0) * geo.sphere_volume(2)
     assert abs(rep13.closed_form - expected13) < 1e-14
     assert rep13.abs_error < 1e-8
@@ -106,10 +115,11 @@ def test_generator_flux_closed_forms():
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 3, 0.05)])
 def test_all_off_diagonal_fluxes_vanish(p, q, tau):
     param = TwistParam(AdmissiblePair(p, q), tau)
+    curve = _curve(param, (0.0, 0.4))
     for K in geo.su_basis(p + q):
         if K.diagonal().any():
             continue
-        rep = geo.torque(Curve(param), K, meridian_t=0.4)
+        rep = geo.torque(curve, K, meridian_t=0.4)
         assert abs(rep.numeric) < 1e-10, K
         assert rep.closed_form == 0.0
 
@@ -117,23 +127,24 @@ def test_all_off_diagonal_fluxes_vanish(p, q, tau):
 def test_flux_is_meridian_independent():
     param = TwistParam(AdmissiblePair(2, 2), 0.05)
     tg = geo.t_generator(param.pair)
-    a = geo.torque(Curve(param), tg, meridian_t=0.3)
-    b = geo.torque(Curve(param), tg, meridian_t=1.1)
+    curve = _curve(param, (0.3, 1.1))
+    a = geo.torque(curve, tg, meridian_t=0.3)
+    b = geo.torque(curve, tg, meridian_t=1.1)
     assert abs(a.numeric - b.numeric) < 1e-8
 
 
 def test_flux_linear_in_twist():
     pair = AdmissiblePair(2, 3)
     tg = geo.t_generator(pair)
-    f1 = geo.torque(Curve(TwistParam(pair, 0.04)), tg).numeric
-    f2 = geo.torque(Curve(TwistParam(pair, 0.08)), tg).numeric
+    f1, f2 = (geo.torque(_curve(TwistParam(pair, tau), (0.0, 1.0)), tg).numeric
+              for tau in (0.04, 0.08))
     assert abs(f2 / f1 - 2.0) < 1e-8
 
 
 def test_general_diagonal_direction():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     K = np.diag(1j * np.array((1.0, 2.0, -0.5, -1.5, -1.0)))
-    rep = geo.torque(Curve(param), K, meridian_t=0.7)
+    rep = geo.torque(_curve(param, (0.0, 0.7)), K, meridian_t=0.7)
     assert rep.abs_error < 1e-8
     expected = 2 * 0.05 * ((1.0 + 2.0) / 2 - (-3.0) / 3) * (2 * math.pi) * geo.sphere_volume(2)
     assert abs(rep.closed_form - expected) < 1e-12
@@ -146,7 +157,7 @@ def test_general_direction_matches_closed_form(p, q):
     param = TwistParam(AdmissiblePair(p, q), 0.5 * tau_max(AdmissiblePair(p, q)))
     coeffs = np.random.default_rng(n).standard_normal(n * n - 1)
     K = sum(c * B for c, B in zip(coeffs, geo.su_basis(n)))
-    rep = geo.torque(Curve(param), K, meridian_t=0.4)
+    rep = geo.torque(_curve(param, (0.0, 0.4)), K, meridian_t=0.4)
     assert rep.abs_error <= 1e-8
     assert rep.closed_form != 0.0
 
@@ -161,10 +172,11 @@ def _flux_elements(n):
 def test_default_order_flux_matches_order_24(p, q):
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, 0.5 * tau_max(pair))
+    curve = _curve(param, (0.3, 1.1))
     for element in [geo.t_generator(pair)] + _flux_elements(pair.n):
         for t in (0.3, 1.1):
-            low = geo.torque(Curve(param), element, meridian_t=t).numeric
-            high = geo.torque(Curve(param), element, meridian_t=t, order=24).numeric
+            low = geo.torque(curve, element, meridian_t=t).numeric
+            high = geo.torque(curve, element, meridian_t=t, order=24).numeric
             assert abs(low - high) <= 1e-13, (element, t)
 
 
@@ -181,7 +193,7 @@ def test_default_order_flux_matches_order_8(p, q):
     # order 24 is out of reach past n = 5; order 8 is the rule the default replaced
     pair = AdmissiblePair(p, q)
     for sign in (1.0, -1.0):
-        curve = Curve(TwistParam(pair, sign * 0.5 * tau_max(pair)))
+        curve = _curve(TwistParam(pair, sign * 0.5 * tau_max(pair)), (0.0, 0.3))
         for K in _four_directions(pair):
             low = geo.torque(curve, K, meridian_t=0.3).numeric
             high = geo.torque(curve, K, meridian_t=0.3, order=8).numeric
@@ -193,7 +205,7 @@ def test_default_order_off_diagonal_flux_is_exactly_zero(p, q):
     pair = AdmissiblePair(p, q)
     K = geo.rotation_generator(pair.n, 0, pair.n - 1)       # verify's off-diagonal row
     for sign in (1.0, -1.0):
-        curve = Curve(TwistParam(pair, sign * 0.5 * tau_max(pair)))
+        curve = _curve(TwistParam(pair, sign * 0.5 * tau_max(pair)), (0.3, 1.1))
         for t in (0.3, 1.1):
             assert geo.torque(curve, K, meridian_t=t).numeric == 0.0, (sign, t)
 
@@ -203,22 +215,34 @@ def test_torque_n8(p, q):
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, 0.5 * tau_max(pair))
     tg = geo.t_generator(pair)
-    a = geo.torque(Curve(param), tg, meridian_t=0.3)
-    b = geo.torque(Curve(param), tg, meridian_t=1.1)
+    curve = _curve(param, (0.3, 1.1))
+    a = geo.torque(curve, tg, meridian_t=0.3)
+    b = geo.torque(curve, tg, meridian_t=1.1)
     assert a.abs_error <= 1e-8
     assert abs(a.numeric - b.numeric) <= 1e-8
-    off = geo.torque(Curve(param), _flux_elements(pair.n)[0], meridian_t=0.3)
+    off = geo.torque(curve, _flux_elements(pair.n)[0], meridian_t=0.3)
     assert abs(off.numeric) <= 1e-10
 
 
+@pytest.mark.parametrize("p,q,tau", [(1, 2, -0.027), (2, 3, -0.036), (2, 2, 0.05), (3, 4, 0.01)])
+def test_flux_does_not_depend_on_where_the_span_ends(p, q, tau):
+    # the meridian state is an integrated endpoint, the same wherever the span
+    # ends; the dense output inside a step was 1e-13 to 1e-12 off it
+    param = TwistParam(AdmissiblePair(p, q), tau)
+    K = geo.t_generator(param.pair)
+    fluxes = {geo.torque(_curve(param, span), K, meridian_t=0.3).numeric
+              for span in ((0.0, 0.3), (0.0, 1.1), (-2.0, 5.0))}
+    assert len(fluxes) == 1
+
+
 def test_traceless_validation():
-    curve = Curve(TwistParam(AdmissiblePair(1, 2), 0.1))
+    curve = _curve(TwistParam(AdmissiblePair(1, 2), 0.1))
     with pytest.raises(ValueError, match="traceless"):
         geo.torque(curve, 1j * np.diag([1.0, 1.0, -1.0]))
 
 
 def test_torque_refuses_wrong_shape_and_non_anti_hermitian():
-    curve = Curve(TwistParam(AdmissiblePair(1, 2), 0.1))
+    curve = _curve(TwistParam(AdmissiblePair(1, 2), 0.1))
     with pytest.raises(ValueError, match="3 x 3"):
         geo.torque(curve, geo.t_generator(AdmissiblePair(2, 2)))
     with pytest.raises(ValueError, match="anti-Hermitian"):
@@ -241,7 +265,7 @@ def test_rotation_generator_refuses_equal_or_out_of_range_indices():
 
 
 def test_symmetry_residuals_p1():
-    res = geo.symmetry_residuals(Curve(TwistParam(AdmissiblePair(1, 2), 0.1)))
+    res = geo.symmetry_residuals(_curve(TwistParam(AdmissiblePair(1, 2), 0.1)))
     for key, val in res.items():
         assert val < 1e-8, (key, val)
         assert type(val) is float, key      # a numpy float64 gives verify a numpy bool
@@ -250,7 +274,7 @@ def test_symmetry_residuals_p1():
 
 
 def test_symmetry_residuals_p_gt_1():
-    res = geo.symmetry_residuals(Curve(TwistParam(AdmissiblePair(2, 3), 0.05)))
+    res = geo.symmetry_residuals(_curve(TwistParam(AdmissiblePair(2, 3), 0.05)))
     for key, val in res.items():
         assert val < 1e-8, (key, val)
         assert type(val) is float, key      # a numpy float64 gives verify a numpy bool
@@ -258,7 +282,7 @@ def test_symmetry_residuals_p_gt_1():
 
 
 def test_symmetry_residuals_exchange():
-    res = geo.symmetry_residuals(Curve(TwistParam(AdmissiblePair(2, 2), 0.06)))
+    res = geo.symmetry_residuals(_curve(TwistParam(AdmissiblePair(2, 2), 0.06)))
     for key, val in res.items():
         assert val < 1e-8, (key, val)
         assert type(val) is float, key      # a numpy float64 gives verify a numpy bool
@@ -285,7 +309,7 @@ def test_omega_residual_is_the_reflection_determinant_error(p, q):
 
 def test_reflection_phases_refuse_an_unknown_side():
     for p, q in [(1, 2), (2, 3)]:
-        curve = Curve(TwistParam(AdmissiblePair(p, q), 0.05))
+        curve = _curve(TwistParam(AdmissiblePair(p, q), 0.05))
         assert geo.reflection_phases(curve, "+").shape == (2,)
         for side in ["plus", "", "+-", "-1"]:
             with pytest.raises(ValueError, match="side"):
@@ -298,7 +322,7 @@ def test_reflection_phases_refuse_an_unknown_side():
 def test_waist_positions_p1():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     data = period_ode(param)
-    ws, bs = geo.waists_and_bulges(Curve(param), (-3 * data.p_tau, 3 * data.p_tau))
+    ws, bs = geo.waists_and_bulges(_curve(param), (-3 * data.p_tau, 3 * data.p_tau))
     ts = sorted(w.t for w in ws if abs(w.t) <= 3.5 * data.p_tau)
     expected = [k * data.p_tau for k in (-3, -1, 1, 3)]
     assert all(any(abs(t - e) < 1e-12 for t in ts) for e in expected)
@@ -309,7 +333,7 @@ def test_waist_positions_p1():
 def test_waists_alternate_for_p_gt_1():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     data = period_ode(param)
-    ws, _ = geo.waists_and_bulges(Curve(param), (-2 * data.p_tau, 4 * data.p_tau))
+    ws, _ = geo.waists_and_bulges(_curve(param), (-2 * data.p_tau, 4 * data.p_tau))
     kinds = [w.kind for w in sorted(ws, key=lambda w: w.t)]
     assert all(a != b for a, b in zip(kinds, kinds[1:]))
 
@@ -320,7 +344,7 @@ def test_waist_radii_match_extrema():
     param = TwistParam(AdmissiblePair(2, 2), 0.06)
     data = period_ode(param)
     y_min, y_max = y_extrema(param)
-    ws, _ = geo.waists_and_bulges(Curve(param), (0.0, 2 * data.p_tau))
+    ws, _ = geo.waists_and_bulges(_curve(param), (0.0, 2 * data.p_tau))
     traj = solve_w(param, (-2 * data.p_tau, 3 * data.p_tau))
     for w in ws:
         if -2 * data.p_tau < w.t < 3 * data.p_tau:
@@ -374,7 +398,7 @@ def test_closed_form_waists_equal_the_per_p_enumeration():
     windows = 0
     for p, q in [(1, 2), (1, 3), (1, 6), (2, 2), (2, 3), (3, 3), (3, 4)]:
         pair = AdmissiblePair(p, q)
-        curve = Curve(TwistParam(pair, 0.3 * tau_max(pair)))
+        curve = _curve(TwistParam(pair, 0.3 * tau_max(pair)))
         ptau = curve.period.p_tau
         for offset in np.arange(-11.0, 11.25, 0.5):
             for length in np.arange(0.0, 6.25, 0.5):
@@ -387,15 +411,15 @@ def test_closed_form_waists_equal_the_per_p_enumeration():
 
 def test_standard_sphere_is_identity_frame():
     param = TwistParam(AdmissiblePair(1, 2), 0.01)
-    sph = geo.approximating_spheres(Curve(param), [0])[0]
+    sph = geo.approximating_spheres(_curve(param), [0])[0]
     assert np.array_equal(sph.phases, np.ones(3))
     assert len(sph.marked_set["points"]) == 2
 
 
 def test_bulge_distance_linear_in_twist():
     pair = AdmissiblePair(1, 2)
-    d3 = geo.bulge_sphere_distance(Curve(TwistParam(pair, 1e-3)), 0, 2.0)
-    d4 = geo.bulge_sphere_distance(Curve(TwistParam(pair, 1e-4)), 0, 2.0)
+    d3 = geo.bulge_sphere_distance(_curve(TwistParam(pair, 1e-3)), 0, 2.0)
+    d4 = geo.bulge_sphere_distance(_curve(TwistParam(pair, 1e-4)), 0, 2.0)
     c3, c4 = d3 / 1e-3, d4 / 1e-4
     assert d3 < 10 * 1e-3
     assert 0.5 < c3 / c4 < 2.0          # stable constant over a tau decade
@@ -405,7 +429,7 @@ def test_bulge_distance_linear_in_twist():
 def test_bulge_distance_linear_in_twist_for_both_kinds_of_bulge(p, q):
     # odd bulges are positioned through the reflection phases, even ones without
     for k in range(-1, 3):
-        d3, d4 = (geo.bulge_sphere_distance(Curve(TwistParam(AdmissiblePair(p, q), tau)), k, 0.5)
+        d3, d4 = (geo.bulge_sphere_distance(_curve(TwistParam(AdmissiblePair(p, q), tau)), k, 0.5)
                   for tau in (1e-3, 1e-4))
         assert d3 < 10 * 1e-3, k
         assert 0.5 < (d3 / 1e-3) / (d4 / 1e-4) < 2.0, k
@@ -415,7 +439,7 @@ def test_next_sphere_frame_limit():
     pair = AdmissiblePair(1, 2)
     param = TwistParam(pair, 1e-4)
     data = period_ode(param)
-    sph = geo.approximating_spheres(Curve(param), [1])[0]
+    sph = geo.approximating_spheres(_curve(param), [1])[0]
     limit = np.array([-1.0 + 0j, np.exp(-1j * math.pi / 2), np.exp(-1j * math.pi / 2)])
     gap = sph.phases - limit
     assert max(np.max(np.abs(gap.real)), np.max(np.abs(gap.imag))) < 5e-3
@@ -423,14 +447,14 @@ def test_next_sphere_frame_limit():
 
 def test_orthogonal_frames():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    for sph in geo.approximating_spheres(Curve(param), range(-2, 3)):
+    for sph in geo.approximating_spheres(_curve(param), range(-2, 3)):
         assert np.allclose(np.abs(sph.phases) ** 2, 1.0, atol=1e-12)
 
 
 def _both_kinds_of_sphere():
     # for p > 1 even bulges are positioned holomorphically (bulge 2: a nontrivial
     # rotation, bulge 0 has none) and odd ones antiholomorphically
-    spheres = geo.approximating_spheres(Curve(TwistParam(AdmissiblePair(2, 3), 0.05)), [2, 1])
+    spheres = geo.approximating_spheres(_curve(TwistParam(AdmissiblePair(2, 3), 0.05)), [2, 1])
     assert [s.antiholomorphic for s in spheres] == [False, True]
     return spheres
 

@@ -316,11 +316,14 @@ def test_state_readers_equal_the_expressions_they_replace(p, q, tau):
     # states, at dense reads and grid nodes; at zero twist Im w stays +-0,
     # and _w keeps the sign of each zero (re + 1j im would not)
     from sltwist.curve import Curve
+    from sltwist.periods import _period_span
     from sltwist.twisted_curve import _w, _y, _ydot
 
     pair = AdmissiblePair(p, q)
-    curve = Curve(TwistParam(pair, tau))
-    traj = curve.traj(-3.0, 3.0)
+    param = TwistParam(pair, tau)
+    reach = max(3.0, _period_span(param, 1)[1]) if tau else 3.0    # Q reads the period
+    curve = Curve(param, span=(-reach, reach))
+    traj = curve.traj
     ts = np.concatenate([np.linspace(-3.0, 3.0, 61), [0.0, -0.0]])
     states = [traj.trajectory(ts), traj.trajectory.states.T, traj.trajectory.states[9]]
     if tau:
@@ -358,4 +361,4 @@ def test_tau_domain_is_refused_once_by_the_extrema(which, p, q):
                          (tau_max(pair) * (1 - 1e-11), "too close to tau_max"),
                          (-tau_max(pair), "too close to tau_max")]:
         with pytest.raises(ValueError, match=message):
-            call(Curve(TwistParam(pair, tau)))
+            call(Curve(TwistParam(pair, tau), span=(-1.0, 1.0)))

@@ -5,7 +5,7 @@ import pytest
 
 from sltwist import variation
 from sltwist.curve import Curve
-from sltwist.periods import _branch_halves, period_ode
+from sltwist.periods import _branch_halves, _period_span, period_ode
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, tau_max, y_extrema
 from sltwist.variation import (asymptotic_constants, check_asymptotics,
                                dpthat_dtau, dpthat_dtau_cross_check, solve_Q,
@@ -14,9 +14,14 @@ from sltwist.variation import (asymptotic_constants, check_asymptotics,
 PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
 
+def _curve(param):
+    """The curve over the span its period events are read from."""
+    return Curve(param, span=_period_span(param, 1))
+
+
 def test_wronskian_is_one_along_solution():
     for (p, q), tau in [((1, 2), 0.1), ((2, 3), 0.05), ((2, 2), 0.06)]:
-        sol = solve_Q(Curve(TwistParam(AdmissiblePair(p, q), tau)))
+        sol = solve_Q(_curve(TwistParam(AdmissiblePair(p, q), tau)))
         assert "wronskian_drift" not in sol.__dict__            # computed on first read
         grid = np.linspace(-2.0 * sol.period.p_tau, 2.0 * sol.period.p_tau, 101)
         assert sol.wronskian_drift == float(np.max(np.abs(sol.wronskian(grid) - 1.0)))
@@ -29,7 +34,7 @@ def test_companion_initial_conditions():
     # p > 1: the curve starts at y = q/n, and (Q, Q')(0) = (1/(n y'(0)), 0)
     pair = AdmissiblePair(2, 2)
     tau = 0.06
-    sol = solve_Q(Curve(TwistParam(pair, tau)))
+    sol = solve_Q(_curve(TwistParam(pair, tau)))
     expected = -1.0 / (4.0 * pair.n * math.sqrt(tau_max(pair) ** 2 - tau**2))
     assert sol.trajectory.t0 == 0.0
     assert abs(sol.Q(0.0) - expected) < 1e-12
@@ -40,7 +45,7 @@ def test_companion_initial_conditions():
 def test_anchor_time_for_degenerate_first_factor():
     # p = 1: the curve starts at y_max, where y'(0) = 0, and (Q, Q')(0) = (0, 1/(q - n y(0)))
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sol = solve_Q(Curve(param))
+    sol = solve_Q(_curve(param))
     _, y_max = y_extrema(param)
     assert sol.trajectory.t0 == 0.0
     assert sol.Q(0.0) == 0.0
@@ -71,14 +76,14 @@ def test_radius_combination_solves_linearised_equation():
 def test_derivative_formula_matches_finite_differences(p, q):
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, 0.5 * tau_max(pair))
-    res = dpthat_dtau_cross_check(Curve(param))
+    res = dpthat_dtau_cross_check(_curve(param))
     assert res["rel_err"] < 1e-6
 
 
 def test_cross_check_passes_at_tiny_twist():
     # the step h = 1e-2 |tau| keeps every neighbour on the side of tau
     for tau in (1e-6, -1e-6, 5e-7):
-        res = dpthat_dtau_cross_check(Curve(TwistParam(AdmissiblePair(2, 3), tau)))
+        res = dpthat_dtau_cross_check(_curve(TwistParam(AdmissiblePair(2, 3), tau)))
         assert res["rel_err"] <= 1e-6
 
 
@@ -96,7 +101,7 @@ def test_cross_check_at_small_twist_and_near_tau_max(p, q, tau, monkeypatch):
     if tau == "0.9999tau_max":
         tau = 0.9999 * tau_max(pair)
     for sign in (1.0, -1.0):
-        curve = Curve(TwistParam(pair, sign * tau))
+        curve = _curve(TwistParam(pair, sign * tau))
         assert dpthat_dtau_cross_check(curve)["rel_err"] <= 1e-6
         with monkeypatch.context() as m:
             m.setattr(variation, "dpthat_dtau", lambda c: (1.0 + 1e-5) * dpthat_dtau(c))
@@ -108,14 +113,14 @@ def test_cross_check_at_small_twist_and_near_tau_max(p, q, tau, monkeypatch):
 
 
 def test_derivative_positive_in_monotone_window():
-    assert dpthat_dtau(Curve(TwistParam(AdmissiblePair(2, 3), 0.05))) > 0.0
+    assert dpthat_dtau(_curve(TwistParam(AdmissiblePair(2, 3), 0.05))) > 0.0
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
 @pytest.mark.parametrize("frac", [0.1, 0.9])
 def test_derivative_formula_across_twist_range(p, q, frac):
     pair = AdmissiblePair(p, q)
-    res = dpthat_dtau_cross_check(Curve(TwistParam(pair, frac * tau_max(pair))))
+    res = dpthat_dtau_cross_check(_curve(TwistParam(pair, frac * tau_max(pair))))
     assert res["rel_err"] < 1e-6
 
 
@@ -203,7 +208,7 @@ def test_angular_period_excess_measured_behaviour():
 def test_derivative_leading_order_at_small_tau():
     param = TwistParam(AdmissiblePair(1, 2), 1e-3)
     data = period_ode(param)
-    value = dpthat_dtau(Curve(param))
+    value = dpthat_dtau(_curve(param))
     ratio = value / (4.0 * param.pair.p / param.pair.q * data.p_tau)
     assert 0.9 < ratio < 1.1
 
@@ -211,5 +216,5 @@ def test_derivative_leading_order_at_small_tau():
 def test_derivative_small_tau_measured():
     param = TwistParam(AdmissiblePair(1, 2), 1e-3)
     data = period_ode(param)
-    ratio = dpthat_dtau(Curve(param)) / (2.0 * data.p_tau)
+    ratio = dpthat_dtau(_curve(param)) / (2.0 * data.p_tau)
     assert abs(ratio - 0.638) < 5e-3      # approaches 1 from below with 1/log
