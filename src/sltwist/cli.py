@@ -20,14 +20,13 @@ from . import geometry as geo
 from .catenoid import verify_catenoid_symmetry
 from .closure import (RationalTarget, find_tau_for_angular_period, half_period_classification,
                       necklace, verify_closed)
-from .curve import Curve
 from .geometry.export import report_to_json
 from .geometry.immersion import _sampler_span
 from .geometry.neck import _neck_span
 from .ode_engine import EventError, IntegrationError, Tolerances
 from .periods import (_period_span, partial_periods_quadrature, period_ode, pthat_quadrature,
                       pthat_quadrature_psi2)
-from .twisted_curve import AdmissiblePair, TwistParam, f_poly
+from .twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, f_poly
 from .variation import check_asymptotics, dpthat_dtau_cross_check
 
 TOL_PRESETS = {
@@ -75,19 +74,19 @@ def _bounded(kind, ok, what: str):
 def cmd_solve(args) -> int:
     param = _param(args)
     by_period = not args.window and args.tau != 0.0     # the window is 2 p_tau both ways
-    reach = _period_span(param, 1)[1] if by_period else args.window or 5.0
-    curve = Curve(param, TOL_PRESETS[args.tol], span=(-reach, reach))
+    reach = (_period_span(param, *partial_periods_quadrature(param), 1)[1] if by_period
+             else args.window or 5.0)
+    curve = TwistTrajectory(param, TOL_PRESETS[args.tol], span=(-reach, reach))
     half_window = 2.0 * curve.period.p_tau if by_period else reach
-    traj = curve.traj
     if args.out:
         ts = np.linspace(-half_window, half_window, args.samples)
-        geo.trajectory_csv(traj, ts, args.out)
+        geo.trajectory_csv(curve, ts, args.out)
         print(f"wrote {args.out}")
         return 0
     payload = {"p": args.p, "q": args.q, "tau": args.tau,
-               "window": half_window, "drift": traj.drift}
+               "window": half_window, "drift": curve.drift}
     _emit(args, payload, [f"drift over [-{half_window}, {half_window}]: "
-                          + ", ".join(f"{k}={v:.3e}" for k, v in traj.drift.items())])
+                          + ", ".join(f"{k}={v:.3e}" for k, v in curve.drift.items())])
     return 0
 
 
@@ -153,7 +152,7 @@ def cmd_necklace(args) -> int:
 
 def cmd_torque(args) -> int:
     meridians = (0.3, 1.1)
-    curve = Curve(_param(args), TOL_PRESETS[args.tol], span=meridians)
+    curve = TwistTrajectory(_param(args), TOL_PRESETS[args.tol], span=meridians)
     pair = curve.param.pair
     tgen = geo.t_generator(pair)
     reports = [geo.torque(curve, tgen, meridian_t=t0) for t0 in meridians]
@@ -183,7 +182,8 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_neck(args) -> int:
     param = _param(args)
-    curve = Curve(param, TOL_PRESETS[args.tol], span=_neck_span(param, args.waist, args.window))
+    span = _neck_span(param, args.waist, args.window)
+    curve = TwistTrajectory(param, TOL_PRESETS[args.tol], span=span)
     comp = geo.neck_rescale(curve, args.waist, args.window)
     b = comp.window
     symmetry = verify_catenoid_symmetry(comp.catenoid_degree)
@@ -208,12 +208,13 @@ def cmd_export(args) -> int:
     elif args.format == "csv":
         w = args.window or 5.0
         ts = np.linspace(-w, w, args.samples)
-        geo.trajectory_csv(Curve(param, tol, span=(-w, w)).traj, ts, args.out)
+        geo.trajectory_csv(TwistTrajectory(param, tol, span=(-w, w)), ts, args.out)
     else:
         if (args.p, args.q) != (1, 2):
             raise ValueError("obj export supports the (1,2) surface case only")
         w = args.window or 3.0
-        sampler = geo.immersion_sampler(Curve(param, tol, span=_sampler_span((-w, w))), (-w, w))
+        curve = TwistTrajectory(param, tol, span=_sampler_span((-w, w)))
+        sampler = geo.immersion_sampler(curve, (-w, w))
         geo.export(sampler, (args.samples, args.samples), "obj", args.out)
     print(f"wrote {args.out}")
     return 0
@@ -227,13 +228,13 @@ def cmd_verify(args) -> int:
 
     qp, qm = partial_periods_quadrature(param)
     reach = 10.0 * (qp + qm) * (1.0 + 1e-6)     # every check below reads within 10 p_tau
-    curve = Curve(param, TOL_PRESETS[args.tol], span=(-reach, reach))
-    data, traj = curve.period, curve.traj
-    checks.append(("I1 drift", traj.drift["I1"], 1e-9))
-    checks.append(("I2 drift", traj.drift["I2"], 1e-9))
+    curve = TwistTrajectory(param, TOL_PRESETS[args.tol], span=(-reach, reach))
+    data = curve.period
+    checks.append(("I1 drift", curve.drift["I1"], 1e-9))
+    checks.append(("I2 drift", curve.drift["I2"], 1e-9))
 
     ts = np.linspace(-10.0 * data.p_tau, 10.0 * data.p_tau, 400)
-    energy = np.max(np.abs(traj.ydot(ts) ** 2 - 4.0 * f_poly(pair, traj.y(ts))
+    energy = np.max(np.abs(curve.ydot(ts) ** 2 - 4.0 * f_poly(pair, curve.y(ts))
                            + 16.0 * param.tau**2))
     checks.append(("energy residual", float(energy), 1e-8))
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Curve
 from .ode_engine import Tolerances, brent
 # closure.period_ode stays a name of this module: perfbench's tracer looks it up here
-from .periods import _period_span, angular_periods, period_ode, pthat_quadrature  # noqa: F401
-from .twisted_curve import AdmissiblePair, TwistParam, tau_max
+from .periods import (_period_span, angular_periods, partial_periods_quadrature,  # noqa: F401
+                      period_ode, pthat_quadrature)
+from .twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max
 
 __all__ = [
     "BracketingError", "RationalTarget", "ClosureReport", "ClosedCurveCheck", "K0_CAP",
@@ -99,13 +99,15 @@ def scan_brackets(pair: AdmissiblePair, target: RationalTarget) -> list[tuple[fl
 
 
 def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
-                                tol: Tolerances = Tolerances()) -> Curve:
+                                tol: Tolerances = Tolerances()) -> TwistTrajectory:
     """The curve at ``tol`` whose angular period equals the rational target.
 
     A rotational order k0 above ``K0_CAP`` is refused first.  Then Brent on the
     quadrature route in the first bracket of :func:`scan_brackets` (a warning if
-    there are more, BracketingError if none), then Brent on the integrated
-    (event-located) angular period to |pthat_ode - target| <= 1e-10.  Each curve
+    there are more, BracketingError if none).  The integrated (event-located)
+    angular period of the curve at that root is accepted if it is within 1e-12 of
+    the target; otherwise Brent on it, with xtol 1e-16, in a bracket grown about
+    the root until it changes sign.  Each curve
     tried spans what :func:`verify_closed` reads for k0: the one returned, whose
     period was checked, is integrated once.
     """
@@ -129,12 +131,13 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
 
     tau0 = brent(g_quad, lo, hi, 1e-16)
 
-    curves: dict[float, Curve] = {}       # by tau, for this call only
+    curves: dict[float, TwistTrajectory] = {}       # by tau, for this call only
 
     def g_ode(t):
         if t not in curves:
             param = TwistParam(pair, t)
-            curves[t] = Curve(param, tol, span=_period_span(param, k0 + 1))
+            span = _period_span(param, *partial_periods_quadrature(param), k0 + 1)
+            curves[t] = TwistTrajectory(param, tol, span=span)
         return curves[t].period.pthat - angle
 
     err = g_ode(tau0)
@@ -157,24 +160,23 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
     return curves[brent(g_ode, a, b, 1e-16)]
 
 
-def verify_closed(curve: Curve, k0: int, samples: int = 20) -> ClosedCurveCheck:
+def verify_closed(curve: TwistTrajectory, k0: int, samples: int = 20) -> ClosedCurveCheck:
     """Closure and one-period rotation residuals over a long integration.
 
     closure_residual: max over samples of |w(t + 2 k0 p_tau) - w(t)|.
     rotation_residual: max of |w(t + 2 p_tau) - Mhat_{2 pthat} w(t)| with
     Mhat the phases (e^{2i pthat/p}, e^{-2i pthat/q}) of the diagonal rotation.
-    ``curve``'s span must hold ``_period_span(param, k0 + 1)``.
+    ``curve``'s span must hold :func:`_period_span` over k0 + 1 periods.
     """
     from .geometry.symmetry import mhat     # keeps geometry out of `import sltwist`
 
     pair, data = curve.param.pair, curve.period
     T = 2.0 * k0 * data.p_tau
-    traj = curve.traj
     m = mhat(pair, 2.0 * data.pthat)[:, None]
     ts = np.linspace(0.0, 2.0 * data.p_tau, samples)
-    a = np.array(traj.w(ts))
-    closure = np.max(np.abs(np.array(traj.w(ts + T)) - a))
-    rotation = np.max(np.abs(np.array(traj.w(ts + 2.0 * data.p_tau)) - m * a))
+    a = np.array(curve.w(ts))
+    closure = np.max(np.abs(np.array(curve.w(ts + T)) - a))
+    rotation = np.max(np.abs(np.array(curve.w(ts + 2.0 * data.p_tau)) - m * a))
     return ClosedCurveCheck(closure_residual=float(closure),
                             rotation_residual=float(rotation))
 
@@ -220,7 +222,7 @@ def half_period_classification(pair: AdmissiblePair,
 
 
 def necklace(pair: AdmissiblePair, m: int,
-             tol: Tolerances = Tolerances()) -> tuple[Curve, int]:
+             tol: Tolerances = Tolerances()) -> tuple[TwistTrajectory, int]:
     """Closed curve with odd rotational order from the small-tau window.
 
     p = 1: target ((n-1)m / (2(n-1)m - 1)) pi, k0 = 2(n-1)m - 1;

@@ -17,8 +17,7 @@ import math
 
 import numpy as np
 
-from ..curve import Curve
-from ..twisted_curve import velocity
+from ..twisted_curve import TwistTrajectory, velocity
 
 __all__ = [
     "Sampler", "CurveSampler", "immersion_sampler", "equatorial_factor",
@@ -121,11 +120,10 @@ def equatorial_factor(m: int) -> Sampler:
                    phase=lambda u: 1.0 + 0.0j, name=f"equator S^{m-1}")
 
 
-def twist_curve_sampler(curve: Curve) -> CurveSampler:
+def twist_curve_sampler(curve: TwistTrajectory) -> CurveSampler:
     """The integrated twisted curve as a sampler with analytic tangents."""
-    traj = curve.traj
     pair = curve.param.pair
-    return CurveSampler(traj.w, lambda t: velocity(pair, *traj.w(t)),
+    return CurveSampler(curve.w, lambda t: velocity(pair, *curve.w(t)),
                         name=f"twist curve ({pair.p},{pair.q}) tau={curve.param.tau}")
 
 
@@ -157,7 +155,7 @@ def _sampler_span(t_range) -> tuple[float, float]:
     return t_range[0] - 0.05, t_range[1] + 0.05
 
 
-def immersion_sampler(curve: Curve, t_range) -> Sampler:
+def immersion_sampler(curve: TwistTrajectory, t_range) -> Sampler:
     """Chart sampler (t, angles) -> X_tau; for p = 1 the first factor is the point 1.
     ``curve``'s span must hold :func:`_sampler_span` of ``t_range``."""
     pair = curve.param.pair

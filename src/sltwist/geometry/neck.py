@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..catenoid import catenoid_lifetime, unit_profile
-from ..curve import Curve
 from ..periods import _period_span, partial_periods_quadrature
-from ..twisted_curve import TwistParam, _gaps
+from ..twisted_curve import TwistParam, TwistTrajectory, _gaps
 from .spheres import _waist
 from .symmetry import _blocks
 
@@ -54,13 +53,15 @@ def _window(param: TwistParam, p_plus: float, p_minus: float, k: int, b: float |
 def _neck_span(param: TwistParam, waist_index: int, b: float | None) -> tuple[float, float]:
     """The span :func:`neck_rescale` reads: the period events' and the window
     about the waist placed by the quadrature, padded as the events are."""
-    waist, _, b, _, scale = _window(param, *partial_periods_quadrature(param), waist_index, b)
+    partials = partial_periods_quadrature(param)
+    waist, _, b, _, scale = _window(param, *partials, waist_index, b)
     reach = scale * b + 1e-6 * abs(waist.t) + 1e-3
-    lo, hi = _period_span(param, 1)
+    lo, hi = _period_span(param, *partials, 1)
     return min(lo, waist.t - reach), max(hi, waist.t + reach)
 
 
-def neck_rescale(curve: Curve, waist_index: int, b: float | None = None) -> NeckComparison:
+def neck_rescale(curve: TwistTrajectory, waist_index: int,
+                 b: float | None = None) -> NeckComparison:
     """Compare the rescaled neck at a waist with the unit catenoid.
 
     Kind-2 waists (second factor minimal) rescale onto the degree-q unit
@@ -77,11 +78,11 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None) -> Neck
     at the waist to the positive real axis, the shrinking one then by e^{i pi/2k}.
     ``curve``'s span must hold :func:`_neck_span`.
     """
-    pair, data, traj = curve.param.pair, curve.period, curve.traj
+    pair, data = curve.param.pair, curve.period
     waist, degree, b, beta, scale = _window(curve.param, data.p_plus, data.p_minus,
                                             waist_index, b)
     t_w = waist.t
-    w1_w, w2_w = traj.w(t_w)
+    w1_w, w2_w = curve.w(t_w)
     negative = curve.param.tau < 0.0
     phase = np.exp((-1j if negative else 1j) * math.pi / (2 * degree))
     if waist.kind == 2:
@@ -92,7 +93,7 @@ def neck_rescale(curve: Curve, waist_index: int, b: float | None = None) -> Neck
     model = unit_profile(degree, ts)
     if negative:
         model = np.conj(model)
-    w1, w2 = traj.w(t_w + (1.0 if waist.kind == 2 else -1.0) * scale * ts)
+    w1, w2 = curve.w(t_w + (1.0 if waist.kind == 2 else -1.0) * scale * ts)
     z = phase * (w2 / w2_w if waist.kind == 2 else w1 / w1_w)
     err = np.max(np.abs(z - model))
     return NeckComparison(beta=float(beta), rescale_phases=phases,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..curve import Curve
+from ..twisted_curve import TwistTrajectory
 from .immersion import _cone
 from .symmetry import _blocks, reflection_phases, ttilde
 
@@ -74,7 +74,7 @@ def _waist(pair, p_plus: float, p_minus: float, k: int) -> Waist:
     return Waist(index=k, t=2 * l * p_tau - p_minus, kind=1)
 
 
-def waists_and_bulges(curve: Curve, window) -> tuple[list[Waist], list[Bulge]]:
+def waists_and_bulges(curve: TwistTrajectory, window) -> tuple[list[Waist], list[Bulge]]:
     """The waists within 2 p_tau of the window and the bulges that meet it.
 
     Waist times are those of :func:`_waist`, alternating in kind for p > 1;
@@ -99,7 +99,7 @@ def _marked_set(pair, phases: np.ndarray) -> dict:
                            f"diag(phases) . (0 x S^{pair.q - 1})")}
 
 
-def approximating_spheres(curve: Curve, k_range) -> list[MarkedSphere]:
+def approximating_spheres(curve: TwistTrajectory, k_range) -> list[MarkedSphere]:
     """The marked equatorial spheres approximating the requested bulges.
 
     p = 1: phases(k) = Ttilde(2 k pthat).  p > 1: even bulges get
@@ -131,7 +131,7 @@ def sphere_distance(sphere: MarkedSphere, z: np.ndarray) -> float | np.ndarray:
     return np.sqrt(np.sum(im * im, axis=-1) + (np.linalg.norm(re, axis=-1) - 1.0) ** 2)
 
 
-def bulge_sphere_distance(curve: Curve, k: int, b: float) -> float:
+def bulge_sphere_distance(curve: TwistTrajectory, k: int, b: float) -> float:
     """max distance from the k-th almost spherical region to its sphere.
 
     The region is the core [-b, b] of the k-th bulge (translated, and
@@ -147,7 +147,7 @@ def bulge_sphere_distance(curve: Curve, k: int, b: float) -> float:
         l, odd = divmod(k, 2)
         center = 2 * l * data.p_tau + (2 * data.p_plus if odd else 0.0)
     ts = np.linspace(center - b, center + b, t_points)
-    w1, w2 = curve.traj.w(ts)
+    w1, w2 = curve.w(ts)
     angles = np.linspace(0.0, 2.0 * math.pi, mer_points, endpoint=False)
     sigma1 = np.broadcast_to(np.eye(pair.p)[0], (mer_points, pair.p))   # (w1 e_1, w2 sigma2)
     sigma2 = np.zeros((mer_points, pair.q))

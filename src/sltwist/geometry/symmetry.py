@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..curve import Curve
-from ..twisted_curve import _w, alpha_tau
+from ..twisted_curve import TwistTrajectory, _w, alpha_tau
 
 __all__ = [
     "mhat", "ttilde", "reflection_phases", "symmetry_residuals",
@@ -36,7 +35,7 @@ def ttilde(pair, x: float) -> np.ndarray:
     return _blocks(pair, *mhat(pair, x))
 
 
-def reflection_phases(curve: Curve, side: str) -> np.ndarray:
+def reflection_phases(curve: TwistTrajectory, side: str) -> np.ndarray:
     """Phases D = (d1, d2) of the antiholomorphic reflection w -> D conj(w).
 
     ``side`` is "+" or "-".  p = 1: D = (-1, 1), on either side.  p > 1:
@@ -53,7 +52,7 @@ def reflection_phases(curve: Curve, side: str) -> np.ndarray:
     a = alpha_tau(param)
     data = curve.period
     t_ref = 2.0 * data.p_plus if side == "+" else -2.0 * data.p_minus
-    w, w0 = _w(curve.traj.trajectory.endpoint(t_ref)), np.array(curve.traj.w(0.0))
+    w, w0 = _w(curve.trajectory.endpoint(t_ref)), np.array(curve.w(0.0))
     return np.exp(1j * a / np.array([pair.p, pair.q])) * (w / abs(w)) / (w0 / abs(w0))
 
 
@@ -89,7 +88,7 @@ def _omega_residual(pair, d: np.ndarray) -> float:
     return float(res)
 
 
-def symmetry_residuals(curve: Curve) -> dict[str, float]:
+def symmetry_residuals(curve: TwistTrajectory) -> dict[str, float]:
     """Pointwise residuals of the discrete symmetry relations, each at 40 times.
 
     Keys: 'translation' for w(t + 2 p_tau) = Mhat_{2 pthat} w(t); the
@@ -105,7 +104,7 @@ def symmetry_residuals(curve: Curve) -> dict[str, float]:
     M = mhat(pair, 2.0 * phat)[:, None]
 
     def w(t):
-        return np.array(curve.traj.w(t))     # 2 x len
+        return np.array(curve.w(t))     # 2 x len
 
     def gap(a, b) -> float:
         return float(np.max(np.abs(a - b)))

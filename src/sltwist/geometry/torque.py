@@ -25,8 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..curve import Curve
-from ..twisted_curve import TwistParam, _w, velocity
+from ..twisted_curve import TwistParam, TwistTrajectory, _w, velocity
 from .immersion import _cone
 
 __all__ = [
@@ -153,7 +152,7 @@ def _meridian_nodes(p: int, q: int, order: int):
     return _frozen(blocks, np.outer(wts1, wts2).ravel())
 
 
-def torque(curve: Curve, K: np.ndarray, meridian_t: float = 0.0,
+def torque(curve: TwistTrajectory, K: np.ndarray, meridian_t: float = 0.0,
            order: int = 4) -> TorqueReport:
     """Numeric flux of K in su(n) (to 1e-12) through the meridian at time meridian_t.
 
@@ -167,7 +166,7 @@ def torque(curve: Curve, K: np.ndarray, meridian_t: float = 0.0,
     K = np.asarray(K)
     if K.shape != (n, n) or np.abs(K + K.conj().T).max() > 1e-12 or abs(np.trace(K)) > 1e-12:
         raise ValueError(f"K must be an anti-Hermitian traceless {n} x {n} matrix")
-    traj = curve.traj.trajectory
+    traj = curve.trajectory
     w1, w2 = _w(traj.endpoint(meridian_t) if meridian_t != traj.t0 else traj(0.0)).tolist()
     d1, d2 = velocity(pair, w1, w2)
     sigma, wts = _meridian_nodes(p, q, order)

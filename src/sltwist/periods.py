@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Curve
 from .ode_engine import Tolerances, locate_event
-from .twisted_curve import (AdmissiblePair, TwistParam, _extrema, _gaps, _y, _ydot, f_prime,
-                            f_taylor_coeffs)
+from .twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _extrema, _gaps, _y,
+                            _ydot, f_prime, f_taylor_coeffs)
 
 __all__ = [
     "PeriodData", "partial_periods_quadrature", "pthat_quadrature", "angular_periods",
@@ -149,17 +148,18 @@ def pthat_quadrature_psi2(param: TwistParam) -> float:
     return 2.0 * param.pair.q * param.tau * branch_integral(param, _psi2_weight)
 
 
-def _period_span(param: TwistParam, periods: int) -> tuple[float, float]:
+def _period_span(param: TwistParam, p_plus: float, p_minus: float,
+                 periods: int) -> tuple[float, float]:
     """The span :func:`period_ode` reads, forward over ``periods`` periods 2 p_tau,
-    from the quadrature's partial periods: 1e-6 relative and 1e-3 past 2 p_tau, and
-    back to 1.5 p_minus and 1e-3 for p > 1, where -p_minus is an event."""
-    p_est_plus, p_est_minus = partial_periods_quadrature(param)
-    fwd = 2.0 * periods * (p_est_plus + p_est_minus) * (1.0 + 1e-6) + 1e-3
-    return (-(1.5 * p_est_minus + 1e-3) if param.pair.p > 1 else 0.0), fwd
+    from the quadrature's partial periods p_plus and p_minus: 1e-6 relative and
+    1e-3 past 2 p_tau, and back to 1.5 p_minus and 1e-3 for p > 1, where
+    -p_minus is an event."""
+    fwd = 2.0 * periods * (p_plus + p_minus) * (1.0 + 1e-6) + 1e-3
+    return (-(1.5 * p_minus + 1e-3) if param.pair.p > 1 else 0.0), fwd
 
 
 def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
-               curve: Curve | None = None) -> PeriodData:
+               curve: TwistTrajectory | None = None) -> PeriodData:
     """Period data from extremum events on the integrated curve.
 
     The events are the zeros of y' = -2 Re(w1^p w2^q), located by Newton's
@@ -171,15 +171,16 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
     is that maximum, and p_tau is half its time (at the minimum, y'' is only
     2 q y_min^(q-1), so a state error moves the event that much more).
     The trajectory is read off ``curve``, whose span must hold
-    :func:`_period_span` (a new Curve of (param, tol) over it by default).
+    :func:`_period_span` (a new TwistTrajectory of (param, tol) over it by
+    default).
     """
     pair = param.pair
-    span = _period_span(param, 1)
-    if curve is None:
-        curve = Curve(param, tol, span=span)
     p_est_plus, p_est_minus = partial_periods_quadrature(param)
     p_est = p_est_plus + p_est_minus
-    traj = curve.traj
+    span = _period_span(param, p_est_plus, p_est_minus, 1)
+    if curve is None:
+        curve = TwistTrajectory(param, tol, span=span)
+    traj = curve.trajectory
 
     def g(t, s):
         return _ydot(pair, s)
@@ -188,17 +189,15 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
         return 2.0 * f_prime(pair, _y(s))
 
     if pair.p > 1:
-        p_plus = locate_event(traj.trajectory, g, g_prime, p_est_plus,
-                              (0.5 * p_est_plus, 1.5 * p_est_plus))
-        p_minus = -locate_event(traj.trajectory, g, g_prime, -p_est_minus,
+        p_plus = locate_event(traj, g, g_prime, p_est_plus, (0.5 * p_est_plus, 1.5 * p_est_plus))
+        p_minus = -locate_event(traj, g, g_prime, -p_est_minus,
                                 (-0.5 * p_est_minus, -1.5 * p_est_minus))
     else:
-        p_plus = 0.5 * locate_event(traj.trajectory, g, g_prime, 2.0 * p_est,
-                                    (1.5 * p_est, span[1]))
+        p_plus = 0.5 * locate_event(traj, g, g_prime, 2.0 * p_est, (1.5 * p_est, span[1]))
         p_minus = 0.0
     p_tau = p_plus + p_minus
     t_end = np.array([2.0 * p_tau])
-    (psi1_2p,), (psi2_2p,) = traj._lift(t_end, traj.trajectory.endpoint(t_end[0])[:, None])
+    (psi1_2p,), (psi2_2p,) = curve._lift(t_end, traj.endpoint(t_end[0])[:, None])
     return PeriodData(p_plus=float(p_plus), p_minus=float(p_minus),
                       p_tau=float(p_tau), pthat=float(0.5 * pair.p * psi1_2p),
                       psi1_2p=float(psi1_2p), psi2_2p=float(psi2_2p))

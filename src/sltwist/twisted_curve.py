@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ode_engine import Tolerances, integrate
+from .ode_engine import Tolerances, Trajectory, integrate
 
 __all__ = [
     "AdmissiblePair", "TwistParam", "SphereState", "TwistTrajectory",
@@ -308,13 +308,22 @@ def _ydot(pair: AdmissiblePair, s):
 
 
 class TwistTrajectory:
-    """Dense solution of the curve system over an interval containing 0.
+    """One twisted curve: the curve of ``param`` at ``tol`` over ``span``, and
+    what is computed along it, each on first use.
 
-    The integrated state is w alone, held as one :class:`Trajectory`
-    anchored at 0 (``trajectory``) and integrated from
-    :func:`initial_state` for either sign of tau.  Accessors return the
-    curve w(t) = (w1, w2), the radius y = |w2|^2 and its derivative, and
-    the accumulated angles (psi1, psi2) with psi(0) = 0, read off arg w.
+    A caller that needs several quantities of one curve (a CLI subcommand, a
+    test) builds it once per (param, tol), with the whole time span its
+    consumers will read, and hands it on; each piece (``trajectory``,
+    ``period``, ``Q``, ``drift``) is computed once and held for the object's
+    lifetime only.  What outlives a call is held by module-level caches of
+    fixed size: ``_gaps`` keeps the extrema of 64 taus and
+    ``catenoid._unit_trajectory`` 8 catenoid-profile trajectories.
+
+    The integrated state is w alone, held as one :class:`Trajectory` from
+    :func:`solve_w` over ``span`` and 0, anchored at 0 (``trajectory``); a
+    read outside it raises ``ValueError``.  Accessors return the curve
+    w(t) = (w1, w2), the radius y = |w2|^2 and its derivative, and the
+    accumulated angles (psi1, psi2) with psi(0) = 0, read off arg w.
     The -tau curve is the exact conjugate of the tau curve: the initial
     states are conjugate, and the integrator commutes with conjugation
     bit for bit (its tableau is real, rounding is symmetric in sign and
@@ -324,16 +333,26 @@ class TwistTrajectory:
     scaled by that much so that arg w1 keeps the digits of arg w2.
     """
 
-    def __init__(self, param: TwistParam, t_span, tol: Tolerances):
+    def __init__(self, param: TwistParam, tol: Tolerances = Tolerances(), *, span):
         self.param = param
         self.tol = tol
-        lo = min(0.0, float(t_span[0]))
-        hi = max(0.0, float(t_span[1]))
-        pair, tau = param.pair, param.tau
-        shrink = min(1.0, (2.0 * abs(tau)) ** (2.0 / pair.p)) if tau else 1.0
-        scale = np.array([shrink, shrink, 1.0, 1.0])
-        self.trajectory = integrate(_field(pair.p, pair.q), initial_state(param).as_real(),
-                                    (lo, hi), tol, scale, t0=0.0)
+        self.span = span
+
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        return solve_w(self.param, self.span, self.tol)
+
+    @cached_property
+    def period(self):
+        from .periods import period_ode
+
+        return period_ode(self.param, self.tol, self)
+
+    @cached_property
+    def Q(self):
+        from .variation import solve_Q
+
+        return solve_Q(self)
 
     @cached_property
     def drift(self) -> dict:
@@ -407,6 +426,14 @@ class TwistTrajectory:
         return (Psi - q * psi2) / p, psi2
 
 
-def solve_w(param: TwistParam, t_span, tol: Tolerances = Tolerances()) -> TwistTrajectory:
-    """Integrate the canonical curve over an interval containing 0."""
-    return TwistTrajectory(param, t_span, tol)
+def solve_w(param: TwistParam, t_span, tol: Tolerances) -> Trajectory:
+    """The canonical curve integrated from :func:`initial_state` over ``t_span``
+    and 0, anchored at 0, with w1's absolute tolerance scaled (see
+    :class:`TwistTrajectory`)."""
+    lo = min(0.0, float(t_span[0]))
+    hi = max(0.0, float(t_span[1]))
+    pair, tau = param.pair, param.tau
+    shrink = min(1.0, (2.0 * abs(tau)) ** (2.0 / pair.p)) if tau else 1.0
+    scale = np.array([shrink, shrink, 1.0, 1.0])
+    return integrate(_field(pair.p, pair.q), initial_state(param).as_real(), (lo, hi), tol,
+                     scale, t0=0.0)

@@ -19,12 +19,12 @@ from functools import cached_property
 import numpy as np
 
 from .catenoid import catenoid_lifetime
-from .curve import Curve
 from .ode_engine import Trajectory, integrate
 # variation.period_ode stays a name of this module: perfbench's tracer looks it up here
 from .periods import (PeriodData, _branch_halves, _psi2_weight,  # noqa: F401
                       partial_periods_quadrature, period_ode, pthat_quadrature)
-from .twisted_curve import TwistParam, _extrema, _field, _gaps, _y, _ydot, initial_state, tau_max
+from .twisted_curve import (TwistParam, TwistTrajectory, _extrema, _field, _gaps, _y, _ydot,
+                            initial_state, tau_max)
 
 __all__ = [
     "LinearisedSolution", "AsymptoticsReport", "solve_Q", "dpthat_dtau",
@@ -66,7 +66,7 @@ class LinearisedSolution:
         return float(np.max(np.abs(self.wronskian(ts) - 1.0)))
 
 
-def solve_Q(curve: Curve) -> LinearisedSolution:
+def solve_Q(curve: TwistTrajectory) -> LinearisedSolution:
     """Integrate Q along ``curve`` on [-2.2 p_tau, 2.2 p_tau] from t = 0.
 
     Q rides as two extra components (Q, Q') on the curve system so that every
@@ -87,7 +87,7 @@ def solve_Q(curve: Curve) -> LinearisedSolution:
     return LinearisedSolution(param=param, period=data, trajectory=traj)
 
 
-def dpthat_dtau(curve: Curve) -> float:
+def dpthat_dtau(curve: TwistTrajectory) -> float:
     """Exact derivative of the angular period with respect to tau,
 
     4 p q [Q(p+)/(q - n y(p+)) - Q(-p-)/(q - n y(-p-))];
@@ -102,7 +102,7 @@ def dpthat_dtau(curve: Curve) -> float:
     return float(4.0 * pair.p * q * (hi - lo))
 
 
-def dpthat_dtau_cross_check(curve: Curve) -> dict:
+def dpthat_dtau_cross_check(curve: TwistTrajectory) -> dict:
     """Formula value vs a Richardson difference of the quadrature angular period.
 
     P = q int 2 tau / y (the psi2 side, which keeps its digits at small tau

@@ -18,16 +18,20 @@ from sltwist.closure import (RationalTarget, find_tau_for_angular_period,
                              half_period_classification, necklace,
                              verify_closed)
 from sltwist.catenoid import lifetime_routes, verify_catenoid_symmetry
-from sltwist.curve import Curve
 from sltwist.geometry.neck import _neck_span
 from sltwist.periods import _period_span, partial_periods_quadrature, period_ode
-from sltwist.twisted_curve import (AdmissiblePair, TwistParam, f_poly, solve_w,
+from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, f_poly,
                                    tau_max)
 from sltwist.variation import (check_asymptotics, dpthat_dtau_cross_check,
                                solve_Q)
 
 PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 FRACTIONS = [0.1, 0.5, 0.9]
+
+
+def _span(param, periods=1):
+    """The span period_ode reads over ``periods`` periods."""
+    return _period_span(param, *partial_periods_quadrature(param), periods)
 
 
 def report(num, name, ok, detail=""):
@@ -50,7 +54,7 @@ def test_criterion_01_conservation(case_matrix):
     t0 = time.perf_counter()
     worst = 0.0
     for (p, q, frac), (param, data) in case_matrix.items():
-        traj = solve_w(param, (-10.0 * data.p_tau, 10.0 * data.p_tau))
+        traj = TwistTrajectory(param, span=(-10.0 * data.p_tau, 10.0 * data.p_tau))
         worst = max(worst, traj.drift["I1"], traj.drift["I2"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -62,7 +66,7 @@ def test_criterion_01_conservation(case_matrix):
 def test_criterion_02_energy_equation(case_matrix):
     worst = 0.0
     for (p, q, frac), (param, data) in case_matrix.items():
-        traj = solve_w(param, (-10.0 * data.p_tau, 10.0 * data.p_tau))
+        traj = TwistTrajectory(param, span=(-10.0 * data.p_tau, 10.0 * data.p_tau))
         ts = np.linspace(-10.0 * data.p_tau, 10.0 * data.p_tau, 400)
         for t in ts:
             res = abs(traj.ydot(t) ** 2 - 4.0 * f_poly(param.pair, traj.y(t))
@@ -90,7 +94,7 @@ def test_criterion_03_dual_route_periods(case_matrix):
 def test_criterion_04_wronskian(case_matrix):
     worst = 0.0
     for (p, q, frac), (param, data) in case_matrix.items():
-        sol = solve_Q(Curve(param, span=_period_span(param, 1)))
+        sol = solve_Q(TwistTrajectory(param, span=_span(param)))
         ts = np.linspace(-2.0 * data.p_tau, 2.0 * data.p_tau, 50)
         worst = max(worst, max(abs(sol.wronskian(t) - 1.0) for t in ts))
     ok = worst <= 1e-8
@@ -104,7 +108,7 @@ def test_criterion_05_derivative_formula():
     for p, q in PAIRS:
         pair = AdmissiblePair(p, q)
         param = TwistParam(pair, 0.5 * tau_max(pair))
-        res = dpthat_dtau_cross_check(Curve(param, span=_period_span(param, 1)))
+        res = dpthat_dtau_cross_check(TwistTrajectory(param, span=_span(param)))
         worst = max(worst, res["rel_err"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 60.0
@@ -179,7 +183,7 @@ def test_criterion_08_torque():
         pair = AdmissiblePair(p, q)
         param = TwistParam(pair, 0.5 * tau_max(pair))
         tg = geo.t_generator(pair)
-        curve = Curve(param, span=(0.3, 1.1))
+        curve = TwistTrajectory(param, span=(0.3, 1.1))
         a = geo.torque(curve, tg, meridian_t=0.3)
         b = geo.torque(curve, tg, meridian_t=1.1)
         worst_diag = max(worst_diag, a.abs_error)
@@ -188,7 +192,7 @@ def test_criterion_08_torque():
             if not K.diagonal().any():
                 rep = geo.torque(curve, K, meridian_t=0.3)
                 worst_off = max(worst_off, abs(rep.numeric))
-    special = geo.torque(Curve(TwistParam(AdmissiblePair(1, 2), 0.1), span=(0.0, 1.0)),
+    special = geo.torque(TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.1), span=(0.0, 1.0)),
                          geo.t_generator(AdmissiblePair(1, 2)))
     special_gap = abs(special.numeric - 0.6 * math.pi)
     elapsed = time.perf_counter() - t0
@@ -253,8 +257,8 @@ def test_criterion_10_symmetry_residuals(case_matrix):
     worst = 0.0
     worst_key = None
     for (p, q, frac), (param, data) in case_matrix.items():
-        reach = _period_span(param, 2)[1]      # symmetry_residuals reads within 3 p_tau
-        res = geo.symmetry_residuals(Curve(param, span=(-reach, reach)))
+        reach = _span(param, 2)[1]      # symmetry_residuals reads within 3 p_tau
+        res = geo.symmetry_residuals(TwistTrajectory(param, span=(-reach, reach)))
         for key, val in res.items():
             if val > worst:
                 worst, worst_key = val, (p, q, frac, key)
@@ -278,7 +282,7 @@ def test_criterion_11_catenoid():
 
 def test_criterion_12_neck_scaling():
     pair = AdmissiblePair(1, 2)
-    c1, c2 = (geo.neck_rescale(Curve(param, span=_neck_span(param, 1, 2.0)), 1, 2.0)
+    c1, c2 = (geo.neck_rescale(TwistTrajectory(param, span=_neck_span(param, 1, 2.0)), 1, 2.0)
               for param in (TwistParam(pair, 1e-3), TwistParam(pair, 2.5e-4)))
     err_ratio = c1.max_error / c2.max_error
     beta_ratio = c1.beta / c2.beta
@@ -298,7 +302,7 @@ def test_criterion_13_half_period_parity():
     assert rep.half_period_type == (1, 0)
     curve = find_tau_for_angular_period(pair, target)
     param, data = curve.param, curve.period
-    traj = solve_w(param, (0.0, (rep.k0 + 1) * data.p_tau))
+    traj = TwistTrajectory(param, span=(0.0, (rep.k0 + 1) * data.p_tau))
     worst = 0.0
     for t in np.linspace(0.0, data.p_tau, 12):
         a1, a2 = traj.w(t)

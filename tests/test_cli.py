@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sltwist import cli
-from sltwist import curve as curve_mod
+from sltwist import twisted_curve
 from sltwist import variation
 from sltwist.cli import main
 
@@ -247,15 +247,15 @@ def test_closure_refuses_order_above_cap_before_search(monkeypatch, capsys):
 ])
 def test_closure_search_hands_back_the_curve_it_checked(monkeypatch, capsys, argv):
     # the found tau is integrated once, over the closing span, inside the search:
-    # not again for its closure check, nor for a new Curve
+    # not again for its closure check, nor for a new curve object
     spans = []
-    solve_w = curve_mod.solve_w
+    solve_w = twisted_curve.solve_w
 
     def counted(param, span, tol):
         spans.append((param.tau, span))
         return solve_w(param, span, tol)
 
-    monkeypatch.setattr(curve_mod, "solve_w", counted)
+    monkeypatch.setattr(twisted_curve, "solve_w", counted)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     tau = float(out.split()[2])             # "tau = <repr>"
@@ -356,12 +356,12 @@ def test_neck_finds_every_waist_at_p_one(k, capsys):
 
 def _curve(p, q, tau, span=None):
     """The curve a subcommand builds over ``span``, by default its period events' span."""
-    from sltwist.curve import Curve
-    from sltwist.periods import _period_span
-    from sltwist.twisted_curve import AdmissiblePair, TwistParam
+    from sltwist.periods import _period_span, partial_periods_quadrature
+    from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory
 
     param = TwistParam(AdmissiblePair(p, q), tau)
-    return Curve(param, cli.TOL_PRESETS["standard"], span=span or _period_span(param, 1))
+    span = span or _period_span(param, *partial_periods_quadrature(param), 1)
+    return TwistTrajectory(param, cli.TOL_PRESETS["standard"], span=span)
 
 
 def test_export_json_round_trips_the_period_data(tmp_path, capsys):
@@ -384,7 +384,7 @@ def test_export_csv_rows_are_the_curve(tmp_path, capsys):
                      "--samples", "9", "--out", str(out))
     assert code == 0
     ts = np.linspace(-5.0, 5.0, 9)             # the default csv window is 5.0
-    w1, w2 = _curve(2, 3, 0.05, (-5.0, 5.0)).traj.w(ts)
+    w1, w2 = _curve(2, 3, 0.05, (-5.0, 5.0)).w(ts)
     rows = [",".join(format_float(v) for v in (t, a.real, a.imag, b.real, b.imag))
             for t, a, b in zip(ts, w1, w2)]
     assert out.read_text() == "\n".join(["t,re_w1,im_w1,re_w2,im_w2", *rows]) + "\n"
@@ -398,7 +398,7 @@ def test_solve_without_out_reports_the_drift(capsys):
     curve = _curve(1, 2, 0.1, (-reach, reach))
     window = 2.0 * curve.period.p_tau          # the default half window
     assert float(data["window"]) == window
-    assert {k: float(v) for k, v in data["drift"].items()} == curve.traj.drift
+    assert {k: float(v) for k, v in data["drift"].items()} == curve.drift
     code, out, _ = run(capsys, "solve", "--p", "1", "--q", "2", "--tau", "0.1",
                        "--window", "1.5")
     assert code == 0

@@ -10,7 +10,7 @@ from sltwist.closure import (BracketingError, RationalTarget,
                              find_tau_for_angular_period,
                              half_period_classification, k0_from_target,
                              necklace, necklace_scaling_ratio, verify_closed)
-from sltwist.twisted_curve import AdmissiblePair, solve_w
+from sltwist.twisted_curve import AdmissiblePair, TwistTrajectory
 
 
 def test_rational_target_validation():
@@ -146,7 +146,7 @@ def test_strict_half_period_relation():
     curve = find_tau_for_angular_period(pair, target)
     param, data = curve.param, curve.period
     k0 = 10
-    traj = solve_w(param, (0.0, (2 * k0 + 2) * data.p_tau))
+    traj = TwistTrajectory(param, span=(0.0, (2 * k0 + 2) * data.p_tau))
     half = max(
         max(abs(traj.w(t + k0 * data.p_tau)[0] + traj.w(t)[0]),
             abs(traj.w(t + k0 * data.p_tau)[1] - traj.w(t)[1]))
@@ -167,7 +167,7 @@ def test_closed_curve_injective_within_period():
     curve, k0 = necklace(pair, 2)
     param, data = curve.param, curve.period
     T = 2 * k0 * data.p_tau
-    traj = solve_w(param, (0.0, T))
+    traj = TwistTrajectory(param, span=(0.0, T))
     ts = np.arange(0.0, T, 1e-3)
     pts = np.array([traj.state(t)[:4] for t in ts])
     tree = cKDTree(pts)

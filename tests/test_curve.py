@@ -1,4 +1,5 @@
-"""The per-call Curve context: one integration per (pair, tau, tol), array sampling."""
+"""One object per twisted curve, TwistTrajectory: one integration per (pair, tau, tol),
+made by one solve_w call, and array sampling."""
 
 import sys
 import weakref
@@ -7,11 +8,16 @@ import numpy as np
 import pytest
 
 import sltwist.ode_engine as ode_engine
+import sltwist.twisted_curve as twisted_curve
 from sltwist.cli import main
-from sltwist.curve import Curve
-from sltwist.periods import _period_span
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, _field, solve_w
+from sltwist.periods import _period_span, partial_periods_quadrature
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _field
 from sltwist.variation import dpthat_dtau_cross_check
+
+
+def _curve(param):
+    """The curve of ``param`` over the span its period events are read from."""
+    return TwistTrajectory(param, span=_period_span(param, *partial_periods_quadrature(param), 1))
 
 
 def _rebind_everywhere(monkeypatch, original, replacement):
@@ -53,27 +59,44 @@ def test_verify_integrates_each_curve_once(monkeypatch, capsys):
 ])
 def test_each_subcommand_integrates_each_curve_once(monkeypatch, capsys, tmp_path, argv,
                                                     linearised):
-    # one integration of the curve system per distinct tau (initial state), and
-    # Q's own for verify: no read re-integrates a curve over a wider span (the
-    # neck's degree-3 catenoid profile integrates a system of its own)
+    # one integration of the curve system per distinct tau (initial state), each
+    # made by one solve_w call, and Q's own for verify: no read re-integrates a
+    # curve over a wider span (the neck's degree-3 catenoid profile integrates a
+    # system of its own)
     p, q = (int(v) for v in argv.split()[2:5:2])
-    curve_states, others = [], []
+    curve_states, others, solves, inside = [], [], [], []
 
     def counting(field, state0, *args, **kwargs):
-        (curve_states if field is _field(p, q) else others).append(tuple(state0))
+        if field is _field(p, q):
+            curve_states.append((tuple(state0), len(solves), len(inside)))
+        else:
+            others.append(tuple(state0))
         return original(field, state0, *args, **kwargs)
 
-    original = ode_engine.integrate
+    def solving(*args, **kwargs):
+        solves.append(args[0].tau)
+        inside.append(True)
+        try:
+            return original_solve_w(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    original, original_solve_w = ode_engine.integrate, twisted_curve.solve_w
     _rebind_everywhere(monkeypatch, original, counting)
+    _rebind_everywhere(monkeypatch, original_solve_w, solving)
     out = ["--out", str(tmp_path / "x")] if argv.startswith("export") else []
     assert main(argv.split() + out) == 0
-    assert curve_states and len(curve_states) == len(set(curve_states))
+    states = [s for s, _, _ in curve_states]
+    assert curve_states and len(states) == len(set(states))
+    # the k-th integration is made inside the k-th solve_w call, and no call makes two
+    assert [(n, depth) for _, n, depth in curve_states] == [
+        (k + 1, 1) for k in range(len(curve_states))]
+    assert len(solves) == len(curve_states)
     assert sum(len(s) == 6 for s in others) == linearised
 
 
 def test_cross_check_integrates_nothing(monkeypatch):
-    param = TwistParam(AdmissiblePair(2, 3), 1e-5)
-    curve = Curve(param, span=_period_span(param, 1))
+    curve = _curve(TwistParam(AdmissiblePair(2, 3), 1e-5))
     assert curve.Q.period is curve.period
 
     def refusing(*args, **kwargs):
@@ -85,23 +108,22 @@ def test_cross_check_integrates_nothing(monkeypatch):
 
 def test_curve_lives_only_for_the_call(monkeypatch, capsys):
     refs = []
-    init = Curve.__init__
+    init = TwistTrajectory.__init__
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
         refs.append((self.param.tau, weakref.ref(self)))
 
-    monkeypatch.setattr(Curve, "__init__", recording)
+    monkeypatch.setattr(TwistTrajectory, "__init__", recording)
     assert main(["verify", "--p", "1", "--q", "2", "--tau", "0.1"]) == 0
     assert [tau for tau, _ in refs] == [0.1]
     assert all(ref() is None for _, ref in refs)
 
 
 def test_curve_computes_each_piece_once(monkeypatch):
-    param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    curve = Curve(param, span=_period_span(param, 1))
+    curve = _curve(TwistParam(AdmissiblePair(2, 3), 0.05))
     assert curve.period is curve.period
-    assert curve.traj is curve.traj
+    assert curve.trajectory is curve.trajectory
     assert curve.Q is curve.Q and curve.Q.period is curve.period
     # a read outside the stated span is refused, naming it, and integrates nothing
     lo, hi = curve.span
@@ -112,16 +134,16 @@ def test_curve_computes_each_piece_once(monkeypatch):
     _rebind_everywhere(monkeypatch, ode_engine.integrate, refusing)
     for t in (hi + 1.0, lo - 1.0, np.array([0.0, hi + 1.0])):
         with pytest.raises(ValueError, match=f"outside the integrated span \\[{lo}, {hi}\\]"):
-            curve.traj.w(t)
+            curve.w(t)
     with pytest.raises(ValueError, match="no integrated endpoint"):
-        curve.traj.trajectory.endpoint(hi + 1.0)
-    assert curve.traj is curve.traj
+        curve.trajectory.endpoint(hi + 1.0)
+    assert curve.trajectory is curve.trajectory
 
 
 @pytest.mark.parametrize("tau", [0.05, -0.05, 0.0])
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
 def test_array_accessors_equal_scalar_ones_bitwise(p, q, tau):
-    traj = solve_w(TwistParam(AdmissiblePair(p, q), tau), (-2.5, 3.0))
+    traj = TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), span=(-2.5, 3.0))
     ts = np.concatenate([np.linspace(-2.5, 3.0, 37), [0.0]])
     w1, w2 = traj.w(ts)
     undefined = p == 1 and tau == 0.0        # w1 passes through 0 at t = 0
@@ -146,9 +168,9 @@ def test_array_residuals_match_point_by_point_loops(p, q, tau):
     from sltwist.closure import verify_closed
 
     param = TwistParam(AdmissiblePair(p, q), tau)
-    reach = _period_span(param, 2)[1]       # verify_closed(curve, 1) reads to 4 p_tau
-    curve = Curve(param, span=(-reach, reach))
-    data, traj = curve.period, curve.traj
+    reach = _period_span(param, *partial_periods_quadrature(param), 2)[1]    # to 4 p_tau
+    curve = TwistTrajectory(param, span=(-reach, reach))
+    data, traj = curve.period, curve
     M = np.diag(geo.mhat(curve.param.pair, 2.0 * data.pthat))
     translation = max(np.max(np.abs(np.array(traj.w(t + 2.0 * data.p_tau))
                                     - M @ np.array(traj.w(t))))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import sltwist.geometry as geo
-from sltwist.curve import Curve
 from sltwist.geometry.immersion import _sampler_span
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w, tau_max
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max
 
 
 # the equatorial twisting curve w(t) = (cos t, sin t)
@@ -16,7 +15,7 @@ CIRCLE = geo.CurveSampler(lambda t: (np.cos(t), np.sin(t)), lambda t: (-np.sin(t
 
 def _sampler(param, t_range):
     """The immersion over the chart times t_range, its curve over the span it reads."""
-    return geo.immersion_sampler(Curve(param, span=_sampler_span(t_range)), t_range)
+    return geo.immersion_sampler(TwistTrajectory(param, span=_sampler_span(t_range)), t_range)
 
 
 # -- immersion and Legendrian checks -----------------------------------------
@@ -34,7 +33,7 @@ def test_extreme_twist_homogeneous_formula_p1():
     pair = AdmissiblePair(1, 2)
     tm = tau_max(pair)
     param = TwistParam(pair, tm)
-    traj = solve_w(param, (0.0, 3.0))
+    traj = TwistTrajectory(param, span=(0.0, 3.0))
     n = 3
     for t in (0.0, 0.7, 2.2):
         w1_ref = -1j * math.sqrt(1.0 / n) * np.exp(2j * n * tm * t)
@@ -49,7 +48,7 @@ def test_extreme_twist_homogeneous_formula_p_gt_1(p, q):
     pair = AdmissiblePair(p, q)
     n = pair.n
     tm = tau_max(pair)
-    traj = solve_w(TwistParam(pair, tm), (0.0, 3.0))
+    traj = TwistTrajectory(TwistParam(pair, tm), span=(0.0, 3.0))
     for t in (0.0, 0.6, 1.7, 2.9):
         w1, w2 = traj.w(t)
         ref1 = math.sqrt(p / n) * np.exp(-1j * math.pi / (4 * p)) * np.exp(2j * n * tm * t / p)
@@ -63,7 +62,7 @@ def test_pullback_metric_coefficients():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     sampler = _sampler(param, (-1.0, 1.0))
     h = 1e-5
-    traj = solve_w(param, (-1.2, 1.2))
+    traj = TwistTrajectory(param, span=(-1.2, 1.2))
     for u in sampler.sample_points(8, seed=2):
         y = traj.y(u[0])
         pq = param.pair
@@ -145,8 +144,8 @@ def test_cs_curve_is_legendrian_analytically():
 def test_twisted_product_reproduces_cylinder():
     pair = AdmissiblePair(2, 3)
     param = TwistParam(pair, 0.05)
-    traj = solve_w(param, (-2.0, 2.0))
-    curve = geo.twist_curve_sampler(Curve(param, span=(-2.0, 2.0)))
+    traj = TwistTrajectory(param, span=(-2.0, 2.0))
+    curve = geo.twist_curve_sampler(TwistTrajectory(param, span=(-2.0, 2.0)))
     prod = geo.twisted_product(geo.equatorial_factor(2),
                                geo.equatorial_factor(3), curve, (-1.0, 1.0))
     for u in prod.sample_points(10, seed=4):
@@ -161,12 +160,12 @@ def test_twisted_product_reproduces_cylinder():
 def test_twisted_product_phase_relation():
     pair = AdmissiblePair(1, 2)
     param = TwistParam(pair, 0.1)
-    curve = geo.twist_curve_sampler(Curve(param, span=(-2.0, 2.0)))
+    curve = geo.twist_curve_sampler(TwistTrajectory(param, span=(-2.0, 2.0)))
     res = geo.phase_relation_residual(geo.equatorial_factor(1), geo.equatorial_factor(2), curve,
                                       np.linspace(-0.8, 0.8, 5))
     assert res < 1e-6
     pair23 = AdmissiblePair(2, 3)
-    curve23 = geo.twist_curve_sampler(Curve(TwistParam(pair23, 0.05), span=(-2.0, 2.0)))
+    curve23 = geo.twist_curve_sampler(TwistTrajectory(TwistParam(pair23, 0.05), span=(-2.0, 2.0)))
     res23 = geo.phase_relation_residual(geo.equatorial_factor(2),
                                         geo.equatorial_factor(3), curve23,
                                         np.linspace(-0.8, 0.8, 5))
@@ -195,10 +194,9 @@ def _reference_cylinder(curve, t_range):
     the real chart points s1, s2, the reference for the product's points."""
     pair = curve.param.pair
     p, q = pair.p, pair.q
-    traj = curve.traj
 
     def fn(u):
-        w1, w2 = traj.w(u[..., 0])
+        w1, w2 = curve.w(u[..., 0])
         s1 = geo.immersion._chart_point(p - 1, u[..., 1:p])
         s2 = geo.immersion._chart_point(q - 1, u[..., p:])
         return np.concatenate([np.asarray(w1)[..., None] * s1,
@@ -212,7 +210,8 @@ def _reference_cylinder(curve, t_range):
 def test_cylinder_is_the_twisted_product_bit_for_bit(p, q, sign):
     pair = AdmissiblePair(p, q)
     t_range = (-1.2, 0.9)
-    curve = Curve(TwistParam(pair, sign * 0.3 * tau_max(pair)), span=_sampler_span(t_range))
+    curve = TwistTrajectory(TwistParam(pair, sign * 0.3 * tau_max(pair)),
+                            span=_sampler_span(t_range))
     sampler = geo.immersion_sampler(curve, t_range)
     assert sampler.box[0] == t_range and sampler.dim == pair.n - 1
     u = sampler.sample_points(1000, seed=7)
@@ -224,7 +223,8 @@ def test_cylinder_is_the_twisted_product_bit_for_bit(p, q, sign):
 
 def test_product_reads_its_curve_inside_the_integrated_span():
     # the product's time box is t_range, not a fixed (-1, 1) beyond the curve
-    curve = geo.twist_curve_sampler(Curve(TwistParam(AdmissiblePair(1, 2), 0.1), span=(0.0, 0.5)))
+    curve = geo.twist_curve_sampler(TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.1),
+                                                    span=(0.0, 0.5)))
     prod = geo.twisted_product(geo.equatorial_factor(1), geo.equatorial_factor(2), curve,
                                (0.05, 0.45))
     u = prod.sample_points(200, seed=1)
@@ -234,8 +234,8 @@ def test_product_reads_its_curve_inside_the_integrated_span():
 
 def test_curve_samplers_read_arrays():
     ts = np.linspace(-3.0, 3.0, 41)
-    twist = geo.twist_curve_sampler(Curve(TwistParam(AdmissiblePair(2, 3), -0.05),
-                                          span=(-3.0, 3.0)))
+    twist = geo.twist_curve_sampler(TwistTrajectory(TwistParam(AdmissiblePair(2, 3), -0.05),
+                                                    span=(-3.0, 3.0)))
     w1, w2 = twist(ts)
     for i, t in enumerate(ts):
         a1, a2 = twist(t)

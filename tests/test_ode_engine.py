@@ -7,12 +7,11 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
 
 from sltwist import ode_engine
 from sltwist.catenoid import _profile_field, catenoid_lifetime
-from sltwist.curve import Curve
 from sltwist.ode_engine import (EventError, IntegrationError, Tolerances,
                                 integrate, locate_event)
 from sltwist.periods import _period_span, partial_periods_quadrature
-from sltwist.twisted_curve import (AdmissiblePair, TwistParam, _field, initial_state,
-                                   tau_max)
+from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _field,
+                                   initial_state, tau_max)
 
 
 _PAIRS_N8 = [(p, q) for p in range(1, 5) for q in range(max(p, 2), 9 - p)]
@@ -246,9 +245,9 @@ def test_endpoint_is_an_integrate_run_bit_for_bit(p, q, frac, monkeypatch):
     # the anchor, on the curve (with its per-component atol) and on (w, Q, Q')
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, frac * tau_max(pair))
-    lo, hi = _period_span(param, 1)
-    curve = Curve(param, span=(min(lo, -3.0), max(hi, 4.0)))
-    traj = curve.traj.trajectory
+    lo, hi = _period_span(param, *partial_periods_quadrature(param), 1)
+    curve = TwistTrajectory(param, span=(min(lo, -3.0), max(hi, 4.0)))
+    traj = curve.trajectory
     scale = np.array(traj.atol) / traj.tol.tol
     assert tuple((traj.tol.tol * scale).tolist()) == traj.atol
     ts = [-2.9, -1.3, -0.01, 0.01, 1.7, 3.95, traj.time_grid[1], traj.time_grid[-2]]

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from sltwist.curve import Curve
 from sltwist.periods import (_period_span, partial_periods_quadrature, period_ode,
                              pthat_quadrature, pthat_quadrature_psi2)
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, solve_w, tau_max
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max
 
 PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
 
 def _curve(param):
     """The curve over the span its period events are read from."""
-    return Curve(param, span=_period_span(param, 1))
+    return TwistTrajectory(param, span=_period_span(param, *partial_periods_quadrature(param), 1))
 
 
 @pytest.mark.parametrize("p,q", PAIRS)
@@ -84,14 +83,14 @@ def test_quadrature_and_ode_angular_period_agree():
 def test_half_period_angle_doubling_p1():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     data = period_ode(param)
-    traj = solve_w(param, (0.0, 2.0 * data.p_tau))
+    traj = TwistTrajectory(param, span=(0.0, 2.0 * data.p_tau))
     psi1_half, _ = traj.psi(data.p_tau)
     assert abs(data.psi1_2p - 2.0 * psi1_half) < 1e-9
 
 
 def test_angles_are_monotone():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    traj = solve_w(param, (0.0, 8.0))
+    traj = TwistTrajectory(param, span=(0.0, 8.0))
     ts = np.linspace(0.0, 8.0, 60)
     psi1 = [traj.psi(t)[0] for t in ts]
     psi2 = [traj.psi(t)[1] for t in ts]
@@ -108,7 +107,7 @@ def test_small_twist_angles_from_w(p, q, tau):
     curve = _curve(param)
     data = curve.period
     assert abs(-0.5 * q * data.psi2_2p - pthat_quadrature_psi2(param)) <= 1e-10
-    steps = len(curve.traj.trajectory.time_grid) - 1
+    steps = len(curve.trajectory.time_grid) - 1
     assert steps <= 1000
 
 
@@ -129,7 +128,7 @@ def test_angular_period_exceeds_quarter_turn():
 def test_psi_constraint_anchor_point():
     # at t = 0 (p = 1) y is maximal, so Psi = 0 and sqrt(f) = 2 tau exactly
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    traj = solve_w(param, (0.0, 0.5))
+    traj = TwistTrajectory(param, span=(0.0, 0.5))
     from sltwist.twisted_curve import f_poly
 
     y0 = traj.y(0.0)
@@ -201,3 +200,32 @@ def test_periods_exit_zero_near_tau_max(p, q, k, capsys):
     tau = (1.0 - 10.0 ** -k) * tau_max(AdmissiblePair(p, q))
     assert main(["periods", "--p", str(p), "--q", str(q), "--tau", repr(tau), "--json"]) == 0
     assert float(json.loads(capsys.readouterr().out)["route_gap_p_tau"]) <= 1e-8
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
+def test_partial_periods_are_evaluated_once_per_period_ode_and_neck_span(monkeypatch, p, q):
+    # the quadrature's partial periods give both the span and the Newton seeds of
+    # period_ode, and both the waist and the period span of the neck's span
+    import sys
+
+    from sltwist.geometry.neck import _neck_span
+    from sltwist.ode_engine import Tolerances
+
+    original, calls = partial_periods_quadrature, []
+
+    def counting(param):
+        calls.append(param)
+        return original(param)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("sltwist"):
+            for name, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, name, counting)
+    param = TwistParam(AdmissiblePair(p, q), 1e-3)
+    curve = TwistTrajectory(param, span=_period_span(param, *original(param), 1))
+    period_ode(param, Tolerances(), curve)
+    assert calls == [param]
+    calls.clear()
+    _neck_span(param, 1, None)
+    assert calls == [param]

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 import sltwist.geometry as geo
-from sltwist.curve import Curve
-from sltwist.periods import _period_span, period_ode
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, tau_max, y_extrema
+from sltwist.periods import _period_span, partial_periods_quadrature, period_ode
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max, y_extrema
 
 
 def _curve(param, span=None):
     """The curve over ``span``, by default two periods each way, which holds
     every read of the symmetry, sphere and waist checks below."""
     if span is None:
-        reach = _period_span(param, 2)[1]
+        reach = _period_span(param, *partial_periods_quadrature(param), 2)[1]
         span = (-reach, reach)
-    return Curve(param, span=span)
+    return TwistTrajectory(param, span=span)
 
 
 # -- sphere quadrature calibration ---------------------------------------------
@@ -339,13 +338,11 @@ def test_waists_alternate_for_p_gt_1():
 
 
 def test_waist_radii_match_extrema():
-    from sltwist.twisted_curve import solve_w
-
     param = TwistParam(AdmissiblePair(2, 2), 0.06)
     data = period_ode(param)
     y_min, y_max = y_extrema(param)
     ws, _ = geo.waists_and_bulges(_curve(param), (0.0, 2 * data.p_tau))
-    traj = solve_w(param, (-2 * data.p_tau, 3 * data.p_tau))
+    traj = TwistTrajectory(param, span=(-2 * data.p_tau, 3 * data.p_tau))
     for w in ws:
         if -2 * data.p_tau < w.t < 3 * data.p_tau:
             y = traj.y(w.t)

@@ -8,8 +8,8 @@ from hypothesis import strategies as hs
 
 from sltwist.ode_engine import Tolerances, integrate
 from sltwist.periods import period_ode
-from sltwist.twisted_curve import (AdmissiblePair, TwistParam, SphereState, _field, _gaps, _w,
-                                   f_poly, f_prime, initial_state, solve_w, tau_max,
+from sltwist.twisted_curve import (AdmissiblePair, TwistParam, SphereState, TwistTrajectory,
+                                   _field, _gaps, _w, f_poly, f_prime, initial_state, tau_max,
                                    y_extrema)
 
 PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
@@ -149,14 +149,14 @@ def test_sphere_state_validates_norm():
 
 
 def test_solve_w_real_slice_at_zero_twist():
-    traj = solve_w(TwistParam(AdmissiblePair(2, 2), 0.0), (-3.0, 3.0))
+    traj = TwistTrajectory(TwistParam(AdmissiblePair(2, 2), 0.0), span=(-3.0, 3.0))
     for t in np.linspace(-3.0, 3.0, 40):
         w1, w2 = traj.w(t)
         assert abs(w1.imag) < 1e-10 and abs(w2.imag) < 1e-10
 
 
 def test_solve_w_p1_zero_twist_sign_convention():
-    traj = solve_w(TwistParam(AdmissiblePair(1, 2), 0.0), (-2.0, 2.0))
+    traj = TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.0), span=(-2.0, 2.0))
     w1_neg, _ = traj.w(-1.0)
     w1_pos, _ = traj.w(1.0)
     assert w1_neg.imag == 0.0 and w1_pos.imag == 0.0
@@ -166,14 +166,14 @@ def test_solve_w_p1_zero_twist_sign_convention():
 
 def test_solve_w_extreme_twist_constant_radius():
     pair = AdmissiblePair(1, 2)
-    traj = solve_w(TwistParam(pair, tau_max(pair)), (0.0, 10.0))
+    traj = TwistTrajectory(TwistParam(pair, tau_max(pair)), span=(0.0, 10.0))
     for t in np.linspace(0.0, 10.0, 60):
         assert abs(traj.y(t) - 2.0 / 3.0) < 1e-10
 
 
 def test_solve_w_energy_equation_pointwise():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    traj = solve_w(param, (0.0, 12.0))
+    traj = TwistTrajectory(param, span=(0.0, 12.0))
     for t in np.linspace(0.0, 12.0, 200):
         y = traj.y(t)
         res = traj.ydot(t) ** 2 - 4.0 * f_poly(param.pair, y) + 16.0 * param.tau**2
@@ -183,7 +183,7 @@ def test_solve_w_energy_equation_pointwise():
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 3, 0.05), (2, 2, 0.06)])
 def test_solve_w_conserved_drift(p, q, tau):
     param = TwistParam(AdmissiblePair(p, q), tau)
-    traj = solve_w(param, (-20.0, 20.0))
+    traj = TwistTrajectory(param, span=(-20.0, 20.0))
     assert traj.drift["I1"] < 1e-9
     assert traj.drift["I2"] < 1e-9
 
@@ -197,7 +197,7 @@ def test_drift_is_computed_on_first_read_as_the_invariants_were(p, q, sign):
 
     pair = AdmissiblePair(p, q)
     tau = sign * 0.3 * tau_max(pair)
-    traj = solve_w(TwistParam(pair, tau), (-5.0, 6.0))
+    traj = TwistTrajectory(TwistParam(pair, tau), span=(-5.0, 6.0))
     assert "drift" not in traj.__dict__
     inv = {"I1": (lambda s: s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2, 1.0),
            "I2": (lambda s: _twist(pair, complex(s[0], s[1]), complex(s[2], s[3])).imag,
@@ -212,7 +212,7 @@ def test_drift_is_computed_on_first_read_as_the_invariants_were(p, q, sign):
 
 def test_solve_w_second_derivative_matches_force():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    traj = solve_w(param, (0.0, 6.0))
+    traj = TwistTrajectory(param, span=(0.0, 6.0))
     h = 1e-3
     for t in np.linspace(0.5, 5.5, 25):
         ydd = (-traj.y(t + 2 * h) + 16 * traj.y(t + h) - 30 * traj.y(t)
@@ -223,20 +223,20 @@ def test_solve_w_second_derivative_matches_force():
 def test_solve_w_range_of_y():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     y_min, y_max = y_extrema(param)
-    traj = solve_w(param, (-10.0, 10.0))
+    traj = TwistTrajectory(param, span=(-10.0, 10.0))
     ys = [traj.y(t) for t in np.linspace(-10.0, 10.0, 300)]
     assert min(ys) > y_min - 1e-9 and max(ys) < y_max + 1e-9
 
 
 def test_solve_w_initial_conditions_of_y():
     p23 = TwistParam(AdmissiblePair(2, 3), 0.05)
-    traj = solve_w(p23, (0.0, 1.0))
+    traj = TwistTrajectory(p23, span=(0.0, 1.0))
     assert abs(traj.y(0.0) - 3.0 / 5.0) < 1e-10
     expected = -4.0 * math.sqrt(tau_max(p23.pair) ** 2 - 0.05**2)
     assert abs(traj.ydot(0.0) - expected) < 1e-10
 
     p12 = TwistParam(AdmissiblePair(1, 2), 0.1)
-    traj = solve_w(p12, (0.0, 1.0))
+    traj = TwistTrajectory(p12, span=(0.0, 1.0))
     _, y_max = y_extrema(p12)
     assert abs(traj.y(0.0) - y_max) < 1e-10
     assert abs(traj.ydot(0.0)) < 1e-10
@@ -249,7 +249,7 @@ def test_solve_w_initial_conditions_of_y():
 def test_negative_twist_is_exact_conjugate(p, q, frac):
     pair = AdmissiblePair(p, q)
     plus, minus = (TwistParam(pair, sign * frac * tau_max(pair)) for sign in (1.0, -1.0))
-    a, b = solve_w(plus, (-2.0, 3.0)), solve_w(minus, (-2.0, 3.0))
+    a, b = TwistTrajectory(plus, span=(-2.0, 3.0)), TwistTrajectory(minus, span=(-2.0, 3.0))
     conj = np.array([1.0, -1.0, 1.0, -1.0])
     assert np.array_equal(b.trajectory.time_grid, a.trajectory.time_grid)
     assert np.array_equal(b.trajectory.states, a.trajectory.states * conj)
@@ -270,7 +270,7 @@ def test_solve_w_atol_scale_agrees_with_unscaled_integration(p, q, tau):
     # plain integration without the scale takes other steps to the same curve
     param = TwistParam(AdmissiblePair(p, q), tau)
     ts = np.linspace(0.0, 2.0, 50)
-    scaled = solve_w(param, (0.0, 2.0))
+    scaled = TwistTrajectory(param, span=(0.0, 2.0))
     plain = integrate(_field(p, q), initial_state(param).as_real(), (0.0, 2.0), Tolerances(),
                       t0=0.0)
     assert scaled.trajectory.atol != plain.atol
@@ -282,7 +282,7 @@ def test_solve_w_atol_scale_agrees_with_unscaled_integration(p, q, tau):
 def test_time_zero_readable_on_one_sided_span(span, p, q, tau):
     # t = 0 is the initial state of whichever piece was integrated
     param = TwistParam(AdmissiblePair(p, q), tau)
-    traj = solve_w(param, span)
+    traj = TwistTrajectory(param, span=span)
     s0 = initial_state(param)
     assert np.allclose(traj.state(0.0), s0.as_real(), rtol=0.0, atol=1e-15)
     assert traj.w(0.0) == (complex(traj.state(0.0)[0], traj.state(0.0)[1]),
@@ -301,8 +301,8 @@ def test_two_sided_curve_reads_as_its_one_sided_spans(p, q, sign):
     # spans are long enough for arg w2 to wrap on each side
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, sign * 0.3 * tau_max(pair))
-    both = solve_w(param, (-25.0, 30.0))
-    fwd, bwd = solve_w(param, (0.0, 30.0)), solve_w(param, (-25.0, 0.0))
+    both = TwistTrajectory(param, span=(-25.0, 30.0))
+    fwd, bwd = TwistTrajectory(param, span=(0.0, 30.0)), TwistTrajectory(param, span=(-25.0, 0.0))
     for side, ts in ((fwd, np.linspace(0.0, 30.0, 150)), (bwd, np.linspace(-25.0, 0.0, 150))):
         for a, b in zip(both.psi(ts) + both.w(ts), side.psi(ts) + side.w(ts)):
             assert np.array_equal(a, b)
@@ -315,15 +315,16 @@ def test_state_readers_equal_the_expressions_they_replace(p, q, tau):
     # bit for bit, on the 4-component curve and the 6-component (w, Q, Q')
     # states, at dense reads and grid nodes; at zero twist Im w stays +-0,
     # and _w keeps the sign of each zero (re + 1j im would not)
-    from sltwist.curve import Curve
-    from sltwist.periods import _period_span
+    from sltwist.periods import _period_span, partial_periods_quadrature
     from sltwist.twisted_curve import _w, _y, _ydot
 
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, tau)
-    reach = max(3.0, _period_span(param, 1)[1]) if tau else 3.0    # Q reads the period
-    curve = Curve(param, span=(-reach, reach))
-    traj = curve.traj
+    reach = 3.0                 # Q reads the period
+    if tau:
+        reach = max(reach, _period_span(param, *partial_periods_quadrature(param), 1)[1])
+    curve = TwistTrajectory(param, span=(-reach, reach))
+    traj = curve
     ts = np.concatenate([np.linspace(-3.0, 3.0, 61), [0.0, -0.0]])
     states = [traj.trajectory(ts), traj.trajectory.states.T, traj.trajectory.states[9]]
     if tau:
@@ -350,7 +351,6 @@ def test_state_readers_equal_the_expressions_they_replace(p, q, tau):
 def test_tau_domain_is_refused_once_by_the_extrema(which, p, q):
     # tau = 0 and |tau| within the margin of tau_max reach y_extrema's refusal
     import sltwist.geometry as geo
-    from sltwist.curve import Curve
     from sltwist.periods import partial_periods_quadrature
     from sltwist.variation import solve_Q
 
@@ -361,4 +361,4 @@ def test_tau_domain_is_refused_once_by_the_extrema(which, p, q):
                          (tau_max(pair) * (1 - 1e-11), "too close to tau_max"),
                          (-tau_max(pair), "too close to tau_max")]:
         with pytest.raises(ValueError, match=message):
-            call(Curve(TwistParam(pair, tau), span=(-1.0, 1.0)))
+            call(TwistTrajectory(TwistParam(pair, tau), span=(-1.0, 1.0)))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from sltwist import variation
-from sltwist.curve import Curve
-from sltwist.periods import _branch_halves, _period_span, period_ode
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, tau_max, y_extrema
+from sltwist.periods import _branch_halves, _period_span, partial_periods_quadrature, period_ode
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max, y_extrema
 from sltwist.variation import (asymptotic_constants, check_asymptotics,
                                dpthat_dtau, dpthat_dtau_cross_check, solve_Q,
                                time_scale)
@@ -16,7 +15,7 @@ PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
 def _curve(param):
     """The curve over the span its period events are read from."""
-    return Curve(param, span=_period_span(param, 1))
+    return TwistTrajectory(param, span=_period_span(param, *partial_periods_quadrature(param), 1))
 
 
 def test_wronskian_is_one_along_solution():
@@ -59,9 +58,7 @@ def test_radius_combination_solves_linearised_equation():
     # the same second-order equation via finite differences of y
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     pair = param.pair
-    from sltwist.twisted_curve import solve_w
-
-    traj = solve_w(param, (0.0, 5.0))
+    traj = TwistTrajectory(param, span=(0.0, 5.0))
     h = 1e-3
     for t in np.linspace(0.5, 4.5, 20):
         phi = lambda s: pair.q - pair.n * traj.y(s)
