@@ -22,8 +22,7 @@ from .periods import (PeriodData, angular_periods, branch_integral, partial_peri
 from .twisted_curve import (AdmissiblePair, SphereState, TwistParam,
                             TwistTrajectory, alpha_tau, f_poly, f_prime,
                             initial_state, solve_w, tau_max, velocity, y_extrema)
-from .variation import (AsymptoticsReport, LinearisedSolution, asymptotic_constants,
-                        check_asymptotics, dpthat_dtau, dpthat_dtau_cross_check,
-                        solve_Q, time_scale)
+from .variation import (AsymptoticsReport, asymptotic_constants, check_asymptotics,
+                        dpthat_dtau, dpthat_dtau_cross_check, solve_Q, time_scale)
 
 __version__ = "0.1.0"

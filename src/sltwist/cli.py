@@ -27,7 +27,7 @@ from .ode_engine import EventError, IntegrationError, Tolerances
 from .periods import (_period_span, partial_periods_quadrature, period_ode, pthat_quadrature,
                       pthat_quadrature_psi2)
 from .twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, f_poly
-from .variation import check_asymptotics, dpthat_dtau_cross_check
+from .variation import check_asymptotics, dpthat_dtau_cross_check, wronskian_drift
 
 TOL_PRESETS = {
     "fast": Tolerances(1e-9),
@@ -74,8 +74,7 @@ def _bounded(kind, ok, what: str):
 def cmd_solve(args) -> int:
     param = _param(args)
     by_period = not args.window and args.tau != 0.0     # the window is 2 p_tau both ways
-    reach = (_period_span(param, *partial_periods_quadrature(param), 1)[1] if by_period
-             else args.window or 5.0)
+    reach = _period_span(param, 1)[1] if by_period else args.window or 5.0
     curve = TwistTrajectory(param, TOL_PRESETS[args.tol], span=(-reach, reach))
     half_window = 2.0 * curve.period.p_tau if by_period else reach
     if args.out:
@@ -92,8 +91,7 @@ def cmd_solve(args) -> int:
 
 def cmd_periods(args) -> int:
     param = _param(args)
-    tol = TOL_PRESETS[args.tol]
-    data = period_ode(param, tol)
+    data = period_ode(TwistTrajectory(param, TOL_PRESETS[args.tol], span=_period_span(param, 1)))
     qp, qm = partial_periods_quadrature(param)
     gap = abs(qp + qm - data.p_tau)
     payload = dataclasses.asdict(data)
@@ -204,7 +202,8 @@ def cmd_export(args) -> int:
     param, tol = _param(args), TOL_PRESETS[args.tol]
     if args.format == "json":
         with open(args.out, "w") as fh:
-            fh.write(report_to_json(period_ode(param, tol), kind="PeriodData") + "\n")
+            curve = TwistTrajectory(param, tol, span=_period_span(param, 1))
+            fh.write(report_to_json(period_ode(curve), kind="PeriodData") + "\n")
     elif args.format == "csv":
         w = args.window or 5.0
         ts = np.linspace(-w, w, args.samples)
@@ -245,7 +244,7 @@ def cmd_verify(args) -> int:
     checks.append(("pthat psi2 route gap",
                    abs(-0.5 * pair.q * data.psi2_2p - pthat_quadrature_psi2(param)), 1e-8))
 
-    checks.append(("Wronskian drift", curve.Q.wronskian_drift, 1e-8))
+    checks.append(("Wronskian drift", wronskian_drift(curve), 1e-8))
     cross = dpthat_dtau_cross_check(curve)
     checks.append(("dpthat/dtau rel gap", cross["rel_err"], 1e-6))
 

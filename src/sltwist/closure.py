@@ -16,8 +16,7 @@ import numpy as np
 
 from .ode_engine import Tolerances, brent
 # closure.period_ode stays a name of this module: perfbench's tracer looks it up here
-from .periods import (_period_span, angular_periods, partial_periods_quadrature,  # noqa: F401
-                      period_ode, pthat_quadrature)
+from .periods import _period_span, angular_periods, period_ode, pthat_quadrature  # noqa: F401
 from .twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max
 
 __all__ = [
@@ -136,8 +135,7 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
     def g_ode(t):
         if t not in curves:
             param = TwistParam(pair, t)
-            span = _period_span(param, *partial_periods_quadrature(param), k0 + 1)
-            curves[t] = TwistTrajectory(param, tol, span=span)
+            curves[t] = TwistTrajectory(param, tol, span=_period_span(param, k0 + 1))
         return curves[t].period.pthat - angle
 
     err = g_ode(tau0)

@@ -53,10 +53,9 @@ def _window(param: TwistParam, p_plus: float, p_minus: float, k: int, b: float |
 def _neck_span(param: TwistParam, waist_index: int, b: float | None) -> tuple[float, float]:
     """The span :func:`neck_rescale` reads: the period events' and the window
     about the waist placed by the quadrature, padded as the events are."""
-    partials = partial_periods_quadrature(param)
-    waist, _, b, _, scale = _window(param, *partials, waist_index, b)
+    waist, _, b, _, scale = _window(param, *partial_periods_quadrature(param), waist_index, b)
     reach = scale * b + 1e-6 * abs(waist.t) + 1e-3
-    lo, hi = _period_span(param, *partials, 1)
+    lo, hi = _period_span(param, 1)
     return min(lo, waist.t - reach), max(hi, waist.t + reach)
 
 

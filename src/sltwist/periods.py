@@ -21,10 +21,11 @@ and reads the angles psi_i off arg w on the same trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .ode_engine import Tolerances, locate_event
+from .ode_engine import locate_event
 from .twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _extrema, _gaps, _y,
                             _ydot, f_prime, f_taylor_coeffs)
 
@@ -107,6 +108,7 @@ def branch_integral(param: TwistParam, h) -> float:
     return float(lo + hi)
 
 
+@lru_cache(maxsize=64)     # a curve's span, Newton seeds and route gap ask for the same tau
 def partial_periods_quadrature(param: TwistParam) -> tuple[float, float]:
     """(p_plus, p_minus) by singular quadrature.
 
@@ -148,18 +150,17 @@ def pthat_quadrature_psi2(param: TwistParam) -> float:
     return 2.0 * param.pair.q * param.tau * branch_integral(param, _psi2_weight)
 
 
-def _period_span(param: TwistParam, p_plus: float, p_minus: float,
-                 periods: int) -> tuple[float, float]:
+def _period_span(param: TwistParam, periods: int) -> tuple[float, float]:
     """The span :func:`period_ode` reads, forward over ``periods`` periods 2 p_tau,
     from the quadrature's partial periods p_plus and p_minus: 1e-6 relative and
     1e-3 past 2 p_tau, and back to 1.5 p_minus and 1e-3 for p > 1, where
     -p_minus is an event."""
+    p_plus, p_minus = partial_periods_quadrature(param)
     fwd = 2.0 * periods * (p_plus + p_minus) * (1.0 + 1e-6) + 1e-3
     return (-(1.5 * p_minus + 1e-3) if param.pair.p > 1 else 0.0), fwd
 
 
-def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
-               curve: TwistTrajectory | None = None) -> PeriodData:
+def period_ode(curve: TwistTrajectory) -> PeriodData:
     """Period data from extremum events on the integrated curve.
 
     The events are the zeros of y' = -2 Re(w1^p w2^q), located by Newton's
@@ -170,16 +171,12 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
     of y, where psi1' = 2 tau/(1 - y) is about 1/(2 tau); the event located
     is that maximum, and p_tau is half its time (at the minimum, y'' is only
     2 q y_min^(q-1), so a state error moves the event that much more).
-    The trajectory is read off ``curve``, whose span must hold
-    :func:`_period_span` (a new TwistTrajectory of (param, tol) over it by
-    default).
+    ``curve``'s span must hold :func:`_period_span` over one period.
     """
+    param = curve.param
     pair = param.pair
     p_est_plus, p_est_minus = partial_periods_quadrature(param)
     p_est = p_est_plus + p_est_minus
-    span = _period_span(param, p_est_plus, p_est_minus, 1)
-    if curve is None:
-        curve = TwistTrajectory(param, tol, span=span)
     traj = curve.trajectory
 
     def g(t, s):
@@ -193,7 +190,8 @@ def period_ode(param: TwistParam, tol: Tolerances = Tolerances(),
         p_minus = -locate_event(traj, g, g_prime, -p_est_minus,
                                 (-0.5 * p_est_minus, -1.5 * p_est_minus))
     else:
-        p_plus = 0.5 * locate_event(traj, g, g_prime, 2.0 * p_est, (1.5 * p_est, span[1]))
+        p_plus = 0.5 * locate_event(traj, g, g_prime, 2.0 * p_est,
+                                    (1.5 * p_est, _period_span(param, 1)[1]))
         p_minus = 0.0
     p_tau = p_plus + p_minus
     t_end = np.array([2.0 * p_tau])

@@ -131,9 +131,10 @@ def _extrema(pair: AdmissiblePair, taus) -> np.ndarray:
 
     Refuses |tau| above tau_max, within a relative 1e-10 of it (coalescing
     roots), tau = 0 (double roots at the endpoints), NaN, and tau so small
-    that 4 tau^2 underflows or 1 - y_max rounds to 1, naming the first such
-    tau.  Both roots come from one Newton iteration on the concave h(r) =
-    ln(r^a (1 - r)^b / 4 tau^2), started below the root where h < 0, so r
+    that 4 tau^2 underflows, naming the first such tau.  1 - y_max keeps its
+    digits as a distance where y_max itself rounds to 1 (p = 1 below about
+    tau = 5e-9).  Both roots come from one Newton iteration on the concave
+    h(r) = ln(r^a (1 - r)^b / 4 tau^2), started below the root where h < 0, so r
     rises monotonically.  A root is done when its next step reverses or stops
     shrinking relative to r: that is the Newton step in ln r, which shrinks
     from the first step, while the step in r itself first grows.
@@ -167,7 +168,8 @@ def _extrema(pair: AdmissiblePair, taus) -> np.ndarray:
     while (inside := F(r, 1.0 - r) >= target).any():
         r = np.where(inside, 0.5 * r, r)
     last = np.full(r.shape, np.inf)
-    # a power that underflows turns a step infinite: the roots it reaches are refused
+    # a power that underflows turns a step infinite or NaN, which stops its root; the
+    # branch quadrature refuses the sums such a root gives
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             e = 1.0 - r
@@ -178,9 +180,6 @@ def _extrema(pair: AdmissiblePair, taus) -> np.ndarray:
                 break
             r = r + dr * go
             last = np.where(go, rel, last)
-    if not (1.0 - r[1] < 1.0).all():           # NaN, or 1 - y_max below one ulp of 1
-        raise ValueError(f"|tau|={tau[np.argmin(1.0 - r[1] < 1.0)]} is too small: 1 - y_max "
-                         "is not resolved next to 1 in double precision")
     return r
 
 
@@ -206,6 +205,8 @@ def initial_state(param: TwistParam) -> SphereState:
     Either way Im(w1^p w2^q) = -2 tau; for p = 1 this and |w|^2 = 1 hold
     to rounding even where 1 - y_max ~ 4 tau^2 is below the spacing of
     doubles near 1, because the small |w1| is never taken from 1 - y_max.
+    y_max rounds to 1 there, which moves w1 by a relative (q/2) 4 tau^2,
+    below one ulp.
     """
     pair, tau = param.pair, param.tau
     p, q, n = pair.p, pair.q, pair.n
@@ -315,8 +316,10 @@ class TwistTrajectory:
     test) builds it once per (param, tol), with the whole time span its
     consumers will read, and hands it on; each piece (``trajectory``,
     ``period``, ``Q``, ``drift``) is computed once and held for the object's
-    lifetime only.  What outlives a call is held by module-level caches of
-    fixed size: ``_gaps`` keeps the extrema of 64 taus and
+    lifetime only.  ``Q`` is the (w, Q, Q') trajectory of
+    :func:`variation.solve_Q`.  What outlives a call is held by module-level
+    caches of fixed size: ``_gaps`` keeps the extrema of 64 taus,
+    ``periods.partial_periods_quadrature`` the partial periods of 64 taus and
     ``catenoid._unit_trajectory`` 8 catenoid-profile trajectories.
 
     The integrated state is w alone, held as one :class:`Trajectory` from
@@ -346,10 +349,10 @@ class TwistTrajectory:
     def period(self):
         from .periods import period_ode
 
-        return period_ode(self.param, self.tol, self)
+        return period_ode(self)
 
     @cached_property
-    def Q(self):
+    def Q(self) -> Trajectory:
         from .variation import solve_Q
 
         return solve_Q(self)

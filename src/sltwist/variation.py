@@ -14,60 +14,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .catenoid import catenoid_lifetime
 from .ode_engine import Trajectory, integrate
 # variation.period_ode stays a name of this module: perfbench's tracer looks it up here
-from .periods import (PeriodData, _branch_halves, _psi2_weight,  # noqa: F401
-                      partial_periods_quadrature, period_ode, pthat_quadrature)
+from .periods import (_branch_halves, _psi2_weight, partial_periods_quadrature,  # noqa: F401
+                      period_ode, pthat_quadrature)
 from .twisted_curve import (TwistParam, TwistTrajectory, _extrema, _field, _gaps, _y, _ydot,
                             initial_state, tau_max)
 
 __all__ = [
-    "LinearisedSolution", "AsymptoticsReport", "solve_Q", "dpthat_dtau",
+    "AsymptoticsReport", "solve_Q", "wronskian_drift", "dpthat_dtau",
     "dpthat_dtau_cross_check", "asymptotic_constants", "time_scale",
     "check_asymptotics", "ASYMPTOTIC_LAWS",
 ]
 
 
-@dataclass
-class LinearisedSolution:
-    """The normalised companion solution Q of the linearised equation.
-
-    ``Q`` and ``Qdot`` are callables on [-2 p_tau, 2 p_tau].  ``trajectory``
-    holds (w, Q, Q'), integrated both ways from the curve's initial state
-    at t = 0.
-    """
-
-    param: TwistParam
-    period: PeriodData
-    trajectory: Trajectory
-
-    def Q(self, t):
-        return self.trajectory(t)[4]
-
-    def Qdot(self, t):
-        return self.trajectory(t)[5]
-
-    def y(self, t):
-        return _y(self.trajectory(t))
-
-    def wronskian(self, t):
-        pair, s = self.param.pair, self.trajectory(t)
-        return (pair.q - pair.n * _y(s)) * s[5] + pair.n * _ydot(pair, s) * s[4]
-
-    @cached_property
-    def wronskian_drift(self) -> float:
-        """max |(q - n y) Q' + n y' Q - 1| at 101 times of [-2 p_tau, 2 p_tau]."""
-        ts = np.linspace(-2.0 * self.period.p_tau, 2.0 * self.period.p_tau, 101)
-        return float(np.max(np.abs(self.wronskian(ts) - 1.0)))
-
-
-def solve_Q(curve: TwistTrajectory) -> LinearisedSolution:
-    """Integrate Q along ``curve`` on [-2.2 p_tau, 2.2 p_tau] from t = 0.
+def solve_Q(curve: TwistTrajectory) -> Trajectory:
+    """(w, Q, Q') of ``curve`` integrated on [-2.2 p_tau, 2.2 p_tau] from t = 0.
 
     Q rides as two extra components (Q, Q') on the curve system so that every
     quantity shares one error control.  w(0) is :func:`initial_state`, and
@@ -78,13 +44,19 @@ def solve_Q(curve: TwistTrajectory) -> LinearisedSolution:
     param, tol = curve.param, curve.tol
     pair = param.pair
     p, q, n = pair.p, pair.q, pair.n
-    data = curve.period
     w0 = initial_state(param).as_real()
     Q0 = [1.0 / (n * _ydot(pair, w0)), 0.0] if p > 1 else [0.0, 1.0 / (q - n * _y(w0))]
-    hi = 2.2 * data.p_tau
-    traj = integrate(_field(p, q, linearised=True), np.concatenate([w0, Q0]), (-hi, hi), tol,
+    hi = 2.2 * curve.period.p_tau
+    return integrate(_field(p, q, linearised=True), np.concatenate([w0, Q0]), (-hi, hi), tol,
                      t0=0.0)
-    return LinearisedSolution(param=param, period=data, trajectory=traj)
+
+
+def wronskian_drift(curve: TwistTrajectory) -> float:
+    """max |(q - n y) Q' + n y' Q - 1| on ``curve.Q`` at 101 times of [-2 p_tau, 2 p_tau]."""
+    pair, p_tau = curve.param.pair, curve.period.p_tau
+    s = curve.Q(np.linspace(-2.0 * p_tau, 2.0 * p_tau, 101))
+    wronskian = (pair.q - pair.n * _y(s)) * s[5] + pair.n * _ydot(pair, s) * s[4]
+    return float(np.max(np.abs(wronskian - 1.0)))
 
 
 def dpthat_dtau(curve: TwistTrajectory) -> float:
@@ -94,11 +66,9 @@ def dpthat_dtau(curve: TwistTrajectory) -> float:
 
     for p = 1, p+ = p_tau and p- = 0 (:class:`PeriodData`), and 4 p q = 4(n-1).
     """
-    solution = curve.Q
-    pair, data = curve.param.pair, solution.period
+    pair, data, lin = curve.param.pair, curve.period, curve.Q
     q, n = pair.q, pair.n
-    hi, lo = (s[4] / (q - n * _y(s))
-              for s in (solution.trajectory(data.p_plus), solution.trajectory(-data.p_minus)))
+    hi, lo = (s[4] / (q - n * _y(s)) for s in (lin(data.p_plus), lin(-data.p_minus)))
     return float(4.0 * pair.p * q * (hi - lo))
 
 

@@ -19,9 +19,9 @@ from sltwist.closure import (RationalTarget, find_tau_for_angular_period,
                              verify_closed)
 from sltwist.catenoid import lifetime_routes, verify_catenoid_symmetry
 from sltwist.geometry.neck import _neck_span
-from sltwist.periods import _period_span, partial_periods_quadrature, period_ode
-from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, f_poly,
-                                   tau_max)
+from sltwist.periods import _period_span, partial_periods_quadrature
+from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _y, _ydot,
+                                   f_poly, tau_max)
 from sltwist.variation import (check_asymptotics, dpthat_dtau_cross_check,
                                solve_Q)
 
@@ -29,9 +29,9 @@ PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 FRACTIONS = [0.1, 0.5, 0.9]
 
 
-def _span(param, periods=1):
-    """The span period_ode reads over ``periods`` periods."""
-    return _period_span(param, *partial_periods_quadrature(param), periods)
+def _curve(param):
+    """The curve over the span its period events are read from."""
+    return TwistTrajectory(param, span=_period_span(param, 1))
 
 
 def report(num, name, ok, detail=""):
@@ -46,7 +46,7 @@ def case_matrix():
         pair = AdmissiblePair(p, q)
         for frac in FRACTIONS:
             param = TwistParam(pair, frac * tau_max(pair))
-            cases[(p, q, frac)] = (param, period_ode(param))
+            cases[(p, q, frac)] = (param, _curve(param).period)
     return cases
 
 
@@ -94,9 +94,10 @@ def test_criterion_03_dual_route_periods(case_matrix):
 def test_criterion_04_wronskian(case_matrix):
     worst = 0.0
     for (p, q, frac), (param, data) in case_matrix.items():
-        sol = solve_Q(TwistTrajectory(param, span=_span(param)))
-        ts = np.linspace(-2.0 * data.p_tau, 2.0 * data.p_tau, 50)
-        worst = max(worst, max(abs(sol.wronskian(t) - 1.0) for t in ts))
+        pair, lin = param.pair, solve_Q(_curve(param))
+        s = lin(np.linspace(-2.0 * data.p_tau, 2.0 * data.p_tau, 50))
+        wronskian = (q - pair.n * _y(s)) * s[5] + pair.n * _ydot(pair, s) * s[4]
+        worst = max(worst, float(np.max(np.abs(wronskian - 1.0))))
     ok = worst <= 1e-8
     report(4, "Wronskian", ok, f"worst |W-1| {worst:.2e}")
     assert worst <= 1e-8
@@ -108,7 +109,7 @@ def test_criterion_05_derivative_formula():
     for p, q in PAIRS:
         pair = AdmissiblePair(p, q)
         param = TwistParam(pair, 0.5 * tau_max(pair))
-        res = dpthat_dtau_cross_check(TwistTrajectory(param, span=_span(param)))
+        res = dpthat_dtau_cross_check(_curve(param))
         worst = max(worst, res["rel_err"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 60.0
@@ -158,10 +159,10 @@ def test_criterion_06_angular_period_excess():
 def test_criterion_07_extreme_twist_limits():
     pair = AdmissiblePair(1, 2)
     tm = tau_max(pair)
-    data = period_ode(TwistParam(pair, 0.999 * tm))
+    data = _curve(TwistParam(pair, 0.999 * tm)).period
     period_gap = abs(2.0 * data.p_tau - math.pi) / math.pi
     # measured angular-period limit vs the two closed-form candidates
-    phat = period_ode(TwistParam(pair, 0.9995 * tm)).pthat
+    phat = _curve(TwistParam(pair, 0.9995 * tm)).period.pthat
     cand_small = math.pi * math.sqrt(1 * 2 / (2.0 * 3))    # pi sqrt(pq/2n)
     cand_large = math.pi * math.sqrt(2.0 * 1 * 2 / 3)      # pi sqrt(2pq/n)
     matches_small = abs(phat - cand_small) < 1e-3
@@ -257,7 +258,7 @@ def test_criterion_10_symmetry_residuals(case_matrix):
     worst = 0.0
     worst_key = None
     for (p, q, frac), (param, data) in case_matrix.items():
-        reach = _span(param, 2)[1]      # symmetry_residuals reads within 3 p_tau
+        reach = _period_span(param, 2)[1]      # symmetry_residuals reads within 3 p_tau
         res = geo.symmetry_residuals(TwistTrajectory(param, span=(-reach, reach)))
         for key, val in res.items():
             if val > worst:

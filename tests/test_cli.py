@@ -138,12 +138,11 @@ def test_nan_tau_exits_two(argv, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# below what doubles resolve: 4 tau^2 underflows, 1 - y_max is under one ulp
-# of 1, or the branch quadrature is not finite
+# below what doubles resolve: 4 tau^2 underflows, or the branch quadrature is
+# not finite
 @pytest.mark.parametrize("argv,expected", [
     (["periods", "--p", "2", "--q", "3", "--tau", "1e-200"], 2),
     (["asymptotics", "--p", "2", "--q", "3", "--tau-list", "1e-200"], 2),
-    (["asymptotics", "--p", "1", "--q", "2", "--tau-list", "1e-9"], 2),
     (["asymptotics", "--p", "4", "--q", "4", "--tau-list", "1e-30"], 3),
 ])
 def test_unresolved_tiny_tau_is_refused_at_once(argv, expected, capsys):
@@ -163,6 +162,15 @@ def test_unresolved_tiny_tau_is_refused_at_once(argv, expected, capsys):
     prefix = {2: "error: ", 3: "numerical failure: "}[expected]
     assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
     assert f"|tau|={float(argv[-1])} " in err
+
+
+def test_p_one_reads_every_law_where_y_max_rounds_to_one(capsys):
+    # 1 - y_max = 4e-18 is held as a distance from 1, so nothing needs y_max itself
+    code, out, err = run(capsys, "asymptotics", "--p", "1", "--q", "2", "--tau-list", "1e-9",
+                         "--json")
+    assert (code, err) == (0, "")
+    ratios = {r["law_id"]: float(r["ratio"]) for r in json.loads(out)["reports"]}
+    assert abs(ratios["ymin"] - 1.0) <= 1e-8 and abs(ratios["ymax_gap"] - 1.0) <= 1e-8
 
 
 def test_failed_cross_check_prints_only_its_verify_line(capsys, monkeypatch):
@@ -356,11 +364,11 @@ def test_neck_finds_every_waist_at_p_one(k, capsys):
 
 def _curve(p, q, tau, span=None):
     """The curve a subcommand builds over ``span``, by default its period events' span."""
-    from sltwist.periods import _period_span, partial_periods_quadrature
+    from sltwist.periods import _period_span
     from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory
 
     param = TwistParam(AdmissiblePair(p, q), tau)
-    span = span or _period_span(param, *partial_periods_quadrature(param), 1)
+    span = span or _period_span(param, 1)
     return TwistTrajectory(param, cli.TOL_PRESETS["standard"], span=span)
 
 

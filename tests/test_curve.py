@@ -17,7 +17,7 @@ from sltwist.variation import dpthat_dtau_cross_check
 
 def _curve(param):
     """The curve of ``param`` over the span its period events are read from."""
-    return TwistTrajectory(param, span=_period_span(param, *partial_periods_quadrature(param), 1))
+    return TwistTrajectory(param, span=_period_span(param, 1))
 
 
 def _rebind_everywhere(monkeypatch, original, replacement):
@@ -62,9 +62,10 @@ def test_each_subcommand_integrates_each_curve_once(monkeypatch, capsys, tmp_pat
     # one integration of the curve system per distinct tau (initial state), each
     # made by one solve_w call, and Q's own for verify: no read re-integrates a
     # curve over a wider span (the neck's degree-3 catenoid profile integrates a
-    # system of its own)
+    # system of its own).  The partial-period quadrature is evaluated once per
+    # distinct tau it is asked for, whichever routes ask
     p, q = (int(v) for v in argv.split()[2:5:2])
-    curve_states, others, solves, inside = [], [], [], []
+    curve_states, others, solves, inside, asked = [], [], [], [], []
 
     def counting(field, state0, *args, **kwargs):
         if field is _field(p, q):
@@ -81,9 +82,15 @@ def test_each_subcommand_integrates_each_curve_once(monkeypatch, capsys, tmp_pat
         finally:
             inside.pop()
 
+    def asking(param):
+        asked.append(param.tau)
+        return partial_periods_quadrature(param)
+
     original, original_solve_w = ode_engine.integrate, twisted_curve.solve_w
     _rebind_everywhere(monkeypatch, original, counting)
     _rebind_everywhere(monkeypatch, original_solve_w, solving)
+    _rebind_everywhere(monkeypatch, partial_periods_quadrature, asking)
+    partial_periods_quadrature.cache_clear()
     out = ["--out", str(tmp_path / "x")] if argv.startswith("export") else []
     assert main(argv.split() + out) == 0
     states = [s for s, _, _ in curve_states]
@@ -93,11 +100,12 @@ def test_each_subcommand_integrates_each_curve_once(monkeypatch, capsys, tmp_pat
         (k + 1, 1) for k in range(len(curve_states))]
     assert len(solves) == len(curve_states)
     assert sum(len(s) == 6 for s in others) == linearised
+    assert partial_periods_quadrature.cache_info().misses == len(set(asked))
 
 
 def test_cross_check_integrates_nothing(monkeypatch):
     curve = _curve(TwistParam(AdmissiblePair(2, 3), 1e-5))
-    assert curve.Q.period is curve.period
+    curve.Q                     # the linearisation reads the period: both before the refusal
 
     def refusing(*args, **kwargs):
         raise AssertionError("integrate called")
@@ -124,7 +132,7 @@ def test_curve_computes_each_piece_once(monkeypatch):
     curve = _curve(TwistParam(AdmissiblePair(2, 3), 0.05))
     assert curve.period is curve.period
     assert curve.trajectory is curve.trajectory
-    assert curve.Q is curve.Q and curve.Q.period is curve.period
+    assert curve.Q is curve.Q
     # a read outside the stated span is refused, naming it, and integrates nothing
     lo, hi = curve.span
 
@@ -168,7 +176,7 @@ def test_array_residuals_match_point_by_point_loops(p, q, tau):
     from sltwist.closure import verify_closed
 
     param = TwistParam(AdmissiblePair(p, q), tau)
-    reach = _period_span(param, *partial_periods_quadrature(param), 2)[1]    # to 4 p_tau
+    reach = _period_span(param, 2)[1]    # to 4 p_tau
     curve = TwistTrajectory(param, span=(-reach, reach))
     data, traj = curve.period, curve
     M = np.diag(geo.mhat(curve.param.pair, 2.0 * data.pthat))

@@ -8,7 +8,7 @@ import pytest
 import sltwist.geometry as geo
 from sltwist.geometry.immersion import _sampler_span
 from sltwist.geometry.neck import _neck_span
-from sltwist.periods import PeriodData, _period_span, partial_periods_quadrature, period_ode
+from sltwist.periods import PeriodData, _period_span
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, y_extrema
 
 
@@ -86,7 +86,7 @@ def test_neck_at_negative_tau_models_the_conjugate_catenoid(p, q, tau):
 
 def test_neck_window_beyond_lifetime_rejected():
     param = TwistParam(AdmissiblePair(2, 3), 1e-3)
-    span = _period_span(param, *partial_periods_quadrature(param), 1)
+    span = _period_span(param, 1)
     for refused in (lambda: _neck_span(param, 1, 1.3),     # degree-3 lifetime is ~1.2143
                     lambda: geo.neck_rescale(TwistTrajectory(param, span=span), 1, 1.3)):
         with pytest.raises(ValueError, match="exceeds the degree-3 catenoid lifetime"):
@@ -104,7 +104,7 @@ def test_neck_resolves_every_waist_at_its_closed_form_time(p, q):
     # waist k is at (2k - 1) p_tau for p = 1 (k = 6 was once "not found"); for
     # p > 1 at 2l p_tau - p_minus (k = 2l) or 2l p_tau + p_plus (k = 2l + 1)
     param = TwistParam(AdmissiblePair(p, q), 0.05)
-    reach = _period_span(param, *partial_periods_quadrature(param), 9)[1]      # 18 p_tau
+    reach = _period_span(param, 9)[1]      # 18 p_tau
     curve = TwistTrajectory(param, span=(-reach, reach))
     data, traj = curve.period, curve
     y_min, y_max = y_extrema(param)
@@ -233,14 +233,16 @@ def test_obj_faces_are_the_wrapped_quads(nt, na, tmp_path):
 
 
 def test_period_report_roundtrip_bit_exact():
-    data = period_ode(TwistParam(AdmissiblePair(2, 3), 0.05))
+    param = TwistParam(AdmissiblePair(2, 3), 0.05)
+    data = TwistTrajectory(param, span=_period_span(param, 1)).period
     text = geo.report_to_json(data, kind="PeriodData")
     back = geo.report_from_json(text, PeriodData, kind="PeriodData")
     assert back == data
 
 
 def test_json_deterministic():
-    data = period_ode(TwistParam(AdmissiblePair(1, 2), 0.1))
+    param = TwistParam(AdmissiblePair(1, 2), 0.1)
+    data = TwistTrajectory(param, span=_period_span(param, 1)).period
     assert geo.report_to_json(data) == geo.report_to_json(data)
 
 

@@ -245,14 +245,14 @@ def test_endpoint_is_an_integrate_run_bit_for_bit(p, q, frac, monkeypatch):
     # the anchor, on the curve (with its per-component atol) and on (w, Q, Q')
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, frac * tau_max(pair))
-    lo, hi = _period_span(param, *partial_periods_quadrature(param), 1)
+    lo, hi = _period_span(param, 1)
     curve = TwistTrajectory(param, span=(min(lo, -3.0), max(hi, 4.0)))
     traj = curve.trajectory
     scale = np.array(traj.atol) / traj.tol.tol
     assert tuple((traj.tol.tol * scale).tolist()) == traj.atol
     ts = [-2.9, -1.3, -0.01, 0.01, 1.7, 3.95, traj.time_grid[1], traj.time_grid[-2]]
     _assert_endpoints_equal_integrate_runs(traj, ts, scale, monkeypatch)
-    lin, p_tau = curve.Q.trajectory, curve.period.p_tau
+    lin, p_tau = curve.Q, curve.period.p_tau
     ts = [lin.t0 + f * p_tau for f in (-2.0, -0.4, 0.3, 1.2)]
     _assert_endpoints_equal_integrate_runs(lin, ts, 1.0, monkeypatch)
 

@@ -12,7 +12,7 @@ PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
 def _curve(param):
     """The curve over the span its period events are read from."""
-    return TwistTrajectory(param, span=_period_span(param, *partial_periods_quadrature(param), 1))
+    return TwistTrajectory(param, span=_period_span(param, 1))
 
 
 @pytest.mark.parametrize("p,q", PAIRS)
@@ -22,7 +22,7 @@ def test_dual_route_periods_agree(p, q, frac):
     tau = max(frac * tau_max(pair), 1e-3)
     param = TwistParam(pair, tau)
     qp, qm = partial_periods_quadrature(param)
-    data = period_ode(param)
+    data = _curve(param).period
     assert abs(qp - data.p_plus) < 1e-8
     assert abs(qm - data.p_minus) < 1e-8
     assert abs(qp + qm - data.p_tau) < 1e-8
@@ -30,21 +30,21 @@ def test_dual_route_periods_agree(p, q, frac):
 
 def test_partial_period_sum_and_p1_convention():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    data = period_ode(param)
+    data = _curve(param).period
     assert abs(data.p_tau - data.p_plus - data.p_minus) < 1e-10
-    p1 = period_ode(TwistParam(AdmissiblePair(1, 2), 0.1))
+    p1 = _curve(TwistParam(AdmissiblePair(1, 2), 0.1)).period
     assert p1.p_minus == 0.0
 
 
 def test_equal_partial_periods_for_symmetric_pair():
-    data = period_ode(TwistParam(AdmissiblePair(2, 2), 0.05))
+    data = _curve(TwistParam(AdmissiblePair(2, 2), 0.05)).period
     assert abs(data.p_plus - data.p_minus) < 1e-9
 
 
 def test_period_approaches_extreme_twist_limit():
     pair = AdmissiblePair(1, 2)
     tm = tau_max(pair)
-    data = period_ode(TwistParam(pair, 0.999 * tm))
+    data = _curve(TwistParam(pair, 0.999 * tm)).period
     assert abs(2.0 * data.p_tau - math.pi) / math.pi < 0.01
 
 
@@ -52,7 +52,7 @@ def test_angular_period_extreme_twist_limit():
     # the measured limit selects pi sqrt(pq/(2n)) over pi sqrt(2pq/n)
     pair = AdmissiblePair(1, 2)
     tm = tau_max(pair)
-    phat = period_ode(TwistParam(pair, 0.9995 * tm)).pthat
+    phat = _curve(TwistParam(pair, 0.9995 * tm)).period.pthat
     small = math.pi * math.sqrt(1.0 * 2.0 / (2.0 * 3.0))
     large = math.pi * math.sqrt(2.0 * 1.0 * 2.0 / 3.0)
     assert abs(phat - small) < 1e-3
@@ -61,14 +61,14 @@ def test_angular_period_extreme_twist_limit():
 
 def test_psi_combination_vanishes_over_period():
     for (p, q), tau in [((1, 2), 0.1), ((2, 3), 0.05), ((2, 2), 0.06)]:
-        data = period_ode(TwistParam(AdmissiblePair(p, q), tau))
+        data = _curve(TwistParam(AdmissiblePair(p, q), tau)).period
         assert abs(p * data.psi1_2p + q * data.psi2_2p) < 1e-9
 
 
 def test_angular_period_from_both_angles():
     for (p, q), tau in [((1, 2), 0.1), ((2, 3), 0.05)]:
         param = TwistParam(AdmissiblePair(p, q), tau)
-        data = period_ode(param)
+        data = _curve(param).period
         from_psi2 = -0.5 * q * data.psi2_2p
         assert abs(from_psi2 - data.pthat) < 1e-9
         assert abs(pthat_quadrature_psi2(param) - pthat_quadrature(param)) < 1e-9
@@ -77,12 +77,12 @@ def test_angular_period_from_both_angles():
 def test_quadrature_and_ode_angular_period_agree():
     for (p, q), tau in [((1, 2), 0.1), ((2, 3), 0.05), ((3, 3), 0.03)]:
         param = TwistParam(AdmissiblePair(p, q), tau)
-        assert abs(pthat_quadrature(param) - period_ode(param).pthat) < 1e-8
+        assert abs(pthat_quadrature(param) - _curve(param).period.pthat) < 1e-8
 
 
 def test_half_period_angle_doubling_p1():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    data = period_ode(param)
+    data = _curve(param).period
     traj = TwistTrajectory(param, span=(0.0, 2.0 * data.p_tau))
     psi1_half, _ = traj.psi(data.p_tau)
     assert abs(data.psi1_2p - 2.0 * psi1_half) < 1e-9
@@ -120,7 +120,7 @@ def test_angular_period_increasing_in_small_tau():
 
 
 def test_angular_period_exceeds_quarter_turn():
-    data = period_ode(TwistParam(AdmissiblePair(1, 2), 0.01))
+    data = _curve(TwistParam(AdmissiblePair(1, 2), 0.01)).period
     assert data.pthat > math.pi / 2.0
     assert data.pthat - math.pi / 2.0 < 0.15
 
@@ -160,8 +160,8 @@ def test_p1_period_event_at_the_maximum_keeps_pthat_digits(q):
         curve = _curve(param)
         assert abs(curve.period.pthat - pthat_quadrature_psi2(param)) <= 2e-12
         h = max(1e-6, 1e-4 * param.tau)
-        fd = (period_ode(TwistParam(pair, param.tau + h)).pthat
-              - period_ode(TwistParam(pair, param.tau - h)).pthat) / (2.0 * h)
+        fd = (_curve(TwistParam(pair, param.tau + h)).period.pthat
+              - _curve(TwistParam(pair, param.tau - h)).period.pthat) / (2.0 * h)
         assert abs(dpthat_dtau(curve) - fd) <= 1e-7 * abs(fd)
 
 
@@ -177,11 +177,11 @@ def test_ode_route_does_not_follow_its_seed(scale, monkeypatch):
     cases = [((2, 3), 0.3), ((1, 2), 0.3), ((3, 4), 1e-3), ((1, 6), 1e-3), ((2, 2), 0.9)]
     params = [TwistParam(AdmissiblePair(p, q), frac * tau_max(AdmissiblePair(p, q)))
               for (p, q), frac in cases]
-    exact = [period_ode(param) for param in params]
+    exact = [_curve(param).period for param in params]
     monkeypatch.setattr(periods, "partial_periods_quadrature",
                         lambda param: tuple(scale * e for e in quadrature(param)))
     for param, data in zip(params, exact):
-        seeded = period_ode(param)
+        seeded = _curve(param).period
         assert (seeded.p_tau, seeded.pthat) == (data.p_tau, data.pthat), param
         for a, b in ((seeded.p_plus, data.p_plus), (seeded.p_minus, data.p_minus)):
             assert abs(a - b) <= 4 * np.spacing(b), (param, a, b)
@@ -203,29 +203,15 @@ def test_periods_exit_zero_near_tau_max(p, q, k, capsys):
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
-def test_partial_periods_are_evaluated_once_per_period_ode_and_neck_span(monkeypatch, p, q):
-    # the quadrature's partial periods give both the span and the Newton seeds of
-    # period_ode, and both the waist and the period span of the neck's span
-    import sys
-
+def test_partial_periods_are_evaluated_once_per_period_ode_and_neck_span(p, q):
+    # the quadrature's partial periods give the span and the Newton seeds of
+    # period_ode, and the waist and the period span of the neck's span: the
+    # memo evaluates them once for all of these
     from sltwist.geometry.neck import _neck_span
-    from sltwist.ode_engine import Tolerances
 
-    original, calls = partial_periods_quadrature, []
-
-    def counting(param):
-        calls.append(param)
-        return original(param)
-
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("sltwist"):
-            for name, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, name, counting)
+    partial_periods_quadrature.cache_clear()
     param = TwistParam(AdmissiblePair(p, q), 1e-3)
-    curve = TwistTrajectory(param, span=_period_span(param, *original(param), 1))
-    period_ode(param, Tolerances(), curve)
-    assert calls == [param]
-    calls.clear()
+    period_ode(_curve(param))
+    assert partial_periods_quadrature.cache_info().misses == 1
     _neck_span(param, 1, None)
-    assert calls == [param]
+    assert partial_periods_quadrature.cache_info().misses == 1

@@ -19,9 +19,10 @@ import pytest
 from scipy.integrate import quad
 
 from sltwist.closure import RationalTarget, scan_brackets
-from sltwist.periods import (_gauss_legendre, partial_periods_quadrature, period_ode,
+from sltwist.periods import (_gauss_legendre, _period_span, partial_periods_quadrature,
                              pthat_quadrature, pthat_quadrature_psi2)
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, _gaps, f_taylor_coeffs, tau_max
+from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _gaps,
+                                   f_taylor_coeffs, tau_max)
 
 ALL_PAIRS = [(p, n - p) for n in range(3, 9) for p in range(1, n // 2 + 1)]
 WEIGHTS = {"period": lambda y, one_minus_y: 1.0,
@@ -193,7 +194,8 @@ SMALL_33 = [1.05e-6, 3e-6, 7.6e-6]
 def test_ode_periods_match_mpmath_at_33_small_tau(tau):
     pair = AdmissiblePair(3, 3)
     lo, hi = _mp_halves(pair, tau, "period", exact=True, dps=40)
-    data = period_ode(TwistParam(pair, tau))
+    param = TwistParam(pair, tau)
+    data = TwistTrajectory(param, span=_period_span(param, 1)).period
     assert _rel(data.p_plus, lo) <= 1e-12
     assert _rel(data.p_minus, hi) <= 1e-12
     assert _rel(partial_periods_quadrature(TwistParam(pair, tau))[0], lo) <= 1e-14

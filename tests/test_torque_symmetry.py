@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sltwist.geometry as geo
-from sltwist.periods import _period_span, partial_periods_quadrature, period_ode
+from sltwist.periods import _period_span
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max, y_extrema
 
 
@@ -12,7 +12,7 @@ def _curve(param, span=None):
     """The curve over ``span``, by default two periods each way, which holds
     every read of the symmetry, sphere and waist checks below."""
     if span is None:
-        reach = _period_span(param, *partial_periods_quadrature(param), 2)[1]
+        reach = _period_span(param, 2)[1]
         span = (-reach, reach)
     return TwistTrajectory(param, span=span)
 
@@ -320,7 +320,7 @@ def test_reflection_phases_refuse_an_unknown_side():
 
 def test_waist_positions_p1():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    data = period_ode(param)
+    data = _curve(param, _period_span(param, 1)).period
     ws, bs = geo.waists_and_bulges(_curve(param), (-3 * data.p_tau, 3 * data.p_tau))
     ts = sorted(w.t for w in ws if abs(w.t) <= 3.5 * data.p_tau)
     expected = [k * data.p_tau for k in (-3, -1, 1, 3)]
@@ -331,7 +331,7 @@ def test_waist_positions_p1():
 
 def test_waists_alternate_for_p_gt_1():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    data = period_ode(param)
+    data = _curve(param, _period_span(param, 1)).period
     ws, _ = geo.waists_and_bulges(_curve(param), (-2 * data.p_tau, 4 * data.p_tau))
     kinds = [w.kind for w in sorted(ws, key=lambda w: w.t)]
     assert all(a != b for a, b in zip(kinds, kinds[1:]))
@@ -339,7 +339,7 @@ def test_waists_alternate_for_p_gt_1():
 
 def test_waist_radii_match_extrema():
     param = TwistParam(AdmissiblePair(2, 2), 0.06)
-    data = period_ode(param)
+    data = _curve(param, _period_span(param, 1)).period
     y_min, y_max = y_extrema(param)
     ws, _ = geo.waists_and_bulges(_curve(param), (0.0, 2 * data.p_tau))
     traj = TwistTrajectory(param, span=(-2 * data.p_tau, 3 * data.p_tau))
@@ -435,7 +435,7 @@ def test_bulge_distance_linear_in_twist_for_both_kinds_of_bulge(p, q):
 def test_next_sphere_frame_limit():
     pair = AdmissiblePair(1, 2)
     param = TwistParam(pair, 1e-4)
-    data = period_ode(param)
+    data = _curve(param, _period_span(param, 1)).period
     sph = geo.approximating_spheres(_curve(param), [1])[0]
     limit = np.array([-1.0 + 0j, np.exp(-1j * math.pi / 2), np.exp(-1j * math.pi / 2)])
     gap = sph.phases - limit

@@ -4,53 +4,61 @@ import numpy as np
 import pytest
 
 from sltwist import variation
-from sltwist.periods import _branch_halves, _period_span, partial_periods_quadrature, period_ode
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max, y_extrema
+from sltwist.periods import _branch_halves, _period_span, partial_periods_quadrature
+from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _y, _ydot,
+                                   tau_max, y_extrema)
 from sltwist.variation import (asymptotic_constants, check_asymptotics,
                                dpthat_dtau, dpthat_dtau_cross_check, solve_Q,
-                               time_scale)
+                               time_scale, wronskian_drift)
 
 PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
 
 def _curve(param):
     """The curve over the span its period events are read from."""
-    return TwistTrajectory(param, span=_period_span(param, *partial_periods_quadrature(param), 1))
+    return TwistTrajectory(param, span=_period_span(param, 1))
+
+
+def _wronskian(pair, s):
+    """(q - n y) Q' + n y' Q of (w, Q, Q') states."""
+    return (pair.q - pair.n * _y(s)) * s[5] + pair.n * _ydot(pair, s) * s[4]
 
 
 def test_wronskian_is_one_along_solution():
     for (p, q), tau in [((1, 2), 0.1), ((2, 3), 0.05), ((2, 2), 0.06)]:
-        sol = solve_Q(_curve(TwistParam(AdmissiblePair(p, q), tau)))
-        assert "wronskian_drift" not in sol.__dict__            # computed on first read
-        grid = np.linspace(-2.0 * sol.period.p_tau, 2.0 * sol.period.p_tau, 101)
-        assert sol.wronskian_drift == float(np.max(np.abs(sol.wronskian(grid) - 1.0)))
-        assert sol.wronskian_drift < 1e-8
-        ts = np.linspace(-2.0 * sol.period.p_tau, 2.0 * sol.period.p_tau, 50)
-        assert max(abs(sol.wronskian(t) - 1.0) for t in ts) < 1e-8
+        pair = AdmissiblePair(p, q)
+        curve = _curve(TwistParam(pair, tau))
+        lin, p_tau = curve.Q, curve.period.p_tau
+        grid = np.linspace(-2.0 * p_tau, 2.0 * p_tau, 101)
+        assert wronskian_drift(curve) == float(np.max(np.abs(_wronskian(pair, lin(grid)) - 1.0)))
+        assert wronskian_drift(curve) < 1e-8
+        ts = np.linspace(-2.0 * p_tau, 2.0 * p_tau, 50)
+        assert max(abs(_wronskian(pair, lin(t)) - 1.0) for t in ts) < 1e-8
 
 
 def test_companion_initial_conditions():
     # p > 1: the curve starts at y = q/n, and (Q, Q')(0) = (1/(n y'(0)), 0)
     pair = AdmissiblePair(2, 2)
     tau = 0.06
-    sol = solve_Q(_curve(TwistParam(pair, tau)))
+    lin = solve_Q(_curve(TwistParam(pair, tau)))
     expected = -1.0 / (4.0 * pair.n * math.sqrt(tau_max(pair) ** 2 - tau**2))
-    assert sol.trajectory.t0 == 0.0
-    assert abs(sol.Q(0.0) - expected) < 1e-12
-    assert abs(sol.Qdot(0.0)) < 1e-14
-    assert abs(sol.wronskian(0.0) - 1.0) < 1e-14
+    assert lin.t0 == 0.0
+    assert abs(lin(0.0)[4] - expected) < 1e-12
+    assert abs(lin(0.0)[5]) < 1e-14
+    assert abs(_wronskian(pair, lin(0.0)) - 1.0) < 1e-14
 
 
 def test_anchor_time_for_degenerate_first_factor():
     # p = 1: the curve starts at y_max, where y'(0) = 0, and (Q, Q')(0) = (0, 1/(q - n y(0)))
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sol = solve_Q(_curve(param))
+    curve = _curve(param)
+    lin = curve.Q
     _, y_max = y_extrema(param)
-    assert sol.trajectory.t0 == 0.0
-    assert sol.Q(0.0) == 0.0
-    assert abs(sol.Qdot(0.0) * (2.0 - 3.0 * y_max) - 1.0) < 1e-14
-    assert abs(sol.wronskian(0.0) - 1.0) < 1e-14
-    assert sol.wronskian_drift < 1e-8
+    assert lin.t0 == 0.0
+    assert lin(0.0)[4] == 0.0
+    assert abs(lin(0.0)[5] * (2.0 - 3.0 * y_max) - 1.0) < 1e-14
+    assert abs(_wronskian(param.pair, lin(0.0)) - 1.0) < 1e-14
+    assert wronskian_drift(curve) < 1e-8
 
 
 def test_radius_combination_solves_linearised_equation():
@@ -204,7 +212,7 @@ def test_angular_period_excess_measured_behaviour():
     "logarithmically for q = 2: measured ratio 0.64 at tau = 1e-3"))
 def test_derivative_leading_order_at_small_tau():
     param = TwistParam(AdmissiblePair(1, 2), 1e-3)
-    data = period_ode(param)
+    data = _curve(param).period
     value = dpthat_dtau(_curve(param))
     ratio = value / (4.0 * param.pair.p / param.pair.q * data.p_tau)
     assert 0.9 < ratio < 1.1
@@ -212,6 +220,6 @@ def test_derivative_leading_order_at_small_tau():
 
 def test_derivative_small_tau_measured():
     param = TwistParam(AdmissiblePair(1, 2), 1e-3)
-    data = period_ode(param)
+    data = _curve(param).period
     ratio = dpthat_dtau(_curve(param)) / (2.0 * data.p_tau)
     assert abs(ratio - 0.638) < 5e-3      # approaches 1 from below with 1/log
