@@ -133,11 +133,12 @@ def _extrema(pair: AdmissiblePair, taus) -> np.ndarray:
     roots), tau = 0 (double roots at the endpoints), NaN, and tau so small
     that 4 tau^2 underflows, naming the first such tau.  1 - y_max keeps its
     digits as a distance where y_max itself rounds to 1 (p = 1 below about
-    tau = 5e-9).  Both roots come from one Newton iteration on the concave
-    h(r) = ln(r^a (1 - r)^b / 4 tau^2), started below the root where h < 0, so r
-    rises monotonically.  A root is done when its next step reverses or stops
-    shrinking relative to r: that is the Newton step in ln r, which shrinks
-    from the first step, while the step in r itself first grows.
+    tau = 5e-9; :func:`initial_state` refuses such a tau).  Both roots come
+    from one Newton iteration on the concave h(r) = ln(r^a (1 - r)^b / 4
+    tau^2), started below the root where h < 0, so r rises monotonically.
+    A root is done when its next step reverses or stops shrinking relative
+    to r: that is the Newton step in ln r, which shrinks from the first
+    step, while the step in r itself first grows.
     """
     p, q, n = pair.p, pair.q, pair.n
     tau = np.abs(np.asarray(taus, dtype=float))
@@ -203,10 +204,12 @@ def initial_state(param: TwistParam) -> SphereState:
     a = arcsin(-tau/tau_max); p = 1: the point y = y_max, as
     w1 = -2 i tau / y_max^(q/2) and w2 = sqrt(1 - |w1|^2).
     Either way Im(w1^p w2^q) = -2 tau; for p = 1 this and |w|^2 = 1 hold
-    to rounding even where 1 - y_max ~ 4 tau^2 is below the spacing of
-    doubles near 1, because the small |w1| is never taken from 1 - y_max.
-    y_max rounds to 1 there, which moves w1 by a relative (q/2) 4 tau^2,
-    below one ulp.
+    to rounding, because the small |w1| is never taken from 1 - y_max.
+
+    Refuses a p = 1 tau whose y_max rounds to 1 (below about tau = 5e-9),
+    naming it: the quadrature holds 1 - y_max as a distance, but a curve
+    integrated from there cannot place its events at y_max (one ulp of t
+    is worth ulp(t)/(2 tau) of psi1) and its step control has no bound.
     """
     pair, tau = param.pair, param.tau
     p, q, n = pair.p, pair.q, pair.n
@@ -221,6 +224,9 @@ def initial_state(param: TwistParam) -> SphereState:
         y_max = 1.0 if tau == 0.0 else q / n
     else:
         _, y_max = y_extrema(param)
+        if not y_max < 1.0:
+            raise ValueError(f"|tau|={abs(tau)} is too small: 1 - y_max is not resolved "
+                             "next to 1 in double precision")
     w1 = -2j * tau / y_max ** (q / 2)
     return SphereState(w1=w1, w2=math.sqrt(1.0 - abs(w1) ** 2))
 

@@ -138,11 +138,12 @@ def test_nan_tau_exits_two(argv, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# below what doubles resolve: 4 tau^2 underflows, or the branch quadrature is
-# not finite
+# below what doubles resolve: 4 tau^2 underflows, a p = 1 curve would start
+# at a y_max that rounds to 1, or the branch quadrature is not finite
 @pytest.mark.parametrize("argv,expected", [
     (["periods", "--p", "2", "--q", "3", "--tau", "1e-200"], 2),
     (["asymptotics", "--p", "2", "--q", "3", "--tau-list", "1e-200"], 2),
+    (["periods", "--p", "1", "--q", "2", "--tau", "1e-9"], 2),
     (["asymptotics", "--p", "4", "--q", "4", "--tau-list", "1e-30"], 3),
 ])
 def test_unresolved_tiny_tau_is_refused_at_once(argv, expected, capsys):
@@ -165,7 +166,7 @@ def test_unresolved_tiny_tau_is_refused_at_once(argv, expected, capsys):
 
 
 def test_p_one_reads_every_law_where_y_max_rounds_to_one(capsys):
-    # 1 - y_max = 4e-18 is held as a distance from 1, so nothing needs y_max itself
+    # 1 - y_max = 4e-18 is held as a distance from 1; only an integrated curve needs y_max
     code, out, err = run(capsys, "asymptotics", "--p", "1", "--q", "2", "--tau-list", "1e-9",
                          "--json")
     assert (code, err) == (0, "")
