@@ -6,11 +6,13 @@ initial step, the scale ``atol + rtol max(|y|, |y_new|)`` per real component,
 the combined err5/err3 norm, safety 0.9, exponent -1/8, step factors in
 [0.2, 10] and none above 1 right after a rejection, a 10-ulp minimum step and
 the last step clipped to the span; one tolerance is both atol and rtol.  A
-step runs as straight-line float code generated per state dimension; the
-dense-output stages 13-15, which no step control reads, once per side on arrays
-of all its steps, so a field takes arrays too.  :func:`integrate` starts at an
-explicit anchor inside the span, and one :class:`Trajectory` covers both sides
-of it; an endpoint runs the step loop alone, without dense output.
+leg, the steps of one side, is one function generated and compiled once per
+state dimension: that step control, each try's 12 stages and error norm in
+straight-line float code, and each accepted step appended to flat buffers.  The
+dense-output stages 13-15, which no step control reads, run once per side on
+arrays of all its steps, so a field takes arrays too.  :func:`integrate`
+starts at an explicit anchor inside the span, and one :class:`Trajectory`
+covers both sides of it; an endpoint runs a leg alone, without dense output.
 
 :func:`locate_event` finds an event time by Newton's method on integrated
 endpoints, from a seed.  :func:`brent`, a line-for-line port of scipy's
@@ -113,9 +115,14 @@ _STEPPED = _KEPT.index(13)                           # of them, 0 and 5-12 come 
 
 
 @lru_cache(maxsize=None)
-def _stepper(dim: int):
-    """Straight-line ``attempt(fun, t, h, y, f = y'(t), atol, rtol)``, one step of
-    size h -> ``(y_new, f_new, |err5/scale|^2, |err3/scale|^2, K = stages 0, 5-12)``."""
+def _leg(dim: int):
+    """``leg(fun, t, t1, h_abs, direction, y, f = y'(t), atol, rtol, ts, ys, ks)``:
+    the steps t -> t1 of scipy's controller from the step size h_abs as
+    straight-line float code, each try's 12 stages and error norm, appending
+    each accepted step's time, state and stages 0, 5-12 (then zeros for 13-15)
+    to the ``array('d')`` buffers ts, ys and ks.  ``max(a, b)`` is written as
+    CPython evaluates it, ``b if b > a else a``, and ``min(a, b)`` as
+    ``b if b < a else a``."""
     comp = range(dim)
 
     def vec(fmt):
@@ -126,24 +133,57 @@ def _stepper(dim: int):
 
     def stage(s):
         arg = "".join(f"y{i} + ({comb(_A[s], i)}) * h, " for i in comp)
-        return f"    {vec(f'k{s}_{{i}}')}= fun(t + {_C[s]!r} * h, ({arg}))"
+        return f"{vec(f'k{s}_{{i}}')}= fun(t + {_C[s]!r} * h, ({arg}))"
 
     kept = "".join(vec(f"k{s}_{{i}}") for s in _KEPT[:_STEPPED])
-    attempt = ["def attempt(fun, t, h, y, f, atol, rtol):", f"    {vec('y{i}')}= y",
-               f"    {vec('k0_{i}')}= f", f"    {vec('a{i}')}= atol",
-               *[stage(s) for s in range(1, 12)],
-               *[f"    n{i} = y{i} + h * ({comb(_A[12], i)})" for i in comp],
-               f"    {vec('k12_{i}')}= fun(t + h, ({vec('n{i}')}))"]
+    room = "0.0, " * (dim * (len(_KEPT) - _STEPPED))
+    tries = ["if h_abs < min_step:",
+             '    raise IntegrationError(f"step size {h_abs!r} underflows at t={t!r}", t)',
+             "t_new = t + h_abs * direction",
+             "if direction * (t_new - t1) > 0:",
+             "    t_new = t1",
+             "h = t_new - t",
+             "h_abs = abs(h)",
+             *[stage(s) for s in range(1, 12)],
+             *[f"n{i} = y{i} + h * ({comb(_A[12], i)})" for i in comp],
+             f"{vec('k12_{i}')}= fun(t + h, ({vec('n{i}')}))"]
     for i in comp:
-        attempt += [f"    s{i} = a{i} + max(abs(y{i}), abs(n{i})) * rtol",
-                    f"    e5_{i} = ({comb(_E5, i)}) / s{i}",
-                    f"    e3_{i} = ({comb(_E3, i)}) / s{i}"]
-    attempt.append(f"    return ({vec('n{i}')}), ({vec('k12_{i}')}), "
-                   + " + ".join(f"e5_{i} * e5_{i}" for i in comp) + ", "
-                   + " + ".join(f"e3_{i} * e3_{i}" for i in comp) + f", ({kept})")
-    scope = {}
-    exec(compile("\n".join(attempt), f"<dop853 dim={dim}>", "exec"), scope)
-    return scope["attempt"]
+        tries += [f"u = abs(y{i})",
+                  f"v = abs(n{i})",
+                  f"s{i} = a{i} + (v if v > u else u) * rtol",
+                  f"e5_{i} = ({comb(_E5, i)}) / s{i}",
+                  f"e3_{i} = ({comb(_E3, i)}) / s{i}"]
+    tries += ["e5 = " + " + ".join(f"e5_{i} * e5_{i}" for i in comp),
+              "e3 = " + " + ".join(f"e3_{i} * e3_{i}" for i in comp),
+              f"err = h_abs * e5 / sqrt((e5 + 0.01 * e3) * {dim}) if e5 or e3 else 0.0",
+              "if not isfinite(err):",
+              '    raise IntegrationError(f"non-finite state in a step {h!r} from t={t!r}", t)',
+              "if err < 1:",
+              "    factor = 10.0 if err == 0 else 0.9 * err ** -0.125",
+              "    factor = factor if factor < 10.0 else 10.0",
+              "    h_abs *= (factor if factor < 1.0 else 1.0) if rejected else factor",
+              "    break",
+              "factor = 0.9 * err ** -0.125",
+              "h_abs *= factor if factor > 0.2 else 0.2",
+              "rejected = True"]
+    leg = ["def leg(fun, t, t1, h_abs, direction, y, f, atol, rtol, ts, ys, ks):",
+           f"    {vec('y{i}')}= y", f"    {vec('k0_{i}')}= f", f"    {vec('a{i}')}= atol",
+           "    toward = direction * inf",
+           "    while direction * (t - t1) < 0:",
+           "        min_step = 10 * abs(nextafter(t, toward) - t)",
+           "        if min_step > h_abs:",
+           "            h_abs = min_step",
+           "        rejected = False",
+           "        while True:",
+           *["            " + line for line in tries],
+           f"        ks.fromlist([{kept}{room}])",
+           f"        t, {vec('y{i}')}{vec('k0_{i}')}= t_new, {vec('n{i}')}{vec('k12_{i}')}",
+           "        ts.append(t)",
+           f"        ys.fromlist([{vec('y{i}')}])"]
+    scope = {"IntegrationError": IntegrationError, "inf": math.inf,
+             "nextafter": math.nextafter, "sqrt": math.sqrt, "isfinite": math.isfinite}
+    exec(compile("\n".join(leg), f"<dop853 leg dim={dim}>", "exec"), scope)
+    return scope["leg"]
 
 
 def _initial_step(field, t0, y0, f0, span, direction, atol, rtol):
@@ -162,41 +202,13 @@ def _steps(field, y0, t0, t1, tol, atol):
     """The accepted steps of one run t0 -> t1, in stepping order: times, states and
     each step's stages 0, 5-12, with room for the stages 13-15 :func:`_dense` fills."""
     dim = len(y0)
-    attempt = _stepper(dim)
     rtol = max(tol.tol, 100 * np.finfo(float).eps)
     direction = 1.0 if t1 > t0 else -1.0
     y = tuple(y0.tolist())
     f = tuple(field(t0, y))
     h_abs = _initial_step(field, t0, y, f, abs(t1 - t0), direction, atol, rtol)
-    t, ts, ys, ks = t0, array("d", [t0]), array("d", y), array("d")
-    room = (0.0,) * (dim * (len(_KEPT) - _STEPPED))
-    while direction * (t - t1) < 0:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise IntegrationError(f"step size {h_abs!r} underflows at t={t!r}", t)
-            t_new = t + h_abs * direction
-            if direction * (t_new - t1) > 0:
-                t_new = t1
-            h = t_new - t
-            h_abs = abs(h)
-            y_new, f_new, e5, e3, K = attempt(field, t, h, y, f, atol, rtol)
-            err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * dim) if e5 or e3 else 0.0
-            if not math.isfinite(err):
-                raise IntegrationError(f"non-finite state in a step {h!r} from t={t!r}", t)
-            if err < 1:
-                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err ** -0.125)
-            rejected = True
-        ks.extend(K)
-        ks.extend(room)
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.extend(y)
+    ts, ys, ks = array("d", [t0]), array("d", y), array("d")
+    _leg(dim)(field, t0, t1, h_abs, direction, y, f, atol, rtol, ts, ys, ks)
     T, Y = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, dim)
     return T, Y, np.frombuffer(ks).reshape(len(T) - 1, len(_KEPT), dim)
 
@@ -207,7 +219,7 @@ def _dense(field, T, Y, K):
     dim = Y.shape[1]
     H, dY = np.diff(T), np.diff(Y, axis=0)
     # stages 13-15 of all steps: one field call each on (dim, steps) arrays,
-    # formed as a scalar stage of attempt is, product for product, so bit for bit
+    # formed as a scalar stage of a leg is, product for product, so bit for bit
     k = dict(zip(_KEPT, K.transpose(1, 2, 0)))      # stage -> (dim, steps) view of K
     for s in _KEPT[_STEPPED:]:
         comb = reduce(np.add, (w * k[j] for j, w in enumerate(_A[s]) if w))

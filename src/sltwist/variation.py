@@ -68,7 +68,8 @@ def dpthat_dtau(curve: TwistTrajectory) -> float:
     """
     pair, data, lin = curve.param.pair, curve.period, curve.Q
     q, n = pair.q, pair.n
-    hi, lo = (s[4] / (q - n * _y(s)) for s in (lin(data.p_plus), lin(-data.p_minus)))
+    s = lin([data.p_plus, -data.p_minus])
+    hi, lo = s[4] / (q - n * _y(s))
     return float(4.0 * pair.p * q * (hi - lo))
 
 

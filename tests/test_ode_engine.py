@@ -282,9 +282,9 @@ def test_tableau_literals_are_scipys_bit_for_bit():
     assert np.array_equal(ode_engine._E5, scipy_dop853.E5)
     assert np.array_equal(ode_engine._E3, scipy_dop853.E3)
     assert np.array_equal(ode_engine._D, scipy_dop853.D)
-    # the compiled step carries each coefficient it uses as a literal; the
+    # the compiled leg carries each coefficient it uses as a literal; the
     # dense-output stages 13-15 read rows 13-15 of _A, pinned above
-    consts = set(ode_engine._stepper(2).__code__.co_consts)
+    consts = set(ode_engine._leg(2).__code__.co_consts)
     used = [*scipy_dop853.C[1:n], *scipy_dop853.A[1:n + 1].ravel(),
             *scipy_dop853.E5, *scipy_dop853.E3]
     assert {float(v) for v in used if v} <= consts
@@ -316,25 +316,36 @@ def test_generated_profile_field_is_the_complex_formula_bit_for_bit(n):
         assert np.array_equal(_bits(ours(0.0, tuple(col))), _bits(want))
 
 
+def _column_sum(terms):
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _stage_state(s, h, y, k):
+    """The state stage s of a step of size h from y reads, in Python floats:
+    row s of ``_A`` times the stages before it, summed in column order, times
+    h, plus y."""
+    return tuple(y[i] + _column_sum([w * k[j][i] for j, w in enumerate(ode_engine._A[s]) if w])
+                 * h for i in range(len(y)))
+
+
+def _scalar_stages(field, t, h, y, f, last):
+    """Stages 0..last of one step, one field call on a tuple of floats each."""
+    k = [tuple(f)]
+    for s in range(1, last + 1):
+        k.append(tuple(field(t + ode_engine._C[s] * h, _stage_state(s, h, y, k))))
+    return k
+
+
 def _scalar_dense_rows(traj):
-    """``F[:, 3:]`` of a trajectory rebuilt one step at a time: stages 0, 5-12
-    from the scalar step ``attempt``, stages 13-15 in Python floats from rows
-    13-15 of ``_A`` (the weighted sum in column order, times h, plus y)."""
-    field, dim = traj.field, traj.states.shape[1]
-    attempt, A, C, kept = ode_engine._stepper(dim), ode_engine._A, ode_engine._C, ode_engine._KEPT
+    """``F[:, 3:]`` of a trajectory rebuilt one step at a time, every stage 1-15
+    in Python floats from ``_A`` and ``_C``."""
+    field, kept = traj.field, ode_engine._KEPT
     K = []
     for t, h, y in zip(traj.origin.tolist(), traj.h.tolist(), traj.y_origin.tolist()):
-        *_, stepped = attempt(field, t, h, tuple(y), tuple(field(t, tuple(y))), (1.0,) * dim, 1.0)
-        k = {s: stepped[dim * j:dim * (j + 1)] for j, s in enumerate(kept[:9])}
-        for s in (13, 14, 15):
-            arg = []
-            for i in range(dim):
-                terms = [w * k[j][i] for j, w in enumerate(A[s]) if w]
-                comb = terms[0]
-                for term in terms[1:]:
-                    comb = comb + term
-                arg.append(y[i] + comb * h)
-            k[s] = tuple(field(t + C[s] * h, tuple(arg)))
+        k = _scalar_stages(field, t, h, y, field(t, tuple(y)), 15)
         K.append([k[s] for s in kept])
     return traj.h[:, None, None] * np.einsum("ij,sjd->sid", ode_engine._D[:, kept], np.array(K))
 
@@ -360,6 +371,69 @@ def test_one_pass_dense_stages_equal_scalar_steps(build):
     traj = build()
     assert (traj.h < 0).any() and (traj.h > 0).any()
     assert np.array_equal(_bits(traj.F[:, 3:]), _bits(_scalar_dense_rows(traj)))
+
+
+def _reference_steps(field, y0, t0, t1, tol, atol):
+    """One run t0 -> t1 of scipy's step control as a plain Python loop over
+    :func:`_scalar_stages`, in ``_steps``' layout (T, Y, K), and its rejections."""
+    dim, kept = len(y0), ode_engine._KEPT[:9]
+    rtol = max(tol.tol, 100 * np.finfo(float).eps)
+    direction = 1.0 if t1 > t0 else -1.0
+    y = tuple(y0.tolist())
+    f = tuple(field(t0, y))
+    h_abs = ode_engine._initial_step(field, t0, y, f, abs(t1 - t0), direction, atol, rtol)
+    t, ts, ys, ks, rejections = t0, [t0], [y], [], 0
+    while direction * (t - t1) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            assert h_abs >= min_step
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            k = _scalar_stages(field, t, h, y, f, 11)
+            y_new = _stage_state(12, h, y, k)
+            k.append(tuple(field(t + h, y_new)))
+            e5, e3 = ([_column_sum([w * k[j][i] for j, w in enumerate(weights) if w])
+                       / (atol[i] + max(abs(y[i]), abs(y_new[i])) * rtol) for i in range(dim)]
+                      for weights in (ode_engine._E5, ode_engine._E3))
+            e5, e3 = _column_sum([e * e for e in e5]), _column_sum([e * e for e in e3])
+            err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * dim) if e5 or e3 else 0.0
+            assert math.isfinite(err)
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+            rejections += 1
+        ks.append([k[s] for s in kept] + [(0.0,) * dim] * 3)
+        t, y, f = t_new, y_new, k[12]
+        ts.append(t)
+        ys.append(y)
+    return np.array(ts), np.array(ys), np.array(ks), rejections
+
+
+def test_generated_leg_equals_plain_python_steps():
+    # the (1,6) curve at small tau, whose steps are rejected now and then:
+    # the plain loop's steps, states and dense coefficients on both sides
+    pair = AdmissiblePair(1, 6)
+    param = TwistParam(pair, 1e-5 * tau_max(pair))
+    hi = _period_span(param, 1)[1]
+    traj = TwistTrajectory(param, span=(-0.5 * hi, hi)).trajectory
+    y0, rejections, sides = traj.states[traj.time_grid == 0.0][0], 0, []
+    for t1 in (traj.time_grid[-1], traj.time_grid[0]):
+        T, Y, K, rejected = _reference_steps(traj.field, y0, 0.0, float(t1), traj.tol, traj.atol)
+        sides.append(ode_engine._dense(traj.field, T, Y, K))
+        rejections += rejected
+    fwd, bwd = sides
+    assert rejections >= 1
+    assert np.array_equal(_bits(traj.time_grid), _bits(np.concatenate([bwd[0], fwd[0][1:]])))
+    assert np.array_equal(_bits(traj.states), _bits(np.concatenate([bwd[1], fwd[1][1:]])))
+    assert np.array_equal(_bits(traj.F), _bits(np.concatenate([bwd[5], fwd[5]])))
 
 
 def _reference_case(field, y0, span, tol=Tolerances(), atol_scale=1.0):
