@@ -1,9 +1,10 @@
 """Command-line front end: every operation as a subcommand.
 
-Exit codes: 0 success, 1 invariant-suite violation, 2 argument errors,
-3 numerical failure (integration, bracketing, lifetime), 141 a pipe
-written to (stdout or an --out FIFO) closed by its reader before the
-output was written (128 + SIGPIPE).
+Exit codes: 0 success, 1 invariant-suite violation, 2 argument errors
+(an --out path that cannot be written among them), 3 numerical failure
+(integration, bracketing, lifetime), 141 a pipe written to (stdout or an
+--out FIFO) closed by its reader before the output was written
+(128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def cmd_export(args) -> int:
         w = args.window or 3.0
         curve = TwistTrajectory(param, tol, span=_sampler_span((-w, w)))
         sampler = geo.immersion_sampler(curve, (-w, w))
-        geo.export(sampler, (args.samples, args.samples), "obj", args.out)
+        geo.export(sampler, (args.samples, args.samples), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
         return 141
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:      # OSError: an --out path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, EventError, ArithmeticError) as exc:

@@ -109,53 +109,34 @@ def _grid(axes, i: int, j: int) -> np.ndarray:
     return np.stack([ax[k] for ax, k in zip(axes, index)], axis=-1)
 
 
-def export(sampler: Sampler, grid_spec, fmt: str, path) -> Path:
-    """Write a sampler grid, ``grid_spec`` points per chart axis, as csv or obj.
+def export(sampler: Sampler, grid_spec, path) -> Path:
+    """Write a sampler grid, ``grid_spec`` points per chart axis, as an OBJ mesh.
 
     OBJ output is limited to 2-parameter samplers in C^3 (surface images
     of the (1,2) family); the projection to R^3 is the fixed linear map
     taking componentwise real parts.
     """
-    if fmt == "csv":
-        counts = [int(c) for c in grid_spec]
-        axes = [np.linspace(lo, hi, c)
-                for (lo, hi), c in zip(sampler.box, counts)]
-        header = [f"u{i}" for i in range(sampler.dim)]
-        header += [f"{part}_z{j + 1}" for j in range(sampler.m)
-                   for part in ("re", "im")]
+    if sampler.dim != 2 or sampler.m != 3:
+        raise ValueError("obj export needs a 2-parameter sampler in C^3")
+    nt, na = int(grid_spec[0]), int(grid_spec[1])
+    (t_lo, t_hi), (a_lo, a_hi) = sampler.box[0], sampler.box[1]
+    ts = np.linspace(t_lo, t_hi, nt)
+    angs = a_lo + (a_hi - a_lo) * np.arange(na) / na
 
-        def rows(i, j):
-            u = _grid(axes, i, j)
-            z = sampler(u)
-            return np.concatenate([u, np.stack([z.real, z.imag], axis=-1).reshape(len(u), -1)],
-                                  axis=1)
+    def verts(i, j):
+        return sampler(_grid((ts, angs), i, j))[:, :3].real
 
-        return _write(path, ",".join(header),
-                      (",".join(["%.17g"] * len(header)), math.prod(counts), rows))
-    if fmt == "obj":
-        if sampler.dim != 2 or sampler.m != 3:
-            raise ValueError("obj export needs a 2-parameter sampler in C^3")
-        nt, na = int(grid_spec[0]), int(grid_spec[1])
-        (t_lo, t_hi), (a_lo, a_hi) = sampler.box[0], sampler.box[1]
-        ts = np.linspace(t_lo, t_hi, nt)
-        angs = a_lo + (a_hi - a_lo) * np.arange(na) / na
+    def faces(i, j):
+        # face f = r na + c has the 1-based corners (r, c), (r, c+1), (r+1, c+1),
+        # (r+1, c), c + 1 wrapping mod na
+        f = np.arange(i, j)
+        c = f % na
+        here, c_next = f - c + 1, (c + 1) % na
+        return np.stack([here + c, here + c_next, here + na + c_next, here + na + c], axis=-1)
 
-        def verts(i, j):
-            return sampler(_grid((ts, angs), i, j))[:, :3].real
-
-        def faces(i, j):
-            # face f = r na + c has the 1-based corners (r, c), (r, c+1), (r+1, c+1),
-            # (r+1, c), c + 1 wrapping mod na
-            f = np.arange(i, j)
-            c = f % na
-            here, c_next = f - c + 1, (c + 1) % na
-            return np.stack([here + c, here + c_next, here + na + c_next, here + na + c],
-                            axis=-1)
-
-        return _write(path, f"# projection: {_OBJ_PROJECTION}",
-                      ("v %.17g %.17g %.17g", nt * na, verts),
-                      ("f %d %d %d %d", (nt - 1) * na, faces))
-    raise ValueError(f"unsupported format {fmt!r}")
+    return _write(path, f"# projection: {_OBJ_PROJECTION}",
+                  ("v %.17g %.17g %.17g", nt * na, verts),
+                  ("f %d %d %d %d", (nt - 1) * na, faces))
 
 
 def validate_obj(path) -> tuple[int, int]:

@@ -12,8 +12,11 @@ s^2 is a polynomial in u from the factors (r + u)^a ((1 - r) - u)^b of f,
 with no cancellation at the root.  Then s = d sinh(v), with d^2 the smaller
 of the branch length and r (the pole of the angle weight 1/y or 1/(1 - y)),
 and one 64-node Gauss-Legendre rule in v sums both halves for an array of
-tau at once.  A weight h is called as h(y, 1 - y): (r + u, (1 - r) - u) on
-y_min's half, the pair swapped on y_max's.
+tau at once.  One evaluation gives the three route integrals of a tau, with
+the weights 1, 1/(1 - y) and 1/y (time, psi1 and psi2), where
+(y, 1 - y) = (r + u, (1 - r) - u) on y_min's half and the pair swapped on
+y_max's; :func:`branch_integral` holds them for 64 taus, and every one-tau
+read goes through it.
 Route two locates the extrema of y along the integrated curve as events
 and reads the angles psi_i off arg w on the same trajectory.
 """
@@ -30,8 +33,8 @@ from .twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _extrem
                             _ydot, f_prime, f_taylor_coeffs)
 
 __all__ = [
-    "PeriodData", "partial_periods_quadrature", "pthat_quadrature", "angular_periods",
-    "branch_integral", "period_ode",
+    "PeriodData", "partial_periods_quadrature", "pthat_quadrature", "pthat_quadrature_psi2",
+    "angular_periods", "branch_integral", "period_ode",
 ]
 
 
@@ -71,11 +74,15 @@ class PeriodData:
     psi2_2p: float
 
 
-def _branch_halves(pair: AdmissiblePair, taus, gaps, h) -> tuple[np.ndarray, np.ndarray]:
-    """int h(y, 1 - y) dy / (2 sqrt(f(y) - 4 tau^2)) over [y_min, q/n] and
-    [q/n, y_max] for each tau, by the rule of the module docstring; ``gaps`` is
+def _branch_halves(pair: AdmissiblePair, taus, gaps) -> np.ndarray:
+    """The route integrals int w(y) dy / (2 sqrt(f(y) - 4 tau^2)) over [y_min, q/n]
+    and [q/n, y_max] for each tau, by the rule of the module docstring, as one
+    (3, 2, len(taus)) array: weights w = 1, 1/(1 - y) and 1/y (time, psi1 and
+    psi2 over 2 tau) on axis 0, the halves on axis 1.  ``gaps`` is
     (y_min, 1 - y_max) of ``taus``, two arrays over tau or two floats for one
-    tau.  A sum that is not finite is refused, naming its tau."""
+    tau.  Each tau's row is summed by its own product with the rule, so it has
+    the same bits in any batch.  A sum that is not finite is refused, naming its
+    tau."""
     p, q, n = pair.p, pair.q, pair.n
     r = np.reshape(gaps, (2, -1, 1))
     c = np.stack([f_taylor_coeffs(q, p, r[0]), f_taylor_coeffs(p, q, r[1])], axis=1)
@@ -90,25 +97,27 @@ def _branch_halves(pair: AdmissiblePair, taus, gaps, h) -> tuple[np.ndarray, np.
         for ck in c[-2::-1]:
             G = G * s2 + ck         # f(y) - 4 tau^2 = s^2 G, positive inside
         near, far = r + s2, (1.0 - r) - s2
-        g = h(np.stack([near[0], far[1]]), np.stack([far[0], near[1]])) * np.cosh(v) / np.sqrt(G)
-        lo, hi = (d * span * g) @ _WEIGHTS
-    finite = np.isfinite(lo + hi)
+        y, one_minus_y = np.stack([near[0], far[1]]), np.stack([far[0], near[1]])
+        scale, cosh, root = d * span, np.cosh(v), np.sqrt(G)
+        out = np.stack([((scale * (w * cosh / root))[..., None, :] @ _WEIGHTS)[..., 0]
+                        for w in (1.0, 1.0 / one_minus_y, 1.0 / y)])
+    finite = np.isfinite(out).all(axis=(0, 1))
     if not finite.all():
         tau = abs(np.ravel(taus)[np.argmin(finite)])
         raise ArithmeticError(f"the branch quadrature at |tau|={tau} is not finite")
-    return lo, hi
+    return out
 
 
-def branch_integral(param: TwistParam, h) -> float:
-    """int_{y_min}^{y_max} h(y, 1 - y) dy / (2 sqrt(f(y) - 4 tau^2)), h taking arrays.
+@lru_cache(maxsize=64)     # a curve's span, Newton seeds and route gaps ask for the same tau
+def branch_integral(param: TwistParam) -> tuple[tuple[float, float], ...]:
+    """The (3, 2) row of :func:`_branch_halves` for one tau, as tuples of floats:
+    (p_plus, p_minus) by time, then the psi1 and psi2 integrals of the two halves.
 
-    This is the integral of h(y(t)) dt over one monotone branch of y.
+    Each is the integral of its weight w(y(t)) dt over one monotone half-branch of y.
     """
-    (lo,), (hi,) = _branch_halves(param.pair, param.tau, _gaps(param), h)
-    return float(lo + hi)
+    return tuple(map(tuple, _branch_halves(param.pair, param.tau, _gaps(param))[..., 0].tolist()))
 
 
-@lru_cache(maxsize=64)     # a curve's span, Newton seeds and route gap ask for the same tau
 def partial_periods_quadrature(param: TwistParam) -> tuple[float, float]:
     """(p_plus, p_minus) by singular quadrature.
 
@@ -116,29 +125,19 @@ def partial_periods_quadrature(param: TwistParam) -> tuple[float, float]:
     and the whole branch integral is the half-period.  tau = 0 and |tau| at
     tau_max are refused by :func:`_extrema`.
     """
-    pair = param.pair
-    (p_plus,), (p_minus,) = _branch_halves(pair, param.tau, _gaps(param),
-                                           lambda y, one_minus_y: 1.0)
-    return (float(p_plus + p_minus), 0.0) if pair.p == 1 else (float(p_plus), float(p_minus))
-
-
-def _psi1_weight(y, one_minus_y):
-    return 1.0 / one_minus_y
-
-
-def _psi2_weight(y, one_minus_y):
-    return 1.0 / y
+    p_plus, p_minus = branch_integral(param)[0]
+    return (p_plus + p_minus, 0.0) if param.pair.p == 1 else (p_plus, p_minus)
 
 
 def angular_periods(pair: AdmissiblePair, taus) -> np.ndarray:
     """pthat by quadrature for each tau of an array: p * int 2 tau/(1 - y)."""
-    lo, hi = _branch_halves(pair, taus, _extrema(pair, taus), _psi1_weight)
+    lo, hi = _branch_halves(pair, taus, _extrema(pair, taus))[1]
     return 2.0 * pair.p * np.asarray(taus, dtype=float) * (lo + hi)
 
 
 def pthat_quadrature(param: TwistParam) -> float:
     """Angular period by quadrature: p * (change of psi1 over one branch)."""
-    return 2.0 * param.pair.p * param.tau * branch_integral(param, _psi1_weight)
+    return 2.0 * param.pair.p * param.tau * sum(branch_integral(param)[1])
 
 
 def pthat_quadrature_psi2(param: TwistParam) -> float:
@@ -147,7 +146,7 @@ def pthat_quadrature_psi2(param: TwistParam) -> float:
     Equal to :func:`pthat_quadrature` because p psi1 + q psi2 vanishes
     over a full period.
     """
-    return 2.0 * param.pair.q * param.tau * branch_integral(param, _psi2_weight)
+    return 2.0 * param.pair.q * param.tau * sum(branch_integral(param)[2])
 
 
 def _period_span(param: TwistParam, periods: int) -> tuple[float, float]:

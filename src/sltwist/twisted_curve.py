@@ -325,7 +325,7 @@ class TwistTrajectory:
     lifetime only.  ``Q`` is the (w, Q, Q') trajectory of
     :func:`variation.solve_Q`.  What outlives a call is held by module-level
     caches of fixed size: ``_gaps`` keeps the extrema of 64 taus,
-    ``periods.partial_periods_quadrature`` the partial periods of 64 taus and
+    ``periods.branch_integral`` the quadrature's route integrals of 64 taus and
     ``catenoid._unit_trajectory`` 8 catenoid-profile trajectories.
 
     The integrated state is w alone, held as one :class:`Trajectory` from

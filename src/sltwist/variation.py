@@ -20,8 +20,8 @@ import numpy as np
 from .catenoid import catenoid_lifetime
 from .ode_engine import Trajectory, integrate
 # variation.period_ode stays a name of this module: perfbench's tracer looks it up here
-from .periods import (_branch_halves, _psi2_weight, partial_periods_quadrature,  # noqa: F401
-                      period_ode, pthat_quadrature)
+from .periods import (_branch_halves, partial_periods_quadrature, period_ode,  # noqa: F401
+                      pthat_quadrature)
 from .twisted_curve import (TwistParam, TwistTrajectory, _extrema, _field, _gaps, _y, _ydot,
                             initial_state, tau_max)
 
@@ -86,7 +86,7 @@ def dpthat_dtau_cross_check(curve: TwistTrajectory) -> dict:
     value = dpthat_dtau(curve)
     h = 1e-2 * min(abs(tau), tau_max(pair) - abs(tau))
     taus = tau + h * np.array([1.0, -1.0, 0.5, -0.5])
-    lo, hi = _branch_halves(pair, taus, _extrema(pair, taus), _psi2_weight)
+    lo, hi = _branch_halves(pair, taus, _extrema(pair, taus))[2]
     up, dn, half_up, half_dn = 2.0 * pair.q * taus * (lo + hi)
     fd = float((8.0 * (half_up - half_dn) - (up - dn)) / (6.0 * h))
     rel = abs(value - fd) / max(abs(fd), 1e-300)

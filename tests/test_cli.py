@@ -477,3 +477,18 @@ def test_out_fifo_closed_early_exits_141_without_traceback(tmp_path):
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--p", "2", "--q", "3", "--tau", "0.05", "--samples", "20"),
+    ("export", "--p", "2", "--q", "3", "--tau", "0.05", "--format", "csv", "--samples", "20"),
+    ("periods", "--p", "2", "--q", "3", "--tau", "0.05", "--json"),
+])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_out_path_that_cannot_be_written_is_an_argument_error(argv, where, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(out) in err

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import sltwist.ode_engine as ode_engine
+import sltwist.periods as periods
 import sltwist.twisted_curve as twisted_curve
 from sltwist.cli import main
-from sltwist.periods import _period_span, partial_periods_quadrature
+from sltwist.periods import _period_span, branch_integral
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _field
 from sltwist.variation import dpthat_dtau_cross_check
 
@@ -62,8 +63,8 @@ def test_each_subcommand_integrates_each_curve_once(monkeypatch, capsys, tmp_pat
     # one integration of the curve system per distinct tau (initial state), each
     # made by one solve_w call, and Q's own for verify: no read re-integrates a
     # curve over a wider span (the neck's degree-3 catenoid profile integrates a
-    # system of its own).  The partial-period quadrature is evaluated once per
-    # distinct tau it is asked for, whichever routes ask
+    # system of its own).  The quadrature's route integrals are evaluated once per
+    # distinct tau they are asked for, whichever routes ask
     p, q = (int(v) for v in argv.split()[2:5:2])
     curve_states, others, solves, inside, asked = [], [], [], [], []
 
@@ -84,13 +85,13 @@ def test_each_subcommand_integrates_each_curve_once(monkeypatch, capsys, tmp_pat
 
     def asking(param):
         asked.append(param.tau)
-        return partial_periods_quadrature(param)
+        return branch_integral(param)
 
     original, original_solve_w = ode_engine.integrate, twisted_curve.solve_w
     _rebind_everywhere(monkeypatch, original, counting)
     _rebind_everywhere(monkeypatch, original_solve_w, solving)
-    _rebind_everywhere(monkeypatch, partial_periods_quadrature, asking)
-    partial_periods_quadrature.cache_clear()
+    _rebind_everywhere(monkeypatch, branch_integral, asking)
+    branch_integral.cache_clear()
     out = ["--out", str(tmp_path / "x")] if argv.startswith("export") else []
     assert main(argv.split() + out) == 0
     states = [s for s, _, _ in curve_states]
@@ -100,7 +101,30 @@ def test_each_subcommand_integrates_each_curve_once(monkeypatch, capsys, tmp_pat
         (k + 1, 1) for k in range(len(curve_states))]
     assert len(solves) == len(curve_states)
     assert sum(len(s) == 6 for s in others) == linearised
-    assert partial_periods_quadrature.cache_info().misses == len(set(asked))
+    assert branch_integral.cache_info().misses == len(set(asked))
+
+
+@pytest.mark.parametrize("argv,taus", [
+    ("verify --p 2 --q 3 --tau 0.05", {0.05}),
+    ("periods --p 1 --q 2 --tau 0.1", {0.1}),
+    ("asymptotics --p 2 --q 3 --tau-list 1e-2,1e-3,1e-4", {1e-2, 1e-3, 1e-4}),
+])
+def test_each_tau_evaluates_the_quadrature_rule_once(monkeypatch, capsys, argv, taus):
+    # time, psi1 and psi2 of a tau come from one evaluation of the rule, held by
+    # branch_integral's memo: the period, both angular periods and the span all
+    # read it (verify's derivative row evaluates its four taus in one batch)
+    one_tau = []
+
+    def counting(pair, ts, gaps):
+        if np.ndim(ts) == 0:
+            one_tau.append(ts)
+        return original(pair, ts, gaps)
+
+    original = periods._branch_halves
+    _rebind_everywhere(monkeypatch, original, counting)
+    branch_integral.cache_clear()
+    assert main(argv.split()) == 0
+    assert sorted(one_tau) == sorted(taus)
 
 
 def test_cross_check_integrates_nothing(monkeypatch):

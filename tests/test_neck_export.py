@@ -176,16 +176,6 @@ def test_exports_in_blocks_of_three_rows_match_row_by_row_files(tmp_path, monkey
     rows = np.column_stack([ts, w1.real, w1.imag, w2.real, w2.imag])
     assert path.read_bytes() == "\n".join(["t,re_w1,im_w1,re_w2,im_w2", *lines(rows)]).encode() + b"\n"
 
-    counts = (4, 3, 2, 5)           # a 4-parameter sampler, 120 rows
-    sampler = _sampler(TwistParam(AdmissiblePair(2, 3), 0.05), (-1.0, 1.0))
-    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(sampler.box, counts)]
-    u = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-    z = sampler(u)
-    header = "u0,u1,u2,u3," + ",".join(f"{part}_z{j}" for j in range(1, 6) for part in ("re", "im"))
-    rows = np.concatenate([u, np.stack([z.real, z.imag], axis=-1).reshape(len(u), -1)], axis=1)
-    path = geo.export(sampler, counts, "csv", tmp_path / "g.csv")
-    assert path.read_bytes() == "\n".join([header, *lines(rows)]).encode() + b"\n"
-
     nt, na = 4, 5
     sampler = _sampler(TwistParam(AdmissiblePair(1, 2), 0.1), (-1.0, 1.0))
     (t_lo, t_hi), (a_lo, a_hi) = sampler.box
@@ -195,7 +185,7 @@ def test_exports_in_blocks_of_three_rows_match_row_by_row_files(tmp_path, monkey
     faces = ["f %d %d %d %d" % (i * na + j + 1, i * na + (j + 1) % na + 1,
                                 (i + 1) * na + (j + 1) % na + 1, (i + 1) * na + j + 1)
              for i in range(nt - 1) for j in range(na)]
-    path = geo.export(sampler, (nt, na), "obj", tmp_path / "m.obj")
+    path = geo.export(sampler, (nt, na), tmp_path / "m.obj")
     expected = ["# projection: Re z1, Re z2, Re z3",
                 *("v " + line.replace(",", " ") for line in lines(verts)), *faces]
     assert path.read_bytes() == "\n".join(expected).encode() + b"\n"
@@ -225,7 +215,7 @@ def test_trajectory_csv_edge_values_and_empty(tmp_path):
 @pytest.mark.parametrize("nt,na", [(2, 3), (3, 5), (12, 12)])
 def test_obj_faces_are_the_wrapped_quads(nt, na, tmp_path):
     sampler = _sampler(TwistParam(AdmissiblePair(1, 2), 0.1), (-1.0, 1.0))
-    lines = geo.export(sampler, (nt, na), "obj", tmp_path / "m.obj").read_text().splitlines()
+    lines = geo.export(sampler, (nt, na), tmp_path / "m.obj").read_text().splitlines()
     quads = [(i * na + j + 1, i * na + (j + 1) % na + 1,
               (i + 1) * na + (j + 1) % na + 1, (i + 1) * na + j + 1)
              for i in range(nt - 1) for j in range(na)]
@@ -249,7 +239,7 @@ def test_json_deterministic():
 def test_obj_export_valid_mesh(tmp_path):
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     sampler = _sampler(param, (-2.0, 2.0))
-    path = geo.export(sampler, (20, 16), "obj", tmp_path / "neck.obj")
+    path = geo.export(sampler, (20, 16), tmp_path / "neck.obj")
     verts, faces = geo.validate_obj(path)
     assert verts == 20 * 16
     assert faces == 19 * 16
@@ -263,23 +253,4 @@ def test_obj_export_rejects_wrong_shape(tmp_path):
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     sampler = _sampler(param, (-1.0, 1.0))
     with pytest.raises(ValueError):
-        geo.export(sampler, (8, 8), "obj", tmp_path / "bad.obj")
-
-
-def test_csv_grid_export(tmp_path):
-    param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sampler = _sampler(param, (-1.0, 1.0))
-    path = geo.export(sampler, (5, 6), "csv", tmp_path / "grid.csv")
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 + 5 * 6
-    assert lines[0].split(",")[:2] == ["u0", "u1"]
-    # deterministic bytes on re-export
-    path2 = geo.export(sampler, (5, 6), "csv", tmp_path / "grid2.csv")
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_export_unknown_format(tmp_path):
-    param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    sampler = _sampler(param, (-1.0, 1.0))
-    with pytest.raises(ValueError):
-        geo.export(sampler, (4, 4), "stl", tmp_path / "x.stl")
+        geo.export(sampler, (8, 8), tmp_path / "bad.obj")

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sltwist.periods import (_period_span, partial_periods_quadrature, period_ode,
-                             pthat_quadrature, pthat_quadrature_psi2)
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max
+from sltwist.periods import (_branch_halves, _period_span, angular_periods, branch_integral,
+                             partial_periods_quadrature, period_ode, pthat_quadrature,
+                             pthat_quadrature_psi2)
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _extrema, tau_max
 
 PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
@@ -206,12 +207,28 @@ def test_periods_exit_zero_near_tau_max(p, q, k, capsys):
 def test_partial_periods_are_evaluated_once_per_period_ode_and_neck_span(p, q):
     # the quadrature's partial periods give the span and the Newton seeds of
     # period_ode, and the waist and the period span of the neck's span: the
-    # memo evaluates them once for all of these
+    # memo of the route integrals evaluates them once for all of these
     from sltwist.geometry.neck import _neck_span
 
-    partial_periods_quadrature.cache_clear()
+    branch_integral.cache_clear()
     param = TwistParam(AdmissiblePair(p, q), 1e-3)
     period_ode(_curve(param))
-    assert partial_periods_quadrature.cache_info().misses == 1
+    assert branch_integral.cache_info().misses == 1
     _neck_span(param, 1, None)
-    assert partial_periods_quadrature.cache_info().misses == 1
+    assert branch_integral.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (1, 6), (2, 2), (2, 3), (3, 3), (4, 4)])
+def test_a_batched_quadrature_has_each_taus_bits(p, q):
+    # each tau's row is summed on its own, so the scan over many taus and the
+    # Brent step at one read the same number at the same tau
+    pair = AdmissiblePair(p, q)
+    rng = np.random.default_rng(p * 10 + q)
+    taus = np.exp(rng.uniform(math.log(1e-6), math.log(0.99 * tau_max(pair)), 50))
+    times, psi1, psi2 = _branch_halves(pair, taus, _extrema(pair, taus)).sum(axis=1)
+    for i, tau in enumerate(taus):
+        param = TwistParam(pair, float(tau))
+        assert (2.0 * p * tau * psi1[i]).hex() == pthat_quadrature(param).hex(), tau
+        assert (2.0 * q * tau * psi2[i]).hex() == pthat_quadrature_psi2(param).hex(), tau
+        assert times[i].hex() == sum(partial_periods_quadrature(param)).hex(), tau
+    assert angular_periods(pair, taus).tobytes() == (2.0 * p * taus * psi1).tobytes()
