@@ -70,7 +70,9 @@ def _profile_field(n: int):
 @lru_cache(maxsize=8)      # spans above 0.995 T_1 come one per call; keep a few
 def _unit_trajectory(n: int, span: float):
     w0 = np.exp(1j * math.pi / (2 * n))
-    return integrate(_profile_field(n), [w0.real, w0.imag], (-span, span), Tolerances(), t0=0.0)
+    # not mirrored: the reflection multiplies by e^{i pi/n}, which rounds
+    return integrate(_profile_field(n), [w0.real, w0.imag], (-span, span), Tolerances(),
+                     t0=0.0, mirror=None)
 
 
 def unit_profile(n: int, t):

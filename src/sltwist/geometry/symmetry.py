@@ -4,8 +4,12 @@ Every symmetry here is diagonal, so each is represented by its diagonal:
 the one-period translation acts on (w1, w2) by the phases
 Mhat_x = (e^{ix/p}, e^{-ix/q}), and the reflections act
 antiholomorphically, w -> D conj(w), with the phases D read off arg w.
-All relations are verified by comparing independently integrated
-trajectory values, never by construction.
+The relations are verified by comparing integrated trajectory values, with
+one exception made by construction: for p = 1 the backward half of the
+curve is its forward half mirrored by ``twisted_curve._REVERSAL``, so the
+'reflection' row w(-t) = D conj(w(t)) checks only that this sign vector is
+the reflection whose phases :func:`reflection_phases` writes down apart,
+D = (-1, 1).  It reads 0, and a mirror that is some other reflection fails it.
 """
 
 from __future__ import annotations

@@ -14,6 +14,15 @@ arrays of all its steps, so a field takes arrays too.  :func:`integrate`
 starts at an explicit anchor inside the span, and one :class:`Trajectory`
 covers both sides of it; an endpoint runs a leg alone, without dense output.
 
+A reversible system, one whose field a sign vector R reverses, field(-t, R s)
+= -R field(t, s), from a state R fixes, has the backward side of a span
+symmetric about the anchor 0 in its forward side: t -> -t, s -> R s.  Every
+operation of a step and of the dense output is a product, sum, difference or
+quotient, or reads |s| only, so negating times, h and the stages and flipping
+state signs by R rounds alike on both sides: the backward leg repeats the
+forward one with its signs flipped, bit for bit, and :func:`integrate` builds
+it from the forward leg instead of stepping it.
+
 :func:`locate_event` finds an event time by Newton's method on integrated
 endpoints, from a seed.  :func:`brent`, a line-for-line port of scipy's
 ``brentq`` (``brentq.c``), serves the closure search for its tau.
@@ -286,8 +295,19 @@ class Trajectory:
                       self.tol, self.atol)[1][-1]
 
 
+def _mirrored(side, R, t0, y0):
+    """The backward side of a reversible system from its forward ``side`` (see the
+    module docstring): times, origins and h negated, states, y_origin and F
+    multiplied by R, in reverse order, and the anchor's t0 and y0 as given."""
+    T, Y, origin, H, Y_origin, F = side
+    T, origin, Y, Y_origin = -T[::-1], -origin[::-1], Y[::-1] * R, Y_origin[::-1] * R
+    T[-1] = origin[-1] = t0
+    Y[-1] = Y_origin[-1] = y0
+    return T, Y, origin, -H[::-1], Y_origin, F[::-1] * R
+
+
 def integrate(field, state0, span, tol: Tolerances = Tolerances(), atol_scale=1.0, *,
-              t0) -> Trajectory:
+              t0, mirror) -> Trajectory:
     """Integrate ``state' = field(t, state)`` from ``state0`` at the anchor
     ``t0`` to both ends of span, forward first.
 
@@ -296,6 +316,13 @@ def integrate(field, state0, span, tol: Tolerances = Tolerances(), atol_scale=1.
     probe and in the dense-output stages of each side ((dim, steps) states);
     it returns dim floats or arrays.  ``atol_scale`` multiplies ``tol.tol``
     in the absolute tolerance, per component when it is an array.
+
+    ``mirror`` is None, or a sign vector R of ones and minus ones that fixes
+    ``state0`` by value and reverses ``field``, field(-t, R s) = -R field(t, s),
+    which the caller vouches for.  On a span symmetric about t0 = 0 the forward
+    side is then stepped alone and the backward side is built from it (see the
+    module docstring); its arrays equal the backward run's.  Any other span
+    steps both sides.
     """
     lo, hi = sorted((float(span[0]), float(span[1])))
     t0 = float(t0)
@@ -304,12 +331,20 @@ def integrate(field, state0, span, tol: Tolerances = Tolerances(), atol_scale=1.
     if not lo <= t0 <= hi:
         raise ValueError(f"anchor t0={t0} outside the span [{lo}, {hi}]")
     y0 = np.asarray(state0, dtype=float)
+    if mirror is not None:
+        R = np.asarray(mirror, dtype=float)
+        if R.shape != y0.shape or not (np.abs(R) == 1).all() or not (R * y0 == y0).all():
+            raise ValueError(f"mirror {mirror} is not a sign vector that fixes the "
+                             f"initial state {y0.tolist()}")
     atol = tuple(np.broadcast_to(tol.tol * np.asarray(atol_scale, dtype=float),
                                  y0.shape).tolist())
     anchor = (np.array([t0]), y0[None], np.empty(0), np.empty(0),
               np.empty((0, len(y0))), np.empty((0, 7, len(y0))))
     fwd = _dense(field, *_steps(field, y0, t0, hi, tol, atol)) if hi > t0 else anchor
-    bwd = _dense(field, *_steps(field, y0, t0, lo, tol, atol)) if lo < t0 else anchor
+    if mirror is not None and t0 == 0 and lo == -hi:
+        bwd = _mirrored(fwd, R, t0, y0)
+    else:
+        bwd = _dense(field, *_steps(field, y0, t0, lo, tol, atol)) if lo < t0 else anchor
     return Trajectory(t0, np.concatenate([bwd[0], fwd[0][1:]]),
                       np.concatenate([bwd[1], fwd[1][1:]]),
                       *(np.concatenate(pair) for pair in zip(bwd[2:], fwd[2:])),

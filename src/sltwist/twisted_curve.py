@@ -36,6 +36,11 @@ __all__ = [
 # roots of f(y) = 4 tau^2 coalesce and refining them is meaningless.
 _TAU_MAX_MARGIN = 1e-10
 
+# p = 1: t -> -t with w -> (-conj w1, conj w2) reverses the field and fixes
+# the initial state at y_max, as signs of (Re w1, Im w1, Re w2, Im w2).  The
+# reflection phases D = (-1, 1) of geometry.symmetry say the same, written apart.
+_REVERSAL = (-1.0, 1.0, 1.0, -1.0)
+
 
 @dataclass(frozen=True)
 class AdmissiblePair:
@@ -337,9 +342,11 @@ class TwistTrajectory:
     states are conjugate, and the integrator commutes with conjugation
     bit for bit (its tableau is real, rounding is symmetric in sign and
     step control reads only |state|).  For tau = 0 the real initial state
-    keeps w real.  At small tau the first factor shrinks to
-    |w1|^2 = 1 - y_max, about (2 |tau|)^(2/p); its absolute tolerance is
-    scaled by that much so that arg w1 keeps the digits of arg w2.
+    keeps w real.  For p = 1 and tau != 0 the backward half is the forward
+    half mirrored by ``_REVERSAL``, bit for bit by the same argument, and
+    is not stepped (see :mod:`.ode_engine`).  At small tau the first factor
+    shrinks to |w1|^2 = 1 - y_max, about (2 |tau|)^(2/p); its absolute
+    tolerance is scaled by that much so that arg w1 keeps the digits of arg w2.
     """
 
     def __init__(self, param: TwistParam, tol: Tolerances = Tolerances(), *, span):
@@ -435,14 +442,22 @@ class TwistTrajectory:
         return (Psi - q * psi2) / p, psi2
 
 
+def _mirror(param: TwistParam):
+    """The sign vector ``integrate`` mirrors the curve of ``param`` by: the reversal
+    for p = 1, but for tau = 0, where w stays real and a mirrored zero imaginary
+    part would turn -0.0; None otherwise."""
+    return _REVERSAL if param.pair.p == 1 and param.tau else None
+
+
 def solve_w(param: TwistParam, t_span, tol: Tolerances) -> Trajectory:
     """The canonical curve integrated from :func:`initial_state` over ``t_span``
-    and 0, anchored at 0, with w1's absolute tolerance scaled (see
-    :class:`TwistTrajectory`)."""
+    and 0, anchored at 0, with w1's absolute tolerance scaled and, for p = 1,
+    its backward half mirrored from the forward one (see :class:`TwistTrajectory`)."""
     lo = min(0.0, float(t_span[0]))
     hi = max(0.0, float(t_span[1]))
     pair, tau = param.pair, param.tau
     shrink = min(1.0, (2.0 * abs(tau)) ** (2.0 / pair.p)) if tau else 1.0
     scale = np.array([shrink, shrink, 1.0, 1.0])
     return integrate(_field(pair.p, pair.q), initial_state(param).as_real(), (lo, hi), tol,
-                     scale, t0=0.0)
+                     scale, t0=0.0, mirror=_mirror(param))
+

@@ -22,8 +22,8 @@ from .ode_engine import Trajectory, integrate
 # variation.period_ode stays a name of this module: perfbench's tracer looks it up here
 from .periods import (_branch_halves, partial_periods_quadrature, period_ode,  # noqa: F401
                       pthat_quadrature)
-from .twisted_curve import (TwistParam, TwistTrajectory, _extrema, _field, _gaps, _y, _ydot,
-                            initial_state, tau_max)
+from .twisted_curve import (TwistParam, TwistTrajectory, _extrema, _field, _gaps, _mirror, _y,
+                            _ydot, initial_state, tau_max)
 
 __all__ = [
     "AsymptoticsReport", "solve_Q", "wronskian_drift", "dpthat_dtau",
@@ -40,6 +40,8 @@ def solve_Q(curve: TwistTrajectory) -> Trajectory:
     (Q, Q')(0) = (1/(n y'(0)), 0) for p > 1, or (0, 1/(q - n y(0))) for p = 1,
     where the curve starts at y_max with y'(0) = 0: the Wronskian is 1, and Q
     is fixed up to adding q - n y, which cancels in :func:`dpthat_dtau`.
+    For p = 1 the backward half is mirrored as the curve's is, with Q odd and
+    Q' even, since Q(0) = 0.
     """
     param, tol = curve.param, curve.tol
     pair = param.pair
@@ -47,8 +49,10 @@ def solve_Q(curve: TwistTrajectory) -> Trajectory:
     w0 = initial_state(param).as_real()
     Q0 = [1.0 / (n * _ydot(pair, w0)), 0.0] if p > 1 else [0.0, 1.0 / (q - n * _y(w0))]
     hi = 2.2 * curve.period.p_tau
+    w_mirror = _mirror(param)
+    mirror = None if w_mirror is None else (*w_mirror, -1.0, 1.0)    # p = 1: Q odd, Q' even
     return integrate(_field(p, q, linearised=True), np.concatenate([w0, Q0]), (-hi, hi), tol,
-                     t0=0.0)
+                     t0=0.0, mirror=mirror)
 
 
 def wronskian_drift(curve: TwistTrajectory) -> float:

@@ -23,13 +23,13 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sltwist"
 
 TESTS_ONLY = {
-    # item 5: the cone's special Lagrangian phase, a candidate row of verify
+    # item 10: the cone's special Lagrangian phase, a candidate row of verify
     "phase_relation_residual",
-    # item 6: the explicit curves, which a twisted product can take as its curve
+    # item 11: the explicit curves, which a twisted product can take as its curve
     "cs_residual",
     "cs_closing_period",
     "hs_curve_sampler",
-    # item 11: the paper's small-twist laws, to be measured as limits: the
+    # item 18: the paper's small-twist laws, to be measured as limits: the
     # necklace law, and a bulge's approach to its sphere as tau -> 0
     "necklace_scaling_ratio",
     "bulge_sphere_distance",

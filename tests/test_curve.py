@@ -11,6 +11,7 @@ import sltwist.ode_engine as ode_engine
 import sltwist.periods as periods
 import sltwist.twisted_curve as twisted_curve
 from sltwist.cli import main
+from sltwist.geometry.export import trajectory_csv
 from sltwist.periods import _period_span, branch_integral
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _field
 from sltwist.variation import dpthat_dtau_cross_check
@@ -40,6 +41,51 @@ def test_verify_integrates_each_curve_once(monkeypatch, capsys):
     _rebind_everywhere(monkeypatch, original, counting)
     assert main(["verify", "--p", "2", "--q", "2", "--tau", "0.06"]) == 0
     assert len(calls) == 2              # the curve and its linearisation
+
+
+@pytest.mark.parametrize("argv,legs", [
+    ("verify --p 1 --q 3 --tau 0.05", 2),
+    ("verify --p 2 --q 3 --tau 0.05", 4),
+])
+def test_verify_steps_a_p1_curve_forward_only(monkeypatch, capsys, argv, legs):
+    # the curve and (w, Q, Q') are integrated over spans symmetric about 0; for
+    # p = 1 each steps its forward half and mirrors the backward half from it,
+    # for p >= 2 (t = 0 is no extremum of y) each steps both
+    stepped, inside = [], []
+
+    def integrating(*args, **kwargs):
+        inside.append(True)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def stepping(*args):
+        if inside:                  # not an endpoint read
+            stepped.append(args[2:4])
+        return original_steps(*args)
+
+    original, original_steps = ode_engine.integrate, ode_engine._steps
+    _rebind_everywhere(monkeypatch, original, integrating)
+    monkeypatch.setattr(ode_engine, "_steps", stepping)
+    assert main(argv.split()) == 0
+    assert len(stepped) == legs
+    assert all(t0 == 0.0 for t0, _ in stepped)
+
+
+def test_a_real_p1_curve_is_not_mirrored(tmp_path, capsys):
+    # at tau = 0 w stays real, and a mirrored Im w2 would be -0.0: both halves are
+    # stepped, and each CSV row is the one a one-sided curve writes, byte for byte
+    param = TwistParam(AdmissiblePair(1, 2), 0.0)
+    assert main(["solve", "--p", "1", "--q", "2", "--tau", "0", "--samples", "301",
+                 "--out", str(tmp_path / "z.csv")]) == 0
+    ts = np.linspace(-5.0, 5.0, 301)
+    for name, side, span in (("bwd", ts <= 0.0, (-5.0, 0.0)), ("fwd", ts > 0.0, (0.0, 5.0))):
+        trajectory_csv(TwistTrajectory(param, span=span), ts[side], tmp_path / name)
+    header, *bwd = (tmp_path / "bwd").read_bytes().splitlines(keepends=True)
+    _, *fwd = (tmp_path / "fwd").read_bytes().splitlines(keepends=True)
+    assert (tmp_path / "z.csv").read_bytes() == b"".join([header, *bwd, *fwd])
+    assert len(bwd) == 151 and all(row.endswith(b",0\n") for row in bwd)     # Im w2
 
 
 @pytest.mark.parametrize("argv,linearised", [

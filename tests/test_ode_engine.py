@@ -53,26 +53,26 @@ def _bits(values):
 
 
 def test_zero_field_constant():
-    traj = integrate(lambda t, s: [0.0, 0.0], [3.0, -1.5], (0.0, 1.0), t0=0.0)
+    traj = integrate(lambda t, s: [0.0, 0.0], [3.0, -1.5], (0.0, 1.0), t0=0.0, mirror=None)
     assert np.allclose(traj(1.0), [3.0, -1.5], atol=0)
 
 
 def test_exponential_endpoint():
-    traj = integrate(lambda t, s: [s[0]], [1.0], (0.0, 1.0), t0=0.0)
+    traj = integrate(lambda t, s: [s[0]], [1.0], (0.0, 1.0), t0=0.0, mirror=None)
     assert abs(traj(1.0)[0] - math.e) < 1e-10
 
 
 def test_twisted_field_stays_on_sphere():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     s0 = initial_state(param).as_real()
-    traj = integrate(twisted_field(1, 2), s0, (0.0, 20.0), t0=0.0)
+    traj = integrate(twisted_field(1, 2), s0, (0.0, 20.0), t0=0.0, mirror=None)
     ts = np.linspace(0.0, 20.0, 500)
     norms = [np.dot(traj(t), traj(t)) for t in ts]
     assert max(abs(v - 1.0) for v in norms) < 1e-10
 
 
 def test_locate_event_linear():
-    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=0.0)
+    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=0.0, mirror=None)
     t = locate_event(traj, lambda t, s: t - 0.5, lambda t, s: 1.0, 0.7, (0.0, 1.0))
     assert abs(t - 0.5) < 1e-13
 
@@ -81,7 +81,7 @@ def test_locate_event_ydot_matches_quadrature():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     p_est, _ = partial_periods_quadrature(param)
     s0 = initial_state(param).as_real()
-    traj = integrate(twisted_field(1, 2), s0, (0.0, 1.6 * p_est), t0=0.0)
+    traj = integrate(twisted_field(1, 2), s0, (0.0, 1.6 * p_est), t0=0.0, mirror=None)
 
     def g(t, s):
         return -2.0 * ((s[0] + 1j * s[1]) * (s[2] + 1j * s[3]) ** 2).real
@@ -98,7 +98,7 @@ def test_locate_event_y_level():
     param = TwistParam(AdmissiblePair(1, 2), 0.05)
     p_est, _ = partial_periods_quadrature(param)
     s0 = initial_state(param).as_real()
-    traj = integrate(twisted_field(1, 2), s0, (0.0, p_est), t0=0.0)
+    traj = integrate(twisted_field(1, 2), s0, (0.0, p_est), t0=0.0, mirror=None)
 
     def g(t, s):
         return s[2] ** 2 + s[3] ** 2 - 2.0 / 3.0
@@ -113,7 +113,7 @@ def test_locate_event_y_level():
 
 def test_no_sign_change_raises():
     # g has no zero in the bracket: the first Newton iterate leaves it
-    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=0.0)
+    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=0.0, mirror=None)
     with pytest.raises(EventError, match="left the bracket"):
         locate_event(traj, lambda t, s: 1.0 + t, lambda t, s: 1.0, 0.5, (0.0, 1.0))
 
@@ -121,7 +121,7 @@ def test_no_sign_change_raises():
 def test_newton_without_convergence_raises():
     # Newton on u^3 - 2u + 2 cycles between u = 0 and 1 exactly; u = t - 1
     # keeps the iterates off the anchor t0 = 0, which has no endpoint
-    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 3.0), t0=0.0)
+    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 3.0), t0=0.0, mirror=None)
     with pytest.raises(EventError, match="did not converge"):
         locate_event(traj, lambda t, s: (t - 1.0) ** 3 - 2.0 * (t - 1.0) + 2.0,
                      lambda t, s: 3.0 * (t - 1.0) ** 2 - 2.0, 1.0, (0.5, 2.5))
@@ -132,8 +132,8 @@ def test_tolerance_tightening_consistency():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     s0 = initial_state(param).as_real()
     loose, tight = Tolerances(1e-10), Tolerances(1e-11)
-    end_a = integrate(field, s0, (0.0, 10.0), loose, t0=0.0)(10.0)
-    end_b = integrate(field, s0, (0.0, 10.0), tight, t0=0.0)(10.0)
+    end_a = integrate(field, s0, (0.0, 10.0), loose, t0=0.0, mirror=None)(10.0)
+    end_b = integrate(field, s0, (0.0, 10.0), tight, t0=0.0, mirror=None)(10.0)
     assert np.max(np.abs(end_a - end_b)) < 10 * loose.tol
 
 
@@ -142,8 +142,8 @@ def test_backward_integration_returns_start():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     s0 = initial_state(param).as_real()
     tol = Tolerances()
-    fwd = integrate(field, s0, (0.0, 5.0), tol, t0=0.0)
-    back = integrate(field, fwd(5.0), (0.0, 5.0), tol, t0=5.0)
+    fwd = integrate(field, s0, (0.0, 5.0), tol, t0=0.0, mirror=None)
+    back = integrate(field, fwd(5.0), (0.0, 5.0), tol, t0=5.0, mirror=None)
     assert np.max(np.abs(back(0.0) - s0)) < 10 * tol.tol
 
 
@@ -152,7 +152,7 @@ def test_interpolant_reproduces_grid_states():
     # backward ones start there (x = 0); a scalar read equals the array read
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     s0 = initial_state(param).as_real()
-    traj = integrate(twisted_field(2, 3), s0, (-5.0, 8.0), t0=0.0)
+    traj = integrate(twisted_field(2, 3), s0, (-5.0, 8.0), t0=0.0, mirror=None)
     reads = traj(traj.time_grid)
     assert np.max(np.abs(reads.T - traj.states)) <= 1e-14
     assert all(np.array_equal(traj(t), reads[:, j]) for j, t in enumerate(traj.time_grid))
@@ -173,7 +173,7 @@ def test_blowup_reports_last_time():
     # y' = y^2, y(0) = 1 blows up at t = 1; the steps underflow where the
     # discrete solution does, 1.5e-13 past it (solve_ivp stops at the same time)
     with pytest.raises(IntegrationError) as err:
-        integrate(lambda t, s: [s[0] ** 2], [1.0], (0.0, 2.0), t0=0.0)
+        integrate(lambda t, s: [s[0] ** 2], [1.0], (0.0, 2.0), t0=0.0, mirror=None)
     assert 0.9 <= err.value.last_time <= 1.0 + 1e-12
     assert repr(err.value.last_time) in str(err.value) and "step size" in str(err.value)
 
@@ -183,11 +183,11 @@ def test_non_finite_field_reports_last_accepted_time():
         return [math.nan if t > 0.5 else 1.0]
 
     with pytest.raises(IntegrationError) as err:
-        integrate(field, [0.0], (0.0, 1.0), t0=0.0)
+        integrate(field, [0.0], (0.0, 1.0), t0=0.0, mirror=None)
     assert 0.0 < err.value.last_time <= 0.5
     assert repr(err.value.last_time) in str(err.value) and "non-finite" in str(err.value)
     with pytest.raises(IntegrationError) as err:
-        integrate(lambda t, s: [math.nan], [0.0], (0.0, 1.0), t0=0.0)
+        integrate(lambda t, s: [math.nan], [0.0], (0.0, 1.0), t0=0.0, mirror=None)
     assert err.value.last_time == 0.0
 
 
@@ -198,9 +198,9 @@ def test_two_sided_trajectory_equals_one_sided_runs(p, q):
     pair = AdmissiblePair(p, q)
     s0 = initial_state(TwistParam(pair, 0.3 * tau_max(pair))).as_real()
     field = twisted_field(p, q)
-    both = integrate(field, s0, (-6.0, 8.0), t0=0.0)
-    fwd = integrate(field, s0, (0.0, 8.0), t0=0.0)
-    bwd = integrate(field, s0, (-6.0, 0.0), t0=0.0)
+    both = integrate(field, s0, (-6.0, 8.0), t0=0.0, mirror=None)
+    fwd = integrate(field, s0, (0.0, 8.0), t0=0.0, mirror=None)
+    bwd = integrate(field, s0, (-6.0, 0.0), t0=0.0, mirror=None)
     for side, ts in ((fwd, np.linspace(0.0, 8.0, 200)), (bwd, np.linspace(-6.0, 0.0, 200))):
         assert np.array_equal(both(ts), side(ts))
         assert all(np.array_equal(both(t), side(t)) for t in ts[::20])
@@ -213,13 +213,98 @@ def test_two_sided_trajectory_equals_one_sided_runs(p, q):
     assert (both.time_grid[0], both.t0, both.time_grid[-1]) == (-6.0, 0.0, 8.0)
 
 
+def _first(traj, nodes):
+    """The six arrays of ``traj`` up to its node ``nodes - 1``: times, states, origin,
+    h, y_origin and F."""
+    return (traj.time_grid[:nodes], traj.states[:nodes], traj.origin[:nodes - 1],
+            traj.h[:nodes - 1], traj.y_origin[:nodes - 1], traj.F[:nodes - 1])
+
+
+def _assert_backward_half_is_the_backward_run(traj, atol_scale):
+    """The part of ``traj`` before its anchor 0 equals a run over (lo, 0) from the
+    anchor's state by value, array for array, and so do endpoints read there."""
+    lo, i0 = traj.time_grid[0], np.searchsorted(traj.time_grid, 0.0)
+    run = integrate(traj.field, traj.states[i0], (lo, 0.0), traj.tol, atol_scale, t0=0.0,
+                    mirror=None)
+    assert len(run.time_grid) == i0 + 1
+    for got, want in zip(_first(traj, i0 + 1), _first(run, i0 + 1)):
+        assert np.array_equal(got, want)
+    for t in (0.999 * lo, 0.61 * lo, 0.2 * lo, 1e-3 * lo, run.time_grid[1]):
+        assert np.array_equal(traj.endpoint(t), run.endpoint(t))
+
+
+def test_a_reversible_system_steps_its_forward_half_only(monkeypatch):
+    # x'' = -x is reversed by (x, v) -> (x, -v), which fixes (1, 0): on a span
+    # symmetric about 0 one leg is stepped and the other is its mirror image
+    def field(t, s):
+        return s[1], -s[0]
+
+    legs = []
+
+    def stepping(*args):
+        legs.append(args[2:4])
+        return original(*args)
+
+    original = ode_engine._steps
+    monkeypatch.setattr(ode_engine, "_steps", stepping)
+    traj = integrate(field, [1.0, 0.0], (-7.0, 7.0), t0=0.0, mirror=[1.0, -1.0])
+    assert legs == [(0.0, 7.0)]
+    assert np.array_equal(traj.time_grid, -traj.time_grid[::-1])
+    assert np.array_equal(traj.states, traj.states[::-1] * [1.0, -1.0])
+    mid = len(traj.time_grid) // 2                  # the anchor keeps its bits
+    assert np.array_equal(_bits([traj.time_grid[mid], traj.origin[mid - 1]]), _bits([0.0, 0.0]))
+    assert np.array_equal(_bits(traj.states[mid]), _bits([1.0, 0.0]))
+    assert np.array_equal(_bits(traj.y_origin[mid - 1]), _bits([1.0, 0.0]))
+    _assert_backward_half_is_the_backward_run(traj, 1.0)
+    # a span not symmetric about the anchor 0 steps both sides, as without a mirror
+    for span, t0 in (((-7.0, 6.0), 0.0), ((-1.0, 3.0), 1.0)):
+        legs.clear()
+        mirrored = integrate(field, [1.0, 0.0], span, t0=t0, mirror=[1.0, -1.0])
+        assert len(legs) == 2
+        plain = integrate(field, [1.0, 0.0], span, t0=t0, mirror=None)
+        nodes = len(plain.time_grid)
+        for got, want in zip(_first(mirrored, nodes), _first(plain, nodes)):
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_a_mirror_must_be_a_sign_vector_that_fixes_the_initial_state():
+    def field(t, s):
+        return s[1], -s[0]
+
+    for mirror in ([1.0], [1.0, 0.5], [-1.0, 1.0], [1.0, -1.0, 1.0]):
+        with pytest.raises(ValueError, match="fixes the initial state"):
+            integrate(field, [1.0, 0.0], (-1.0, 1.0), t0=0.0, mirror=mirror)
+    integrate(field, [1.0, -0.0], (-1.0, 1.0), t0=0.0, mirror=[1.0, -1.0])   # by value
+
+
+_MIRROR_CASES = [(q, sign * tau, preset) for q in range(2, 8)
+                 for tau in (1e-6, 1e-3, 0.3 * tau_max(AdmissiblePair(1, q)))
+                 for sign in (1.0, -1.0) for preset in ("standard", "strict")]
+
+
+@pytest.mark.parametrize("q,tau,preset", _MIRROR_CASES)
+def test_p1_backward_half_is_the_backward_run(q, tau, preset):
+    # p = 1 mirrors the backward half of the curve and of (w, Q, Q') from the
+    # forward one: every array equals a separate backward run's by value
+    from sltwist.cli import TOL_PRESETS
+
+    param = TwistParam(AdmissiblePair(1, q), tau)
+    reach = _period_span(param, 1)[1]
+    curve = TwistTrajectory(param, TOL_PRESETS[preset], span=(-reach, reach))
+    traj = curve.trajectory
+    assert np.array_equal(_bits(traj.states[np.searchsorted(traj.time_grid, 0.0)]),
+                          _bits(initial_state(param).as_real()))
+    _assert_backward_half_is_the_backward_run(traj, np.array(traj.atol) / traj.tol.tol)
+    _assert_backward_half_is_the_backward_run(curve.Q, 1.0)
+
+
 def _integrated_endpoint(traj, t, atol_scale):
     """The state at t as a whole integrate run from the last accepted step
     between the anchor and t, the way endpoints used to be read."""
     forward = t > traj.t0
     k = np.searchsorted(traj.time_grid, t, side="left" if forward else "right") - forward
     leg = integrate(traj.field, traj.states[k], (traj.time_grid[k], t), traj.tol, atol_scale,
-                    t0=traj.time_grid[k])
+                    t0=traj.time_grid[k], mirror=None)
     return leg.states[-1 if forward else 0]
 
 
@@ -259,10 +344,12 @@ def test_endpoint_is_an_integrate_run_bit_for_bit(p, q, frac, monkeypatch):
 
 def test_anchor_and_reads_outside_span_rejected():
     with pytest.raises(TypeError):                  # the anchor is required
-        integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0))
+        integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), mirror=None)
+    with pytest.raises(TypeError):                  # and so is the mirror, if None
+        integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=0.0)
     with pytest.raises(ValueError):
-        integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=2.0)
-    traj = integrate(lambda t, s: [1.0], [0.0], (-1.0, 1.0), t0=0.0)
+        integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=2.0, mirror=None)
+    traj = integrate(lambda t, s: [1.0], [0.0], (-1.0, 1.0), t0=0.0, mirror=None)
     for read in (lambda: traj(1.5), lambda: traj(np.array([-1.5, 0.0])),
                  lambda: traj.endpoint(0.0), lambda: traj.endpoint(-2.0),
                  lambda: locate_event(traj, lambda t, s: t - 0.5, lambda t, s: 1.0, 1.5,
@@ -353,19 +440,19 @@ def _scalar_dense_rows(traj):
 def _curve_trajectory(p, q):
     pair = AdmissiblePair(p, q)
     s0 = initial_state(TwistParam(pair, 0.2 * tau_max(pair))).as_real()
-    return integrate(_field(p, q), s0, (-4.0, 6.0), t0=0.0)
+    return integrate(_field(p, q), s0, (-4.0, 6.0), t0=0.0, mirror=None)
 
 
 def _profile_trajectory(n):
     w0, half = np.exp(1j * math.pi / (2 * n)), 0.9 * catenoid_lifetime(n)
-    return integrate(_profile_field(n), [w0.real, w0.imag], (-half, half), t0=0.0)
+    return integrate(_profile_field(n), [w0.real, w0.imag], (-half, half), t0=0.0, mirror=None)
 
 
 @pytest.mark.parametrize("build", [
     lambda: _curve_trajectory(2, 3), lambda: _curve_trajectory(1, 6),
     lambda: _profile_trajectory(4),
     # a field that ignores its state returns floats, broadcast over the steps
-    lambda: integrate(lambda t, s: [0.5, -0.25], [1.0, 2.0], (-3.0, 4.0), t0=0.0),
+    lambda: integrate(lambda t, s: [0.5, -0.25], [1.0, 2.0], (-3.0, 4.0), t0=0.0, mirror=None),
 ], ids=["(2,3)", "(1,6)", "catenoid n=4", "constant"])
 def test_one_pass_dense_stages_equal_scalar_steps(build):
     traj = build()
@@ -438,7 +525,7 @@ def test_generated_leg_equals_plain_python_steps():
 
 def _reference_case(field, y0, span, tol=Tolerances(), atol_scale=1.0):
     """Our trajectory and solve_ivp's DOP853 run over the same span."""
-    ours = integrate(field, y0, span, tol, atol_scale, t0=span[0])
+    ours = integrate(field, y0, span, tol, atol_scale, t0=span[0], mirror=None)
     ref = solve_ivp(field, span, y0, method="DOP853", rtol=tol.tol,
                     atol=tol.tol * np.asarray(atol_scale), dense_output=True)
     assert ref.success

@@ -272,6 +272,26 @@ def test_symmetry_residuals_p1():
             "det_rotation", "omega_reflection"} <= set(res)
 
 
+def test_p1_reflection_row_fails_a_mirror_that_is_not_the_reflection(monkeypatch, capsys):
+    # the backward half of a p = 1 curve is the forward half mirrored by
+    # twisted_curve._REVERSAL, so verify's reflection row compares that sign
+    # vector with reflection_phases' D = (-1, 1): a mirror that still fixes the
+    # initial state but leaves Im w2 unflipped fails it
+    import json
+
+    import sltwist.twisted_curve as twisted_curve
+    from sltwist.cli import main
+
+    def reflection_row():
+        main(["verify", "--p", "1", "--q", "3", "--tau", "0.013", "--json"])
+        return json.loads(capsys.readouterr().out)["checks"]["symmetry reflection"]
+
+    assert reflection_row()["pass"]
+    monkeypatch.setattr(twisted_curve, "_REVERSAL", (-1.0, 1.0, 1.0, 1.0))
+    row = reflection_row()
+    assert not row["pass"] and float(row["value"]) > 0.1
+
+
 def test_symmetry_residuals_p_gt_1():
     res = geo.symmetry_residuals(_curve(TwistParam(AdmissiblePair(2, 3), 0.05)))
     for key, val in res.items():
