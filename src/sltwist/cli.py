@@ -27,7 +27,7 @@ from .geometry.neck import _neck_span
 from .ode_engine import EventError, IntegrationError, Tolerances
 from .periods import (_period_span, partial_periods_quadrature, period_ode, pthat_quadrature,
                       pthat_quadrature_psi2)
-from .twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, f_poly
+from .twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _y, _ydot, f_poly
 from .variation import check_asymptotics, dpthat_dtau_cross_check, wronskian_drift
 
 TOL_PRESETS = {
@@ -154,9 +154,10 @@ def cmd_torque(args) -> int:
     curve = TwistTrajectory(_param(args), TOL_PRESETS[args.tol], span=meridians)
     pair = curve.param.pair
     tgen = geo.t_generator(pair)
-    reports = [geo.torque(curve, tgen, meridian_t=t0) for t0 in meridians]
-    reports.append(geo.torque(curve, geo.rotation_generator(pair.n, 0, pair.n - 1),
-                              meridian_t=0.3))
+    # the t-generator and R_{0,n-1} over one meridian at 0.3, the t-generator at 1.1
+    first, off = geo.torque(curve, [tgen, geo.rotation_generator(pair.n, 0, pair.n - 1)],
+                            meridian_t=meridians[0])
+    reports = [first, geo.torque(curve, tgen, meridian_t=meridians[1]), off]
     gap = abs(reports[0].numeric - reports[1].numeric)
     payload = {"reports": [dataclasses.asdict(r) for r in reports], "meridian_gap": gap}
     _emit(args, payload, [
@@ -233,8 +234,8 @@ def cmd_verify(args) -> int:
     checks.append(("I1 drift", curve.drift["I1"], 1e-9))
     checks.append(("I2 drift", curve.drift["I2"], 1e-9))
 
-    ts = np.linspace(-10.0 * data.p_tau, 10.0 * data.p_tau, 400)
-    energy = np.max(np.abs(curve.ydot(ts) ** 2 - 4.0 * f_poly(pair, curve.y(ts))
+    states = curve._states(np.linspace(-10.0 * data.p_tau, 10.0 * data.p_tau, 400))
+    energy = np.max(np.abs(_ydot(pair, states) ** 2 - 4.0 * f_poly(pair, _y(states))
                            + 16.0 * param.tau**2))
     checks.append(("energy residual", float(energy), 1e-8))
 
@@ -253,9 +254,9 @@ def cmd_verify(args) -> int:
     for key, val in sym.items():
         checks.append((f"symmetry {key}", val, 1e-8))
 
-    tq = geo.torque(curve, geo.t_generator(pair))
+    tq, off = geo.torque(curve, [geo.t_generator(pair),
+                                 geo.rotation_generator(pair.n, 0, pair.n - 1)])
     checks.append(("torque t-generator", tq.abs_error, 1e-8))
-    off = geo.torque(curve, geo.rotation_generator(pair.n, 0, pair.n - 1))
     checks.append(("torque off-diagonal", abs(off.numeric), 1e-10))
 
     sampler = geo.immersion_sampler(curve, (-0.8 * data.p_tau, 0.8 * data.p_tau))

@@ -8,7 +8,10 @@ its point map, and the invariant cylinder is the product of two equators.
 A sampler is a chart map u -> point of S^{2m-1} subset C^m together with
 its parameter dimension; tangent vectors are taken by fourth-order
 central differences in the chart, so every check here is independent of
-the closed-form derivatives used elsewhere.
+the closed-form derivatives used elsewhere.  The four offsets u +- e,
+u +- 2e of every chart direction e and the base point u go into one
+sampler call, and a twisted product reads its curve once, at all of
+their times.
 """
 
 from __future__ import annotations
@@ -142,8 +145,10 @@ def twisted_product(factor1: Sampler, factor2: Sampler, curve: CurveSampler,
     d1 = factor1.dim
 
     def fn(u):
-        w1, w2 = curve(u[..., 0])
-        return _cone(w1, w2, factor1(u[..., 1:1 + d1]), factor2(u[..., 1 + d1:]))
+        t = u[..., 0]
+        w1, w2 = curve(t.ravel())       # one read of the curve, at 1-d times
+        return _cone(np.reshape(w1, t.shape), np.reshape(w2, t.shape),
+                     factor1(u[..., 1:1 + d1]), factor2(u[..., 1 + d1:]))
 
     return Sampler(fn, dim=1 + d1 + factor2.dim, m=factor1.m + factor2.m,
                    box=[tuple(t_range)] + factor1.box + factor2.box,
@@ -168,16 +173,20 @@ def immersion_sampler(curve: TwistTrajectory, t_range) -> Sampler:
 _FD_STEP = 1e-3
 
 
-def _tangents(sampler: Sampler, u: np.ndarray) -> np.ndarray:
-    """Fourth-order central-difference tangents along each chart direction.
+def _frame(sampler: Sampler, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and fourth-order central-difference tangents from one sampler call.
 
-    Chart points u of shape (..., dim) give tangents of shape (..., m, dim).
+    Chart points u of shape (..., dim) give the points (..., m) and the
+    tangents (..., dim, m), one row per chart direction.
     """
-    cols = []
-    for e in _FD_STEP * np.eye(sampler.dim):
-        cols.append((-sampler(u + 2 * e) + 8 * sampler(u + e)
-                     - 8 * sampler(u - e) + sampler(u - 2 * e)) / (12 * _FD_STEP))
-    return np.stack(cols, axis=-1)
+    dim = sampler.dim
+    e = _FD_STEP * np.eye(dim)
+    offsets = np.concatenate([2 * e, e, -e, -2 * e])[:, None]          # (4 dim, 1, dim)
+    flat = u.reshape(1, -1, dim)
+    batch = sampler(np.concatenate([flat, flat + offsets]).reshape((1 + 4 * dim,) + u.shape))
+    f = batch[1:].reshape((4, dim) + batch.shape[1:])
+    T = (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * _FD_STEP)        # (dim, ..., m)
+    return batch[0], np.moveaxis(T, 0, -2)
 
 
 def contact_pairing(point: np.ndarray, tangent: np.ndarray):
@@ -193,11 +202,11 @@ def legendrian_residual(sampler: Sampler, sample_count: int, seed: int = 0) -> f
     """max |gamma(tangent)| / |tangent| over finite-difference tangents."""
     if sampler.dim == 0:
         return 0.0
-    u = sampler.sample_points(sample_count, seed)
-    z = sampler(u)[..., None, :]                          # (N, 1, m)
+    z, T = _frame(sampler, sampler.sample_points(sample_count, seed))
+    z = z[..., None, :]                                   # (N, 1, m)
     # (N, dim, m), contiguous in m: each pairing, a near-cancelling sum,
     # is then added up in the order of a one-point sum
-    T = np.ascontiguousarray(np.swapaxes(_tangents(sampler, u), -1, -2))
+    T = np.ascontiguousarray(T)
     nrm = np.sqrt(np.sum(T.real**2 + T.imag**2, axis=-1))
     ok = nrm > 0
     return float(np.max(np.abs(contact_pairing(z, T))[ok] / nrm[ok], initial=0.0))
@@ -210,10 +219,8 @@ def lagrangian_phase(sampler: Sampler, u) -> complex:
     orientation-preserving changes of the tangent basis, so the chart
     ordering fixes the orientation.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    z = sampler(u)
-    T = _tangents(sampler, u)
-    M = np.column_stack([z, T])
+    z, T = _frame(sampler, np.atleast_1d(np.asarray(u, dtype=float)))
+    M = np.column_stack([z, T.T])
     det = np.linalg.det(M)
     if det == 0:
         raise ArithmeticError("degenerate frame: sampler is not an immersion here")

@@ -60,15 +60,18 @@ def reflection_phases(curve: TwistTrajectory, side: str) -> np.ndarray:
     return np.exp(1j * a / np.array([pair.p, pair.q])) * (w / abs(w)) / (w0 / abs(w0))
 
 
+def _cabs(z) -> np.ndarray:
+    """|z| of a complex array as a complex scalar's abs gives it (hypot), bit for bit:
+    numpy's vectorised complex abs differs from it in the last bit now and then."""
+    return np.hypot(z.real, z.imag)
+
+
 def rotation_determinant_residual(pair) -> float:
     """max |det_C - 1| of the n x n block rotations Ttilde_x at 20 random x in [-20, 20]."""
-    rng = np.random.default_rng(0)
-    res = 0.0
-    for _ in range(20):
-        x = float(rng.uniform(-20.0, 20.0))
-        # det of the matrix, a route of its own, not the product of the phases
-        res = max(res, abs(np.linalg.det(np.diag(ttilde(pair, x))) - 1.0))
-    return float(res)
+    xs = np.random.default_rng(0).uniform(-20.0, 20.0, 20)
+    # det of the matrices, a route of its own, not the product of the phases
+    T = np.stack([np.diag(ttilde(pair, x)) for x in xs.tolist()])
+    return float(np.max(_cabs(np.linalg.det(T) - 1.0)))
 
 
 def _omega_residual(pair, d: np.ndarray) -> float:
@@ -78,18 +81,16 @@ def _omega_residual(pair, d: np.ndarray) -> float:
     from the phases ``d`` = (d1, d2), satisfies A* Omega = det(D) conj(Omega)
     on frames; the reflections of the invariant cylinders have det(D) = -1.
     Evaluates the max of |det_C(A V) + conj(det_C(V))| / |det_C(V)|, which
-    is |det D + 1|, over 10 random complex Gaussian frames V; dividing by
-    |det V| keeps the frames' random volume out of the residual.
+    is |det D + 1|, over 10 random complex Gaussian frames V, each drawn real
+    part first; dividing by |det V| keeps the frames' random volume out of
+    the residual.
     """
     n = pair.n
     D = np.diag(_blocks(pair, *d))
-    rng = np.random.default_rng(1)
-    res = 0.0
-    for _ in range(10):
-        V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        det_v = np.linalg.det(V)
-        res = max(res, abs(np.linalg.det(D @ np.conj(V)) + np.conj(det_v)) / abs(det_v))
-    return float(res)
+    g = np.random.default_rng(1).standard_normal((10, 2, n, n))
+    V = g[:, 0] + 1j * g[:, 1]
+    det_v = np.linalg.det(V)
+    return float(np.max(_cabs(np.linalg.det(D @ np.conj(V)) + np.conj(det_v)) / _cabs(det_v)))
 
 
 def symmetry_residuals(curve: TwistTrajectory) -> dict[str, float]:
@@ -99,7 +100,8 @@ def symmetry_residuals(curve: TwistTrajectory) -> dict[str, float]:
     reflection relations ('reflection', 'reflection_ptau' for p = 1;
     'reflection_plus', 'reflection_minus' for p > 1); 'exchange' for the
     p = q swap w1(-t) = w2(t); 'det_rotation' and 'omega_reflection' for
-    the checks on the n x n matrices.  Accepts both signs of tau.
+    the checks on the n x n matrices.  Accepts both signs of tau.  Every
+    time set of the relations is read off the curve in one call.
     """
     pair, data = curve.param.pair, curve.period
     p, q = pair.p, pair.q
@@ -107,31 +109,35 @@ def symmetry_residuals(curve: TwistTrajectory) -> dict[str, float]:
     samples = 40
     M = mhat(pair, 2.0 * phat)[:, None]
 
-    def w(t):
-        return np.array(curve.w(t))     # 2 x len
-
     def gap(a, b) -> float:
         return float(np.max(np.abs(a - b)))
 
-    out: dict[str, float] = {}
-    ts = np.linspace(-0.5 * ptau, 0.5 * ptau, samples)
-    out["translation"] = gap(w(ts + 2.0 * ptau), M * w(ts))
-
-    Dp = reflection_phases(curve, "+")
+    # the time sets, 40 times each: translation, then the reflections' own
+    half = np.linspace(-0.5 * ptau, 0.5 * ptau, samples)
     if p == 1:
         ts = np.linspace(0.0, 1.4 * ptau, samples)
-        refl = Dp[:, None] * np.conj(w(ts))
-        out["reflection"] = gap(w(-ts), refl)
-        out["reflection_ptau"] = gap(w(2.0 * ptau - ts), M * refl)
+        sets = [half + 2.0 * ptau, half, ts, -ts, 2.0 * ptau - ts]
+    else:
+        ts = np.linspace(-0.9 * ptau, 0.9 * ptau, samples)
+        sets = [half + 2.0 * ptau, half, ts, 2.0 * data.p_plus - ts, -2.0 * data.p_minus - ts]
+        if p == q:
+            ex = np.linspace(0.0, 1.5 * ptau, samples)
+            sets += [-ex, ex]
+    w = np.array(curve.w(np.concatenate(sets))).reshape(2, len(sets), samples).swapaxes(0, 1)
+
+    out: dict[str, float] = {"translation": gap(w[0], M * w[1])}
+    Dp = reflection_phases(curve, "+")
+    conj = np.conj(w[2])
+    if p == 1:
+        refl = Dp[:, None] * conj
+        out["reflection"] = gap(w[3], refl)
+        out["reflection_ptau"] = gap(w[4], M * refl)
     else:
         Dm = reflection_phases(curve, "-")
-        ts = np.linspace(-0.9 * ptau, 0.9 * ptau, samples)
-        conj = np.conj(w(ts))
-        out["reflection_plus"] = gap(w(2.0 * data.p_plus - ts), Dp[:, None] * conj)
-        out["reflection_minus"] = gap(w(-2.0 * data.p_minus - ts), Dm[:, None] * conj)
+        out["reflection_plus"] = gap(w[3], Dp[:, None] * conj)
+        out["reflection_minus"] = gap(w[4], Dm[:, None] * conj)
         if p == q:
-            ts = np.linspace(0.0, 1.5 * ptau, samples)
-            out["exchange"] = gap(w(-ts), w(ts)[::-1])
+            out["exchange"] = gap(w[5], w[6][::-1])
 
     out["det_rotation"] = rotation_determinant_residual(pair)
     out["omega_reflection"] = _omega_residual(pair, Dp)

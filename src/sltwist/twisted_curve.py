@@ -290,6 +290,24 @@ def _field(p: int, q: int, linearised: bool = False):
     return _compiled(f"curve field p={p} q={q}{' linearised' * linearised}", body)
 
 
+@lru_cache(maxsize=None)
+def _i2(p: int, q: int):
+    """``rhs(t, s)`` giving I2 = Im(w1^p w2^q) of the real state s, floats or (4, N)
+    arrays, multiplied as :func:`_twist` multiplies complex numbers, bit for bit."""
+    return _compiled(f"I2 p={p} q={q}", [
+        "a1r, a1i, b1r, b1i = s", *_cpow_source("a", [p]), *_cpow_source("b", [q]),
+        f"return a{p}r * b{q}i + a{p}i * b{q}r"])
+
+
+def _invariants(pair: AdmissiblePair, s) -> tuple[np.ndarray, np.ndarray]:
+    """(I1, I2) of real (4, N) states, each number the one CPython's float and complex
+    arithmetic gives: I1's squares are libm's pow(x, 2) (``np.float_power``), as
+    Python's ``x ** 2`` is, where numpy's ``x ** 2`` is x * x and differs in the
+    last bit now and then; I2 is :func:`_i2`."""
+    sq = np.float_power(s, 2.0)
+    return sq[0] + sq[1] + sq[2] + sq[3], _i2(pair.p, pair.q)(0.0, tuple(s))
+
+
 def velocity(pair: AdmissiblePair, w1: complex, w2: complex) -> tuple[complex, complex]:
     """(w1', w2') at the point (w1, w2): the field of :func:`_field`, bit for bit."""
     c = _field(pair.p, pair.q)(0.0, (w1.real, w1.imag, w2.real, w2.imag))
@@ -372,12 +390,10 @@ class TwistTrajectory:
 
     @cached_property
     def drift(self) -> dict:
-        """Maximum deviation of I1 = |w|^2 from 1 and of I2 = Im(w1^p w2^q) (CPython
-        complex arithmetic) from -2 tau over the accepted steps, on first read."""
-        pair, states = self.param.pair, self.trajectory.states.tolist()
-        i1 = np.array([s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2 for s in states])
-        i2 = np.array([_twist(pair, complex(s[0], s[1]), complex(s[2], s[3])).imag
-                       for s in states])
+        """Maximum deviation of I1 = |w|^2 from 1 and of I2 = Im(w1^p w2^q) from -2 tau
+        over the accepted steps, on first read, from the state arrays at once
+        (:func:`_invariants`)."""
+        i1, i2 = _invariants(self.param.pair, self.trajectory.states.T)
         return {"I1": float(np.max(np.abs(i1 - 1.0))),
                 "I2": float(np.max(np.abs(i2 + 2.0 * self.param.tau)))}
 

@@ -185,14 +185,14 @@ def test_criterion_08_torque():
         param = TwistParam(pair, 0.5 * tau_max(pair))
         tg = geo.t_generator(pair)
         curve = TwistTrajectory(param, span=(0.3, 1.1))
-        a = geo.torque(curve, tg, meridian_t=0.3)
+        off_diagonal = [K for K in geo.su_basis(pair.n) if not K.diagonal().any()]
+        # one meridian at 0.3 for the t-generator and every off-diagonal direction
+        a, *off = geo.torque(curve, [tg, *off_diagonal], meridian_t=0.3)
         b = geo.torque(curve, tg, meridian_t=1.1)
         worst_diag = max(worst_diag, a.abs_error)
         worst_merid = max(worst_merid, abs(a.numeric - b.numeric))
-        for K in geo.su_basis(pair.n):
-            if not K.diagonal().any():
-                rep = geo.torque(curve, K, meridian_t=0.3)
-                worst_off = max(worst_off, abs(rep.numeric))
+        for rep in off:
+            worst_off = max(worst_off, abs(rep.numeric))
     special = geo.torque(TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.1), span=(0.0, 1.0)),
                          geo.t_generator(AdmissiblePair(1, 2)))
     special_gap = abs(special.numeric - 0.6 * math.pi)

@@ -12,6 +12,7 @@ import sltwist.periods as periods
 import sltwist.twisted_curve as twisted_curve
 from sltwist.cli import main
 from sltwist.geometry.export import trajectory_csv
+from sltwist.geometry.immersion import Sampler
 from sltwist.periods import _period_span, branch_integral
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _field
 from sltwist.variation import dpthat_dtau_cross_check
@@ -148,6 +149,27 @@ def test_each_subcommand_integrates_each_curve_once(monkeypatch, capsys, tmp_pat
     assert len(solves) == len(curve_states)
     assert sum(len(s) == 6 for s in others) == linearised
     assert branch_integral.cache_info().misses == len(set(asked))
+
+
+def test_verify_reads_the_curve_and_samplers_a_counted_number_of_times(monkeypatch, capsys):
+    # each check reads its points in one array pass: the energy row and the
+    # symmetry relations read the curve once each, the Legendrian row makes one
+    # product sampler call (two factor calls inside), and the torque rows share
+    # one meridian.  Before the checks were batched this command made 38
+    # Trajectory and 75 Sampler calls; a row that splits its reads again shows here
+    calls = {"trajectory": 0, "sampler": 0}
+
+    def counted(key, call):
+        def counting(self, *args, **kwargs):
+            calls[key] += 1
+            return call(self, *args, **kwargs)
+        return counting
+
+    monkeypatch.setattr(ode_engine.Trajectory, "__call__",
+                        counted("trajectory", ode_engine.Trajectory.__call__))
+    monkeypatch.setattr(Sampler, "__call__", counted("sampler", Sampler.__call__))
+    assert main(["verify", "--p", "3", "--q", "4", "--tau", "0.01"]) == 0
+    assert calls["trajectory"] <= 8 and calls["sampler"] <= 3, calls
 
 
 @pytest.mark.parametrize("argv,taus", [

@@ -172,11 +172,12 @@ def test_default_order_flux_matches_order_24(p, q):
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, 0.5 * tau_max(pair))
     curve = _curve(param, (0.3, 1.1))
-    for element in [geo.t_generator(pair)] + _flux_elements(pair.n):
-        for t in (0.3, 1.1):
-            low = geo.torque(curve, element, meridian_t=t).numeric
-            high = geo.torque(curve, element, meridian_t=t, order=24).numeric
-            assert abs(low - high) <= 1e-13, (element, t)
+    elements = [geo.t_generator(pair)] + _flux_elements(pair.n)
+    for t in (0.3, 1.1):        # one meridian per (t, order) for every element
+        low = geo.torque(curve, elements, meridian_t=t)
+        high = geo.torque(curve, elements, meridian_t=t, order=24)
+        for element, a, b in zip(elements, low, high, strict=True):
+            assert abs(a.numeric - b.numeric) <= 1e-13, (element, t)
 
 
 def _four_directions(pair):
@@ -193,10 +194,11 @@ def test_default_order_flux_matches_order_8(p, q):
     pair = AdmissiblePair(p, q)
     for sign in (1.0, -1.0):
         curve = _curve(TwistParam(pair, sign * 0.5 * tau_max(pair)), (0.0, 0.3))
-        for K in _four_directions(pair):
-            low = geo.torque(curve, K, meridian_t=0.3).numeric
-            high = geo.torque(curve, K, meridian_t=0.3, order=8).numeric
-            assert abs(low - high) <= 1e-13, (sign, K)
+        directions = _four_directions(pair)
+        low = geo.torque(curve, directions, meridian_t=0.3)
+        high = geo.torque(curve, directions, meridian_t=0.3, order=8)
+        for K, a, b in zip(directions, low, high, strict=True):
+            assert abs(a.numeric - b.numeric) <= 1e-13, (sign, K)
 
 
 @pytest.mark.parametrize("p,q", [(p, n - p) for n in range(3, 9) for p in range(1, n // 2 + 1)])
