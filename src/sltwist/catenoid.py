@@ -22,9 +22,6 @@ __all__ = [
     "catenoid_lifetime", "lifetime_routes", "unit_profile", "verify_catenoid_symmetry",
 ]
 
-_LIFETIME_FRACTION = 0.995  # integrate the unit profile up to this fraction of T_1
-
-
 def lifetime_routes(n: int) -> tuple[float, float]:
     """Unit-profile lifetime by (quadrature, Beta closed form).
 
@@ -67,19 +64,19 @@ def _profile_field(n: int):
     return _compiled(f"profile field n={n}", body)
 
 
-@lru_cache(maxsize=8)      # spans above 0.995 T_1 come one per call; keep a few
-def _unit_trajectory(n: int, span: float):
+@lru_cache(maxsize=None)
+def _unit_trajectory(n: int):
+    """The unit profile of degree n, anchored at 0 and grown as far as it is read."""
     w0 = np.exp(1j * math.pi / (2 * n))
     # not mirrored: the reflection multiplies by e^{i pi/n}, which rounds
-    return integrate(_profile_field(n), [w0.real, w0.imag], (-span, span), Tolerances(),
+    return integrate(_profile_field(n), [w0.real, w0.imag], (0.0, 0.0), Tolerances(),
                      t0=0.0, mirror=None)
 
 
 def unit_profile(n: int, t):
     """The unit profile w_1(t); scalar or array t.
 
-    n = 2 is evaluated in closed form; otherwise the trajectory is
-    integrated (and cached) out to 99.5% of the lifetime.
+    n = 2 is evaluated in closed form, any other n read off :func:`_unit_trajectory`.
     """
     if n == 2:
         t = np.asarray(t, dtype=float)
@@ -89,8 +86,7 @@ def unit_profile(n: int, t):
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     if np.max(np.abs(tt)) >= T1:
         raise ValueError(f"|t| >= lifetime T_1 = {T1} for n = {n}")
-    span = max(_LIFETIME_FRACTION * T1, np.max(np.abs(tt)) * (1 + 1e-12))
-    s = _unit_trajectory(n, span)(tt.ravel())          # (Re w, Im w)
+    s = _unit_trajectory(n)(tt.ravel())          # (Re w, Im w)
     w = (s[0] + 1j * s[1]).reshape(np.shape(t))
     return complex(w) if np.ndim(t) == 0 else w
 

@@ -22,10 +22,8 @@ from .catenoid import verify_catenoid_symmetry
 from .closure import (RationalTarget, find_tau_for_angular_period, half_period_classification,
                       necklace, verify_closed)
 from .geometry.export import report_to_json
-from .geometry.immersion import _sampler_span
-from .geometry.neck import _neck_span
 from .ode_engine import EventError, IntegrationError, Tolerances
-from .periods import (_period_span, partial_periods_quadrature, period_ode, pthat_quadrature,
+from .periods import (partial_periods_quadrature, period_ode, pthat_quadrature,
                       pthat_quadrature_psi2)
 from .twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _y, _ydot, f_poly
 from .variation import check_asymptotics, dpthat_dtau_cross_check, wronskian_drift
@@ -73,26 +71,24 @@ def _bounded(kind, ok, what: str):
 
 
 def cmd_solve(args) -> int:
-    param = _param(args)
+    curve = TwistTrajectory(_param(args), TOL_PRESETS[args.tol])
     by_period = not args.window and args.tau != 0.0     # the window is 2 p_tau both ways
-    reach = _period_span(param, 1)[1] if by_period else args.window or 5.0
-    curve = TwistTrajectory(param, TOL_PRESETS[args.tol], span=(-reach, reach))
-    half_window = 2.0 * curve.period.p_tau if by_period else reach
+    half_window = 2.0 * curve.period.p_tau if by_period else args.window or 5.0
     if args.out:
         ts = np.linspace(-half_window, half_window, args.samples)
         geo.trajectory_csv(curve, ts, args.out)
         print(f"wrote {args.out}")
         return 0
-    payload = {"p": args.p, "q": args.q, "tau": args.tau,
-               "window": half_window, "drift": curve.drift}
+    drift = curve.drift(half_window)
+    payload = {"p": args.p, "q": args.q, "tau": args.tau, "window": half_window, "drift": drift}
     _emit(args, payload, [f"drift over [-{half_window}, {half_window}]: "
-                          + ", ".join(f"{k}={v:.3e}" for k, v in curve.drift.items())])
+                          + ", ".join(f"{k}={v:.3e}" for k, v in drift.items())])
     return 0
 
 
 def cmd_periods(args) -> int:
     param = _param(args)
-    data = period_ode(TwistTrajectory(param, TOL_PRESETS[args.tol], span=_period_span(param, 1)))
+    data = period_ode(TwistTrajectory(param, TOL_PRESETS[args.tol]))
     qp, qm = partial_periods_quadrature(param)
     gap = abs(qp + qm - data.p_tau)
     payload = dataclasses.asdict(data)
@@ -151,7 +147,7 @@ def cmd_necklace(args) -> int:
 
 def cmd_torque(args) -> int:
     meridians = (0.3, 1.1)
-    curve = TwistTrajectory(_param(args), TOL_PRESETS[args.tol], span=meridians)
+    curve = TwistTrajectory(_param(args), TOL_PRESETS[args.tol])
     pair = curve.param.pair
     tgen = geo.t_generator(pair)
     # the t-generator and R_{0,n-1} over one meridian at 0.3, the t-generator at 1.1
@@ -181,9 +177,7 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_neck(args) -> int:
-    param = _param(args)
-    span = _neck_span(param, args.waist, args.window)
-    curve = TwistTrajectory(param, TOL_PRESETS[args.tol], span=span)
+    curve = TwistTrajectory(_param(args), TOL_PRESETS[args.tol])
     comp = geo.neck_rescale(curve, args.waist, args.window)
     b = comp.window
     symmetry = verify_catenoid_symmetry(comp.catenoid_degree)
@@ -201,20 +195,17 @@ def cmd_neck(args) -> int:
 
 
 def cmd_export(args) -> int:
-    param, tol = _param(args), TOL_PRESETS[args.tol]
+    curve = TwistTrajectory(_param(args), TOL_PRESETS[args.tol])
     if args.format == "json":
         with open(args.out, "w") as fh:
-            curve = TwistTrajectory(param, tol, span=_period_span(param, 1))
             fh.write(report_to_json(period_ode(curve), kind="PeriodData") + "\n")
     elif args.format == "csv":
         w = args.window or 5.0
-        ts = np.linspace(-w, w, args.samples)
-        geo.trajectory_csv(TwistTrajectory(param, tol, span=(-w, w)), ts, args.out)
+        geo.trajectory_csv(curve, np.linspace(-w, w, args.samples), args.out)
     else:
         if (args.p, args.q) != (1, 2):
             raise ValueError("obj export supports the (1,2) surface case only")
         w = args.window or 3.0
-        curve = TwistTrajectory(param, tol, span=_sampler_span((-w, w)))
         sampler = geo.immersion_sampler(curve, (-w, w))
         geo.export(sampler, (args.samples, args.samples), args.out)
     print(f"wrote {args.out}")
@@ -228,11 +219,9 @@ def cmd_verify(args) -> int:
     checks: list[tuple[str, float, float]] = []
 
     qp, qm = partial_periods_quadrature(param)
-    reach = 10.0 * (qp + qm) * (1.0 + 1e-6)     # every check below reads within 10 p_tau
-    curve = TwistTrajectory(param, TOL_PRESETS[args.tol], span=(-reach, reach))
+    curve = TwistTrajectory(param, TOL_PRESETS[args.tol])
     data = curve.period
-    checks.append(("I1 drift", curve.drift["I1"], 1e-9))
-    checks.append(("I2 drift", curve.drift["I2"], 1e-9))
+    checks += [(f"{k} drift", v, 1e-9) for k, v in curve.drift(10.0 * data.p_tau).items()]
 
     states = curve._states(np.linspace(-10.0 * data.p_tau, 10.0 * data.p_tau, 400))
     energy = np.max(np.abs(_ydot(pair, states) ** 2 - 4.0 * f_poly(pair, _y(states))

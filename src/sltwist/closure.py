@@ -16,7 +16,7 @@ import numpy as np
 
 from .ode_engine import Tolerances, brent
 # closure.period_ode stays a name of this module: perfbench's tracer looks it up here
-from .periods import _period_span, angular_periods, period_ode, pthat_quadrature  # noqa: F401
+from .periods import angular_periods, period_ode, pthat_quadrature  # noqa: F401
 from .twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max
 
 __all__ = [
@@ -98,7 +98,7 @@ def scan_brackets(pair: AdmissiblePair, target: RationalTarget) -> list[tuple[fl
 
 
 def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
-                                tol: Tolerances = Tolerances()) -> TwistTrajectory:
+                                tol: Tolerances) -> TwistTrajectory:
     """The curve at ``tol`` whose angular period equals the rational target.
 
     A rotational order k0 above ``K0_CAP`` is refused first.  Then Brent on the
@@ -106,9 +106,9 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
     there are more, BracketingError if none).  The integrated (event-located)
     angular period of the curve at that root is accepted if it is within 1e-12 of
     the target; otherwise Brent on it, with xtol 1e-16, in a bracket grown about
-    the root until it changes sign.  Each curve
-    tried spans what :func:`verify_closed` reads for k0: the one returned, whose
-    period was checked, is integrated once.
+    the root until it changes sign.  Each curve tried is integrated only as far
+    as its period is read; the one returned, whose period was checked, grows as
+    :func:`verify_closed` reads it.
     """
     k0 = k0_from_target(pair, target)
     if k0 > K0_CAP:
@@ -134,8 +134,7 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
 
     def g_ode(t):
         if t not in curves:
-            param = TwistParam(pair, t)
-            curves[t] = TwistTrajectory(param, tol, span=_period_span(param, k0 + 1))
+            curves[t] = TwistTrajectory(TwistParam(pair, t), tol)
         return curves[t].period.pthat - angle
 
     err = g_ode(tau0)
@@ -164,7 +163,6 @@ def verify_closed(curve: TwistTrajectory, k0: int, samples: int = 20) -> ClosedC
     closure_residual: max over samples of |w(t + 2 k0 p_tau) - w(t)|.
     rotation_residual: max of |w(t + 2 p_tau) - Mhat_{2 pthat} w(t)| with
     Mhat the phases (e^{2i pthat/p}, e^{-2i pthat/q}) of the diagonal rotation.
-    ``curve``'s span must hold :func:`_period_span` over k0 + 1 periods.
     """
     from .geometry.symmetry import mhat     # keeps geometry out of `import sltwist`
 
@@ -219,8 +217,7 @@ def half_period_classification(pair: AdmissiblePair,
                          half_period_type=jk, topology=f"product {product}")
 
 
-def necklace(pair: AdmissiblePair, m: int,
-             tol: Tolerances = Tolerances()) -> tuple[TwistTrajectory, int]:
+def necklace(pair: AdmissiblePair, m: int, tol: Tolerances) -> tuple[TwistTrajectory, int]:
     """Closed curve with odd rotational order from the small-tau window.
 
     p = 1: target ((n-1)m / (2(n-1)m - 1)) pi, k0 = 2(n-1)m - 1;

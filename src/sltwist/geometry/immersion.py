@@ -155,14 +155,8 @@ def twisted_product(factor1: Sampler, factor2: Sampler, curve: CurveSampler,
                    name=f"{factor1.name} *w* {factor2.name}")
 
 
-def _sampler_span(t_range) -> tuple[float, float]:
-    """The span a sampler over the chart times ``t_range`` reads: 0.05 past the box."""
-    return t_range[0] - 0.05, t_range[1] + 0.05
-
-
 def immersion_sampler(curve: TwistTrajectory, t_range) -> Sampler:
-    """Chart sampler (t, angles) -> X_tau; for p = 1 the first factor is the point 1.
-    ``curve``'s span must hold :func:`_sampler_span` of ``t_range``."""
+    """Chart sampler (t, angles) -> X_tau; for p = 1 the first factor is the point 1."""
     pair = curve.param.pair
     return twisted_product(equatorial_factor(pair.p), equatorial_factor(pair.q),
                            twist_curve_sampler(curve), t_range)

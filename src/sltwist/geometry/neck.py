@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..catenoid import catenoid_lifetime, unit_profile
-from ..periods import _period_span, partial_periods_quadrature
-from ..twisted_curve import TwistParam, TwistTrajectory, _gaps
+from ..twisted_curve import TwistTrajectory, _gaps
 from .spheres import _waist
 from .symmetry import _blocks
 
@@ -37,28 +36,6 @@ class NeckComparison:
     catenoid_degree: int
 
 
-def _window(param: TwistParam, p_plus: float, p_minus: float, k: int, b: float | None):
-    """(waist k, catenoid degree, window b, beta, beta^(2 - degree)) at partial
-    periods p_plus and p_minus; b defaults and is checked as :func:`neck_rescale` says."""
-    waist = _waist(param.pair, p_plus, p_minus, k)
-    degree = param.pair.q if waist.kind == 2 else param.pair.p
-    if b is None:
-        b = 2.0 if degree < 3 else 0.5 * catenoid_lifetime(degree)
-    if degree >= 3 and b >= catenoid_lifetime(degree):
-        raise ValueError(f"window {b} exceeds the degree-{degree} catenoid lifetime")
-    beta = math.sqrt(_gaps(param)[waist.kind == 1])      # sqrt(y_min), sqrt(1 - y_max)
-    return waist, degree, b, beta, beta ** (2 - degree)
-
-
-def _neck_span(param: TwistParam, waist_index: int, b: float | None) -> tuple[float, float]:
-    """The span :func:`neck_rescale` reads: the period events' and the window
-    about the waist placed by the quadrature, padded as the events are."""
-    waist, _, b, _, scale = _window(param, *partial_periods_quadrature(param), waist_index, b)
-    reach = scale * b + 1e-6 * abs(waist.t) + 1e-3
-    lo, hi = _period_span(param, 1)
-    return min(lo, waist.t - reach), max(hi, waist.t + reach)
-
-
 def neck_rescale(curve: TwistTrajectory, waist_index: int,
                  b: float | None = None) -> NeckComparison:
     """Compare the rescaled neck at a waist with the unit catenoid.
@@ -75,11 +52,15 @@ def neck_rescale(curve: TwistTrajectory, waist_index: int,
     and half the lifetime T_1 for degree >= 3.  The error is sampled at 81 times.
     ``rescale_phases``, the diagonal of the repositioning map, turn each factor
     at the waist to the positive real axis, the shrinking one then by e^{i pi/2k}.
-    ``curve``'s span must hold :func:`_neck_span`.
     """
     pair, data = curve.param.pair, curve.period
-    waist, degree, b, beta, scale = _window(curve.param, data.p_plus, data.p_minus,
-                                            waist_index, b)
+    waist = _waist(pair, data.p_plus, data.p_minus, waist_index)
+    degree = pair.q if waist.kind == 2 else pair.p
+    if b is None:
+        b = 2.0 if degree < 3 else 0.5 * catenoid_lifetime(degree)
+    if degree >= 3 and b >= catenoid_lifetime(degree):
+        raise ValueError(f"window {b} exceeds the degree-{degree} catenoid lifetime")
+    beta = math.sqrt(_gaps(curve.param)[waist.kind == 1])      # sqrt(y_min), sqrt(1 - y_max)
     t_w = waist.t
     w1_w, w2_w = curve.w(t_w)
     negative = curve.param.tau < 0.0
@@ -92,7 +73,7 @@ def neck_rescale(curve: TwistTrajectory, waist_index: int,
     model = unit_profile(degree, ts)
     if negative:
         model = np.conj(model)
-    w1, w2 = curve.w(t_w + (1.0 if waist.kind == 2 else -1.0) * scale * ts)
+    w1, w2 = curve.w(t_w + (1.0 if waist.kind == 2 else -1.0) * beta ** (2 - degree) * ts)
     z = phase * (w2 / w2_w if waist.kind == 2 else w1 / w1_w)
     err = np.max(np.abs(z - model))
     return NeckComparison(beta=float(beta), rescale_phases=phases,

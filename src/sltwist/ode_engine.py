@@ -4,24 +4,26 @@ An owned DOP853 (Runge-Kutta pair of order 8, 7th-order dense output) whose
 step control is scipy's ``solve_ivp(method="DOP853")``, step for step: its
 initial step, the scale ``atol + rtol max(|y|, |y_new|)`` per real component,
 the combined err5/err3 norm, safety 0.9, exponent -1/8, step factors in
-[0.2, 10] and none above 1 right after a rejection, a 10-ulp minimum step and
-the last step clipped to the span; one tolerance is both atol and rtol.  A
-leg, the steps of one side, is one function generated and compiled once per
-state dimension: that step control, each try's 12 stages and error norm in
-straight-line float code, and each accepted step appended to flat buffers.  The
-dense-output stages 13-15, which no step control reads, run once per side on
-arrays of all its steps, so a field takes arrays too.  :func:`integrate`
-starts at an explicit anchor inside the span, and one :class:`Trajectory`
-covers both sides of it; an endpoint runs a leg alone, without dense output.
+[0.2, 10] and none above 1 right after a rejection, and a 10-ulp minimum step;
+one tolerance is both atol and rtol.  A leg, a run of steps, is one function
+generated and compiled once per state dimension: that step control, each try's
+12 stages and error norm in straight-line float code, and each accepted step
+appended to flat buffers.  The dense-output stages 13-15, which no step control
+reads, run on arrays of many steps at once, so a field takes arrays too.
+
+A :class:`Trajectory` is anchored at ``t0`` and grows on read: each side's run
+stops at its first step at or past the farthest time read, and resumes there
+when a read reaches past it.  No step of a side is clipped, so a side read in
+pieces is, bit for bit, the run straight to its final extent.  Only an endpoint
+lands on its time, by a leg of its own from the last accepted step before it.
 
 A reversible system, one whose field a sign vector R reverses, field(-t, R s)
-= -R field(t, s), from a state R fixes, has the backward side of a span
-symmetric about the anchor 0 in its forward side: t -> -t, s -> R s.  Every
-operation of a step and of the dense output is a product, sum, difference or
-quotient, or reads |s| only, so negating times, h and the stages and flipping
-state signs by R rounds alike on both sides: the backward leg repeats the
-forward one with its signs flipped, bit for bit, and :func:`integrate` builds
-it from the forward leg instead of stepping it.
+= -R field(t, s), from a state R fixes, has its backward side from the anchor
+0 in its forward side: t -> -t, s -> R s.  Every operation of a step and of the
+dense output is a product, sum, difference or quotient, or reads |s| only, so
+negating times, h and the stages and flipping state signs by R rounds alike on
+both sides: the backward run is the forward one with its signs flipped, bit for
+bit, and a trajectory mirrors forward steps as far back as it is read.
 
 :func:`locate_event` finds an event time by Newton's method on integrated
 endpoints, from a seed.  :func:`brent`, a line-for-line port of scipy's
@@ -125,12 +127,14 @@ _STEPPED = _KEPT.index(13)                           # of them, 0 and 5-12 come 
 
 @lru_cache(maxsize=None)
 def _leg(dim: int):
-    """``leg(fun, t, t1, h_abs, direction, y, f = y'(t), atol, rtol, ts, ys, ks)``:
-    the steps t -> t1 of scipy's controller from the step size h_abs as
+    """``leg(fun, t, t1, land, h_abs, direction, y, f = y'(t), atol, rtol, ts, ys, ks)``:
+    the steps of scipy's controller from t and the step size h_abs as
     straight-line float code, each try's 12 stages and error norm, appending
     each accepted step's time, state and stages 0, 5-12 (then zeros for 13-15)
-    to the ``array('d')`` buffers ts, ys and ks.  ``max(a, b)`` is written as
-    CPython evaluates it, ``b if b > a else a``, and ``min(a, b)`` as
+    to the ``array('d')`` buffers ts, ys and ks, until a step reaches t1, with
+    ``land`` clipped to end on it.  Returns the next step size, the state and
+    its field value, from which a later leg resumes.  ``max(a, b)`` is written
+    as CPython evaluates it, ``b if b > a else a``, and ``min(a, b)`` as
     ``b if b < a else a``."""
     comp = range(dim)
 
@@ -149,7 +153,7 @@ def _leg(dim: int):
     tries = ["if h_abs < min_step:",
              '    raise IntegrationError(f"step size {h_abs!r} underflows at t={t!r}", t)',
              "t_new = t + h_abs * direction",
-             "if direction * (t_new - t1) > 0:",
+             "if land and direction * (t_new - t1) > 0:",
              "    t_new = t1",
              "h = t_new - t",
              "h_abs = abs(h)",
@@ -175,7 +179,7 @@ def _leg(dim: int):
               "factor = 0.9 * err ** -0.125",
               "h_abs *= factor if factor > 0.2 else 0.2",
               "rejected = True"]
-    leg = ["def leg(fun, t, t1, h_abs, direction, y, f, atol, rtol, ts, ys, ks):",
+    leg = ["def leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol, ts, ys, ks):",
            f"    {vec('y{i}')}= y", f"    {vec('k0_{i}')}= f", f"    {vec('a{i}')}= atol",
            "    toward = direction * inf",
            "    while direction * (t - t1) < 0:",
@@ -188,7 +192,8 @@ def _leg(dim: int):
            f"        ks.fromlist([{kept}{room}])",
            f"        t, {vec('y{i}')}{vec('k0_{i}')}= t_new, {vec('n{i}')}{vec('k12_{i}')}",
            "        ts.append(t)",
-           f"        ys.fromlist([{vec('y{i}')}])"]
+           f"        ys.fromlist([{vec('y{i}')}])",
+           f"    return h_abs, ({vec('y{i}')}), ({vec('k0_{i}')})"]
     scope = {"IntegrationError": IntegrationError, "inf": math.inf,
              "nextafter": math.nextafter, "sqrt": math.sqrt, "isfinite": math.isfinite}
     exec(compile("\n".join(leg), f"<dop853 leg dim={dim}>", "exec"), scope)
@@ -207,24 +212,9 @@ def _initial_step(field, t0, y0, f0, span, direction, atol, rtol):
     return float(min(100 * h0, h1, span))
 
 
-def _steps(field, y0, t0, t1, tol, atol):
-    """The accepted steps of one run t0 -> t1, in stepping order: times, states and
-    each step's stages 0, 5-12, with room for the stages 13-15 :func:`_dense` fills."""
-    dim = len(y0)
-    rtol = max(tol.tol, 100 * np.finfo(float).eps)
-    direction = 1.0 if t1 > t0 else -1.0
-    y = tuple(y0.tolist())
-    f = tuple(field(t0, y))
-    h_abs = _initial_step(field, t0, y, f, abs(t1 - t0), direction, atol, rtol)
-    ts, ys, ks = array("d", [t0]), array("d", y), array("d")
-    _leg(dim)(field, t0, t1, h_abs, direction, y, f, atol, rtol, ts, ys, ks)
-    T, Y = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, dim)
-    return T, Y, np.frombuffer(ks).reshape(len(T) - 1, len(_KEPT), dim)
-
-
 def _dense(field, T, Y, K):
-    """One run of :func:`_steps` as ascending times and states, then origin, h,
-    y_origin and F per step."""
+    """The dense-output coefficients F of steps in stepping order, from their nodes
+    T and Y and their stages K, into which stages 13-15 are written."""
     dim = Y.shape[1]
     H, dY = np.diff(T), np.diff(Y, axis=0)
     # stages 13-15 of all steps: one field call each on (dim, steps) arrays,
@@ -238,117 +228,187 @@ def _dense(field, T, Y, K):
     F[:, :3] = np.stack([dY, h * K[:, 0] - dY,
                          2 * dY - h * (K[:, _KEPT.index(12)] + K[:, 0])], axis=1)
     F[:, 3:] = h[:, None] * np.einsum("ij,sjd->sid", _D[:, _KEPT], K)
-    order = slice(None, None, 1 if T[-1] > T[0] else -1)
-    return T[order], Y[order], T[:-1][order], H[order], Y[:-1][order], F[order]
+    return F
 
 
-@dataclass
+class _Side:
+    """One side's steps in stepping order: times, states, the stages of steps not
+    yet in F, and F; the state, field value and step size its run resumes from."""
+
+    def __init__(self, t0, y, f):
+        self.ts, self.ys, self.ks = array("d", [t0]), array("d", y), array("d")
+        self.y, self.f, self.h_abs = y, f, None
+        self.F = np.empty((0, 7, len(y)))
+
+
+def _held(method):
+    """A trajectory's method whose result is held until the trajectory grows."""
+    def held(self):
+        if method.__name__ not in self._cache:
+            self._cache[method.__name__] = method(self)
+        return self._cache[method.__name__]
+    return held
+
+
+def _view(arrays, i):
+    return property(lambda self: getattr(self, arrays)()[i])
+
+
 class Trajectory:
-    """Dense-output solution of an autonomous first-order system.
+    """Dense-output solution of an autonomous first-order system, grown on read
+    (see the module docstring) on both sides of the anchor ``t0``.
 
-    Integrated outward from the anchor ``t0``; ``time_grid`` and ``states`` hold
-    the accepted steps of both sides in ascending time.  Segment k is the step
-    from ``origin[k]`` of signed size ``h[k]``: ``y_origin[k] + P((t - origin[k])
-    / h[k])``, P with coefficients ``F[k]``.  Complex pairs are stored as (re, im)
-    components.  ``field``, ``tol`` and the per-component ``atol`` of the steps
-    are kept for endpoints.  Nothing mutates a trajectory.
+    ``time_grid`` and ``states`` hold the accepted steps so far in ascending time.
+    Segment k is the step from ``origin[k]`` of signed size ``h[k]``: ``y_origin[k]
+    + P((t - origin[k]) / h[k])``, P with coefficients ``F[k]``.  Complex pairs are
+    (re, im) components.  ``field``, ``tol`` and the per-component ``atol`` are kept.
     """
 
-    t0: float
-    time_grid: np.ndarray
-    states: np.ndarray            # shape (len(time_grid), dim)
-    origin: np.ndarray            # per segment, shape (len(time_grid) - 1,)
-    h: np.ndarray
-    y_origin: np.ndarray          # per segment, shape (segments, dim)
-    F: np.ndarray                 # per segment, shape (segments, 7, dim)
-    field: object
-    tol: Tolerances
-    atol: tuple
+    def __init__(self, field, y0, t0, tol, atol, mirror):
+        self.field, self.t0, self.tol, self.atol = field, t0, tol, atol
+        self._rtol = max(tol.tol, 100 * np.finfo(float).eps)
+        self._y0, self._mirror = y0, mirror
+        y = tuple(y0.tolist())
+        f = tuple(field(t0, y))
+        self._sides = {d: _Side(t0, y, f) for d in ((1.0,) if mirror is not None else (1.0, -1.0))}
+        self._low, self._cache = t0, {}     # with a mirror, the farthest time read backward
+
+    def _grow(self, t) -> None:
+        """Steps each side on until its last accepted step lies at or past the times t."""
+        lo, hi = float(np.min(t)), float(np.max(t))
+        if self._mirror is not None:
+            if lo < self._low:
+                self._low = lo
+                self._cache.clear()
+            hi = max(hi, -lo)
+        for d, end in ((1.0, hi), (-1.0, lo)):
+            side = self._sides.get(d)
+            if side is None or d * (end - side.ts[-1]) <= 0:
+                continue
+            self._cache.clear()
+            if side.h_abs is None:
+                side.h_abs = _initial_step(self.field, self.t0, side.y, side.f, math.inf, d,
+                                           self.atol, self._rtol)
+            n, nk, dim = len(side.ts), len(side.ks), len(side.y)
+            try:
+                side.h_abs, side.y, side.f = _leg(dim)(
+                    self.field, side.ts[-1], end, False, side.h_abs, d, side.y, side.f,
+                    self.atol, self._rtol, side.ts, side.ys, side.ks)
+            except IntegrationError:        # the side stays as it was, for later reads
+                del side.ts[n:], side.ys[n * dim:], side.ks[nk:]
+                raise
+
+    def _stepped(self, d):
+        """Times and states of side d so far, in stepping order (mirrored: as far back as read)."""
+        if d != 1.0 and self._mirror is not None:
+            T, Y = self._stepped(1.0)
+            k = np.searchsorted(T, -self._low) + 1
+            T, Y = -T[:k], Y[:k] * self._mirror
+            T[0], Y[0] = self.t0, self._y0          # the anchor keeps its bits
+            return T, Y
+        side = self._sides[d]
+        return np.array(side.ts), np.array(side.ys).reshape(len(side.ts), -1)
+
+    def _coefficients(self, d):
+        """F of side d so far, in stepping order; each step's stages 13-15 run once."""
+        if d != 1.0 and self._mirror is not None:
+            return self._coefficients(1.0)[:len(self._stepped(d)[0]) - 1] * self._mirror
+        side, (T, Y) = self._sides[d], self._stepped(d)
+        n = len(side.F)
+        if n < len(T) - 1:
+            K = np.frombuffer(side.ks).reshape(len(T) - 1 - n, len(_KEPT), -1)
+            F = _dense(self.field, T[n:], Y[n:], K)
+            side.F, side.ks = (np.concatenate([side.F, F]) if n else F), array("d")
+        return side.F
+
+    @_held
+    def _nodes(self):
+        (Tb, Yb), (Tf, Yf) = self._stepped(-1.0), self._stepped(1.0)
+        return np.concatenate([Tb[::-1], Tf[1:]]), np.concatenate([Yb[::-1], Yf[1:]])
+
+    @_held
+    def _segments(self):
+        sides = [(T[:-1], np.diff(T), Y[:-1], self._coefficients(d))
+                 for d in (-1.0, 1.0) for T, Y in [self._stepped(d)]]
+        segments = [np.concatenate([b[::-1], f]) for b, f in zip(*sides)]
+        nb, F = len(sides[0][1]), segments[3]       # each side's F becomes a view of F
+        for d, view in ((-1.0, F[:nb][::-1]), (1.0, F[nb:])):
+            if d in self._sides:
+                self._sides[d].F = view
+        return segments
+
+    time_grid, states = _view("_nodes", 0), _view("_nodes", 1)
+    origin, h, y_origin, F = (_view("_segments", i) for i in range(4))
 
     def __call__(self, t):
-        """State at time t in the span (scalar -> 1-d array, array -> dim x len);
-        a grid node reads the segment below it, as scipy's OdeSolution does,
-        and Horner's rule alternates x and 1 - x, as its DOP853 output does."""
-        if not self.covers(t):
-            raise ValueError(f"t in [{np.min(t)}, {np.max(t)}] outside the integrated "
-                             f"span [{self.time_grid[0]}, {self.time_grid[-1]}]")
+        """State at time t (scalar -> 1-d array, array -> dim x len); a grid node
+        reads the segment below it, as scipy's OdeSolution does, and Horner's rule
+        alternates x and 1 - x, as its DOP853 output does."""
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.clip(np.searchsorted(self.time_grid, tt, side="left") - 1, 0, len(self.h) - 1)
-        x = ((tt - self.origin[k]) / self.h[k])[:, None]
-        c, x1 = self.F[k].transpose(1, 0, 2), 1 - x
-        y = ((((((c[6] * x + c[5]) * x1 + c[4]) * x + c[3]) * x1 + c[2]) * x + c[1]) * x1
-             + c[0]) * x + self.y_origin[k]
+        self._grow(tt)
+        grid, (origin, h, y_origin, F) = self.time_grid, self._segments()
+        if len(h):
+            k = np.clip(np.searchsorted(grid, tt, side="left") - 1, 0, len(h) - 1)
+            x = ((tt - origin[k]) / h[k])[:, None]
+            c, x1 = F[k].transpose(1, 0, 2), 1 - x
+            y = ((((((c[6] * x + c[5]) * x1 + c[4]) * x + c[3]) * x1 + c[2]) * x + c[1]) * x1
+                 + c[0]) * x + y_origin[k]
+        else:                               # nothing stepped: every t read is t0
+            y = np.repeat(self.states, len(tt), axis=0)
         return y.T if np.ndim(t) else y[0]
 
-    def covers(self, t) -> bool:
-        t, grid = np.asarray(t), self.time_grid
-        return bool(np.all((t >= grid[0] - 1e-12) & (t <= grid[-1] + 1e-12)))
+    def steps(self, lo: float, hi: float):
+        """Times and states of a run over [lo, hi]: the nodes to the first past each end."""
+        self._grow(np.array([lo, hi]))
+        grid = self.time_grid
+        i, j = np.searchsorted(grid, lo, side="right") - 1, np.searchsorted(grid, hi)
+        return grid[i:j + 1], self.states[i:j + 1]
 
     def endpoint(self, t: float) -> np.ndarray:
-        """The state at t != t0 stepped from the last accepted step between t0 and
-        t: the integrator's accuracy, not the dense interpolant's."""
-        if t == self.t0 or not self.covers(t):
+        """The state at t != t0 stepped, landing on t, from the last accepted step
+        between t0 and t: the integrator's accuracy, not the dense interpolant's."""
+        t = float(t)
+        if t == self.t0:
             raise ValueError(f"no integrated endpoint at t={t}")
-        forward = t > self.t0
-        k = np.searchsorted(self.time_grid, t, side="left" if forward else "right") - forward
-        return _steps(self.field, self.states[k], float(self.time_grid[k]), float(t),
-                      self.tol, self.atol)[1][-1]
-
-
-def _mirrored(side, R, t0, y0):
-    """The backward side of a reversible system from its forward ``side`` (see the
-    module docstring): times, origins and h negated, states, y_origin and F
-    multiplied by R, in reverse order, and the anchor's t0 and y0 as given."""
-    T, Y, origin, H, Y_origin, F = side
-    T, origin, Y, Y_origin = -T[::-1], -origin[::-1], Y[::-1] * R, Y_origin[::-1] * R
-    T[-1] = origin[-1] = t0
-    Y[-1] = Y_origin[-1] = y0
-    return T, Y, origin, -H[::-1], Y_origin, F[::-1] * R
+        self._grow(t)
+        d = 1.0 if t > self.t0 else -1.0
+        k = np.searchsorted(self.time_grid, t, side="left" if d > 0 else "right") - (d > 0)
+        t_k, y = float(self.time_grid[k]), tuple(self.states[k].tolist())
+        f = tuple(self.field(t_k, y))
+        h_abs = _initial_step(self.field, t_k, y, f, abs(t - t_k), d, self.atol, self._rtol)
+        return np.array(_leg(len(y))(self.field, t_k, t, True, h_abs, d, y, f, self.atol,
+                                     self._rtol, array("d"), array("d"), array("d"))[1])
 
 
 def integrate(field, state0, span, tol: Tolerances = Tolerances(), atol_scale=1.0, *,
               t0, mirror) -> Trajectory:
-    """Integrate ``state' = field(t, state)`` from ``state0`` at the anchor
-    ``t0`` to both ends of span, forward first.
-
-    Each side is the run a one-sided span from t0 would make, step for step.
-    ``field`` gets a tuple of floats in a step and arrays in the initial-step
-    probe and in the dense-output stages of each side ((dim, steps) states);
-    it returns dim floats or arrays.  ``atol_scale`` multiplies ``tol.tol``
-    in the absolute tolerance, per component when it is an array.
+    """The :class:`Trajectory` of ``state' = field(t, state)`` from ``state0`` at
+    the anchor ``t0``, stepped at once past both ends of ``span``, which may be
+    (t0, t0); a read past them grows it.  ``field`` gets a tuple of floats in a
+    step and arrays in the initial-step probe and in the dense-output stages
+    ((dim, steps) states); it returns dim floats or arrays.  ``atol_scale``
+    multiplies ``tol.tol`` in the absolute tolerance, per component.
 
     ``mirror`` is None, or a sign vector R of ones and minus ones that fixes
     ``state0`` by value and reverses ``field``, field(-t, R s) = -R field(t, s),
-    which the caller vouches for.  On a span symmetric about t0 = 0 the forward
-    side is then stepped alone and the backward side is built from it (see the
-    module docstring); its arrays equal the backward run's.  Any other span
-    steps both sides.
+    which the caller vouches for, with t0 = 0.  The forward side is then stepped
+    alone and the backward side is built from it (see the module docstring).
     """
     lo, hi = sorted((float(span[0]), float(span[1])))
     t0 = float(t0)
-    if lo == hi:
-        raise ValueError("empty integration span")
     if not lo <= t0 <= hi:
         raise ValueError(f"anchor t0={t0} outside the span [{lo}, {hi}]")
     y0 = np.asarray(state0, dtype=float)
-    if mirror is not None:
-        R = np.asarray(mirror, dtype=float)
-        if R.shape != y0.shape or not (np.abs(R) == 1).all() or not (R * y0 == y0).all():
-            raise ValueError(f"mirror {mirror} is not a sign vector that fixes the "
-                             f"initial state {y0.tolist()}")
+    R = None if mirror is None else np.asarray(mirror, dtype=float)
+    if R is not None and (t0 != 0 or R.shape != y0.shape or not (np.abs(R) == 1).all()
+                          or not (R * y0 == y0).all()):
+        raise ValueError(f"mirror {mirror} is not a sign vector that fixes the initial "
+                         f"state {y0.tolist()} at the anchor t0 = 0")
     atol = tuple(np.broadcast_to(tol.tol * np.asarray(atol_scale, dtype=float),
                                  y0.shape).tolist())
-    anchor = (np.array([t0]), y0[None], np.empty(0), np.empty(0),
-              np.empty((0, len(y0))), np.empty((0, 7, len(y0))))
-    fwd = _dense(field, *_steps(field, y0, t0, hi, tol, atol)) if hi > t0 else anchor
-    if mirror is not None and t0 == 0 and lo == -hi:
-        bwd = _mirrored(fwd, R, t0, y0)
-    else:
-        bwd = _dense(field, *_steps(field, y0, t0, lo, tol, atol)) if lo < t0 else anchor
-    return Trajectory(t0, np.concatenate([bwd[0], fwd[0][1:]]),
-                      np.concatenate([bwd[1], fwd[1][1:]]),
-                      *(np.concatenate(pair) for pair in zip(bwd[2:], fwd[2:])),
-                      field=field, tol=tol, atol=atol)
+    traj = Trajectory(field, y0, t0, tol, atol, R)
+    traj._grow(np.array([lo, hi]))
+    return traj
 
 
 def _value(f, x: float) -> float:

@@ -108,7 +108,7 @@ def _branch_halves(pair: AdmissiblePair, taus, gaps) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)     # a curve's span, Newton seeds and route gaps ask for the same tau
+@lru_cache(maxsize=64)     # a curve's Newton seeds and route gaps ask for the same tau
 def branch_integral(param: TwistParam) -> tuple[tuple[float, float], ...]:
     """The (3, 2) row of :func:`_branch_halves` for one tau, as tuples of floats:
     (p_plus, p_minus) by time, then the psi1 and psi2 integrals of the two halves.
@@ -149,16 +149,6 @@ def pthat_quadrature_psi2(param: TwistParam) -> float:
     return 2.0 * param.pair.q * param.tau * sum(branch_integral(param)[2])
 
 
-def _period_span(param: TwistParam, periods: int) -> tuple[float, float]:
-    """The span :func:`period_ode` reads, forward over ``periods`` periods 2 p_tau,
-    from the quadrature's partial periods p_plus and p_minus: 1e-6 relative and
-    1e-3 past 2 p_tau, and back to 1.5 p_minus and 1e-3 for p > 1, where
-    -p_minus is an event."""
-    p_plus, p_minus = partial_periods_quadrature(param)
-    fwd = 2.0 * periods * (p_plus + p_minus) * (1.0 + 1e-6) + 1e-3
-    return (-(1.5 * p_minus + 1e-3) if param.pair.p > 1 else 0.0), fwd
-
-
 def period_ode(curve: TwistTrajectory) -> PeriodData:
     """Period data from extremum events on the integrated curve.
 
@@ -170,7 +160,6 @@ def period_ode(curve: TwistTrajectory) -> PeriodData:
     of y, where psi1' = 2 tau/(1 - y) is about 1/(2 tau); the event located
     is that maximum, and p_tau is half its time (at the minimum, y'' is only
     2 q y_min^(q-1), so a state error moves the event that much more).
-    ``curve``'s span must hold :func:`_period_span` over one period.
     """
     param = curve.param
     pair = param.pair
@@ -189,8 +178,7 @@ def period_ode(curve: TwistTrajectory) -> PeriodData:
         p_minus = -locate_event(traj, g, g_prime, -p_est_minus,
                                 (-0.5 * p_est_minus, -1.5 * p_est_minus))
     else:
-        p_plus = 0.5 * locate_event(traj, g, g_prime, 2.0 * p_est,
-                                    (1.5 * p_est, _period_span(param, 1)[1]))
+        p_plus = 0.5 * locate_event(traj, g, g_prime, 2.0 * p_est, (1.5 * p_est, 2.5 * p_est))
         p_minus = 0.0
     p_tau = p_plus + p_minus
     t_end = np.array([2.0 * p_tau])

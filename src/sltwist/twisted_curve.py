@@ -338,24 +338,22 @@ def _ydot(pair: AdmissiblePair, s):
 
 
 class TwistTrajectory:
-    """One twisted curve: the curve of ``param`` at ``tol`` over ``span``, and
-    what is computed along it, each on first use.
+    """One twisted curve: the curve of ``param`` at ``tol``, and what is computed
+    along it, each on first use.
 
     A caller that needs several quantities of one curve (a CLI subcommand, a
-    test) builds it once per (param, tol), with the whole time span its
-    consumers will read, and hands it on; each piece (``trajectory``,
-    ``period``, ``Q``, ``drift``) is computed once and held for the object's
-    lifetime only.  ``Q`` is the (w, Q, Q') trajectory of
+    test) builds it once per (param, tol) and hands it on; each piece
+    (``trajectory``, ``period``, ``Q``) is computed once and held for the
+    object's lifetime only.  ``Q`` is the (w, Q, Q') trajectory of
     :func:`variation.solve_Q`.  What outlives a call is held by module-level
-    caches of fixed size: ``_gaps`` keeps the extrema of 64 taus,
-    ``periods.branch_integral`` the quadrature's route integrals of 64 taus and
-    ``catenoid._unit_trajectory`` 8 catenoid-profile trajectories.
+    caches: ``_gaps`` keeps the extrema of 64 taus, ``periods.branch_integral``
+    the quadrature's route integrals of 64 taus and ``catenoid._unit_trajectory``
+    one catenoid-profile trajectory per degree.
 
-    The integrated state is w alone, held as one :class:`Trajectory` from
-    :func:`solve_w` over ``span`` and 0, anchored at 0 (``trajectory``); a
-    read outside it raises ``ValueError``.  Accessors return the curve
-    w(t) = (w1, w2), the radius y = |w2|^2 and its derivative, and the
-    accumulated angles (psi1, psi2) with psi(0) = 0, read off arg w.
+    The integrated state is w alone, one :class:`Trajectory` from :func:`solve_w`
+    anchored at 0 (``trajectory``) and integrated as far as it is read.  Accessors
+    return the curve w(t) = (w1, w2), the radius y = |w2|^2 and its derivative,
+    and the accumulated angles (psi1, psi2) with psi(0) = 0, read off arg w.
     The -tau curve is the exact conjugate of the tau curve: the initial
     states are conjugate, and the integrator commutes with conjugation
     bit for bit (its tableau is real, rounding is symmetric in sign and
@@ -367,14 +365,13 @@ class TwistTrajectory:
     tolerance is scaled by that much so that arg w1 keeps the digits of arg w2.
     """
 
-    def __init__(self, param: TwistParam, tol: Tolerances = Tolerances(), *, span):
+    def __init__(self, param: TwistParam, tol: Tolerances):
         self.param = param
         self.tol = tol
-        self.span = span
 
     @cached_property
     def trajectory(self) -> Trajectory:
-        return solve_w(self.param, self.span, self.tol)
+        return solve_w(self.param, self.tol)
 
     @cached_property
     def period(self):
@@ -388,12 +385,11 @@ class TwistTrajectory:
 
         return solve_Q(self)
 
-    @cached_property
-    def drift(self) -> dict:
+    def drift(self, window: float) -> dict:
         """Maximum deviation of I1 = |w|^2 from 1 and of I2 = Im(w1^p w2^q) from -2 tau
-        over the accepted steps, on first read, from the state arrays at once
-        (:func:`_invariants`)."""
-        i1, i2 = _invariants(self.param.pair, self.trajectory.states.T)
+        over the accepted steps of a run over [-window, window]
+        (:meth:`Trajectory.steps`), from the state arrays at once (:func:`_invariants`)."""
+        i1, i2 = _invariants(self.param.pair, self.trajectory.steps(-window, window)[1].T)
         return {"I1": float(np.max(np.abs(i1 - 1.0))),
                 "I2": float(np.max(np.abs(i2 + 2.0 * self.param.tau)))}
 
@@ -465,15 +461,13 @@ def _mirror(param: TwistParam):
     return _REVERSAL if param.pair.p == 1 and param.tau else None
 
 
-def solve_w(param: TwistParam, t_span, tol: Tolerances) -> Trajectory:
-    """The canonical curve integrated from :func:`initial_state` over ``t_span``
-    and 0, anchored at 0, with w1's absolute tolerance scaled and, for p = 1,
-    its backward half mirrored from the forward one (see :class:`TwistTrajectory`)."""
-    lo = min(0.0, float(t_span[0]))
-    hi = max(0.0, float(t_span[1]))
+def solve_w(param: TwistParam, tol: Tolerances) -> Trajectory:
+    """The canonical curve from :func:`initial_state`, anchored at 0 and integrated
+    on read, with w1's absolute tolerance scaled and, for p = 1, its backward half
+    mirrored from the forward one (see :class:`TwistTrajectory`)."""
     pair, tau = param.pair, param.tau
     shrink = min(1.0, (2.0 * abs(tau)) ** (2.0 / pair.p)) if tau else 1.0
     scale = np.array([shrink, shrink, 1.0, 1.0])
-    return integrate(_field(pair.p, pair.q), initial_state(param).as_real(), (lo, hi), tol,
+    return integrate(_field(pair.p, pair.q), initial_state(param).as_real(), (0.0, 0.0), tol,
                      scale, t0=0.0, mirror=_mirror(param))
 

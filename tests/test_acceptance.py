@@ -18,8 +18,8 @@ from sltwist.closure import (RationalTarget, find_tau_for_angular_period,
                              half_period_classification, necklace,
                              verify_closed)
 from sltwist.catenoid import lifetime_routes, verify_catenoid_symmetry
-from sltwist.geometry.neck import _neck_span
-from sltwist.periods import _period_span, partial_periods_quadrature
+from sltwist.ode_engine import Tolerances
+from sltwist.periods import partial_periods_quadrature
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _y, _ydot,
                                    f_poly, tau_max)
 from sltwist.variation import (check_asymptotics, dpthat_dtau_cross_check,
@@ -30,8 +30,8 @@ FRACTIONS = [0.1, 0.5, 0.9]
 
 
 def _curve(param):
-    """The curve over the span its period events are read from."""
-    return TwistTrajectory(param, span=_period_span(param, 1))
+    """The curve at the standard tolerance."""
+    return TwistTrajectory(param, Tolerances())
 
 
 def report(num, name, ok, detail=""):
@@ -54,8 +54,9 @@ def test_criterion_01_conservation(case_matrix):
     t0 = time.perf_counter()
     worst = 0.0
     for (p, q, frac), (param, data) in case_matrix.items():
-        traj = TwistTrajectory(param, span=(-10.0 * data.p_tau, 10.0 * data.p_tau))
-        worst = max(worst, traj.drift["I1"], traj.drift["I2"])
+        traj = TwistTrajectory(param, Tolerances())
+        drift = traj.drift(10.0 * data.p_tau)
+        worst = max(worst, drift["I1"], drift["I2"])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
     report(1, "conservation", ok, f"worst drift {worst:.2e}, {elapsed:.1f}s")
@@ -66,7 +67,7 @@ def test_criterion_01_conservation(case_matrix):
 def test_criterion_02_energy_equation(case_matrix):
     worst = 0.0
     for (p, q, frac), (param, data) in case_matrix.items():
-        traj = TwistTrajectory(param, span=(-10.0 * data.p_tau, 10.0 * data.p_tau))
+        traj = TwistTrajectory(param, Tolerances())
         ts = np.linspace(-10.0 * data.p_tau, 10.0 * data.p_tau, 400)
         for t in ts:
             res = abs(traj.ydot(t) ** 2 - 4.0 * f_poly(param.pair, traj.y(t))
@@ -184,7 +185,7 @@ def test_criterion_08_torque():
         pair = AdmissiblePair(p, q)
         param = TwistParam(pair, 0.5 * tau_max(pair))
         tg = geo.t_generator(pair)
-        curve = TwistTrajectory(param, span=(0.3, 1.1))
+        curve = TwistTrajectory(param, Tolerances())
         off_diagonal = [K for K in geo.su_basis(pair.n) if not K.diagonal().any()]
         # one meridian at 0.3 for the t-generator and every off-diagonal direction
         a, *off = geo.torque(curve, [tg, *off_diagonal], meridian_t=0.3)
@@ -193,7 +194,7 @@ def test_criterion_08_torque():
         worst_merid = max(worst_merid, abs(a.numeric - b.numeric))
         for rep in off:
             worst_off = max(worst_off, abs(rep.numeric))
-    special = geo.torque(TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.1), span=(0.0, 1.0)),
+    special = geo.torque(TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.1), Tolerances()),
                          geo.t_generator(AdmissiblePair(1, 2)))
     special_gap = abs(special.numeric - 0.6 * math.pi)
     elapsed = time.perf_counter() - t0
@@ -212,7 +213,7 @@ def test_criterion_08_torque():
 def test_criterion_09_closure_and_necklaces():
     t0 = time.perf_counter()
     pair12 = AdmissiblePair(1, 2)
-    curve12, k0 = necklace(pair12, 2)
+    curve12, k0 = necklace(pair12, 2, Tolerances())
     assert k0 == 7
     gap12 = abs(curve12.period.pthat - 4 * math.pi / 7)
     check12 = verify_closed(curve12, k0, samples=20)
@@ -220,7 +221,7 @@ def test_criterion_09_closure_and_necklaces():
     pair22 = AdmissiblePair(2, 2)
     results22 = []
     for m, expect_k0, num, den in ((2, 7, 4, 7), (3, 11, 6, 11)):
-        curve_m, k0_m = necklace(pair22, m)
+        curve_m, k0_m = necklace(pair22, m, Tolerances())
         assert k0_m == expect_k0
         gap = abs(curve_m.period.pthat - num * math.pi / den)
         chk = verify_closed(curve_m, k0_m, samples=20)
@@ -232,7 +233,7 @@ def test_criterion_09_closure_and_necklaces():
     worst_target_gap = 0.0
     for a, b in targets:
         tgt = RationalTarget(a, b)
-        curve_t = find_tau_for_angular_period(pair12, tgt)
+        curve_t = find_tau_for_angular_period(pair12, tgt, Tolerances())
         taus.append(curve_t.param.tau)
         worst_target_gap = max(worst_target_gap, abs(curve_t.period.pthat - tgt.angle))
     distinct = len(set(round(t, 13) for t in taus)) == len(targets)
@@ -258,8 +259,7 @@ def test_criterion_10_symmetry_residuals(case_matrix):
     worst = 0.0
     worst_key = None
     for (p, q, frac), (param, data) in case_matrix.items():
-        reach = _period_span(param, 2)[1]      # symmetry_residuals reads within 3 p_tau
-        res = geo.symmetry_residuals(TwistTrajectory(param, span=(-reach, reach)))
+        res = geo.symmetry_residuals(TwistTrajectory(param, Tolerances()))
         for key, val in res.items():
             if val > worst:
                 worst, worst_key = val, (p, q, frac, key)
@@ -283,7 +283,7 @@ def test_criterion_11_catenoid():
 
 def test_criterion_12_neck_scaling():
     pair = AdmissiblePair(1, 2)
-    c1, c2 = (geo.neck_rescale(TwistTrajectory(param, span=_neck_span(param, 1, 2.0)), 1, 2.0)
+    c1, c2 = (geo.neck_rescale(TwistTrajectory(param, Tolerances()), 1, 2.0)
               for param in (TwistParam(pair, 1e-3), TwistParam(pair, 2.5e-4)))
     err_ratio = c1.max_error / c2.max_error
     beta_ratio = c1.beta / c2.beta
@@ -301,9 +301,9 @@ def test_criterion_13_half_period_parity():
     rep = half_period_classification(pair, target)
     assert rep.k0 == 10 and rep.k0 % 2 == 0
     assert rep.half_period_type == (1, 0)
-    curve = find_tau_for_angular_period(pair, target)
+    curve = find_tau_for_angular_period(pair, target, Tolerances())
     param, data = curve.param, curve.period
-    traj = TwistTrajectory(param, span=(0.0, (rep.k0 + 1) * data.p_tau))
+    traj = TwistTrajectory(param, Tolerances())
     worst = 0.0
     for t in np.linspace(0.0, data.p_tau, 12):
         a1, a2 = traj.w(t)

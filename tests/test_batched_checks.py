@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import sltwist.geometry as geo
-from sltwist.geometry.immersion import _FD_STEP, _cone, _frame, _sampler_span
+from sltwist.geometry.immersion import _FD_STEP, _cone, _frame
 from sltwist.geometry.symmetry import _omega_residual, rotation_determinant_residual
 from sltwist.geometry.torque import _meridian_nodes
-from sltwist.periods import _period_span
+from sltwist.ode_engine import Tolerances
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _invariants, _w,
                                    tau_max, velocity)
 
@@ -20,14 +20,10 @@ CASES = [(p, q, sign * frac) for p, q in PAIRS for frac in (0.3, 1e-3) for sign 
 
 
 def _case(p, q, frac):
-    """The curve at ``frac`` tau_max over two periods each way and the meridian at 0.3,
-    and verify's immersion sampler over +-0.8 p_tau."""
+    """The curve at ``frac`` tau_max and verify's immersion sampler over +-0.8 p_tau."""
     pair = AdmissiblePair(p, q)
-    param = TwistParam(pair, frac * tau_max(pair))
-    reach = max(_period_span(param, 2)[1], 0.4)
-    curve = TwistTrajectory(param, span=(-reach, reach))
+    curve = TwistTrajectory(TwistParam(pair, frac * tau_max(pair)), Tolerances())
     box = (-0.8 * curve.period.p_tau, 0.8 * curve.period.p_tau)
-    assert _sampler_span(box)[1] <= reach
     return curve, geo.immersion_sampler(curve, box)
 
 
@@ -58,9 +54,9 @@ def _phase_reference(sampler, u):
     return complex(det / abs(det))
 
 
-def _drift_reference(curve):
-    """I1 and I2 state by state, in CPython float and complex arithmetic."""
-    pair, states = curve.param.pair, curve.trajectory.states.tolist()
+def _drift_reference(curve, window):
+    """I1 and I2 state by state over +-window, in CPython float and complex arithmetic."""
+    pair, states = curve.param.pair, curve.trajectory.steps(-window, window)[1].tolist()
     i1 = np.array([s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2 for s in states])
     i2 = np.array([(complex(s[0], s[1]) ** pair.p * complex(s[2], s[3]) ** pair.q).imag
                    for s in states])
@@ -68,11 +64,11 @@ def _drift_reference(curve):
                     "I2": float(np.max(np.abs(i2 + 2.0 * curve.param.tau)))}
 
 
-def _assert_drift_equals_its_loop(curve):
-    i1, i2, drift = _drift_reference(curve)
-    batch = _invariants(curve.param.pair, curve.trajectory.states.T)
+def _assert_drift_equals_its_loop(curve, window):
+    i1, i2, drift = _drift_reference(curve, window)
+    batch = _invariants(curve.param.pair, curve.trajectory.steps(-window, window)[1].T)
     assert np.array_equal(batch[0], i1) and np.array_equal(batch[1], i2)
-    assert curve.drift == drift
+    assert curve.drift(window) == drift
 
 
 def _symmetry_reference(curve):
@@ -160,7 +156,7 @@ def test_batched_checks_equal_their_loops(p, q, frac):
     assert np.array_equal(np.swapaxes(T, -1, -2), _tangents_reference(sampler, u))
     assert geo.legendrian_residual(sampler, 100) == _legendrian_reference(sampler, 100, 0)
     # (b) the drift over the state arrays
-    _assert_drift_equals_its_loop(curve)
+    _assert_drift_equals_its_loop(curve, 10.0 * curve.period.p_tau)
     # (c) one read for every time set, stacked determinants
     assert geo.symmetry_residuals(curve) == _symmetry_reference(curve)
     # (d) one meridian for every direction
@@ -176,8 +172,8 @@ def test_batched_checks_equal_their_loops(p, q, frac):
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 4)])
 def test_drift_at_tau_zero_equals_its_loop(p, q):
-    curve = TwistTrajectory(TwistParam(AdmissiblePair(p, q), 0.0), span=(-3.0, 3.0))
-    _assert_drift_equals_its_loop(curve)
+    curve = TwistTrajectory(TwistParam(AdmissiblePair(p, q), 0.0), Tolerances())
+    _assert_drift_equals_its_loop(curve, 3.0)
 
 
 @pytest.mark.parametrize("p,q", PAIRS)

@@ -66,25 +66,33 @@ def test_radius_energy_relation():
         assert abs(ydot**2 - 4.0 * (y**4 - 1.0)) < 1e-9
 
 
-def test_unit_trajectory_cache_stays_bounded():
-    # every call past 0.995 T_1 asks for its own span; the cache keeps at most 8
-    from sltwist.catenoid import _unit_trajectory
+def test_unit_profile_reads_grow_one_trajectory(monkeypatch):
+    # reads at growing |t|, on both sides and out to 0.9984 T_1, step on the one
+    # trajectory of degree 3: one integration, and every read has the bits of a
+    # trajectory first read there
+    import sltwist.catenoid as catenoid
 
-    _unit_trajectory.cache_clear()
+    catenoid._unit_trajectory.cache_clear()
+    calls, integrate = [], catenoid.integrate
+    monkeypatch.setattr(catenoid, "integrate",
+                        lambda *args, **kwargs: calls.append(args) or integrate(*args, **kwargs))
     T1 = catenoid_lifetime(3)
-    ts = np.linspace(0.9955, 0.9984, 30) * T1
-    first = unit_profile(3, ts[0])
-    for t in ts:
-        unit_profile(3, t)
-    assert _unit_trajectory.cache_info().currsize <= 8
-    assert unit_profile(3, ts[0]) == first      # rebuilt after eviction, same bits
+    ts = [sign * f * T1 for f in np.linspace(0.5, 0.9984, 6) for sign in (1.0, -1.0)]
+    grown = [unit_profile(3, t) for t in ts]
+    traj = catenoid._unit_trajectory(3)
+    assert len(calls) == 1 and traj.time_grid[0] <= ts[-1] and ts[-2] <= traj.time_grid[-1]
+    for t, value in zip(ts, grown):
+        catenoid._unit_trajectory.cache_clear()
+        assert unit_profile(3, t) == value
+    assert len(calls) == 1 + len(ts)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_unit_trajectory_conserves_im_w_n(n):
     # the drift of Im(w^n) = 1 over the accepted steps out to 0.995 T_1
-    from sltwist.catenoid import _LIFETIME_FRACTION, _unit_trajectory
+    from sltwist.catenoid import _unit_trajectory
 
-    traj = _unit_trajectory(n, _LIFETIME_FRACTION * catenoid_lifetime(n))
-    drift = max(abs((complex(re, im) ** n).imag - 1.0) for re, im in traj.states.tolist())
+    reach = 0.995 * catenoid_lifetime(n)
+    _, states = _unit_trajectory(n).steps(-reach, reach)
+    drift = max(abs((complex(re, im) ** n).imag - 1.0) for re, im in states.tolist())
     assert drift < 1e-8

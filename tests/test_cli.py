@@ -255,21 +255,21 @@ def test_closure_refuses_order_above_cap_before_search(monkeypatch, capsys):
     ("necklace", "--p", "1", "--q", "2", "--m", "8"),
 ])
 def test_closure_search_hands_back_the_curve_it_checked(monkeypatch, capsys, argv):
-    # the found tau is integrated once, over the closing span, inside the search:
-    # not again for its closure check, nor for a new curve object
-    spans = []
+    # the found tau is integrated once, inside the search, and grows to the closing
+    # span as its closure check reads it: it is not integrated again, nor for a new
+    # curve object
+    taus = []
     solve_w = twisted_curve.solve_w
 
-    def counted(param, span, tol):
-        spans.append((param.tau, span))
-        return solve_w(param, span, tol)
+    def counted(param, tol):
+        taus.append(param.tau)
+        return solve_w(param, tol)
 
     monkeypatch.setattr(twisted_curve, "solve_w", counted)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     tau = float(out.split()[2])             # "tau = <repr>"
-    found = [span for t, span in spans if t == tau]
-    assert len(found) == 1
+    assert taus.count(tau) == 1
 
 
 def test_solve_csv(tmp_path):
@@ -363,14 +363,11 @@ def test_neck_finds_every_waist_at_p_one(k, capsys):
     assert json.loads(out)["waist_index"] == k
 
 
-def _curve(p, q, tau, span=None):
-    """The curve a subcommand builds over ``span``, by default its period events' span."""
-    from sltwist.periods import _period_span
+def _curve(p, q, tau):
+    """The curve a subcommand builds."""
     from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory
 
-    param = TwistParam(AdmissiblePair(p, q), tau)
-    span = span or _period_span(param, 1)
-    return TwistTrajectory(param, cli.TOL_PRESETS["standard"], span=span)
+    return TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), cli.TOL_PRESETS["standard"])
 
 
 def test_export_json_round_trips_the_period_data(tmp_path, capsys):
@@ -393,7 +390,7 @@ def test_export_csv_rows_are_the_curve(tmp_path, capsys):
                      "--samples", "9", "--out", str(out))
     assert code == 0
     ts = np.linspace(-5.0, 5.0, 9)             # the default csv window is 5.0
-    w1, w2 = _curve(2, 3, 0.05, (-5.0, 5.0)).w(ts)
+    w1, w2 = _curve(2, 3, 0.05).w(ts)
     rows = [",".join(format_float(v) for v in (t, a.real, a.imag, b.real, b.imag))
             for t, a, b in zip(ts, w1, w2)]
     assert out.read_text() == "\n".join(["t,re_w1,im_w1,re_w2,im_w2", *rows]) + "\n"
@@ -403,11 +400,10 @@ def test_solve_without_out_reports_the_drift(capsys):
     code, out, _ = run(capsys, "solve", "--p", "1", "--q", "2", "--tau", "0.1", "--json")
     assert code == 0
     data = json.loads(out)
-    reach = _curve(1, 2, 0.1).span[1]          # integrated both ways
-    curve = _curve(1, 2, 0.1, (-reach, reach))
+    curve = _curve(1, 2, 0.1)
     window = 2.0 * curve.period.p_tau          # the default half window
     assert float(data["window"]) == window
-    assert {k: float(v) for k, v in data["drift"].items()} == curve.drift
+    assert {k: float(v) for k, v in data["drift"].items()} == curve.drift(window)
     code, out, _ = run(capsys, "solve", "--p", "1", "--q", "2", "--tau", "0.1",
                        "--window", "1.5")
     assert code == 0

@@ -10,7 +10,8 @@ from sltwist.closure import (BracketingError, RationalTarget,
                              find_tau_for_angular_period,
                              half_period_classification, k0_from_target,
                              necklace, necklace_scaling_ratio, verify_closed)
-from sltwist.twisted_curve import AdmissiblePair, TwistTrajectory
+from sltwist.ode_engine import Tolerances
+from sltwist.twisted_curve import AdmissiblePair
 
 
 def test_rational_target_validation():
@@ -46,19 +47,19 @@ def test_rotation_order_against_brute_force(a, b, pq):
 def test_find_tau_realises_rational_target():
     pair = AdmissiblePair(1, 2)
     target = RationalTarget(4, 7)
-    curve = find_tau_for_angular_period(pair, target)
+    curve = find_tau_for_angular_period(pair, target, Tolerances())
     assert abs(curve.period.pthat - target.angle) <= 1e-10
 
 
 def test_quarter_turn_unattainable():
     # the angular period stays strictly above pi/2 for tau > 0
     with pytest.raises(BracketingError):
-        find_tau_for_angular_period(AdmissiblePair(1, 2), RationalTarget(1, 2))
+        find_tau_for_angular_period(AdmissiblePair(1, 2), RationalTarget(1, 2), Tolerances())
 
 
 def test_necklace_smallest_cases():
     pair = AdmissiblePair(1, 2)
-    curve, k0 = necklace(pair, 2)
+    curve, k0 = necklace(pair, 2, Tolerances())
     assert k0 == 7
     assert abs(curve.period.pthat - 4 * math.pi / 7) <= 1e-10
     check = verify_closed(curve, k0, samples=20)
@@ -66,28 +67,56 @@ def test_necklace_smallest_cases():
     assert check.rotation_residual <= 1e-8
 
 
+def test_each_integrated_closure_try_reads_one_period(monkeypatch):
+    # necklace (2,2) m = 1 (k0 = 3) refines its tau on the integrated route: each
+    # curve tried is stepped only as far as its period is read, one period and a
+    # step each side, and only the curve returned grows to its closing span, as
+    # its closure check reads it
+    import sltwist.twisted_curve as twisted_curve
+    from sltwist.periods import partial_periods_quadrature
+
+    tries, solve_w = [], twisted_curve.solve_w
+
+    def recording(param, *args):
+        tries.append((param, solve_w(param, *args)))
+        return tries[-1][1]
+
+    monkeypatch.setattr(twisted_curve, "solve_w", recording)
+    curve, k0 = necklace(AdmissiblePair(2, 2), 1, Tolerances())
+    verify_closed(curve, k0)
+    assert k0 == 3 and len(tries) == 4
+    assert sum(traj is curve.trajectory for _, traj in tries) == 1
+    for param, traj in tries:
+        period = 2.0 * sum(partial_periods_quadrature(param)) * (1.0 + 1e-6)
+        grid = traj.time_grid
+        if traj is curve.trajectory:
+            assert grid[-1] >= 2 * k0 * curve.period.p_tau
+        else:
+            assert -period <= grid[1] and grid[-2] <= period
+
+
 def test_necklace_symmetric_pair():
     pair = AdmissiblePair(2, 2)
-    curve, k0 = necklace(pair, 3)
+    curve, k0 = necklace(pair, 3, Tolerances())
     assert k0 == 11
     assert abs(curve.period.pthat - 6 * math.pi / 11) <= 1e-10
 
 
 def test_necklace_four_dimensional():
     pair = AdmissiblePair(1, 3)
-    curve, k0 = necklace(pair, 2)
+    curve, k0 = necklace(pair, 2, Tolerances())
     assert k0 == 11
     assert abs(curve.period.pthat - 6 * math.pi / 11) <= 1e-10
 
 
 def test_necklace_rejects_asymmetric_pair():
     with pytest.raises(ValueError):
-        necklace(AdmissiblePair(2, 3), 2)
+        necklace(AdmissiblePair(2, 3), 2, Tolerances())
 
 
 def test_necklace_scaling_order_of_magnitude():
     pair = AdmissiblePair(1, 2)
-    curve, _ = necklace(pair, 25)
+    curve, _ = necklace(pair, 25, Tolerances())
     ratio = necklace_scaling_ratio(pair, 25, curve.param.tau)
     assert 0.2 < ratio < 5.0
 
@@ -143,10 +172,9 @@ def test_strict_half_period_relation():
     # the sign flip on the first block, and fully after 2 k0
     pair = AdmissiblePair(2, 3)
     target = RationalTarget(3, 5)
-    curve = find_tau_for_angular_period(pair, target)
-    param, data = curve.param, curve.period
+    curve = find_tau_for_angular_period(pair, target, Tolerances())
+    data, traj = curve.period, curve
     k0 = 10
-    traj = TwistTrajectory(param, span=(0.0, (2 * k0 + 2) * data.p_tau))
     half = max(
         max(abs(traj.w(t + k0 * data.p_tau)[0] + traj.w(t)[0]),
             abs(traj.w(t + k0 * data.p_tau)[1] - traj.w(t)[1]))
@@ -164,10 +192,9 @@ def test_closed_curve_injective_within_period():
     from scipy.spatial import cKDTree
 
     pair = AdmissiblePair(1, 2)
-    curve, k0 = necklace(pair, 2)
-    param, data = curve.param, curve.period
+    curve, k0 = necklace(pair, 2, Tolerances())
+    data, traj = curve.period, curve
     T = 2 * k0 * data.p_tau
-    traj = TwistTrajectory(param, span=(0.0, T))
     ts = np.arange(0.0, T, 1e-3)
     pts = np.array([traj.state(t)[:4] for t in ts])
     tree = cKDTree(pts)

@@ -13,14 +13,15 @@ import sltwist.twisted_curve as twisted_curve
 from sltwist.cli import main
 from sltwist.geometry.export import trajectory_csv
 from sltwist.geometry.immersion import Sampler
-from sltwist.periods import _period_span, branch_integral
+from sltwist.ode_engine import Tolerances
+from sltwist.periods import branch_integral
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _field
 from sltwist.variation import dpthat_dtau_cross_check
 
 
 def _curve(param):
-    """The curve of ``param`` over the span its period events are read from."""
-    return TwistTrajectory(param, span=_period_span(param, 1))
+    """The curve of ``param`` at the standard tolerance."""
+    return TwistTrajectory(param, Tolerances())
 
 
 def _rebind_everywhere(monkeypatch, original, replacement):
@@ -49,29 +50,27 @@ def test_verify_integrates_each_curve_once(monkeypatch, capsys):
     ("verify --p 2 --q 3 --tau 0.05", 4),
 ])
 def test_verify_steps_a_p1_curve_forward_only(monkeypatch, capsys, argv, legs):
-    # the curve and (w, Q, Q') are integrated over spans symmetric about 0; for
-    # p = 1 each steps its forward half and mirrors the backward half from it,
-    # for p >= 2 (t = 0 is no extremum of y) each steps both
-    stepped, inside = [], []
+    # the curve and (w, Q, Q') are read on both sides of 0; for p = 1 each steps
+    # its forward side and mirrors the backward side from it, for p >= 2 (t = 0
+    # is no extremum of y) each steps both.  legs counts the (field, direction)
+    # pairs stepped, each run starting at 0, endpoints (which land) aside
+    starts = {}
 
-    def integrating(*args, **kwargs):
-        inside.append(True)
-        try:
-            return original(*args, **kwargs)
-        finally:
-            inside.pop()
+    def leg_of(dim):
+        leg = original(dim)
 
-    def stepping(*args):
-        if inside:                  # not an endpoint read
-            stepped.append(args[2:4])
-        return original_steps(*args)
+        def stepping(fun, t, t1, land, h_abs, direction, *rest):
+            if not land:
+                starts.setdefault((fun, direction), t)
+            return leg(fun, t, t1, land, h_abs, direction, *rest)
 
-    original, original_steps = ode_engine.integrate, ode_engine._steps
-    _rebind_everywhere(monkeypatch, original, integrating)
-    monkeypatch.setattr(ode_engine, "_steps", stepping)
+        return stepping
+
+    original = ode_engine._leg
+    monkeypatch.setattr(ode_engine, "_leg", leg_of)
     assert main(argv.split()) == 0
-    assert len(stepped) == legs
-    assert all(t0 == 0.0 for t0, _ in stepped)
+    assert len(starts) == legs
+    assert all(t0 == 0.0 for t0 in starts.values())
 
 
 def test_a_real_p1_curve_is_not_mirrored(tmp_path, capsys):
@@ -81,8 +80,8 @@ def test_a_real_p1_curve_is_not_mirrored(tmp_path, capsys):
     assert main(["solve", "--p", "1", "--q", "2", "--tau", "0", "--samples", "301",
                  "--out", str(tmp_path / "z.csv")]) == 0
     ts = np.linspace(-5.0, 5.0, 301)
-    for name, side, span in (("bwd", ts <= 0.0, (-5.0, 0.0)), ("fwd", ts > 0.0, (0.0, 5.0))):
-        trajectory_csv(TwistTrajectory(param, span=span), ts[side], tmp_path / name)
+    for name, side in (("bwd", ts <= 0.0), ("fwd", ts > 0.0)):
+        trajectory_csv(TwistTrajectory(param, Tolerances()), ts[side], tmp_path / name)
     header, *bwd = (tmp_path / "bwd").read_bytes().splitlines(keepends=True)
     _, *fwd = (tmp_path / "fwd").read_bytes().splitlines(keepends=True)
     assert (tmp_path / "z.csv").read_bytes() == b"".join([header, *bwd, *fwd])
@@ -225,25 +224,28 @@ def test_curve_computes_each_piece_once(monkeypatch):
     assert curve.period is curve.period
     assert curve.trajectory is curve.trajectory
     assert curve.Q is curve.Q
-    # a read outside the stated span is refused, naming it, and integrates nothing
-    lo, hi = curve.span
+    # a read past the extent grows the same trajectory, integrates nothing, and
+    # reads the bits of a curve first read there
+    traj = curve.trajectory
+    lo, hi = traj.time_grid[0], traj.time_grid[-1]
+    reads = [hi + 1.0, lo - 1.0, np.array([0.0, hi + 7.0])]
+    fresh = [_curve(curve.param).w(t) for t in reads]
+    end = _curve(curve.param).trajectory.endpoint(hi + 9.0)
 
     def refusing(*args, **kwargs):
         raise AssertionError("integrate called")
 
     _rebind_everywhere(monkeypatch, ode_engine.integrate, refusing)
-    for t in (hi + 1.0, lo - 1.0, np.array([0.0, hi + 1.0])):
-        with pytest.raises(ValueError, match=f"outside the integrated span \\[{lo}, {hi}\\]"):
-            curve.w(t)
-    with pytest.raises(ValueError, match="no integrated endpoint"):
-        curve.trajectory.endpoint(hi + 1.0)
-    assert curve.trajectory is curve.trajectory
+    for t, want in zip(reads, fresh):
+        assert np.array_equal(curve.w(t), want)
+    assert np.array_equal(curve.trajectory.endpoint(hi + 9.0), end)
+    assert curve.trajectory is traj and traj.time_grid[0] < lo - 1.0 < hi + 9.0 < traj.time_grid[-1]
 
 
 @pytest.mark.parametrize("tau", [0.05, -0.05, 0.0])
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
 def test_array_accessors_equal_scalar_ones_bitwise(p, q, tau):
-    traj = TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), span=(-2.5, 3.0))
+    traj = TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), Tolerances())
     ts = np.concatenate([np.linspace(-2.5, 3.0, 37), [0.0]])
     w1, w2 = traj.w(ts)
     undefined = p == 1 and tau == 0.0        # w1 passes through 0 at t = 0
@@ -268,8 +270,7 @@ def test_array_residuals_match_point_by_point_loops(p, q, tau):
     from sltwist.closure import verify_closed
 
     param = TwistParam(AdmissiblePair(p, q), tau)
-    reach = _period_span(param, 2)[1]    # to 4 p_tau
-    curve = TwistTrajectory(param, span=(-reach, reach))
+    curve = TwistTrajectory(param, Tolerances())
     data, traj = curve.period, curve
     M = np.diag(geo.mhat(curve.param.pair, 2.0 * data.pthat))
     translation = max(np.max(np.abs(np.array(traj.w(t + 2.0 * data.p_tau))

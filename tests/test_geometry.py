@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sltwist.geometry as geo
-from sltwist.geometry.immersion import _sampler_span
+from sltwist.ode_engine import Tolerances
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max
 
 
@@ -14,8 +14,8 @@ CIRCLE = geo.CurveSampler(lambda t: (np.cos(t), np.sin(t)), lambda t: (-np.sin(t
 
 
 def _sampler(param, t_range):
-    """The immersion over the chart times t_range, its curve over the span it reads."""
-    return geo.immersion_sampler(TwistTrajectory(param, span=_sampler_span(t_range)), t_range)
+    """The immersion over the chart times t_range."""
+    return geo.immersion_sampler(TwistTrajectory(param, Tolerances()), t_range)
 
 
 # -- immersion and Legendrian checks -----------------------------------------
@@ -33,7 +33,7 @@ def test_extreme_twist_homogeneous_formula_p1():
     pair = AdmissiblePair(1, 2)
     tm = tau_max(pair)
     param = TwistParam(pair, tm)
-    traj = TwistTrajectory(param, span=(0.0, 3.0))
+    traj = TwistTrajectory(param, Tolerances())
     n = 3
     for t in (0.0, 0.7, 2.2):
         w1_ref = -1j * math.sqrt(1.0 / n) * np.exp(2j * n * tm * t)
@@ -48,7 +48,7 @@ def test_extreme_twist_homogeneous_formula_p_gt_1(p, q):
     pair = AdmissiblePair(p, q)
     n = pair.n
     tm = tau_max(pair)
-    traj = TwistTrajectory(TwistParam(pair, tm), span=(0.0, 3.0))
+    traj = TwistTrajectory(TwistParam(pair, tm), Tolerances())
     for t in (0.0, 0.6, 1.7, 2.9):
         w1, w2 = traj.w(t)
         ref1 = math.sqrt(p / n) * np.exp(-1j * math.pi / (4 * p)) * np.exp(2j * n * tm * t / p)
@@ -62,7 +62,7 @@ def test_pullback_metric_coefficients():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     sampler = _sampler(param, (-1.0, 1.0))
     h = 1e-5
-    traj = TwistTrajectory(param, span=(-1.2, 1.2))
+    traj = TwistTrajectory(param, Tolerances())
     for u in sampler.sample_points(8, seed=2):
         y = traj.y(u[0])
         pq = param.pair
@@ -144,8 +144,8 @@ def test_cs_curve_is_legendrian_analytically():
 def test_twisted_product_reproduces_cylinder():
     pair = AdmissiblePair(2, 3)
     param = TwistParam(pair, 0.05)
-    traj = TwistTrajectory(param, span=(-2.0, 2.0))
-    curve = geo.twist_curve_sampler(TwistTrajectory(param, span=(-2.0, 2.0)))
+    traj = TwistTrajectory(param, Tolerances())
+    curve = geo.twist_curve_sampler(TwistTrajectory(param, Tolerances()))
     prod = geo.twisted_product(geo.equatorial_factor(2),
                                geo.equatorial_factor(3), curve, (-1.0, 1.0))
     for u in prod.sample_points(10, seed=4):
@@ -160,12 +160,13 @@ def test_twisted_product_reproduces_cylinder():
 def test_twisted_product_phase_relation():
     pair = AdmissiblePair(1, 2)
     param = TwistParam(pair, 0.1)
-    curve = geo.twist_curve_sampler(TwistTrajectory(param, span=(-2.0, 2.0)))
+    curve = geo.twist_curve_sampler(TwistTrajectory(param, Tolerances()))
     res = geo.phase_relation_residual(geo.equatorial_factor(1), geo.equatorial_factor(2), curve,
                                       np.linspace(-0.8, 0.8, 5))
     assert res < 1e-6
     pair23 = AdmissiblePair(2, 3)
-    curve23 = geo.twist_curve_sampler(TwistTrajectory(TwistParam(pair23, 0.05), span=(-2.0, 2.0)))
+    curve23 = geo.twist_curve_sampler(TwistTrajectory(TwistParam(pair23, 0.05),
+                                                      Tolerances()))
     res23 = geo.phase_relation_residual(geo.equatorial_factor(2),
                                         geo.equatorial_factor(3), curve23,
                                         np.linspace(-0.8, 0.8, 5))
@@ -210,8 +211,7 @@ def _reference_cylinder(curve, t_range):
 def test_cylinder_is_the_twisted_product_bit_for_bit(p, q, sign):
     pair = AdmissiblePair(p, q)
     t_range = (-1.2, 0.9)
-    curve = TwistTrajectory(TwistParam(pair, sign * 0.3 * tau_max(pair)),
-                            span=_sampler_span(t_range))
+    curve = TwistTrajectory(TwistParam(pair, sign * 0.3 * tau_max(pair)), Tolerances())
     sampler = geo.immersion_sampler(curve, t_range)
     assert sampler.box[0] == t_range and sampler.dim == pair.n - 1
     u = sampler.sample_points(1000, seed=7)
@@ -222,20 +222,21 @@ def test_cylinder_is_the_twisted_product_bit_for_bit(p, q, sign):
 
 
 def test_product_reads_its_curve_inside_the_integrated_span():
-    # the product's time box is t_range, not a fixed (-1, 1) beyond the curve
-    curve = geo.twist_curve_sampler(TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.1),
-                                                    span=(0.0, 0.5)))
-    prod = geo.twisted_product(geo.equatorial_factor(1), geo.equatorial_factor(2), curve,
-                               (0.05, 0.45))
+    # the product's time box is t_range, not a fixed (-1, 1) beyond the curve, and
+    # the curve is integrated to its first step past the largest time read
+    traj = TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.1), Tolerances())
+    prod = geo.twisted_product(geo.equatorial_factor(1), geo.equatorial_factor(2),
+                               geo.twist_curve_sampler(traj), (0.05, 0.45))
     u = prod.sample_points(200, seed=1)
     assert np.all((0.05 <= u[:, 0]) & (u[:, 0] <= 0.45))
     assert np.all(np.isfinite(prod(u)))
+    assert traj.trajectory.time_grid[-2] < np.max(u[:, 0]) <= traj.trajectory.time_grid[-1]
 
 
 def test_curve_samplers_read_arrays():
     ts = np.linspace(-3.0, 3.0, 41)
     twist = geo.twist_curve_sampler(TwistTrajectory(TwistParam(AdmissiblePair(2, 3), -0.05),
-                                                    span=(-3.0, 3.0)))
+                                                    Tolerances()))
     w1, w2 = twist(ts)
     for i, t in enumerate(ts):
         a1, a2 = twist(t)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import sltwist.geometry as geo
-from sltwist.geometry.immersion import _sampler_span
-from sltwist.geometry.neck import _neck_span
-from sltwist.periods import PeriodData, _period_span
+from sltwist.ode_engine import Tolerances
+from sltwist.periods import PeriodData
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, y_extrema
 
 
@@ -16,13 +15,13 @@ from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, y
 
 
 def _neck(param, waist, b=None):
-    """neck_rescale at ``waist`` on a curve over the span it reads."""
-    return geo.neck_rescale(TwistTrajectory(param, span=_neck_span(param, waist, b)), waist, b)
+    """neck_rescale at ``waist``."""
+    return geo.neck_rescale(TwistTrajectory(param, Tolerances()), waist, b)
 
 
 def _sampler(param, t_range):
-    """The immersion over the chart times t_range, its curve over the span it reads."""
-    return geo.immersion_sampler(TwistTrajectory(param, span=_sampler_span(t_range)), t_range)
+    """The immersion over the chart times t_range."""
+    return geo.immersion_sampler(TwistTrajectory(param, Tolerances()), t_range)
 
 
 def test_neck_waist_radius_is_beta():
@@ -66,8 +65,7 @@ def test_neck_first_factor_model_for_2_3():
 def test_neck_waist_kinds_agree_under_exchange(p, tau):
     # for p = q, w1(-t) = w2(t) maps waist 0 (kind 1) onto waist 1 (kind 2)
     param = TwistParam(AdmissiblePair(p, p), tau)
-    (lo, _), (_, hi) = _neck_span(param, 0, None), _neck_span(param, 1, None)
-    curve = TwistTrajectory(param, span=(lo, hi))
+    curve = TwistTrajectory(param, Tolerances())
     first, second = geo.neck_rescale(curve, 0), geo.neck_rescale(curve, 1)
     assert (first.waist_kind, second.waist_kind) == (1, 2)
     assert abs(first.max_error - second.max_error) <= 1e-9
@@ -86,11 +84,8 @@ def test_neck_at_negative_tau_models_the_conjugate_catenoid(p, q, tau):
 
 def test_neck_window_beyond_lifetime_rejected():
     param = TwistParam(AdmissiblePair(2, 3), 1e-3)
-    span = _period_span(param, 1)
-    for refused in (lambda: _neck_span(param, 1, 1.3),     # degree-3 lifetime is ~1.2143
-                    lambda: geo.neck_rescale(TwistTrajectory(param, span=span), 1, 1.3)):
-        with pytest.raises(ValueError, match="exceeds the degree-3 catenoid lifetime"):
-            refused()
+    with pytest.raises(ValueError, match="exceeds the degree-3 catenoid lifetime"):
+        _neck(param, 1, 1.3)                                # degree-3 lifetime is ~1.2143
 
 
 def test_neck_frame_is_unitary():
@@ -104,8 +99,7 @@ def test_neck_resolves_every_waist_at_its_closed_form_time(p, q):
     # waist k is at (2k - 1) p_tau for p = 1 (k = 6 was once "not found"); for
     # p > 1 at 2l p_tau - p_minus (k = 2l) or 2l p_tau + p_plus (k = 2l + 1)
     param = TwistParam(AdmissiblePair(p, q), 0.05)
-    reach = _period_span(param, 9)[1]      # 18 p_tau
-    curve = TwistTrajectory(param, span=(-reach, reach))
+    curve = TwistTrajectory(param, Tolerances())
     data, traj = curve.period, curve
     y_min, y_max = y_extrema(param)
     for k in range(-8, 9):
@@ -130,7 +124,7 @@ def test_neck_resolves_every_waist_at_its_closed_form_time(p, q):
 
 def test_trajectory_csv_schema(tmp_path):
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    traj = TwistTrajectory(param, span=(-1.0, 1.0))
+    traj = TwistTrajectory(param, Tolerances())
     ts = np.linspace(-1, 1, 7)
     path = geo.trajectory_csv(traj, ts, tmp_path / "w.csv")
     lines = path.read_text().splitlines()
@@ -169,7 +163,7 @@ def test_exports_in_blocks_of_three_rows_match_row_by_row_files(tmp_path, monkey
     def lines(rows):
         return [",".join(geo.format_float(v) for v in row) for row in rows]
 
-    traj = TwistTrajectory(TwistParam(AdmissiblePair(2, 3), 0.05), span=(-1.0, 1.0))
+    traj = TwistTrajectory(TwistParam(AdmissiblePair(2, 3), 0.05), Tolerances())
     ts = np.linspace(-1.0, 1.0, 16)
     w1, w2 = traj.w(ts)
     path = geo.trajectory_csv(traj, ts, tmp_path / "w.csv")
@@ -224,7 +218,7 @@ def test_obj_faces_are_the_wrapped_quads(nt, na, tmp_path):
 
 def test_period_report_roundtrip_bit_exact():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    data = TwistTrajectory(param, span=_period_span(param, 1)).period
+    data = TwistTrajectory(param, Tolerances()).period
     text = geo.report_to_json(data, kind="PeriodData")
     back = geo.report_from_json(text, PeriodData, kind="PeriodData")
     assert back == data
@@ -232,7 +226,7 @@ def test_period_report_roundtrip_bit_exact():
 
 def test_json_deterministic():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    data = TwistTrajectory(param, span=_period_span(param, 1)).period
+    data = TwistTrajectory(param, Tolerances()).period
     assert geo.report_to_json(data) == geo.report_to_json(data)
 
 

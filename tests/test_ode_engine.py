@@ -9,7 +9,7 @@ from sltwist import ode_engine
 from sltwist.catenoid import _profile_field, catenoid_lifetime
 from sltwist.ode_engine import (EventError, IntegrationError, Tolerances,
                                 integrate, locate_event)
-from sltwist.periods import _period_span, partial_periods_quadrature
+from sltwist.periods import partial_periods_quadrature
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _field,
                                    initial_state, tau_max)
 
@@ -176,6 +176,14 @@ def test_blowup_reports_last_time():
         integrate(lambda t, s: [s[0] ** 2], [1.0], (0.0, 2.0), t0=0.0, mirror=None)
     assert 0.9 <= err.value.last_time <= 1.0 + 1e-12
     assert repr(err.value.last_time) in str(err.value) and "step size" in str(err.value)
+    # a read that grows a trajectory into the blowup raises the same, and leaves
+    # the trajectory as it was: later reads before t = 1 are a fresh one's
+    traj = integrate(lambda t, s: [s[0] ** 2], [1.0], (0.0, 0.5), t0=0.0, mirror=None)
+    with pytest.raises(IntegrationError, match="step size"):
+        traj(2.0)
+    fresh = integrate(lambda t, s: [s[0] ** 2], [1.0], (0.0, 0.5), t0=0.0, mirror=None)
+    assert np.array_equal(traj(0.99), fresh(0.99))
+    assert np.array_equal(traj.time_grid, fresh.time_grid)
 
 
 def test_non_finite_field_reports_last_accepted_time():
@@ -210,7 +218,9 @@ def test_two_sided_trajectory_equals_one_sided_runs(p, q):
         assert np.array_equal(both.endpoint(-0.75 * t), bwd.endpoint(-0.75 * t))
     steps = len(fwd.time_grid) - 1 + len(bwd.time_grid) - 1
     assert len(both.time_grid) - 1 == steps
-    assert (both.time_grid[0], both.t0, both.time_grid[-1]) == (-6.0, 0.0, 8.0)
+    # each side stops at its first step at or past its end of the span
+    grid = both.time_grid
+    assert grid[0] <= -6.0 < grid[1] and grid[-2] < 8.0 <= grid[-1] and both.t0 == 0.0
 
 
 def _first(traj, nodes):
@@ -233,22 +243,34 @@ def _assert_backward_half_is_the_backward_run(traj, atol_scale):
         assert np.array_equal(traj.endpoint(t), run.endpoint(t))
 
 
+def _stepped_legs(monkeypatch):
+    """The (start, direction) of each leg a trajectory steps from now on; an
+    endpoint's leg, which lands on its time, is not counted."""
+    legs, original = [], ode_engine._leg
+
+    def leg_of(dim):
+        leg = original(dim)
+
+        def stepping(fun, t, t1, land, h_abs, direction, *rest):
+            if not land:
+                legs.append((t, direction))
+            return leg(fun, t, t1, land, h_abs, direction, *rest)
+
+        return stepping
+
+    monkeypatch.setattr(ode_engine, "_leg", leg_of)
+    return legs
+
+
 def test_a_reversible_system_steps_its_forward_half_only(monkeypatch):
-    # x'' = -x is reversed by (x, v) -> (x, -v), which fixes (1, 0): on a span
-    # symmetric about 0 one leg is stepped and the other is its mirror image
+    # x'' = -x is reversed by (x, v) -> (x, -v), which fixes (1, 0): one leg is
+    # stepped and the other side is its mirror image
     def field(t, s):
         return s[1], -s[0]
 
-    legs = []
-
-    def stepping(*args):
-        legs.append(args[2:4])
-        return original(*args)
-
-    original = ode_engine._steps
-    monkeypatch.setattr(ode_engine, "_steps", stepping)
+    legs = _stepped_legs(monkeypatch)
     traj = integrate(field, [1.0, 0.0], (-7.0, 7.0), t0=0.0, mirror=[1.0, -1.0])
-    assert legs == [(0.0, 7.0)]
+    assert legs == [(0.0, 1.0)]
     assert np.array_equal(traj.time_grid, -traj.time_grid[::-1])
     assert np.array_equal(traj.states, traj.states[::-1] * [1.0, -1.0])
     mid = len(traj.time_grid) // 2                  # the anchor keeps its bits
@@ -256,15 +278,22 @@ def test_a_reversible_system_steps_its_forward_half_only(monkeypatch):
     assert np.array_equal(_bits(traj.states[mid]), _bits([1.0, 0.0]))
     assert np.array_equal(_bits(traj.y_origin[mid - 1]), _bits([1.0, 0.0]))
     _assert_backward_half_is_the_backward_run(traj, 1.0)
-    # a span not symmetric about the anchor 0 steps both sides, as without a mirror
-    for span, t0 in (((-7.0, 6.0), 0.0), ((-1.0, 3.0), 1.0)):
+    # a span not symmetric about 0 steps the forward side alone too, as far as
+    # either end reaches, and mirrors it as far as the backward end: a plain
+    # run read as far each way has its arrays
+    for span in ((-7.0, 6.0), (-1.0, 3.0)):
         legs.clear()
-        mirrored = integrate(field, [1.0, 0.0], span, t0=t0, mirror=[1.0, -1.0])
-        assert len(legs) == 2
-        plain = integrate(field, [1.0, 0.0], span, t0=t0, mirror=None)
-        nodes = len(plain.time_grid)
-        for got, want in zip(_first(mirrored, nodes), _first(plain, nodes)):
+        mirrored = integrate(field, [1.0, 0.0], span, t0=0.0, mirror=[1.0, -1.0])
+        assert [d for _, d in legs] == [1.0]
+        plain = integrate(field, [1.0, 0.0], span, t0=0.0, mirror=None)
+        plain(max(span[1], -span[0]))
+        assert mirrored.time_grid[1] > span[0] >= mirrored.time_grid[0]
+        assert len(mirrored.time_grid) == len(plain.time_grid)
+        for got, want in zip(_first(mirrored, len(plain.time_grid)),
+                             _first(plain, len(plain.time_grid))):
             assert np.array_equal(_bits(got), _bits(want))
+    with pytest.raises(ValueError, match="at the anchor t0 = 0"):
+        integrate(field, [1.0, 0.0], (-1.0, 3.0), t0=1.0, mirror=[1.0, -1.0])
 
 
 def test_a_mirror_must_be_a_sign_vector_that_fixes_the_initial_state():
@@ -289,27 +318,26 @@ def test_p1_backward_half_is_the_backward_run(q, tau, preset):
     from sltwist.cli import TOL_PRESETS
 
     param = TwistParam(AdmissiblePair(1, q), tau)
-    reach = _period_span(param, 1)[1]
-    curve = TwistTrajectory(param, TOL_PRESETS[preset], span=(-reach, reach))
+    curve = TwistTrajectory(param, TOL_PRESETS[preset])
     traj = curve.trajectory
+    curve.w(np.array([-2.0, 2.0]) * curve.period.p_tau)
     assert np.array_equal(_bits(traj.states[np.searchsorted(traj.time_grid, 0.0)]),
                           _bits(initial_state(param).as_real()))
     _assert_backward_half_is_the_backward_run(traj, np.array(traj.atol) / traj.tol.tol)
     _assert_backward_half_is_the_backward_run(curve.Q, 1.0)
 
 
-def _integrated_endpoint(traj, t, atol_scale):
-    """The state at t as a whole integrate run from the last accepted step
-    between the anchor and t, the way endpoints used to be read."""
+def _landed_endpoint(traj, t):
+    """The state at t stepped by the plain loop of :func:`_reference_steps` from the
+    last accepted step between the anchor and t, landing on t."""
     forward = t > traj.t0
     k = np.searchsorted(traj.time_grid, t, side="left" if forward else "right") - forward
-    leg = integrate(traj.field, traj.states[k], (traj.time_grid[k], t), traj.tol, atol_scale,
-                    t0=traj.time_grid[k], mirror=None)
-    return leg.states[-1 if forward else 0]
+    return _reference_steps(traj.field, traj.states[k], float(traj.time_grid[k]), t, traj.tol,
+                            traj.atol, land=True)[1][-1]
 
 
-def _assert_endpoints_equal_integrate_runs(traj, ts, atol_scale, monkeypatch):
-    want = [_integrated_endpoint(traj, t, atol_scale) for t in ts]
+def _assert_endpoints_equal_landed_runs(traj, ts, monkeypatch):
+    want = [_landed_endpoint(traj, t) for t in ts]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an endpoint ran integrate or the dense-output stages")
@@ -326,23 +354,21 @@ def _assert_endpoints_equal_integrate_runs(traj, ts, atol_scale, monkeypatch):
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (1, 6)])
 def test_endpoint_is_an_integrate_run_bit_for_bit(p, q, frac, monkeypatch):
     # the step loop alone from the last accepted step: the same initial-step
-    # probe and the same steps as a whole integrate call, on both sides of
+    # probe and the same steps as a whole run landing on t, on both sides of
     # the anchor, on the curve (with its per-component atol) and on (w, Q, Q')
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, frac * tau_max(pair))
-    lo, hi = _period_span(param, 1)
-    curve = TwistTrajectory(param, span=(min(lo, -3.0), max(hi, 4.0)))
+    curve = TwistTrajectory(param, Tolerances())
     traj = curve.trajectory
-    scale = np.array(traj.atol) / traj.tol.tol
-    assert tuple((traj.tol.tol * scale).tolist()) == traj.atol
+    traj(np.array([-3.0, 4.0]))
     ts = [-2.9, -1.3, -0.01, 0.01, 1.7, 3.95, traj.time_grid[1], traj.time_grid[-2]]
-    _assert_endpoints_equal_integrate_runs(traj, ts, scale, monkeypatch)
+    _assert_endpoints_equal_landed_runs(traj, ts, monkeypatch)
     lin, p_tau = curve.Q, curve.period.p_tau
     ts = [lin.t0 + f * p_tau for f in (-2.0, -0.4, 0.3, 1.2)]
-    _assert_endpoints_equal_integrate_runs(lin, ts, 1.0, monkeypatch)
+    _assert_endpoints_equal_landed_runs(lin, ts, monkeypatch)
 
 
-def test_anchor_and_reads_outside_span_rejected():
+def test_anchor_rejected_and_reads_past_the_extent_grow():
     with pytest.raises(TypeError):                  # the anchor is required
         integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), mirror=None)
     with pytest.raises(TypeError):                  # and so is the mirror, if None
@@ -350,12 +376,44 @@ def test_anchor_and_reads_outside_span_rejected():
     with pytest.raises(ValueError):
         integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=2.0, mirror=None)
     traj = integrate(lambda t, s: [1.0], [0.0], (-1.0, 1.0), t0=0.0, mirror=None)
-    for read in (lambda: traj(1.5), lambda: traj(np.array([-1.5, 0.0])),
-                 lambda: traj.endpoint(0.0), lambda: traj.endpoint(-2.0),
-                 lambda: locate_event(traj, lambda t, s: t - 0.5, lambda t, s: 1.0, 1.5,
-                                      (0.0, 2.0))):
-        with pytest.raises(ValueError):
-            read()
+    with pytest.raises(ValueError, match="no integrated endpoint"):
+        traj.endpoint(0.0)
+    # x' = 1 from 0: reads past either end step that side on, and read x = t
+    assert abs(traj(1.5)[0] - 1.5) <= 1e-14
+    assert np.allclose(traj(np.array([-1.5, 0.0])), [[-1.5, 0.0]], rtol=0.0, atol=1e-14)
+    assert abs(traj.endpoint(-2.0)[0] + 2.0) <= 1e-14
+    event = locate_event(traj, lambda t, s: t - 0.5, lambda t, s: 1.0, 2.5, (0.0, 3.0))
+    assert abs(event - 0.5) <= 1e-14
+    assert traj.time_grid[0] <= -2.0 and traj.time_grid[-1] >= 2.5
+
+
+_GROWTH_CASES = [(p, q, sign * frac) for p, q in [(1, 2), (1, 5), (2, 2), (2, 3), (3, 4), (2, 5)]
+                 for frac in (0.3, 1e-3) for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("p,q,frac", _GROWTH_CASES)
+def test_a_trajectory_grown_in_pieces_is_one_run_to_its_extent(p, q, frac):
+    # endpoints and dense reads in increasing pieces, each past the last on both
+    # sides, step each side on from its last accepted step (p = 1 mirrors its
+    # backward side): a curve read at the final extent first has the same
+    # steps, dense output and endpoints, bit for bit
+    pair = AdmissiblePair(p, q)
+    param = TwistParam(pair, frac * tau_max(pair))
+    pieces, whole = (TwistTrajectory(param, Tolerances()).trajectory for _ in range(2))
+    extents = [(-1e-3, 2e-3), (-0.1, 0.2), (-2.9, 3.1), (-6.0, 8.5)]
+    reads = []
+    for lo, hi in extents:
+        reads += [pieces.endpoint(1.1 * hi), pieces.endpoint(1.1 * lo),
+                  pieces(np.linspace(lo, hi, 7))]
+    whole(np.array([1.1 * extents[-1][0], 1.1 * extents[-1][1]]))
+    for name in ("time_grid", "states", "origin", "h", "y_origin", "F"):
+        assert np.array_equal(_bits(getattr(pieces, name)), _bits(getattr(whole, name))), name
+    again = []
+    for lo, hi in extents:
+        again += [whole.endpoint(1.1 * hi), whole.endpoint(1.1 * lo),
+                  whole(np.linspace(lo, hi, 7))]
+    for a, b in zip(reads, again):
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 # -- the owned DOP853 against scipy's solve_ivp, the second route ----------
@@ -460,15 +518,18 @@ def test_one_pass_dense_stages_equal_scalar_steps(build):
     assert np.array_equal(_bits(traj.F[:, 3:]), _bits(_scalar_dense_rows(traj)))
 
 
-def _reference_steps(field, y0, t0, t1, tol, atol):
-    """One run t0 -> t1 of scipy's step control as a plain Python loop over
-    :func:`_scalar_stages`, in ``_steps``' layout (T, Y, K), and its rejections."""
+def _reference_steps(field, y0, t0, t1, tol, atol, land):
+    """One run of scipy's step control from t0 as a plain Python loop over
+    :func:`_scalar_stages`, to its first step at or past t1, or with ``land``
+    its last step clipped to end on t1: the times, states and stages (0, 5-12,
+    then zeros) of a leg's buffers, and the run's rejections."""
     dim, kept = len(y0), ode_engine._KEPT[:9]
     rtol = max(tol.tol, 100 * np.finfo(float).eps)
     direction = 1.0 if t1 > t0 else -1.0
     y = tuple(y0.tolist())
     f = tuple(field(t0, y))
-    h_abs = ode_engine._initial_step(field, t0, y, f, abs(t1 - t0), direction, atol, rtol)
+    h_abs = ode_engine._initial_step(field, t0, y, f, abs(t1 - t0) if land else math.inf,
+                                     direction, atol, rtol)
     t, ts, ys, ks, rejections = t0, [t0], [y], [], 0
     while direction * (t - t1) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -477,7 +538,7 @@ def _reference_steps(field, y0, t0, t1, tol, atol):
         while True:
             assert h_abs >= min_step
             t_new = t + h_abs * direction
-            if direction * (t_new - t1) > 0:
+            if land and direction * (t_new - t1) > 0:
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
@@ -505,33 +566,38 @@ def _reference_steps(field, y0, t0, t1, tol, atol):
 
 
 def test_generated_leg_equals_plain_python_steps():
-    # the (1,6) curve at small tau, whose steps are rejected now and then:
-    # the plain loop's steps, states and dense coefficients on both sides
+    # the (1,6) curve at small tau, whose steps are rejected now and then, run on
+    # both sides without a mirror: the plain loop's steps, states and dense
+    # coefficients on each side
     pair = AdmissiblePair(1, 6)
     param = TwistParam(pair, 1e-5 * tau_max(pair))
-    hi = _period_span(param, 1)[1]
-    traj = TwistTrajectory(param, span=(-0.5 * hi, hi)).trajectory
+    curve = TwistTrajectory(param, Tolerances())
+    hi, scale = 2.0 * curve.period.p_tau, np.array(curve.trajectory.atol) / Tolerances().tol
+    traj = integrate(_field(1, 6), initial_state(param).as_real(), (-0.5 * hi, hi), Tolerances(),
+                     scale, t0=0.0, mirror=None)
     y0, rejections, sides = traj.states[traj.time_grid == 0.0][0], 0, []
     for t1 in (traj.time_grid[-1], traj.time_grid[0]):
-        T, Y, K, rejected = _reference_steps(traj.field, y0, 0.0, float(t1), traj.tol, traj.atol)
-        sides.append(ode_engine._dense(traj.field, T, Y, K))
+        T, Y, K, rejected = _reference_steps(traj.field, y0, 0.0, float(t1), traj.tol, traj.atol,
+                                             land=False)
+        sides.append((T, Y, ode_engine._dense(traj.field, T, Y, K)))
         rejections += rejected
-    fwd, bwd = sides
+    (Tf, Yf, Ff), (Tb, Yb, Fb) = sides
     assert rejections >= 1
-    assert np.array_equal(_bits(traj.time_grid), _bits(np.concatenate([bwd[0], fwd[0][1:]])))
-    assert np.array_equal(_bits(traj.states), _bits(np.concatenate([bwd[1], fwd[1][1:]])))
-    assert np.array_equal(_bits(traj.F), _bits(np.concatenate([bwd[5], fwd[5]])))
+    assert np.array_equal(_bits(traj.time_grid), _bits(np.concatenate([Tb[::-1], Tf[1:]])))
+    assert np.array_equal(_bits(traj.states), _bits(np.concatenate([Yb[::-1], Yf[1:]])))
+    assert np.array_equal(_bits(traj.F), _bits(np.concatenate([Fb[::-1], Ff])))
 
 
 def _reference_case(field, y0, span, tol=Tolerances(), atol_scale=1.0):
-    """Our trajectory and solve_ivp's DOP853 run over the same span."""
+    """Our trajectory and solve_ivp's DOP853 run over the same span; ours ends at
+    its first step past the span, and its endpoint lands on the span's end."""
     ours = integrate(field, y0, span, tol, atol_scale, t0=span[0], mirror=None)
     ref = solve_ivp(field, span, y0, method="DOP853", rtol=tol.tol,
                     atol=tol.tol * np.asarray(atol_scale), dense_output=True)
     assert ref.success
     steps, ref_steps = len(ours.time_grid) - 1, len(ref.t) - 1
     assert abs(steps - ref_steps) <= max(2, 0.01 * ref_steps)
-    end = ours.states[-1 if span[1] > span[0] else 0]
+    end = ours.endpoint(span[1])
     assert np.max(np.abs(end - ref.y[:, -1])) <= 1e-11
     ts = np.linspace(*span, 200)
     if np.max(np.abs(ours(ts) - ref.sol(ts))) > 1e-10:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sltwist.periods import (_branch_halves, _period_span, angular_periods, branch_integral,
+from sltwist.ode_engine import Tolerances
+from sltwist.periods import (_branch_halves, angular_periods, branch_integral,
                              partial_periods_quadrature, period_ode, pthat_quadrature,
                              pthat_quadrature_psi2)
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _extrema, tau_max
@@ -12,8 +13,8 @@ PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
 
 def _curve(param):
-    """The curve over the span its period events are read from."""
-    return TwistTrajectory(param, span=_period_span(param, 1))
+    """The curve at the standard tolerance."""
+    return TwistTrajectory(param, Tolerances())
 
 
 @pytest.mark.parametrize("p,q", PAIRS)
@@ -84,14 +85,14 @@ def test_quadrature_and_ode_angular_period_agree():
 def test_half_period_angle_doubling_p1():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     data = _curve(param).period
-    traj = TwistTrajectory(param, span=(0.0, 2.0 * data.p_tau))
+    traj = TwistTrajectory(param, Tolerances())
     psi1_half, _ = traj.psi(data.p_tau)
     assert abs(data.psi1_2p - 2.0 * psi1_half) < 1e-9
 
 
 def test_angles_are_monotone():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    traj = TwistTrajectory(param, span=(0.0, 8.0))
+    traj = TwistTrajectory(param, Tolerances())
     ts = np.linspace(0.0, 8.0, 60)
     psi1 = [traj.psi(t)[0] for t in ts]
     psi2 = [traj.psi(t)[1] for t in ts]
@@ -129,7 +130,7 @@ def test_angular_period_exceeds_quarter_turn():
 def test_psi_constraint_anchor_point():
     # at t = 0 (p = 1) y is maximal, so Psi = 0 and sqrt(f) = 2 tau exactly
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    traj = TwistTrajectory(param, span=(0.0, 0.5))
+    traj = TwistTrajectory(param, Tolerances())
     from sltwist.twisted_curve import f_poly
 
     y0 = traj.y(0.0)
@@ -170,8 +171,7 @@ def test_p1_period_event_at_the_maximum_keeps_pthat_digits(q):
 def test_ode_route_does_not_follow_its_seed(scale, monkeypatch):
     # the quadrature's estimates only seed Newton on the integrated states, so
     # scaled estimates give the same p_tau and pthat; an event time may end on a
-    # neighbouring float, as Newton's last step can alternate between two.
-    # Scaled down, the span sized from them would end before the p = 1 maximum
+    # neighbouring float, as Newton's last step can alternate between two
     import sltwist.periods as periods
 
     quadrature = periods.partial_periods_quadrature
@@ -204,17 +204,17 @@ def test_periods_exit_zero_near_tau_max(p, q, k, capsys):
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
-def test_partial_periods_are_evaluated_once_per_period_ode_and_neck_span(p, q):
-    # the quadrature's partial periods give the span and the Newton seeds of
-    # period_ode, and the waist and the period span of the neck's span: the
-    # memo of the route integrals evaluates them once for all of these
-    from sltwist.geometry.neck import _neck_span
+def test_partial_periods_are_evaluated_once_per_period_ode_and_neck(p, q):
+    # the quadrature's partial periods seed the events of period_ode, whose
+    # periods place the neck's waist: the memo of the route integrals evaluates
+    # them once for both
+    from sltwist.geometry import neck_rescale
 
     branch_integral.cache_clear()
-    param = TwistParam(AdmissiblePair(p, q), 1e-3)
-    period_ode(_curve(param))
+    curve = _curve(TwistParam(AdmissiblePair(p, q), 1e-3))
+    period_ode(curve)
     assert branch_integral.cache_info().misses == 1
-    _neck_span(param, 1, None)
+    neck_rescale(curve, 1)
     assert branch_integral.cache_info().misses == 1
 
 

@@ -19,7 +19,8 @@ import pytest
 from scipy.integrate import quad
 
 from sltwist.closure import RationalTarget, scan_brackets
-from sltwist.periods import (_gauss_legendre, _period_span, partial_periods_quadrature,
+from sltwist.ode_engine import Tolerances
+from sltwist.periods import (_gauss_legendre, partial_periods_quadrature,
                              pthat_quadrature, pthat_quadrature_psi2)
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _gaps,
                                    f_taylor_coeffs, tau_max)
@@ -195,7 +196,7 @@ def test_ode_periods_match_mpmath_at_33_small_tau(tau):
     pair = AdmissiblePair(3, 3)
     lo, hi = _mp_halves(pair, tau, "period", exact=True, dps=40)
     param = TwistParam(pair, tau)
-    data = TwistTrajectory(param, span=_period_span(param, 1)).period
+    data = TwistTrajectory(param, Tolerances()).period
     assert _rel(data.p_plus, lo) <= 1e-12
     assert _rel(data.p_minus, hi) <= 1e-12
     assert _rel(partial_periods_quadrature(TwistParam(pair, tau))[0], lo) <= 1e-14

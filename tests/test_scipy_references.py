@@ -82,7 +82,8 @@ def test_brent_is_brentq_in_both_closure_passes(monkeypatch):
     monkeypatch.setattr(closure_mod, "brent", _checked_brent(calls))
     cases = [((2, 2), (2, 3)), ((2, 3), (3, 5)), ((1, 3), (4, 7)), ((3, 3), (6, 11))]
     for (p, q), (a, b) in cases:
-        find_tau_for_angular_period(AdmissiblePair(p, q), RationalTarget(a, b))
+        find_tau_for_angular_period(AdmissiblePair(p, q), RationalTarget(a, b),
+                                    ode_engine.Tolerances())
     assert len(calls) == len(cases) + 1          # (2,2) at 2/3 refines on the ODE route
     assert all(ours == ref for ours, ref in calls), calls
 

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 import sltwist.geometry as geo
-from sltwist.periods import _period_span
+from sltwist.ode_engine import Tolerances
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max, y_extrema
 
 
-def _curve(param, span=None):
-    """The curve over ``span``, by default two periods each way, which holds
-    every read of the symmetry, sphere and waist checks below."""
-    if span is None:
-        reach = _period_span(param, 2)[1]
-        span = (-reach, reach)
-    return TwistTrajectory(param, span=span)
+def _curve(param):
+    """The curve at the standard tolerance."""
+    return TwistTrajectory(param, Tolerances())
 
 
 # -- sphere quadrature calibration ---------------------------------------------
@@ -93,19 +89,19 @@ def test_cached_rules_are_read_only_and_bounded():
 
 def test_generator_flux_value():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    rep = geo.torque(_curve(param, (0.0, 1.0)), geo.t_generator(param.pair))
+    rep = geo.torque(_curve(param), geo.t_generator(param.pair))
     assert abs(rep.numeric - 0.6 * math.pi) < 1e-8
     assert rep.abs_error < 1e-8
 
 
 def test_generator_flux_closed_forms():
     p22 = TwistParam(AdmissiblePair(2, 2), 0.05)
-    rep = geo.torque(_curve(p22, (0.0, 1.0)), geo.t_generator(p22.pair))
+    rep = geo.torque(_curve(p22), geo.t_generator(p22.pair))
     expected = 2 * 0.05 * (4.0 / 4.0) * (2 * math.pi) ** 2
     assert abs(rep.closed_form - expected) < 1e-14
     assert rep.abs_error < 1e-8
     p13 = TwistParam(AdmissiblePair(1, 3), 0.05)
-    rep13 = geo.torque(_curve(p13, (0.0, 1.0)), geo.t_generator(p13.pair))
+    rep13 = geo.torque(_curve(p13), geo.t_generator(p13.pair))
     expected13 = 2 * 0.05 * (4.0 / 3.0) * geo.sphere_volume(2)
     assert abs(rep13.closed_form - expected13) < 1e-14
     assert rep13.abs_error < 1e-8
@@ -114,7 +110,7 @@ def test_generator_flux_closed_forms():
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 3, 0.05)])
 def test_all_off_diagonal_fluxes_vanish(p, q, tau):
     param = TwistParam(AdmissiblePair(p, q), tau)
-    curve = _curve(param, (0.0, 0.4))
+    curve = _curve(param)
     for K in geo.su_basis(p + q):
         if K.diagonal().any():
             continue
@@ -126,7 +122,7 @@ def test_all_off_diagonal_fluxes_vanish(p, q, tau):
 def test_flux_is_meridian_independent():
     param = TwistParam(AdmissiblePair(2, 2), 0.05)
     tg = geo.t_generator(param.pair)
-    curve = _curve(param, (0.3, 1.1))
+    curve = _curve(param)
     a = geo.torque(curve, tg, meridian_t=0.3)
     b = geo.torque(curve, tg, meridian_t=1.1)
     assert abs(a.numeric - b.numeric) < 1e-8
@@ -135,7 +131,7 @@ def test_flux_is_meridian_independent():
 def test_flux_linear_in_twist():
     pair = AdmissiblePair(2, 3)
     tg = geo.t_generator(pair)
-    f1, f2 = (geo.torque(_curve(TwistParam(pair, tau), (0.0, 1.0)), tg).numeric
+    f1, f2 = (geo.torque(_curve(TwistParam(pair, tau)), tg).numeric
               for tau in (0.04, 0.08))
     assert abs(f2 / f1 - 2.0) < 1e-8
 
@@ -143,7 +139,7 @@ def test_flux_linear_in_twist():
 def test_general_diagonal_direction():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     K = np.diag(1j * np.array((1.0, 2.0, -0.5, -1.5, -1.0)))
-    rep = geo.torque(_curve(param, (0.0, 0.7)), K, meridian_t=0.7)
+    rep = geo.torque(_curve(param), K, meridian_t=0.7)
     assert rep.abs_error < 1e-8
     expected = 2 * 0.05 * ((1.0 + 2.0) / 2 - (-3.0) / 3) * (2 * math.pi) * geo.sphere_volume(2)
     assert abs(rep.closed_form - expected) < 1e-12
@@ -156,7 +152,7 @@ def test_general_direction_matches_closed_form(p, q):
     param = TwistParam(AdmissiblePair(p, q), 0.5 * tau_max(AdmissiblePair(p, q)))
     coeffs = np.random.default_rng(n).standard_normal(n * n - 1)
     K = sum(c * B for c, B in zip(coeffs, geo.su_basis(n)))
-    rep = geo.torque(_curve(param, (0.0, 0.4)), K, meridian_t=0.4)
+    rep = geo.torque(_curve(param), K, meridian_t=0.4)
     assert rep.abs_error <= 1e-8
     assert rep.closed_form != 0.0
 
@@ -171,7 +167,7 @@ def _flux_elements(n):
 def test_default_order_flux_matches_order_24(p, q):
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, 0.5 * tau_max(pair))
-    curve = _curve(param, (0.3, 1.1))
+    curve = _curve(param)
     elements = [geo.t_generator(pair)] + _flux_elements(pair.n)
     for t in (0.3, 1.1):        # one meridian per (t, order) for every element
         low = geo.torque(curve, elements, meridian_t=t)
@@ -193,7 +189,7 @@ def test_default_order_flux_matches_order_8(p, q):
     # order 24 is out of reach past n = 5; order 8 is the rule the default replaced
     pair = AdmissiblePair(p, q)
     for sign in (1.0, -1.0):
-        curve = _curve(TwistParam(pair, sign * 0.5 * tau_max(pair)), (0.0, 0.3))
+        curve = _curve(TwistParam(pair, sign * 0.5 * tau_max(pair)))
         directions = _four_directions(pair)
         low = geo.torque(curve, directions, meridian_t=0.3)
         high = geo.torque(curve, directions, meridian_t=0.3, order=8)
@@ -206,7 +202,7 @@ def test_default_order_off_diagonal_flux_is_exactly_zero(p, q):
     pair = AdmissiblePair(p, q)
     K = geo.rotation_generator(pair.n, 0, pair.n - 1)       # verify's off-diagonal row
     for sign in (1.0, -1.0):
-        curve = _curve(TwistParam(pair, sign * 0.5 * tau_max(pair)), (0.3, 1.1))
+        curve = _curve(TwistParam(pair, sign * 0.5 * tau_max(pair)))
         for t in (0.3, 1.1):
             assert geo.torque(curve, K, meridian_t=t).numeric == 0.0, (sign, t)
 
@@ -216,7 +212,7 @@ def test_torque_n8(p, q):
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, 0.5 * tau_max(pair))
     tg = geo.t_generator(pair)
-    curve = _curve(param, (0.3, 1.1))
+    curve = _curve(param)
     a = geo.torque(curve, tg, meridian_t=0.3)
     b = geo.torque(curve, tg, meridian_t=1.1)
     assert a.abs_error <= 1e-8
@@ -227,13 +223,18 @@ def test_torque_n8(p, q):
 
 @pytest.mark.parametrize("p,q,tau", [(1, 2, -0.027), (2, 3, -0.036), (2, 2, 0.05), (3, 4, 0.01)])
 def test_flux_does_not_depend_on_where_the_span_ends(p, q, tau):
-    # the meridian state is an integrated endpoint, the same wherever the span
-    # ends; the dense output inside a step was 1e-13 to 1e-12 off it
+    # the meridian state is an integrated endpoint, the same wherever the curve's
+    # extent ends when it is read; the dense output inside a step was 1e-13 to
+    # 1e-12 off it
     param = TwistParam(AdmissiblePair(p, q), tau)
     K = geo.t_generator(param.pair)
-    fluxes = {geo.torque(_curve(param, span), K, meridian_t=0.3).numeric
-              for span in ((0.0, 0.3), (0.0, 1.1), (-2.0, 5.0))}
-    assert len(fluxes) == 1
+
+    def flux(extent):
+        curve = _curve(param)
+        curve.w(np.array(extent))               # integrated to the extent first
+        return geo.torque(curve, K, meridian_t=0.3).numeric
+
+    assert len({flux(extent) for extent in ((0.0, 0.3), (0.0, 1.1), (-2.0, 5.0))}) == 1
 
 
 def test_traceless_validation():
@@ -342,7 +343,7 @@ def test_reflection_phases_refuse_an_unknown_side():
 
 def test_waist_positions_p1():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    data = _curve(param, _period_span(param, 1)).period
+    data = _curve(param).period
     ws, bs = geo.waists_and_bulges(_curve(param), (-3 * data.p_tau, 3 * data.p_tau))
     ts = sorted(w.t for w in ws if abs(w.t) <= 3.5 * data.p_tau)
     expected = [k * data.p_tau for k in (-3, -1, 1, 3)]
@@ -353,7 +354,7 @@ def test_waist_positions_p1():
 
 def test_waists_alternate_for_p_gt_1():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    data = _curve(param, _period_span(param, 1)).period
+    data = _curve(param).period
     ws, _ = geo.waists_and_bulges(_curve(param), (-2 * data.p_tau, 4 * data.p_tau))
     kinds = [w.kind for w in sorted(ws, key=lambda w: w.t)]
     assert all(a != b for a, b in zip(kinds, kinds[1:]))
@@ -361,10 +362,10 @@ def test_waists_alternate_for_p_gt_1():
 
 def test_waist_radii_match_extrema():
     param = TwistParam(AdmissiblePair(2, 2), 0.06)
-    data = _curve(param, _period_span(param, 1)).period
+    data = _curve(param).period
     y_min, y_max = y_extrema(param)
     ws, _ = geo.waists_and_bulges(_curve(param), (0.0, 2 * data.p_tau))
-    traj = TwistTrajectory(param, span=(-2 * data.p_tau, 3 * data.p_tau))
+    traj = TwistTrajectory(param, Tolerances())
     for w in ws:
         if -2 * data.p_tau < w.t < 3 * data.p_tau:
             y = traj.y(w.t)
@@ -457,7 +458,7 @@ def test_bulge_distance_linear_in_twist_for_both_kinds_of_bulge(p, q):
 def test_next_sphere_frame_limit():
     pair = AdmissiblePair(1, 2)
     param = TwistParam(pair, 1e-4)
-    data = _curve(param, _period_span(param, 1)).period
+    data = _curve(param).period
     sph = geo.approximating_spheres(_curve(param), [1])[0]
     limit = np.array([-1.0 + 0j, np.exp(-1j * math.pi / 2), np.exp(-1j * math.pi / 2)])
     gap = sph.phases - limit

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from sltwist.ode_engine import Tolerances, integrate
-from sltwist.periods import _period_span
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, SphereState, TwistTrajectory,
                                    _field, _gaps, _w, f_poly, f_prime, initial_state, tau_max,
                                    y_extrema)
@@ -149,14 +148,14 @@ def test_sphere_state_validates_norm():
 
 
 def test_solve_w_real_slice_at_zero_twist():
-    traj = TwistTrajectory(TwistParam(AdmissiblePair(2, 2), 0.0), span=(-3.0, 3.0))
+    traj = TwistTrajectory(TwistParam(AdmissiblePair(2, 2), 0.0), Tolerances())
     for t in np.linspace(-3.0, 3.0, 40):
         w1, w2 = traj.w(t)
         assert abs(w1.imag) < 1e-10 and abs(w2.imag) < 1e-10
 
 
 def test_solve_w_p1_zero_twist_sign_convention():
-    traj = TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.0), span=(-2.0, 2.0))
+    traj = TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.0), Tolerances())
     w1_neg, _ = traj.w(-1.0)
     w1_pos, _ = traj.w(1.0)
     assert w1_neg.imag == 0.0 and w1_pos.imag == 0.0
@@ -166,14 +165,14 @@ def test_solve_w_p1_zero_twist_sign_convention():
 
 def test_solve_w_extreme_twist_constant_radius():
     pair = AdmissiblePair(1, 2)
-    traj = TwistTrajectory(TwistParam(pair, tau_max(pair)), span=(0.0, 10.0))
+    traj = TwistTrajectory(TwistParam(pair, tau_max(pair)), Tolerances())
     for t in np.linspace(0.0, 10.0, 60):
         assert abs(traj.y(t) - 2.0 / 3.0) < 1e-10
 
 
 def test_solve_w_energy_equation_pointwise():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    traj = TwistTrajectory(param, span=(0.0, 12.0))
+    traj = TwistTrajectory(param, Tolerances())
     for t in np.linspace(0.0, 12.0, 200):
         y = traj.y(t)
         res = traj.ydot(t) ** 2 - 4.0 * f_poly(param.pair, y) + 16.0 * param.tau**2
@@ -183,36 +182,38 @@ def test_solve_w_energy_equation_pointwise():
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 3, 0.05), (2, 2, 0.06)])
 def test_solve_w_conserved_drift(p, q, tau):
     param = TwistParam(AdmissiblePair(p, q), tau)
-    traj = TwistTrajectory(param, span=(-20.0, 20.0))
-    assert traj.drift["I1"] < 1e-9
-    assert traj.drift["I2"] < 1e-9
+    drift = TwistTrajectory(param, Tolerances()).drift(20.0)
+    assert drift["I1"] < 1e-9
+    assert drift["I2"] < 1e-9
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 3), (1, 6), (4, 4), (2, 5), (1, 3)])
 def test_drift_is_computed_on_first_read_as_the_invariants_were(p, q, sign):
     # the per-state I1 and I2 of the invariants hook integrate used to take,
-    # each against its reference over the accepted steps
+    # each against its reference over the accepted steps of a run over the
+    # window; a curve read farther first gives the same drift
     from sltwist.twisted_curve import _twist
 
     pair = AdmissiblePair(p, q)
     tau = sign * 0.3 * tau_max(pair)
-    traj = TwistTrajectory(TwistParam(pair, tau), span=(-5.0, 6.0))
-    assert "drift" not in traj.__dict__
+    traj, farther = (TwistTrajectory(TwistParam(pair, tau), Tolerances()) for _ in range(2))
     inv = {"I1": (lambda s: s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2, 1.0),
            "I2": (lambda s: _twist(pair, complex(s[0], s[1]), complex(s[2], s[3])).imag,
                   -2.0 * tau)}
-    states = traj.trajectory.states.tolist()
+    drift = traj.drift(5.0)
+    grid, states = traj.trajectory.time_grid, traj.trajectory.states.tolist()
+    assert grid[1] > -5.0 >= grid[0] and grid[-2] < 5.0 <= grid[-1]
     want = {name: float(np.max(np.abs(np.array([fn(s) for s in states]) - ref)))
             for name, (fn, ref) in inv.items()}
-    drift = traj.drift
-    assert "drift" in traj.__dict__ and traj.drift is drift
     assert list(drift.items()) == list(want.items())   # maxima of |.| >= 0: == is bitwise
+    farther.w(np.array([-9.0, 9.0]))
+    assert farther.drift(5.0) == drift
 
 
 def test_solve_w_second_derivative_matches_force():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    traj = TwistTrajectory(param, span=(0.0, 6.0))
+    traj = TwistTrajectory(param, Tolerances())
     h = 1e-3
     for t in np.linspace(0.5, 5.5, 25):
         ydd = (-traj.y(t + 2 * h) + 16 * traj.y(t + h) - 30 * traj.y(t)
@@ -223,20 +224,20 @@ def test_solve_w_second_derivative_matches_force():
 def test_solve_w_range_of_y():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     y_min, y_max = y_extrema(param)
-    traj = TwistTrajectory(param, span=(-10.0, 10.0))
+    traj = TwistTrajectory(param, Tolerances())
     ys = [traj.y(t) for t in np.linspace(-10.0, 10.0, 300)]
     assert min(ys) > y_min - 1e-9 and max(ys) < y_max + 1e-9
 
 
 def test_solve_w_initial_conditions_of_y():
     p23 = TwistParam(AdmissiblePair(2, 3), 0.05)
-    traj = TwistTrajectory(p23, span=(0.0, 1.0))
+    traj = TwistTrajectory(p23, Tolerances())
     assert abs(traj.y(0.0) - 3.0 / 5.0) < 1e-10
     expected = -4.0 * math.sqrt(tau_max(p23.pair) ** 2 - 0.05**2)
     assert abs(traj.ydot(0.0) - expected) < 1e-10
 
     p12 = TwistParam(AdmissiblePair(1, 2), 0.1)
-    traj = TwistTrajectory(p12, span=(0.0, 1.0))
+    traj = TwistTrajectory(p12, Tolerances())
     _, y_max = y_extrema(p12)
     assert abs(traj.y(0.0) - y_max) < 1e-10
     assert abs(traj.ydot(0.0)) < 1e-10
@@ -249,18 +250,18 @@ def test_solve_w_initial_conditions_of_y():
 def test_negative_twist_is_exact_conjugate(p, q, frac):
     pair = AdmissiblePair(p, q)
     plus, minus = (TwistParam(pair, sign * frac * tau_max(pair)) for sign in (1.0, -1.0))
-    a, b = TwistTrajectory(plus, span=(-2.0, 3.0)), TwistTrajectory(minus, span=(-2.0, 3.0))
+    a, b = TwistTrajectory(plus, Tolerances()), TwistTrajectory(minus, Tolerances())
     conj = np.array([1.0, -1.0, 1.0, -1.0])
-    assert np.array_equal(b.trajectory.time_grid, a.trajectory.time_grid)
-    assert np.array_equal(b.trajectory.states, a.trajectory.states * conj)
-    assert b.drift == a.drift
     ts = np.linspace(-2.0, 3.0, 41)
     for psi_b, psi_a in zip(b.psi(ts), a.psi(ts)):
         assert np.array_equal(psi_b, -psi_a)
+    assert np.array_equal(b.trajectory.time_grid, a.trajectory.time_grid)
+    assert np.array_equal(b.trajectory.states, a.trajectory.states * conj)
+    assert b.drift(2.0) == a.drift(2.0)
     t = 2.345
     assert t not in a.trajectory.time_grid
     assert np.array_equal(b.trajectory.endpoint(t), a.trajectory.endpoint(t) * conj)
-    da, db = (TwistTrajectory(x, span=_period_span(x, 1)).period for x in (plus, minus))
+    da, db = (TwistTrajectory(x, Tolerances()).period for x in (plus, minus))
     assert db == replace(da, pthat=-da.pthat, psi1_2p=-da.psi1_2p, psi2_2p=-da.psi2_2p)
 
 
@@ -270,7 +271,7 @@ def test_solve_w_atol_scale_agrees_with_unscaled_integration(p, q, tau):
     # plain integration without the scale takes other steps to the same curve
     param = TwistParam(AdmissiblePair(p, q), tau)
     ts = np.linspace(0.0, 2.0, 50)
-    scaled = TwistTrajectory(param, span=(0.0, 2.0))
+    scaled = TwistTrajectory(param, Tolerances())
     plain = integrate(_field(p, q), initial_state(param).as_real(), (0.0, 2.0), Tolerances(),
                       t0=0.0, mirror=None)
     assert scaled.trajectory.atol != plain.atol
@@ -280,9 +281,10 @@ def test_solve_w_atol_scale_agrees_with_unscaled_integration(p, q, tau):
 @pytest.mark.parametrize("span", [(-1.0, 0.0), (0.0, 1.0)])
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 3, -0.05)])
 def test_time_zero_readable_on_one_sided_span(span, p, q, tau):
-    # t = 0 is the initial state of whichever piece was integrated
+    # t = 0 is the initial state of whichever side was integrated first
     param = TwistParam(AdmissiblePair(p, q), tau)
-    traj = TwistTrajectory(param, span=span)
+    traj = TwistTrajectory(param, Tolerances())
+    traj.w(np.array(span))
     s0 = initial_state(param)
     assert np.allclose(traj.state(0.0), s0.as_real(), rtol=0.0, atol=1e-15)
     assert traj.w(0.0) == (complex(traj.state(0.0)[0], traj.state(0.0)[1]),
@@ -296,17 +298,19 @@ def test_time_zero_readable_on_one_sided_span(span, p, q, tau):
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 4)])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_two_sided_curve_reads_as_its_one_sided_spans(p, q, sign):
-    # psi is lifted outward from 0 on each side, so a span on both sides
-    # of 0 reads w and psi exactly as the two one-sided spans do; the
-    # spans are long enough for arg w2 to wrap on each side
+    # psi is lifted outward from 0 on each side, so a curve read on both sides
+    # of 0 reads w and psi exactly as two curves read on one side each do, and
+    # holds their steps; the reads are long enough for arg w2 to wrap on each side
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, sign * 0.3 * tau_max(pair))
-    both = TwistTrajectory(param, span=(-25.0, 30.0))
-    fwd, bwd = TwistTrajectory(param, span=(0.0, 30.0)), TwistTrajectory(param, span=(-25.0, 0.0))
+    both = TwistTrajectory(param, Tolerances())
+    fwd, bwd = TwistTrajectory(param, Tolerances()), TwistTrajectory(param, Tolerances())
     for side, ts in ((fwd, np.linspace(0.0, 30.0, 150)), (bwd, np.linspace(-25.0, 0.0, 150))):
         for a, b in zip(both.psi(ts) + both.w(ts), side.psi(ts) + side.w(ts)):
             assert np.array_equal(a, b)
-    assert both.drift == {k: max(fwd.drift[k], bwd.drift[k]) for k in fwd.drift}
+    for side, (lo, hi) in ((fwd, (0.0, 30.0)), (bwd, (-25.0, 0.0))):
+        for a, b in zip(both.trajectory.steps(lo, hi), side.trajectory.steps(lo, hi)):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (1, 2, -0.1), (1, 3, -1e-3), (1, 2, 0.0),
@@ -319,10 +323,7 @@ def test_state_readers_equal_the_expressions_they_replace(p, q, tau):
 
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, tau)
-    reach = 3.0                 # Q reads the period
-    if tau:
-        reach = max(reach, _period_span(param, 1)[1])
-    curve = TwistTrajectory(param, span=(-reach, reach))
+    curve = TwistTrajectory(param, Tolerances())
     traj = curve
     ts = np.concatenate([np.linspace(-3.0, 3.0, 61), [0.0, -0.0]])
     states = [traj.trajectory(ts), traj.trajectory.states.T, traj.trajectory.states[9]]
@@ -359,4 +360,4 @@ def test_tau_domain_is_refused_once_by_the_extrema(which, p, q):
                          (tau_max(pair) * (1 - 1e-11), "too close to tau_max"),
                          (-tau_max(pair), "too close to tau_max")]:
         with pytest.raises(ValueError, match=message):
-            call(TwistTrajectory(TwistParam(pair, tau), span=(-1.0, 1.0)))
+            call(TwistTrajectory(TwistParam(pair, tau), Tolerances()))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sltwist import variation
-from sltwist.periods import _branch_halves, _period_span, partial_periods_quadrature
+from sltwist.ode_engine import Tolerances
+from sltwist.periods import _branch_halves
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _y, _ydot,
                                    tau_max, y_extrema)
 from sltwist.variation import (asymptotic_constants, check_asymptotics,
@@ -15,8 +16,8 @@ PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
 
 def _curve(param):
-    """The curve over the span its period events are read from."""
-    return TwistTrajectory(param, span=_period_span(param, 1))
+    """The curve at the standard tolerance."""
+    return TwistTrajectory(param, Tolerances())
 
 
 def _wronskian(pair, s):
@@ -66,7 +67,7 @@ def test_radius_combination_solves_linearised_equation():
     # the same second-order equation via finite differences of y
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     pair = param.pair
-    traj = TwistTrajectory(param, span=(0.0, 5.0))
+    traj = TwistTrajectory(param, Tolerances())
     h = 1e-3
     for t in np.linspace(0.5, 4.5, 20):
         phi = lambda s: pair.q - pair.n * traj.y(s)
