@@ -69,8 +69,7 @@ def _unit_trajectory(n: int):
     """The unit profile of degree n, anchored at 0 and grown as far as it is read."""
     w0 = np.exp(1j * math.pi / (2 * n))
     # not mirrored: the reflection multiplies by e^{i pi/n}, which rounds
-    return integrate(_profile_field(n), [w0.real, w0.imag], (0.0, 0.0), Tolerances(),
-                     t0=0.0, mirror=None)
+    return integrate(_profile_field(n), [w0.real, w0.imag], (0.0, 0.0), Tolerances(), mirror=None)
 
 
 def unit_profile(n: int, t):

@@ -172,7 +172,7 @@ def torque(curve: TwistTrajectory, K: np.ndarray, meridian_t: float = 0.0,
             or np.abs(np.trace(Ks, axis1=-2, axis2=-1)).max() > 1e-12):
         raise ValueError(f"K must be an anti-Hermitian traceless {n} x {n} matrix")
     traj = curve.trajectory
-    w1, w2 = _w(traj.endpoint(meridian_t) if meridian_t != traj.t0 else traj(0.0)).tolist()
+    w1, w2 = _w(traj.endpoint(meridian_t) if meridian_t != 0.0 else traj(0.0)).tolist()
     d1, d2 = velocity(pair, w1, w2)
     sigma, wts = _meridian_nodes(p, q, order)
     X = _cone(w1, w2, sigma[:, :p], sigma[:, p:])       # (N, n) complex meridian points

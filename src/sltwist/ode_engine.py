@@ -10,16 +10,17 @@ generated and compiled once per state dimension: that step control, each try's
 12 stages and error norm in straight-line float code, and each accepted step
 appended to flat buffers.  The dense-output stages 13-15, which no step control
 reads, run on arrays of many steps at once, so a field takes arrays too.
+Every system is autonomous: a field is ``field(state)``, with no time argument.
 
-A :class:`Trajectory` is anchored at ``t0`` and grows on read: each side's run
+A :class:`Trajectory` is anchored at t = 0 and grows on read: each side's run
 stops at its first step at or past the farthest time read, and resumes there
 when a read reaches past it.  No step of a side is clipped, so a side read in
 pieces is, bit for bit, the run straight to its final extent.  Only an endpoint
 lands on its time, by a leg of its own from the last accepted step before it.
 
-A reversible system, one whose field a sign vector R reverses, field(-t, R s)
-= -R field(t, s), from a state R fixes, has its backward side from the anchor
-0 in its forward side: t -> -t, s -> R s.  Every operation of a step and of the
+A reversible system, one whose field a sign vector R reverses, field(R s)
+= -R field(s), from a state R fixes, has its backward side from the anchor 0
+in its forward side: t -> -t, s -> R s.  Every operation of a step and of the
 dense output is a product, sum, difference or quotient, or reads |s| only, so
 negating times, h and the stages and flipping state signs by R rounds alike on
 both sides: the backward run is the forward one with its signs flipped, bit for
@@ -77,13 +78,12 @@ class Tolerances:
 
 
 # The DOP853 tableau of scipy.integrate._ivp.dop853_coefficients to the last bit,
-# rows ended by ";": nodes C of the 16 stages; rows 1-15 of A (a_sj, j < s; row 12
-# is the weight vector B of y_new, 13-15 make the dense-output stages); the error
-# weights E5, E3 over stages 0-12; the 4 rows of dense-output weights D.
+# rows ended by ";": rows 1-15 of A (a_sj, j < s; row 12 is the weight vector B of
+# y_new, 13-15 make the dense-output stages); the error weights E5, E3 over stages
+# 0-12; the 4 rows of dense-output weights D.  The nodes C are not kept: every field
+# is autonomous, so no stage reads its time.
 _ROWS = [[float(v) for v in row.split()] for row in """
-    0 0.05260015195876773 0.0789002279381516 0.1183503419072274 0.2816496580927726
-    0.3333333333333333 0.25 0.3076923076923077 0.6512820512820513 0.6 0.8571428571428571 1.0
-    1.0 0.1 0.2 0.7777777777777778 ; 0.05260015195876773 ; 0.0197250569845379
+    0.05260015195876773 ; 0.0197250569845379
     0.0591751709536137 ; 0.02958758547680685 0 0.08876275643042054 ; 0.2413651341592667 0
     -0.8845494793282861 0.924834003261792 ; 0.037037037037037035 0 0 0.17082860872947386
     0.12546768756682242 ; 0.037109375 0 0 0.17025221101954405 0.06021653898045596 -0.017578125
@@ -120,14 +120,14 @@ _ROWS = [[float(v) for v in row.split()] for row in """
     -231.5293791760455 357.6391179106141 93.40532418362432 -37.45832313645163 104.0996495089623
     29.8402934266605 -43.53345659001114 96.32455395918828 -39.17726167561544
     -149.72683625798564 ;""".split(";")[:-1]]
-_C, _A, _E5, _E3, _D = _ROWS[0], [[]] + _ROWS[1:16], _ROWS[16], _ROWS[17], np.array(_ROWS[18:])
+_A, _E5, _E3, _D = [[]] + _ROWS[:15], _ROWS[15], _ROWS[16], np.array(_ROWS[17:])
 _KEPT = [s for s in range(16) if _D[:, s].any()]   # stages the dense output reads: 0, 5-15
 _STEPPED = _KEPT.index(13)                           # of them, 0 and 5-12 come from the step
 
 
 @lru_cache(maxsize=None)
 def _leg(dim: int):
-    """``leg(fun, t, t1, land, h_abs, direction, y, f = y'(t), atol, rtol, ts, ys, ks)``:
+    """``leg(fun, t, t1, land, h_abs, direction, y, f = fun(y), atol, rtol, ts, ys, ks)``:
     the steps of scipy's controller from t and the step size h_abs as
     straight-line float code, each try's 12 stages and error norm, appending
     each accepted step's time, state and stages 0, 5-12 (then zeros for 13-15)
@@ -146,7 +146,7 @@ def _leg(dim: int):
 
     def stage(s):
         arg = "".join(f"y{i} + ({comb(_A[s], i)}) * h, " for i in comp)
-        return f"{vec(f'k{s}_{{i}}')}= fun(t + {_C[s]!r} * h, ({arg}))"
+        return f"{vec(f'k{s}_{{i}}')}= fun(({arg}))"
 
     kept = "".join(vec(f"k{s}_{{i}}") for s in _KEPT[:_STEPPED])
     room = "0.0, " * (dim * (len(_KEPT) - _STEPPED))
@@ -159,7 +159,7 @@ def _leg(dim: int):
              "h_abs = abs(h)",
              *[stage(s) for s in range(1, 12)],
              *[f"n{i} = y{i} + h * ({comb(_A[12], i)})" for i in comp],
-             f"{vec('k12_{i}')}= fun(t + h, ({vec('n{i}')}))"]
+             f"{vec('k12_{i}')}= fun(({vec('n{i}')}))"]
     for i in comp:
         tries += [f"u = abs(y{i})",
                   f"v = abs(n{i})",
@@ -200,13 +200,13 @@ def _leg(dim: int):
     return scope["leg"]
 
 
-def _initial_step(field, t0, y0, f0, span, direction, atol, rtol):
+def _initial_step(field, y0, f0, span, direction, atol, rtol):
     """scipy's ``select_initial_step`` for the order-7 error estimate."""
     y0, f0 = np.asarray(y0), np.asarray(f0, dtype=float)
     scale, rms = np.asarray(atol) + np.abs(y0) * rtol, len(y0) ** 0.5
     d0, d1 = np.linalg.norm(y0 / scale) / rms, np.linalg.norm(f0 / scale) / rms
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    f1 = np.asarray(field(t0 + h0 * direction, y0 + h0 * direction * f0), dtype=float)
+    f1 = np.asarray(field(y0 + h0 * direction * f0), dtype=float)
     d2 = np.linalg.norm((f1 - f0) / scale) / rms / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
     return float(min(100 * h0, h1, span))
@@ -222,7 +222,7 @@ def _dense(field, T, Y, K):
     k = dict(zip(_KEPT, K.transpose(1, 2, 0)))      # stage -> (dim, steps) view of K
     for s in _KEPT[_STEPPED:]:
         comb = reduce(np.add, (w * k[j] for j, w in enumerate(_A[s]) if w))
-        for row, value in zip(k[s], field(T[:-1] + _C[s] * H, Y[:-1].T + comb * H)):
+        for row, value in zip(k[s], field(Y[:-1].T + comb * H)):
             row[...] = value
     F, h = np.empty((len(H), 7, dim)), H[:, None]
     F[:, :3] = np.stack([dY, h * K[:, 0] - dY,
@@ -235,8 +235,8 @@ class _Side:
     """One side's steps in stepping order: times, states, the stages of steps not
     yet in F, and F; the state, field value and step size its run resumes from."""
 
-    def __init__(self, t0, y, f):
-        self.ts, self.ys, self.ks = array("d", [t0]), array("d", y), array("d")
+    def __init__(self, y, f):
+        self.ts, self.ys, self.ks = array("d", [0.0]), array("d", y), array("d")
         self.y, self.f, self.h_abs = y, f, None
         self.F = np.empty((0, 7, len(y)))
 
@@ -255,8 +255,9 @@ def _view(arrays, i):
 
 
 class Trajectory:
-    """Dense-output solution of an autonomous first-order system, grown on read
-    (see the module docstring) on both sides of the anchor ``t0``.
+    """Dense-output solution of ``state' = field(state)``, grown on read (see the
+    module docstring) on both sides of the anchor t = 0; with a ``mirror`` R,
+    field(R s) = -R field(s), the backward side is the forward one reversed.
 
     ``time_grid`` and ``states`` hold the accepted steps so far in ascending time.
     Segment k is the step from ``origin[k]`` of signed size ``h[k]``: ``y_origin[k]
@@ -264,14 +265,14 @@ class Trajectory:
     (re, im) components.  ``field``, ``tol`` and the per-component ``atol`` are kept.
     """
 
-    def __init__(self, field, y0, t0, tol, atol, mirror):
-        self.field, self.t0, self.tol, self.atol = field, t0, tol, atol
+    def __init__(self, field, y0, tol, atol, mirror):
+        self.field, self.tol, self.atol = field, tol, atol
         self._rtol = max(tol.tol, 100 * np.finfo(float).eps)
         self._y0, self._mirror = y0, mirror
         y = tuple(y0.tolist())
-        f = tuple(field(t0, y))
-        self._sides = {d: _Side(t0, y, f) for d in ((1.0,) if mirror is not None else (1.0, -1.0))}
-        self._low, self._cache = t0, {}     # with a mirror, the farthest time read backward
+        f = tuple(field(y))
+        self._sides = {d: _Side(y, f) for d in ((1.0,) if mirror is not None else (1.0, -1.0))}
+        self._low, self._cache = 0.0, {}    # with a mirror, the farthest time read backward
 
     def _grow(self, t) -> None:
         """Steps each side on until its last accepted step lies at or past the times t."""
@@ -287,8 +288,8 @@ class Trajectory:
                 continue
             self._cache.clear()
             if side.h_abs is None:
-                side.h_abs = _initial_step(self.field, self.t0, side.y, side.f, math.inf, d,
-                                           self.atol, self._rtol)
+                side.h_abs = _initial_step(self.field, side.y, side.f, math.inf, d, self.atol,
+                                           self._rtol)
             n, nk, dim = len(side.ts), len(side.ks), len(side.y)
             try:
                 side.h_abs, side.y, side.f = _leg(dim)(
@@ -304,7 +305,7 @@ class Trajectory:
             T, Y = self._stepped(1.0)
             k = np.searchsorted(T, -self._low) + 1
             T, Y = -T[:k], Y[:k] * self._mirror
-            T[0], Y[0] = self.t0, self._y0          # the anchor keeps its bits
+            T[0], Y[0] = 0.0, self._y0              # the anchor keeps its bits
             return T, Y
         side = self._sides[d]
         return np.array(side.ts), np.array(side.ys).reshape(len(side.ts), -1)
@@ -353,7 +354,7 @@ class Trajectory:
             c, x1 = F[k].transpose(1, 0, 2), 1 - x
             y = ((((((c[6] * x + c[5]) * x1 + c[4]) * x + c[3]) * x1 + c[2]) * x + c[1]) * x1
                  + c[0]) * x + y_origin[k]
-        else:                               # nothing stepped: every t read is t0
+        else:                               # nothing stepped: every t read is 0
             y = np.repeat(self.states, len(tt), axis=0)
         return y.T if np.ndim(t) else y[0]
 
@@ -365,48 +366,45 @@ class Trajectory:
         return grid[i:j + 1], self.states[i:j + 1]
 
     def endpoint(self, t: float) -> np.ndarray:
-        """The state at t != t0 stepped, landing on t, from the last accepted step
-        between t0 and t: the integrator's accuracy, not the dense interpolant's."""
+        """The state at t != 0 stepped, landing on t, from the last accepted step
+        between 0 and t: the integrator's accuracy, not the dense interpolant's."""
         t = float(t)
-        if t == self.t0:
+        if t == 0.0:
             raise ValueError(f"no integrated endpoint at t={t}")
         self._grow(t)
-        d = 1.0 if t > self.t0 else -1.0
+        d = 1.0 if t > 0.0 else -1.0
         k = np.searchsorted(self.time_grid, t, side="left" if d > 0 else "right") - (d > 0)
         t_k, y = float(self.time_grid[k]), tuple(self.states[k].tolist())
-        f = tuple(self.field(t_k, y))
-        h_abs = _initial_step(self.field, t_k, y, f, abs(t - t_k), d, self.atol, self._rtol)
+        f = tuple(self.field(y))
+        h_abs = _initial_step(self.field, y, f, abs(t - t_k), d, self.atol, self._rtol)
         return np.array(_leg(len(y))(self.field, t_k, t, True, h_abs, d, y, f, self.atol,
                                      self._rtol, array("d"), array("d"), array("d"))[1])
 
 
-def integrate(field, state0, span, tol: Tolerances = Tolerances(), atol_scale=1.0, *,
-              t0, mirror) -> Trajectory:
-    """The :class:`Trajectory` of ``state' = field(t, state)`` from ``state0`` at
-    the anchor ``t0``, stepped at once past both ends of ``span``, which may be
-    (t0, t0); a read past them grows it.  ``field`` gets a tuple of floats in a
-    step and arrays in the initial-step probe and in the dense-output stages
-    ((dim, steps) states); it returns dim floats or arrays.  ``atol_scale``
-    multiplies ``tol.tol`` in the absolute tolerance, per component.
+def integrate(field, state0, span, tol: Tolerances, atol_scale=1.0, *, mirror) -> Trajectory:
+    """The :class:`Trajectory` of the autonomous ``state' = field(state)`` from
+    ``state0`` at the anchor t = 0, each side of 0 that ``span`` reaches stepped at
+    once past the span's end there; (0, 0) steps nothing, and a read past the steps
+    grows them.  ``field`` gets a tuple of floats in a step and arrays in the
+    initial-step probe and in the dense-output stages ((dim, steps) states); it
+    returns dim floats or arrays.  ``atol_scale`` multiplies ``tol.tol`` in the
+    absolute tolerance, per component.
 
     ``mirror`` is None, or a sign vector R of ones and minus ones that fixes
-    ``state0`` by value and reverses ``field``, field(-t, R s) = -R field(t, s),
-    which the caller vouches for, with t0 = 0.  The forward side is then stepped
-    alone and the backward side is built from it (see the module docstring).
+    ``state0`` by value and reverses ``field``, field(R s) = -R field(s), which
+    the caller vouches for.  The forward side is then stepped alone and the
+    backward side is built from it (see the module docstring).
     """
     lo, hi = sorted((float(span[0]), float(span[1])))
-    t0 = float(t0)
-    if not lo <= t0 <= hi:
-        raise ValueError(f"anchor t0={t0} outside the span [{lo}, {hi}]")
     y0 = np.asarray(state0, dtype=float)
     R = None if mirror is None else np.asarray(mirror, dtype=float)
-    if R is not None and (t0 != 0 or R.shape != y0.shape or not (np.abs(R) == 1).all()
+    if R is not None and (R.shape != y0.shape or not (np.abs(R) == 1).all()
                           or not (R * y0 == y0).all()):
         raise ValueError(f"mirror {mirror} is not a sign vector that fixes the initial "
-                         f"state {y0.tolist()} at the anchor t0 = 0")
+                         f"state {y0.tolist()}")
     atol = tuple(np.broadcast_to(tol.tol * np.asarray(atol_scale, dtype=float),
                                  y0.shape).tolist())
-    traj = Trajectory(field, y0, t0, tol, atol, R)
+    traj = Trajectory(field, y0, tol, atol, R)
     traj._grow(np.array([lo, hi]))
     return traj
 
@@ -470,9 +468,9 @@ def brent(f, a: float, b: float, xtol: float) -> float:
 
 
 def locate_event(traj: Trajectory, g, g_prime, t: float, bracket) -> float:
-    """The zero of ``g(t, state(t))`` that Newton's method reaches from the seed t.
+    """The zero of ``g(state(t))`` that Newton's method reaches from the seed t.
 
-    g and its time derivative ``g_prime`` are read off the integrated state
+    g and its time derivative ``g_prime(state(t))`` are read off the integrated state
     (:meth:`Trajectory.endpoint`) at each iterate.  It stops at a step within
     ``stop = event_tol + 4 eps |t|``, or at g's rounding floor, where steps stop
     shrinking (a flat extremum): a step no smaller than the last, within 100 stop.
@@ -482,7 +480,7 @@ def locate_event(traj: Trajectory, g, g_prime, t: float, bracket) -> float:
     t, last = float(t), math.inf
     for _ in range(20):
         s = traj.endpoint(t)
-        step = g(t, s) / g_prime(t, s)
+        step = g(s) / g_prime(s)
         t -= step
         if not lo <= t <= hi:
             raise EventError(f"a Newton iterate t={t} left the bracket [{lo}, {hi}]")

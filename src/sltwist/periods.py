@@ -167,10 +167,10 @@ def period_ode(curve: TwistTrajectory) -> PeriodData:
     p_est = p_est_plus + p_est_minus
     traj = curve.trajectory
 
-    def g(t, s):
+    def g(s):
         return _ydot(pair, s)
 
-    def g_prime(t, s):
+    def g_prime(s):
         return 2.0 * f_prime(pair, _y(s))
 
     if pair.p > 1:

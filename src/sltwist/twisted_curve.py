@@ -260,9 +260,9 @@ def _cpow_source(z: str, exponents) -> list[str]:
 
 
 def _compiled(label: str, body: list[str]):
-    """``rhs(t, s)`` compiled from its body lines."""
+    """``rhs(s)`` compiled from its body lines."""
     scope = {}
-    exec(compile("\n".join(["def rhs(t, s):", *("    " + line for line in body)]),
+    exec(compile("\n".join(["def rhs(s):", *("    " + line for line in body)]),
                  f"<{label}>", "exec"), scope)
     return scope["rhs"]
 
@@ -292,7 +292,7 @@ def _field(p: int, q: int, linearised: bool = False):
 
 @lru_cache(maxsize=None)
 def _i2(p: int, q: int):
-    """``rhs(t, s)`` giving I2 = Im(w1^p w2^q) of the real state s, floats or (4, N)
+    """``rhs(s)`` giving I2 = Im(w1^p w2^q) of the real state s, floats or (4, N)
     arrays, multiplied as :func:`_twist` multiplies complex numbers, bit for bit."""
     return _compiled(f"I2 p={p} q={q}", [
         "a1r, a1i, b1r, b1i = s", *_cpow_source("a", [p]), *_cpow_source("b", [q]),
@@ -305,12 +305,12 @@ def _invariants(pair: AdmissiblePair, s) -> tuple[np.ndarray, np.ndarray]:
     Python's ``x ** 2`` is, where numpy's ``x ** 2`` is x * x and differs in the
     last bit now and then; I2 is :func:`_i2`."""
     sq = np.float_power(s, 2.0)
-    return sq[0] + sq[1] + sq[2] + sq[3], _i2(pair.p, pair.q)(0.0, tuple(s))
+    return sq[0] + sq[1] + sq[2] + sq[3], _i2(pair.p, pair.q)(tuple(s))
 
 
 def velocity(pair: AdmissiblePair, w1: complex, w2: complex) -> tuple[complex, complex]:
     """(w1', w2') at the point (w1, w2): the field of :func:`_field`, bit for bit."""
-    c = _field(pair.p, pair.q)(0.0, (w1.real, w1.imag, w2.real, w2.imag))
+    c = _field(pair.p, pair.q)((w1.real, w1.imag, w2.real, w2.imag))
     return complex(c[0], c[1]), complex(c[2], c[3])
 
 
@@ -469,5 +469,5 @@ def solve_w(param: TwistParam, tol: Tolerances) -> Trajectory:
     shrink = min(1.0, (2.0 * abs(tau)) ** (2.0 / pair.p)) if tau else 1.0
     scale = np.array([shrink, shrink, 1.0, 1.0])
     return integrate(_field(pair.p, pair.q), initial_state(param).as_real(), (0.0, 0.0), tol,
-                     scale, t0=0.0, mirror=_mirror(param))
+                     scale, mirror=_mirror(param))
 

@@ -48,11 +48,13 @@ def solve_Q(curve: TwistTrajectory) -> Trajectory:
     p, q, n = pair.p, pair.q, pair.n
     w0 = initial_state(param).as_real()
     Q0 = [1.0 / (n * _ydot(pair, w0)), 0.0] if p > 1 else [0.0, 1.0 / (q - n * _y(w0))]
+    # stepped at once, not on read: perfbench counts integrate's steps when it
+    # returns, and this first extent is the only one it sees
     hi = 2.2 * curve.period.p_tau
     w_mirror = _mirror(param)
     mirror = None if w_mirror is None else (*w_mirror, -1.0, 1.0)    # p = 1: Q odd, Q' even
     return integrate(_field(p, q, linearised=True), np.concatenate([w0, Q0]), (-hi, hi), tol,
-                     t0=0.0, mirror=mirror)
+                     mirror=mirror)
 
 
 def wronskian_drift(curve: TwistTrajectory) -> float:

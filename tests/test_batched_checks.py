@@ -131,7 +131,7 @@ def _torque_reference(curve, K, meridian_t):
     pair = curve.param.pair
     p, q = pair.p, pair.q
     traj = curve.trajectory
-    w1, w2 = _w(traj.endpoint(meridian_t) if meridian_t != traj.t0 else traj(0.0)).tolist()
+    w1, w2 = _w(traj.endpoint(meridian_t) if meridian_t != 0.0 else traj(0.0)).tolist()
     d1, d2 = velocity(pair, w1, w2)
     sigma, wts = _meridian_nodes(p, q, 4)
     X = _cone(w1, w2, sigma[:, :p], sigma[:, p:])

@@ -23,9 +23,9 @@ def twisted_field(p, q, linearised=False):
     evaluated one column at a time, in Python floats."""
     n = p + q
 
-    def rhs(t, s):
+    def rhs(s):
         if np.ndim(s[0]):
-            return np.array([rhs(t, col) for col in np.transpose(s).tolist()]).T
+            return np.array([rhs(col) for col in np.transpose(s).tolist()]).T
         w1 = complex(s[0], s[1])
         w2 = complex(s[2], s[3])
         d1 = w1.conjugate() ** (p - 1) * w2.conjugate() ** q
@@ -41,7 +41,7 @@ def twisted_field(p, q, linearised=False):
 
 def profile_field(n):
     """The catenoid profile field w' = conj(w)^(n-1) in CPython complex arithmetic."""
-    def rhs(t, s):
+    def rhs(s):
         d = complex(s[0], -s[1]) ** (n - 1)
         return (d.real, d.imag)
 
@@ -53,27 +53,27 @@ def _bits(values):
 
 
 def test_zero_field_constant():
-    traj = integrate(lambda t, s: [0.0, 0.0], [3.0, -1.5], (0.0, 1.0), t0=0.0, mirror=None)
+    traj = integrate(lambda s: [0.0, 0.0], [3.0, -1.5], (0.0, 1.0), Tolerances(), mirror=None)
     assert np.allclose(traj(1.0), [3.0, -1.5], atol=0)
 
 
 def test_exponential_endpoint():
-    traj = integrate(lambda t, s: [s[0]], [1.0], (0.0, 1.0), t0=0.0, mirror=None)
+    traj = integrate(lambda s: [s[0]], [1.0], (0.0, 1.0), Tolerances(), mirror=None)
     assert abs(traj(1.0)[0] - math.e) < 1e-10
 
 
 def test_twisted_field_stays_on_sphere():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     s0 = initial_state(param).as_real()
-    traj = integrate(twisted_field(1, 2), s0, (0.0, 20.0), t0=0.0, mirror=None)
+    traj = integrate(twisted_field(1, 2), s0, (0.0, 20.0), Tolerances(), mirror=None)
     ts = np.linspace(0.0, 20.0, 500)
     norms = [np.dot(traj(t), traj(t)) for t in ts]
     assert max(abs(v - 1.0) for v in norms) < 1e-10
 
 
 def test_locate_event_linear():
-    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=0.0, mirror=None)
-    t = locate_event(traj, lambda t, s: t - 0.5, lambda t, s: 1.0, 0.7, (0.0, 1.0))
+    traj = integrate(lambda s: [1.0], [0.0], (0.0, 1.0), Tolerances(), mirror=None)
+    t = locate_event(traj, lambda s: s[0] - 0.5, lambda s: 1.0, 0.7, (0.0, 1.0))
     assert abs(t - 0.5) < 1e-13
 
 
@@ -81,12 +81,12 @@ def test_locate_event_ydot_matches_quadrature():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     p_est, _ = partial_periods_quadrature(param)
     s0 = initial_state(param).as_real()
-    traj = integrate(twisted_field(1, 2), s0, (0.0, 1.6 * p_est), t0=0.0, mirror=None)
+    traj = integrate(twisted_field(1, 2), s0, (0.0, 1.6 * p_est), Tolerances(), mirror=None)
 
-    def g(t, s):
+    def g(s):
         return -2.0 * ((s[0] + 1j * s[1]) * (s[2] + 1j * s[3]) ** 2).real
 
-    def g_prime(t, s):                  # y'' = 2 f'(y), f'(y) = y (2 - 3 y) for (1, 2)
+    def g_prime(s):                  # y'' = 2 f'(y), f'(y) = y (2 - 3 y) for (1, 2)
         y = s[2] ** 2 + s[3] ** 2
         return 2.0 * y * (2.0 - 3.0 * y)
 
@@ -98,12 +98,12 @@ def test_locate_event_y_level():
     param = TwistParam(AdmissiblePair(1, 2), 0.05)
     p_est, _ = partial_periods_quadrature(param)
     s0 = initial_state(param).as_real()
-    traj = integrate(twisted_field(1, 2), s0, (0.0, p_est), t0=0.0, mirror=None)
+    traj = integrate(twisted_field(1, 2), s0, (0.0, p_est), Tolerances(), mirror=None)
 
-    def g(t, s):
+    def g(s):
         return s[2] ** 2 + s[3] ** 2 - 2.0 / 3.0
 
-    def g_prime(t, s):                  # y'
+    def g_prime(s):                  # y'
         return -2.0 * ((s[0] + 1j * s[1]) * (s[2] + 1j * s[3]) ** 2).real
 
     t_star = locate_event(traj, g, g_prime, 0.5 * p_est, (1e-4, 0.99 * p_est))
@@ -113,18 +113,18 @@ def test_locate_event_y_level():
 
 def test_no_sign_change_raises():
     # g has no zero in the bracket: the first Newton iterate leaves it
-    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=0.0, mirror=None)
+    traj = integrate(lambda s: [1.0], [0.0], (0.0, 1.0), Tolerances(), mirror=None)
     with pytest.raises(EventError, match="left the bracket"):
-        locate_event(traj, lambda t, s: 1.0 + t, lambda t, s: 1.0, 0.5, (0.0, 1.0))
+        locate_event(traj, lambda s: 1.0 + s[0], lambda s: 1.0, 0.5, (0.0, 1.0))
 
 
 def test_newton_without_convergence_raises():
-    # Newton on u^3 - 2u + 2 cycles between u = 0 and 1 exactly; u = t - 1
-    # keeps the iterates off the anchor t0 = 0, which has no endpoint
-    traj = integrate(lambda t, s: [1.0], [0.0], (0.0, 3.0), t0=0.0, mirror=None)
+    # Newton on u^3 - 2u + 2 cycles between u = 0 and 1 exactly; u = x - 1 = t - 1
+    # keeps the iterates off the anchor 0, which has no endpoint
+    traj = integrate(lambda s: [1.0], [0.0], (0.0, 3.0), Tolerances(), mirror=None)
     with pytest.raises(EventError, match="did not converge"):
-        locate_event(traj, lambda t, s: (t - 1.0) ** 3 - 2.0 * (t - 1.0) + 2.0,
-                     lambda t, s: 3.0 * (t - 1.0) ** 2 - 2.0, 1.0, (0.5, 2.5))
+        locate_event(traj, lambda s: (s[0] - 1.0) ** 3 - 2.0 * (s[0] - 1.0) + 2.0,
+                     lambda s: 3.0 * (s[0] - 1.0) ** 2 - 2.0, 1.0, (0.5, 2.5))
 
 
 def test_tolerance_tightening_consistency():
@@ -132,8 +132,8 @@ def test_tolerance_tightening_consistency():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     s0 = initial_state(param).as_real()
     loose, tight = Tolerances(1e-10), Tolerances(1e-11)
-    end_a = integrate(field, s0, (0.0, 10.0), loose, t0=0.0, mirror=None)(10.0)
-    end_b = integrate(field, s0, (0.0, 10.0), tight, t0=0.0, mirror=None)(10.0)
+    end_a = integrate(field, s0, (0.0, 10.0), loose, mirror=None)(10.0)
+    end_b = integrate(field, s0, (0.0, 10.0), tight, mirror=None)(10.0)
     assert np.max(np.abs(end_a - end_b)) < 10 * loose.tol
 
 
@@ -142,9 +142,9 @@ def test_backward_integration_returns_start():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     s0 = initial_state(param).as_real()
     tol = Tolerances()
-    fwd = integrate(field, s0, (0.0, 5.0), tol, t0=0.0, mirror=None)
-    back = integrate(field, fwd(5.0), (0.0, 5.0), tol, t0=5.0, mirror=None)
-    assert np.max(np.abs(back(0.0) - s0)) < 10 * tol.tol
+    fwd = integrate(field, s0, (0.0, 5.0), tol, mirror=None)
+    back = integrate(field, fwd(5.0), (-5.0, 0.0), tol, mirror=None)
+    assert np.max(np.abs(back(-5.0) - s0)) < 10 * tol.tol
 
 
 def test_interpolant_reproduces_grid_states():
@@ -152,7 +152,7 @@ def test_interpolant_reproduces_grid_states():
     # backward ones start there (x = 0); a scalar read equals the array read
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     s0 = initial_state(param).as_real()
-    traj = integrate(twisted_field(2, 3), s0, (-5.0, 8.0), t0=0.0, mirror=None)
+    traj = integrate(twisted_field(2, 3), s0, (-5.0, 8.0), Tolerances(), mirror=None)
     reads = traj(traj.time_grid)
     assert np.max(np.abs(reads.T - traj.states)) <= 1e-14
     assert all(np.array_equal(traj(t), reads[:, j]) for j, t in enumerate(traj.time_grid))
@@ -173,29 +173,29 @@ def test_blowup_reports_last_time():
     # y' = y^2, y(0) = 1 blows up at t = 1; the steps underflow where the
     # discrete solution does, 1.5e-13 past it (solve_ivp stops at the same time)
     with pytest.raises(IntegrationError) as err:
-        integrate(lambda t, s: [s[0] ** 2], [1.0], (0.0, 2.0), t0=0.0, mirror=None)
+        integrate(lambda s: [s[0] ** 2], [1.0], (0.0, 2.0), Tolerances(), mirror=None)
     assert 0.9 <= err.value.last_time <= 1.0 + 1e-12
     assert repr(err.value.last_time) in str(err.value) and "step size" in str(err.value)
     # a read that grows a trajectory into the blowup raises the same, and leaves
     # the trajectory as it was: later reads before t = 1 are a fresh one's
-    traj = integrate(lambda t, s: [s[0] ** 2], [1.0], (0.0, 0.5), t0=0.0, mirror=None)
+    traj = integrate(lambda s: [s[0] ** 2], [1.0], (0.0, 0.5), Tolerances(), mirror=None)
     with pytest.raises(IntegrationError, match="step size"):
         traj(2.0)
-    fresh = integrate(lambda t, s: [s[0] ** 2], [1.0], (0.0, 0.5), t0=0.0, mirror=None)
+    fresh = integrate(lambda s: [s[0] ** 2], [1.0], (0.0, 0.5), Tolerances(), mirror=None)
     assert np.array_equal(traj(0.99), fresh(0.99))
     assert np.array_equal(traj.time_grid, fresh.time_grid)
 
 
 def test_non_finite_field_reports_last_accepted_time():
-    def field(t, s):
-        return [math.nan if t > 0.5 else 1.0]
+    def field(s):
+        return [math.nan if s[0] > 0.5 else 1.0]
 
     with pytest.raises(IntegrationError) as err:
-        integrate(field, [0.0], (0.0, 1.0), t0=0.0, mirror=None)
+        integrate(field, [0.0], (0.0, 1.0), Tolerances(), mirror=None)
     assert 0.0 < err.value.last_time <= 0.5
     assert repr(err.value.last_time) in str(err.value) and "non-finite" in str(err.value)
     with pytest.raises(IntegrationError) as err:
-        integrate(lambda t, s: [math.nan], [0.0], (0.0, 1.0), t0=0.0, mirror=None)
+        integrate(lambda s: [math.nan], [0.0], (0.0, 1.0), Tolerances(), mirror=None)
     assert err.value.last_time == 0.0
 
 
@@ -206,9 +206,9 @@ def test_two_sided_trajectory_equals_one_sided_runs(p, q):
     pair = AdmissiblePair(p, q)
     s0 = initial_state(TwistParam(pair, 0.3 * tau_max(pair))).as_real()
     field = twisted_field(p, q)
-    both = integrate(field, s0, (-6.0, 8.0), t0=0.0, mirror=None)
-    fwd = integrate(field, s0, (0.0, 8.0), t0=0.0, mirror=None)
-    bwd = integrate(field, s0, (-6.0, 0.0), t0=0.0, mirror=None)
+    both = integrate(field, s0, (-6.0, 8.0), Tolerances(), mirror=None)
+    fwd = integrate(field, s0, (0.0, 8.0), Tolerances(), mirror=None)
+    bwd = integrate(field, s0, (-6.0, 0.0), Tolerances(), mirror=None)
     for side, ts in ((fwd, np.linspace(0.0, 8.0, 200)), (bwd, np.linspace(-6.0, 0.0, 200))):
         assert np.array_equal(both(ts), side(ts))
         assert all(np.array_equal(both(t), side(t)) for t in ts[::20])
@@ -220,7 +220,7 @@ def test_two_sided_trajectory_equals_one_sided_runs(p, q):
     assert len(both.time_grid) - 1 == steps
     # each side stops at its first step at or past its end of the span
     grid = both.time_grid
-    assert grid[0] <= -6.0 < grid[1] and grid[-2] < 8.0 <= grid[-1] and both.t0 == 0.0
+    assert grid[0] <= -6.0 < grid[1] and grid[-2] < 8.0 <= grid[-1]
 
 
 def _first(traj, nodes):
@@ -234,8 +234,7 @@ def _assert_backward_half_is_the_backward_run(traj, atol_scale):
     """The part of ``traj`` before its anchor 0 equals a run over (lo, 0) from the
     anchor's state by value, array for array, and so do endpoints read there."""
     lo, i0 = traj.time_grid[0], np.searchsorted(traj.time_grid, 0.0)
-    run = integrate(traj.field, traj.states[i0], (lo, 0.0), traj.tol, atol_scale, t0=0.0,
-                    mirror=None)
+    run = integrate(traj.field, traj.states[i0], (lo, 0.0), traj.tol, atol_scale, mirror=None)
     assert len(run.time_grid) == i0 + 1
     for got, want in zip(_first(traj, i0 + 1), _first(run, i0 + 1)):
         assert np.array_equal(got, want)
@@ -265,11 +264,11 @@ def _stepped_legs(monkeypatch):
 def test_a_reversible_system_steps_its_forward_half_only(monkeypatch):
     # x'' = -x is reversed by (x, v) -> (x, -v), which fixes (1, 0): one leg is
     # stepped and the other side is its mirror image
-    def field(t, s):
+    def field(s):
         return s[1], -s[0]
 
     legs = _stepped_legs(monkeypatch)
-    traj = integrate(field, [1.0, 0.0], (-7.0, 7.0), t0=0.0, mirror=[1.0, -1.0])
+    traj = integrate(field, [1.0, 0.0], (-7.0, 7.0), Tolerances(), mirror=[1.0, -1.0])
     assert legs == [(0.0, 1.0)]
     assert np.array_equal(traj.time_grid, -traj.time_grid[::-1])
     assert np.array_equal(traj.states, traj.states[::-1] * [1.0, -1.0])
@@ -283,27 +282,25 @@ def test_a_reversible_system_steps_its_forward_half_only(monkeypatch):
     # run read as far each way has its arrays
     for span in ((-7.0, 6.0), (-1.0, 3.0)):
         legs.clear()
-        mirrored = integrate(field, [1.0, 0.0], span, t0=0.0, mirror=[1.0, -1.0])
+        mirrored = integrate(field, [1.0, 0.0], span, Tolerances(), mirror=[1.0, -1.0])
         assert [d for _, d in legs] == [1.0]
-        plain = integrate(field, [1.0, 0.0], span, t0=0.0, mirror=None)
+        plain = integrate(field, [1.0, 0.0], span, Tolerances(), mirror=None)
         plain(max(span[1], -span[0]))
         assert mirrored.time_grid[1] > span[0] >= mirrored.time_grid[0]
         assert len(mirrored.time_grid) == len(plain.time_grid)
         for got, want in zip(_first(mirrored, len(plain.time_grid)),
                              _first(plain, len(plain.time_grid))):
             assert np.array_equal(_bits(got), _bits(want))
-    with pytest.raises(ValueError, match="at the anchor t0 = 0"):
-        integrate(field, [1.0, 0.0], (-1.0, 3.0), t0=1.0, mirror=[1.0, -1.0])
 
 
 def test_a_mirror_must_be_a_sign_vector_that_fixes_the_initial_state():
-    def field(t, s):
+    def field(s):
         return s[1], -s[0]
 
     for mirror in ([1.0], [1.0, 0.5], [-1.0, 1.0], [1.0, -1.0, 1.0]):
         with pytest.raises(ValueError, match="fixes the initial state"):
-            integrate(field, [1.0, 0.0], (-1.0, 1.0), t0=0.0, mirror=mirror)
-    integrate(field, [1.0, -0.0], (-1.0, 1.0), t0=0.0, mirror=[1.0, -1.0])   # by value
+            integrate(field, [1.0, 0.0], (-1.0, 1.0), Tolerances(), mirror=mirror)
+    integrate(field, [1.0, -0.0], (-1.0, 1.0), Tolerances(), mirror=[1.0, -1.0])   # by value
 
 
 _MIRROR_CASES = [(q, sign * tau, preset) for q in range(2, 8)
@@ -330,7 +327,7 @@ def test_p1_backward_half_is_the_backward_run(q, tau, preset):
 def _landed_endpoint(traj, t):
     """The state at t stepped by the plain loop of :func:`_reference_steps` from the
     last accepted step between the anchor and t, landing on t."""
-    forward = t > traj.t0
+    forward = t > 0.0
     k = np.searchsorted(traj.time_grid, t, side="left" if forward else "right") - forward
     return _reference_steps(traj.field, traj.states[k], float(traj.time_grid[k]), t, traj.tol,
                             traj.atol, land=True)[1][-1]
@@ -364,27 +361,82 @@ def test_endpoint_is_an_integrate_run_bit_for_bit(p, q, frac, monkeypatch):
     ts = [-2.9, -1.3, -0.01, 0.01, 1.7, 3.95, traj.time_grid[1], traj.time_grid[-2]]
     _assert_endpoints_equal_landed_runs(traj, ts, monkeypatch)
     lin, p_tau = curve.Q, curve.period.p_tau
-    ts = [lin.t0 + f * p_tau for f in (-2.0, -0.4, 0.3, 1.2)]
+    ts = [f * p_tau for f in (-2.0, -0.4, 0.3, 1.2)]
     _assert_endpoints_equal_landed_runs(lin, ts, monkeypatch)
 
 
 def test_anchor_rejected_and_reads_past_the_extent_grow():
-    with pytest.raises(TypeError):                  # the anchor is required
-        integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), mirror=None)
-    with pytest.raises(TypeError):                  # and so is the mirror, if None
-        integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=0.0)
-    with pytest.raises(ValueError):
-        integrate(lambda t, s: [1.0], [0.0], (0.0, 1.0), t0=2.0, mirror=None)
-    traj = integrate(lambda t, s: [1.0], [0.0], (-1.0, 1.0), t0=0.0, mirror=None)
+    with pytest.raises(TypeError):                  # the mirror is required, if None
+        integrate(lambda s: [1.0], [0.0], (0.0, 1.0), Tolerances())
+    traj = integrate(lambda s: [1.0], [0.0], (-1.0, 1.0), Tolerances(), mirror=None)
     with pytest.raises(ValueError, match="no integrated endpoint"):
         traj.endpoint(0.0)
     # x' = 1 from 0: reads past either end step that side on, and read x = t
     assert abs(traj(1.5)[0] - 1.5) <= 1e-14
     assert np.allclose(traj(np.array([-1.5, 0.0])), [[-1.5, 0.0]], rtol=0.0, atol=1e-14)
     assert abs(traj.endpoint(-2.0)[0] + 2.0) <= 1e-14
-    event = locate_event(traj, lambda t, s: t - 0.5, lambda t, s: 1.0, 2.5, (0.0, 3.0))
+    event = locate_event(traj, lambda s: s[0] - 0.5, lambda s: 1.0, 2.5, (0.0, 3.0))
     assert abs(event - 0.5) <= 1e-14
     assert traj.time_grid[0] <= -2.0 and traj.time_grid[-1] >= 2.5
+
+
+@pytest.mark.parametrize("mirror", [None, [1.0, -1.0]])
+def test_a_field_is_handed_the_state_alone(mirror):
+    # x'' = -x as a one-parameter field: the steps, the initial-step probe, the
+    # dense stages, an endpoint's leg and a mirrored run each hand it one state
+    # of 2 components, a tuple of floats or arrays, and never a time
+    sizes = []
+
+    def field(s):
+        sizes.append(len(s))
+        return s[1], -s[0]
+
+    traj = integrate(field, [1.0, 0.0], (0.0, 0.0), Tolerances(), mirror=mirror)
+    ts = np.linspace(-3.0, 3.0, 7)
+    assert np.max(np.abs(traj(ts)[0] - np.cos(ts))) < 1e-10
+    assert abs(traj.endpoint(-4.5)[0] - math.cos(4.5)) < 1e-10
+    times, _ = traj.steps(-5.0, 5.0)
+    assert times[0] <= -5.0 and times[-1] >= 5.0
+    assert traj.F.shape[0] == len(traj.time_grid) - 1
+    assert sizes and set(sizes) == {2}
+
+
+@pytest.mark.parametrize("mirror", [None, [-1.0]])
+@pytest.mark.parametrize("span", [(0.5, 1.0), (-1.0, -0.5)])
+def test_a_span_without_the_anchor_steps_the_side_it_reaches(span, mirror, monkeypatch):
+    # x' = 1 from 0 (reversed by -1, which fixes 0): a span on one side of the
+    # anchor steps that side alone, or with a mirror the forward side, and x = t
+    legs = _stepped_legs(monkeypatch)
+    traj = integrate(lambda s: [1.0], [0.0], span, Tolerances(), mirror=mirror)
+    side = math.copysign(1.0, span[0])
+    assert [d for _, d in legs] == [1.0 if mirror else side]
+    far = span[1] if side > 0 else span[0]
+    assert traj.time_grid[0] <= min(far, 0.0) and traj.time_grid[-1] >= max(far, 0.0)
+    if mirror is None:
+        assert traj.time_grid[0 if side > 0 else -1] == 0.0
+    ts = np.linspace(*span, 5)
+    assert np.allclose(traj(ts)[0], ts, rtol=0.0, atol=1e-14)
+    assert abs(traj.endpoint(far)[0] - far) <= 1e-14
+
+
+def test_locate_event_hands_g_and_g_prime_the_state_alone():
+    # each Newton iterate reads one integrated endpoint, and g and g_prime each
+    # get that state alone, never the time
+    traj = integrate(lambda s: [1.0], [0.0], (0.0, 1.0), Tolerances(), mirror=None)
+    seen = []
+
+    def g(s):
+        seen.append(("g", s))
+        return s[0] - 0.5
+
+    def g_prime(s):
+        seen.append(("g_prime", s))
+        return 1.0
+
+    assert abs(locate_event(traj, g, g_prime, 0.7, (0.0, 1.0)) - 0.5) < 1e-13
+    assert seen and [name for name, _ in seen] == ["g", "g_prime"] * (len(seen) // 2)
+    for (_, a), (_, b) in zip(seen[::2], seen[1::2]):
+        assert a is b and a.shape == (1,)
 
 
 _GROWTH_CASES = [(p, q, sign * frac) for p, q in [(1, 2), (1, 5), (2, 2), (2, 3), (3, 4), (2, 5)]
@@ -420,7 +472,6 @@ def test_a_trajectory_grown_in_pieces_is_one_run_to_its_extent(p, q, frac):
 
 def test_tableau_literals_are_scipys_bit_for_bit():
     n = scipy_dop853.N_STAGES
-    assert np.array_equal(ode_engine._C, scipy_dop853.C)
     for s in range(1, 16):
         assert np.array_equal(ode_engine._A[s], scipy_dop853.A[s, :s])
     assert np.array_equal(ode_engine._A[n], scipy_dop853.B)
@@ -428,9 +479,10 @@ def test_tableau_literals_are_scipys_bit_for_bit():
     assert np.array_equal(ode_engine._E3, scipy_dop853.E3)
     assert np.array_equal(ode_engine._D, scipy_dop853.D)
     # the compiled leg carries each coefficient it uses as a literal; the
-    # dense-output stages 13-15 read rows 13-15 of _A, pinned above
+    # dense-output stages 13-15 read rows 13-15 of _A, pinned above; no stage
+    # time is formed, so the nodes C are not used
     consts = set(ode_engine._leg(2).__code__.co_consts)
-    used = [*scipy_dop853.C[1:n], *scipy_dop853.A[1:n + 1].ravel(),
+    used = [*scipy_dop853.A[1:n + 1].ravel(),
             *scipy_dop853.E5, *scipy_dop853.E3]
     assert {float(v) for v in used if v} <= consts
 
@@ -442,23 +494,23 @@ def test_generated_field_is_the_complex_formula_bit_for_bit(p, q):
     rng = np.random.default_rng(10 * p + q)
     states = rng.uniform(-1.5, 1.5, (4, 400)) * 10.0 ** rng.uniform(-2, 0.5, (4, 400))
     ours, ref = _field(p, q), twisted_field(p, q)
-    assert np.array_equal(_bits(ours(0.0, states)), _bits(ref(0.0, states)))
+    assert np.array_equal(_bits(ours(states)), _bits(ref(states)))
     for col in states.T[:100].tolist():
-        assert np.array_equal(_bits(ours(0.0, tuple(col))), _bits(ref(0.0, tuple(col))))
+        assert np.array_equal(_bits(ours(tuple(col))), _bits(ref(tuple(col))))
     # the linearised field on scalars; on arrays numpy's ** may differ in the last bit
     ours, ref = _field(p, q, linearised=True), twisted_field(p, q, linearised=True)
     for col in rng.uniform(-1.0, 1.0, (100, 6)).tolist():
-        assert np.array_equal(_bits(ours(0.0, tuple(col))), _bits(ref(0.0, tuple(col))))
+        assert np.array_equal(_bits(ours(tuple(col))), _bits(ref(tuple(col))))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_generated_profile_field_is_the_complex_formula_bit_for_bit(n):
     states = np.random.default_rng(n).uniform(-1.5, 1.5, (2, 400))
     ours, ref = _profile_field(n), profile_field(n)
-    reference = [ref(0.0, tuple(col)) for col in states.T.tolist()]
-    assert np.array_equal(_bits(ours(0.0, states)), _bits(np.transpose(reference)))
+    reference = [ref(tuple(col)) for col in states.T.tolist()]
+    assert np.array_equal(_bits(ours(states)), _bits(np.transpose(reference)))
     for col, want in zip(states.T.tolist(), reference):
-        assert np.array_equal(_bits(ours(0.0, tuple(col))), _bits(want))
+        assert np.array_equal(_bits(ours(tuple(col))), _bits(want))
 
 
 def _column_sum(terms):
@@ -476,21 +528,21 @@ def _stage_state(s, h, y, k):
                  * h for i in range(len(y)))
 
 
-def _scalar_stages(field, t, h, y, f, last):
+def _scalar_stages(field, h, y, f, last):
     """Stages 0..last of one step, one field call on a tuple of floats each."""
     k = [tuple(f)]
     for s in range(1, last + 1):
-        k.append(tuple(field(t + ode_engine._C[s] * h, _stage_state(s, h, y, k))))
+        k.append(tuple(field(_stage_state(s, h, y, k))))
     return k
 
 
 def _scalar_dense_rows(traj):
     """``F[:, 3:]`` of a trajectory rebuilt one step at a time, every stage 1-15
-    in Python floats from ``_A`` and ``_C``."""
+    in Python floats from ``_A``."""
     field, kept = traj.field, ode_engine._KEPT
     K = []
-    for t, h, y in zip(traj.origin.tolist(), traj.h.tolist(), traj.y_origin.tolist()):
-        k = _scalar_stages(field, t, h, y, field(t, tuple(y)), 15)
+    for h, y in zip(traj.h.tolist(), traj.y_origin.tolist()):
+        k = _scalar_stages(field, h, y, field(tuple(y)), 15)
         K.append([k[s] for s in kept])
     return traj.h[:, None, None] * np.einsum("ij,sjd->sid", ode_engine._D[:, kept], np.array(K))
 
@@ -498,19 +550,20 @@ def _scalar_dense_rows(traj):
 def _curve_trajectory(p, q):
     pair = AdmissiblePair(p, q)
     s0 = initial_state(TwistParam(pair, 0.2 * tau_max(pair))).as_real()
-    return integrate(_field(p, q), s0, (-4.0, 6.0), t0=0.0, mirror=None)
+    return integrate(_field(p, q), s0, (-4.0, 6.0), Tolerances(), mirror=None)
 
 
 def _profile_trajectory(n):
     w0, half = np.exp(1j * math.pi / (2 * n)), 0.9 * catenoid_lifetime(n)
-    return integrate(_profile_field(n), [w0.real, w0.imag], (-half, half), t0=0.0, mirror=None)
+    return integrate(_profile_field(n), [w0.real, w0.imag], (-half, half), Tolerances(),
+                     mirror=None)
 
 
 @pytest.mark.parametrize("build", [
     lambda: _curve_trajectory(2, 3), lambda: _curve_trajectory(1, 6),
     lambda: _profile_trajectory(4),
     # a field that ignores its state returns floats, broadcast over the steps
-    lambda: integrate(lambda t, s: [0.5, -0.25], [1.0, 2.0], (-3.0, 4.0), t0=0.0, mirror=None),
+    lambda: integrate(lambda s: [0.5, -0.25], [1.0, 2.0], (-3.0, 4.0), Tolerances(), mirror=None),
 ], ids=["(2,3)", "(1,6)", "catenoid n=4", "constant"])
 def test_one_pass_dense_stages_equal_scalar_steps(build):
     traj = build()
@@ -527,8 +580,8 @@ def _reference_steps(field, y0, t0, t1, tol, atol, land):
     rtol = max(tol.tol, 100 * np.finfo(float).eps)
     direction = 1.0 if t1 > t0 else -1.0
     y = tuple(y0.tolist())
-    f = tuple(field(t0, y))
-    h_abs = ode_engine._initial_step(field, t0, y, f, abs(t1 - t0) if land else math.inf,
+    f = tuple(field(y))
+    h_abs = ode_engine._initial_step(field, y, f, abs(t1 - t0) if land else math.inf,
                                      direction, atol, rtol)
     t, ts, ys, ks, rejections = t0, [t0], [y], [], 0
     while direction * (t - t1) < 0:
@@ -542,9 +595,9 @@ def _reference_steps(field, y0, t0, t1, tol, atol, land):
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
-            k = _scalar_stages(field, t, h, y, f, 11)
+            k = _scalar_stages(field, h, y, f, 11)
             y_new = _stage_state(12, h, y, k)
-            k.append(tuple(field(t + h, y_new)))
+            k.append(tuple(field(y_new)))
             e5, e3 = ([_column_sum([w * k[j][i] for j, w in enumerate(weights) if w])
                        / (atol[i] + max(abs(y[i]), abs(y_new[i])) * rtol) for i in range(dim)]
                       for weights in (ode_engine._E5, ode_engine._E3))
@@ -574,7 +627,7 @@ def test_generated_leg_equals_plain_python_steps():
     curve = TwistTrajectory(param, Tolerances())
     hi, scale = 2.0 * curve.period.p_tau, np.array(curve.trajectory.atol) / Tolerances().tol
     traj = integrate(_field(1, 6), initial_state(param).as_real(), (-0.5 * hi, hi), Tolerances(),
-                     scale, t0=0.0, mirror=None)
+                     scale, mirror=None)
     y0, rejections, sides = traj.states[traj.time_grid == 0.0][0], 0, []
     for t1 in (traj.time_grid[-1], traj.time_grid[0]):
         T, Y, K, rejected = _reference_steps(traj.field, y0, 0.0, float(t1), traj.tol, traj.atol,
@@ -591,8 +644,8 @@ def test_generated_leg_equals_plain_python_steps():
 def _reference_case(field, y0, span, tol=Tolerances(), atol_scale=1.0):
     """Our trajectory and solve_ivp's DOP853 run over the same span; ours ends at
     its first step past the span, and its endpoint lands on the span's end."""
-    ours = integrate(field, y0, span, tol, atol_scale, t0=span[0], mirror=None)
-    ref = solve_ivp(field, span, y0, method="DOP853", rtol=tol.tol,
+    ours = integrate(field, y0, span, tol, atol_scale, mirror=None)
+    ref = solve_ivp(lambda t, y: field(y), span, y0, method="DOP853", rtol=tol.tol,
                     atol=tol.tol * np.asarray(atol_scale), dense_output=True)
     assert ref.success
     steps, ref_steps = len(ours.time_grid) - 1, len(ref.t) - 1
@@ -603,7 +656,7 @@ def _reference_case(field, y0, span, tol=Tolerances(), atol_scale=1.0):
     if np.max(np.abs(ours(ts) - ref.sol(ts))) > 1e-10:
         # both interpolants are off by more than that: compare their errors
         # against a run at 10 times tighter tolerances
-        tight = solve_ivp(field, span, y0, method="DOP853", rtol=tol.tol / 10,
+        tight = solve_ivp(lambda t, y: field(y), span, y0, method="DOP853", rtol=tol.tol / 10,
                           atol=tol.tol / 10 * np.asarray(atol_scale), dense_output=True)
         ours_err, ref_err = (np.max(np.abs(y - tight.sol(ts))) for y in (ours(ts), ref.sol(ts)))
         assert ours_err <= 3 * ref_err

@@ -273,7 +273,7 @@ def test_solve_w_atol_scale_agrees_with_unscaled_integration(p, q, tau):
     ts = np.linspace(0.0, 2.0, 50)
     scaled = TwistTrajectory(param, Tolerances())
     plain = integrate(_field(p, q), initial_state(param).as_real(), (0.0, 2.0), Tolerances(),
-                      t0=0.0, mirror=None)
+                      mirror=None)
     assert scaled.trajectory.atol != plain.atol
     assert np.max(np.abs(_w(plain(ts)) - np.array(scaled.w(ts)))) < 1e-9
 

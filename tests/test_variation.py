@@ -43,7 +43,6 @@ def test_companion_initial_conditions():
     tau = 0.06
     lin = solve_Q(_curve(TwistParam(pair, tau)))
     expected = -1.0 / (4.0 * pair.n * math.sqrt(tau_max(pair) ** 2 - tau**2))
-    assert lin.t0 == 0.0
     assert abs(lin(0.0)[4] - expected) < 1e-12
     assert abs(lin(0.0)[5]) < 1e-14
     assert abs(_wronskian(pair, lin(0.0)) - 1.0) < 1e-14
@@ -55,7 +54,6 @@ def test_anchor_time_for_degenerate_first_factor():
     curve = _curve(param)
     lin = curve.Q
     _, y_max = y_extrema(param)
-    assert lin.t0 == 0.0
     assert lin(0.0)[4] == 0.0
     assert abs(lin(0.0)[5] * (2.0 - 3.0 * y_max) - 1.0) < 1e-14
     assert abs(_wronskian(param.pair, lin(0.0)) - 1.0) < 1e-14
