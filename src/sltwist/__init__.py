@@ -19,9 +19,8 @@ from .ode_engine import (EventError, IntegrationError, Tolerances, Trajectory,
                          integrate, locate_event)
 from .periods import (PeriodData, angular_periods, branch_integral, partial_periods_quadrature,
                       period_ode, pthat_quadrature, pthat_quadrature_psi2)
-from .twisted_curve import (AdmissiblePair, SphereState, TwistParam,
-                            TwistTrajectory, alpha_tau, f_poly, f_prime,
-                            initial_state, solve_w, tau_max, velocity, y_extrema)
+from .twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, alpha_tau, f_poly,
+                            f_prime, initial_state, solve_w, tau_max, velocity, y_extrema)
 from .variation import (AsymptoticsReport, asymptotic_constants, check_asymptotics,
                         dpthat_dtau, dpthat_dtau_cross_check, solve_Q, time_scale)
 

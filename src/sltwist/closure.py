@@ -157,7 +157,7 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
     return curves[brent(g_ode, a, b, 1e-16)]
 
 
-def verify_closed(curve: TwistTrajectory, k0: int, samples: int = 20) -> ClosedCurveCheck:
+def verify_closed(curve: TwistTrajectory, k0: int, samples: int) -> ClosedCurveCheck:
     """Closure and one-period rotation residuals over a long integration.
 
     closure_residual: max over samples of |w(t + 2 k0 p_tau) - w(t)|.

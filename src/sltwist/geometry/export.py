@@ -71,10 +71,6 @@ def _encode(value):
         return value
     if isinstance(value, float):
         return format_float(value)
-    if isinstance(value, complex):
-        return {"re": format_float(value.real), "im": format_float(value.imag)}
-    if isinstance(value, np.ndarray):
-        return [_encode(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     if isinstance(value, dict):

@@ -36,8 +36,7 @@ class NeckComparison:
     catenoid_degree: int
 
 
-def neck_rescale(curve: TwistTrajectory, waist_index: int,
-                 b: float | None = None) -> NeckComparison:
+def neck_rescale(curve: TwistTrajectory, waist_index: int, b: float | None) -> NeckComparison:
     """Compare the rescaled neck at a waist with the unit catenoid.
 
     Kind-2 waists (second factor minimal) rescale onto the degree-q unit
@@ -48,7 +47,7 @@ def neck_rescale(curve: TwistTrajectory, waist_index: int,
     w1(-t) = w2(t) maps one kind onto the other.  For tau < 0 the curve is
     the conjugate of the tau > 0 one, and so are the phase e^{-i pi/2k},
     the rescale phases and the model profile.  The window must stay below the
-    catenoid lifetime of that degree; by default it is 2.0 for degree 2
+    catenoid lifetime of that degree; a window b of None is 2.0 for degree 2
     and half the lifetime T_1 for degree >= 3.  The error is sampled at 81 times.
     ``rescale_phases``, the diagonal of the repositioning map, turn each factor
     at the waist to the positive real axis, the shrinking one then by e^{i pi/2k}.

@@ -44,8 +44,8 @@ def reflection_phases(curve: TwistTrajectory, side: str) -> np.ndarray:
 
     ``side`` is "+" or "-".  p = 1: D = (-1, 1), on either side.  p > 1:
     D = (e^{i alpha/p + i psi1(2 p+-)}, e^{i alpha/q + i psi2(2 p+-)})
-    with e^{i psi} = (w/|w|) / (w(0)/|w(0)|) at an integration endpoint
-    on the trajectory.
+    with e^{i psi} = (w/|w|) / (w(0)/|w(0)|), w at an integration endpoint
+    on the trajectory and w(0) its anchor.
     """
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', not {side!r}")
@@ -56,7 +56,7 @@ def reflection_phases(curve: TwistTrajectory, side: str) -> np.ndarray:
     a = alpha_tau(param)
     data = curve.period
     t_ref = 2.0 * data.p_plus if side == "+" else -2.0 * data.p_minus
-    w, w0 = _w(curve.trajectory.endpoint(t_ref)), np.array(curve.w(0.0))
+    w, w0 = _w(curve.trajectory.endpoint(t_ref)), _w(curve.trajectory.endpoint(0.0))
     return np.exp(1j * a / np.array([pair.p, pair.q])) * (w / abs(w)) / (w0 / abs(w0))
 
 

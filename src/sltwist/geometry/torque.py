@@ -158,7 +158,8 @@ def torque(curve: TwistTrajectory, K: np.ndarray, meridian_t: float = 0.0,
 
     Integrates (K X . dX/dt / |dX/dt|) against the induced meridian
     volume |w1|^(p-1) |w2|^(q-1) dv dv by product sphere quadrature; w is
-    read off the integrated endpoint at meridian_t, not the dense output.
+    read off the integrated endpoint at meridian_t, not the dense output, and
+    at meridian 0 it is the curve's anchor, its initial state.
     ``K`` is one n x n direction, which gives one :class:`TorqueReport`, or
     a k x n x n stack of them, which gives a list of k reports: every
     direction of a stack is integrated over one meridian, built once.
@@ -171,8 +172,7 @@ def torque(curve: TwistTrajectory, K: np.ndarray, meridian_t: float = 0.0,
             or np.abs(Ks + Ks.conj().swapaxes(-1, -2)).max() > 1e-12
             or np.abs(np.trace(Ks, axis1=-2, axis2=-1)).max() > 1e-12):
         raise ValueError(f"K must be an anti-Hermitian traceless {n} x {n} matrix")
-    traj = curve.trajectory
-    w1, w2 = _w(traj.endpoint(meridian_t) if meridian_t != 0.0 else traj(0.0)).tolist()
+    w1, w2 = _w(curve.trajectory.endpoint(meridian_t)).tolist()
     d1, d2 = velocity(pair, w1, w2)
     sigma, wts = _meridian_nodes(p, q, order)
     X = _cone(w1, w2, sigma[:, :p], sigma[:, p:])       # (N, n) complex meridian points

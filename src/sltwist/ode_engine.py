@@ -366,11 +366,13 @@ class Trajectory:
         return grid[i:j + 1], self.states[i:j + 1]
 
     def endpoint(self, t: float) -> np.ndarray:
-        """The state at t != 0 stepped, landing on t, from the last accepted step
-        between 0 and t: the integrator's accuracy, not the dense interpolant's."""
+        """The state at t stepped, landing on t, from the last accepted step between
+        0 and t: the integrator's accuracy, not the dense interpolant's.  At t = 0 it
+        is a copy of the anchor's state as :func:`integrate` received it, signed
+        zeros included, and nothing is stepped."""
         t = float(t)
         if t == 0.0:
-            raise ValueError(f"no integrated endpoint at t={t}")
+            return self._y0.copy()
         self._grow(t)
         d = 1.0 if t > 0.0 else -1.0
         k = np.searchsorted(self.time_grid, t, side="left" if d > 0 else "right") - (d > 0)
@@ -395,7 +397,6 @@ def integrate(field, state0, span, tol: Tolerances, atol_scale=1.0, *, mirror) -
     the caller vouches for.  The forward side is then stepped alone and the
     backward side is built from it (see the module docstring).
     """
-    lo, hi = sorted((float(span[0]), float(span[1])))
     y0 = np.asarray(state0, dtype=float)
     R = None if mirror is None else np.asarray(mirror, dtype=float)
     if R is not None and (R.shape != y0.shape or not (np.abs(R) == 1).all()
@@ -405,7 +406,7 @@ def integrate(field, state0, span, tol: Tolerances, atol_scale=1.0, *, mirror) -
     atol = tuple(np.broadcast_to(tol.tol * np.asarray(atol_scale, dtype=float),
                                  y0.shape).tolist())
     traj = Trajectory(field, y0, tol, atol, R)
-    traj._grow(np.array([lo, hi]))
+    traj._grow(np.array(span, dtype=float))
     return traj
 
 

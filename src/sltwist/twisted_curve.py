@@ -27,7 +27,7 @@ import numpy as np
 from .ode_engine import Tolerances, Trajectory, integrate
 
 __all__ = [
-    "AdmissiblePair", "TwistParam", "SphereState", "TwistTrajectory",
+    "AdmissiblePair", "TwistParam", "TwistTrajectory",
     "tau_max", "alpha_tau", "f_poly", "f_prime", "f_taylor_coeffs",
     "y_extrema", "initial_state", "velocity", "solve_w",
 ]
@@ -73,22 +73,6 @@ class TwistParam:
             raise ValueError("tau is NaN")
         if abs(self.tau) > tm * (1 + 1e-12):
             raise ValueError(f"|tau|={abs(self.tau)} exceeds tau_max={tm}")
-
-
-@dataclass(frozen=True)
-class SphereState:
-    """A point (w1, w2) on the unit 3-sphere in C^2."""
-
-    w1: complex
-    w2: complex
-
-    def __post_init__(self):
-        r = abs(self.w1) ** 2 + abs(self.w2) ** 2
-        if abs(r - 1.0) > 1e-10:
-            raise ValueError(f"|w|^2 = {r} is not 1 within 1e-10")
-
-    def as_real(self) -> np.ndarray:
-        return np.array([self.w1.real, self.w1.imag, self.w2.real, self.w2.imag])
 
 
 def tau_max(pair: AdmissiblePair) -> float:
@@ -202,8 +186,9 @@ def y_extrema(param: TwistParam) -> tuple[float, float]:
     return y_min, 1.0 - gap
 
 
-def initial_state(param: TwistParam) -> SphereState:
-    """Canonical initial condition of the family.
+def initial_state(param: TwistParam) -> np.ndarray:
+    """Canonical initial condition of the family, the float 4-vector
+    (Re w1, Im w1, Re w2, Im w2) that :func:`integrate` takes.
 
     p > 1: (sqrt(p/n) e^{i a/2p}, sqrt(q/n) e^{i a/2q}) with
     a = arcsin(-tau/tau_max); p = 1: the point y = y_max, as
@@ -220,10 +205,9 @@ def initial_state(param: TwistParam) -> SphereState:
     p, q, n = pair.p, pair.q, pair.n
     if p > 1:
         a = alpha_tau(param)
-        return SphereState(
-            w1=math.sqrt(p / n) * np.exp(1j * a / (2 * p)),
-            w2=math.sqrt(q / n) * np.exp(1j * a / (2 * q)),
-        )
+        w1 = math.sqrt(p / n) * np.exp(1j * a / (2 * p))
+        w2 = math.sqrt(q / n) * np.exp(1j * a / (2 * q))
+        return np.array([w1.real, w1.imag, w2.real, w2.imag])
     tm = tau_max(pair)
     if tau == 0.0 or abs(tau) >= tm * (1 - _TAU_MAX_MARGIN):
         y_max = 1.0 if tau == 0.0 else q / n
@@ -233,7 +217,7 @@ def initial_state(param: TwistParam) -> SphereState:
             raise ValueError(f"|tau|={abs(tau)} is too small: 1 - y_max is not resolved "
                              "next to 1 in double precision")
     w1 = -2j * tau / y_max ** (q / 2)
-    return SphereState(w1=w1, w2=math.sqrt(1.0 - abs(w1) ** 2))
+    return np.array([w1.real, w1.imag, math.sqrt(1.0 - abs(w1) ** 2), 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +452,6 @@ def solve_w(param: TwistParam, tol: Tolerances) -> Trajectory:
     pair, tau = param.pair, param.tau
     shrink = min(1.0, (2.0 * abs(tau)) ** (2.0 / pair.p)) if tau else 1.0
     scale = np.array([shrink, shrink, 1.0, 1.0])
-    return integrate(_field(pair.p, pair.q), initial_state(param).as_real(), (0.0, 0.0), tol,
+    return integrate(_field(pair.p, pair.q), initial_state(param), (0.0, 0.0), tol,
                      scale, mirror=_mirror(param))
 

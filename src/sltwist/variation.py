@@ -23,7 +23,7 @@ from .ode_engine import Trajectory, integrate
 from .periods import (_branch_halves, partial_periods_quadrature, period_ode,  # noqa: F401
                       pthat_quadrature)
 from .twisted_curve import (TwistParam, TwistTrajectory, _extrema, _field, _gaps, _mirror, _y,
-                            _ydot, initial_state, tau_max)
+                            _ydot, tau_max)
 
 __all__ = [
     "AsymptoticsReport", "solve_Q", "wronskian_drift", "dpthat_dtau",
@@ -36,17 +36,18 @@ def solve_Q(curve: TwistTrajectory) -> Trajectory:
     """(w, Q, Q') of ``curve`` integrated on [-2.2 p_tau, 2.2 p_tau] from t = 0.
 
     Q rides as two extra components (Q, Q') on the curve system so that every
-    quantity shares one error control.  w(0) is :func:`initial_state`, and
-    (Q, Q')(0) = (1/(n y'(0)), 0) for p > 1, or (0, 1/(q - n y(0))) for p = 1,
-    where the curve starts at y_max with y'(0) = 0: the Wronskian is 1, and Q
-    is fixed up to adding q - n y, which cancels in :func:`dpthat_dtau`.
+    quantity shares one error control.  w(0) is the curve's anchor,
+    ``trajectory.endpoint(0.0)``, and (Q, Q')(0) = (1/(n y'(0)), 0) for p > 1,
+    or (0, 1/(q - n y(0))) for p = 1, where the curve starts at y_max with
+    y'(0) = 0: the Wronskian is 1, and Q is fixed up to adding q - n y, which
+    cancels in :func:`dpthat_dtau`.
     For p = 1 the backward half is mirrored as the curve's is, with Q odd and
     Q' even, since Q(0) = 0.
     """
     param, tol = curve.param, curve.tol
     pair = param.pair
     p, q, n = pair.p, pair.q, pair.n
-    w0 = initial_state(param).as_real()
+    w0 = curve.trajectory.endpoint(0.0)
     Q0 = [1.0 / (n * _ydot(pair, w0)), 0.0] if p > 1 else [0.0, 1.0 / (q - n * _y(w0))]
     # stepped at once, not on read: perfbench counts integrate's steps when it
     # returns, and this first extent is the only one it sees

@@ -8,15 +8,20 @@ import numpy as np
 import pytest
 
 import sltwist.geometry as geo
+import sltwist.ode_engine as ode_engine
 from sltwist.geometry.immersion import _FD_STEP, _cone, _frame
 from sltwist.geometry.symmetry import _omega_residual, rotation_determinant_residual
 from sltwist.geometry.torque import _meridian_nodes
 from sltwist.ode_engine import Tolerances
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _invariants, _w,
-                                   tau_max, velocity)
+                                   initial_state, tau_max, velocity)
 
 PAIRS = [(1, 2), (2, 2), (2, 3), (3, 4), (3, 5), (4, 4), (1, 7)]
 CASES = [(p, q, sign * frac) for p, q in PAIRS for frac in (0.3, 1e-3) for sign in (1.0, -1.0)]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.int64)
 
 
 def _case(p, q, frac):
@@ -130,8 +135,9 @@ def _torque_reference(curve, K, meridian_t):
     """The flux of one direction over a meridian built for it alone."""
     pair = curve.param.pair
     p, q = pair.p, pair.q
-    traj = curve.trajectory
-    w1, w2 = _w(traj.endpoint(meridian_t) if meridian_t != 0.0 else traj(0.0)).tolist()
+    state = (curve.trajectory.endpoint(meridian_t) if meridian_t != 0.0
+             else initial_state(curve.param))
+    w1, w2 = _w(state).tolist()
     d1, d2 = velocity(pair, w1, w2)
     sigma, wts = _meridian_nodes(p, q, 4)
     X = _cone(w1, w2, sigma[:, :p], sigma[:, p:])
@@ -197,3 +203,24 @@ def test_equatorial_factor_and_phase_frames_equal_their_loops():
         assert geo.lagrangian_phase(sampler, ui) == _phase_reference(sampler, ui)
     for ui in u:
         assert geo.lagrangian_phase(eq, ui) == _phase_reference(eq, ui)
+
+
+@pytest.mark.parametrize("p,q,tau", [(1, 2, 0.0), (1, 3, 0.05), (2, 3, -0.05), (3, 4, 0.01)])
+def test_meridian_zero_and_reflection_phases_read_the_anchor(p, q, tau, monkeypatch):
+    # w(0) is the trajectory's anchor, read with no dense output: the flux at
+    # meridian 0 is the one over a meridian built on initial_state, bit for bit
+    curve = TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), Tolerances())
+    if tau:
+        assert curve.period.p_tau > 0.0             # its reads made before the patch
+
+    def refusing(self, t):
+        raise AssertionError("a dense read of the trajectory")
+
+    monkeypatch.setattr(ode_engine.Trajectory, "__call__", refusing)
+    n = p + q
+    for K in (geo.t_generator(curve.param.pair), geo.rotation_generator(n, 0, n - 1)):
+        assert np.array_equal(_bits(geo.torque(curve, K).numeric),
+                              _bits(_torque_reference(curve, K, 0.0)))
+    if tau:
+        for side in "+-":
+            assert np.all(np.isfinite(geo.reflection_phases(curve, side)))

@@ -83,7 +83,7 @@ def test_each_integrated_closure_try_reads_one_period(monkeypatch):
 
     monkeypatch.setattr(twisted_curve, "solve_w", recording)
     curve, k0 = necklace(AdmissiblePair(2, 2), 1, Tolerances())
-    verify_closed(curve, k0)
+    verify_closed(curve, k0, 20)
     assert k0 == 3 and len(tries) == 4
     assert sum(traj is curve.trajectory for _, traj in tries) == 1
     for param, traj in tries:

@@ -45,6 +45,20 @@ def test_verify_integrates_each_curve_once(monkeypatch, capsys):
     assert len(calls) == 2              # the curve and its linearisation
 
 
+def test_verify_builds_the_initial_state_once(monkeypatch, capsys):
+    # w(0) is the curve's anchor: solve_Q and the checks read it off the trajectory
+    calls = []
+
+    def counting(param):
+        calls.append(param)
+        return original(param)
+
+    original = twisted_curve.initial_state
+    _rebind_everywhere(monkeypatch, original, counting)
+    assert main(["verify", "--p", "2", "--q", "3", "--tau", "0.05"]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv,legs", [
     ("verify --p 1 --q 3 --tau 0.05", 2),
     ("verify --p 2 --q 3 --tau 0.05", 4),
@@ -279,4 +293,4 @@ def test_array_residuals_match_point_by_point_loops(p, q, tau):
     closure = max(np.max(np.abs(np.array(traj.w(t + 2.0 * data.p_tau)) - np.array(traj.w(t))))
                   for t in np.linspace(0.0, 2.0 * data.p_tau, 20))
     assert geo.symmetry_residuals(curve)["translation"] == pytest.approx(translation, abs=1e-15)
-    assert verify_closed(curve, 1).closure_residual == pytest.approx(closure, abs=1e-15)
+    assert verify_closed(curve, 1, 20).closure_residual == pytest.approx(closure, abs=1e-15)

@@ -66,7 +66,7 @@ def test_neck_waist_kinds_agree_under_exchange(p, tau):
     # for p = q, w1(-t) = w2(t) maps waist 0 (kind 1) onto waist 1 (kind 2)
     param = TwistParam(AdmissiblePair(p, p), tau)
     curve = TwistTrajectory(param, Tolerances())
-    first, second = geo.neck_rescale(curve, 0), geo.neck_rescale(curve, 1)
+    first, second = geo.neck_rescale(curve, 0, None), geo.neck_rescale(curve, 1, None)
     assert (first.waist_kind, second.waist_kind) == (1, 2)
     assert abs(first.max_error - second.max_error) <= 1e-9
 
@@ -109,7 +109,7 @@ def test_neck_resolves_every_waist_at_its_closed_form_time(p, q):
         else:
             t, kind = (2 * l * data.p_tau + data.p_plus, 2) if odd else \
                 (2 * l * data.p_tau - data.p_minus, 1)
-        comp = geo.neck_rescale(curve, k)
+        comp = geo.neck_rescale(curve, k, None)
         assert (comp.waist_index, comp.waist_kind) == (k, kind)
         assert comp.catenoid_degree == (q if kind == 2 else p)
         # the unrotated block's phase is the unit phase of that factor at t

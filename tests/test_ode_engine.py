@@ -64,7 +64,7 @@ def test_exponential_endpoint():
 
 def test_twisted_field_stays_on_sphere():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    s0 = initial_state(param).as_real()
+    s0 = initial_state(param)
     traj = integrate(twisted_field(1, 2), s0, (0.0, 20.0), Tolerances(), mirror=None)
     ts = np.linspace(0.0, 20.0, 500)
     norms = [np.dot(traj(t), traj(t)) for t in ts]
@@ -80,7 +80,7 @@ def test_locate_event_linear():
 def test_locate_event_ydot_matches_quadrature():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     p_est, _ = partial_periods_quadrature(param)
-    s0 = initial_state(param).as_real()
+    s0 = initial_state(param)
     traj = integrate(twisted_field(1, 2), s0, (0.0, 1.6 * p_est), Tolerances(), mirror=None)
 
     def g(s):
@@ -97,7 +97,7 @@ def test_locate_event_ydot_matches_quadrature():
 def test_locate_event_y_level():
     param = TwistParam(AdmissiblePair(1, 2), 0.05)
     p_est, _ = partial_periods_quadrature(param)
-    s0 = initial_state(param).as_real()
+    s0 = initial_state(param)
     traj = integrate(twisted_field(1, 2), s0, (0.0, p_est), Tolerances(), mirror=None)
 
     def g(s):
@@ -130,7 +130,7 @@ def test_newton_without_convergence_raises():
 def test_tolerance_tightening_consistency():
     field = twisted_field(2, 3)
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    s0 = initial_state(param).as_real()
+    s0 = initial_state(param)
     loose, tight = Tolerances(1e-10), Tolerances(1e-11)
     end_a = integrate(field, s0, (0.0, 10.0), loose, mirror=None)(10.0)
     end_b = integrate(field, s0, (0.0, 10.0), tight, mirror=None)(10.0)
@@ -140,7 +140,7 @@ def test_tolerance_tightening_consistency():
 def test_backward_integration_returns_start():
     field = twisted_field(1, 2)
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    s0 = initial_state(param).as_real()
+    s0 = initial_state(param)
     tol = Tolerances()
     fwd = integrate(field, s0, (0.0, 5.0), tol, mirror=None)
     back = integrate(field, fwd(5.0), (-5.0, 0.0), tol, mirror=None)
@@ -151,7 +151,7 @@ def test_interpolant_reproduces_grid_states():
     # both sides of the anchor: forward segments end at a node (x = 1),
     # backward ones start there (x = 0); a scalar read equals the array read
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
-    s0 = initial_state(param).as_real()
+    s0 = initial_state(param)
     traj = integrate(twisted_field(2, 3), s0, (-5.0, 8.0), Tolerances(), mirror=None)
     reads = traj(traj.time_grid)
     assert np.max(np.abs(reads.T - traj.states)) <= 1e-14
@@ -204,7 +204,7 @@ def test_two_sided_trajectory_equals_one_sided_runs(p, q):
     # one integration anchored inside the span is the forward and the
     # backward run from the anchor, bit for bit, and costs their steps
     pair = AdmissiblePair(p, q)
-    s0 = initial_state(TwistParam(pair, 0.3 * tau_max(pair))).as_real()
+    s0 = initial_state(TwistParam(pair, 0.3 * tau_max(pair)))
     field = twisted_field(p, q)
     both = integrate(field, s0, (-6.0, 8.0), Tolerances(), mirror=None)
     fwd = integrate(field, s0, (0.0, 8.0), Tolerances(), mirror=None)
@@ -319,7 +319,7 @@ def test_p1_backward_half_is_the_backward_run(q, tau, preset):
     traj = curve.trajectory
     curve.w(np.array([-2.0, 2.0]) * curve.period.p_tau)
     assert np.array_equal(_bits(traj.states[np.searchsorted(traj.time_grid, 0.0)]),
-                          _bits(initial_state(param).as_real()))
+                          _bits(initial_state(param)))
     _assert_backward_half_is_the_backward_run(traj, np.array(traj.atol) / traj.tol.tol)
     _assert_backward_half_is_the_backward_run(curve.Q, 1.0)
 
@@ -365,12 +365,43 @@ def test_endpoint_is_an_integrate_run_bit_for_bit(p, q, frac, monkeypatch):
     _assert_endpoints_equal_landed_runs(lin, ts, monkeypatch)
 
 
+def _assert_endpoint_at_zero_is_the_anchor(traj, y0):
+    want, grid = _bits(np.array(y0, dtype=float)), traj.time_grid.copy()
+    zero = traj.endpoint(0.0)
+    assert np.array_equal(_bits(zero), want)
+    zero[:] = np.nan                                # a copy: the anchor keeps its bits
+    assert np.array_equal(_bits(traj.endpoint(0.0)), want)
+    assert np.array_equal(traj.time_grid, grid)     # and nothing is stepped
+
+
+@pytest.mark.parametrize("p,q,tau,reads", [
+    (1, 3, 0.05, [-2.0, 3.0]),          # the backward half mirrored
+    (1, 2, 0.0, [0.5, 2.0]),            # read forward only: the dense output at 0 has Im w1 = +0
+    (2, 3, -0.05, [-2.0, 3.0]),
+    (None, None, None, [-1.0, 1.5]),    # x' = 1 from -0.0
+])
+def test_endpoint_at_zero_is_the_anchor_bit_for_bit(p, q, tau, reads):
+    # the state integrate received, signed zeros included, where the dense
+    # output need not keep a zero's sign
+    if p is None:
+        y0 = np.array([-0.0])
+        traj = integrate(lambda s: [1.0], y0, (0.0, 0.0), Tolerances(), mirror=None)
+    else:
+        param = TwistParam(AdmissiblePair(p, q), tau)
+        y0, traj = initial_state(param), TwistTrajectory(param, Tolerances()).trajectory
+    _assert_endpoint_at_zero_is_the_anchor(traj, y0)
+    for t in reads:
+        traj(t)
+        _assert_endpoint_at_zero_is_the_anchor(traj, y0)
+    if tau == 0.0:
+        assert not np.array_equal(_bits(traj(0.0)), _bits(y0))
+
+
 def test_anchor_rejected_and_reads_past_the_extent_grow():
     with pytest.raises(TypeError):                  # the mirror is required, if None
         integrate(lambda s: [1.0], [0.0], (0.0, 1.0), Tolerances())
     traj = integrate(lambda s: [1.0], [0.0], (-1.0, 1.0), Tolerances(), mirror=None)
-    with pytest.raises(ValueError, match="no integrated endpoint"):
-        traj.endpoint(0.0)
+    _assert_endpoint_at_zero_is_the_anchor(traj, [0.0])
     # x' = 1 from 0: reads past either end step that side on, and read x = t
     assert abs(traj(1.5)[0] - 1.5) <= 1e-14
     assert np.allclose(traj(np.array([-1.5, 0.0])), [[-1.5, 0.0]], rtol=0.0, atol=1e-14)
@@ -549,7 +580,7 @@ def _scalar_dense_rows(traj):
 
 def _curve_trajectory(p, q):
     pair = AdmissiblePair(p, q)
-    s0 = initial_state(TwistParam(pair, 0.2 * tau_max(pair))).as_real()
+    s0 = initial_state(TwistParam(pair, 0.2 * tau_max(pair)))
     return integrate(_field(p, q), s0, (-4.0, 6.0), Tolerances(), mirror=None)
 
 
@@ -626,7 +657,7 @@ def test_generated_leg_equals_plain_python_steps():
     param = TwistParam(pair, 1e-5 * tau_max(pair))
     curve = TwistTrajectory(param, Tolerances())
     hi, scale = 2.0 * curve.period.p_tau, np.array(curve.trajectory.atol) / Tolerances().tol
-    traj = integrate(_field(1, 6), initial_state(param).as_real(), (-0.5 * hi, hi), Tolerances(),
+    traj = integrate(_field(1, 6), initial_state(param), (-0.5 * hi, hi), Tolerances(),
                      scale, mirror=None)
     y0, rejections, sides = traj.states[traj.time_grid == 0.0][0], 0, []
     for t1 in (traj.time_grid[-1], traj.time_grid[0]):
@@ -670,7 +701,7 @@ def test_curve_matches_solve_ivp(p, q, frac):
     param = TwistParam(pair, frac * tau_max(pair))
     p_tau, _ = partial_periods_quadrature(param)
     shrink = min(1.0, (2.0 * param.tau) ** (2.0 / p))
-    _reference_case(_field(p, q), initial_state(param).as_real(), (0.0, 2.2 * p_tau),
+    _reference_case(_field(p, q), initial_state(param), (0.0, 2.2 * p_tau),
                     atol_scale=np.array([shrink, shrink, 1.0, 1.0]))
 
 
@@ -679,7 +710,7 @@ def test_linearised_field_matches_solve_ivp(p, q):
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, 0.3 * tau_max(pair))
     p_tau, _ = partial_periods_quadrature(param)
-    y0 = np.concatenate([initial_state(param).as_real(), [1.0, 0.0]])
+    y0 = np.concatenate([initial_state(param), [1.0, 0.0]])
     _reference_case(_field(p, q, linearised=True), y0, (0.0, 2.2 * p_tau))
 
 

@@ -214,7 +214,7 @@ def test_partial_periods_are_evaluated_once_per_period_ode_and_neck(p, q):
     curve = _curve(TwistParam(AdmissiblePair(p, q), 1e-3))
     period_ode(curve)
     assert branch_integral.cache_info().misses == 1
-    neck_rescale(curve, 1)
+    neck_rescale(curve, 1, None)
     assert branch_integral.cache_info().misses == 1
 
 

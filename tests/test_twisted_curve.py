@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from sltwist.ode_engine import Tolerances, integrate
-from sltwist.twisted_curve import (AdmissiblePair, TwistParam, SphereState, TwistTrajectory,
+from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory,
                                    _field, _gaps, _w, f_poly, f_prime, initial_state, tau_max,
                                    y_extrema)
 
@@ -124,27 +124,27 @@ def test_y_extrema_cache_stays_bounded():
 
 
 def test_initial_state_values():
-    s = initial_state(TwistParam(AdmissiblePair(2, 2), 0.0))
-    assert abs(s.w1 - math.sqrt(0.5)) < 1e-15 and abs(s.w2 - math.sqrt(0.5)) < 1e-15
+    w1, w2 = _w(initial_state(TwistParam(AdmissiblePair(2, 2), 0.0)))
+    assert abs(w1 - math.sqrt(0.5)) < 1e-15 and abs(w2 - math.sqrt(0.5)) < 1e-15
 
     pair = AdmissiblePair(1, 2)
-    s = initial_state(TwistParam(pair, tau_max(pair)))
-    assert abs(s.w1 - (-1j) * math.sqrt(1.0 / 3.0)) < 1e-12
-    assert abs(s.w2 - math.sqrt(2.0 / 3.0)) < 1e-12
+    w1, w2 = _w(initial_state(TwistParam(pair, tau_max(pair))))
+    assert abs(w1 - (-1j) * math.sqrt(1.0 / 3.0)) < 1e-12
+    assert abs(w2 - math.sqrt(2.0 / 3.0)) < 1e-12
 
-    s = initial_state(TwistParam(AdmissiblePair(2, 3), 0.05))
-    assert abs((s.w1**2 * s.w2**3).imag + 0.1) < 1e-12
+    w1, w2 = _w(initial_state(TwistParam(AdmissiblePair(2, 3), 0.05)))
+    assert abs((w1**2 * w2**3).imag + 0.1) < 1e-12
 
 
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 3, 0.07), (3, 3, 0.01)])
 def test_initial_state_conserved_label(p, q, tau):
+    # the float 4-vector (Re w1, Im w1, Re w2, Im w2) that integrate takes, on
+    # the unit sphere to rounding
     s = initial_state(TwistParam(AdmissiblePair(p, q), tau))
-    assert abs((s.w1**p * s.w2**q).imag + 2 * tau) < 1e-12
-
-
-def test_sphere_state_validates_norm():
-    with pytest.raises(ValueError):
-        SphereState(w1=1.0, w2=0.5)
+    assert s.dtype == np.float64 and s.shape == (4,)
+    assert abs(float(np.sum(s * s)) - 1.0) <= 1e-15
+    w1, w2 = _w(s)
+    assert abs((w1**p * w2**q).imag + 2 * tau) < 1e-12
 
 
 def test_solve_w_real_slice_at_zero_twist():
@@ -272,7 +272,7 @@ def test_solve_w_atol_scale_agrees_with_unscaled_integration(p, q, tau):
     param = TwistParam(AdmissiblePair(p, q), tau)
     ts = np.linspace(0.0, 2.0, 50)
     scaled = TwistTrajectory(param, Tolerances())
-    plain = integrate(_field(p, q), initial_state(param).as_real(), (0.0, 2.0), Tolerances(),
+    plain = integrate(_field(p, q), initial_state(param), (0.0, 2.0), Tolerances(),
                       mirror=None)
     assert scaled.trajectory.atol != plain.atol
     assert np.max(np.abs(_w(plain(ts)) - np.array(scaled.w(ts)))) < 1e-9
@@ -286,10 +286,10 @@ def test_time_zero_readable_on_one_sided_span(span, p, q, tau):
     traj = TwistTrajectory(param, Tolerances())
     traj.w(np.array(span))
     s0 = initial_state(param)
-    assert np.allclose(traj.state(0.0), s0.as_real(), rtol=0.0, atol=1e-15)
+    assert np.allclose(traj.state(0.0), s0, rtol=0.0, atol=1e-15)
     assert traj.w(0.0) == (complex(traj.state(0.0)[0], traj.state(0.0)[1]),
                            complex(traj.state(0.0)[2], traj.state(0.0)[3]))
-    assert abs(traj.w(0.0)[1] - s0.w2) <= 1e-15
+    assert abs(traj.w(0.0)[1] - complex(s0[2], s0[3])) <= 1e-15
     assert np.allclose(traj.psi(0.0), 0.0, rtol=0.0, atol=1e-15)
     psi1, psi2 = traj.psi(np.array([0.0, span[0] + span[1]]))
     assert (psi1[0], psi2[0]) == traj.psi(0.0)

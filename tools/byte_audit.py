@@ -1,0 +1,119 @@
+"""One sha256 over every output of the benchmark's operations, to compare two trees.
+
+    python3 tools/byte_audit.py [--root PATH] [--out FILE]
+
+Builds the operation lists of ``perfbench/workloads.py`` for its four
+workloads at seeds 1-3 and ``--seconds 15`` in the tree at ``--root``
+(by default the tree holding this script), and runs each operation through
+that tree's ``sltwist.cli.main`` in this process, with the tree's ``src/``
+and ``perfbench/`` ahead of any installed copy.  Each operation runs in an
+empty directory of its own, with ``--out`` rewritten to the bare file name,
+so no path of the run's own reaches its output (``wrote <path>`` prints the
+name as given).
+
+Prints the sha256 over every exit code, stdout, stderr and written file (its
+name and bytes), in operation order.  With ``--out``, writes one JSON line per
+operation: workload, seed, index, argv, exit code and the operation's own
+sha256, so that two trees' files can be compared operation by operation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+SECONDS = 15.0
+
+
+def _import_tree(root: Path):
+    """``workloads`` and ``sltwist.cli`` of the tree at root, ahead of any installed copy."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+    from sltwist import cli
+
+    for module in (workloads, cli):
+        if root not in Path(module.__file__).resolve().parents:
+            raise SystemExit(f"{module.__name__} was imported from {module.__file__}, "
+                             f"not from {root}")
+    return workloads, cli
+
+
+def _run(cli, argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one CLI call; an exception that escapes ``main``
+    is exit code -1, with its type and message on the call's stderr, and its
+    traceback, whose paths differ between trees, on this process's own."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:          # argparse rejects the arguments
+            rc = exc.code if isinstance(exc.code, int) else 2
+        except Exception as exc:           # noqa: BLE001 - recorded in the digest
+            rc = -1
+            err.write(f"{type(exc).__name__}: {exc}\n")
+            traceback.print_exc(file=sys.__stderr__)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _audited(cli, argv) -> tuple[int, str]:
+    """(exit code, sha256 of the exit code, stdout, stderr and written files) of one
+    CLI call, run in an empty directory of its own."""
+    home = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            rc, stdout, stderr = _run(cli, argv)
+        finally:
+            os.chdir(home)
+        h = hashlib.sha256()
+        for part in (str(rc), stdout, stderr):
+            h.update(part.encode() + b"\0")
+        for path in sorted(Path(tmp).iterdir()):
+            data = path.read_bytes()
+            h.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return rc, h.hexdigest()
+
+
+def audit(root: Path) -> list[dict]:
+    """One record per operation of the tree at root: workload, seed, index, argv,
+    exit code and sha256."""
+    workloads, cli = _import_tree(root)
+    records = []
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for i, op in enumerate(workloads.build(workload, seed, SECONDS).ops):
+                argv = list(op.argv)
+                if op.out is not None:
+                    argv[argv.index("--out") + 1] = Path(op.out).name
+                rc, digest = _audited(cli, argv)
+                records.append({"workload": workload, "seed": seed, "index": i,
+                                "argv": list(op.argv), "rc": rc, "sha256": digest})
+    return records
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                    help="the tree to audit (default: the one holding this script)")
+    ap.add_argument("--out", type=Path, help="write one JSON line per operation here")
+    args = ap.parse_args(argv)
+    root = args.root.resolve()
+    records = audit(root)
+    if args.out is not None:
+        args.out.write_text("".join(json.dumps(r) + "\n" for r in records))
+    total = hashlib.sha256(b"".join(bytes.fromhex(r["sha256"]) for r in records))
+    print(f"sha256 {total.hexdigest()} over {len(records)} operations of {root}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
