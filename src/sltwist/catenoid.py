@@ -73,21 +73,18 @@ def _unit_trajectory(n: int):
 
 
 def unit_profile(n: int, t):
-    """The unit profile w_1(t); scalar or array t.
+    """The unit profile w_1 at the 1-d array of times t.
 
     n = 2 is evaluated in closed form, any other n read off :func:`_unit_trajectory`.
     """
     if n == 2:
         t = np.asarray(t, dtype=float)
-        val = (np.exp(t) + 1j * np.exp(-t)) / math.sqrt(2.0)
-        return complex(val) if val.ndim == 0 else val
+        return (np.exp(t) + 1j * np.exp(-t)) / math.sqrt(2.0)
     T1 = catenoid_lifetime(n)
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.max(np.abs(tt)) >= T1:
+    if np.max(np.abs(t)) >= T1:
         raise ValueError(f"|t| >= lifetime T_1 = {T1} for n = {n}")
-    s = _unit_trajectory(n)(tt.ravel())          # (Re w, Im w)
-    w = (s[0] + 1j * s[1]).reshape(np.shape(t))
-    return complex(w) if np.ndim(t) == 0 else w
+    s = _unit_trajectory(n)(t)          # (Re w, Im w)
+    return s[0] + 1j * s[1]
 
 
 def verify_catenoid_symmetry(n: int) -> float:
@@ -102,4 +99,4 @@ def verify_catenoid_symmetry(n: int) -> float:
     ts = np.linspace(0.0, t_window, 100)
     left = unit_profile(n, -ts)
     right = phase * np.conj(unit_profile(n, ts))
-    return float(np.max(np.abs(np.atleast_1d(left - right))))
+    return float(np.max(np.abs(left - right)))

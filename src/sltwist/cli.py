@@ -153,7 +153,7 @@ def cmd_torque(args) -> int:
     # the t-generator and R_{0,n-1} over one meridian at 0.3, the t-generator at 1.1
     first, off = geo.torque(curve, [tgen, geo.rotation_generator(pair.n, 0, pair.n - 1)],
                             meridian_t=meridians[0])
-    reports = [first, geo.torque(curve, tgen, meridian_t=meridians[1]), off]
+    reports = [first, *geo.torque(curve, [tgen], meridian_t=meridians[1]), off]
     gap = abs(reports[0].numeric - reports[1].numeric)
     payload = {"reports": [dataclasses.asdict(r) for r in reports], "meridian_gap": gap}
     _emit(args, payload, [
@@ -223,7 +223,7 @@ def cmd_verify(args) -> int:
     data = curve.period
     checks += [(f"{k} drift", v, 1e-9) for k, v in curve.drift(10.0 * data.p_tau).items()]
 
-    states = curve._states(np.linspace(-10.0 * data.p_tau, 10.0 * data.p_tau, 400))
+    states = curve.state(np.linspace(-10.0 * data.p_tau, 10.0 * data.p_tau, 400))
     energy = np.max(np.abs(_ydot(pair, states) ** 2 - 4.0 * f_poly(pair, _y(states))
                            + 16.0 * param.tau**2))
     checks.append(("energy residual", float(energy), 1e-8))

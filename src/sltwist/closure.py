@@ -170,9 +170,9 @@ def verify_closed(curve: TwistTrajectory, k0: int, samples: int) -> ClosedCurveC
     T = 2.0 * k0 * data.p_tau
     m = mhat(pair, 2.0 * data.pthat)[:, None]
     ts = np.linspace(0.0, 2.0 * data.p_tau, samples)
-    a = np.array(curve.w(ts))
-    closure = np.max(np.abs(np.array(curve.w(ts + T)) - a))
-    rotation = np.max(np.abs(np.array(curve.w(ts + 2.0 * data.p_tau)) - m * a))
+    a = curve.w(ts)
+    closure = np.max(np.abs(curve.w(ts + T) - a))
+    rotation = np.max(np.abs(curve.w(ts + 2.0 * data.p_tau) - m * a))
     return ClosedCurveCheck(closure_residual=float(closure),
                             rotation_residual=float(rotation))
 

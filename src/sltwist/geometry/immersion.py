@@ -64,8 +64,8 @@ class Sampler:
 
 
 class CurveSampler:
-    """A curve t -> (w1, w2) in S^3, read at a time or an array of times,
-    with analytic derivative and phase at one time."""
+    """A curve t -> (w1, w2) in S^3, read at a 1-d array of times, with
+    analytic derivative and phase at one time."""
 
     def __init__(self, fn, dfn, name: str):
         self._fn = fn
@@ -79,7 +79,7 @@ class CurveSampler:
         return self._dfn(t)
 
     def phase(self, t: float) -> complex:
-        w1, w2 = self(t)
+        w1, w2 = np.asarray(self(np.array([t])))[:, 0]
         d1, d2 = self.derivative(t)
         num = w1 * d2 - d1 * w2
         speed = math.sqrt(abs(d1) ** 2 + abs(d2) ** 2)
@@ -126,7 +126,8 @@ def equatorial_factor(m: int) -> Sampler:
 def twist_curve_sampler(curve: TwistTrajectory) -> CurveSampler:
     """The integrated twisted curve as a sampler with analytic tangents."""
     pair = curve.param.pair
-    return CurveSampler(curve.w, lambda t: velocity(pair, *curve.w(t)),
+    return CurveSampler(curve.w,
+                        lambda t: velocity(pair, *curve.w(np.array([t]))[:, 0].tolist()),
                         name=f"twist curve ({pair.p},{pair.q}) tau={curve.param.tau}")
 
 
@@ -192,11 +193,12 @@ def contact_pairing(point: np.ndarray, tangent: np.ndarray):
     return np.imag(np.sum(np.conj(point) * tangent, axis=-1))
 
 
-def legendrian_residual(sampler: Sampler, sample_count: int, seed: int = 0) -> float:
-    """max |gamma(tangent)| / |tangent| over finite-difference tangents."""
+def legendrian_residual(sampler: Sampler, sample_count: int) -> float:
+    """max |gamma(tangent)| / |tangent| over finite-difference tangents at
+    sample_count chart points drawn with seed 0."""
     if sampler.dim == 0:
         return 0.0
-    z, T = _frame(sampler, sampler.sample_points(sample_count, seed))
+    z, T = _frame(sampler, sampler.sample_points(sample_count, 0))
     z = z[..., None, :]                                   # (N, 1, m)
     # (N, dim, m), contiguous in m: each pairing, a near-cancelling sum,
     # is then added up in the order of a one-point sum
@@ -239,11 +241,11 @@ def phase_relation_residual(factor1: Sampler, factor2: Sampler, curve: CurveSamp
     prod = twisted_product(factor1, factor2, curve, (min(t_samples), max(t_samples)))
     rng = np.random.default_rng(0)
     residual = 0.0
-    for t in t_samples:
+    ts = np.asarray(t_samples, dtype=float)
+    for t, (w1, w2) in zip(ts, np.asarray(curve(ts)).T):
         for _ in range(5):
             u = prod.sample_points(1, seed=int(rng.integers(1 << 30)))[0]
             u[0] = t
-            w1, w2 = curve(t)
             measured = lagrangian_phase(prod, u)
             predicted = ((-1) ** (p - 1)
                          * factor1.phase(u[1:1 + d1])

@@ -22,6 +22,8 @@ from .symmetry import _blocks
 
 __all__ = ["NeckComparison", "neck_rescale"]
 
+_E_MAX = math.log(np.finfo(float).max)      # the largest b whose e^b is finite
+
 
 @dataclass(frozen=True)
 class NeckComparison:
@@ -47,8 +49,9 @@ def neck_rescale(curve: TwistTrajectory, waist_index: int, b: float | None) -> N
     w1(-t) = w2(t) maps one kind onto the other.  For tau < 0 the curve is
     the conjugate of the tau > 0 one, and so are the phase e^{-i pi/2k},
     the rescale phases and the model profile.  The window must stay below the
-    catenoid lifetime of that degree; a window b of None is 2.0 for degree 2
-    and half the lifetime T_1 for degree >= 3.  The error is sampled at 81 times.
+    catenoid lifetime of degree >= 3, and at degree 2 at or below 709.78, past
+    which e^b overflows; a window b of None is 2.0 for degree 2 and half the
+    lifetime T_1 for degree >= 3.  The error is sampled at 81 times.
     ``rescale_phases``, the diagonal of the repositioning map, turn each factor
     at the waist to the positive real axis, the shrinking one then by e^{i pi/2k}.
     """
@@ -59,9 +62,12 @@ def neck_rescale(curve: TwistTrajectory, waist_index: int, b: float | None) -> N
         b = 2.0 if degree < 3 else 0.5 * catenoid_lifetime(degree)
     if degree >= 3 and b >= catenoid_lifetime(degree):
         raise ValueError(f"window {b} exceeds the degree-{degree} catenoid lifetime")
+    if degree == 2 and b > _E_MAX:
+        raise ValueError(f"window {b} exceeds {_E_MAX}, past which the degree-2 "
+                         "profile's e^b overflows")
     beta = math.sqrt(_gaps(curve.param)[waist.kind == 1])      # sqrt(y_min), sqrt(1 - y_max)
     t_w = waist.t
-    w1_w, w2_w = curve.w(t_w)
+    w1_w, w2_w = curve.w(np.array([t_w]))[:, 0].tolist()
     negative = curve.param.tau < 0.0
     phase = np.exp((-1j if negative else 1j) * math.pi / (2 * degree))
     if waist.kind == 2:

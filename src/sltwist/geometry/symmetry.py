@@ -123,7 +123,7 @@ def symmetry_residuals(curve: TwistTrajectory) -> dict[str, float]:
         if p == q:
             ex = np.linspace(0.0, 1.5 * ptau, samples)
             sets += [-ex, ex]
-    w = np.array(curve.w(np.concatenate(sets))).reshape(2, len(sets), samples).swapaxes(0, 1)
+    w = curve.w(np.concatenate(sets)).reshape(2, len(sets), samples).swapaxes(0, 1)
 
     out: dict[str, float] = {"translation": gap(w[0], M * w[1])}
     Dp = reflection_phases(curve, "+")

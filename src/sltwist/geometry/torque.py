@@ -153,25 +153,24 @@ def _meridian_nodes(p: int, q: int, order: int):
 
 
 def torque(curve: TwistTrajectory, K: np.ndarray, meridian_t: float = 0.0,
-           order: int = 4) -> TorqueReport | list[TorqueReport]:
+           order: int = 4) -> list[TorqueReport]:
     """Numeric flux of K in su(n) (to 1e-12) through the meridian at time meridian_t.
 
     Integrates (K X . dX/dt / |dX/dt|) against the induced meridian
     volume |w1|^(p-1) |w2|^(q-1) dv dv by product sphere quadrature; w is
     read off the integrated endpoint at meridian_t, not the dense output, and
     at meridian 0 it is the curve's anchor, its initial state.
-    ``K`` is one n x n direction, which gives one :class:`TorqueReport`, or
-    a k x n x n stack of them, which gives a list of k reports: every
-    direction of a stack is integrated over one meridian, built once.
+    ``K`` is a k x n x n stack of directions, which gives a list of k
+    :class:`TorqueReport`, each integrated over one meridian, built once.
     """
     param = curve.param
     pair = param.pair
     p, q, n = pair.p, pair.q, pair.n
     Ks = np.asarray(K)
-    if (Ks.ndim not in (2, 3) or Ks.shape[-2:] != (n, n)
+    if (Ks.ndim != 3 or Ks.shape[1:] != (n, n)
             or np.abs(Ks + Ks.conj().swapaxes(-1, -2)).max() > 1e-12
             or np.abs(np.trace(Ks, axis1=-2, axis2=-1)).max() > 1e-12):
-        raise ValueError(f"K must be an anti-Hermitian traceless {n} x {n} matrix")
+        raise ValueError(f"K must be a stack of anti-Hermitian traceless {n} x {n} matrices")
     w1, w2 = _w(curve.trajectory.endpoint(meridian_t)).tolist()
     d1, d2 = velocity(pair, w1, w2)
     sigma, wts = _meridian_nodes(p, q, order)
@@ -180,7 +179,7 @@ def torque(curve: TwistTrajectory, K: np.ndarray, meridian_t: float = 0.0,
     speed = np.sqrt(np.sum(dX.real**2 + dX.imag**2, axis=1))
     density = abs(w1) ** (p - 1) * abs(w2) ** (q - 1)
     reports = []
-    for k in Ks if Ks.ndim == 3 else [Ks]:
+    for k in Ks:
         KX = X @ k.T
         pairing = np.sum(KX.real * dX.real + KX.imag * dX.imag, axis=1)
         total = float(np.sum(wts * pairing / speed) * density)
@@ -188,4 +187,4 @@ def torque(curve: TwistTrajectory, K: np.ndarray, meridian_t: float = 0.0,
         reports.append(TorqueReport(meridian_t=float(meridian_t),
                                     numeric=total, closed_form=float(closed),
                                     abs_error=float(abs(total - closed))))
-    return reports if Ks.ndim == 3 else reports[0]
+    return reports

@@ -342,10 +342,12 @@ class Trajectory:
     origin, h, y_origin, F = (_view("_segments", i) for i in range(4))
 
     def __call__(self, t):
-        """State at time t (scalar -> 1-d array, array -> dim x len); a grid node
-        reads the segment below it, as scipy's OdeSolution does, and Horner's rule
-        alternates x and 1 - x, as its DOP853 output does."""
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        """States at the 1-d array of times t, dim x len; a grid node reads the
+        segment below it, as scipy's OdeSolution does, and Horner's rule alternates
+        x and 1 - x, as its DOP853 output does."""
+        tt = np.asarray(t, dtype=float)
+        if tt.ndim != 1:
+            raise ValueError(f"times must be a 1-d array, not of shape {tt.shape}")
         self._grow(tt)
         grid, (origin, h, y_origin, F) = self.time_grid, self._segments()
         if len(h):
@@ -356,7 +358,7 @@ class Trajectory:
                  + c[0]) * x + y_origin[k]
         else:                               # nothing stepped: every t read is 0
             y = np.repeat(self.states, len(tt), axis=0)
-        return y.T if np.ndim(t) else y[0]
+        return y.T
 
     def steps(self, lo: float, hi: float):
         """Times and states of a run over [lo, hi]: the nodes to the first past each end."""

@@ -377,29 +377,19 @@ class TwistTrajectory:
         return {"I1": float(np.max(np.abs(i1 - 1.0))),
                 "I2": float(np.max(np.abs(i2 + 2.0 * self.param.tau)))}
 
-    # -- state access: scalar t gives scalars, an array of times gives arrays --
-
-    def _states(self, t) -> np.ndarray:
-        """Real 4 x len states at the times t."""
-        return self.trajectory(np.atleast_1d(np.asarray(t, dtype=float)))
-
     def state(self, t) -> np.ndarray:
-        """Real 4-vector (Re w1, Im w1, Re w2, Im w2); 4 x len for arrays."""
-        s = self._states(t)
-        return s if np.ndim(t) else s[:, 0]
+        """Real 4 x len states (Re w1, Im w1, Re w2, Im w2) at the 1-d array of times t."""
+        return self.trajectory(t)
 
-    def w(self, t):
-        """(w1, w2): two complex numbers, or two complex arrays."""
-        w = _w(self._states(t))
-        return tuple(w) if np.ndim(t) else tuple(w[:, 0].tolist())
+    def w(self, t) -> np.ndarray:
+        """(w1, w2) as one complex 2 x len array."""
+        return _w(self.trajectory(t))
 
-    def y(self, t):
-        y = _y(self._states(t))
-        return y if np.ndim(t) else float(y[0])
+    def y(self, t) -> np.ndarray:
+        return _y(self.trajectory(t))
 
-    def ydot(self, t):
-        ydot = _ydot(self.param.pair, self._states(t))
-        return ydot if np.ndim(t) else float(ydot[0])
+    def ydot(self, t) -> np.ndarray:
+        return _ydot(self.param.pair, self.trajectory(t))
 
     def psi(self, t):
         """Accumulated angles (psi1, psi2) with psi(0) = 0, read off arg w.
@@ -412,9 +402,7 @@ class TwistTrajectory:
         At tau = 0 for p = 1, w1 passes through 0 at t = 0, so arg w1 and
         psi are undefined there, and refused.
         """
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        psi1, psi2 = self._lift(ts, self.trajectory(ts))
-        return (psi1, psi2) if np.ndim(t) else (float(psi1[0]), float(psi2[0]))
+        return self._lift(np.asarray(t, dtype=float), self.trajectory(t))
 
     def _lift(self, ts, s):
         """(psi1, psi2) at the times ts from the 4 x len states s there (see :meth:`psi`)."""

@@ -155,30 +155,25 @@ def _law_values(pair, tau: float, law_id: str) -> tuple[float, float]:
     if law_id == "pt_plus":
         return pp, asymptotic_constants(q) * time_scale(q, tau)
     if law_id == "pt_minus":
-        if p == 1:
-            raise ValueError("pt_minus law applies only to p > 1")
         return pm, asymptotic_constants(p) * time_scale(p, tau)
     if law_id == "pt":
         mult = 2.0 if p == q else 1.0
         return pp + pm, mult * asymptotic_constants(q) * time_scale(q, tau)
-    if law_id == "pthat_excess":
-        excess = pthat_quadrature(param) - math.pi / 2.0
-        if abs(excess) < 1e-12:     # right to 0.5% at 7.4e-13, roundoff at 3e-14 and below
-            raise ArithmeticError(f"at |tau|={abs(tau)} the excess pthat - pi/2 = {excess:.3g} "
-                                  "is below 1e-12, where it is roundoff")
-        return excess, (4.0 * p / q) * tau * (pp + pm)
-    raise ValueError(f"unknown law {law_id!r}; choose from {ASYMPTOTIC_LAWS}")
+    excess = pthat_quadrature(param) - math.pi / 2.0            # pthat_excess
+    if abs(excess) < 1e-12:     # right to 0.5% at 7.4e-13, roundoff at 3e-14 and below
+        raise ArithmeticError(f"at |tau|={abs(tau)} the excess pthat - pi/2 = {excess:.3g} "
+                              "is below 1e-12, where it is roundoff")
+    return excess, (4.0 * p / q) * tau * (pp + pm)
 
 
-def check_asymptotics(pair, tau_list, law_id: str | None = None) -> list[AsymptoticsReport]:
-    """Ratio measured/predicted for each tau and each requested law.
+def check_asymptotics(pair, tau_list) -> list[AsymptoticsReport]:
+    """Ratio measured/predicted for each law that applies to the pair (all
+    but ``pt_minus`` for p = 1), law by law, then tau by tau.
 
-    With law_id None, all laws applicable to the pair are evaluated.
     The reports are observational: the caller decides what trend or
     band to demand of the ratios.
     """
-    laws = [law_id] if law_id else [
-        l for l in ASYMPTOTIC_LAWS if not (l == "pt_minus" and pair.p == 1)]
+    laws = [l for l in ASYMPTOTIC_LAWS if not (l == "pt_minus" and pair.p == 1)]
     out = []
     for law in laws:
         for tau in tau_list:

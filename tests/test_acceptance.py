@@ -34,6 +34,11 @@ def _curve(param):
     return TwistTrajectory(param, Tolerances())
 
 
+def _law(pair, taus, law):
+    """The rows of one law in ``check_asymptotics``'s reports, in tau order."""
+    return [r for r in check_asymptotics(pair, taus) if r.law_id == law]
+
+
 def report(num, name, ok, detail=""):
     print(f"criterion {num:>2} ({name}): {'PASS' if ok else 'FAIL'}  {detail}")
 
@@ -69,10 +74,9 @@ def test_criterion_02_energy_equation(case_matrix):
     for (p, q, frac), (param, data) in case_matrix.items():
         traj = TwistTrajectory(param, Tolerances())
         ts = np.linspace(-10.0 * data.p_tau, 10.0 * data.p_tau, 400)
-        for t in ts:
-            res = abs(traj.ydot(t) ** 2 - 4.0 * f_poly(param.pair, traj.y(t))
-                      + 16.0 * param.tau**2)
-            worst = max(worst, res)
+        res = np.abs(traj.ydot(ts) ** 2 - 4.0 * f_poly(param.pair, traj.y(ts))
+                     + 16.0 * param.tau**2)
+        worst = max(worst, float(np.max(res)))
     ok = worst <= 1e-8
     report(2, "energy equation", ok, f"worst residual {worst:.2e}")
     assert worst <= 1e-8
@@ -125,7 +129,7 @@ def test_criterion_06_small_tau_asymptotics():
         pair = AdmissiblePair(p, q)
         laws = ["ymin", "ymax_gap"] + (["pt_plus", "pt_minus"] if p > 1 else [])
         for law in laws:
-            r = check_asymptotics(pair, [1e-2, 1e-4], law)
+            r = _law(pair, [1e-2, 1e-4], law)
             rows.append((p, q, law, r[0].ratio, r[1].ratio))
     bad = [(p, q, law, r4) for p, q, law, r2, r4 in rows
            if not 0.85 <= r4 <= 1.15]
@@ -148,7 +152,7 @@ def test_criterion_06_angular_period_excess():
     bad = []
     for p, q in PAIRS:
         pair = AdmissiblePair(p, q)
-        r = check_asymptotics(pair, [1e-2, 1e-4], "pthat_excess")
+        r = _law(pair, [1e-2, 1e-4], "pthat_excess")
         if not 0.85 <= r[1].ratio <= 1.15:
             bad.append((p, q, round(r[1].ratio, 4)))
         if abs(r[1].ratio - 1.0) > abs(r[0].ratio - 1.0):
@@ -189,13 +193,13 @@ def test_criterion_08_torque():
         off_diagonal = [K for K in geo.su_basis(pair.n) if not K.diagonal().any()]
         # one meridian at 0.3 for the t-generator and every off-diagonal direction
         a, *off = geo.torque(curve, [tg, *off_diagonal], meridian_t=0.3)
-        b = geo.torque(curve, tg, meridian_t=1.1)
+        (b,) = geo.torque(curve, [tg], meridian_t=1.1)
         worst_diag = max(worst_diag, a.abs_error)
         worst_merid = max(worst_merid, abs(a.numeric - b.numeric))
         for rep in off:
             worst_off = max(worst_off, abs(rep.numeric))
-    special = geo.torque(TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.1), Tolerances()),
-                         geo.t_generator(AdmissiblePair(1, 2)))
+    (special,) = geo.torque(TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.1), Tolerances()),
+                            [geo.t_generator(AdmissiblePair(1, 2))])
     special_gap = abs(special.numeric - 0.6 * math.pi)
     elapsed = time.perf_counter() - t0
     ok = (worst_diag <= 1e-8 and worst_off <= 1e-10
@@ -304,11 +308,10 @@ def test_criterion_13_half_period_parity():
     curve = find_tau_for_angular_period(pair, target, Tolerances())
     param, data = curve.param, curve.period
     traj = TwistTrajectory(param, Tolerances())
-    worst = 0.0
-    for t in np.linspace(0.0, data.p_tau, 12):
-        a1, a2 = traj.w(t)
-        b1, b2 = traj.w(t + rep.k0 * data.p_tau)
-        worst = max(worst, abs(b1 + a1), abs(b2 - a2))   # rho_(1,0) = (-1, +1)
+    ts = np.linspace(0.0, data.p_tau, 12)
+    a1, a2 = traj.w(ts)
+    b1, b2 = traj.w(ts + rep.k0 * data.p_tau)
+    worst = max(np.max(np.abs(b1 + a1)), np.max(np.abs(b2 - a2)))   # rho_(1,0) = (-1, +1)
     ok = worst <= 1e-7
     report(13, "half-period parity", ok,
            f"type {rep.half_period_type}, residual {worst:.2e}")

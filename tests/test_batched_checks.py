@@ -173,7 +173,7 @@ def test_batched_checks_equal_their_loops(p, q, frac):
     for t in (0.0, 0.3):
         reports = geo.torque(curve, Ks, meridian_t=t)
         assert [r.numeric for r in reports] == [_torque_reference(curve, K, t) for K in Ks]
-        assert reports == [geo.torque(curve, K, meridian_t=t) for K in Ks]
+        assert reports == [geo.torque(curve, [K], meridian_t=t)[0] for K in Ks]
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 4)])
@@ -197,7 +197,7 @@ def test_equatorial_factor_and_phase_frames_equal_their_loops():
     z, T = _frame(eq, u)
     assert np.array_equal(z, eq(u))
     assert np.array_equal(np.swapaxes(T, -1, -2), _tangents_reference(eq, u))
-    assert geo.legendrian_residual(eq, 5, 2) == _legendrian_reference(eq, 5, 2)
+    assert geo.legendrian_residual(eq, 5) == _legendrian_reference(eq, 5, 0)
     curve, sampler = _case(2, 3, 0.3)
     for ui in sampler.sample_points(5, seed=4):
         assert geo.lagrangian_phase(sampler, ui) == _phase_reference(sampler, ui)
@@ -219,7 +219,7 @@ def test_meridian_zero_and_reflection_phases_read_the_anchor(p, q, tau, monkeypa
     monkeypatch.setattr(ode_engine.Trajectory, "__call__", refusing)
     n = p + q
     for K in (geo.t_generator(curve.param.pair), geo.rotation_generator(n, 0, n - 1)):
-        assert np.array_equal(_bits(geo.torque(curve, K).numeric),
+        assert np.array_equal(_bits(geo.torque(curve, [K])[0].numeric),
                               _bits(_torque_reference(curve, K, 0.0)))
     if tau:
         for side in "+-":

@@ -8,18 +8,19 @@ from sltwist.catenoid import (catenoid_lifetime, lifetime_routes, unit_profile,
 
 
 def test_explicit_degree_two_profile():
-    for t in (-1.3, 0.0, 0.7, 2.0):
+    ts = [-1.3, 0.0, 0.7, 2.0]
+    for t, w in zip(ts, unit_profile(2, np.array(ts))):
         expected = (math.exp(t) + 1j * math.exp(-t)) / math.sqrt(2.0)
-        assert abs(unit_profile(2, t) - expected) < 1e-15
+        assert abs(w - expected) < 1e-15
 
 
 def test_initial_condition_degree_three():
-    w = unit_profile(3, 0.0)
+    (w,) = unit_profile(3, np.array([0.0]))
     assert abs(w - np.exp(1j * math.pi / 6.0)) < 1e-15
 
 
 def test_conserved_quantity_along_flow():
-    w = unit_profile(3, 0.5)
+    (w,) = unit_profile(3, np.array([0.5]))
     assert abs((w**3).imag - 1.0) < 1e-10
 
 
@@ -44,7 +45,7 @@ def test_lifetime_requires_degree_three():
 def test_flow_outside_lifetime_raises():
     T1 = catenoid_lifetime(3)
     with pytest.raises(ValueError):
-        unit_profile(3, 1.001 * T1)
+        unit_profile(3, np.array([1.001 * T1]))
 
 
 def test_reflection_symmetry_residual():
@@ -53,17 +54,16 @@ def test_reflection_symmetry_residual():
 
 
 def test_reflection_symmetry_fixed_point():
-    w0 = unit_profile(3, 0.0)
+    (w0,) = unit_profile(3, np.array([0.0]))
     assert abs(w0 - np.exp(1j * math.pi / 3.0) * np.conj(w0)) < 1e-15
 
 
 def test_radius_energy_relation():
-    for t in np.linspace(-0.5, 0.5, 21):
-        w = unit_profile(4, t)
-        y = abs(w) ** 2
-        # the profile solves w' = conj(w)^3, so y' = 2 Re(conj(w)^4) and Im(w^4) = 1
-        ydot = 2.0 * (np.conj(w) ** 4).real
-        assert abs(ydot**2 - 4.0 * (y**4 - 1.0)) < 1e-9
+    w = unit_profile(4, np.linspace(-0.5, 0.5, 21))
+    y = abs(w) ** 2
+    # the profile solves w' = conj(w)^3, so y' = 2 Re(conj(w)^4) and Im(w^4) = 1
+    ydot = 2.0 * (np.conj(w) ** 4).real
+    assert np.max(np.abs(ydot**2 - 4.0 * (y**4 - 1.0))) < 1e-9
 
 
 def test_unit_profile_reads_grow_one_trajectory(monkeypatch):
@@ -78,12 +78,12 @@ def test_unit_profile_reads_grow_one_trajectory(monkeypatch):
                         lambda *args, **kwargs: calls.append(args) or integrate(*args, **kwargs))
     T1 = catenoid_lifetime(3)
     ts = [sign * f * T1 for f in np.linspace(0.5, 0.9984, 6) for sign in (1.0, -1.0)]
-    grown = [unit_profile(3, t) for t in ts]
+    grown = [unit_profile(3, np.array([t])) for t in ts]
     traj = catenoid._unit_trajectory(3)
     assert len(calls) == 1 and traj.time_grid[0] <= ts[-1] and ts[-2] <= traj.time_grid[-1]
     for t, value in zip(ts, grown):
         catenoid._unit_trajectory.cache_clear()
-        assert unit_profile(3, t) == value
+        assert np.array_equal(unit_profile(3, np.array([t])), value)
     assert len(calls) == 1 + len(ts)
 
 

@@ -343,6 +343,21 @@ def test_neck_explicit_window_past_lifetime_exits_two(capsys):
     assert "window 2.0 exceeds the degree-3 catenoid lifetime" in err
 
 
+@pytest.mark.parametrize("window", ["710", "1e300"])
+def test_neck_degree_two_window_past_the_overflow_exits_two(window, capsys, monkeypatch):
+    # the degree-2 profile's e^b overflows past log(DBL_MAX) ~ 709.78, where the
+    # error printed nan (710) or the curve was integrated out to b (1e300); the
+    # window is refused before the curve is read
+    def refusing(self, t):
+        raise AssertionError("the curve was read")
+
+    monkeypatch.setattr(twisted_curve.TwistTrajectory, "w", refusing)
+    code, out, err = run(capsys, "neck", "--p", "2", "--q", "2", "--tau", "0.06",
+                         "--window", window)
+    assert code == 2 and out == ""
+    assert f"window {float(window)} exceeds 709.78" in err
+
+
 def test_export_obj(tmp_path):
     out = tmp_path / "x.obj"
     code = main(["export", "--p", "1", "--q", "2", "--tau", "0.1",

@@ -175,14 +175,10 @@ def test_strict_half_period_relation():
     curve = find_tau_for_angular_period(pair, target, Tolerances())
     data, traj = curve.period, curve
     k0 = 10
-    half = max(
-        max(abs(traj.w(t + k0 * data.p_tau)[0] + traj.w(t)[0]),
-            abs(traj.w(t + k0 * data.p_tau)[1] - traj.w(t)[1]))
-        for t in np.linspace(0.0, data.p_tau, 12))
-    full = max(
-        max(abs(traj.w(t + 2 * k0 * data.p_tau)[0] - traj.w(t)[0]),
-            abs(traj.w(t + 2 * k0 * data.p_tau)[1] - traj.w(t)[1]))
-        for t in np.linspace(0.0, data.p_tau, 12))
+    ts = np.linspace(0.0, data.p_tau, 12)
+    w, w_half, w_full = (traj.w(ts + k * data.p_tau) for k in (0, k0, 2 * k0))
+    half = max(np.max(np.abs(w_half[0] + w[0])), np.max(np.abs(w_half[1] - w[1])))
+    full = np.max(np.abs(w_full - w))
     assert half <= 1e-7
     assert full <= 1e-7
 
@@ -196,7 +192,7 @@ def test_closed_curve_injective_within_period():
     data, traj = curve.period, curve
     T = 2 * k0 * data.p_tau
     ts = np.arange(0.0, T, 1e-3)
-    pts = np.array([traj.state(t)[:4] for t in ts])
+    pts = traj.state(ts).T
     tree = cKDTree(pts)
     pairs = tree.query_pairs(r=1e-6, output_type="ndarray")
     for i, j in pairs:

@@ -1,6 +1,7 @@
 """One object per twisted curve, TwistTrajectory: one integration per (pair, tau, tol),
 made by one solve_w call, and array sampling."""
 
+import re
 import sys
 import weakref
 
@@ -242,7 +243,7 @@ def test_curve_computes_each_piece_once(monkeypatch):
     # reads the bits of a curve first read there
     traj = curve.trajectory
     lo, hi = traj.time_grid[0], traj.time_grid[-1]
-    reads = [hi + 1.0, lo - 1.0, np.array([0.0, hi + 7.0])]
+    reads = [np.array([hi + 1.0]), np.array([lo - 1.0]), np.array([0.0, hi + 7.0])]
     fresh = [_curve(curve.param).w(t) for t in reads]
     end = _curve(curve.param).trajectory.endpoint(hi + 9.0)
 
@@ -260,22 +261,33 @@ def test_curve_computes_each_piece_once(monkeypatch):
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
 def test_array_accessors_equal_scalar_ones_bitwise(p, q, tau):
     traj = TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), Tolerances())
+    # a one-element read is the same time's column of a batch read, bit for bit
     ts = np.concatenate([np.linspace(-2.5, 3.0, 37), [0.0]])
-    w1, w2 = traj.w(ts)
     undefined = p == 1 and tau == 0.0        # w1 passes through 0 at t = 0
     if undefined:
-        for t in (ts, 0.5):
+        for t in (ts, np.array([0.5])):
             with pytest.raises(ValueError, match="psi is undefined at tau = 0 for p = 1"):
                 traj.psi(t)
-    else:
-        psi1, psi2 = traj.psi(ts)
-    states, ys, ydots = traj.state(ts), traj.y(ts), traj.ydot(ts)
+    readers = [traj.w, traj.state, traj.y, traj.ydot] + ([] if undefined else [traj.psi])
+    batches = [np.asarray(read(ts)) for read in readers]
     for i, t in enumerate(ts):
-        assert traj.w(t) == (w1[i], w2[i])
-        assert undefined or traj.psi(t) == (psi1[i], psi2[i])
-        assert traj.y(t) == ys[i] and traj.ydot(t) == ydots[i]
-        assert np.array_equal(traj.state(t), states[:, i])
-    assert isinstance(traj.w(0.5)[0], complex) and isinstance(traj.y(0.5), float)
+        for read, batch in zip(readers, batches):
+            assert np.asarray(read(np.array([t]))).tobytes() == batch[..., i:i + 1].tobytes()
+    assert traj.w(np.array([0.5])).shape == (2, 1) and traj.y(np.array([0.5])).shape == (1,)
+
+
+@pytest.mark.parametrize("t", [0.5, np.float64(0.5), np.array(0.5), np.array([[0.5, 1.0]])])
+def test_a_time_is_read_as_a_1d_array_only(t):
+    # every reader of a curve or of the catenoid profile hands its times to
+    # Trajectory.__call__, which refuses any other shape, naming it
+    from sltwist.catenoid import unit_profile
+
+    curve = _curve(TwistParam(AdmissiblePair(2, 3), 0.05))
+    readers = [curve.trajectory, curve.state, curve.w, curve.y, curve.ydot, curve.psi,
+               lambda t: unit_profile(3, t)]
+    for read in readers:
+        with pytest.raises(ValueError, match=re.escape(f"not of shape {np.shape(t)}")):
+            read(t)
 
 
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 2, -0.06)])
@@ -287,10 +299,13 @@ def test_array_residuals_match_point_by_point_loops(p, q, tau):
     curve = TwistTrajectory(param, Tolerances())
     data, traj = curve.period, curve
     M = np.diag(geo.mhat(curve.param.pair, 2.0 * data.pthat))
-    translation = max(np.max(np.abs(np.array(traj.w(t + 2.0 * data.p_tau))
-                                    - M @ np.array(traj.w(t))))
+
+    def w(t):                       # one time, read as a one-element batch
+        return traj.w(np.array([t]))[:, 0]
+
+    translation = max(np.max(np.abs(w(t + 2.0 * data.p_tau) - M @ w(t)))
                       for t in np.linspace(-0.5 * data.p_tau, 0.5 * data.p_tau, 40))
-    closure = max(np.max(np.abs(np.array(traj.w(t + 2.0 * data.p_tau)) - np.array(traj.w(t))))
+    closure = max(np.max(np.abs(w(t + 2.0 * data.p_tau) - w(t)))
                   for t in np.linspace(0.0, 2.0 * data.p_tau, 20))
     assert geo.symmetry_residuals(curve)["translation"] == pytest.approx(translation, abs=1e-15)
     assert verify_closed(curve, 1, 20).closure_residual == pytest.approx(closure, abs=1e-15)

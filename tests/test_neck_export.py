@@ -113,10 +113,10 @@ def test_neck_resolves_every_waist_at_its_closed_form_time(p, q):
         assert (comp.waist_index, comp.waist_kind) == (k, kind)
         assert comp.catenoid_degree == (q if kind == 2 else p)
         # the unrotated block's phase is the unit phase of that factor at t
-        w1, w2 = traj.w(t)
+        w1, w2 = traj.w(np.array([t]))[:, 0].tolist()
         unrotated = comp.rescale_phases[0] if kind == 2 else comp.rescale_phases[-1]
         assert unrotated == (abs(w1) / w1 if kind == 2 else abs(w2) / w2)
-        assert abs(traj.y(t) - (y_min if kind == 2 else y_max)) < 1e-9
+        assert abs(traj.y(np.array([t]))[0] - (y_min if kind == 2 else y_max)) < 1e-9
 
 
 # -- export ----------------------------------------------------------------------

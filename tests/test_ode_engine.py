@@ -52,14 +52,19 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def _at(traj, t):
+    """The state at the one time t, read as a one-element batch."""
+    return traj(np.array([t]))[:, 0]
+
+
 def test_zero_field_constant():
     traj = integrate(lambda s: [0.0, 0.0], [3.0, -1.5], (0.0, 1.0), Tolerances(), mirror=None)
-    assert np.allclose(traj(1.0), [3.0, -1.5], atol=0)
+    assert np.allclose(_at(traj, 1.0), [3.0, -1.5], atol=0)
 
 
 def test_exponential_endpoint():
     traj = integrate(lambda s: [s[0]], [1.0], (0.0, 1.0), Tolerances(), mirror=None)
-    assert abs(traj(1.0)[0] - math.e) < 1e-10
+    assert abs(_at(traj, 1.0)[0] - math.e) < 1e-10
 
 
 def test_twisted_field_stays_on_sphere():
@@ -67,7 +72,7 @@ def test_twisted_field_stays_on_sphere():
     s0 = initial_state(param)
     traj = integrate(twisted_field(1, 2), s0, (0.0, 20.0), Tolerances(), mirror=None)
     ts = np.linspace(0.0, 20.0, 500)
-    norms = [np.dot(traj(t), traj(t)) for t in ts]
+    norms = [np.dot(s, s) for s in traj(ts).T]
     assert max(abs(v - 1.0) for v in norms) < 1e-10
 
 
@@ -107,7 +112,8 @@ def test_locate_event_y_level():
         return -2.0 * ((s[0] + 1j * s[1]) * (s[2] + 1j * s[3]) ** 2).real
 
     t_star = locate_event(traj, g, g_prime, 0.5 * p_est, (1e-4, 0.99 * p_est))
-    y = traj(t_star)[2] ** 2 + traj(t_star)[3] ** 2
+    s = _at(traj, t_star)
+    y = s[2] ** 2 + s[3] ** 2
     assert abs(y - 2.0 / 3.0) < 1e-10
 
 
@@ -132,8 +138,8 @@ def test_tolerance_tightening_consistency():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     s0 = initial_state(param)
     loose, tight = Tolerances(1e-10), Tolerances(1e-11)
-    end_a = integrate(field, s0, (0.0, 10.0), loose, mirror=None)(10.0)
-    end_b = integrate(field, s0, (0.0, 10.0), tight, mirror=None)(10.0)
+    end_a = _at(integrate(field, s0, (0.0, 10.0), loose, mirror=None), 10.0)
+    end_b = _at(integrate(field, s0, (0.0, 10.0), tight, mirror=None), 10.0)
     assert np.max(np.abs(end_a - end_b)) < 10 * loose.tol
 
 
@@ -143,19 +149,19 @@ def test_backward_integration_returns_start():
     s0 = initial_state(param)
     tol = Tolerances()
     fwd = integrate(field, s0, (0.0, 5.0), tol, mirror=None)
-    back = integrate(field, fwd(5.0), (-5.0, 0.0), tol, mirror=None)
-    assert np.max(np.abs(back(-5.0) - s0)) < 10 * tol.tol
+    back = integrate(field, _at(fwd, 5.0), (-5.0, 0.0), tol, mirror=None)
+    assert np.max(np.abs(_at(back, -5.0) - s0)) < 10 * tol.tol
 
 
 def test_interpolant_reproduces_grid_states():
     # both sides of the anchor: forward segments end at a node (x = 1),
-    # backward ones start there (x = 0); a scalar read equals the array read
+    # backward ones start there (x = 0); a one-element read equals the batch read
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     s0 = initial_state(param)
     traj = integrate(twisted_field(2, 3), s0, (-5.0, 8.0), Tolerances(), mirror=None)
     reads = traj(traj.time_grid)
     assert np.max(np.abs(reads.T - traj.states)) <= 1e-14
-    assert all(np.array_equal(traj(t), reads[:, j]) for j, t in enumerate(traj.time_grid))
+    assert all(np.array_equal(_at(traj, t), reads[:, j]) for j, t in enumerate(traj.time_grid))
 
 
 def test_tolerances_validation():
@@ -180,9 +186,9 @@ def test_blowup_reports_last_time():
     # the trajectory as it was: later reads before t = 1 are a fresh one's
     traj = integrate(lambda s: [s[0] ** 2], [1.0], (0.0, 0.5), Tolerances(), mirror=None)
     with pytest.raises(IntegrationError, match="step size"):
-        traj(2.0)
+        traj(np.array([2.0]))
     fresh = integrate(lambda s: [s[0] ** 2], [1.0], (0.0, 0.5), Tolerances(), mirror=None)
-    assert np.array_equal(traj(0.99), fresh(0.99))
+    assert np.array_equal(_at(traj, 0.99), _at(fresh, 0.99))
     assert np.array_equal(traj.time_grid, fresh.time_grid)
 
 
@@ -211,7 +217,7 @@ def test_two_sided_trajectory_equals_one_sided_runs(p, q):
     bwd = integrate(field, s0, (-6.0, 0.0), Tolerances(), mirror=None)
     for side, ts in ((fwd, np.linspace(0.0, 8.0, 200)), (bwd, np.linspace(-6.0, 0.0, 200))):
         assert np.array_equal(both(ts), side(ts))
-        assert all(np.array_equal(both(t), side(t)) for t in ts[::20])
+        assert all(np.array_equal(_at(both, t), _at(side, t)) for t in ts[::20])
     assert np.array_equal(both.time_grid, np.concatenate([bwd.time_grid, fwd.time_grid[1:]]))
     for t in (2.5, 7.9):
         assert np.array_equal(both.endpoint(t), fwd.endpoint(t))
@@ -285,7 +291,7 @@ def test_a_reversible_system_steps_its_forward_half_only(monkeypatch):
         mirrored = integrate(field, [1.0, 0.0], span, Tolerances(), mirror=[1.0, -1.0])
         assert [d for _, d in legs] == [1.0]
         plain = integrate(field, [1.0, 0.0], span, Tolerances(), mirror=None)
-        plain(max(span[1], -span[0]))
+        plain(np.array([max(span[1], -span[0])]))
         assert mirrored.time_grid[1] > span[0] >= mirrored.time_grid[0]
         assert len(mirrored.time_grid) == len(plain.time_grid)
         for got, want in zip(_first(mirrored, len(plain.time_grid)),
@@ -391,10 +397,10 @@ def test_endpoint_at_zero_is_the_anchor_bit_for_bit(p, q, tau, reads):
         y0, traj = initial_state(param), TwistTrajectory(param, Tolerances()).trajectory
     _assert_endpoint_at_zero_is_the_anchor(traj, y0)
     for t in reads:
-        traj(t)
+        traj(np.array([t]))
         _assert_endpoint_at_zero_is_the_anchor(traj, y0)
     if tau == 0.0:
-        assert not np.array_equal(_bits(traj(0.0)), _bits(y0))
+        assert not np.array_equal(_bits(_at(traj, 0.0)), _bits(y0))
 
 
 def test_anchor_rejected_and_reads_past_the_extent_grow():
@@ -403,7 +409,7 @@ def test_anchor_rejected_and_reads_past_the_extent_grow():
     traj = integrate(lambda s: [1.0], [0.0], (-1.0, 1.0), Tolerances(), mirror=None)
     _assert_endpoint_at_zero_is_the_anchor(traj, [0.0])
     # x' = 1 from 0: reads past either end step that side on, and read x = t
-    assert abs(traj(1.5)[0] - 1.5) <= 1e-14
+    assert abs(_at(traj, 1.5)[0] - 1.5) <= 1e-14
     assert np.allclose(traj(np.array([-1.5, 0.0])), [[-1.5, 0.0]], rtol=0.0, atol=1e-14)
     assert abs(traj.endpoint(-2.0)[0] + 2.0) <= 1e-14
     event = locate_event(traj, lambda s: s[0] - 0.5, lambda s: 1.0, 2.5, (0.0, 3.0))

@@ -86,7 +86,7 @@ def test_half_period_angle_doubling_p1():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     data = _curve(param).period
     traj = TwistTrajectory(param, Tolerances())
-    psi1_half, _ = traj.psi(data.p_tau)
+    (psi1_half,), _ = traj.psi(np.array([data.p_tau]))
     assert abs(data.psi1_2p - 2.0 * psi1_half) < 1e-9
 
 
@@ -94,8 +94,7 @@ def test_angles_are_monotone():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     traj = TwistTrajectory(param, Tolerances())
     ts = np.linspace(0.0, 8.0, 60)
-    psi1 = [traj.psi(t)[0] for t in ts]
-    psi2 = [traj.psi(t)[1] for t in ts]
+    psi1, psi2 = traj.psi(ts)
     assert all(b >= a - 1e-12 for a, b in zip(psi1, psi1[1:]))
     assert all(b <= a + 1e-12 for a, b in zip(psi2, psi2[1:]))
 
@@ -133,9 +132,10 @@ def test_psi_constraint_anchor_point():
     traj = TwistTrajectory(param, Tolerances())
     from sltwist.twisted_curve import f_poly
 
-    y0 = traj.y(0.0)
+    zero = np.array([0.0])
+    y0 = traj.y(zero)[0]
     assert abs(math.sqrt(f_poly(param.pair, y0)) - 2.0 * param.tau) < 1e-10
-    psi1, psi2 = traj.psi(0.0)
+    (psi1,), (psi2,) = traj.psi(zero)
     assert psi1 == 0.0 and psi2 == 0.0
 
 

@@ -89,19 +89,19 @@ def test_cached_rules_are_read_only_and_bounded():
 
 def test_generator_flux_value():
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
-    rep = geo.torque(_curve(param), geo.t_generator(param.pair))
+    (rep,) = geo.torque(_curve(param), [geo.t_generator(param.pair)])
     assert abs(rep.numeric - 0.6 * math.pi) < 1e-8
     assert rep.abs_error < 1e-8
 
 
 def test_generator_flux_closed_forms():
     p22 = TwistParam(AdmissiblePair(2, 2), 0.05)
-    rep = geo.torque(_curve(p22), geo.t_generator(p22.pair))
+    (rep,) = geo.torque(_curve(p22), [geo.t_generator(p22.pair)])
     expected = 2 * 0.05 * (4.0 / 4.0) * (2 * math.pi) ** 2
     assert abs(rep.closed_form - expected) < 1e-14
     assert rep.abs_error < 1e-8
     p13 = TwistParam(AdmissiblePair(1, 3), 0.05)
-    rep13 = geo.torque(_curve(p13), geo.t_generator(p13.pair))
+    (rep13,) = geo.torque(_curve(p13), [geo.t_generator(p13.pair)])
     expected13 = 2 * 0.05 * (4.0 / 3.0) * geo.sphere_volume(2)
     assert abs(rep13.closed_form - expected13) < 1e-14
     assert rep13.abs_error < 1e-8
@@ -114,7 +114,7 @@ def test_all_off_diagonal_fluxes_vanish(p, q, tau):
     for K in geo.su_basis(p + q):
         if K.diagonal().any():
             continue
-        rep = geo.torque(curve, K, meridian_t=0.4)
+        (rep,) = geo.torque(curve, [K], meridian_t=0.4)
         assert abs(rep.numeric) < 1e-10, K
         assert rep.closed_form == 0.0
 
@@ -123,15 +123,15 @@ def test_flux_is_meridian_independent():
     param = TwistParam(AdmissiblePair(2, 2), 0.05)
     tg = geo.t_generator(param.pair)
     curve = _curve(param)
-    a = geo.torque(curve, tg, meridian_t=0.3)
-    b = geo.torque(curve, tg, meridian_t=1.1)
+    (a,) = geo.torque(curve, [tg], meridian_t=0.3)
+    (b,) = geo.torque(curve, [tg], meridian_t=1.1)
     assert abs(a.numeric - b.numeric) < 1e-8
 
 
 def test_flux_linear_in_twist():
     pair = AdmissiblePair(2, 3)
     tg = geo.t_generator(pair)
-    f1, f2 = (geo.torque(_curve(TwistParam(pair, tau)), tg).numeric
+    f1, f2 = (geo.torque(_curve(TwistParam(pair, tau)), [tg])[0].numeric
               for tau in (0.04, 0.08))
     assert abs(f2 / f1 - 2.0) < 1e-8
 
@@ -139,7 +139,7 @@ def test_flux_linear_in_twist():
 def test_general_diagonal_direction():
     param = TwistParam(AdmissiblePair(2, 3), 0.05)
     K = np.diag(1j * np.array((1.0, 2.0, -0.5, -1.5, -1.0)))
-    rep = geo.torque(_curve(param), K, meridian_t=0.7)
+    (rep,) = geo.torque(_curve(param), [K], meridian_t=0.7)
     assert rep.abs_error < 1e-8
     expected = 2 * 0.05 * ((1.0 + 2.0) / 2 - (-3.0) / 3) * (2 * math.pi) * geo.sphere_volume(2)
     assert abs(rep.closed_form - expected) < 1e-12
@@ -152,7 +152,7 @@ def test_general_direction_matches_closed_form(p, q):
     param = TwistParam(AdmissiblePair(p, q), 0.5 * tau_max(AdmissiblePair(p, q)))
     coeffs = np.random.default_rng(n).standard_normal(n * n - 1)
     K = sum(c * B for c, B in zip(coeffs, geo.su_basis(n)))
-    rep = geo.torque(_curve(param), K, meridian_t=0.4)
+    (rep,) = geo.torque(_curve(param), [K], meridian_t=0.4)
     assert rep.abs_error <= 1e-8
     assert rep.closed_form != 0.0
 
@@ -204,7 +204,7 @@ def test_default_order_off_diagonal_flux_is_exactly_zero(p, q):
     for sign in (1.0, -1.0):
         curve = _curve(TwistParam(pair, sign * 0.5 * tau_max(pair)))
         for t in (0.3, 1.1):
-            assert geo.torque(curve, K, meridian_t=t).numeric == 0.0, (sign, t)
+            assert geo.torque(curve, [K], meridian_t=t)[0].numeric == 0.0, (sign, t)
 
 
 @pytest.mark.parametrize("p,q", [(1, 7), (2, 6), (3, 5), (4, 4)])
@@ -213,11 +213,11 @@ def test_torque_n8(p, q):
     param = TwistParam(pair, 0.5 * tau_max(pair))
     tg = geo.t_generator(pair)
     curve = _curve(param)
-    a = geo.torque(curve, tg, meridian_t=0.3)
-    b = geo.torque(curve, tg, meridian_t=1.1)
+    (a,) = geo.torque(curve, [tg], meridian_t=0.3)
+    (b,) = geo.torque(curve, [tg], meridian_t=1.1)
     assert a.abs_error <= 1e-8
     assert abs(a.numeric - b.numeric) <= 1e-8
-    off = geo.torque(curve, _flux_elements(pair.n)[0], meridian_t=0.3)
+    (off,) = geo.torque(curve, _flux_elements(pair.n)[:1], meridian_t=0.3)
     assert abs(off.numeric) <= 1e-10
 
 
@@ -232,7 +232,7 @@ def test_flux_does_not_depend_on_where_the_span_ends(p, q, tau):
     def flux(extent):
         curve = _curve(param)
         curve.w(np.array(extent))               # integrated to the extent first
-        return geo.torque(curve, K, meridian_t=0.3).numeric
+        return geo.torque(curve, [K], meridian_t=0.3)[0].numeric
 
     assert len({flux(extent) for extent in ((0.0, 0.3), (0.0, 1.1), (-2.0, 5.0))}) == 1
 
@@ -240,17 +240,19 @@ def test_flux_does_not_depend_on_where_the_span_ends(p, q, tau):
 def test_traceless_validation():
     curve = _curve(TwistParam(AdmissiblePair(1, 2), 0.1))
     with pytest.raises(ValueError, match="traceless"):
-        geo.torque(curve, 1j * np.diag([1.0, 1.0, -1.0]))
+        geo.torque(curve, [1j * np.diag([1.0, 1.0, -1.0])])
 
 
 def test_torque_refuses_wrong_shape_and_non_anti_hermitian():
     curve = _curve(TwistParam(AdmissiblePair(1, 2), 0.1))
     with pytest.raises(ValueError, match="3 x 3"):
-        geo.torque(curve, geo.t_generator(AdmissiblePair(2, 2)))
+        geo.torque(curve, [geo.t_generator(AdmissiblePair(2, 2))])
     with pytest.raises(ValueError, match="anti-Hermitian"):
-        geo.torque(curve, -1j * geo.rotation_generator(3, 0, 2))     # Hermitian
+        geo.torque(curve, [-1j * geo.rotation_generator(3, 0, 2)])     # Hermitian
     with pytest.raises(ValueError, match="anti-Hermitian"):
-        geo.torque(curve, np.diag([1.0, 0.0, -1.0]))                # real diagonal
+        geo.torque(curve, [np.diag([1.0, 0.0, -1.0])])                # real diagonal
+    with pytest.raises(ValueError, match="stack"):                   # one direction, unstacked
+        geo.torque(curve, geo.t_generator(AdmissiblePair(1, 2)))
 
 
 def test_rotation_generator_refuses_equal_or_out_of_range_indices():
@@ -368,7 +370,7 @@ def test_waist_radii_match_extrema():
     traj = TwistTrajectory(param, Tolerances())
     for w in ws:
         if -2 * data.p_tau < w.t < 3 * data.p_tau:
-            y = traj.y(w.t)
+            (y,) = traj.y(np.array([w.t]))
             if w.kind == 2:
                 assert abs(y - y_min) < 1e-9
             else:

@@ -20,6 +20,11 @@ def _curve(param):
     return TwistTrajectory(param, Tolerances())
 
 
+def _law(pair, taus, law):
+    """The rows of one law in ``check_asymptotics``'s reports, in tau order."""
+    return [r for r in check_asymptotics(pair, taus) if r.law_id == law]
+
+
 def _wronskian(pair, s):
     """(q - n y) Q' + n y' Q of (w, Q, Q') states."""
     return (pair.q - pair.n * _y(s)) * s[5] + pair.n * _ydot(pair, s) * s[4]
@@ -34,7 +39,7 @@ def test_wronskian_is_one_along_solution():
         assert wronskian_drift(curve) == float(np.max(np.abs(_wronskian(pair, lin(grid)) - 1.0)))
         assert wronskian_drift(curve) < 1e-8
         ts = np.linspace(-2.0 * p_tau, 2.0 * p_tau, 50)
-        assert max(abs(_wronskian(pair, lin(t)) - 1.0) for t in ts) < 1e-8
+        assert np.max(np.abs(_wronskian(pair, lin(ts)) - 1.0)) < 1e-8
 
 
 def test_companion_initial_conditions():
@@ -43,9 +48,10 @@ def test_companion_initial_conditions():
     tau = 0.06
     lin = solve_Q(_curve(TwistParam(pair, tau)))
     expected = -1.0 / (4.0 * pair.n * math.sqrt(tau_max(pair) ** 2 - tau**2))
-    assert abs(lin(0.0)[4] - expected) < 1e-12
-    assert abs(lin(0.0)[5]) < 1e-14
-    assert abs(_wronskian(pair, lin(0.0)) - 1.0) < 1e-14
+    s0 = lin(np.array([0.0]))[:, 0]
+    assert abs(s0[4] - expected) < 1e-12
+    assert abs(s0[5]) < 1e-14
+    assert abs(_wronskian(pair, s0) - 1.0) < 1e-14
 
 
 def test_anchor_time_for_degenerate_first_factor():
@@ -54,9 +60,10 @@ def test_anchor_time_for_degenerate_first_factor():
     curve = _curve(param)
     lin = curve.Q
     _, y_max = y_extrema(param)
-    assert lin(0.0)[4] == 0.0
-    assert abs(lin(0.0)[5] * (2.0 - 3.0 * y_max) - 1.0) < 1e-14
-    assert abs(_wronskian(param.pair, lin(0.0)) - 1.0) < 1e-14
+    s0 = lin(np.array([0.0]))[:, 0]
+    assert s0[4] == 0.0
+    assert abs(s0[5] * (2.0 - 3.0 * y_max) - 1.0) < 1e-14
+    assert abs(_wronskian(param.pair, s0) - 1.0) < 1e-14
     assert wronskian_drift(curve) < 1e-8
 
 
@@ -67,13 +74,16 @@ def test_radius_combination_solves_linearised_equation():
     pair = param.pair
     traj = TwistTrajectory(param, Tolerances())
     h = 1e-3
-    for t in np.linspace(0.5, 4.5, 20):
-        phi = lambda s: pair.q - pair.n * traj.y(s)
-        phidd = (-phi(t + 2 * h) + 16 * phi(t + h) - 30 * phi(t)
-                 + 16 * phi(t - h) - phi(t - 2 * h)) / (12 * h**2)
-        y = traj.y(t)
-        wdot2 = y ** (pair.q - 1) * (1.0 - y) ** (pair.p - 1)
-        assert abs(phidd + 2.0 * pair.n * wdot2 * phi(t)) < 1e-7
+    t = np.linspace(0.5, 4.5, 20)
+
+    def phi(s):
+        return pair.q - pair.n * traj.y(s)
+
+    phidd = (-phi(t + 2 * h) + 16 * phi(t + h) - 30 * phi(t)
+             + 16 * phi(t - h) - phi(t - 2 * h)) / (12 * h**2)
+    y = traj.y(t)
+    wdot2 = y ** (pair.q - 1) * (1.0 - y) ** (pair.p - 1)
+    assert np.max(np.abs(phidd + 2.0 * pair.n * wdot2 * phi(t))) < 1e-7
 
 
 @pytest.mark.parametrize("p,q", PAIRS)
@@ -147,9 +157,9 @@ def test_time_scales():
 
 
 def test_extrema_laws_tight_at_small_tau():
-    reports = check_asymptotics(AdmissiblePair(1, 3), [1e-4], "ymin")
+    reports = _law(AdmissiblePair(1, 3), [1e-4], "ymin")
     assert 0.9 < reports[0].ratio < 1.1
-    reports = check_asymptotics(AdmissiblePair(2, 3), [1e-2, 1e-4], "ymax_gap")
+    reports = _law(AdmissiblePair(2, 3), [1e-2, 1e-4], "ymax_gap")
     assert abs(reports[1].ratio - 1.0) < abs(reports[0].ratio - 1.0)
     assert 0.95 < reports[1].ratio < 1.05
 
@@ -158,27 +168,35 @@ def test_partial_period_laws_converge():
     for (p, q) in [(2, 2), (2, 3), (3, 3)]:
         pair = AdmissiblePair(p, q)
         for law in ("pt_plus", "pt_minus"):
-            r = check_asymptotics(pair, [1e-2, 1e-4], law)
+            r = _law(pair, [1e-2, 1e-4], law)
             assert abs(r[1].ratio - 1.0) < abs(r[0].ratio - 1.0)
             assert 0.85 < r[1].ratio < 1.15
 
 
-def test_pt_minus_rejected_for_degenerate_first_factor():
-    with pytest.raises(ValueError):
-        check_asymptotics(AdmissiblePair(1, 2), [1e-3], "pt_minus")
+def test_laws_reported_per_tau_in_order():
+    # p = 1 has no first-factor half-period, so no pt_minus row
+    six = ["pt_plus", "pt_minus", "pt", "pthat_excess", "ymin", "ymax_gap"]
+    assert list(variation.ASYMPTOTIC_LAWS) == six
+    taus = [1e-2, 1e-3, 1e-4]
+    for (p, q) in PAIRS:
+        reports = check_asymptotics(AdmissiblePair(p, q), taus)
+        laws = six if p > 1 else [law for law in six if law != "pt_minus"]
+        assert len(reports) == len(laws) * len(taus)
+        for tau in taus:
+            assert [r.law_id for r in reports if r.tau == tau] == laws
 
 
 def test_total_period_law_logarithmic_pair():
     # measured: p_tau = 0.5 log(4/tau) + o(1), so against 0.5 log(1/tau)
     # the ratio exceeds 1 by log(4)/log(1/tau): 1.3013 at 1e-2, 1.1505 at 1e-4
-    r = check_asymptotics(AdmissiblePair(1, 2), [1e-2, 1e-4], "pt")
+    r = _law(AdmissiblePair(1, 2), [1e-2, 1e-4], "pt")
     assert abs(r[0].ratio - 1.3013) < 5e-4
     assert abs(r[1].ratio - 1.1505) < 5e-4
     assert abs(r[1].ratio - 1.0) < abs(r[0].ratio - 1.0)
 
 
 def test_total_period_law_symmetric_pair():
-    r = check_asymptotics(AdmissiblePair(2, 2), [1e-4], "pt")
+    r = _law(AdmissiblePair(2, 2), [1e-4], "pt")
     assert 0.99 < r[0].ratio < 1.01
 
 
@@ -190,19 +208,19 @@ def test_total_period_law_symmetric_pair():
     "1e-14); see decisions ledger"))
 def test_angular_period_excess_law_as_stated():
     for (p, q) in PAIRS:
-        r = check_asymptotics(AdmissiblePair(p, q), [1e-2, 1e-4], "pthat_excess")
+        r = _law(AdmissiblePair(p, q), [1e-2, 1e-4], "pthat_excess")
         assert 0.85 < r[1].ratio < 1.15
         assert abs(r[1].ratio - 1.0) < abs(r[0].ratio - 1.0)
 
 
 def test_angular_period_excess_measured_behaviour():
     # frozen measured ratios documenting the actual convergence targets
-    r12 = check_asymptotics(AdmissiblePair(1, 2), [1e-2, 1e-4], "pthat_excess")
+    r12 = _law(AdmissiblePair(1, 2), [1e-2, 1e-4], "pthat_excess")
     assert abs(r12[0].ratio - 0.6665) < 5e-4
     assert abs(r12[1].ratio - 0.8113) < 5e-4
-    r13 = check_asymptotics(AdmissiblePair(1, 3), [1e-4], "pthat_excess")
+    r13 = _law(AdmissiblePair(1, 3), [1e-4], "pthat_excess")
     assert abs(r13[0].ratio - 1.4968) < 5e-4      # tends to q/2 = 3/2
-    r33 = check_asymptotics(AdmissiblePair(3, 3), [1e-4], "pthat_excess")
+    r33 = _law(AdmissiblePair(3, 3), [1e-4], "pthat_excess")
     assert abs(r33[0].ratio - 1.4968) < 5e-4
 
 
