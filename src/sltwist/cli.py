@@ -300,16 +300,24 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names) -> argparse.ArgumentParser:
+    """The parser with the subcommands ``names`` (keys of ``_COMMANDS``) only.
+
+    A parser of fewer subcommands still lists them all in its usage line, as
+    its "unrecognized arguments" error prints it.  The full parser takes no
+    metavar, which would rename the argument of its "invalid choice" error.
+    """
     ap = argparse.ArgumentParser(
         prog="sltwist",
         description="twisted special Legendrian curve laboratory")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, options in _COMMANDS.items():
+    listed = "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar=None if list(names) == list(_COMMANDS) else listed)
+    for name in names:
         p = sub.add_parser(name)
         p.add_argument("--p", type=int, required=True)
         p.add_argument("--q", type=int, required=True)
-        for flag, settings in options.items():
+        for flag, settings in _COMMANDS[name].items():
             p.add_argument(f"--{flag}", **{**_OPTIONS[flag], **settings})
         p.set_defaults(fn=globals()[f"cmd_{name}"])
     return ap
@@ -320,7 +328,9 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):       # "--tau -9.3e-05" -> "--tau=-9.3e-05"
         if argv[i - 1].startswith("--") and _NEGATIVE_EXPONENT.fullmatch(argv[i]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = build_parser().parse_args(argv)
+    # a call naming its subcommand first builds that one parser alone
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    args = build_parser(names).parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()          # a reader gone early shows here, not at exit

@@ -1,11 +1,14 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import runpy
 import signal
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +199,42 @@ def test_verify_json_pass_flags_are_booleans(capsys):
     assert code == (0 if all(c["pass"] for c in checks.values()) else 1)
 
 
+# the argv that argparse answers alone, which the byte audit also runs
+PARSER_ARGVS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools"
+                                  / "byte_audit.py"))["PARSER_ARGVS"]
+
+
+def test_parser_table_holds_every_subcommands_help():
+    assert [argv[0] for argv in PARSER_ARGVS if argv[1:] == ["-h"]] == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_parser_messages_are_the_full_parsers(argv, capsys, monkeypatch):
+    # a parser built for the named subcommand alone prints what all nine print
+    narrowed = run(capsys, *argv)
+    assert narrowed[0] in (0, 2) and (narrowed[1] or narrowed[2])
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda names: build(cli._COMMANDS))
+    assert run(capsys, *argv) == narrowed
+
+
+def test_a_call_naming_its_subcommand_builds_its_parser_alone(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, *args, **kwargs):
+        built.append(name)
+        return add_parser(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run(capsys, "periods", "--p", "1", "--q", "2", "--tau", "0.1")[0] == 0
+    assert built == ["periods"]
+    built.clear()
+    code, _, err = run(capsys, "--p", "1", "verify")        # no subcommand first: all nine
+    assert built == list(cli._COMMANDS)
+    assert code == 2 and "error: argument command: invalid choice: '1' (choose from" in err
+
+
 # one argv of each shape the perfbench workloads send
 @pytest.mark.parametrize("argv", [
     ["verify", "--p", "2", "--q", "3", "--tau", "0.05", "--json"],
@@ -210,8 +249,14 @@ def test_verify_json_pass_flags_are_booleans(capsys):
     ["necklace", "--p", "2", "--q", "2", "--m", "3", "--json"],
     ["torque", "--p", "3", "--q", "4", "--tau", "-0.01", "--json"],
 ])
-def test_benchmark_argv_shapes_parse(argv):
-    args = cli.build_parser().parse_args(argv)
+def test_benchmark_argv_shapes_parse(argv, monkeypatch):
+    # main's own parser hands its subcommand, looked up when parsing, what the full
+    # parser reads
+    parsed = []
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: parsed.append(args) or 0)
+    assert main(argv) == 0
+    args = cli.build_parser(cli._COMMANDS).parse_args(argv)
+    assert parsed == [args]
     assert args.fn is getattr(cli, f"cmd_{argv[0]}")
     assert (args.p, args.q) == (int(argv[2]), int(argv[4]))
     for flag, text in zip(argv[5:], argv[6:]):

@@ -12,9 +12,12 @@ so no path of the run's own reaches its output (``wrote <path>`` prints the
 name as given).
 
 Prints the sha256 over every exit code, stdout, stderr and written file (its
-name and bytes), in operation order.  With ``--out``, writes one JSON line per
-operation: workload, seed, index, argv, exit code and the operation's own
-sha256, so that two trees' files can be compared operation by operation.
+name and bytes), in operation order.  A second line gives the same digest over
+the argv of ``PARSER_ARGVS``, which argparse answers alone (help, usage and
+refusals), run the same way at a fixed width of 80 columns.  With ``--out``,
+writes one JSON line per call: workload (``parser`` for the second set), seed,
+index, argv, exit code and the call's own sha256, so that two trees' files can
+be compared call by call.
 """
 
 from __future__ import annotations
@@ -29,9 +32,30 @@ import sys
 import tempfile
 import traceback
 from pathlib import Path
+from unittest import mock
 
 SEEDS = (1, 2, 3)
 SECONDS = 15.0
+
+_CLOSURE = ["closure", "--p", "1", "--q", "2"]
+_COMMANDS = ["solve", "periods", "closure", "necklace", "torque", "asymptotics", "neck",
+             "export", "verify"]
+# the top-level parser's help and refusals, each subcommand's help and missing
+# flags, and the values and options a subcommand refuses
+PARSER_ARGVS = [
+    [], ["-h"], ["--help"], ["nope"], ["verif"], ["--p", "1", "verify"],
+    *([name, "-h"] for name in _COMMANDS),
+    *([name] for name in _COMMANDS),
+    _CLOSURE,
+    ["periods", "--p", "1", "--q", "2", "--tau", "0.1", "--bogus"],
+    ["verify", "--p", "1", "--q", "2", "--tau", "0.1", "periods"],
+    [*_CLOSURE, "--target", "4/7", "--samples", "1"],
+    [*_CLOSURE, "--target", "x"],
+    ["solve", "--p", "1", "--q", "2", "--tau", "0.1", "--window", "inf"],
+    ["verify", "--p", "1", "--q", "2", "--tau", "0.1", "--tol", "fast"],
+    ["periods", "--p", "1", "--q", "2", "--tau", "0.1", "--m", "3"],
+    ["periods", "--p", "2", "--q", "3", "--tau", "-9.3e-05", "--nope"],
+]
 
 
 def _import_tree(root: Path):
@@ -84,8 +108,9 @@ def _audited(cli, argv) -> tuple[int, str]:
 
 
 def audit(root: Path) -> list[dict]:
-    """One record per operation of the tree at root: workload, seed, index, argv,
-    exit code and sha256."""
+    """One record per operation of the tree at root, then one per argv of
+    ``PARSER_ARGVS`` (workload ``parser``, seed None): workload, seed, index,
+    argv, exit code and sha256."""
     workloads, cli = _import_tree(root)
     records = []
     for workload in workloads.WORKLOADS:
@@ -97,6 +122,11 @@ def audit(root: Path) -> list[dict]:
                 rc, digest = _audited(cli, argv)
                 records.append({"workload": workload, "seed": seed, "index": i,
                                 "argv": list(op.argv), "rc": rc, "sha256": digest})
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):     # argparse wraps help to it
+        for i, argv in enumerate(PARSER_ARGVS):
+            rc, digest = _audited(cli, argv)
+            records.append({"workload": "parser", "seed": None, "index": i,
+                            "argv": argv, "rc": rc, "sha256": digest})
     return records
 
 
@@ -104,14 +134,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                     help="the tree to audit (default: the one holding this script)")
-    ap.add_argument("--out", type=Path, help="write one JSON line per operation here")
+    ap.add_argument("--out", type=Path, help="write one JSON line per call here")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     records = audit(root)
     if args.out is not None:
         args.out.write_text("".join(json.dumps(r) + "\n" for r in records))
-    total = hashlib.sha256(b"".join(bytes.fromhex(r["sha256"]) for r in records))
-    print(f"sha256 {total.hexdigest()} over {len(records)} operations of {root}")
+    for what, parser in (("operations", False), ("parser messages", True)):
+        part = [r for r in records if (r["workload"] == "parser") == parser]
+        total = hashlib.sha256(b"".join(bytes.fromhex(r["sha256"]) for r in part))
+        print(f"sha256 {total.hexdigest()} over {len(part)} {what} of {root}")
     return 0
 
 
