@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -42,11 +43,11 @@ def test_circle_nodes_are_exactly_symmetric():
 
 
 def test_polar_layer_matches_loop_reference():
-    from sltwist.geometry.torque import _gegenbauer_rule
+    from sltwist.geometry.torque import _gegenbauer_rule, _layer_nodes
 
     m, order = 3, 8
     sub_pts, sub_wts = geo.sphere_quadrature(m - 1, order)
-    u, wu = _gegenbauer_rule(order // 2 + 4, (m - 2) / 2.0)
+    u, wu = _gegenbauer_rule(_layer_nodes(order), (m - 2) / 2.0)
     ref_pts, ref_wts = [], []
     for ui, wi in zip(u, wu):
         s = math.sqrt(max(1.0 - ui * ui, 0.0))
@@ -66,8 +67,32 @@ def test_meridian_node_count_bounded_through_n8():
     order = inspect.signature(geo.torque).parameters["order"].default
     for n in range(3, 9):
         for p in range(1, n // 2 + 1):
-            # 32,768: the n = 7 count of the order-8 rule
-            assert len(_meridian_nodes(p, n - p, order)[1]) <= 32_768, (p, n - p)
+            # 256: the n = 8 count of (2,6), (3,5) and (4,4)
+            assert len(_meridian_nodes(p, n - p, order)[1]) <= 256, (p, n - p)
+
+
+def _sphere_moment(alpha):
+    """Closed-form integral over S^m of prod x_i^alpha_i, m + 1 = len(alpha)."""
+    if any(a % 2 for a in alpha):
+        return 0.0
+    b = [(a + 1) / 2.0 for a in alpha]
+    return 2.0 * math.prod(math.gamma(x) for x in b) / math.gamma(sum(b))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("order", [3, 4, 5, 6, 8])
+def test_rule_has_ceil_half_order_nodes_per_layer_and_its_degree(m, order):
+    # a k-node Gauss layer is exact through degree 2k - 1, so ceil(order / 2)
+    # nodes keep every degree below order; order // 2 fails at odd orders
+    pts, wts = geo.sphere_quadrature(m, order)
+    if m >= 2:
+        assert len(wts) == order * ((order + 1) // 2) ** (m - 1)
+    powers = pts ** np.arange(order)[:, None, None]        # powers[k] = pts ** k
+    for degree in range(order):
+        for factors in itertools.combinations_with_replacement(range(m + 1), degree):
+            alpha = np.bincount(factors, minlength=m + 1)
+            value = float(wts @ np.prod(powers[alpha, :, np.arange(m + 1)], axis=0))
+            assert abs(value - _sphere_moment(alpha)) <= 1e-12, alpha
 
 
 def test_cached_rules_are_read_only_and_bounded():
