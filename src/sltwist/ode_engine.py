@@ -18,13 +18,22 @@ when a read reaches past it.  No step of a side is clipped, so a side read in
 pieces is, bit for bit, the run straight to its final extent.  Only an endpoint
 lands on its time, by a leg of its own from the last accepted step before it.
 
+Each side is the one store of its steps, and a read goes to the side of its
+time.  t = 0 goes to the backward side once that has a step, else to the
+forward one.  A forward node reads the step that ends at it, a backward node
+the step that starts at it (the farthest one has only the step that ends at
+it): the segments scipy's ``OdeSolution`` reads over the ascending grid.
+
 A reversible system, one whose field a sign vector R reverses, field(R s)
 = -R field(s), from a state R fixes, has its backward side from the anchor 0
 in its forward side: t -> -t, s -> R s.  Every operation of a step and of the
 dense output is a product, sum, difference or quotient, or reads |s| only, so
 negating times, h and the stages and flipping state signs by R rounds alike on
 both sides: the backward run is the forward one with its signs flipped, bit for
-bit, and a trajectory mirrors forward steps as far back as it is read.
+bit.  A mirrored trajectory steps its forward side alone and reads a time t < 0
+there at -t by the backward rule, through R; its anchor keeps the bits
+:func:`integrate` received.  t = 0 reads the mirrored side once a time below 0
+has been read.
 
 :func:`locate_event` finds an event time by Newton's method on integrated
 endpoints, from a seed.  :func:`brent`, a line-for-line port of scipy's
@@ -232,26 +241,25 @@ def _dense(field, T, Y, K):
 
 
 class _Side:
-    """One side's steps in stepping order: times, states, the stages of steps not
-    yet in F, and F; the state, field value and step size its run resumes from."""
+    """One side's steps in stepping order, d = 1 forward or -1 backward: the buffers
+    a leg appends times, states and the stages of steps not yet in F to; their
+    arrays T and Y and the search key d T, made again after each leg (a failed
+    leg cuts the buffers back to what the arrays hold); F, step k's dense-output
+    coefficients at F[:, :, k], extended on read; and the state, field value and
+    step size its run resumes from."""
 
-    def __init__(self, y, f):
-        self.ts, self.ys, self.ks = array("d", [0.0]), array("d", y), array("d")
-        self.y, self.f, self.h_abs = y, f, None
-        self.F = np.empty((0, 7, len(y)))
+    def __init__(self, d, y, f):
+        self.d, self.ts, self.ys, self.ks = d, array("d", [0.0]), array("d", y), array("d")
+        self.y, self.f, self.h_abs, self.F = y, f, None, np.empty((7, len(y), 0))
+        self.T, self.Y, self.key = np.zeros(1), np.array([y]), np.zeros(1)
 
-
-def _held(method):
-    """A trajectory's method whose result is held until the trajectory grows."""
-    def held(self):
-        if method.__name__ not in self._cache:
-            self._cache[method.__name__] = method(self)
-        return self._cache[method.__name__]
-    return held
-
-
-def _view(arrays, i):
-    return property(lambda self: getattr(self, arrays)()[i])
+    def coefficients(self, field):
+        """F over every step so far; each step's stages 13-15 run once."""
+        if self.ks:                         # the stages of steps not yet in F
+            n, K = self.F.shape[2], np.frombuffer(self.ks).reshape(-1, len(_KEPT), len(self.y))
+            F = _dense(field, self.T[n:], self.Y[n:], K).transpose(1, 2, 0)
+            self.F, self.ks = np.concatenate([self.F, F], axis=2), array("d")
+        return self.F
 
 
 class Trajectory:
@@ -259,10 +267,20 @@ class Trajectory:
     module docstring) on both sides of the anchor t = 0; with a ``mirror`` R,
     field(R s) = -R field(s), the backward side is the forward one reversed.
 
-    ``time_grid`` and ``states`` hold the accepted steps so far in ascending time.
-    Segment k is the step from ``origin[k]`` of signed size ``h[k]``: ``y_origin[k]
-    + P((t - origin[k]) / h[k])``, P with coefficients ``F[k]``.  Complex pairs are
-    (re, im) components.  ``field``, ``tol`` and the per-component ``atol`` are kept.
+    Each side keeps its own steps in stepping order, and a read at t goes to
+    t's side; t = 0 goes to the backward side once that has a step (mirrored:
+    once a time below 0 has been read), else to the forward one.  There t reads
+    the step k from T[k] to T[k+1] that ends at a forward node and starts at a
+    backward one: ``Y[k] + P((t - T[k]) / (T[k+1] - T[k]))``, P with the
+    coefficients F[:, :, k], by Horner's rule alternating x and 1 - x as
+    scipy's DOP853 output does.  A mirrored read at t < 0 is the forward side's
+    step k read at -t by the backward rule, its times negated and Y[k] and
+    F[:, :, k] multiplied by R, but for Y[0]: the anchor as :func:`integrate`
+    received it.
+
+    ``time_grid`` and ``states`` are the accepted steps so far in ascending time,
+    built on access.  Complex pairs are (re, im) components.  ``field``, ``tol``
+    and the per-component ``atol`` are kept.
     """
 
     def __init__(self, field, y0, tol, atol, mirror):
@@ -271,22 +289,19 @@ class Trajectory:
         self._y0, self._mirror = y0, mirror
         y = tuple(y0.tolist())
         f = tuple(field(y))
-        self._sides = {d: _Side(y, f) for d in ((1.0,) if mirror is not None else (1.0, -1.0))}
-        self._low, self._cache = 0.0, {}    # with a mirror, the farthest time read backward
+        self._sides = {d: _Side(d, y, f) for d in ((1.0,) if mirror is not None else (1.0, -1.0))}
+        self._low = 0.0                     # with a mirror, the farthest time read backward
 
     def _grow(self, t) -> None:
         """Steps each side on until its last accepted step lies at or past the times t."""
         lo, hi = float(np.min(t)), float(np.max(t))
         if self._mirror is not None:
-            if lo < self._low:
-                self._low = lo
-                self._cache.clear()
+            self._low = min(self._low, lo)
             hi = max(hi, -lo)
         for d, end in ((1.0, hi), (-1.0, lo)):
             side = self._sides.get(d)
             if side is None or d * (end - side.ts[-1]) <= 0:
                 continue
-            self._cache.clear()
             if side.h_abs is None:
                 side.h_abs = _initial_step(self.field, side.y, side.f, math.inf, d, self.atol,
                                            self._rtol)
@@ -298,67 +313,64 @@ class Trajectory:
             except IntegrationError:        # the side stays as it was, for later reads
                 del side.ts[n:], side.ys[n * dim:], side.ks[nk:]
                 raise
+            side.T, side.Y = np.array(side.ts), np.array(side.ys).reshape(len(side.ts), dim)
+            side.key = d * side.T
 
     def _stepped(self, d):
-        """Times and states of side d so far, in stepping order (mirrored: as far back as read)."""
-        if d != 1.0 and self._mirror is not None:
-            T, Y = self._stepped(1.0)
-            k = np.searchsorted(T, -self._low) + 1
-            T, Y = -T[:k], Y[:k] * self._mirror
-            T[0], Y[0] = 0.0, self._y0              # the anchor keeps its bits
-            return T, Y
-        side = self._sides[d]
-        return np.array(side.ts), np.array(side.ys).reshape(len(side.ts), -1)
+        """T, Y and d T of side d so far, in stepping order (mirrored: as far back as read)."""
+        side = self._sides.get(d, self._sides[1.0])
+        if side.d == d:
+            return side.T, side.Y, side.key
+        k = np.searchsorted(side.T, -self._low) + 1
+        T, Y = 0.0 - side.T[:k], side.Y[:k] * self._mirror
+        Y[0] = self._y0                     # the anchor keeps its bits
+        return T, Y, -T
 
-    def _coefficients(self, d):
-        """F of side d so far, in stepping order; each step's stages 13-15 run once."""
-        if d != 1.0 and self._mirror is not None:
-            return self._coefficients(1.0)[:len(self._stepped(d)[0]) - 1] * self._mirror
-        side, (T, Y) = self._sides[d], self._stepped(d)
-        n = len(side.F)
-        if n < len(T) - 1:
-            K = np.frombuffer(side.ks).reshape(len(T) - 1 - n, len(_KEPT), -1)
-            F = _dense(self.field, T[n:], Y[n:], K)
-            side.F, side.ks = (np.concatenate([side.F, F]) if n else F), array("d")
-        return side.F
+    def _ascending(self, i):
+        """Times (i = 0) or states (1) of both sides so far, in ascending time."""
+        back, fwd = self._stepped(-1.0)[i], self._stepped(1.0)[i]
+        return np.concatenate([back[::-1], fwd[1:]])
 
-    @_held
-    def _nodes(self):
-        (Tb, Yb), (Tf, Yf) = self._stepped(-1.0), self._stepped(1.0)
-        return np.concatenate([Tb[::-1], Tf[1:]]), np.concatenate([Yb[::-1], Yf[1:]])
+    time_grid = property(lambda self: self._ascending(0))
+    states = property(lambda self: self._ascending(1))
 
-    @_held
-    def _segments(self):
-        sides = [(T[:-1], np.diff(T), Y[:-1], self._coefficients(d))
-                 for d in (-1.0, 1.0) for T, Y in [self._stepped(d)]]
-        segments = [np.concatenate([b[::-1], f]) for b, f in zip(*sides)]
-        nb, F = len(sides[0][1]), segments[3]       # each side's F becomes a view of F
-        for d, view in ((-1.0, F[:nb][::-1]), (1.0, F[nb:])):
-            if d in self._sides:
-                self._sides[d].F = view
-        return segments
-
-    time_grid, states = _view("_nodes", 0), _view("_nodes", 1)
-    origin, h, y_origin, F = (_view("_segments", i) for i in range(4))
+    def _read(self, d, t, c):
+        """Writes into c the coefficients of the step k each time t on side d reads,
+        and returns x and Y[k] there, dim x len (see the class docstring)."""
+        side = self._sides.get(d, self._sides[1.0])
+        mirrored, T, F = side.d != d, side.T, side.coefficients(self.field)
+        # k counts the inner nodes before t, as far back as read when mirrored
+        inner = side.key[1:np.searchsorted(T, -self._low) if mirrored else -1]
+        k = np.searchsorted(inner, d * t, "left" if d > 0 else "right")
+        np.take(F, k, axis=2, out=c, mode="clip")      # unbuffered; every k is in range
+        if not mirrored:
+            return (t - T[k]) / (T[k + 1] - T[k]), side.Y[k].T
+        c *= self._mirror[:, None]
+        y, start, end = side.Y[k] * self._mirror, 0.0 - T[k], 0.0 - T[k + 1]
+        y[k == 0] = self._y0
+        return (t - start) / (end - start), y.T
 
     def __call__(self, t):
-        """States at the 1-d array of times t, dim x len; a grid node reads the
-        segment below it, as scipy's OdeSolution does, and Horner's rule alternates
-        x and 1 - x, as its DOP853 output does."""
+        """States at the 1-d array of times t, dim x len (see the class docstring)."""
         tt = np.asarray(t, dtype=float)
         if tt.ndim != 1:
             raise ValueError(f"times must be a 1-d array, not of shape {tt.shape}")
         self._grow(tt)
-        grid, (origin, h, y_origin, F) = self.time_grid, self._segments()
-        if len(h):
-            k = np.clip(np.searchsorted(grid, tt, side="left") - 1, 0, len(h) - 1)
-            x = ((tt - origin[k]) / h[k])[:, None]
-            c, x1 = F[k].transpose(1, 0, 2), 1 - x
-            y = ((((((c[6] * x + c[5]) * x1 + c[4]) * x + c[3]) * x1 + c[2]) * x + c[1]) * x1
-                 + c[0]) * x + y_origin[k]
-        else:                               # nothing stepped: every t read is 0
-            y = np.repeat(self.states, len(tt), axis=0)
-        return y.T
+        back = self._sides.get(-1.0)
+        backward = (tt <= 0.0) if (len(back.T) > 1 if back else self._low < 0.0) else (tt < 0.0)
+        if len(self._sides[1.0].T) == 1 and not backward.any():    # nothing stepped: t = 0
+            return np.repeat(self._y0[:, None], len(tt), axis=1)
+        # the forward times, then the backward ones: one Horner pass over both sides' rows
+        order = backward.argsort(kind="stable") if 0 < backward.sum() < len(tt) else slice(None)
+        ts, nf, dim = tt[order], len(tt) - np.count_nonzero(backward), len(self._y0)
+        x, y0, c = np.empty(len(tt)), np.empty((dim, len(tt))), np.empty((7, dim, len(tt)))
+        for d, s in ((1.0, slice(None, nf)), (-1.0, slice(nf, None))):
+            if len(ts[s]):
+                x[s], y0[:, s] = self._read(d, ts[s], c[:, :, s])
+        x1 = 1 - x
+        y = ((((((c[6] * x + c[5]) * x1 + c[4]) * x + c[3]) * x1 + c[2]) * x + c[1]) * x1
+             + c[0]) * x + y0
+        return y if isinstance(order, slice) else y[:, order.argsort(kind="stable")]
 
     def steps(self, lo: float, hi: float):
         """Times and states of a run over [lo, hi]: the nodes to the first past each end."""
@@ -377,8 +389,9 @@ class Trajectory:
             return self._y0.copy()
         self._grow(t)
         d = 1.0 if t > 0.0 else -1.0
-        k = np.searchsorted(self.time_grid, t, side="left" if d > 0 else "right") - (d > 0)
-        t_k, y = float(self.time_grid[k]), tuple(self.states[k].tolist())
+        T, Y, key = self._stepped(d)
+        k = np.searchsorted(key, d * t, "left") - 1
+        t_k, y = float(T[k]), tuple(Y[k].tolist())
         f = tuple(self.field(y))
         h_abs = _initial_step(self.field, y, f, abs(t - t_k), d, self.atol, self._rtol)
         return np.array(_leg(len(y))(self.field, t_k, t, True, h_abs, d, y, f, self.atol,
@@ -397,7 +410,7 @@ def integrate(field, state0, span, tol: Tolerances, atol_scale=1.0, *, mirror) -
     ``mirror`` is None, or a sign vector R of ones and minus ones that fixes
     ``state0`` by value and reverses ``field``, field(R s) = -R field(s), which
     the caller vouches for.  The forward side is then stepped alone and the
-    backward side is built from it (see the module docstring).
+    backward side is read from it through R (see the module docstring).
     """
     y0 = np.asarray(state0, dtype=float)
     R = None if mirror is None else np.asarray(mirror, dtype=float)

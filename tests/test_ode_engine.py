@@ -230,15 +230,17 @@ def test_two_sided_trajectory_equals_one_sided_runs(p, q):
 
 
 def _first(traj, nodes):
-    """The six arrays of ``traj`` up to its node ``nodes - 1``: times, states, origin,
-    h, y_origin and F."""
-    return (traj.time_grid[:nodes], traj.states[:nodes], traj.origin[:nodes - 1],
-            traj.h[:nodes - 1], traj.y_origin[:nodes - 1], traj.F[:nodes - 1])
+    """Times and states of ``traj`` up to its node ``nodes - 1``, and its reads at
+    those nodes, at the midpoints between them and at 0.0 and -0.0."""
+    grid = traj.time_grid[:nodes]
+    return (grid, traj.states[:nodes], traj(grid), traj((grid[1:] + grid[:-1]) / 2),
+            traj(np.array([0.0, -0.0])))
 
 
 def _assert_backward_half_is_the_backward_run(traj, atol_scale):
     """The part of ``traj`` before its anchor 0 equals a run over (lo, 0) from the
-    anchor's state by value, array for array, and so do endpoints read there."""
+    anchor's state by value, array for array and read for read, and so do
+    endpoints read there."""
     lo, i0 = traj.time_grid[0], np.searchsorted(traj.time_grid, 0.0)
     run = integrate(traj.field, traj.states[i0], (lo, 0.0), traj.tol, atol_scale, mirror=None)
     assert len(run.time_grid) == i0 + 1
@@ -279,13 +281,13 @@ def test_a_reversible_system_steps_its_forward_half_only(monkeypatch):
     assert np.array_equal(traj.time_grid, -traj.time_grid[::-1])
     assert np.array_equal(traj.states, traj.states[::-1] * [1.0, -1.0])
     mid = len(traj.time_grid) // 2                  # the anchor keeps its bits
-    assert np.array_equal(_bits([traj.time_grid[mid], traj.origin[mid - 1]]), _bits([0.0, 0.0]))
+    assert np.array_equal(_bits(traj.time_grid[mid]), _bits(0.0))
     assert np.array_equal(_bits(traj.states[mid]), _bits([1.0, 0.0]))
-    assert np.array_equal(_bits(traj.y_origin[mid - 1]), _bits([1.0, 0.0]))
+    assert np.array_equal(_bits(_at(traj, 0.0)), _bits([1.0, 0.0]))
     _assert_backward_half_is_the_backward_run(traj, 1.0)
     # a span not symmetric about 0 steps the forward side alone too, as far as
     # either end reaches, and mirrors it as far as the backward end: a plain
-    # run read as far each way has its arrays
+    # run read as far each way has its arrays and its reads
     for span in ((-7.0, 6.0), (-1.0, 3.0)):
         legs.clear()
         mirrored = integrate(field, [1.0, 0.0], span, Tolerances(), mirror=[1.0, -1.0])
@@ -328,6 +330,27 @@ def test_p1_backward_half_is_the_backward_run(q, tau, preset):
                           _bits(initial_state(param)))
     _assert_backward_half_is_the_backward_run(traj, np.array(traj.atol) / traj.tol.tol)
     _assert_backward_half_is_the_backward_run(curve.Q, 1.0)
+
+
+@pytest.mark.parametrize("q,frac", [(q, f) for q in range(2, 8) for f in (0.3, 1e-3, -0.3)])
+def test_p1_mirrored_reads_equal_a_run_stepped_on_both_sides(q, frac):
+    # the curve and (w, Q, Q') of p = 1 read their backward half through R from
+    # the forward one, bit for bit what the same system stepped on both sides
+    # without a mirror reads: at 0.0 and -0.0, at the backward nodes and over a
+    # grid, once both sides have been read
+    pair = AdmissiblePair(1, q)
+    curve = TwistTrajectory(TwistParam(pair, frac * tau_max(pair)), Tolerances())
+    for mirrored in (curve.trajectory, curve.Q):
+        assert list(mirrored._sides) == [1.0]
+        plain = ode_engine.Trajectory(mirrored.field, mirrored.endpoint(0.0), mirrored.tol,
+                                      mirrored.atol, None)
+        grid = np.linspace(-5.0, 5.0, 101)
+        for traj in (mirrored, plain):
+            traj(grid)
+        nodes = mirrored.time_grid[mirrored.time_grid < 0.0]
+        for ts in ([0.0], [-0.0], nodes, grid, np.concatenate([[0.0, -0.0], nodes, grid])):
+            assert np.array_equal(_bits(mirrored(np.array(ts))), _bits(plain(np.array(ts))))
+        assert np.array_equal(_bits(nodes), _bits(plain.time_grid[plain.time_grid < 0.0]))
 
 
 def _landed_endpoint(traj, t):
@@ -434,7 +457,8 @@ def test_a_field_is_handed_the_state_alone(mirror):
     assert abs(traj.endpoint(-4.5)[0] - math.cos(4.5)) < 1e-10
     times, _ = traj.steps(-5.0, 5.0)
     assert times[0] <= -5.0 and times[-1] >= 5.0
-    assert traj.F.shape[0] == len(traj.time_grid) - 1
+    traj(times)                                     # the dense stages of every step
+    assert all(side.F.shape[2] == len(side.ts) - 1 for side in traj._sides.values())
     assert sizes and set(sizes) == {2}
 
 
@@ -476,6 +500,14 @@ def test_locate_event_hands_g_and_g_prime_the_state_alone():
         assert a is b and a.shape == (1,)
 
 
+def _arrays(traj):
+    """``time_grid`` and ``states``, then each stepped side's times, states and
+    dense coefficients over all its steps, in stepping order."""
+    sides = [traj._sides[d] for d in sorted(traj._sides)]
+    return [traj.time_grid, traj.states,
+            *(a for side in sides for a in (side.T, side.Y, side.coefficients(traj.field)))]
+
+
 _GROWTH_CASES = [(p, q, sign * frac) for p, q in [(1, 2), (1, 5), (2, 2), (2, 3), (3, 4), (2, 5)]
                  for frac in (0.3, 1e-3) for sign in (1.0, -1.0)]
 
@@ -495,8 +527,8 @@ def test_a_trajectory_grown_in_pieces_is_one_run_to_its_extent(p, q, frac):
         reads += [pieces.endpoint(1.1 * hi), pieces.endpoint(1.1 * lo),
                   pieces(np.linspace(lo, hi, 7))]
     whole(np.array([1.1 * extents[-1][0], 1.1 * extents[-1][1]]))
-    for name in ("time_grid", "states", "origin", "h", "y_origin", "F"):
-        assert np.array_equal(_bits(getattr(pieces, name)), _bits(getattr(whole, name))), name
+    for got, want in zip(_arrays(pieces), _arrays(whole), strict=True):
+        assert np.array_equal(_bits(got), _bits(want))
     again = []
     for lo, hi in extents:
         again += [whole.endpoint(1.1 * hi), whole.endpoint(1.1 * lo),
@@ -573,15 +605,16 @@ def _scalar_stages(field, h, y, f, last):
     return k
 
 
-def _scalar_dense_rows(traj):
-    """``F[:, 3:]`` of a trajectory rebuilt one step at a time, every stage 1-15
-    in Python floats from ``_A``."""
-    field, kept = traj.field, ode_engine._KEPT
+def _scalar_dense_rows(field, T, Y):
+    """Rows 3-6 of the dense coefficients of a side's steps, the nodes T and Y,
+    rebuilt one step at a time, every stage 1-15 in Python floats from ``_A``:
+    (steps, 4, dim)."""
+    kept, H = ode_engine._KEPT, np.diff(T)
     K = []
-    for h, y in zip(traj.h.tolist(), traj.y_origin.tolist()):
+    for h, y in zip(H.tolist(), Y[:-1].tolist()):
         k = _scalar_stages(field, h, y, field(tuple(y)), 15)
         K.append([k[s] for s in kept])
-    return traj.h[:, None, None] * np.einsum("ij,sjd->sid", ode_engine._D[:, kept], np.array(K))
+    return H[:, None, None] * np.einsum("ij,sjd->sid", ode_engine._D[:, kept], np.array(K))
 
 
 def _curve_trajectory(p, q):
@@ -604,8 +637,12 @@ def _profile_trajectory(n):
 ], ids=["(2,3)", "(1,6)", "catenoid n=4", "constant"])
 def test_one_pass_dense_stages_equal_scalar_steps(build):
     traj = build()
-    assert (traj.h < 0).any() and (traj.h > 0).any()
-    assert np.array_equal(_bits(traj.F[:, 3:]), _bits(_scalar_dense_rows(traj)))
+    assert sorted(traj._sides) == [-1.0, 1.0]
+    for side in traj._sides.values():
+        T, Y = side.T, side.Y
+        assert len(T) > 1
+        F = side.coefficients(traj.field).transpose(2, 0, 1)
+        assert np.array_equal(_bits(F[:, 3:]), _bits(_scalar_dense_rows(traj.field, T, Y)))
 
 
 def _reference_steps(field, y0, t0, t1, tol, atol, land):
@@ -675,7 +712,9 @@ def test_generated_leg_equals_plain_python_steps():
     assert rejections >= 1
     assert np.array_equal(_bits(traj.time_grid), _bits(np.concatenate([Tb[::-1], Tf[1:]])))
     assert np.array_equal(_bits(traj.states), _bits(np.concatenate([Yb[::-1], Yf[1:]])))
-    assert np.array_equal(_bits(traj.F), _bits(np.concatenate([Fb[::-1], Ff])))
+    for got, want in zip(_arrays(traj)[2:], (Tb, Yb, Fb.transpose(1, 2, 0), Tf, Yf,
+                                             Ff.transpose(1, 2, 0)), strict=True):
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def _reference_case(field, y0, span, tol=Tolerances(), atol_scale=1.0):

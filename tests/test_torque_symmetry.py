@@ -188,7 +188,7 @@ def _flux_elements(n):
     return [geo.rotation_generator(n, 0, n - 1), S]
 
 
-@pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3)])
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in range(3, 7) for p in range(1, n // 2 + 1)])
 def test_default_order_flux_matches_order_24(p, q):
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, 0.5 * tau_max(pair))
@@ -211,7 +211,9 @@ def _four_directions(pair):
 
 @pytest.mark.parametrize("p,q", [(p, n - p) for n in (6, 7, 8) for p in range(1, n // 2 + 1)])
 def test_default_order_flux_matches_order_8(p, q):
-    # order 24 is out of reach past n = 5; order 8 is the rule the default replaced
+    # order 24 stops at n = 6, where a meridian has up to 82,944 nodes (S^m has
+    # 24 * 12^(m - 1)); at n = 7 it would have up to 995,328, so n = 6 to 8 check
+    # against order 8, twice the default
     pair = AdmissiblePair(p, q)
     for sign in (1.0, -1.0):
         curve = _curve(TwistParam(pair, sign * 0.5 * tau_max(pair)))
