@@ -17,7 +17,7 @@ import numpy as np
 from .ode_engine import Tolerances, brent
 # closure.period_ode stays a name of this module: perfbench's tracer looks it up here
 from .periods import angular_periods, period_ode, pthat_quadrature  # noqa: F401
-from .twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max
+from .twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _w, tau_max
 
 __all__ = [
     "BracketingError", "RationalTarget", "ClosureReport", "ClosedCurveCheck", "K0_CAP",
@@ -107,8 +107,9 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
     angular period of the curve at that root is accepted if it is within 1e-12 of
     the target; otherwise Brent on it, with xtol 1e-16, in a bracket grown about
     the root until it changes sign.  Each curve tried is integrated only as far
-    as its period is read; the one returned, whose period was checked, grows as
-    :func:`verify_closed` reads it.
+    as its period is read; the one returned, whose period was checked, is grown
+    by :func:`verify_closed`'s dense reads to two periods, and its closure window
+    is landed on without storing the run there.
     """
     k0 = k0_from_target(pair, target)
     if k0 > K0_CAP:
@@ -158,11 +159,14 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
 
 
 def verify_closed(curve: TwistTrajectory, k0: int, samples: int) -> ClosedCurveCheck:
-    """Closure and one-period rotation residuals over a long integration.
+    """Closure and one-period rotation residuals, at ``samples`` times t of [0, 2 p_tau].
 
-    closure_residual: max over samples of |w(t + 2 k0 p_tau) - w(t)|.
+    closure_residual: max of |w(t + 2 k0 p_tau) - w(t)|, the window landed on
+    (:meth:`Trajectory.landed`) from the curve's run continued past its stored
+    steps without storing it, so memory does not grow with k0.
     rotation_residual: max of |w(t + 2 p_tau) - Mhat_{2 pthat} w(t)| with
     Mhat the phases (e^{2i pthat/p}, e^{-2i pthat/q}) of the diagonal rotation.
+    w(t) and w(t + 2 p_tau) are dense reads of the stored curve.
     """
     from .geometry.symmetry import mhat     # keeps geometry out of `import sltwist`
 
@@ -171,8 +175,8 @@ def verify_closed(curve: TwistTrajectory, k0: int, samples: int) -> ClosedCurveC
     m = mhat(pair, 2.0 * data.pthat)[:, None]
     ts = np.linspace(0.0, 2.0 * data.p_tau, samples)
     a = curve.w(ts)
-    closure = np.max(np.abs(curve.w(ts + T) - a))
     rotation = np.max(np.abs(curve.w(ts + 2.0 * data.p_tau) - m * a))
+    closure = np.max(np.abs(_w(curve.trajectory.landed(ts + T)) - a))
     return ClosedCurveCheck(closure_residual=float(closure),
                             rotation_residual=float(rotation))
 

@@ -6,17 +6,23 @@ initial step, the scale ``atol + rtol max(|y|, |y_new|)`` per real component,
 the combined err5/err3 norm, safety 0.9, exponent -1/8, step factors in
 [0.2, 10] and none above 1 right after a rejection, and a 10-ulp minimum step;
 one tolerance is both atol and rtol.  A leg, a run of steps, is one function
-generated and compiled once per state dimension: that step control, each try's
-12 stages and error norm in straight-line float code, and each accepted step
-appended to flat buffers.  The dense-output stages 13-15, which no step control
-reads, run on arrays of many steps at once, so a field takes arrays too.
+generated and compiled once per state dimension and variant: that step control
+and each try's 12 stages and error norm in straight-line float code.  The
+storing variant appends each accepted step to flat buffers; the non-storing
+one, from the same source, appends nothing and runs in constant memory.  The
+dense-output stages 13-15, which no step control reads, run on arrays of many
+steps at once, so a field takes arrays too.
 Every system is autonomous: a field is ``field(state)``, with no time argument.
 
 A :class:`Trajectory` is anchored at t = 0 and grows on read: each side's run
 stops at its first step at or past the farthest time read, and resumes there
 when a read reaches past it.  No step of a side is clipped, so a side read in
 pieces is, bit for bit, the run straight to its final extent.  Only an endpoint
-lands on its time, by a leg of its own from the last accepted step before it.
+lands on its time, by a non-storing leg of its own from the last accepted step
+before it; a landed read (:meth:`Trajectory.landed`) does the same from the last
+node of the forward run before its time, a node the side stores or one of the
+side's run continued past its steps without storing them, so that a check can
+read integrated states far along a curve in memory that does not grow.
 
 Each side is the one store of its steps, and a read goes to the side of its
 time.  t = 0 goes to the backward side once that has a step, else to the
@@ -135,16 +141,19 @@ _STEPPED = _KEPT.index(13)                           # of them, 0 and 5-12 come 
 
 
 @lru_cache(maxsize=None)
-def _leg(dim: int):
-    """``leg(fun, t, t1, land, h_abs, direction, y, f = fun(y), atol, rtol, ts, ys, ks)``:
+def _leg(dim: int, store: bool):
+    """``leg(fun, t, t1, land, h_abs, direction, y, f = fun(y), atol, rtol, *buffers)``:
     the steps of scipy's controller from t and the step size h_abs as
-    straight-line float code, each try's 12 stages and error norm, appending
-    each accepted step's time, state and stages 0, 5-12 (then zeros for 13-15)
-    to the ``array('d')`` buffers ts, ys and ks, until a step reaches t1, with
-    ``land`` clipped to end on it.  Returns the next step size, the state and
-    its field value, from which a later leg resumes.  ``max(a, b)`` is written
-    as CPython evaluates it, ``b if b > a else a``, and ``min(a, b)`` as
-    ``b if b < a else a``."""
+    straight-line float code, each try's 12 stages and error norm, until a step
+    reaches t1, with ``land`` clipped to end on it.  Returns the next step size,
+    the state and its field value, from which a later leg resumes.  With
+    ``store`` it appends each accepted step's time, state and stages 0, 5-12
+    (then zeros for 13-15) to the ``array('d')`` buffers ts, ys and ks; without,
+    it takes no buffers, appends nothing, and also returns the time it ended at
+    and the node (time, state, field value) its last step started from.  Both
+    variants come from one source, so they step alike, bit for bit.
+    ``max(a, b)`` is written as CPython evaluates it, ``b if b > a else a``, and
+    ``min(a, b)`` as ``b if b < a else a``."""
     comp = range(dim)
 
     def vec(fmt):
@@ -188,9 +197,11 @@ def _leg(dim: int):
               "factor = 0.9 * err ** -0.125",
               "h_abs *= factor if factor > 0.2 else 0.2",
               "rejected = True"]
-    leg = ["def leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol, ts, ys, ks):",
+    state, value, buffers = f"({vec('y{i}')})", f"({vec('k0_{i}')})", ", ts, ys, ks" * store
+    leg = [f"def leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol{buffers}):",
            f"    {vec('y{i}')}= y", f"    {vec('k0_{i}')}= f", f"    {vec('a{i}')}= atol",
            "    toward = direction * inf",
+           *([] if store else ["    node = t, y, f"]),
            "    while direction * (t - t1) < 0:",
            "        min_step = 10 * abs(nextafter(t, toward) - t)",
            "        if min_step > h_abs:",
@@ -198,14 +209,13 @@ def _leg(dim: int):
            "        rejected = False",
            "        while True:",
            *["            " + line for line in tries],
-           f"        ks.fromlist([{kept}{room}])",
+           f"        ks.fromlist([{kept}{room}])" if store else f"        node = t, {state}, {value}",
            f"        t, {vec('y{i}')}{vec('k0_{i}')}= t_new, {vec('n{i}')}{vec('k12_{i}')}",
-           "        ts.append(t)",
-           f"        ys.fromlist([{vec('y{i}')}])",
-           f"    return h_abs, ({vec('y{i}')}), ({vec('k0_{i}')})"]
+           *(["        ts.append(t)", f"        ys.fromlist([{vec('y{i}')}])"] if store else []),
+           f"    return h_abs, {state}, {value}{'' if store else ', t, node'}"]
     scope = {"IntegrationError": IntegrationError, "inf": math.inf,
              "nextafter": math.nextafter, "sqrt": math.sqrt, "isfinite": math.isfinite}
-    exec(compile("\n".join(leg), f"<dop853 leg dim={dim}>", "exec"), scope)
+    exec(compile("\n".join(leg), f"<dop853 leg dim={dim}{' storing' * store}>", "exec"), scope)
     return scope["leg"]
 
 
@@ -307,7 +317,7 @@ class Trajectory:
                                            self._rtol)
             n, nk, dim = len(side.ts), len(side.ks), len(side.y)
             try:
-                side.h_abs, side.y, side.f = _leg(dim)(
+                side.h_abs, side.y, side.f = _leg(dim, True)(
                     self.field, side.ts[-1], end, False, side.h_abs, d, side.y, side.f,
                     self.atol, self._rtol, side.ts, side.ys, side.ks)
             except IntegrationError:        # the side stays as it was, for later reads
@@ -394,8 +404,42 @@ class Trajectory:
         t_k, y = float(T[k]), tuple(Y[k].tolist())
         f = tuple(self.field(y))
         h_abs = _initial_step(self.field, y, f, abs(t - t_k), d, self.atol, self._rtol)
-        return np.array(_leg(len(y))(self.field, t_k, t, True, h_abs, d, y, f, self.atol,
-                                     self._rtol, array("d"), array("d"), array("d"))[1])
+        return np.array(_leg(len(y), False)(self.field, t_k, t, True, h_abs, d, y, f,
+                                            self.atol, self._rtol)[1])
+
+    def landed(self, times) -> np.ndarray:
+        """States at the ascending times t > 0 of a 1-d array, dim x len, each
+        stepped, landing on t, by a leg of its own from the last canonical node
+        t_k < t, whose first try is 2 (t - t_k): the one remaining step, unless the
+        error control rejects it.
+
+        The canonical nodes are the forward side's run: its stored steps where it
+        has them, and past them the run continued from the side's resume state by
+        the non-storing leg, in constant memory.  The side is not changed.  Both
+        are the same steps, bit for bit, so a time's state depends on neither
+        earlier reads nor the other times of the call."""
+        tt = np.asarray(times, dtype=float)
+        if tt.ndim != 1:
+            raise ValueError(f"times must be a 1-d array, not of shape {tt.shape}")
+        if len(tt) and not (tt[0] > 0.0 and (tt[1:] >= tt[:-1]).all()):
+            raise ValueError("landed times must be ascending and above 0")
+        side, field, atol, rtol = self._sides[1.0], self.field, self.atol, self._rtol
+        leg, out = _leg(len(self._y0), False), np.empty((len(self._y0), len(tt)))
+        end = run_t = side.ts[-1]
+        run_y, run_f, h_abs = side.y, side.f, side.h_abs
+        if h_abs is None:                   # nothing stepped: the step _grow starts with
+            h_abs = _initial_step(field, run_y, run_f, math.inf, 1.0, atol, rtol)
+        for i, t in enumerate(tt.tolist()):
+            if t <= end:
+                k = np.searchsorted(side.T, t, "left") - 1
+                y = tuple(side.Y[k].tolist())
+                node = float(side.T[k]), y, tuple(field(y))
+            elif run_t < t:                 # else the last step of the run reaches t too
+                h_abs, run_y, run_f, run_t, node = leg(field, run_t, t, False, h_abs, 1.0,
+                                                       run_y, run_f, atol, rtol)
+            t_k, y, f = node
+            out[:, i] = leg(field, t_k, t, True, 2.0 * (t - t_k), 1.0, y, f, atol, rtol)[1]
+        return out
 
 
 def integrate(field, state0, span, tol: Tolerances, atol_scale=1.0, *, mirror) -> Trajectory:

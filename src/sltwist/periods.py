@@ -74,15 +74,16 @@ class PeriodData:
     psi2_2p: float
 
 
-def _branch_halves(pair: AdmissiblePair, taus, gaps) -> np.ndarray:
+def _branch_halves(pair: AdmissiblePair, taus, gaps, rows) -> np.ndarray:
     """The route integrals int w(y) dy / (2 sqrt(f(y) - 4 tau^2)) over [y_min, q/n]
     and [q/n, y_max] for each tau, by the rule of the module docstring, as one
-    (3, 2, len(taus)) array: weights w = 1, 1/(1 - y) and 1/y (time, psi1 and
-    psi2 over 2 tau) on axis 0, the halves on axis 1.  ``gaps`` is
+    (len(rows), 2, len(taus)) array: on axis 0 the weights of ``rows`` among
+    w = 1, 1/(1 - y) and 1/y (rows 0, 1 and 2: time, psi1 and psi2 over 2 tau),
+    the halves on axis 1; only those weights are evaluated.  ``gaps`` is
     (y_min, 1 - y_max) of ``taus``, two arrays over tau or two floats for one
     tau.  Each tau's row is summed by its own product with the rule, so it has
-    the same bits in any batch.  A sum that is not finite is refused, naming its
-    tau."""
+    the same bits in any batch and whatever other rows are asked for.  A sum
+    that is not finite is refused, naming its tau."""
     p, q, n = pair.p, pair.q, pair.n
     r = np.reshape(gaps, (2, -1, 1))
     c = np.stack([f_taylor_coeffs(q, p, r[0]), f_taylor_coeffs(p, q, r[1])], axis=1)
@@ -96,11 +97,20 @@ def _branch_halves(pair: AdmissiblePair, taus, gaps) -> np.ndarray:
         G = c[-1]
         for ck in c[-2::-1]:
             G = G * s2 + ck         # f(y) - 4 tau^2 = s^2 G, positive inside
-        near, far = r + s2, (1.0 - r) - s2
-        y, one_minus_y = np.stack([near[0], far[1]]), np.stack([far[0], near[1]])
         scale, cosh, root = d * span, np.cosh(v), np.sqrt(G)
-        out = np.stack([((scale * (w * cosh / root))[..., None, :] @ _WEIGHTS)[..., 0]
-                        for w in (1.0, 1.0 / one_minus_y, 1.0 / y)])
+        del v, G
+
+        def near(h):        # y on y_min's half (h = 0), 1 - y on y_max's (h = 1)
+            return r[h] + s2[h]
+
+        def far(h):         # 1 - y on y_min's half, y on y_max's
+            return (1.0 - r[h]) - s2[h]
+
+        weight = {0: lambda: 1.0, 1: lambda: 1.0 / np.stack([far(0), near(1)]),
+                  2: lambda: 1.0 / np.stack([near(0), far(1)])}
+        out = np.empty((len(rows), *s2.shape[:2]))
+        for i, row in enumerate(rows):
+            out[i] = ((scale * (weight[row]() * cosh / root))[..., None, :] @ _WEIGHTS)[..., 0]
     finite = np.isfinite(out).all(axis=(0, 1))
     if not finite.all():
         tau = abs(np.ravel(taus)[np.argmin(finite)])
@@ -115,7 +125,8 @@ def branch_integral(param: TwistParam) -> tuple[tuple[float, float], ...]:
 
     Each is the integral of its weight w(y(t)) dt over one monotone half-branch of y.
     """
-    return tuple(map(tuple, _branch_halves(param.pair, param.tau, _gaps(param))[..., 0].tolist()))
+    halves = _branch_halves(param.pair, param.tau, _gaps(param), (0, 1, 2))
+    return tuple(map(tuple, halves[..., 0].tolist()))
 
 
 def partial_periods_quadrature(param: TwistParam) -> tuple[float, float]:
@@ -131,7 +142,7 @@ def partial_periods_quadrature(param: TwistParam) -> tuple[float, float]:
 
 def angular_periods(pair: AdmissiblePair, taus) -> np.ndarray:
     """pthat by quadrature for each tau of an array: p * int 2 tau/(1 - y)."""
-    lo, hi = _branch_halves(pair, taus, _extrema(pair, taus))[1]
+    (lo, hi), = _branch_halves(pair, taus, _extrema(pair, taus), (1,))
     return 2.0 * pair.p * np.asarray(taus, dtype=float) * (lo + hi)
 
 

@@ -93,7 +93,7 @@ def dpthat_dtau_cross_check(curve: TwistTrajectory) -> dict:
     value = dpthat_dtau(curve)
     h = 1e-2 * min(abs(tau), tau_max(pair) - abs(tau))
     taus = tau + h * np.array([1.0, -1.0, 0.5, -0.5])
-    lo, hi = _branch_halves(pair, taus, _extrema(pair, taus))[2]
+    (lo, hi), = _branch_halves(pair, taus, _extrema(pair, taus), (2,))
     up, dn, half_up, half_dn = 2.0 * pair.q * taus * (lo + hi)
     fd = float((8.0 * (half_up - half_dn) - (up - dn)) / (6.0 * h))
     rel = abs(value - fd) / max(abs(fd), 1e-300)

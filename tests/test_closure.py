@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,9 @@ from sltwist.closure import (BracketingError, RationalTarget,
                              find_tau_for_angular_period,
                              half_period_classification, k0_from_target,
                              necklace, necklace_scaling_ratio, verify_closed)
+import sltwist.ode_engine as ode_engine
 from sltwist.ode_engine import Tolerances
-from sltwist.twisted_curve import AdmissiblePair
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory
 
 
 def test_rational_target_validation():
@@ -70,8 +72,8 @@ def test_necklace_smallest_cases():
 def test_each_integrated_closure_try_reads_one_period(monkeypatch):
     # necklace (2,2) m = 1 (k0 = 3) refines its tau on the integrated route: each
     # curve tried is stepped only as far as its period is read, one period and a
-    # step each side, and only the curve returned grows to its closing span, as
-    # its closure check reads it
+    # step each side, and only the curve returned grows, to the two periods its
+    # closure check reads densely: its closing window is landed on unstored
     import sltwist.twisted_curve as twisted_curve
     from sltwist.periods import partial_periods_quadrature
 
@@ -90,7 +92,7 @@ def test_each_integrated_closure_try_reads_one_period(monkeypatch):
         period = 2.0 * sum(partial_periods_quadrature(param)) * (1.0 + 1e-6)
         grid = traj.time_grid
         if traj is curve.trajectory:
-            assert grid[-1] >= 2 * k0 * curve.period.p_tau
+            assert 4 * curve.period.p_tau <= grid[-1] < 2 * k0 * curve.period.p_tau
         else:
             assert -period <= grid[1] and grid[-2] <= period
 
@@ -198,3 +200,140 @@ def test_closed_curve_injective_within_period():
     for i, j in pairs:
         dt = abs(ts[i] - ts[j])
         assert min(dt % T, T - dt % T) < 1e-2
+
+
+# -- the closure window, landed on from the curve's run continued unstored --
+
+def _window(curve, k0, samples=20):
+    """verify_closed's closure window: samples times of one period past 2 k0 p_tau."""
+    p_tau = curve.period.p_tau
+    return np.linspace(0.0, 2.0 * p_tau, samples) + 2.0 * k0 * p_tau
+
+
+def _fresh(curve):
+    """The curve of ``curve``'s tau and tol, nothing stepped."""
+    return TwistTrajectory(curve.param, curve.tol).trajectory
+
+
+def _snapshot(side):
+    return (side.T.tobytes(), side.Y.tobytes(), side.F.tobytes(), bytes(side.ts),
+            bytes(side.ys), bytes(side.ks), side.y, side.f, side.h_abs)
+
+
+def _unlanded_legs(monkeypatch):
+    """The (store, start) of each leg not landing on its time, from now on."""
+    legs, original = [], ode_engine._leg
+
+    def leg_of(dim, store):
+        leg = original(dim, store)
+
+        def recording(fun, t, t1, land, *rest):
+            if not land:
+                legs.append((store, t))
+            return leg(fun, t, t1, land, *rest)
+
+        return recording
+
+    monkeypatch.setattr(ode_engine, "_leg", leg_of)
+    return legs
+
+
+@pytest.mark.parametrize("pq,m", [((1, 2), 2), ((1, 3), 1), ((2, 2), 1)])
+def test_a_landed_batch_is_a_loop_of_one_time_reads(pq, m):
+    curve, k0 = necklace(AdmissiblePair(*pq), m, Tolerances())
+    ts = _window(curve, k0)
+    batch = curve.trajectory.landed(ts)
+    assert batch.shape == (4, len(ts))
+    for i, t in enumerate(ts):
+        assert curve.trajectory.landed(np.array([t])).tobytes() == batch[:, i:i + 1].tobytes()
+
+
+def test_landed_bits_do_not_depend_on_earlier_reads():
+    # nothing read, the period read, a dense read inside the gap between the
+    # stored steps and the window, and one past the window: the same canonical
+    # nodes, stored or continued unstored, and the same bits
+    curve, k0 = necklace(AdmissiblePair(1, 2), 2, Tolerances())
+    ts = _window(curve, k0)
+    want = _fresh(curve).landed(ts)
+    gap, past = _fresh(curve), _fresh(curve)
+    gap(np.array([0.5 * (4.0 * curve.period.p_tau + ts[0])]))
+    past(np.array([ts[-1] + 1.0]))
+    assert past.time_grid[-1] > ts[-1] > ts[0] > gap.time_grid[-1]
+    for traj in (curve.trajectory, gap, past):
+        assert traj.landed(ts).tobytes() == want.tobytes()
+
+
+def test_landed_leaves_the_side_as_it_was():
+    # times inside the stored steps and past them, on the necklace and on its
+    # curve with nothing stepped: no step, array, F or resume state is added
+    curve, k0 = necklace(AdmissiblePair(2, 2), 1, Tolerances())
+    p_tau = curve.period.p_tau
+    ts = np.concatenate([[0.1, 0.5 * p_tau, 2.0 * p_tau], _window(curve, k0)])
+    for traj in (curve.trajectory, _fresh(curve)):
+        side = traj._sides[1.0]
+        before = _snapshot(side)
+        traj.landed(ts)
+        assert _snapshot(side) == before
+
+
+@pytest.mark.parametrize("k0", [1, 2])
+def test_a_window_inside_the_stored_steps_is_landed_from_them(k0, monkeypatch):
+    # the window read from stored steps has the bits of the run continued past
+    # them; with k0 = 1 verify_closed's own dense reads store the whole window
+    curve = TwistTrajectory(TwistParam(AdmissiblePair(2, 3), 0.05), Tolerances())
+    ts = _window(curve, k0)
+    want = _fresh(curve).landed(ts)
+    traj = curve.trajectory
+    if k0 == 1:
+        verify_closed(curve, k0, 20)
+    else:
+        traj(np.array([ts[-1]]))
+    legs = _unlanded_legs(monkeypatch)
+    assert ts[-1] <= traj.time_grid[-1]
+    assert traj.landed(ts).tobytes() == want.tobytes()
+    assert legs == []
+    ends = np.stack([traj.endpoint(t) for t in ts], axis=1)
+    assert np.max(np.abs(want - ends)) <= 10 * curve.tol.tol
+
+
+def test_a_window_past_the_stored_steps_continues_the_run_unstored(monkeypatch):
+    curve, k0 = necklace(AdmissiblePair(1, 2), 2, Tolerances())
+    end = curve.trajectory.time_grid[-1]
+    legs = _unlanded_legs(monkeypatch)
+    curve.trajectory.landed(_window(curve, k0))
+    assert legs and all(not store for store, _ in legs) and legs[0][1] == end
+
+
+@pytest.mark.parametrize("ts", [[0.0], [-0.0], [-1.0], [1.0, 0.5], [0.5, 1.0, -0.0],
+                                [math.nan], [0.5, math.nan]])
+def test_landed_refuses_times_at_or_below_zero_and_descending(ts):
+    curve = TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.1), Tolerances())
+    with pytest.raises(ValueError, match="ascending and above 0"):
+        curve.trajectory.landed(np.array(ts))
+
+
+@pytest.mark.parametrize("pq,m", [((1, 2), 4), ((1, 3), 2), ((2, 2), 3)])
+def test_landed_is_the_endpoint_to_the_tolerance_on_necklaces(pq, m):
+    curve, k0 = necklace(AdmissiblePair(*pq), m, Tolerances())
+    ts = _window(curve, k0)
+    got = curve.trajectory.landed(ts)
+    ends = np.stack([curve.trajectory.endpoint(t) for t in ts], axis=1)
+    assert np.max(np.abs(got - ends)) <= 10 * curve.tol.tol
+
+
+def test_verify_closed_runs_in_memory_independent_of_k0():
+    # (1,2) m = 8 closes after k0 = 31 half-periods, about 1,400 steps, which a
+    # stored run holds at about 1 kB each (1.5 MB traced): the closure window is
+    # landed on from a run that stores none of them (80 kB traced).  Tracing
+    # slows the steps about tenfold, so the bound is checked here, not at m = 128
+    import sltwist.geometry.symmetry  # noqa: F401  (verify_closed's import, untraced)
+
+    curve, k0 = necklace(AdmissiblePair(1, 2), 8, Tolerances())
+    tracemalloc.start()
+    try:
+        check = verify_closed(curve, k0, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check.closure_residual <= 1e-8
+    assert peak < 5e5, peak

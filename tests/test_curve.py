@@ -16,7 +16,7 @@ from sltwist.geometry.export import trajectory_csv
 from sltwist.geometry.immersion import Sampler
 from sltwist.ode_engine import Tolerances
 from sltwist.periods import branch_integral
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _field
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _field, _w
 from sltwist.variation import dpthat_dtau_cross_check
 
 
@@ -71,8 +71,8 @@ def test_verify_steps_a_p1_curve_forward_only(monkeypatch, capsys, argv, legs):
     # pairs stepped, each run starting at 0, endpoints (which land) aside
     starts = {}
 
-    def leg_of(dim):
-        leg = original(dim)
+    def leg_of(dim, store):
+        leg = original(dim, store)
 
         def stepping(fun, t, t1, land, h_abs, direction, *rest):
             if not land:
@@ -197,10 +197,10 @@ def test_each_tau_evaluates_the_quadrature_rule_once(monkeypatch, capsys, argv, 
     # read it (verify's derivative row evaluates its four taus in one batch)
     one_tau = []
 
-    def counting(pair, ts, gaps):
+    def counting(pair, ts, gaps, rows):
         if np.ndim(ts) == 0:
             one_tau.append(ts)
-        return original(pair, ts, gaps)
+        return original(pair, ts, gaps, rows)
 
     original = periods._branch_halves
     _rebind_everywhere(monkeypatch, original, counting)
@@ -303,9 +303,12 @@ def test_array_residuals_match_point_by_point_loops(p, q, tau):
     def w(t):                       # one time, read as a one-element batch
         return traj.w(np.array([t]))[:, 0]
 
+    def landed(t):                  # one time, landed on alone
+        return _w(curve.trajectory.landed(np.array([t])))[:, 0]
+
     translation = max(np.max(np.abs(w(t + 2.0 * data.p_tau) - M @ w(t)))
                       for t in np.linspace(-0.5 * data.p_tau, 0.5 * data.p_tau, 40))
-    closure = max(np.max(np.abs(w(t + 2.0 * data.p_tau) - w(t)))
+    closure = max(np.max(np.abs(landed(t + 2.0 * data.p_tau) - w(t)))
                   for t in np.linspace(0.0, 2.0 * data.p_tau, 20))
     assert geo.symmetry_residuals(curve)["translation"] == pytest.approx(translation, abs=1e-15)
     assert verify_closed(curve, 1, 20).closure_residual == pytest.approx(closure, abs=1e-15)

@@ -255,8 +255,8 @@ def _stepped_legs(monkeypatch):
     endpoint's leg, which lands on its time, is not counted."""
     legs, original = [], ode_engine._leg
 
-    def leg_of(dim):
-        leg = original(dim)
+    def leg_of(dim, store):
+        leg = original(dim, store)
 
         def stepping(fun, t, t1, land, h_abs, direction, *rest):
             if not land:
@@ -550,7 +550,7 @@ def test_tableau_literals_are_scipys_bit_for_bit():
     # the compiled leg carries each coefficient it uses as a literal; the
     # dense-output stages 13-15 read rows 13-15 of _A, pinned above; no stage
     # time is formed, so the nodes C are not used
-    consts = set(ode_engine._leg(2).__code__.co_consts)
+    consts = set(ode_engine._leg(2, True).__code__.co_consts)
     used = [*scipy_dop853.A[1:n + 1].ravel(),
             *scipy_dop853.E5, *scipy_dop853.E3]
     assert {float(v) for v in used if v} <= consts

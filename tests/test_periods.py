@@ -225,7 +225,11 @@ def test_a_batched_quadrature_has_each_taus_bits(p, q):
     pair = AdmissiblePair(p, q)
     rng = np.random.default_rng(p * 10 + q)
     taus = np.exp(rng.uniform(math.log(1e-6), math.log(0.99 * tau_max(pair)), 50))
-    times, psi1, psi2 = _branch_halves(pair, taus, _extrema(pair, taus)).sum(axis=1)
+    every = _branch_halves(pair, taus, _extrema(pair, taus), (0, 1, 2))
+    times, psi1, psi2 = every.sum(axis=1)
+    # a row asked for alone, or in another order, is evaluated with the same bits
+    alone = _branch_halves(pair, taus, _extrema(pair, taus), (2, 0))
+    assert alone.tobytes() == every[[2, 0]].tobytes()
     for i, tau in enumerate(taus):
         param = TwistParam(pair, float(tau))
         assert (2.0 * p * tau * psi1[i]).hex() == pthat_quadrature(param).hex(), tau
