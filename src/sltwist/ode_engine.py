@@ -6,29 +6,29 @@ initial step, the scale ``atol + rtol max(|y|, |y_new|)`` per real component,
 the combined err5/err3 norm, safety 0.9, exponent -1/8, step factors in
 [0.2, 10] and none above 1 right after a rejection, and a 10-ulp minimum step;
 one tolerance is both atol and rtol.  A leg, a run of steps, is one function
-generated and compiled once per state dimension and variant: that step control
-and each try's 12 stages and error norm in straight-line float code.  The
-storing variant appends each accepted step to flat buffers; the non-storing
-one, from the same source, appends nothing and runs in constant memory.  The
-dense-output stages 13-15, which no step control reads, run on arrays of many
-steps at once, so a field takes arrays too.
+generated and compiled once per state dimension: that step control and each
+try's 12 stages and error norm in straight-line float code.  Handed flat
+buffers, it appends each accepted step to them; handed none, it keeps nothing
+and runs in constant memory.  The dense-output stages 13-15, which no step
+control reads, run on arrays of many steps at once, so a field takes arrays too.
 Every system is autonomous: a field is ``field(state)``, with no time argument.
 
 A :class:`Trajectory` is anchored at t = 0 and grows on read: each side's run
 stops at its first step at or past the farthest time read, and resumes there
 when a read reaches past it.  No step of a side is clipped, so a side read in
 pieces is, bit for bit, the run straight to its final extent.  Only an endpoint
-lands on its time, by a non-storing leg of its own from the last accepted step
-before it; a landed read (:meth:`Trajectory.landed`) does the same from the last
-node of the forward run before its time, a node the side stores or one of the
-side's run continued past its steps without storing them, so that a check can
-read integrated states far along a curve in memory that does not grow.
+lands on its time, by a leg of its own that keeps nothing, from the last
+accepted step before it; a landed read (:meth:`Trajectory.landed`) does the same
+from the last node of the forward run before its time, a node the side stores or
+one of the side's run continued past its steps without storing them, so that a
+check can read integrated states far along a curve in memory that does not grow.
 
-Each side is the one store of its steps, and a read goes to the side of its
-time.  t = 0 goes to the backward side once that has a step, else to the
-forward one.  A forward node reads the step that ends at it, a backward node
-the step that starts at it (the farthest one has only the step that ends at
-it): the segments scipy's ``OdeSolution`` reads over the ascending grid.
+Each side is the one store of its steps, and a read makes one pass per side
+over the times that go to it.  t = 0 goes to the backward side once that has a
+step, else to the forward one.  A forward node reads the step that ends at it,
+a backward node the step that starts at it (the farthest one has only the step
+that ends at it): the segments scipy's ``OdeSolution`` reads over the ascending
+grid.
 
 A reversible system, one whose field a sign vector R reverses, field(R s)
 = -R field(s), from a state R fixes, has its backward side from the anchor 0
@@ -36,10 +36,12 @@ in its forward side: t -> -t, s -> R s.  Every operation of a step and of the
 dense output is a product, sum, difference or quotient, or reads |s| only, so
 negating times, h and the stages and flipping state signs by R rounds alike on
 both sides: the backward run is the forward one with its signs flipped, bit for
-bit.  A mirrored trajectory steps its forward side alone and reads a time t < 0
-there at -t by the backward rule, through R; its anchor keeps the bits
-:func:`integrate` received.  t = 0 reads the mirrored side once a time below 0
-has been read.
+bit.  A mirrored trajectory steps its forward side alone, and its backward side
+is the forward one's steps as far back as read, times negated and states
+multiplied by R, in one place (``Trajectory._stepped``), and its dense
+coefficients multiplied by R where a read gathers them; its anchor keeps the
+bits :func:`integrate` received.  t = 0 reads the mirrored side once a time
+below 0 has been read.
 
 :func:`locate_event` finds an event time by Newton's method on integrated
 endpoints, from a seed.  :func:`brent`, a line-for-line port of scipy's
@@ -141,17 +143,16 @@ _STEPPED = _KEPT.index(13)                           # of them, 0 and 5-12 come 
 
 
 @lru_cache(maxsize=None)
-def _leg(dim: int, store: bool):
-    """``leg(fun, t, t1, land, h_abs, direction, y, f = fun(y), atol, rtol, *buffers)``:
-    the steps of scipy's controller from t and the step size h_abs as
-    straight-line float code, each try's 12 stages and error norm, until a step
-    reaches t1, with ``land`` clipped to end on it.  Returns the next step size,
-    the state and its field value, from which a later leg resumes.  With
-    ``store`` it appends each accepted step's time, state and stages 0, 5-12
-    (then zeros for 13-15) to the ``array('d')`` buffers ts, ys and ks; without,
-    it takes no buffers, appends nothing, and also returns the time it ended at
-    and the node (time, state, field value) its last step started from.  Both
-    variants come from one source, so they step alike, bit for bit.
+def _leg(dim: int):
+    """``leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol, ts=None, ys=None,
+    ks=None)``: the steps of scipy's controller from t, state y, its field value f
+    = fun(y) and the step size h_abs as straight-line float code, each try's 12
+    stages and error norm, until a step reaches t1, with ``land`` clipped to end on
+    it.  Given the ``array('d')`` buffers ts, ys and ks, it appends each accepted
+    step's end time and state and its stages 0, 5-12 (then zeros for 13-15); with
+    None it keeps nothing and runs in constant memory.  Returns the next step size,
+    the state and its field value, from which a later leg resumes, the time it
+    ended at and the node (time, state, field value) its last step started from.
     ``max(a, b)`` is written as CPython evaluates it, ``b if b > a else a``, and
     ``min(a, b)`` as ``b if b < a else a``."""
     comp = range(dim)
@@ -197,11 +198,11 @@ def _leg(dim: int, store: bool):
               "factor = 0.9 * err ** -0.125",
               "h_abs *= factor if factor > 0.2 else 0.2",
               "rejected = True"]
-    state, value, buffers = f"({vec('y{i}')})", f"({vec('k0_{i}')})", ", ts, ys, ks" * store
-    leg = [f"def leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol{buffers}):",
+    state, value = f"({vec('y{i}')})", f"({vec('k0_{i}')})"
+    leg = ["def leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol, ts=None, ys=None, "
+           "ks=None):",
            f"    {vec('y{i}')}= y", f"    {vec('k0_{i}')}= f", f"    {vec('a{i}')}= atol",
-           "    toward = direction * inf",
-           *([] if store else ["    node = t, y, f"]),
+           "    toward, node = direction * inf, (t, y, f)",
            "    while direction * (t - t1) < 0:",
            "        min_step = 10 * abs(nextafter(t, toward) - t)",
            "        if min_step > h_abs:",
@@ -209,13 +210,16 @@ def _leg(dim: int, store: bool):
            "        rejected = False",
            "        while True:",
            *["            " + line for line in tries],
-           f"        ks.fromlist([{kept}{room}])" if store else f"        node = t, {state}, {value}",
+           f"        node = t, {state}, {value}",
+           "        if ks is not None:",
+           f"            ks.fromlist([{kept}{room}])",
+           "            ts.append(t_new)",
+           f"            ys.fromlist([{vec('n{i}')}])",
            f"        t, {vec('y{i}')}{vec('k0_{i}')}= t_new, {vec('n{i}')}{vec('k12_{i}')}",
-           *(["        ts.append(t)", f"        ys.fromlist([{vec('y{i}')}])"] if store else []),
-           f"    return h_abs, {state}, {value}{'' if store else ', t, node'}"]
+           f"    return h_abs, {state}, {value}, t, node"]
     scope = {"IntegrationError": IntegrationError, "inf": math.inf,
              "nextafter": math.nextafter, "sqrt": math.sqrt, "isfinite": math.isfinite}
-    exec(compile("\n".join(leg), f"<dop853 leg dim={dim}{' storing' * store}>", "exec"), scope)
+    exec(compile("\n".join(leg), f"<dop853 leg dim={dim}>", "exec"), scope)
     return scope["leg"]
 
 
@@ -256,11 +260,11 @@ class _Side:
     arrays T and Y and the search key d T, made again after each leg (a failed
     leg cuts the buffers back to what the arrays hold); F, step k's dense-output
     coefficients at F[:, :, k], extended on read; and the state, field value and
-    step size its run resumes from."""
+    step size its run resumes from, the first step size given when it is built."""
 
-    def __init__(self, d, y, f):
+    def __init__(self, d, y, f, h_abs):
         self.d, self.ts, self.ys, self.ks = d, array("d", [0.0]), array("d", y), array("d")
-        self.y, self.f, self.h_abs, self.F = y, f, None, np.empty((7, len(y), 0))
+        self.y, self.f, self.h_abs, self.F = y, f, h_abs, np.empty((7, len(y), 0))
         self.T, self.Y, self.key = np.zeros(1), np.array([y]), np.zeros(1)
 
     def coefficients(self, field):
@@ -277,16 +281,16 @@ class Trajectory:
     module docstring) on both sides of the anchor t = 0; with a ``mirror`` R,
     field(R s) = -R field(s), the backward side is the forward one reversed.
 
-    Each side keeps its own steps in stepping order, and a read at t goes to
-    t's side; t = 0 goes to the backward side once that has a step (mirrored:
-    once a time below 0 has been read), else to the forward one.  There t reads
-    the step k from T[k] to T[k+1] that ends at a forward node and starts at a
-    backward one: ``Y[k] + P((t - T[k]) / (T[k+1] - T[k]))``, P with the
-    coefficients F[:, :, k], by Horner's rule alternating x and 1 - x as
-    scipy's DOP853 output does.  A mirrored read at t < 0 is the forward side's
-    step k read at -t by the backward rule, its times negated and Y[k] and
-    F[:, :, k] multiplied by R, but for Y[0]: the anchor as :func:`integrate`
-    received it.
+    Each side keeps its own steps in stepping order, and a read sends each time
+    t to its side, one pass per side; t = 0 goes to the backward side once that
+    has a step (mirrored: once a time below 0 has been read), else to the
+    forward one.  There t reads the step k from T[k] to T[k+1] that ends at a
+    forward node and starts at a backward one: ``Y[k] + P((t - T[k]) / (T[k+1] -
+    T[k]))``, P with the coefficients F[:, :, k], by Horner's rule alternating x
+    and 1 - x as scipy's DOP853 output does.  A mirrored side's T, Y and key are
+    the forward side's as far back as read, its times negated and its states
+    multiplied by R, but for Y[0]: the anchor as :func:`integrate` received it;
+    its F is the forward side's multiplied by R.
 
     ``time_grid`` and ``states`` are the accepted steps so far in ascending time,
     built on access.  Complex pairs are (re, im) components.  ``field``, ``tol``
@@ -299,12 +303,13 @@ class Trajectory:
         self._y0, self._mirror = y0, mirror
         y = tuple(y0.tolist())
         f = tuple(field(y))
-        self._sides = {d: _Side(d, y, f) for d in ((1.0,) if mirror is not None else (1.0, -1.0))}
+        self._sides = {d: _Side(d, y, f, _initial_step(field, y, f, math.inf, d, atol, self._rtol))
+                       for d in ((1.0,) if mirror is not None else (1.0, -1.0))}
         self._low = 0.0                     # with a mirror, the farthest time read backward
 
     def _grow(self, t) -> None:
         """Steps each side on until its last accepted step lies at or past the times t."""
-        lo, hi = float(np.min(t)), float(np.max(t))
+        lo, hi = float(t.min(initial=0.0)), float(t.max(initial=0.0))
         if self._mirror is not None:
             self._low = min(self._low, lo)
             hi = max(hi, -lo)
@@ -312,12 +317,9 @@ class Trajectory:
             side = self._sides.get(d)
             if side is None or d * (end - side.ts[-1]) <= 0:
                 continue
-            if side.h_abs is None:
-                side.h_abs = _initial_step(self.field, side.y, side.f, math.inf, d, self.atol,
-                                           self._rtol)
             n, nk, dim = len(side.ts), len(side.ks), len(side.y)
             try:
-                side.h_abs, side.y, side.f = _leg(dim, True)(
+                side.h_abs, side.y, side.f, _, _ = _leg(dim)(
                     self.field, side.ts[-1], end, False, side.h_abs, d, side.y, side.f,
                     self.atol, self._rtol, side.ts, side.ys, side.ks)
             except IntegrationError:        # the side stays as it was, for later reads
@@ -344,21 +346,20 @@ class Trajectory:
     time_grid = property(lambda self: self._ascending(0))
     states = property(lambda self: self._ascending(1))
 
-    def _read(self, d, t, c):
-        """Writes into c the coefficients of the step k each time t on side d reads,
-        and returns x and Y[k] there, dim x len (see the class docstring)."""
+    def _read(self, d, t):
+        """States at the times t of side d, dim x len (see the class docstring)."""
+        T, Y, key = self._stepped(d)
         side = self._sides.get(d, self._sides[1.0])
-        mirrored, T, F = side.d != d, side.T, side.coefficients(self.field)
-        # k counts the inner nodes before t, as far back as read when mirrored
-        inner = side.key[1:np.searchsorted(T, -self._low) if mirrored else -1]
-        k = np.searchsorted(inner, d * t, "left" if d > 0 else "right")
-        np.take(F, k, axis=2, out=c, mode="clip")      # unbuffered; every k is in range
-        if not mirrored:
-            return (t - T[k]) / (T[k + 1] - T[k]), side.Y[k].T
-        c *= self._mirror[:, None]
-        y, start, end = side.Y[k] * self._mirror, 0.0 - T[k], 0.0 - T[k + 1]
-        y[k == 0] = self._y0
-        return (t - start) / (end - start), y.T
+        # k counts the inner nodes before t
+        k = np.searchsorted(key[1:-1], d * t, "left" if d > 0 else "right")
+        c = np.take(side.coefficients(self.field), k, axis=2, mode="clip")   # k is in range
+        if side.d != d:
+            c *= self._mirror[:, None]
+        start = T[k]
+        x = (t - start) / (T[k + 1] - start)
+        x1 = 1 - x
+        return ((((((c[6] * x + c[5]) * x1 + c[4]) * x + c[3]) * x1 + c[2]) * x + c[1]) * x1
+                + c[0]) * x + Y[k].T
 
     def __call__(self, t):
         """States at the 1-d array of times t, dim x len (see the class docstring)."""
@@ -368,19 +369,15 @@ class Trajectory:
         self._grow(tt)
         back = self._sides.get(-1.0)
         backward = (tt <= 0.0) if (len(back.T) > 1 if back else self._low < 0.0) else (tt < 0.0)
-        if len(self._sides[1.0].T) == 1 and not backward.any():    # nothing stepped: t = 0
+        n = np.count_nonzero(backward)
+        if n == 0 and len(self._sides[1.0].T) == 1:     # nothing stepped: t = 0
             return np.repeat(self._y0[:, None], len(tt), axis=1)
-        # the forward times, then the backward ones: one Horner pass over both sides' rows
-        order = backward.argsort(kind="stable") if 0 < backward.sum() < len(tt) else slice(None)
-        ts, nf, dim = tt[order], len(tt) - np.count_nonzero(backward), len(self._y0)
-        x, y0, c = np.empty(len(tt)), np.empty((dim, len(tt))), np.empty((7, dim, len(tt)))
-        for d, s in ((1.0, slice(None, nf)), (-1.0, slice(nf, None))):
-            if len(ts[s]):
-                x[s], y0[:, s] = self._read(d, ts[s], c[:, :, s])
-        x1 = 1 - x
-        y = ((((((c[6] * x + c[5]) * x1 + c[4]) * x + c[3]) * x1 + c[2]) * x + c[1]) * x1
-             + c[0]) * x + y0
-        return y if isinstance(order, slice) else y[:, order.argsort(kind="stable")]
+        if n in (0, len(tt)):
+            return self._read(-1.0 if n else 1.0, tt)
+        y = np.empty((len(self._y0), len(tt)))
+        for d, on in ((1.0, ~backward), (-1.0, backward)):
+            y[:, on] = self._read(d, tt[on])
+        return y
 
     def steps(self, lo: float, hi: float):
         """Times and states of a run over [lo, hi]: the nodes to the first past each end."""
@@ -397,15 +394,15 @@ class Trajectory:
         t = float(t)
         if t == 0.0:
             return self._y0.copy()
-        self._grow(t)
+        self._grow(np.array([t]))
         d = 1.0 if t > 0.0 else -1.0
         T, Y, key = self._stepped(d)
         k = np.searchsorted(key, d * t, "left") - 1
         t_k, y = float(T[k]), tuple(Y[k].tolist())
         f = tuple(self.field(y))
         h_abs = _initial_step(self.field, y, f, abs(t - t_k), d, self.atol, self._rtol)
-        return np.array(_leg(len(y), False)(self.field, t_k, t, True, h_abs, d, y, f,
-                                            self.atol, self._rtol)[1])
+        return np.array(_leg(len(y))(self.field, t_k, t, True, h_abs, d, y, f,
+                                     self.atol, self._rtol)[1])
 
     def landed(self, times) -> np.ndarray:
         """States at the ascending times t > 0 of a 1-d array, dim x len, each
@@ -415,7 +412,7 @@ class Trajectory:
 
         The canonical nodes are the forward side's run: its stored steps where it
         has them, and past them the run continued from the side's resume state by
-        the non-storing leg, in constant memory.  The side is not changed.  Both
+        a leg that keeps nothing, in constant memory.  The side is not changed.  Both
         are the same steps, bit for bit, so a time's state depends on neither
         earlier reads nor the other times of the call."""
         tt = np.asarray(times, dtype=float)
@@ -424,11 +421,9 @@ class Trajectory:
         if len(tt) and not (tt[0] > 0.0 and (tt[1:] >= tt[:-1]).all()):
             raise ValueError("landed times must be ascending and above 0")
         side, field, atol, rtol = self._sides[1.0], self.field, self.atol, self._rtol
-        leg, out = _leg(len(self._y0), False), np.empty((len(self._y0), len(tt)))
+        leg, out = _leg(len(self._y0)), np.empty((len(self._y0), len(tt)))
         end = run_t = side.ts[-1]
         run_y, run_f, h_abs = side.y, side.f, side.h_abs
-        if h_abs is None:                   # nothing stepped: the step _grow starts with
-            h_abs = _initial_step(field, run_y, run_f, math.inf, 1.0, atol, rtol)
         for i, t in enumerate(tt.tolist()):
             if t <= end:
                 k = np.searchsorted(side.T, t, "left") - 1

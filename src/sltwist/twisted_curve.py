@@ -394,9 +394,9 @@ class TwistTrajectory:
     def psi(self, t):
         """Accumulated angles (psi1, psi2) with psi(0) = 0, read off arg w.
 
-        psi2 lifts arg w2 over the accepted steps, outward from 0 on each
-        side: |psi2'| = 2|tau|/y is at most (2|tau|)^(1-2/q), so no step
-        turns w2 by pi.  Psi = p psi1 + q psi2 is the principal arg of
+        psi2 lifts arg w2 over each side's accepted steps, in stepping order
+        outward from 0: |psi2'| = 2|tau|/y is at most (2|tau|)^(1-2/q), so
+        no step turns w2 by pi.  Psi = p psi1 + q psi2 is the principal arg of
         w1^p w2^q against its value at 0; both lie on the line
         Im = -2 tau, so Psi needs no lift.  Then psi1 = (Psi - q psi2)/p.
         At tau = 0 for p = 1, w1 passes through 0 at t = 0, so arg w1 and
@@ -406,22 +406,20 @@ class TwistTrajectory:
 
     def _lift(self, ts, s):
         """(psi1, psi2) at the times ts from the 4 x len states s there (see :meth:`psi`)."""
-        pair = self.param.pair
+        pair, traj = self.param.pair, self.trajectory
         p, q = pair.p, pair.q
         if p == 1 and self.param.tau == 0.0:
             raise ValueError("psi is undefined at tau = 0 for p = 1: w1 passes through 0 at t = 0")
         w1, w2 = _w(s)
-        grid, states = self.trajectory.time_grid, self.trajectory.states
-        i0 = np.searchsorted(grid, 0.0)
-        nodes = _w(states.T)[1]
-        lift = np.empty(len(grid))
-        lift[i0:] = np.unwrap(np.angle(nodes[i0:] / nodes[i0]))
-        lift[i0::-1] = np.unwrap(np.angle(nodes[i0::-1] / nodes[i0]))
-        # the last node from 0 towards each t
-        k = np.where(ts >= 0.0, np.searchsorted(grid, ts, side="right") - 1,
-                     np.searchsorted(grid, ts))
-        psi2 = lift[k] + np.angle(w2 / nodes[k])
-        z0 = _twist(pair, *_w(states[i0]).tolist())
+        psi2, forward = np.empty(len(ts)), ts >= 0.0
+        for d, on in ((1.0, forward), (-1.0, ~forward)):
+            if on.any():
+                _, Y, key = traj._stepped(d)
+                nodes = _w(Y.T)[1]
+                lift = np.unwrap(np.angle(nodes / nodes[0]))
+                k = np.searchsorted(key, d * ts[on], side="right") - 1   # the last node from 0
+                psi2[on] = lift[k] + np.angle(w2[on] / nodes[k])
+        z0 = _twist(pair, *_w(traj.endpoint(0.0)).tolist())
         Psi = np.angle(_twist(pair, w1, w2) * np.conj(z0))
         return (Psi - q * psi2) / p, psi2
 

@@ -199,9 +199,27 @@ def test_verify_json_pass_flags_are_booleans(capsys):
     assert code == (0 if all(c["pass"] for c in checks.values()) else 1)
 
 
-# the argv that argparse answers alone, which the byte audit also runs
-PARSER_ARGVS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools"
-                                  / "byte_audit.py"))["PARSER_ARGVS"]
+# the byte audit, and the argv that argparse answers alone, which it also runs
+BYTE_AUDIT = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "byte_audit.py"))
+PARSER_ARGVS = BYTE_AUDIT["PARSER_ARGVS"]
+
+
+def test_byte_audit_compare_lists_the_calls_that_differ(tmp_path, capsys):
+    # three calls: the first the same, the second another digest, the third
+    # another digest and exit code; it exits 0 whatever differs
+    def record(index, rc, sha256):
+        return {"workload": "verify_mix", "seed": 1, "index": index,
+                "argv": ["periods", "--p", "1", "--q", str(index + 2)], "rc": rc, "sha256": sha256}
+
+    base, head = tmp_path / "base.jsonl", tmp_path / "head.jsonl"
+    base.write_text("".join(json.dumps(record(i, 0, "a" * 64)) + "\n" for i in range(3)))
+    head.write_text("".join(json.dumps(r) + "\n" for r in (
+        record(0, 0, "a" * 64), record(1, 0, "b" * 64), record(2, 1, "c" * 64))))
+    assert BYTE_AUDIT["main"](["--compare", str(base), str(head)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verify_mix 1#1: periods --p 1 --q 3",
+        "verify_mix 1#2: periods --p 1 --q 4",
+        "2 of 3 calls differ (1 exit codes changed)"]
 
 
 def test_parser_table_holds_every_subcommands_help():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from sltwist.cli import main
 from sltwist.closure import (BracketingError, RationalTarget,
                              find_tau_for_angular_period,
                              half_period_classification, k0_from_target,
@@ -221,21 +222,33 @@ def _snapshot(side):
 
 
 def _unlanded_legs(monkeypatch):
-    """The (store, start) of each leg not landing on its time, from now on."""
+    """The (store, start) of each leg not landing on its time, from now on; a leg
+    stores when it is handed buffers, and keeps nothing when they are None."""
     legs, original = [], ode_engine._leg
 
-    def leg_of(dim, store):
-        leg = original(dim, store)
+    def leg_of(dim):
+        leg = original(dim)
 
-        def recording(fun, t, t1, land, *rest):
+        def recording(fun, t, t1, land, h_abs, direction, y, f, atol, rtol,
+                      ts=None, ys=None, ks=None):
             if not land:
-                legs.append((store, t))
-            return leg(fun, t, t1, land, *rest)
+                legs.append((ts is not None, t))
+            return leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol, ts, ys, ks)
 
         return recording
 
     monkeypatch.setattr(ode_engine, "_leg", leg_of)
     return legs
+
+
+def test_one_leg_is_compiled_per_state_dimension(capsys):
+    # verify steps the curve (4 components) and (w, Q, Q') (6), reads endpoints
+    # and lands on times; closure also continues the run unstored: one compiled
+    # leg serves stored and unstored runs of a dimension alike
+    ode_engine._leg.cache_clear()
+    assert main(["verify", "--p", "2", "--q", "3", "--tau", "0.05"]) == 0
+    assert main(["closure", "--p", "1", "--q", "2", "--target", "4/7"]) == 0
+    assert ode_engine._leg.cache_info().currsize == 2     # dimensions 4 and 6
 
 
 @pytest.mark.parametrize("pq,m", [((1, 2), 2), ((1, 3), 1), ((2, 2), 1)])

@@ -68,16 +68,18 @@ def test_verify_steps_a_p1_curve_forward_only(monkeypatch, capsys, argv, legs):
     # the curve and (w, Q, Q') are read on both sides of 0; for p = 1 each steps
     # its forward side and mirrors the backward side from it, for p >= 2 (t = 0
     # is no extremum of y) each steps both.  legs counts the (field, direction)
-    # pairs stepped, each run starting at 0, endpoints (which land) aside
+    # pairs stepped, each run starting at 0, legs that keep nothing (their
+    # buffers are None: endpoints) aside
     starts = {}
 
-    def leg_of(dim, store):
-        leg = original(dim, store)
+    def leg_of(dim):
+        leg = original(dim)
 
-        def stepping(fun, t, t1, land, h_abs, direction, *rest):
-            if not land:
+        def stepping(fun, t, t1, land, h_abs, direction, y, f, atol, rtol,
+                     ts=None, ys=None, ks=None):
+            if ts is not None:
                 starts.setdefault((fun, direction), t)
-            return leg(fun, t, t1, land, h_abs, direction, *rest)
+            return leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol, ts, ys, ks)
 
         return stepping
 
@@ -288,6 +290,22 @@ def test_a_time_is_read_as_a_1d_array_only(t):
     for read in readers:
         with pytest.raises(ValueError, match=re.escape(f"not of shape {np.shape(t)}")):
             read(t)
+
+
+@pytest.mark.parametrize("p,q,tau", [(1, 3, 0.05), (2, 3, -0.05), (2, 2, 0.0)])
+def test_an_empty_read_is_dim_by_0(p, q, tau):
+    # as a landed read is, on a curve with nothing stepped and on one stepped on
+    # both sides (for p = 1 the backward side mirrored); nothing is stepped
+    curve = _curve(TwistParam(AdmissiblePair(p, q), tau))
+    empty = np.array([])
+    for reads in ([], [-2.0, 3.0]):
+        curve.trajectory(np.array(reads))
+        grid = curve.trajectory.time_grid
+        assert curve.trajectory(empty).shape == curve.trajectory.landed(empty).shape == (4, 0)
+        w = curve.w(empty)
+        assert w.shape == (2, 0) and w.dtype == complex
+        assert [psi.shape for psi in curve.psi(empty)] == [(0,), (0,)]
+        assert np.array_equal(curve.trajectory.time_grid, grid)
 
 
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (2, 2, -0.06)])

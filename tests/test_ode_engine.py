@@ -251,17 +251,18 @@ def _assert_backward_half_is_the_backward_run(traj, atol_scale):
 
 
 def _stepped_legs(monkeypatch):
-    """The (start, direction) of each leg a trajectory steps from now on; an
-    endpoint's leg, which lands on its time, is not counted."""
+    """The (start, direction) of each leg a trajectory steps from now on; a leg
+    that keeps nothing (its buffers are None), an endpoint's, is not counted."""
     legs, original = [], ode_engine._leg
 
-    def leg_of(dim, store):
-        leg = original(dim, store)
+    def leg_of(dim):
+        leg = original(dim)
 
-        def stepping(fun, t, t1, land, h_abs, direction, *rest):
-            if not land:
+        def stepping(fun, t, t1, land, h_abs, direction, y, f, atol, rtol,
+                     ts=None, ys=None, ks=None):
+            if ts is not None:
                 legs.append((t, direction))
-            return leg(fun, t, t1, land, h_abs, direction, *rest)
+            return leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol, ts, ys, ks)
 
         return stepping
 
@@ -332,25 +333,35 @@ def test_p1_backward_half_is_the_backward_run(q, tau, preset):
     _assert_backward_half_is_the_backward_run(curve.Q, 1.0)
 
 
-@pytest.mark.parametrize("q,frac", [(q, f) for q in range(2, 8) for f in (0.3, 1e-3, -0.3)])
-def test_p1_mirrored_reads_equal_a_run_stepped_on_both_sides(q, frac):
+_MIXED_CASES = [(1, q, f) for q in range(2, 8) for f in (0.3, 1e-3, -0.3)] + [
+    (2, 3, 0.3), (2, 3, -0.3), (3, 4, 1e-3), (2, 5, 0.3)]
+
+
+@pytest.mark.parametrize("p,q,frac", _MIXED_CASES,
+                         ids=[f"{q}-{f}" if p == 1 else f"{p}-{q}-{f}" for p, q, f in _MIXED_CASES])
+def test_p1_mirrored_reads_equal_a_run_stepped_on_both_sides(p, q, frac):
     # the curve and (w, Q, Q') of p = 1 read their backward half through R from
     # the forward one, bit for bit what the same system stepped on both sides
     # without a mirror reads: at 0.0 and -0.0, at the backward nodes and over a
-    # grid, once both sides have been read
-    pair = AdmissiblePair(1, q)
+    # grid, once both sides have been read.  p >= 2 steps both sides itself.
+    # Either way a read that mixes the sides, one pass per side, is the loop
+    # of its one-time reads
+    pair = AdmissiblePair(p, q)
     curve = TwistTrajectory(TwistParam(pair, frac * tau_max(pair)), Tolerances())
     for mirrored in (curve.trajectory, curve.Q):
-        assert list(mirrored._sides) == [1.0]
+        assert list(mirrored._sides) == ([1.0] if p == 1 else [1.0, -1.0])
         plain = ode_engine.Trajectory(mirrored.field, mirrored.endpoint(0.0), mirrored.tol,
                                       mirrored.atol, None)
         grid = np.linspace(-5.0, 5.0, 101)
         for traj in (mirrored, plain):
             traj(grid)
         nodes = mirrored.time_grid[mirrored.time_grid < 0.0]
-        for ts in ([0.0], [-0.0], nodes, grid, np.concatenate([[0.0, -0.0], nodes, grid])):
+        mixed = np.concatenate([[0.0, -0.0], nodes, grid])
+        for ts in ([0.0], [-0.0], nodes, grid, mixed):
             assert np.array_equal(_bits(mirrored(np.array(ts))), _bits(plain(np.array(ts))))
         assert np.array_equal(_bits(nodes), _bits(plain.time_grid[plain.time_grid < 0.0]))
+        loop = np.stack([mirrored(np.array([t]))[:, 0] for t in mixed], axis=1)
+        assert np.array_equal(_bits(mirrored(mixed)), _bits(loop))
 
 
 def _landed_endpoint(traj, t):
@@ -550,7 +561,7 @@ def test_tableau_literals_are_scipys_bit_for_bit():
     # the compiled leg carries each coefficient it uses as a literal; the
     # dense-output stages 13-15 read rows 13-15 of _A, pinned above; no stage
     # time is formed, so the nodes C are not used
-    consts = set(ode_engine._leg(2, True).__code__.co_consts)
+    consts = set(ode_engine._leg(2).__code__.co_consts)
     used = [*scipy_dop853.A[1:n + 1].ravel(),
             *scipy_dop853.E5, *scipy_dop853.E3]
     assert {float(v) for v in used if v} <= consts

@@ -8,8 +8,8 @@ from hypothesis import strategies as hs
 
 from sltwist.ode_engine import Tolerances, integrate
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory,
-                                   _field, _gaps, _w, f_poly, f_prime, initial_state, tau_max,
-                                   y_extrema)
+                                   _field, _gaps, _twist, _w, f_poly, f_prime, initial_state,
+                                   tau_max, y_extrema)
 
 PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
@@ -309,6 +309,44 @@ def test_two_sided_curve_reads_as_its_one_sided_spans(p, q, sign):
     for side, (lo, hi) in ((fwd, (0.0, 30.0)), (bwd, (-25.0, 0.0))):
         for a, b in zip(both.trajectory.steps(lo, hi), side.trajectory.steps(lo, hi)):
             assert np.array_equal(a, b)
+
+
+def _ascending_lift(curve, ts, s):
+    """(psi1, psi2) as the lift over the ascending time grid gave them, the reference
+    for the lift over each side's steps: one unwrap outward from the anchor i0 each
+    way, and the last node from 0 towards each t found on the whole grid."""
+    pair = curve.param.pair
+    p, q = pair.p, pair.q
+    w1, w2 = _w(s)
+    grid, states = curve.trajectory.time_grid, curve.trajectory.states
+    i0 = np.searchsorted(grid, 0.0)
+    nodes = _w(states.T)[1]
+    lift = np.empty(len(grid))
+    lift[i0:] = np.unwrap(np.angle(nodes[i0:] / nodes[i0]))
+    lift[i0::-1] = np.unwrap(np.angle(nodes[i0::-1] / nodes[i0]))
+    k = np.where(ts >= 0.0, np.searchsorted(grid, ts, side="right") - 1,
+                 np.searchsorted(grid, ts))
+    psi2 = lift[k] + np.angle(w2 / nodes[k])
+    z0 = _twist(pair, *_w(states[i0]).tolist())
+    Psi = np.angle(_twist(pair, w1, w2) * np.conj(z0))
+    return (Psi - q * psi2) / p, psi2
+
+
+@pytest.mark.parametrize("p,q,tau", [(1, 3, 0.05), (1, 2, -0.1), (2, 3, 0.05), (2, 3, -0.05),
+                                     (3, 4, 0.02)])
+def test_psi_lifted_per_side_is_the_ascending_grid_lift(p, q, tau):
+    # bit for bit at every node, every midpoint, 0.0 and -0.0, over both sides
+    # (for p = 1 the backward side mirrored) and each side alone; the reads are
+    # long enough for arg w2 to wrap on each side
+    curve = TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), Tolerances())
+    curve.w(np.array([-25.0, 30.0]))
+    grid = curve.trajectory.time_grid
+    ts = np.concatenate([grid, (grid[1:] + grid[:-1]) / 2, [0.0, -0.0]])
+    for at in (ts, ts[ts >= 0.0], ts[ts < 0.0]):
+        want = _ascending_lift(curve, at, curve.state(at))
+        for got, ref in zip(curve.psi(at), want, strict=True):
+            assert got.tobytes() == ref.tobytes()
+    assert np.array_equal(curve.trajectory.time_grid, grid)
 
 
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (1, 2, -0.1), (1, 3, -1e-3), (1, 2, 0.0),

@@ -1,6 +1,7 @@
 """One sha256 over every output of the benchmark's operations, to compare two trees.
 
     python3 tools/byte_audit.py [--root PATH] [--out FILE]
+    python3 tools/byte_audit.py --compare BASE HEAD
 
 Builds the operation lists of ``perfbench/workloads.py`` for its four
 workloads at seeds 1-3 and ``--seconds 15`` in the tree at ``--root``
@@ -18,6 +19,10 @@ refusals), run the same way at a fixed width of 80 columns.  With ``--out``,
 writes one JSON line per call: workload (``parser`` for the second set), seed,
 index, argv, exit code and the call's own sha256, so that two trees' files can
 be compared call by call.
+
+With ``--compare BASE HEAD``, reads two such files instead of running anything,
+prints each call whose argv or sha256 differs, then ``N of M calls differ (K
+exit codes changed)``, and exits 0 whatever it finds.
 """
 
 from __future__ import annotations
@@ -130,12 +135,37 @@ def audit(root: Path) -> list[dict]:
     return records
 
 
+def compare(base: list[dict], head: list[dict]) -> list[str]:
+    """One line per call whose argv or sha256 differs between two audits' records
+    (with the head's argv where it differs), then the count of such calls and of
+    their changed exit codes; first a line for unequal record counts."""
+    lines = [] if len(base) == len(head) else [f"{len(base)} calls at the base, "
+                                               f"{len(head)} at the head"]
+    differ = codes = 0
+    for b, h in zip(base, head):
+        if b["argv"] != h["argv"] or b["sha256"] != h["sha256"]:
+            differ += 1
+            codes += b["rc"] != h["rc"]
+            lines.append(f"{b['workload']} {b['seed']}#{b['index']}: {' '.join(b['argv'])}"
+                         + ("" if b["argv"] == h["argv"] else f" | head: {' '.join(h['argv'])}"))
+    lines.append(f"{differ} of {min(len(base), len(head))} calls differ "
+                 f"({codes} exit codes changed)")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                     help="the tree to audit (default: the one holding this script)")
     ap.add_argument("--out", type=Path, help="write one JSON line per call here")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("BASE", "HEAD"),
+                    help="list the calls whose records differ between two --out files")
     args = ap.parse_args(argv)
+    if args.compare is not None:
+        base, head = ([json.loads(line) for line in path.read_text().splitlines()]
+                      for path in args.compare)
+        print("\n".join(compare(base, head)))
+        return 0
     root = args.root.resolve()
     records = audit(root)
     if args.out is not None:
