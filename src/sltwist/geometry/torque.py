@@ -8,7 +8,7 @@ On a meridian X = (sigma1 w1, sigma2 w2) with unit vectors sigma1 in S^(p-1)
 and sigma2 in S^(q-1), the integrand K X . dX / |dX| is quadratic in sigma,
 because |dX|^2 = |d1|^2 |sigma1|^2 + |d2|^2 |sigma2|^2 = |d1|^2 + |d2|^2 is
 constant.  Any product sphere rule exact through degree 2 on each factor
-therefore gives the exact flux.  `torque`'s default rule, order 4, is the
+therefore gives the exact flux.  `torque`'s rule, order ``_ORDER`` = 4, is the
 smallest order that does so and whose circle keeps both reflections
 x -> -x and y -> -y (order 3 has no node at -x for its node x): the
 flux of R_{0,n-1}, the off-diagonal direction `verify` checks, then sums
@@ -28,6 +28,8 @@ import numpy as np
 
 from ..twisted_curve import TwistParam, TwistTrajectory, _w, velocity
 from .immersion import _cone
+
+_ORDER = 4          # the sphere rule of every meridian (see above)
 
 __all__ = [
     "TorqueReport", "sphere_volume", "sphere_quadrature", "t_generator",
@@ -164,8 +166,7 @@ def _meridian_nodes(p: int, q: int, order: int):
     return _frozen(blocks, np.outer(wts1, wts2).ravel())
 
 
-def torque(curve: TwistTrajectory, K: np.ndarray, meridian_t: float = 0.0,
-           order: int = 4) -> list[TorqueReport]:
+def torque(curve: TwistTrajectory, K: np.ndarray, meridian_t: float = 0.0) -> list[TorqueReport]:
     """Numeric flux of K in su(n) (to 1e-12) through the meridian at time meridian_t.
 
     Integrates (K X . dX/dt / |dX/dt|) against the induced meridian
@@ -185,7 +186,7 @@ def torque(curve: TwistTrajectory, K: np.ndarray, meridian_t: float = 0.0,
         raise ValueError(f"K must be a stack of anti-Hermitian traceless {n} x {n} matrices")
     w1, w2 = _w(curve.trajectory.endpoint(meridian_t)).tolist()
     d1, d2 = velocity(pair, w1, w2)
-    sigma, wts = _meridian_nodes(p, q, order)
+    sigma, wts = _meridian_nodes(p, q, _ORDER)
     X = _cone(w1, w2, sigma[:, :p], sigma[:, p:])       # (N, n) complex meridian points
     dX = _cone(d1, d2, sigma[:, :p], sigma[:, p:])
     speed = np.sqrt(np.sum(dX.real**2 + dX.imag**2, axis=1))

@@ -24,11 +24,12 @@ one of the side's run continued past its steps without storing them, so that a
 check can read integrated states far along a curve in memory that does not grow.
 
 Each side is the one store of its steps, and a read makes one pass per side
-over the times that go to it.  t = 0 goes to the backward side once that has a
-step, else to the forward one.  A forward node reads the step that ends at it,
-a backward node the step that starts at it (the farthest one has only the step
-that ends at it): the segments scipy's ``OdeSolution`` reads over the ascending
-grid.
+over the times that go to it: t > 0 forward, t < 0 backward, and t = 0 (or
+-0.0) is the anchor, the state :func:`integrate` received, bit for bit, as an
+endpoint at 0 is.  A forward node reads the step that ends at it, a backward
+node the step that starts at it (the farthest one has only the step that ends
+at it): the segments scipy's ``OdeSolution`` reads over the ascending grid.
+Every read refuses a time that is not finite before anything is stepped.
 
 A reversible system, one whose field a sign vector R reverses, field(R s)
 = -R field(s), from a state R fixes, has its backward side from the anchor 0
@@ -37,11 +38,9 @@ dense output is a product, sum, difference or quotient, or reads |s| only, so
 negating times, h and the stages and flipping state signs by R rounds alike on
 both sides: the backward run is the forward one with its signs flipped, bit for
 bit.  A mirrored trajectory steps its forward side alone, and its backward side
-is the forward one's steps as far back as read, times negated and states
-multiplied by R, in one place (``Trajectory._stepped``), and its dense
-coefficients multiplied by R where a read gathers them; its anchor keeps the
-bits :func:`integrate` received.  t = 0 reads the mirrored side once a time
-below 0 has been read.
+is the whole forward side, times negated and states multiplied by R, in one
+place (``Trajectory._stepped``), and its dense coefficients multiplied by R
+where a read gathers them; its anchor keeps the bits :func:`integrate` received.
 
 :func:`locate_event` finds an event time by Newton's method on integrated
 endpoints, from a seed.  :func:`brent`, a line-for-line port of scipy's
@@ -276,21 +275,30 @@ class _Side:
         return self.F
 
 
+def _times(t) -> np.ndarray:
+    """t as a 1-d float array, refused unless every time in it is finite."""
+    tt = np.asarray(t, dtype=float)
+    if tt.ndim != 1:
+        raise ValueError(f"times must be a 1-d array, not of shape {tt.shape}")
+    if not np.isfinite(tt).all():
+        raise ValueError(f"time {tt[~np.isfinite(tt)][0]} is not finite")
+    return tt
+
+
 class Trajectory:
     """Dense-output solution of ``state' = field(state)``, grown on read (see the
     module docstring) on both sides of the anchor t = 0; with a ``mirror`` R,
     field(R s) = -R field(s), the backward side is the forward one reversed.
 
     Each side keeps its own steps in stepping order, and a read sends each time
-    t to its side, one pass per side; t = 0 goes to the backward side once that
-    has a step (mirrored: once a time below 0 has been read), else to the
-    forward one.  There t reads the step k from T[k] to T[k+1] that ends at a
-    forward node and starts at a backward one: ``Y[k] + P((t - T[k]) / (T[k+1] -
-    T[k]))``, P with the coefficients F[:, :, k], by Horner's rule alternating x
-    and 1 - x as scipy's DOP853 output does.  A mirrored side's T, Y and key are
-    the forward side's as far back as read, its times negated and its states
-    multiplied by R, but for Y[0]: the anchor as :func:`integrate` received it;
-    its F is the forward side's multiplied by R.
+    t > 0 to the forward side and t < 0 to the backward one, one pass per side;
+    t = 0 reads the anchor.  On its side t reads the step k from T[k] to T[k+1]
+    that ends at a forward node and starts at a backward one: ``Y[k] + P((t -
+    T[k]) / (T[k+1] - T[k]))``, P with the coefficients F[:, :, k], by Horner's
+    rule alternating x and 1 - x as scipy's DOP853 output does.  A mirrored
+    side's T, Y and key are the whole forward side's, its times negated and its
+    states multiplied by R, but for Y[0]: the anchor as :func:`integrate`
+    received it; its F is the forward side's multiplied by R.
 
     ``time_grid`` and ``states`` are the accepted steps so far in ascending time,
     built on access.  Complex pairs are (re, im) components.  ``field``, ``tol``
@@ -305,13 +313,11 @@ class Trajectory:
         f = tuple(field(y))
         self._sides = {d: _Side(d, y, f, _initial_step(field, y, f, math.inf, d, atol, self._rtol))
                        for d in ((1.0,) if mirror is not None else (1.0, -1.0))}
-        self._low = 0.0                     # with a mirror, the farthest time read backward
 
     def _grow(self, t) -> None:
         """Steps each side on until its last accepted step lies at or past the times t."""
         lo, hi = float(t.min(initial=0.0)), float(t.max(initial=0.0))
         if self._mirror is not None:
-            self._low = min(self._low, lo)
             hi = max(hi, -lo)
         for d, end in ((1.0, hi), (-1.0, lo)):
             side = self._sides.get(d)
@@ -329,12 +335,11 @@ class Trajectory:
             side.key = d * side.T
 
     def _stepped(self, d):
-        """T, Y and d T of side d so far, in stepping order (mirrored: as far back as read)."""
+        """T, Y and d T of side d so far, in stepping order (mirrored: the forward side's)."""
         side = self._sides.get(d, self._sides[1.0])
         if side.d == d:
             return side.T, side.Y, side.key
-        k = np.searchsorted(side.T, -self._low) + 1
-        T, Y = 0.0 - side.T[:k], side.Y[:k] * self._mirror
+        T, Y = 0.0 - side.T, side.Y * self._mirror
         Y[0] = self._y0                     # the anchor keeps its bits
         return T, Y, -T
 
@@ -363,25 +368,18 @@ class Trajectory:
 
     def __call__(self, t):
         """States at the 1-d array of times t, dim x len (see the class docstring)."""
-        tt = np.asarray(t, dtype=float)
-        if tt.ndim != 1:
-            raise ValueError(f"times must be a 1-d array, not of shape {tt.shape}")
+        tt = _times(t)
         self._grow(tt)
-        back = self._sides.get(-1.0)
-        backward = (tt <= 0.0) if (len(back.T) > 1 if back else self._low < 0.0) else (tt < 0.0)
-        n = np.count_nonzero(backward)
-        if n == 0 and len(self._sides[1.0].T) == 1:     # nothing stepped: t = 0
-            return np.repeat(self._y0[:, None], len(tt), axis=1)
-        if n in (0, len(tt)):
-            return self._read(-1.0 if n else 1.0, tt)
         y = np.empty((len(self._y0), len(tt)))
-        for d, on in ((1.0, ~backward), (-1.0, backward)):
-            y[:, on] = self._read(d, tt[on])
+        y[:, tt == 0.0] = self._y0[:, None]
+        for d, on in ((1.0, tt > 0.0), (-1.0, tt < 0.0)):
+            if on.any():
+                y[:, on] = self._read(d, tt[on])
         return y
 
     def steps(self, lo: float, hi: float):
         """Times and states of a run over [lo, hi]: the nodes to the first past each end."""
-        self._grow(np.array([lo, hi]))
+        self._grow(_times([lo, hi]))
         grid = self.time_grid
         i, j = np.searchsorted(grid, lo, side="right") - 1, np.searchsorted(grid, hi)
         return grid[i:j + 1], self.states[i:j + 1]
@@ -394,7 +392,7 @@ class Trajectory:
         t = float(t)
         if t == 0.0:
             return self._y0.copy()
-        self._grow(np.array([t]))
+        self._grow(_times([t]))
         d = 1.0 if t > 0.0 else -1.0
         T, Y, key = self._stepped(d)
         k = np.searchsorted(key, d * t, "left") - 1
@@ -416,10 +414,9 @@ class Trajectory:
         are the same steps, bit for bit, so a time's state depends on neither
         earlier reads nor the other times of the call."""
         tt = np.asarray(times, dtype=float)
-        if tt.ndim != 1:
-            raise ValueError(f"times must be a 1-d array, not of shape {tt.shape}")
-        if len(tt) and not (tt[0] > 0.0 and (tt[1:] >= tt[:-1]).all()):
-            raise ValueError("landed times must be ascending and above 0")
+        if tt.ndim == 1 and len(tt) and not (tt[0] > 0.0 and (tt[1:] >= tt[:-1]).all()):
+            raise ValueError("landed times must be ascending and above 0")     # NaN too
+        tt = _times(tt)
         side, field, atol, rtol = self._sides[1.0], self.field, self.atol, self._rtol
         leg, out = _leg(len(self._y0)), np.empty((len(self._y0), len(tt)))
         end = run_t = side.ts[-1]
@@ -460,7 +457,7 @@ def integrate(field, state0, span, tol: Tolerances, atol_scale=1.0, *, mirror) -
     atol = tuple(np.broadcast_to(tol.tol * np.asarray(atol_scale, dtype=float),
                                  y0.shape).tolist())
     traj = Trajectory(field, y0, tol, atol, R)
-    traj._grow(np.array(span, dtype=float))
+    traj._grow(_times(span))
     return traj
 
 

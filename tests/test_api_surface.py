@@ -17,7 +17,7 @@ import ast
 import re
 from pathlib import Path
 
-SETTABLE_VALUES = 8
+SETTABLE_VALUES = 7
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sltwist"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
 
 from sltwist import ode_engine
-from sltwist.catenoid import _profile_field, catenoid_lifetime
+from sltwist.catenoid import _profile_field, _unit_trajectory, catenoid_lifetime
 from sltwist.ode_engine import (EventError, IntegrationError, Tolerances,
                                 integrate, locate_event)
 from sltwist.periods import partial_periods_quadrature
@@ -287,16 +288,19 @@ def test_a_reversible_system_steps_its_forward_half_only(monkeypatch):
     assert np.array_equal(_bits(_at(traj, 0.0)), _bits([1.0, 0.0]))
     _assert_backward_half_is_the_backward_run(traj, 1.0)
     # a span not symmetric about 0 steps the forward side alone too, as far as
-    # either end reaches, and mirrors it as far as the backward end: a plain
-    # run read as far each way has its arrays and its reads
+    # either end reaches, and mirrors all of it: a plain run read back as far
+    # as the forward side reaches has its arrays and its reads
     for span in ((-7.0, 6.0), (-1.0, 3.0)):
         legs.clear()
         mirrored = integrate(field, [1.0, 0.0], span, Tolerances(), mirror=[1.0, -1.0])
         assert [d for _, d in legs] == [1.0]
+        end = mirrored.time_grid[-1]
+        assert mirrored.time_grid[-2] < max(span[1], -span[0]) <= end
+        assert np.array_equal(_bits(mirrored.time_grid[0]), _bits(-end))
         plain = integrate(field, [1.0, 0.0], span, Tolerances(), mirror=None)
-        plain(np.array([max(span[1], -span[0])]))
-        assert mirrored.time_grid[1] > span[0] >= mirrored.time_grid[0]
+        plain(np.array([-end, end]))
         assert len(mirrored.time_grid) == len(plain.time_grid)
+        _assert_backward_half_is_the_backward_run(mirrored, 1.0)
         for got, want in zip(_first(mirrored, len(plain.time_grid)),
                              _first(plain, len(plain.time_grid))):
             assert np.array_equal(_bits(got), _bits(want))
@@ -416,13 +420,13 @@ def _assert_endpoint_at_zero_is_the_anchor(traj, y0):
 
 @pytest.mark.parametrize("p,q,tau,reads", [
     (1, 3, 0.05, [-2.0, 3.0]),          # the backward half mirrored
-    (1, 2, 0.0, [0.5, 2.0]),            # read forward only: the dense output at 0 has Im w1 = +0
+    (1, 2, 0.0, [0.5, 2.0]),            # read forward only, from Im w1 = -0.0
     (2, 3, -0.05, [-2.0, 3.0]),
     (None, None, None, [-1.0, 1.5]),    # x' = 1 from -0.0
 ])
 def test_endpoint_at_zero_is_the_anchor_bit_for_bit(p, q, tau, reads):
-    # the state integrate received, signed zeros included, where the dense
-    # output need not keep a zero's sign
+    # the state integrate received, signed zeros included, which a dense read
+    # at 0 returns too, where the dense output need not keep a zero's sign
     if p is None:
         y0 = np.array([-0.0])
         traj = integrate(lambda s: [1.0], y0, (0.0, 0.0), Tolerances(), mirror=None)
@@ -433,8 +437,58 @@ def test_endpoint_at_zero_is_the_anchor_bit_for_bit(p, q, tau, reads):
     for t in reads:
         traj(np.array([t]))
         _assert_endpoint_at_zero_is_the_anchor(traj, y0)
-    if tau == 0.0:
-        assert not np.array_equal(_bits(_at(traj, 0.0)), _bits(y0))
+    assert np.array_equal(_bits(_at(traj, 0.0)), _bits(y0))
+
+
+_ZERO_READS = [[0.0], [-0.0], [-1.5, 0.0, 2.0, -0.0], [0.0, -0.7, -0.0, 0.3], [-0.0], [0.0]]
+
+
+@pytest.mark.parametrize("case", ["fresh", "mirrored", "forward only", "p >= 2", "Q", "catenoid"])
+def test_a_dense_read_at_zero_is_the_anchor_bit_for_bit(case):
+    # 0.0 and -0.0 read the state integrate received, signed zeros included,
+    # as endpoint(0.0) does, alone or among times of either sign, before
+    # anything is stepped and after either side is
+    reads, scale = _ZERO_READS, 1.0
+    if case == "fresh":                             # x' = 1 from -0.0
+        y0 = np.array([-0.0])
+        traj = integrate(lambda s: [1.0], y0, (0.0, 0.0), Tolerances(), mirror=None)
+    elif case == "catenoid":
+        traj, scale = _unit_trajectory(4), 0.2 * catenoid_lifetime(4)
+        w0 = np.exp(1j * math.pi / 8)                # as the profile starts
+        y0 = np.array([w0.real, w0.imag])
+    else:
+        p, q, tau = {"mirrored": (1, 3, 0.05), "forward only": (1, 2, 0.0),
+                     "p >= 2": (2, 3, -0.05), "Q": (1, 3, -0.05)}[case]
+        curve = TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), Tolerances())
+        traj, y0 = curve.trajectory, initial_state(curve.param)
+        if case == "forward only":                  # unmirrored, Im w1 = -0.0
+            reads = [[t for t in ts if t >= 0.0] for ts in reads]
+        elif case == "Q":
+            traj, y0 = curve.Q, curve.Q.endpoint(0.0)
+    want = _bits(y0)
+    for ts in reads:
+        ts = scale * np.array(ts)
+        zero = traj(ts)[:, ts == 0.0]
+        assert zero.shape[1] and all(np.array_equal(_bits(z), want) for z in zero.T), ts
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("p,q,tau", [(1, 3, 0.05), (2, 3, 0.05)])
+def test_a_read_refuses_a_time_that_is_not_finite(p, q, tau, t):
+    # refused before anything is stepped; unrefused, nan read the last node and
+    # an infinite time stepped on without end
+    curve = TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), Tolerances())
+    traj = curve.trajectory
+    traj(np.array([-3.0, 3.0]))
+    grid, text = traj.time_grid.copy(), re.escape(f"time {t} is not finite")
+    with pytest.raises(ValueError, match=text):
+        traj.endpoint(t)
+    for read in (traj, curve.w, lambda ts: traj.steps(*ts)):
+        with pytest.raises(ValueError, match=text):
+            read(np.array([1.0, t]))
+    with pytest.raises(ValueError):                 # a nan or -inf is not ascending
+        traj.landed(np.array([1.0, t]))
+    assert np.array_equal(traj.time_grid, grid)
 
 
 def test_anchor_rejected_and_reads_past_the_extent_grow():

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -7,6 +8,8 @@ import pytest
 import sltwist.geometry as geo
 from sltwist.ode_engine import Tolerances
 from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, tau_max, y_extrema
+
+_TORQUE = importlib.import_module("sltwist.geometry.torque")    # geo.torque is the function
 
 
 def _curve(param):
@@ -60,15 +63,10 @@ def test_polar_layer_matches_loop_reference():
 
 
 def test_meridian_node_count_bounded_through_n8():
-    import inspect
-
-    from sltwist.geometry.torque import _meridian_nodes
-
-    order = inspect.signature(geo.torque).parameters["order"].default
     for n in range(3, 9):
         for p in range(1, n // 2 + 1):
             # 256: the n = 8 count of (2,6), (3,5) and (4,4)
-            assert len(_meridian_nodes(p, n - p, order)[1]) <= 256, (p, n - p)
+            assert len(_TORQUE._meridian_nodes(p, n - p, _TORQUE._ORDER)[1]) <= 256, (p, n - p)
 
 
 def _sphere_moment(alpha):
@@ -189,14 +187,16 @@ def _flux_elements(n):
 
 
 @pytest.mark.parametrize("p,q", [(p, n - p) for n in range(3, 7) for p in range(1, n // 2 + 1)])
-def test_default_order_flux_matches_order_24(p, q):
+def test_default_order_flux_matches_order_24(p, q, monkeypatch):
     pair = AdmissiblePair(p, q)
     param = TwistParam(pair, 0.5 * tau_max(pair))
     curve = _curve(param)
     elements = [geo.t_generator(pair)] + _flux_elements(pair.n)
     for t in (0.3, 1.1):        # one meridian per (t, order) for every element
         low = geo.torque(curve, elements, meridian_t=t)
-        high = geo.torque(curve, elements, meridian_t=t, order=24)
+        with monkeypatch.context() as m:
+            m.setattr(_TORQUE, "_ORDER", 24)
+            high = geo.torque(curve, elements, meridian_t=t)
         for element, a, b in zip(elements, low, high, strict=True):
             assert abs(a.numeric - b.numeric) <= 1e-13, (element, t)
 
@@ -210,7 +210,7 @@ def _four_directions(pair):
 
 
 @pytest.mark.parametrize("p,q", [(p, n - p) for n in (6, 7, 8) for p in range(1, n // 2 + 1)])
-def test_default_order_flux_matches_order_8(p, q):
+def test_default_order_flux_matches_order_8(p, q, monkeypatch):
     # order 24 stops at n = 6, where a meridian has up to 82,944 nodes (S^m has
     # 24 * 12^(m - 1)); at n = 7 it would have up to 995,328, so n = 6 to 8 check
     # against order 8, twice the default
@@ -219,7 +219,9 @@ def test_default_order_flux_matches_order_8(p, q):
         curve = _curve(TwistParam(pair, sign * 0.5 * tau_max(pair)))
         directions = _four_directions(pair)
         low = geo.torque(curve, directions, meridian_t=0.3)
-        high = geo.torque(curve, directions, meridian_t=0.3, order=8)
+        with monkeypatch.context() as m:
+            m.setattr(_TORQUE, "_ORDER", 8)
+            high = geo.torque(curve, directions, meridian_t=0.3)
         for K, a, b in zip(directions, low, high, strict=True):
             assert abs(a.numeric - b.numeric) <= 1e-13, (sign, K)
 

@@ -15,10 +15,11 @@ name as given).
 Prints the sha256 over every exit code, stdout, stderr and written file (its
 name and bytes), in operation order.  A second line gives the same digest over
 the argv of ``PARSER_ARGVS``, which argparse answers alone (help, usage and
-refusals), run the same way at a fixed width of 80 columns.  With ``--out``,
-writes one JSON line per call: workload (``parser`` for the second set), seed,
-index, argv, exit code and the call's own sha256, so that two trees' files can
-be compared call by call.
+refusals), and a third over those of ``EDGE_ARGVS``, which write rows read at
+t = 0 that the operations barely reach; both sets run the same way at a fixed
+width of 80 columns.  With ``--out``, writes one JSON line per call: workload
+(``parser`` and ``edge`` for the two sets), seed, index, argv, exit code and
+the call's own sha256, so that two trees' files can be compared call by call.
 
 With ``--compare BASE HEAD``, reads two such files instead of running anything,
 prints each call whose argv or sha256 differs, then ``N of M calls differ (K
@@ -61,6 +62,15 @@ PARSER_ARGVS = [
     ["periods", "--p", "1", "--q", "2", "--tau", "0.1", "--m", "3"],
     ["periods", "--p", "2", "--q", "3", "--tau", "-9.3e-05", "--nope"],
 ]
+# rows with a time of 0: tau = 0 curves, two-sided p = 1 reads, odd sample counts
+EDGE_ARGVS = [[*argv.split(), "--out", "edge.csv"] for argv in (
+    "solve --p 1 --q 2 --tau 0 --window 1 --samples 5",
+    "solve --p 2 --q 2 --tau 0 --window 1 --samples 5",
+    "solve --p 3 --q 3 --tau 0 --window 2 --samples 9",
+    "solve --p 1 --q 3 --tau 0.05 --samples 201",
+    "solve --p 1 --q 2 --tau -0.1 --window 1 --samples 3",
+    "export --p 2 --q 3 --tau 0.05 --format csv --window 1 --samples 3")]
+_SETS = {"parser": ("parser messages", PARSER_ARGVS), "edge": ("edge calls", EDGE_ARGVS)}
 
 
 def _import_tree(root: Path):
@@ -114,8 +124,8 @@ def _audited(cli, argv) -> tuple[int, str]:
 
 def audit(root: Path) -> list[dict]:
     """One record per operation of the tree at root, then one per argv of
-    ``PARSER_ARGVS`` (workload ``parser``, seed None): workload, seed, index,
-    argv, exit code and sha256."""
+    ``PARSER_ARGVS`` and of ``EDGE_ARGVS`` (workloads ``parser`` and ``edge``,
+    seed None): workload, seed, index, argv, exit code and sha256."""
     workloads, cli = _import_tree(root)
     records = []
     for workload in workloads.WORKLOADS:
@@ -128,10 +138,11 @@ def audit(root: Path) -> list[dict]:
                 records.append({"workload": workload, "seed": seed, "index": i,
                                 "argv": list(op.argv), "rc": rc, "sha256": digest})
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):     # argparse wraps help to it
-        for i, argv in enumerate(PARSER_ARGVS):
-            rc, digest = _audited(cli, argv)
-            records.append({"workload": "parser", "seed": None, "index": i,
-                            "argv": argv, "rc": rc, "sha256": digest})
+        for workload, (_, argvs) in _SETS.items():
+            for i, argv in enumerate(argvs):
+                rc, digest = _audited(cli, argv)
+                records.append({"workload": workload, "seed": None, "index": i,
+                                "argv": argv, "rc": rc, "sha256": digest})
     return records
 
 
@@ -170,8 +181,9 @@ def main(argv=None) -> int:
     records = audit(root)
     if args.out is not None:
         args.out.write_text("".join(json.dumps(r) + "\n" for r in records))
-    for what, parser in (("operations", False), ("parser messages", True)):
-        part = [r for r in records if (r["workload"] == "parser") == parser]
+    label = {workload: what for workload, (what, _) in _SETS.items()}
+    for what in ("operations", *label.values()):
+        part = [r for r in records if label.get(r["workload"], "operations") == what]
         total = hashlib.sha256(b"".join(bytes.fromhex(r["sha256"]) for r in part))
         print(f"sha256 {total.hexdigest()} over {len(part)} {what} of {root}")
     return 0
