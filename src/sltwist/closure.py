@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 _SCAN_POINTS = 200
-K0_CAP = 10**6           # larger rotational orders are reported as non-closing
+K0_CAP = 10**6           # the search refuses a larger rotational order
 
 
 class BracketingError(ArithmeticError):
@@ -55,7 +55,7 @@ class RationalTarget:
 class ClosureReport:
     """Rotational order, period-lattice generator and quotient topology."""
 
-    k0: int | None                      # None encodes infinite order
+    k0: int                             # finite; the search refuses one above K0_CAP
     per_generator: str
     half_period_type: tuple[int, int] | None
     topology: str
@@ -190,57 +190,47 @@ def half_period_classification(pair: AdmissiblePair,
     generator the translation by 2 k0 p_tau.  k0 even: for p > 1 the
     type is (q/h mod 2, p/h mod 2) with h = gcd(p, q); for p = 1 strict
     half-periods exist only when n is odd (type (0,1)).  The quotient is
-    a Z2-quotient exactly when k0 is even and n is odd.
+    a Z2-quotient exactly when k0 is even and n is odd.  A k0 above
+    ``K0_CAP`` is classified as any other; the search refuses it.
     """
     p, q, n = pair.p, pair.q, pair.n
     k0 = k0_from_target(pair, target)
-    if k0 > K0_CAP:
-        return ClosureReport(k0=None, per_generator="none (order above cap)",
-                             half_period_type=None, topology="non-closing")
-    product = (f"S^1 x S^{p - 1} x S^{q - 1}" if p > 1 else f"S^1 x S^{n - 2}")
-    if k0 % 2 == 1:
-        return ClosureReport(k0=k0, per_generator=f"T[{2 * k0} p_tau]",
-                             half_period_type=None, topology=f"product {product}")
-    if p == 1:
-        if n % 2 == 1:
-            return ClosureReport(
-                k0=k0, per_generator=f"T[{k0} p_tau] o (-Id)",
-                half_period_type=(0, 1), topology="Z2-quotient")
-        return ClosureReport(k0=k0, per_generator=f"T[{2 * k0} p_tau]",
-                             half_period_type=None, topology=f"product {product}")
-    h = math.gcd(p, q)
-    jk = ((q // h) % 2, (p // h) % 2)
-    if (jk[0] * p + jk[1] * q) % 2 != 0:
+    even, h = k0 % 2 == 0, math.gcd(p, q)
+    # for p = 1 the rule gives (0, 1) exactly when n is odd
+    jk = ((q // h) % 2, (p // h) % 2) if even and (p > 1 or n % 2) else None
+    if jk is not None and (jk[0] * p + jk[1] * q) % 2 != 0:
         raise AssertionError(f"half-period type {jk} violates parity for ({p},{q})")
-    if n % 2 == 1:
-        return ClosureReport(
-            k0=k0,
-            per_generator=f"T[{k0} p_tau] o ((-1)^{jk[0]} Id, (-1)^{jk[1]} Id)",
-            half_period_type=jk, topology="Z2-quotient")
+    if even and n % 2:
+        flip = "(-Id)" if p == 1 else f"((-1)^{jk[0]} Id, (-1)^{jk[1]} Id)"
+        return ClosureReport(k0=k0, per_generator=f"T[{k0} p_tau] o {flip}",
+                             half_period_type=jk, topology="Z2-quotient")
+    product = f"S^1 x S^{p - 1} x S^{q - 1}" if p > 1 else f"S^1 x S^{n - 2}"
     return ClosureReport(k0=k0, per_generator=f"T[{2 * k0} p_tau]",
                          half_period_type=jk, topology=f"product {product}")
+
+
+def _necklace_index(pair: AdmissiblePair) -> int:
+    """The family index k of a necklace pair: n - 1 for p = 1, p for p = q."""
+    if pair.p == 1:
+        return pair.n - 1
+    if pair.p == pair.q:
+        return pair.p
+    raise ValueError("necklace construction requires p = 1 or p = q")
 
 
 def necklace(pair: AdmissiblePair, m: int, tol: Tolerances) -> tuple[TwistTrajectory, int]:
     """Closed curve with odd rotational order from the small-tau window.
 
-    p = 1: target ((n-1)m / (2(n-1)m - 1)) pi, k0 = 2(n-1)m - 1;
-    p = q: target (pm / (2pm - 1)) pi, k0 = 2pm - 1.  Returns (curve, k0)
-    with the curve of :func:`find_tau_for_angular_period`;
-    raises if the target is not bracketed by the angular-period scan.
+    With k the family index (n - 1 for p = 1, p for p = q), the target is
+    (km / (2km - 1)) pi, in lowest terms since a common divisor divides
+    2km - (2km - 1) = 1, and k0 = 2km - 1.  Returns (curve, k0) with the
+    curve of :func:`find_tau_for_angular_period`; raises if the target is
+    not bracketed by the angular-period scan.
     """
-    p, q, n = pair.p, pair.q, pair.n
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if p == 1:
-        a, b = (n - 1) * m, 2 * (n - 1) * m - 1
-    elif p == q:
-        a, b = p * m, 2 * p * m - 1
-    else:
-        raise ValueError("necklace construction requires p = 1 or p = q")
-    g = math.gcd(a, b)
-    target = RationalTarget(a // g, b // g)
-    k0 = 2 * (n - 1) * m - 1 if p == 1 else 2 * p * m - 1
+    km = _necklace_index(pair) * m
+    target, k0 = RationalTarget(km, 2 * km - 1), 2 * km - 1
     k0_check = k0_from_target(pair, target)
     if k0_check != k0:
         raise AssertionError(f"integer k0 routes disagree: {k0} vs {k0_check}")
@@ -250,19 +240,13 @@ def necklace(pair: AdmissiblePair, m: int, tol: Tolerances) -> tuple[TwistTrajec
 def necklace_scaling_ratio(pair: AdmissiblePair, m: int, tau: float) -> float:
     """m against its leading-order prediction from the found tau.
 
-    Prediction: m ~ c/(tau T_k(tau)) with c = pi/(16(n-1) b_{n-1}) for
-    p = 1 (k = n-1) and c = pi/(32 p b_p) for p = q (k = p).  Leading
-    order only; useful as an order-of-magnitude diagnostic.
+    Prediction: m ~ c/(tau T_k(tau)) with k the family index of
+    :func:`necklace`, c = pi/(16 k b_k) for p = 1 (k = n-1) and
+    c = pi/(32 k b_k) for p = q (k = p).  Leading order only; useful as an
+    order-of-magnitude diagnostic.
     """
     from .variation import asymptotic_constants, time_scale
 
-    p, n = pair.p, pair.n
-    if p == 1:
-        k = n - 1
-        c = math.pi / (16.0 * (n - 1) * asymptotic_constants(k))
-    elif p == pair.q:
-        k = p
-        c = math.pi / (32.0 * p * asymptotic_constants(k))
-    else:
-        raise ValueError("scaling ratio defined for p = 1 or p = q only")
+    k = _necklace_index(pair)
+    c = math.pi / ((16.0 if pair.p == 1 else 32.0) * k * asymptotic_constants(k))
     return m / (c / (tau * time_scale(k, tau)))

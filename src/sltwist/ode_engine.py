@@ -39,7 +39,8 @@ negating times, h and the stages and flipping state signs by R rounds alike on
 both sides: the backward run is the forward one with its signs flipped, bit for
 bit.  A mirrored trajectory steps its forward side alone, and its backward side
 is the whole forward side, times negated and states multiplied by R, in one
-place (``Trajectory._stepped``), and its dense coefficients multiplied by R
+place (``Trajectory._stepped``, which keeps it, read-only, until the forward
+side grows), and its dense coefficients multiplied by R
 where a read gathers them; its anchor keeps the bits :func:`integrate` received.
 
 :func:`locate_event` finds an event time by Newton's method on integrated
@@ -308,7 +309,7 @@ class Trajectory:
     def __init__(self, field, y0, tol, atol, mirror):
         self.field, self.tol, self.atol = field, tol, atol
         self._rtol = max(tol.tol, 100 * np.finfo(float).eps)
-        self._y0, self._mirror = y0, mirror
+        self._y0, self._mirror, self._mirrored = y0, mirror, (None, None)
         y = tuple(y0.tolist())
         f = tuple(field(y))
         self._sides = {d: _Side(d, y, f, _initial_step(field, y, f, math.inf, d, atol, self._rtol))
@@ -335,13 +336,18 @@ class Trajectory:
             side.key = d * side.T
 
     def _stepped(self, d):
-        """T, Y and d T of side d so far, in stepping order (mirrored: the forward side's)."""
+        """T, Y and d T of side d so far, in stepping order (mirrored: the forward
+        side's, made once per extent of the forward side and kept read-only)."""
         side = self._sides.get(d, self._sides[1.0])
         if side.d == d:
             return side.T, side.Y, side.key
-        T, Y = 0.0 - side.T, side.Y * self._mirror
-        Y[0] = self._y0                     # the anchor keeps its bits
-        return T, Y, -T
+        if self._mirrored[0] is not side.T:     # the forward side grew: a new T
+            T, Y = 0.0 - side.T, side.Y * self._mirror
+            Y[0] = self._y0                     # the anchor keeps its bits
+            self._mirrored = side.T, (T, Y, -T)
+            for a in self._mirrored[1]:
+                a.setflags(write=False)
+        return self._mirrored[1]
 
     def _ascending(self, i):
         """Times (i = 0) or states (1) of both sides so far, in ascending time."""

@@ -415,9 +415,10 @@ class TwistTrajectory:
         for d, on in ((1.0, forward), (-1.0, ~forward)):
             if on.any():
                 _, Y, key = traj._stepped(d)
-                nodes = _w(Y.T)[1]
-                lift = np.unwrap(np.angle(nodes / nodes[0]))
                 k = np.searchsorted(key, d * ts[on], side="right") - 1   # the last node from 0
+                # the unwrap of the nodes up to the last read is the whole unwrap's prefix
+                nodes = _w(Y[:k.max() + 1].T)[1]
+                lift = np.unwrap(np.angle(nodes / nodes[0]))
                 psi2[on] = lift[k] + np.angle(w2[on] / nodes[k])
         z0 = _twist(pair, *_w(traj.endpoint(0.0)).tolist())
         Psi = np.angle(_twist(pair, w1, w2) * np.conj(z0))

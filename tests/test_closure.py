@@ -156,6 +156,78 @@ def test_classification_even_order_even_dimension():
     assert report.topology.startswith("product")
 
 
+def _branchy_classification(pair, target):
+    """The classification as it was written before its one-pass rule, a branch per
+    case, the reference for the table below; its branch for k0 above K0_CAP, which
+    reported a non-closing curve with no k0, is left out (see the test after it)."""
+    from sltwist.closure import ClosureReport
+
+    p, q, n = pair.p, pair.q, pair.n
+    k0 = k0_from_target(pair, target)
+    product = (f"S^1 x S^{p - 1} x S^{q - 1}" if p > 1 else f"S^1 x S^{n - 2}")
+    if k0 % 2 == 1:
+        return ClosureReport(k0=k0, per_generator=f"T[{2 * k0} p_tau]",
+                             half_period_type=None, topology=f"product {product}")
+    if p == 1:
+        if n % 2 == 1:
+            return ClosureReport(
+                k0=k0, per_generator=f"T[{k0} p_tau] o (-Id)",
+                half_period_type=(0, 1), topology="Z2-quotient")
+        return ClosureReport(k0=k0, per_generator=f"T[{2 * k0} p_tau]",
+                             half_period_type=None, topology=f"product {product}")
+    h = math.gcd(p, q)
+    jk = ((q // h) % 2, (p // h) % 2)
+    if n % 2 == 1:
+        return ClosureReport(
+            k0=k0,
+            per_generator=f"T[{k0} p_tau] o ((-1)^{jk[0]} Id, (-1)^{jk[1]} Id)",
+            half_period_type=jk, topology="Z2-quotient")
+    return ClosureReport(k0=k0, per_generator=f"T[{2 * k0} p_tau]",
+                         half_period_type=jk, topology=f"product {product}")
+
+
+def test_classification_table_equals_the_branch_per_case_rule():
+    # every pair with n <= 10, every target a/b in lowest terms with b <= 40 and
+    # 1/2 < a/b < 2: each field as the reference gives it
+    pairs = [AdmissiblePair(p, q) for p in range(1, 6) for q in range(max(p, 2), 11 - p)]
+    targets = [RationalTarget(a, b) for b in range(1, 41) for a in range(b // 2 + 1, 2 * b)
+               if math.gcd(a, b) == 1]
+    seen = set()
+    for pair in pairs:
+        for target in targets:
+            got = half_period_classification(pair, target)
+            assert got == _branchy_classification(pair, target), (pair, target)
+            seen.add((pair.p > 1, got.k0 % 2, pair.n % 2))
+    assert len(pairs) * len(targets) > 17000 and len(seen) == 8      # every branch
+
+
+def test_classification_of_an_order_above_the_cap_is_finite():
+    # every rational target closes: the cap bounds the search (which refuses it,
+    # see test_closure_refuses_order_above_cap_before_search), not the classification
+    report = half_period_classification(AdmissiblePair(1, 2), RationalTarget(550001, 1000000))
+    assert report.k0 == 2000000
+    assert report.half_period_type == (0, 1)
+    assert report.topology == "Z2-quotient"
+    assert report.per_generator == "T[2000000 p_tau] o (-Id)"
+
+
+def test_necklace_targets_are_in_lowest_terms_with_order_2km_minus_1(monkeypatch):
+    # k = n - 1 for p = 1 and k = p for p = q; the search is not run
+    import sltwist.closure as closure
+
+    monkeypatch.setattr(closure, "find_tau_for_angular_period",
+                        lambda pair, target, tol: target)
+    families = [(AdmissiblePair(1, q), q) for q in range(2, 10)]
+    families += [(AdmissiblePair(p, p), p) for p in range(2, 6)]
+    for pair, k in families:
+        for m in range(1, 10**4 + 1):
+            target, k0 = necklace(pair, m, Tolerances())
+            assert (target.numerator, target.denominator, k0) == (k * m, 2 * k * m - 1,
+                                                                   2 * k * m - 1)
+            assert math.gcd(target.numerator, target.denominator) == 1
+            assert k0_from_target(pair, target) == k0
+
+
 @settings(max_examples=50, deadline=None)
 @given(hs.integers(1, 40), hs.integers(1, 40),
        hs.sampled_from([(1, 2), (2, 3), (2, 2), (3, 3), (1, 3)]))

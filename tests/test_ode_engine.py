@@ -316,6 +316,26 @@ def test_a_mirror_must_be_a_sign_vector_that_fixes_the_initial_state():
     integrate(field, [1.0, -0.0], (-1.0, 1.0), Tolerances(), mirror=[1.0, -1.0])   # by value
 
 
+def test_a_mirrored_side_is_kept_until_the_forward_side_grows():
+    # backward reads with no growth between them share one read-only (T, Y, key);
+    # after a growth the side is mirrored again, bit for bit a fresh mirror
+    curve = TwistTrajectory(TwistParam(AdmissiblePair(1, 3), 0.05), Tolerances())
+    traj, y0 = curve.trajectory, initial_state(curve.param)
+    traj(np.array([-3.0]))
+    first = traj._stepped(-1.0)
+    traj(np.array([-1.0, 2.0]))
+    assert all(a is b for a, b in zip(first, traj._stepped(-1.0), strict=True))
+    assert not any(a.flags.writeable for a in first)
+    traj(np.array([-40.0]))
+    T, Y, key = traj._stepped(-1.0)
+    fwd = traj._sides[1.0]
+    fresh_T, fresh_Y = 0.0 - fwd.T, fwd.Y * traj._mirror
+    fresh_Y[0] = y0
+    assert len(T) > len(first[0])
+    for got, want in ((T, fresh_T), (Y, fresh_Y), (key, -fresh_T)):
+        assert _bits(got).tobytes() == _bits(want).tobytes()
+
+
 _MIRROR_CASES = [(q, sign * tau, preset) for q in range(2, 8)
                  for tau in (1e-6, 1e-3, 0.3 * tau_max(AdmissiblePair(1, q)))
                  for sign in (1.0, -1.0) for preset in ("standard", "strict")]

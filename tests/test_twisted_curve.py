@@ -337,16 +337,21 @@ def _ascending_lift(curve, ts, s):
 def test_psi_lifted_per_side_is_the_ascending_grid_lift(p, q, tau):
     # bit for bit at every node, every midpoint, 0.0 and -0.0, over both sides
     # (for p = 1 the backward side mirrored) and each side alone; the reads are
-    # long enough for arg w2 to wrap on each side
+    # long enough for arg w2 to wrap on each side.  Then the same times again
+    # once both sides reach 1000 away, where a read lifts over a prefix of a side
     curve = TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), Tolerances())
     curve.w(np.array([-25.0, 30.0]))
     grid = curve.trajectory.time_grid
     ts = np.concatenate([grid, (grid[1:] + grid[:-1]) / 2, [0.0, -0.0]])
-    for at in (ts, ts[ts >= 0.0], ts[ts < 0.0]):
-        want = _ascending_lift(curve, at, curve.state(at))
-        for got, ref in zip(curve.psi(at), want, strict=True):
-            assert got.tobytes() == ref.tobytes()
-    assert np.array_equal(curve.trajectory.time_grid, grid)
+    for far in (False, True):
+        if far:
+            curve.w(np.array([-1000.0, 1000.0]))
+            grid = curve.trajectory.time_grid
+        for at in (ts, ts[ts >= 0.0], ts[ts < 0.0]):
+            want = _ascending_lift(curve, at, curve.state(at))
+            for got, ref in zip(curve.psi(at), want, strict=True):
+                assert got.tobytes() == ref.tobytes()
+        assert np.array_equal(curve.trajectory.time_grid, grid)
 
 
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (1, 2, -0.1), (1, 3, -1e-3), (1, 2, 0.0),
