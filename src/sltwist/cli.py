@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import re
 import sys
 
 import numpy as np
@@ -50,8 +49,11 @@ def _param(args) -> TwistParam:
 
 def _parse_target(text: str) -> RationalTarget:
     try:
-        a, b = text.split("/")
-        return RationalTarget(int(a), int(b))
+        a, b = map(int, text.split("/"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a/b in lowest terms, got {text!r}")
+    try:
+        return RationalTarget(a, b)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a/b in lowest terms: {exc}")
 
@@ -264,9 +266,6 @@ def cmd_verify(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
-# argparse reads a negative number as a value only as -1 or -.5, and this as a flag
-_NEGATIVE_EXPONENT = re.compile(r"-[\d.]+e[-+]?\d+", re.IGNORECASE)
-
 # every option a subcommand may take; --p and --q are taken by all
 _OPTIONS = {
     "tau": dict(type=float, required=True),
@@ -323,11 +322,29 @@ def build_parser(names) -> argparse.ArgumentParser:
     return ap
 
 
+# each option name with whether it takes a value; --p and --q are taken by all
+_TAKES_VALUE = {"--p": True, "--q": True, "--help": False,
+                **{f"--{name}": "action" not in spec for name, spec in _OPTIONS.items()}}
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each value that starts with "-" joined to the option before it,
+    "--tau -inf" -> "--tau=-inf", where that option, in full or abbreviated, names
+    only options that take a value, and the value is no option name itself ("-h"
+    or one starting with "--").  argparse alone reads a negative value as a value
+    only as -1 or -.5, and one such as -9.3e-05, -inf or -3/5 as a flag, refused
+    with "expected one argument"; joined, it reaches the option's own check."""
+    for i in range(len(argv) - 1, 0, -1):
+        flag, value = argv[i - 1], argv[i]
+        takes = [v for name, v in _TAKES_VALUE.items() if name.startswith(flag)]
+        if (flag.startswith("--") and takes and all(takes) and value.startswith("-")
+                and value != "-h" and not value.startswith("--")):
+            argv[i - 1:i + 1] = [f"{flag}={value}"]
+    return argv
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    for i in range(len(argv) - 1, 0, -1):       # "--tau -9.3e-05" -> "--tau=-9.3e-05"
-        if argv[i - 1].startswith("--") and _NEGATIVE_EXPONENT.fullmatch(argv[i]):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    argv = _joined(sys.argv[1:] if argv is None else list(argv))
     # a call naming its subcommand first builds that one parser alone
     names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     args = build_parser(names).parse_args(argv)

@@ -159,24 +159,28 @@ def find_tau_for_angular_period(pair: AdmissiblePair, target: RationalTarget,
 
 
 def verify_closed(curve: TwistTrajectory, k0: int, samples: int) -> ClosedCurveCheck:
-    """Closure and one-period rotation residuals, at ``samples`` times t of [0, 2 p_tau].
+    """Closure and one-period rotation residuals, each at ``samples`` times.
 
-    closure_residual: max of |w(t + 2 k0 p_tau) - w(t)|, the window landed on
-    (:meth:`Trajectory.landed`) from the curve's run continued past its stored
-    steps without storing it, so memory does not grow with k0.
-    rotation_residual: max of |w(t + 2 p_tau) - Mhat_{2 pthat} w(t)| with
-    Mhat the phases (e^{2i pthat/p}, e^{-2i pthat/q}) of the diagonal rotation.
-    w(t) and w(t + 2 p_tau) are dense reads of the stored curve.
+    closure_residual: max of |w(s + T/2) - w(s - T/2)| over s in [-p_tau, p_tau],
+    T = 2 k0 p_tau the closing period: the closure relation over a window centred
+    on the anchor, so that no read is farther from it than T/2 + p_tau.  Both
+    halves are landed on in one call (:meth:`Trajectory.landed`), from each side's
+    run continued past its stored steps without storing it, so memory does not
+    grow with k0; for p = 1 the backward half is the forward one mirrored.
+    rotation_residual: max of |w(t + 2 p_tau) - Mhat_{2 pthat} w(t)| over t in
+    [0, 2 p_tau], with Mhat the phases (e^{2i pthat/p}, e^{-2i pthat/q}) of the
+    diagonal rotation; w(t) and w(t + 2 p_tau) are dense reads of the stored curve.
     """
     from .geometry.symmetry import mhat     # keeps geometry out of `import sltwist`
 
     pair, data = curve.param.pair, curve.period
-    T = 2.0 * k0 * data.p_tau
     m = mhat(pair, 2.0 * data.pthat)[:, None]
     ts = np.linspace(0.0, 2.0 * data.p_tau, samples)
     a = curve.w(ts)
     rotation = np.max(np.abs(curve.w(ts + 2.0 * data.p_tau) - m * a))
-    closure = np.max(np.abs(_w(curve.trajectory.landed(ts + T)) - a))
+    half, s = k0 * data.p_tau, np.linspace(-data.p_tau, data.p_tau, samples)   # T/2
+    ends = _w(curve.trajectory.landed(np.concatenate([s + half, s - half])))
+    closure = np.max(np.abs(ends[:, :samples] - ends[:, samples:]))
     return ClosedCurveCheck(closure_residual=float(closure),
                             rotation_residual=float(rotation))
 

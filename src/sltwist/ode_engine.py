@@ -19,9 +19,10 @@ when a read reaches past it.  No step of a side is clipped, so a side read in
 pieces is, bit for bit, the run straight to its final extent.  Only an endpoint
 lands on its time, by a leg of its own that keeps nothing, from the last
 accepted step before it; a landed read (:meth:`Trajectory.landed`) does the same
-from the last node of the forward run before its time, a node the side stores or
+from the last node of its side's run before its time, a node the side stores or
 one of the side's run continued past its steps without storing them, so that a
-check can read integrated states far along a curve in memory that does not grow.
+check can read integrated states far along a curve, on either side of the
+anchor, in memory that does not grow.
 
 Each side is the one store of its steps, and a read makes one pass per side
 over the times that go to it: t > 0 forward, t < 0 backward, and t = 0 (or
@@ -409,34 +410,42 @@ class Trajectory:
                                      self.atol, self._rtol)[1])
 
     def landed(self, times) -> np.ndarray:
-        """States at the ascending times t > 0 of a 1-d array, dim x len, each
-        stepped, landing on t, by a leg of its own from the last canonical node
-        t_k < t, whose first try is 2 (t - t_k): the one remaining step, unless the
-        error control rejects it.
+        """States at the 1-d array of times, dim x len, read by the rule of
+        :meth:`__call__`: t > 0 forward, t < 0 backward, and t = 0 (or -0.0) the
+        anchor.  Each other time is stepped, landing on t, by a leg of its own from
+        its side's last canonical node t_k before t, whose first try is 2 |t - t_k|:
+        the one remaining step, unless the error control rejects it.
 
-        The canonical nodes are the forward side's run: its stored steps where it
-        has them, and past them the run continued from the side's resume state by
-        a leg that keeps nothing, in constant memory.  The side is not changed.  Both
-        are the same steps, bit for bit, so a time's state depends on neither
-        earlier reads nor the other times of the call."""
-        tt = np.asarray(times, dtype=float)
-        if tt.ndim == 1 and len(tt) and not (tt[0] > 0.0 and (tt[1:] >= tt[:-1]).all()):
-            raise ValueError("landed times must be ascending and above 0")     # NaN too
-        tt = _times(tt)
-        side, field, atol, rtol = self._sides[1.0], self.field, self.atol, self._rtol
-        leg, out = _leg(len(self._y0)), np.empty((len(self._y0), len(tt)))
-        end = run_t = side.ts[-1]
-        run_y, run_f, h_abs = side.y, side.f, side.h_abs
-        for i, t in enumerate(tt.tolist()):
-            if t <= end:
-                k = np.searchsorted(side.T, t, "left") - 1
-                y = tuple(side.Y[k].tolist())
-                node = float(side.T[k]), y, tuple(field(y))
-            elif run_t < t:                 # else the last step of the run reaches t too
-                h_abs, run_y, run_f, run_t, node = leg(field, run_t, t, False, h_abs, 1.0,
-                                                       run_y, run_f, atol, rtol)
-            t_k, y, f = node
-            out[:, i] = leg(field, t_k, t, True, 2.0 * (t - t_k), 1.0, y, f, atol, rtol)[1]
+        A side's canonical nodes are its run: its stored steps where it has them,
+        and past them the run continued from the side's resume state by a leg that
+        keeps nothing, in constant memory, once per call, through the side's times
+        in order of |t|.  No side is changed.  Both are the same steps, bit for bit,
+        so a time's state depends on neither earlier reads nor the other times of
+        the call.  A mirrored trajectory reads a backward time t as R times the
+        forward landed state at -t, in the same forward pass."""
+        tt = _times(times)
+        field, atol, rtol, dim = self.field, self.atol, self._rtol, len(self._y0)
+        leg, out, mirrored = _leg(dim), np.empty((dim, len(tt))), self._mirror is not None
+        out[:, tt == 0.0] = self._y0[:, None]
+        for d, side in self._sides.items():
+            end, run_t = float(side.key[-1]), side.ts[-1]
+            run_y, run_f, h_abs = side.y, side.f, side.h_abs
+            # (|t|, index) of the side's times; a list sort, as numpy's first sort in a
+            # process maps about 200 kB more of numpy's code
+            for s, i in sorted((abs(t), i) for i, t in enumerate(tt.tolist())
+                               if t != 0.0 and (mirrored or d * t > 0.0)):
+                t = d * s
+                if s <= end:
+                    k = np.searchsorted(side.key, s, "left") - 1
+                    y = tuple(side.Y[k].tolist())
+                    node = float(side.T[k]), y, tuple(field(y))
+                elif d * run_t < s:         # else the last step of the run reaches t too
+                    h_abs, run_y, run_f, run_t, node = leg(field, run_t, t, False, h_abs, d,
+                                                           run_y, run_f, atol, rtol)
+                t_k, y, f = node
+                out[:, i] = leg(field, t_k, t, True, 2.0 * (s - d * t_k), d, y, f, atol, rtol)[1]
+        if mirrored:
+            out[:, tt < 0.0] *= self._mirror[:, None]
         return out
 
 

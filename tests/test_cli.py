@@ -109,6 +109,46 @@ def test_negative_exponent_tau_is_a_value(capsys):
     assert run(capsys, "periods", "--p", "2", "--q", "3", f"--tau={tau}") == (0, out, "")
 
 
+@pytest.mark.parametrize("flag", ["--tau", "--ta"])             # in full and abbreviated
+def test_negative_decimal_tau_is_a_value(flag, capsys):
+    code, out, err = run(capsys, "periods", "--p", "1", "--q", "2", flag, "-0.1")
+    assert code == 0 and err == ""
+    assert run(capsys, "periods", "--p", "1", "--q", "2", "--tau=-0.1") == (0, out, "")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["periods", "--p", "2", "--q", "3", "--tau", "-inf"],
+     "error: |tau|=inf exceeds tau_max=0.092951600308978\n"),
+    (["closure", "--p", "1", "--q", "2", "--target", "-3/5"],
+     "argument --target: expected a/b in lowest terms: numerator and denominator must be "
+     "positive\n"),
+])
+def test_a_negative_value_reaches_its_options_check(argv, message, capsys):
+    # argparse alone refuses -inf and -3/5 with an untrue "expected one argument"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.endswith(message)
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    assert run(capsys, *joined) == (code, out, err)
+
+
+@pytest.mark.parametrize("value", ["--json", "-h"])
+def test_an_option_name_is_not_joined_as_a_value(value, capsys):
+    code, out, err = run(capsys, "periods", "--p", "1", "--q", "2", "--tau", value)
+    assert (code, out) == (2, "") and err.endswith("argument --tau: expected one argument\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x", "expected a/b in lowest terms, got 'x'"),
+    ("1/2/3", "expected a/b in lowest terms, got '1/2/3'"),
+    ("1.5/2", "expected a/b in lowest terms, got '1.5/2'"),
+    ("3/0", "expected a/b in lowest terms: numerator and denominator must be positive"),
+    ("4/6", "expected a/b in lowest terms: target fraction must be in lowest terms"),
+])
+def test_target_parse_messages_are_true(text, message, capsys):
+    code, out, err = run(capsys, "closure", "--p", "1", "--q", "2", "--target", text)
+    assert (code, out) == (2, "") and err.endswith(f"argument --target: {message}\n")
+
+
 # a window must be positive and finite, a sample count at least 2
 @pytest.mark.parametrize("argv,flag", [
     (["neck", "--p", "1", "--q", "2", "--tau", "0.001", "--window", "-1"], "--window"),

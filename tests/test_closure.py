@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -278,9 +279,11 @@ def test_closed_curve_injective_within_period():
 # -- the closure window, landed on from the curve's run continued unstored --
 
 def _window(curve, k0, samples=20):
-    """verify_closed's closure window: samples times of one period past 2 k0 p_tau."""
+    """verify_closed's closure window, centred on the anchor: the samples times s
+    of [-p_tau, p_tau] at s + T/2, then at s - T/2, for T = 2 k0 p_tau."""
     p_tau = curve.period.p_tau
-    return np.linspace(0.0, 2.0 * p_tau, samples) + 2.0 * k0 * p_tau
+    s = np.linspace(-p_tau, p_tau, samples)
+    return np.concatenate([s + k0 * p_tau, s - k0 * p_tau])
 
 
 def _fresh(curve):
@@ -294,8 +297,9 @@ def _snapshot(side):
 
 
 def _unlanded_legs(monkeypatch):
-    """The (store, start) of each leg not landing on its time, from now on; a leg
-    stores when it is handed buffers, and keeps nothing when they are None."""
+    """The (store, start, direction, end) of each leg not landing on its time, from
+    now on; a leg stores when it is handed buffers, and keeps nothing when they
+    are None."""
     legs, original = [], ode_engine._leg
 
     def leg_of(dim):
@@ -303,9 +307,10 @@ def _unlanded_legs(monkeypatch):
 
         def recording(fun, t, t1, land, h_abs, direction, y, f, atol, rtol,
                       ts=None, ys=None, ks=None):
+            out = leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol, ts, ys, ks)
             if not land:
-                legs.append((ts is not None, t))
-            return leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol, ts, ys, ks)
+                legs.append((ts is not None, t, direction, out[3]))
+            return out
 
         return recording
 
@@ -334,47 +339,55 @@ def test_a_landed_batch_is_a_loop_of_one_time_reads(pq, m):
 
 
 def test_landed_bits_do_not_depend_on_earlier_reads():
-    # nothing read, the period read, a dense read inside the gap between the
-    # stored steps and the window, and one past the window: the same canonical
-    # nodes, stored or continued unstored, and the same bits
-    curve, k0 = necklace(AdmissiblePair(1, 2), 2, Tolerances())
-    ts = _window(curve, k0)
-    want = _fresh(curve).landed(ts)
-    gap, past = _fresh(curve), _fresh(curve)
-    gap(np.array([0.5 * (4.0 * curve.period.p_tau + ts[0])]))
-    past(np.array([ts[-1] + 1.0]))
-    assert past.time_grid[-1] > ts[-1] > ts[0] > gap.time_grid[-1]
-    for traj in (curve.trajectory, gap, past):
-        assert traj.landed(ts).tobytes() == want.tobytes()
+    # nothing read, the period read, dense reads inside the gaps between the
+    # stored steps and the window, and past the window, on both sides (for p = 1
+    # mirrored): the same canonical nodes, stored or continued unstored, and the
+    # same bits
+    for pq in ((1, 2), (2, 2)):
+        curve, k0 = necklace(AdmissiblePair(*pq), 2, Tolerances())
+        ts = _window(curve, k0)
+        near, far = np.abs(ts).min(), np.abs(ts).max()
+        want = _fresh(curve).landed(ts)
+        gap, past = _fresh(curve), _fresh(curve)
+        gap(np.array([-0.5 * near, 0.5 * near]))
+        past(np.array([-far - 1.0, far + 1.0]))
+        assert -past.time_grid[0] > far and past.time_grid[-1] > far
+        assert -gap.time_grid[0] < near and gap.time_grid[-1] < near
+        for traj in (curve.trajectory, gap, past):
+            assert traj.landed(ts).tobytes() == want.tobytes()
 
 
 def test_landed_leaves_the_side_as_it_was():
-    # times inside the stored steps and past them, on the necklace and on its
-    # curve with nothing stepped: no step, array, F or resume state is added
-    curve, k0 = necklace(AdmissiblePair(2, 2), 1, Tolerances())
-    p_tau = curve.period.p_tau
-    ts = np.concatenate([[0.1, 0.5 * p_tau, 2.0 * p_tau], _window(curve, k0)])
-    for traj in (curve.trajectory, _fresh(curve)):
-        side = traj._sides[1.0]
-        before = _snapshot(side)
-        traj.landed(ts)
-        assert _snapshot(side) == before
+    # times inside the stored steps and past them on both sides, on the necklace
+    # and on its curve with nothing stepped: no step, array, F or resume state is
+    # added to either side (side -1.0 too; for p = 1 the forward side alone, read
+    # for both)
+    for pq, m in (((2, 2), 1), ((1, 2), 2)):
+        curve, k0 = necklace(AdmissiblePair(*pq), m, Tolerances())
+        p_tau = curve.period.p_tau
+        near = np.array([0.1, 0.5 * p_tau, 2.0 * p_tau])
+        ts = np.concatenate([near, -near, _window(curve, k0)])
+        for traj in (curve.trajectory, _fresh(curve)):
+            assert sorted(traj._sides) == ([1.0] if pq[0] == 1 else [-1.0, 1.0])
+            before = {d: _snapshot(side) for d, side in traj._sides.items()}
+            traj.landed(ts)
+            assert {d: _snapshot(side) for d, side in traj._sides.items()} == before
 
 
 @pytest.mark.parametrize("k0", [1, 2])
 def test_a_window_inside_the_stored_steps_is_landed_from_them(k0, monkeypatch):
-    # the window read from stored steps has the bits of the run continued past
-    # them; with k0 = 1 verify_closed's own dense reads store the whole window
+    # the window read from stored steps has the bits of the runs continued past
+    # them; with k0 = 1 verify_closed's own dense reads store its forward half
     curve = TwistTrajectory(TwistParam(AdmissiblePair(2, 3), 0.05), Tolerances())
     ts = _window(curve, k0)
     want = _fresh(curve).landed(ts)
     traj = curve.trajectory
     if k0 == 1:
         verify_closed(curve, k0, 20)
-    else:
-        traj(np.array([ts[-1]]))
+        assert ts.max() <= traj.time_grid[-1]
+    traj(np.array([ts.min(), ts.max()]))
     legs = _unlanded_legs(monkeypatch)
-    assert ts[-1] <= traj.time_grid[-1]
+    assert traj.time_grid[0] <= ts.min() and ts.max() <= traj.time_grid[-1]
     assert traj.landed(ts).tobytes() == want.tobytes()
     assert legs == []
     ends = np.stack([traj.endpoint(t) for t in ts], axis=1)
@@ -382,23 +395,68 @@ def test_a_window_inside_the_stored_steps_is_landed_from_them(k0, monkeypatch):
 
 
 def test_a_window_past_the_stored_steps_continues_the_run_unstored(monkeypatch):
-    curve, k0 = necklace(AdmissiblePair(1, 2), 2, Tolerances())
-    end = curve.trajectory.time_grid[-1]
+    # each stepped side's run is continued once per call, from the side's last
+    # node, through its times in order of |t| whatever their order in the call:
+    # each unstored leg starts where the one before it on its side ended.  A
+    # mirrored (p = 1) trajectory steps its forward side alone
     legs = _unlanded_legs(monkeypatch)
-    curve.trajectory.landed(_window(curve, k0))
-    assert legs and all(not store for store, _ in legs) and legs[0][1] == end
+    for pq in ((1, 2), (2, 2)):
+        curve, k0 = necklace(AdmissiblePair(*pq), 2, Tolerances())
+        traj, ts = curve.trajectory, _window(curve, k0)
+        ends = {d: side.ts[-1] for d, side in traj._sides.items()}
+        legs.clear()
+        for _ in range(2):
+            traj.landed(ts[::-1])
+            assert legs and all(not store for store, *_ in legs)
+            assert {d for _, _, d, _ in legs} == set(ends)
+            for d, end in ends.items():
+                chain = [(start, reached) for _, start, way, reached in legs if way == d]
+                assert chain[0][0] == end
+                assert all(b[0] == a[1] for a, b in zip(chain, chain[1:]))
+            legs.clear()
 
 
-@pytest.mark.parametrize("ts", [[0.0], [-0.0], [-1.0], [1.0, 0.5], [0.5, 1.0, -0.0],
-                                [math.nan], [0.5, math.nan]])
-def test_landed_refuses_times_at_or_below_zero_and_descending(ts):
-    curve = TwistTrajectory(TwistParam(AdmissiblePair(1, 2), 0.1), Tolerances())
-    with pytest.raises(ValueError, match="ascending and above 0"):
-        curve.trajectory.landed(np.array(ts))
+@pytest.mark.parametrize("ts,text", [([math.nan], "time nan is not finite"),
+                                     ([0.5, math.inf], "time inf is not finite"),
+                                     ([-math.inf, -0.5], "time -inf is not finite"),
+                                     ([[0.5, 1.0]], "not of shape (1, 2)")],
+                         ids=["nan", "inf", "-inf", "2-d"])
+@pytest.mark.parametrize("tau", [0.1, -0.1, 0.0])
+def test_landed_refuses_times_not_finite_or_not_1d(ts, text, tau):
+    # refused before anything is stepped, on a mirrored (tau != 0) and an
+    # unmirrored curve
+    traj = TwistTrajectory(TwistParam(AdmissiblePair(1, 2), tau), Tolerances()).trajectory
+    grid = traj.time_grid.copy()
+    with pytest.raises(ValueError, match=re.escape(text)):
+        traj.landed(np.array(ts))
+    assert np.array_equal(traj.time_grid, grid)
+
+
+@pytest.mark.parametrize("pq,m", [((1, 2), 8), ((2, 2), 2)])
+def test_the_centred_window_sees_a_curve_that_does_not_close(pq, m):
+    # tau moved off the necklace's closing tau by delta = 1e-6 tau (1.4e-8 for
+    # (1,2) m = 8, 1.9e-8 for (2,2) m = 2): w(s + T/2) - w(s - T/2) is
+    # (Mhat_{2 k0 pthat} - Id) w(s - T/2), which the residual reads within a factor
+    # 2 (2.26e-6 and 1.04e-6 predicted), far past the 1e-7 limit
+    from sltwist.geometry.symmetry import mhat
+
+    pair = AdmissiblePair(*pq)
+    closed, k0 = necklace(pair, m, Tolerances())
+    assert verify_closed(closed, k0, 20).closure_residual <= 1e-8
+    curve = TwistTrajectory(TwistParam(pair, closed.param.tau * (1.0 + 1e-6)), Tolerances())
+    data = curve.period
+    ts = np.linspace(0.0, 2.0 * data.p_tau, 200)
+    turn = mhat(pair, 2.0 * k0 * data.pthat)[:, None] - 1.0
+    predicted = np.max(np.abs(turn * curve.w(ts)))
+    residual = verify_closed(curve, k0, 20).closure_residual
+    assert predicted / 2 <= residual <= 2 * predicted
+    assert residual > 1e-7
 
 
 @pytest.mark.parametrize("pq,m", [((1, 2), 4), ((1, 3), 2), ((2, 2), 3)])
 def test_landed_is_the_endpoint_to_the_tolerance_on_necklaces(pq, m):
+    # on both sides of the centred window: for p = 1 the backward half mirrored,
+    # for p = q the backward side's own run, continued past its stored steps
     curve, k0 = necklace(AdmissiblePair(*pq), m, Tolerances())
     ts = _window(curve, k0)
     got = curve.trajectory.landed(ts)

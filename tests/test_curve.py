@@ -326,7 +326,7 @@ def test_array_residuals_match_point_by_point_loops(p, q, tau):
 
     translation = max(np.max(np.abs(w(t + 2.0 * data.p_tau) - M @ w(t)))
                       for t in np.linspace(-0.5 * data.p_tau, 0.5 * data.p_tau, 40))
-    closure = max(np.max(np.abs(landed(t + 2.0 * data.p_tau) - w(t)))
-                  for t in np.linspace(0.0, 2.0 * data.p_tau, 20))
+    closure = max(np.max(np.abs(landed(s + data.p_tau) - landed(s - data.p_tau)))
+                  for s in np.linspace(-data.p_tau, data.p_tau, 20))     # centred, k0 = 1
     assert geo.symmetry_residuals(curve)["translation"] == pytest.approx(translation, abs=1e-15)
     assert verify_closed(curve, 1, 20).closure_residual == pytest.approx(closure, abs=1e-15)

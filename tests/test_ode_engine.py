@@ -467,7 +467,7 @@ _ZERO_READS = [[0.0], [-0.0], [-1.5, 0.0, 2.0, -0.0], [0.0, -0.7, -0.0, 0.3], [-
 def test_a_dense_read_at_zero_is_the_anchor_bit_for_bit(case):
     # 0.0 and -0.0 read the state integrate received, signed zeros included,
     # as endpoint(0.0) does, alone or among times of either sign, before
-    # anything is stepped and after either side is
+    # anything is stepped and after either side is; a landed read as well
     reads, scale = _ZERO_READS, 1.0
     if case == "fresh":                             # x' = 1 from -0.0
         y0 = np.array([-0.0])
@@ -488,8 +488,9 @@ def test_a_dense_read_at_zero_is_the_anchor_bit_for_bit(case):
     want = _bits(y0)
     for ts in reads:
         ts = scale * np.array(ts)
-        zero = traj(ts)[:, ts == 0.0]
-        assert zero.shape[1] and all(np.array_equal(_bits(z), want) for z in zero.T), ts
+        for read in (traj, traj.landed):
+            zero = read(ts)[:, ts == 0.0]
+            assert zero.shape[1] and all(np.array_equal(_bits(z), want) for z in zero.T), ts
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -503,12 +504,26 @@ def test_a_read_refuses_a_time_that_is_not_finite(p, q, tau, t):
     grid, text = traj.time_grid.copy(), re.escape(f"time {t} is not finite")
     with pytest.raises(ValueError, match=text):
         traj.endpoint(t)
-    for read in (traj, curve.w, lambda ts: traj.steps(*ts)):
+    for read in (traj, curve.w, lambda ts: traj.steps(*ts), traj.landed):
         with pytest.raises(ValueError, match=text):
             read(np.array([1.0, t]))
-    with pytest.raises(ValueError):                 # a nan or -inf is not ascending
-        traj.landed(np.array([1.0, t]))
     assert np.array_equal(traj.time_grid, grid)
+
+
+@pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (1, 3, -0.05), (1, 6, 1e-4)])
+def test_a_mirrored_backward_landed_read_is_the_forward_one_reflected(p, q, tau):
+    # landed(-t) is R landed(t) bit for bit, alone, in one batch of both signs,
+    # inside the stored steps and past them, and after either is read
+    curve = TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), Tolerances())
+    traj, p_tau = curve.trajectory, curve.period.p_tau
+    R = traj._mirror[:, None]
+    ts = p_tau * np.array([0.3, 1.0, 2.0, 5.5, 11.0])
+    forward = traj.landed(ts)
+    assert traj.landed(-ts).tobytes() == (R * forward).tobytes()
+    both = traj.landed(np.concatenate([-ts[::-1], ts]))
+    assert both.tobytes() == np.concatenate([R * forward[:, ::-1], forward], axis=1).tobytes()
+    for t, col in zip(ts, forward.T):
+        assert traj.landed(np.array([-t]))[:, 0].tobytes() == (R[:, 0] * col).tobytes()
 
 
 def test_anchor_rejected_and_reads_past_the_extent_grow():

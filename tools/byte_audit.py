@@ -48,7 +48,8 @@ _CLOSURE = ["closure", "--p", "1", "--q", "2"]
 _COMMANDS = ["solve", "periods", "closure", "necklace", "torque", "asymptotics", "neck",
              "export", "verify"]
 # the top-level parser's help and refusals, each subcommand's help and missing
-# flags, and the values and options a subcommand refuses
+# flags, and the values and options a subcommand refuses (negative values after
+# an option among them, refused by the option's own check)
 PARSER_ARGVS = [
     [], ["-h"], ["--help"], ["nope"], ["verif"], ["--p", "1", "verify"],
     *([name, "-h"] for name in _COMMANDS),
@@ -62,6 +63,8 @@ PARSER_ARGVS = [
     ["verify", "--p", "1", "--q", "2", "--tau", "0.1", "--tol", "fast"],
     ["periods", "--p", "1", "--q", "2", "--tau", "0.1", "--m", "3"],
     ["periods", "--p", "2", "--q", "3", "--tau", "-9.3e-05", "--nope"],
+    ["periods", "--p", "2", "--q", "3", "--tau", "-inf"],
+    [*_CLOSURE, "--target", "-3/5"],
 ]
 # rows with a time of 0: tau = 0 curves, two-sided p = 1 reads, odd sample counts;
 # then the closure classifications no operation reaches: an even k0 with p > 1
