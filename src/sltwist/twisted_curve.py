@@ -9,7 +9,8 @@ with the two conserved quantities I1 = |w|^2 and I2 = Im(w1^p w2^q).
 The canonical one-parameter family is labelled by tau = -I2/2 with
 |tau| <= tau_max(p, q); conjugation maps the tau member to the -tau
 member.  The field is written once, in :func:`_field`, and w1^p w2^q
-once, in :func:`_twist`.  The radius function y = |w2|^2 obeys
+once, in :func:`_twist`, whose I2 on state arrays :func:`_i2` computes with
+CPython's complex bits.  The radius function y = |w2|^2 obeys
 
     y'^2 = 4 (f(y) - 4 tau^2),      f(y) = y^q (1 - y)^p,
 
@@ -277,7 +278,10 @@ def _field(p: int, q: int, linearised: bool = False):
 @lru_cache(maxsize=None)
 def _i2(p: int, q: int):
     """``rhs(s)`` giving I2 = Im(w1^p w2^q) of the real state s, floats or (4, N)
-    arrays, multiplied as :func:`_twist` multiplies complex numbers, bit for bit."""
+    arrays: the array form of the scalar :func:`_twist`.  On Python complex
+    numbers the two agree bit for bit; on numpy arrays :func:`_twist` goes
+    through numpy's complex power, which differs in the last bit for about a
+    quarter of the values, so the drift rows read I2 here to keep CPython's bits."""
     return _compiled(f"I2 p={p} q={q}", [
         "a1r, a1i, b1r, b1i = s", *_cpow_source("a", [p]), *_cpow_source("b", [q]),
         f"return a{p}r * b{q}i + a{p}i * b{q}r"])

@@ -209,12 +209,16 @@ def test_unresolved_tiny_tau_is_refused_at_once(argv, expected, capsys):
 
 
 def test_p_one_reads_every_law_where_y_max_rounds_to_one(capsys):
-    # 1 - y_max = 4e-18 is held as a distance from 1; only an integrated curve needs y_max
-    code, out, err = run(capsys, "asymptotics", "--p", "1", "--q", "2", "--tau-list", "1e-9",
-                         "--json")
+    # 1 - y_max = 4e-18 (4e-24 at 1e-12) is held as a distance from 1; only an
+    # integrated curve needs y_max
+    code, out, err = run(capsys, "asymptotics", "--p", "1", "--q", "2", "--tau-list",
+                         "1e-9,1e-12", "--json")
     assert (code, err) == (0, "")
-    ratios = {r["law_id"]: float(r["ratio"]) for r in json.loads(out)["reports"]}
-    assert abs(ratios["ymin"] - 1.0) <= 1e-8 and abs(ratios["ymax_gap"] - 1.0) <= 1e-8
+    ratios = {(float(r["tau"]), r["law_id"]): float(r["ratio"])
+              for r in json.loads(out)["reports"]}
+    for tau in (1e-9, 1e-12):
+        assert abs(ratios[tau, "ymin"] - 1.0) <= 1e-8
+        assert abs(ratios[tau, "ymax_gap"] - 1.0) <= 1e-8
 
 
 def test_failed_cross_check_prints_only_its_verify_line(capsys, monkeypatch):
@@ -565,7 +569,7 @@ def test_broken_pipe_in_process_exits_141_and_leaves_stdout_alone(monkeypatch):
 @pytest.mark.parametrize("argv", [
     _TORQUE,
     ("export", "--p", "1", "--q", "2", "--tau", "0.1", "--format", "csv",
-     "--samples", "2000", "--out", "/dev/stdout"),
+     "--samples", "20000", "--out", "/dev/stdout"),
 ])
 def test_reader_closing_stdout_early_exits_141_without_traceback(argv):
     # the read end is closed before the child writes, as `| head -c 0` closes it;

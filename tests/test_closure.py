@@ -296,26 +296,12 @@ def _snapshot(side):
             bytes(side.ys), bytes(side.ks), side.y, side.f, side.h_abs)
 
 
-def _unlanded_legs(monkeypatch):
-    """The (store, start, direction, end) of each leg not landing on its time, from
-    now on; a leg stores when it is handed buffers, and keeps nothing when they
-    are None."""
-    legs, original = [], ode_engine._leg
-
-    def leg_of(dim):
-        leg = original(dim)
-
-        def recording(fun, t, t1, land, h_abs, direction, y, f, atol, rtol,
-                      ts=None, ys=None, ks=None):
-            out = leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol, ts, ys, ks)
-            if not land:
-                legs.append((ts is not None, t, direction, out[3]))
-            return out
-
-        return recording
-
-    monkeypatch.setattr(ode_engine, "_leg", leg_of)
-    return legs
+def _unlanded_legs(calls):
+    """The (store, start, direction, end) of each leg of ``leg_calls`` not landing
+    on its time; a leg stores when it is handed buffers, and keeps nothing when
+    they are None."""
+    return [(c["ts"] is not None, c["t"], c["direction"], c["return"][3])
+            for c in calls if not c["land"]]
 
 
 def test_one_leg_is_compiled_per_state_dimension(capsys):
@@ -375,7 +361,7 @@ def test_landed_leaves_the_side_as_it_was():
 
 
 @pytest.mark.parametrize("k0", [1, 2])
-def test_a_window_inside_the_stored_steps_is_landed_from_them(k0, monkeypatch):
+def test_a_window_inside_the_stored_steps_is_landed_from_them(k0, leg_calls):
     # the window read from stored steps has the bits of the runs continued past
     # them; with k0 = 1 verify_closed's own dense reads store its forward half
     curve = TwistTrajectory(TwistParam(AdmissiblePair(2, 3), 0.05), Tolerances())
@@ -386,34 +372,34 @@ def test_a_window_inside_the_stored_steps_is_landed_from_them(k0, monkeypatch):
         verify_closed(curve, k0, 20)
         assert ts.max() <= traj.time_grid[-1]
     traj(np.array([ts.min(), ts.max()]))
-    legs = _unlanded_legs(monkeypatch)
+    leg_calls.clear()
     assert traj.time_grid[0] <= ts.min() and ts.max() <= traj.time_grid[-1]
     assert traj.landed(ts).tobytes() == want.tobytes()
-    assert legs == []
+    assert _unlanded_legs(leg_calls) == []
     ends = np.stack([traj.endpoint(t) for t in ts], axis=1)
     assert np.max(np.abs(want - ends)) <= 10 * curve.tol.tol
 
 
-def test_a_window_past_the_stored_steps_continues_the_run_unstored(monkeypatch):
+def test_a_window_past_the_stored_steps_continues_the_run_unstored(leg_calls):
     # each stepped side's run is continued once per call, from the side's last
     # node, through its times in order of |t| whatever their order in the call:
     # each unstored leg starts where the one before it on its side ended.  A
     # mirrored (p = 1) trajectory steps its forward side alone
-    legs = _unlanded_legs(monkeypatch)
     for pq in ((1, 2), (2, 2)):
         curve, k0 = necklace(AdmissiblePair(*pq), 2, Tolerances())
         traj, ts = curve.trajectory, _window(curve, k0)
         ends = {d: side.ts[-1] for d, side in traj._sides.items()}
-        legs.clear()
+        leg_calls.clear()
         for _ in range(2):
             traj.landed(ts[::-1])
+            legs = _unlanded_legs(leg_calls)
             assert legs and all(not store for store, *_ in legs)
             assert {d for _, _, d, _ in legs} == set(ends)
             for d, end in ends.items():
                 chain = [(start, reached) for _, start, way, reached in legs if way == d]
                 assert chain[0][0] == end
                 assert all(b[0] == a[1] for a, b in zip(chain, chain[1:]))
-            legs.clear()
+            leg_calls.clear()
 
 
 @pytest.mark.parametrize("ts,text", [([math.nan], "time nan is not finite"),

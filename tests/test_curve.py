@@ -64,28 +64,15 @@ def test_verify_builds_the_initial_state_once(monkeypatch, capsys):
     ("verify --p 1 --q 3 --tau 0.05", 2),
     ("verify --p 2 --q 3 --tau 0.05", 4),
 ])
-def test_verify_steps_a_p1_curve_forward_only(monkeypatch, capsys, argv, legs):
+def test_verify_steps_a_p1_curve_forward_only(leg_calls, capsys, argv, legs):
     # the curve and (w, Q, Q') are read on both sides of 0; for p = 1 each steps
     # its forward side and mirrors the backward side from it, for p >= 2 (t = 0
     # is no extremum of y) each steps both.  legs counts the (field, direction)
     # pairs stepped, each run starting at 0, legs that keep nothing (their
     # buffers are None: endpoints) aside
-    starts = {}
-
-    def leg_of(dim):
-        leg = original(dim)
-
-        def stepping(fun, t, t1, land, h_abs, direction, y, f, atol, rtol,
-                     ts=None, ys=None, ks=None):
-            if ts is not None:
-                starts.setdefault((fun, direction), t)
-            return leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol, ts, ys, ks)
-
-        return stepping
-
-    original = ode_engine._leg
-    monkeypatch.setattr(ode_engine, "_leg", leg_of)
     assert main(argv.split()) == 0
+    starts = {(c["fun"], c["direction"]): c["t"] for c in reversed(leg_calls)
+              if c["ts"] is not None}                    # each pair's first leg
     assert len(starts) == legs
     assert all(t0 == 0.0 for t0 in starts.values())
 

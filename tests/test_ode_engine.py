@@ -251,35 +251,20 @@ def _assert_backward_half_is_the_backward_run(traj, atol_scale):
         assert np.array_equal(traj.endpoint(t), run.endpoint(t))
 
 
-def _stepped_legs(monkeypatch):
-    """The (start, direction) of each leg a trajectory steps from now on; a leg
-    that keeps nothing (its buffers are None), an endpoint's, is not counted."""
-    legs, original = [], ode_engine._leg
-
-    def leg_of(dim):
-        leg = original(dim)
-
-        def stepping(fun, t, t1, land, h_abs, direction, y, f, atol, rtol,
-                     ts=None, ys=None, ks=None):
-            if ts is not None:
-                legs.append((t, direction))
-            return leg(fun, t, t1, land, h_abs, direction, y, f, atol, rtol, ts, ys, ks)
-
-        return stepping
-
-    monkeypatch.setattr(ode_engine, "_leg", leg_of)
-    return legs
+def _stepped_legs(calls):
+    """The (start, direction) of each leg of ``leg_calls`` that stores its steps; a
+    leg that keeps nothing (its buffers are None), an endpoint's, is not counted."""
+    return [(c["t"], c["direction"]) for c in calls if c["ts"] is not None]
 
 
-def test_a_reversible_system_steps_its_forward_half_only(monkeypatch):
+def test_a_reversible_system_steps_its_forward_half_only(leg_calls):
     # x'' = -x is reversed by (x, v) -> (x, -v), which fixes (1, 0): one leg is
     # stepped and the other side is its mirror image
     def field(s):
         return s[1], -s[0]
 
-    legs = _stepped_legs(monkeypatch)
     traj = integrate(field, [1.0, 0.0], (-7.0, 7.0), Tolerances(), mirror=[1.0, -1.0])
-    assert legs == [(0.0, 1.0)]
+    assert _stepped_legs(leg_calls) == [(0.0, 1.0)]
     assert np.array_equal(traj.time_grid, -traj.time_grid[::-1])
     assert np.array_equal(traj.states, traj.states[::-1] * [1.0, -1.0])
     mid = len(traj.time_grid) // 2                  # the anchor keeps its bits
@@ -291,9 +276,9 @@ def test_a_reversible_system_steps_its_forward_half_only(monkeypatch):
     # either end reaches, and mirrors all of it: a plain run read back as far
     # as the forward side reaches has its arrays and its reads
     for span in ((-7.0, 6.0), (-1.0, 3.0)):
-        legs.clear()
+        leg_calls.clear()
         mirrored = integrate(field, [1.0, 0.0], span, Tolerances(), mirror=[1.0, -1.0])
-        assert [d for _, d in legs] == [1.0]
+        assert [d for _, d in _stepped_legs(leg_calls)] == [1.0]
         end = mirrored.time_grid[-1]
         assert mirrored.time_grid[-2] < max(span[1], -span[0]) <= end
         assert np.array_equal(_bits(mirrored.time_grid[0]), _bits(-end))
@@ -564,13 +549,12 @@ def test_a_field_is_handed_the_state_alone(mirror):
 
 @pytest.mark.parametrize("mirror", [None, [-1.0]])
 @pytest.mark.parametrize("span", [(0.5, 1.0), (-1.0, -0.5)])
-def test_a_span_without_the_anchor_steps_the_side_it_reaches(span, mirror, monkeypatch):
+def test_a_span_without_the_anchor_steps_the_side_it_reaches(span, mirror, leg_calls):
     # x' = 1 from 0 (reversed by -1, which fixes 0): a span on one side of the
     # anchor steps that side alone, or with a mirror the forward side, and x = t
-    legs = _stepped_legs(monkeypatch)
     traj = integrate(lambda s: [1.0], [0.0], span, Tolerances(), mirror=mirror)
     side = math.copysign(1.0, span[0])
-    assert [d for _, d in legs] == [1.0 if mirror else side]
+    assert [d for _, d in _stepped_legs(leg_calls)] == [1.0 if mirror else side]
     far = span[1] if side > 0 else span[0]
     assert traj.time_grid[0] <= min(far, 0.0) and traj.time_grid[-1] >= max(far, 0.0)
     if mirror is None:
