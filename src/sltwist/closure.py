@@ -53,7 +53,13 @@ class RationalTarget:
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Rotational order, period-lattice generator and quotient topology."""
+    """Rotational order, period-lattice generator and quotient topology.
+
+    ``half_period_type`` (j, k) names a half-period of the link, w(t + k0 p_tau) =
+    D w(t) with D = ((-1)^j Id, (-1)^k Id), a sign on each sphere factor.  For p = 1
+    the first factor is the point 1, which cannot absorb -1: with n even the curve's
+    -Id is a symmetry of the curve, not a half-period, so the type is None.
+    """
 
     k0: int                             # finite; the search refuses one above K0_CAP
     per_generator: str
@@ -193,17 +199,15 @@ def half_period_classification(pair: AdmissiblePair,
     S^1 x S^(p-1) x S^(q-1) (p > 1) or S^1 x S^(n-2) (p = 1) with
     generator the translation by 2 k0 p_tau.  k0 even: for p > 1 the
     type is (q/h mod 2, p/h mod 2) with h = gcd(p, q); for p = 1 strict
-    half-periods exist only when n is odd (type (0,1)).  The quotient is
-    a Z2-quotient exactly when k0 is even and n is odd.  A k0 above
-    ``K0_CAP`` is classified as any other; the search refuses it.
+    half-periods exist only when n is odd (type (0,1); :class:`ClosureReport`
+    says why).  The quotient is a Z2-quotient exactly when k0 is even and n
+    is odd.  A k0 above ``K0_CAP`` is classified as any other; the search refuses it.
     """
     p, q, n = pair.p, pair.q, pair.n
     k0 = k0_from_target(pair, target)
     even, h = k0 % 2 == 0, math.gcd(p, q)
     # for p = 1 the rule gives (0, 1) exactly when n is odd
     jk = ((q // h) % 2, (p // h) % 2) if even and (p > 1 or n % 2) else None
-    if jk is not None and (jk[0] * p + jk[1] * q) % 2 != 0:
-        raise AssertionError(f"half-period type {jk} violates parity for ({p},{q})")
     if even and n % 2:
         flip = "(-Id)" if p == 1 else f"((-1)^{jk[0]} Id, (-1)^{jk[1]} Id)"
         return ClosureReport(k0=k0, per_generator=f"T[{k0} p_tau] o {flip}",
@@ -234,11 +238,8 @@ def necklace(pair: AdmissiblePair, m: int, tol: Tolerances) -> tuple[TwistTrajec
     if m < 1:
         raise ValueError("m must be a positive integer")
     km = _necklace_index(pair) * m
-    target, k0 = RationalTarget(km, 2 * km - 1), 2 * km - 1
-    k0_check = k0_from_target(pair, target)
-    if k0_check != k0:
-        raise AssertionError(f"integer k0 routes disagree: {k0} vs {k0_check}")
-    return find_tau_for_angular_period(pair, target, tol=tol), k0
+    target = RationalTarget(km, 2 * km - 1)
+    return find_tau_for_angular_period(pair, target, tol=tol), 2 * km - 1
 
 
 def necklace_scaling_ratio(pair: AdmissiblePair, m: int, tau: float) -> float:

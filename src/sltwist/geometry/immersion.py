@@ -102,8 +102,6 @@ def _chart_point(m: int, u: np.ndarray) -> np.ndarray:
 
 
 def _chart_box(m: int):
-    if m == 0:
-        return []
     return [(0.1, math.pi - 0.1)] * (m - 1) + [(0.0, 2.0 * math.pi)]
 
 

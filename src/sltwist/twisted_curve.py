@@ -120,15 +120,16 @@ def _extrema(pair: AdmissiblePair, taus) -> np.ndarray:
     r^a (1 - r)^b = 4 tau^2 in (0, a/n), with (a, b) = (q, p) and (p, q).
 
     Refuses |tau| above tau_max, within a relative 1e-10 of it (coalescing
-    roots), tau = 0 (double roots at the endpoints), NaN, and tau so small
-    that 4 tau^2 underflows, naming the first such tau.  1 - y_max keeps its
-    digits as a distance where y_max itself rounds to 1 (p = 1 below about
-    tau = 5e-9; :func:`initial_state` refuses such a tau).  Both roots come
-    from one Newton iteration on the concave h(r) = ln(r^a (1 - r)^b / 4
-    tau^2), started below the root where h < 0, so r rises monotonically.
-    A root is done when its next step reverses or stops shrinking relative
-    to r: that is the Newton step in ln r, which shrinks from the first
-    step, while the step in r itself first grows.
+    roots), tau = 0 (double roots at the endpoints), NaN, and, as too small,
+    a tau whose Newton start r^a (1 - r)^b is below the smallest normal
+    double, naming the first such tau.  1 - y_max keeps its digits as a
+    distance where y_max itself rounds to 1 (p = 1 below about tau = 5e-9;
+    :func:`initial_state` refuses such a tau).  Both roots come from one Newton
+    iteration on the concave h(r) = ln(r^a (1 - r)^b / 4 tau^2), started below
+    the root where h < 0, so r and r^a (1 - r)^b rise monotonically to the root
+    and every logarithm keeps its digits.  A root is done when its next step
+    reverses or stops shrinking relative to r: that is the Newton step in ln r,
+    which shrinks from the first step, while the step in r itself first grows.
     """
     p, q, n = pair.p, pair.q, pair.n
     tau = np.abs(np.asarray(taus, dtype=float))
@@ -143,9 +144,6 @@ def _extrema(pair: AdmissiblePair, taus) -> np.ndarray:
         if t == 0.0:
             raise ValueError("tau = 0: f(y) = 0 has no interior double root to split")
         raise ValueError("|tau| too close to tau_max: extrema coalesce at q/n")
-    target = 4.0 * tau * tau
-    if not target.all():
-        raise ValueError(f"|tau|={tau[np.argmin(target)]} is too small: 4 tau^2 underflows to 0")
     a = np.array([[q], [p]], dtype=float)      # y_min's row, then 1 - y_max's
     b = n - a
     low = np.array([[True], [False]])
@@ -153,24 +151,23 @@ def _extrema(pair: AdmissiblePair, taus) -> np.ndarray:
     def F(r, e):        # r^a e^b as y^q (1 - y)^p, by int powers as f_poly: y_min keeps its bits
         return np.where(low, r, e) ** q * np.where(low, e, r) ** p
 
-    # starts from the leading order r ~ (2 tau)^(2/a), 4x nearer 0 so that h < 0;
-    # the while-loop only fires very close to tau_max
+    # the leading order r ~ (2 tau)^(2/a), 4x nearer 0: r^a (1 - r)^b <= 4 tau^2 / 4^a, so h < 0
     r = np.stack([np.minimum((2.0 * tau) ** (2.0 / k) / 4.0, 0.5 * k / n) for k in (q, p)])
-    while (inside := F(r, 1.0 - r) >= target).any():
-        r = np.where(inside, 0.5 * r, r)
+    small = (F(r, 1.0 - r) < np.finfo(float).tiny).any(axis=0)
+    if small.any():
+        raise ValueError(f"|tau|={tau[np.argmax(small)]} is too small: the Newton start "
+                         "of the extrema of y is below the smallest normal double")
+    target = 4.0 * tau * tau
     last = np.full(r.shape, np.inf)
-    # a power that underflows turns a step infinite or NaN, which stops its root; the
-    # branch quadrature refuses the sums such a root gives
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while True:
-            e = 1.0 - r
-            dr = np.log(target / F(r, e)) / (a / r - b / e)
-            rel = dr / r                        # the step in ln r: > 0 ahead
-            go = (0.0 < rel) & (rel < last)     # a stopped root keeps its r, so stays stopped
-            if not go.any():
-                break
-            r = r + dr * go
-            last = np.where(go, rel, last)
+    while True:
+        e = 1.0 - r
+        dr = np.log(target / F(r, e)) / (a / r - b / e)
+        rel = dr / r                        # the step in ln r: > 0 ahead
+        go = (0.0 < rel) & (rel < last)     # a stopped root keeps its r, so stays stopped
+        if not go.any():
+            break
+        r = r + dr * go
+        last = np.where(go, rel, last)
     return r
 
 

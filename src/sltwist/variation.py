@@ -21,7 +21,7 @@ from .catenoid import catenoid_lifetime
 from .ode_engine import Trajectory, integrate
 # variation.period_ode stays a name of this module: perfbench's tracer looks it up here
 from .periods import (_branch_halves, partial_periods_quadrature, period_ode,  # noqa: F401
-                      pthat_quadrature)
+                      pthat_quadrature, pthat_quadrature_psi2)
 from .twisted_curve import (TwistParam, TwistTrajectory, _extrema, _field, _gaps, _mirror, _y,
                             _ydot, tau_max)
 
@@ -159,10 +159,11 @@ def _law_values(pair, tau: float, law_id: str) -> tuple[float, float]:
     if law_id == "pt":
         mult = 2.0 if p == q else 1.0
         return pp + pm, mult * asymptotic_constants(q) * time_scale(q, tau)
-    excess = pthat_quadrature(param) - math.pi / 2.0            # pthat_excess
-    if abs(excess) < 1e-12:     # right to 0.5% at 7.4e-13, roundoff at 3e-14 and below
+    excess = pthat_quadrature(param) - math.pi / 2.0            # below 1e-12 it is roundoff
+    excess2 = pthat_quadrature_psi2(param) - math.pi / 2.0      # p < q: the milder pole
+    if excess < 1e-12 or excess2 <= 0.0 or (p != q and abs(excess - excess2) > 1e-2 * excess2):
         raise ArithmeticError(f"at |tau|={abs(tau)} the excess pthat - pi/2 = {excess:.3g} "
-                              "is below 1e-12, where it is roundoff")
+                              f"(psi2 side {excess2:.3g}) is not resolved")
     return excess, (4.0 * p / q) * tau * (pp + pm)
 
 

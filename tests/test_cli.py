@@ -181,13 +181,21 @@ def test_nan_tau_exits_two(argv, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# below what doubles resolve: 4 tau^2 underflows, a p = 1 curve would start
-# at a y_max that rounds to 1, or the branch quadrature is not finite
+# below what doubles resolve: the Newton start of the extrema is below the
+# normal range, a p = 1 curve would start at a y_max that rounds to 1, or the
+# angular-period excess is below 1e-12, not positive, or not confirmed by its
+# psi2 side
 @pytest.mark.parametrize("argv,expected", [
     (["periods", "--p", "2", "--q", "3", "--tau", "1e-200"], 2),
     (["asymptotics", "--p", "2", "--q", "3", "--tau-list", "1e-200"], 2),
     (["periods", "--p", "1", "--q", "2", "--tau", "1e-9"], 2),
     (["asymptotics", "--p", "4", "--q", "4", "--tau-list", "1e-30"], 3),
+    (["asymptotics", "--p", "2", "--q", "7", "--tau-list", "3e-162"], 2),
+    (["periods", "--p", "2", "--q", "3", "--tau", "1e-160"], 2),
+    (["asymptotics", "--p", "1", "--q", "2", "--tau-list", "1e-26"], 3),
+    (["asymptotics", "--p", "1", "--q", "2", "--tau-list", "1e-40"], 3),
+    (["asymptotics", "--p", "2", "--q", "7", "--tau-list", "1e-40"], 3),
+    (["asymptotics", "--p", "4", "--q", "4", "--tau-list", "1e-40"], 3),
 ])
 def test_unresolved_tiny_tau_is_refused_at_once(argv, expected, capsys):
     def hung(signum, frame):
@@ -206,6 +214,7 @@ def test_unresolved_tiny_tau_is_refused_at_once(argv, expected, capsys):
     prefix = {2: "error: ", 3: "numerical failure: "}[expected]
     assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
     assert f"|tau|={float(argv[-1])} " in err
+    assert expected == 2 or " (psi2 side " in err       # an excess names both sides
 
 
 def test_p_one_reads_every_law_where_y_max_rounds_to_one(capsys):
@@ -463,6 +472,15 @@ def test_neck_degree_two_window_past_the_overflow_exits_two(window, capsys, monk
                          "--window", window)
     assert code == 2 and out == ""
     assert f"window {float(window)} exceeds 709.78" in err
+
+
+def test_obj_export_refuses_a_pair_other_than_1_2(capsys, tmp_path):
+    out = tmp_path / "x.obj"
+    code, text, err = run(capsys, "export", "--p", "2", "--q", "3", "--tau", "0.05",
+                          "--format", "obj", "--out", str(out))
+    assert (code, text) == (2, "")
+    assert err == "error: obj export supports the (1,2) surface case only\n"
+    assert not out.exists()
 
 
 def test_export_obj(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import sltwist.closure as closure
 from sltwist.cli import main
 from sltwist.closure import (BracketingError, RationalTarget,
                              find_tau_for_angular_period,
@@ -15,7 +17,7 @@ from sltwist.closure import (BracketingError, RationalTarget,
                              necklace, necklace_scaling_ratio, verify_closed)
 import sltwist.ode_engine as ode_engine
 from sltwist.ode_engine import Tolerances
-from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory
+from sltwist.twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _w
 
 
 def test_rational_target_validation():
@@ -116,6 +118,55 @@ def test_necklace_four_dimensional():
 def test_necklace_rejects_asymmetric_pair():
     with pytest.raises(ValueError):
         necklace(AdmissiblePair(2, 3), 2, Tolerances())
+
+
+def test_necklace_refuses_m_below_one(capsys):
+    assert main(["necklace", "--p", "1", "--q", "2", "--m", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: m must be a positive integer\n")
+
+
+def test_several_brackets_warn_and_the_first_is_used(monkeypatch):
+    # a second sign change at the top of the scan: the target's own bracket comes first
+    pair, target = AdmissiblePair(1, 2), RationalTarget(4, 7)
+    scan = closure.angular_periods
+
+    def with_a_second_crossing(pair, taus):
+        vals = scan(pair, taus)
+        vals[-1] = 2.0 * target.angle - vals[-2]
+        return vals
+
+    monkeypatch.setattr(closure, "angular_periods", with_a_second_crossing)
+    with pytest.warns(UserWarning, match="^2 brackets found for target 4/7; using the first$"):
+        curve = find_tau_for_angular_period(pair, target, Tolerances())
+    assert abs(curve.period.pthat - target.angle) <= 1e-10
+
+
+def test_the_integrated_refinement_grows_its_bracket(monkeypatch):
+    # a quadrature slope 20x too steep makes the first bracket about the quadrature
+    # root reach half way to the integrated root: it grows 4x once and brackets
+    import sltwist.twisted_curve as twisted_curve
+
+    pair, target = AdmissiblePair(2, 2), RationalTarget(2, 3)      # necklace m = 1
+    quad, tried, solve_w = closure.pthat_quadrature, [], twisted_curve.solve_w
+    monkeypatch.setattr(closure, "pthat_quadrature",
+                        lambda param: target.angle + 20.0 * (quad(param) - target.angle))
+    monkeypatch.setattr(twisted_curve, "solve_w",
+                        lambda param, *args: tried.append(param.tau) or solve_w(param, *args))
+    curve = find_tau_for_angular_period(pair, target, Tolerances())
+    tau0, a1, b1, a2, b2 = tried[:5]
+    assert a1 < tau0 < b1 and a2 < a1 and b1 < b2
+    assert b2 - a2 == pytest.approx(4.0 * (b1 - a1), rel=1e-6)
+    assert abs(curve.period.pthat - target.angle) <= 1e-12
+
+
+def test_an_integrated_refinement_that_never_brackets_is_refused(monkeypatch):
+    # integrated angular periods that never reach the target: 40 growths, then refused
+    target = RationalTarget(2, 3)
+    flat = types.SimpleNamespace(period=types.SimpleNamespace(pthat=target.angle + 1e-9))
+    monkeypatch.setattr(closure, "TwistTrajectory", lambda param, tol: flat)
+    with pytest.raises(BracketingError,
+                       match="integrated-route refinement failed to bracket the target near tau="):
+        find_tau_for_angular_period(AdmissiblePair(2, 2), target, Tolerances())
 
 
 def test_necklace_scaling_order_of_magnitude():
@@ -257,6 +308,31 @@ def test_strict_half_period_relation():
     full = np.max(np.abs(w_full - w))
     assert half <= 1e-7
     assert full <= 1e-7
+
+
+@pytest.mark.parametrize("pq,ab,k0,holds", [
+    ((1, 2), (5, 9), 18, (0, 1)),       # n odd: Z2-quotient
+    ((2, 2), (3, 5), 10, (1, 1)),
+    ((1, 3), (7, 12), 36, (1, 1)),      # p = 1, n even: -Id holds, type None
+    ((1, 3), (4, 7), 21, None),         # odd k0: no sign holds
+])
+def test_the_half_period_type_is_the_sign_the_link_takes_after_k0_half_periods(pq, ab, k0,
+                                                                                holds):
+    # w(s + k0 p_tau / 2) = D w(s - k0 p_tau / 2), D = ((-1)^j Id, (-1)^k Id), read
+    # for each sign pattern (j, k) at 20 times s of [-p_tau, p_tau]
+    pair, target = AdmissiblePair(*pq), RationalTarget(*ab)
+    report = half_period_classification(pair, target)
+    curve = find_tau_for_angular_period(pair, target, Tolerances())
+    p_tau = curve.period.p_tau
+    s = np.linspace(-p_tau, p_tau, 20)
+    w = _w(curve.trajectory.landed(np.concatenate([s + 0.5 * k0 * p_tau, s - 0.5 * k0 * p_tau])))
+    gaps = {(j, k): np.max(np.abs(w[:, :20] - np.array([[(-1) ** j], [(-1) ** k]]) * w[:, 20:]))
+            for j in (0, 1) for k in (0, 1)}
+    assert report.k0 == k0
+    assert [jk for jk, gap in gaps.items() if gap <= 1e-8] == ([holds] if holds else [])
+    assert all(gap >= 0.1 for jk, gap in gaps.items() if jk != holds)
+    # a sign on w1 for p = 1 is no half-period: the first factor is the point 1
+    assert report.half_period_type == (holds if pq[0] > 1 or pair.n % 2 else None)
 
 
 def test_closed_curve_injective_within_period():

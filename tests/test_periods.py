@@ -17,6 +17,17 @@ def _curve(param):
     return TwistTrajectory(param, Tolerances())
 
 
+def test_branch_halves_refuse_a_sum_that_is_not_finite():
+    # a root past q/n leaves its half no length: the sum is NaN, and its tau is named
+    pair = AdmissiblePair(2, 3)
+    taus = [0.01, -0.02, 0.03]
+    gaps = _extrema(pair, taus)
+    gaps[0, 1] = 0.7
+    message = r"^the branch quadrature at \|tau\|=0.02 is not finite$"
+    with pytest.raises(ArithmeticError, match=message):
+        _branch_halves(pair, taus, gaps, (0,))
+
+
 @pytest.mark.parametrize("p,q", PAIRS)
 @pytest.mark.parametrize("frac", [0.01, 0.3, 0.95])
 def test_dual_route_periods_agree(p, q, frac):

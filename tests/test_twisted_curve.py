@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,12 +103,39 @@ def test_extrema_of_an_array_name_its_first_bad_tau():
     for taus, message in [([0.1, 0.0, 2 * tm], "tau = 0"),
                           ([0.1, -2 * tm, 0.0], f"|tau|={2 * tm} exceeds tau_max"),
                           ([0.1, tm, 0.0], "too close to tau_max"),
-                          ([0.1, math.nan], "tau is NaN")]:
+                          ([0.1, math.nan], "tau is NaN"),
+                          ([0.1, 1e-160, 1e-170], "|tau|=1e-160 is too small")]:
         with pytest.raises(ValueError, match=message.replace("|", r"\|")):
             _extrema(pair, taus)
     y_min, gap = _extrema(pair, [0.1, -0.1, 0.05])
     one = [y_extrema(TwistParam(pair, t)) for t in (0.1, 0.1, 0.05)]
     assert np.allclose(np.transpose(one), [y_min, 1.0 - gap], rtol=4e-16, atol=0)
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 7), (4, 4), (1, 7)])
+def test_extrema_resolve_every_tau_they_accept_near_the_normal_range(p, q):
+    # one rule refuses a tau whose Newton start r^a (1 - r)^b is below the smallest
+    # normal double (about 4 tau^2 / 4^a, so |tau| below about 1e-153): every tau
+    # below the first accepted one is refused, and each accepted root is right to
+    # 1e-14 against 60 digits
+    from sltwist.twisted_curve import _extrema
+
+    pair, accepted = AdmissiblePair(p, q), []
+    for tau in np.geomspace(1e-160, 1e-145, 31):
+        try:
+            roots = _extrema(pair, [tau])[:, 0]
+        except ValueError as exc:
+            assert str(exc).startswith(f"|tau|={tau} is too small") and not accepted
+            continue
+        accepted.append(tau)
+        with mp.workdps(60):
+            for r, (a, b) in zip(roots, [(q, p), (p, q)]):
+                def h(u):       # ln(r^a (1 - r)^b / 4 tau^2) in u = ln r
+                    return a * u + b * mp.log(1 - mp.exp(u)) - mp.log(4 * mp.mpf(tau) ** 2)
+
+                ref = mp.exp(mp.findroot(h, mp.log(r)))
+                assert abs(r - ref) <= 1e-14 * ref, (tau, r, ref)
+    assert 0 < len(accepted) < 31
 
 
 def test_y_extrema_cache_stays_bounded():

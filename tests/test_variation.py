@@ -222,6 +222,11 @@ def test_angular_period_excess_measured_behaviour():
     assert abs(r13[0].ratio - 1.4968) < 5e-4      # tends to q/2 = 3/2
     r33 = _law(AdmissiblePair(3, 3), [1e-4], "pthat_excess")
     assert abs(r33[0].ratio - 1.4968) < 5e-4
+    # far below 1e-4, where both sides of the excess still agree
+    r22 = _law(AdmissiblePair(2, 2), [1e-12], "pthat_excess")
+    assert abs(r22[0].ratio - 0.9638) < 5e-4
+    r27 = _law(AdmissiblePair(2, 7), [1e-30], "pthat_excess")
+    assert abs(r27[0].ratio - 3.5002) < 5e-4      # tends to q/2 = 7/2
 
 
 @pytest.mark.xfail(strict=True, reason=(
