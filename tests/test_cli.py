@@ -483,6 +483,16 @@ def test_obj_export_refuses_a_pair_other_than_1_2(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_obj_export_refuses_fewer_than_3_angular_points(capsys, tmp_path):
+    # the angular axis is periodic: with 2 points every quad wraps onto itself
+    out = tmp_path / "x.obj"
+    code, text, err = run(capsys, "export", "--p", "1", "--q", "2", "--tau", "0.1",
+                          "--format", "obj", "--samples", "2", "--out", str(out))
+    assert (code, text) == (2, "")
+    assert err == "error: obj export needs at least 3 angular points, got 2\n"
+    assert not out.exists()
+
+
 def test_export_obj(tmp_path):
     out = tmp_path / "x.obj"
     code = main(["export", "--p", "1", "--q", "2", "--tau", "0.1",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import sltwist.geometry as geo
 from sltwist.ode_engine import Tolerances
@@ -154,6 +156,90 @@ def test_block_matches_format_float_per_number(shape, tmp_path, monkeypatch):
         ["header", *reference, *("v " + line.replace(",", " ") for line in reference)]) + "\n"
 
 
+def _written(path, line, rows):
+    """The lines ``_write`` writes for rows under the template ``line``, header left out."""
+    export_module = importlib.import_module("sltwist.geometry.export")   # not geo.export
+    export_module._write(path, "header", (line, len(rows), lambda i, j: rows[i:j]))
+    return path.read_text().splitlines()[1:]
+
+
+def _format_lines(rows, cols):
+    numbers = [geo.format_float(v) for v in rows.ravel().tolist()]
+    return [",".join(numbers[i:i + cols]) for i in range(0, len(numbers), cols)]
+
+
+def test_kernel_matches_format_float_on_a_million_numbers(tmp_path):
+    rng = np.random.default_rng(50)
+    binades = rng.integers(0, 2 ** 52, (2047, 300), dtype=np.uint64)
+    binades |= np.arange(2047, dtype=np.uint64)[:, None] << np.uint64(52)  # every exponent
+    binades |= rng.integers(0, 2, binades.shape, dtype=np.uint64) << np.uint64(63)
+    tens = []
+    for e in range(-323, 309):                      # 10^e and 1-3 ulps either side
+        ten = float(f"1e{e}")
+        for way in (-math.inf, math.inf):
+            near = ten
+            for _ in range(3):
+                near = math.nextafter(near, way)
+                tens.append(near)
+        tens.append(ten)
+    traps = [
+        9.9999999999999998e-20, 9.9999999999999996e+27,    # P below 10^16 rounds up to it
+        78202452810693760.0, 1200.0, 10.0,                  # integer zeros are kept
+        1 + 2 ** -17, 1537200913105609.75, 0.5, 2.5,        # exact ties, half-even
+    ]
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                math.inf, -math.inf, math.nan, 1e250, 1e-250]
+    values = np.concatenate([
+        binades.view(float).ravel(),
+        tens, traps, specials, np.negative(traps),
+        1e16 + 2.0 * np.arange(-500, 500), 1e17 + 16.0 * np.arange(-500, 500),
+        rng.integers(0, 2 ** 52, 2000, dtype=np.uint64).view(float),      # subnormals
+        rng.standard_normal(380_000) * 10.0 ** rng.integers(-6, 4, 380_000),
+    ])
+    rows = values[:len(values) // 5 * 5].reshape(-1, 5)
+    assert rows.size >= 10 ** 6
+    assert _written(tmp_path / "m.csv", ",".join(["%.17g"] * 5), rows) == _format_lines(rows, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=hs.lists(hs.floats(width=64), min_size=1, max_size=40),
+       cols=hs.sampled_from([1, 3]))
+def test_kernel_matches_format_float_on_any_floats(values, cols, tmp_path_factory):
+    rows = np.array(values * cols).reshape(-1, cols)
+    path = tmp_path_factory.getbasetemp() / "any.csv"
+    assert _written(path, ",".join(["%.17g"] * cols), rows) == _format_lines(rows, cols)
+
+
+def test_face_indices_match_percent_d_up_to_ten_to_the_ten(tmp_path):
+    rng = np.random.default_rng(10)
+    edges = [0, 1, 9, 10, 9999, 10 ** 4, 99_999_999, 10 ** 8, 10 ** 10 - 1, 10 ** 10, -1, -10 ** 9]
+    for high in (10, 10 ** 5, 10 ** 10):
+        faces = np.concatenate([edges, rng.integers(1, high + 1, 4000)]).reshape(-1, 4)
+        lines = _written(tmp_path / "f.obj", "f %d %d %d %d", faces)
+        assert lines == ["f %d %d %d %d" % tuple(face) for face in faces.tolist()]
+
+
+def test_curve_samples_take_the_fast_path(tmp_path, monkeypatch):
+    # a kernel that formatted every number by format_float would write the same
+    # bytes: count the numbers it leaves to format_float on curve samples
+    export_module = importlib.import_module("sltwist.geometry.export")   # not geo.export
+    left = []
+
+    def counting(x):
+        left.append(x)
+        return geo.format_float(x)
+
+    monkeypatch.setattr(export_module, "format_float", counting)
+    traj = TwistTrajectory(TwistParam(AdmissiblePair(2, 3), 0.05), Tolerances())
+    ts = np.linspace(-5.0, 5.0, 20_001)
+    path = geo.trajectory_csv(traj, ts, tmp_path / "w.csv")
+    w1, w2 = traj.w(ts)
+    rows = np.column_stack([ts, w1.real, w1.imag, w2.real, w2.imag])
+    assert path.read_text().splitlines()[1:] == _format_lines(rows, 5)
+    assert 0 < len(left) <= rows.size // 10 ** 4       # t = 0 is one of them
+    assert 0.0 in left
+
+
 def test_exports_in_blocks_of_three_rows_match_row_by_row_files(tmp_path, monkeypatch):
     # numbers from one evaluation of the whole grid, each line formatted on its own
     export_module = importlib.import_module("sltwist.geometry.export")   # not geo.export
@@ -214,6 +300,14 @@ def test_obj_faces_are_the_wrapped_quads(nt, na, tmp_path):
               (i + 1) * na + (j + 1) % na + 1, (i + 1) * na + j + 1)
              for i in range(nt - 1) for j in range(na)]
     assert lines[1 + nt * na:] == ["f %d %d %d %d" % quad for quad in quads]
+
+
+@pytest.mark.parametrize("nt,na", [(3, 2), (2, 1)])
+def test_obj_export_refuses_fewer_than_3_angular_points(nt, na, tmp_path):
+    sampler = _sampler(TwistParam(AdmissiblePair(1, 2), 0.1), (-1.0, 1.0))
+    with pytest.raises(ValueError, match=f"at least 3 angular points, got {na}$"):
+        geo.export(sampler, (nt, na), tmp_path / "m.obj")
+    assert not (tmp_path / "m.obj").exists()
 
 
 def test_period_report_roundtrip_bit_exact():

@@ -16,11 +16,12 @@ Prints the sha256 over every exit code, stdout, stderr and written file (its
 name and bytes), in operation order.  A second line gives the same digest over
 the argv of ``PARSER_ARGVS``, which argparse answers alone (help, usage and
 refusals), and a third over those of ``EDGE_ARGVS``, which write rows read at
-t = 0, closure classifications and small-tau refusals that the operations
-barely reach or never do; both sets run the same way at a fixed width of 80
-columns.  With ``--out``, writes one JSON line per call: workload (``parser``
-and ``edge`` for the two sets), seed, index, argv, exit code and the call's own
-sha256, so that two trees' files can be compared call by call.
+t = 0, closure classifications, small-tau refusals and number layouts that
+the operations barely reach or never do; both sets run the same way at a
+fixed width of 80 columns.  With ``--out``, writes one JSON line per call:
+workload (``parser`` and ``edge`` for the two sets), seed, index, argv, exit
+code and the call's own sha256, so that two trees' files can be compared
+call by call.
 
 With ``--compare BASE HEAD``, reads two such files instead of running anything,
 prints each call whose argv or sha256 differs, then ``N of M calls differ (K
@@ -70,8 +71,12 @@ PARSER_ARGVS = [
 # then the closure classifications no operation reaches: an even k0 with p > 1
 # (a Z2-quotient of type (1, 0), a product of type (1, 1)) and with p = 1, n even;
 # then the refusals of a tau too small for the extrema's doubles ((2,7) and (1,2)
-# below 1e-153) and of an angular-period excess its psi2 side does not confirm
-EDGE_ARGVS = [[*argv.split(), "--out", "edge.csv"] for argv in (
+# below 1e-153) and of an angular-period excess its psi2 side does not confirm;
+# then number layouts no operation writes: exponent-form times next to
+# fixed-form states, Im w1 near 2e-5, the smallest valid mesh, and the
+# refusal of a mesh with 2 angular points
+EDGE_ARGVS = [[*argv.split(), "--out", "edge.obj" if "obj" in argv else "edge.csv"]
+              for argv in (
     "solve --p 1 --q 2 --tau 0 --window 1 --samples 5",
     "solve --p 2 --q 2 --tau 0 --window 1 --samples 5",
     "solve --p 3 --q 3 --tau 0 --window 2 --samples 9",
@@ -83,7 +88,11 @@ EDGE_ARGVS = [[*argv.split(), "--out", "edge.csv"] for argv in (
     "closure --p 1 --q 3 --target 7/12",
     "asymptotics --p 2 --q 7 --tau-list 3e-162",
     "asymptotics --p 1 --q 2 --tau-list 5.8e-162",
-    "asymptotics --p 1 --q 2 --tau-list 1e-26")]
+    "asymptotics --p 1 --q 2 --tau-list 1e-26",
+    "export --p 2 --q 3 --tau 0.05 --format csv --window 1e-5 --samples 7",
+    "solve --p 1 --q 2 --tau 1e-5 --window 1 --samples 9",
+    "export --p 1 --q 2 --tau 0.1 --format obj --samples 3",
+    "export --p 1 --q 2 --tau 0.1 --format obj --samples 2")]
 _SETS = {"parser": ("parser messages", PARSER_ARGVS), "edge": ("edge calls", EDGE_ARGVS)}
 
 
