@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import geometry as geo
-from .catenoid import verify_catenoid_symmetry
 from .closure import (RationalTarget, find_tau_for_angular_period, half_period_classification,
                       necklace, verify_closed)
 from .geometry.export import report_to_json
@@ -77,8 +76,7 @@ def cmd_solve(args) -> int:
     by_period = not args.window and args.tau != 0.0     # the window is 2 p_tau both ways
     half_window = 2.0 * curve.period.p_tau if by_period else args.window or 5.0
     if args.out:
-        ts = np.linspace(-half_window, half_window, args.samples)
-        geo.trajectory_csv(curve, ts, args.out)
+        geo.trajectory_csv(curve, half_window, args.samples, args.out)
         print(f"wrote {args.out}")
         return 0
     drift = curve.drift(half_window)
@@ -182,16 +180,13 @@ def cmd_neck(args) -> int:
     curve = TwistTrajectory(_param(args), TOL_PRESETS[args.tol])
     comp = geo.neck_rescale(curve, args.waist, args.window)
     b = comp.window
-    symmetry = verify_catenoid_symmetry(comp.catenoid_degree)
     payload = {"beta": comp.beta, "max_error": comp.max_error,
                "window": comp.window, "waist_index": comp.waist_index,
-               "waist_kind": comp.waist_kind, "catenoid_degree": comp.catenoid_degree,
-               "profile_symmetry": symmetry}
+               "waist_kind": comp.waist_kind, "catenoid_degree": comp.catenoid_degree}
     _emit(args, payload, [
         f"waist {comp.waist_index} (kind {comp.waist_kind}), "
         f"degree-{comp.catenoid_degree} catenoid, beta = {comp.beta!r}",
         f"max |profile - catenoid| over [-{b}, {b}] = {comp.max_error!r}",
-        f"unit profile reflection residual {symmetry:.2e}",
     ])
     return 0
 
@@ -202,8 +197,7 @@ def cmd_export(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(report_to_json(period_ode(curve), kind="PeriodData") + "\n")
     elif args.format == "csv":
-        w = args.window or 5.0
-        geo.trajectory_csv(curve, np.linspace(-w, w, args.samples), args.out)
+        geo.trajectory_csv(curve, args.window or 5.0, args.samples, args.out)
     else:
         if (args.p, args.q) != (1, 2):
             raise ValueError("obj export supports the (1,2) surface case only")

@@ -267,15 +267,20 @@ def _write(path, header: str, *sections) -> Path:
     return path
 
 
-def trajectory_csv(traj, ts, path) -> Path:
-    """Columns t, Re w1, Im w1, Re w2, Im w2 at the requested times."""
-    ts = np.asarray(ts, dtype=float)
+def trajectory_csv(traj, half_window, samples, path) -> Path:
+    """Columns t, Re w1, Im w1, Re w2, Im w2 at the times of np.linspace(-half_window,
+    half_window, samples), bit for bit: each block makes its own by linspace's steps."""
+    span, div = 2.0 * half_window, max(samples - 1, 1)
+    step = span / div       # linspace divides first where the step underflows to 0
 
     def rows(i, j):
-        w1, w2 = traj.w(ts[i:j])
-        return np.column_stack([ts[i:j], w1.real, w1.imag, w2.real, w2.imag])
+        ts = (np.arange(i, j) * step if step else np.arange(i, j) / div * span) - half_window
+        if j == samples > 1:
+            ts[-1] = half_window
+        w1, w2 = traj.w(ts)
+        return np.column_stack([ts, w1.real, w1.imag, w2.real, w2.imag])
 
-    return _write(path, "t,re_w1,im_w1,re_w2,im_w2", (",".join(["%.17g"] * 5), len(ts), rows))
+    return _write(path, "t,re_w1,im_w1,re_w2,im_w2", (",".join(["%.17g"] * 5), samples, rows))
 
 
 def _encode(value):

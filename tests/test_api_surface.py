@@ -35,6 +35,9 @@ TESTS_ONLY = {
     "bulge_sphere_distance",
     # acceptance criterion 8: the su(n) basis of the torque fluxes
     "su_basis",
+    # acceptance criterion 11 and test_catenoid: the unit profile's reflection
+    # residual, a number of the degree alone, which neck no longer prints
+    "verify_catenoid_symmetry",
 }
 
 

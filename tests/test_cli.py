@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sltwist import cli
+from sltwist import periods
 from sltwist import twisted_curve
 from sltwist import variation
 from sltwist.cli import main
@@ -243,6 +244,61 @@ def test_failed_cross_check_prints_only_its_verify_line(capsys, monkeypatch):
     assert err == "" and caught == []
 
 
+def _scale_initial_state(m, factor):
+    state = twisted_curve.initial_state
+    m.setattr(twisted_curve, "initial_state", lambda param: factor * state(param))
+
+
+def _scale_quadrature_weights(m, factor):
+    m.setattr(periods, "_WEIGHTS", factor * periods._WEIGHTS)
+
+
+def _scale_linearised_second_derivative(m, factor):
+    field = variation._field
+
+    def scaled(p, q, linearised=False):
+        rhs = field(p, q, linearised)
+
+        def perturbed(s):
+            *head, ddq = rhs(s)
+            return (*head, factor * ddq)
+        return perturbed
+
+    m.setattr(variation, "_field", scaled)
+
+
+# each perturbation by a relative 1e-6, with the verify rows it must fail
+_VERIFY_MUTATIONS = [
+    (_scale_initial_state, ("I1 drift", "I2 drift", "energy residual")),
+    (_scale_quadrature_weights, ("period route gap", "pthat route gap", "pthat psi2 route gap")),
+    (_scale_linearised_second_derivative, ("Wronskian drift",)),
+]
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (1, 3)])
+def test_verify_rows_fail_under_their_perturbation(p, q, capsys, monkeypatch):
+    # every row passes as it is and fails with its input off by 1e-6; no limit moves.
+    # branch_integral's memo is cleared around each run, so no route integral of
+    # the scaled weights outlives it, nor one of the true weights serves it
+    def verdicts():
+        periods.branch_integral.cache_clear()
+        try:
+            code, out, err = run(capsys, "verify", "--p", str(p), "--q", str(q),
+                                 "--tau", "0.05", "--json")
+        finally:
+            periods.branch_integral.cache_clear()
+        assert code in (0, 1) and err == ""
+        return {name: row["pass"] for name, row in json.loads(out)["checks"].items()}
+
+    rows = [name for _, names in _VERIFY_MUTATIONS for name in names]
+    assert all(verdicts()[name] for name in rows)
+    for perturb, names in _VERIFY_MUTATIONS:
+        with monkeypatch.context() as m:
+            perturb(m, 1.0 + 1e-6)
+            passed = verdicts()
+        assert not any(passed[name] for name in names), (perturb.__name__, passed)
+
+
 def test_verify_json_pass_flags_are_booleans(capsys):
     # a numpy bool, which a numpy float64 value gives, is encoded as the string "True"
     code, out, _ = run(capsys, "verify", "--p", "2", "--q", "5", "--tau", "0.01", "--json")
@@ -431,13 +487,14 @@ def test_neck_subcommand(capsys):
 
 @pytest.mark.parametrize("p,q,waist,degree", [(2, 3, 0, 2), (2, 3, 1, 3), (1, 4, 1, 4)])
 def test_neck_reports_the_profile_symmetry(p, q, waist, degree, capsys):
-    # the reflection residual of the unit profile the neck is compared with
+    # the reflection residual of the unit profile is a number of the degree alone,
+    # not of the curve: neck reports the degree, and no longer that residual
     code, out, err = run(capsys, "neck", "--p", str(p), "--q", str(q), "--tau", "0.001",
                          "--waist", str(waist), "--json")
     assert code == 0, err
     data = json.loads(out)
     assert data["catenoid_degree"] == degree
-    assert float(data["profile_symmetry"]) <= 1e-9
+    assert "profile_symmetry" not in data
 
 
 @pytest.mark.parametrize("p,q", [(1, 3), (2, 3)])

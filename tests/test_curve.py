@@ -12,7 +12,7 @@ import sltwist.ode_engine as ode_engine
 import sltwist.periods as periods
 import sltwist.twisted_curve as twisted_curve
 from sltwist.cli import main
-from sltwist.geometry.export import trajectory_csv
+from sltwist.geometry.export import format_float
 from sltwist.geometry.immersion import Sampler
 from sltwist.ode_engine import Tolerances
 from sltwist.periods import branch_integral
@@ -84,10 +84,13 @@ def test_a_real_p1_curve_is_not_mirrored(tmp_path, capsys):
     assert main(["solve", "--p", "1", "--q", "2", "--tau", "0", "--samples", "301",
                  "--out", str(tmp_path / "z.csv")]) == 0
     ts = np.linspace(-5.0, 5.0, 301)
-    for name, side in (("bwd", ts <= 0.0), ("fwd", ts > 0.0)):
-        trajectory_csv(TwistTrajectory(param, Tolerances()), ts[side], tmp_path / name)
-    header, *bwd = (tmp_path / "bwd").read_bytes().splitlines(keepends=True)
-    _, *fwd = (tmp_path / "fwd").read_bytes().splitlines(keepends=True)
+    halves = []
+    for side in (ts <= 0.0, ts > 0.0):      # each read off a curve of its own
+        w1, w2 = TwistTrajectory(param, Tolerances()).w(ts[side])
+        halves.append([",".join(format_float(v) for v in (t, a.real, a.imag, b.real, b.imag))
+                       .encode() + b"\n" for t, a, b in zip(ts[side], w1, w2)])
+    bwd, fwd = halves
+    header = b"t,re_w1,im_w1,re_w2,im_w2\n"
     assert (tmp_path / "z.csv").read_bytes() == b"".join([header, *bwd, *fwd])
     assert len(bwd) == 151 and all(row.endswith(b",0\n") for row in bwd)     # Im w2
 

@@ -128,7 +128,7 @@ def test_trajectory_csv_schema(tmp_path):
     param = TwistParam(AdmissiblePair(1, 2), 0.1)
     traj = TwistTrajectory(param, Tolerances())
     ts = np.linspace(-1, 1, 7)
-    path = geo.trajectory_csv(traj, ts, tmp_path / "w.csv")
+    path = geo.trajectory_csv(traj, 1.0, 7, tmp_path / "w.csv")
     lines = path.read_text().splitlines()
     assert lines[0] == "t,re_w1,im_w1,re_w2,im_w2"
     assert len(lines) == 8
@@ -232,7 +232,7 @@ def test_curve_samples_take_the_fast_path(tmp_path, monkeypatch):
     monkeypatch.setattr(export_module, "format_float", counting)
     traj = TwistTrajectory(TwistParam(AdmissiblePair(2, 3), 0.05), Tolerances())
     ts = np.linspace(-5.0, 5.0, 20_001)
-    path = geo.trajectory_csv(traj, ts, tmp_path / "w.csv")
+    path = geo.trajectory_csv(traj, 5.0, 20_001, tmp_path / "w.csv")
     w1, w2 = traj.w(ts)
     rows = np.column_stack([ts, w1.real, w1.imag, w2.real, w2.imag])
     assert path.read_text().splitlines()[1:] == _format_lines(rows, 5)
@@ -252,7 +252,7 @@ def test_exports_in_blocks_of_three_rows_match_row_by_row_files(tmp_path, monkey
     traj = TwistTrajectory(TwistParam(AdmissiblePair(2, 3), 0.05), Tolerances())
     ts = np.linspace(-1.0, 1.0, 16)
     w1, w2 = traj.w(ts)
-    path = geo.trajectory_csv(traj, ts, tmp_path / "w.csv")
+    path = geo.trajectory_csv(traj, 1.0, 16, tmp_path / "w.csv")
     rows = np.column_stack([ts, w1.real, w1.imag, w2.real, w2.imag])
     assert path.read_bytes() == "\n".join(["t,re_w1,im_w1,re_w2,im_w2", *lines(rows)]).encode() + b"\n"
 
@@ -272,24 +272,63 @@ def test_exports_in_blocks_of_three_rows_match_row_by_row_files(tmp_path, monkey
 
 
 class _EdgeTrajectory:
-    """Stands in for a trajectory: w1 = (t reversed) + i t, w2 = 0.1 + i nan."""
+    """Stands in for a trajectory: on each read, w1 = v + i (v reversed) for v the
+    first len(t) of EDGE_VALUES, and w2 = 0.1 + i nan."""
 
     def w(self, ts):
+        v = np.array(EDGE_VALUES[:len(ts)])
         w1 = np.zeros(len(ts), dtype=complex)
-        w1.real, w1.imag = ts[::-1], ts
+        w1.real, w1.imag = v, v[::-1]
         return w1, np.full(len(ts), complex(0.1, math.nan))
 
 
 def test_trajectory_csv_edge_values_and_empty(tmp_path):
-    ts = np.array(EDGE_VALUES[:7])
-    path = geo.trajectory_csv(_EdgeTrajectory(), ts, tmp_path / "edge.csv")
+    ts = np.linspace(-1.0, 1.0, len(EDGE_VALUES))
+    path = geo.trajectory_csv(_EdgeTrajectory(), 1.0, len(EDGE_VALUES), tmp_path / "edge.csv")
     w1, w2 = _EdgeTrajectory().w(ts)
     rows = [",".join(geo.format_float(v) for v in (t, a.real, a.imag, b.real, b.imag))
             for t, a, b in zip(ts, w1, w2)]
     assert path.read_text() == "\n".join(["t,re_w1,im_w1,re_w2,im_w2", *rows]) + "\n"
     # no rows: the header line alone, no blank line after it
-    empty = geo.trajectory_csv(_EdgeTrajectory(), [], tmp_path / "empty.csv")
+    empty = geo.trajectory_csv(_EdgeTrajectory(), 1.0, 0, tmp_path / "empty.csv")
     assert empty.read_bytes() == b"t,re_w1,im_w1,re_w2,im_w2\n"
+
+
+class _RecordingTrajectory:
+    """Stands in for a trajectory: keeps each array of times w is read at."""
+
+    def __init__(self):
+        self.reads = []
+
+    def w(self, ts):
+        self.reads.append(ts.copy())
+        zero = np.zeros(len(ts), dtype=complex)
+        return zero, zero
+
+
+@pytest.mark.parametrize("samples,block_rows", [
+    (0, 3), (1, 3), (2, 3), (3, 3), (7, 3), (4095, None), (4096, None), (4097, None),
+    (8193, None),
+])
+def test_csv_times_are_linspace_bit_for_bit(samples, block_rows, tmp_path, monkeypatch):
+    # the writer makes each block's times; together they are linspace's, in whole
+    # and partial blocks.  (samples - 1) step - half_window is not half_window for
+    # the first window at 7 samples and the second at 4095, so the last time is set
+    # apart; the third, the smallest double, has a step that underflows to 0 from
+    # 7 samples on
+    export_module = importlib.import_module("sltwist.geometry.export")   # not geo.export
+    if block_rows:
+        monkeypatch.setattr(export_module, "_BLOCK_ROWS", block_rows)
+    blocks = range(0, samples, export_module._BLOCK_ROWS)
+    for half_window in (7.3, 3.998799918541783, 5e-324):
+        traj = _RecordingTrajectory()
+        path = geo.trajectory_csv(traj, half_window, samples, tmp_path / "t.csv")
+        ts = np.concatenate(traj.reads) if traj.reads else np.zeros(0)
+        assert ts.tobytes() == np.linspace(-half_window, half_window, samples).tobytes()
+        assert [len(t) for t in traj.reads] == [
+            min(export_module._BLOCK_ROWS, samples - i) for i in blocks]
+        if samples == 0:        # the header line alone
+            assert path.read_bytes() == b"t,re_w1,im_w1,re_w2,im_w2\n"
 
 
 @pytest.mark.parametrize("nt,na", [(2, 3), (3, 5), (12, 12)])
