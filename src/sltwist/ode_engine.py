@@ -16,13 +16,14 @@ Every system is autonomous: a field is ``field(state)``, with no time argument.
 A :class:`Trajectory` is anchored at t = 0 and grows on read: each side's run
 stops at its first step at or past the farthest time read, and resumes there
 when a read reaches past it.  No step of a side is clipped, so a side read in
-pieces is, bit for bit, the run straight to its final extent.  Only an endpoint
-lands on its time, by a leg of its own that keeps nothing, from the last
-accepted step before it; a landed read (:meth:`Trajectory.landed`) does the same
-from the last node of its side's run before its time, a node the side stores or
-one of the side's run continued past its steps without storing them, so that a
-check can read integrated states far along a curve, on either side of the
-anchor, in memory that does not grow.
+pieces is, bit for bit, the run straight to its final extent.  An endpoint and
+a landed read (:meth:`Trajectory.landed`) land on their times by one routine,
+``Trajectory._land``: a leg that keeps nothing, from the last node of the side's
+run before the time, a node the side stores or one of the side's run continued
+past its steps without storing them, so that a check can read integrated states
+far along a curve, on either side of the anchor, in memory that does not grow.
+They differ in the first step size alone: scipy's initial step for an endpoint,
+whose side is grown to its time first, and 2 |t - t_k| for a landed read.
 
 Each side is the one store of its steps, and a read makes one pass per side
 over the times that go to it: t > 0 forward, t < 0 backward, and t = 0 (or
@@ -43,6 +44,8 @@ is the whole forward side, times negated and states multiplied by R, in one
 place (``Trajectory._stepped``, which keeps it, read-only, until the forward
 side grows), and its dense coefficients multiplied by R
 where a read gathers them; its anchor keeps the bits :func:`integrate` received.
+A landing at a backward time is R times the forward one: scipy's initial-step
+probe reads states only through y + h d f and norms, so it rounds alike too.
 
 :func:`locate_event` finds an event time by Newton's method on integrated
 endpoints, from a seed.  :func:`brent`, a line-for-line port of scipy's
@@ -392,38 +395,33 @@ class Trajectory:
         return grid[i:j + 1], self.states[i:j + 1]
 
     def endpoint(self, t: float) -> np.ndarray:
-        """The state at t stepped, landing on t, from the last accepted step between
-        0 and t: the integrator's accuracy, not the dense interpolant's.  At t = 0 it
-        is a copy of the anchor's state as :func:`integrate` received it, signed
-        zeros included, and nothing is stepped."""
-        t = float(t)
-        if t == 0.0:
-            return self._y0.copy()
-        self._grow(_times([t]))
-        d = 1.0 if t > 0.0 else -1.0
-        T, Y, key = self._stepped(d)
-        k = np.searchsorted(key, d * t, "left") - 1
-        t_k, y = float(T[k]), tuple(Y[k].tolist())
-        f = tuple(self.field(y))
-        h_abs = _initial_step(self.field, y, f, abs(t - t_k), d, self.atol, self._rtol)
-        return np.array(_leg(len(y))(self.field, t_k, t, True, h_abs, d, y, f,
-                                     self.atol, self._rtol)[1])
+        """The state at t, its side grown to t and then landed on by :meth:`_land`
+        with scipy's initial step as the first try: the integrator's accuracy, not
+        the dense interpolant's.  At t = 0 (or -0.0) it is a copy of the anchor's
+        state as :func:`integrate` received it, signed zeros included."""
+        tt = _times([float(t)])
+        self._grow(tt)
+        return self._land(tt, lambda y, f, span, d: _initial_step(
+            self.field, y, f, span, d, self.atol, self._rtol))[:, 0]
 
     def landed(self, times) -> np.ndarray:
-        """States at the 1-d array of times, dim x len, read by the rule of
-        :meth:`__call__`: t > 0 forward, t < 0 backward, and t = 0 (or -0.0) the
-        anchor.  Each other time is stepped, landing on t, by a leg of its own from
-        its side's last canonical node t_k before t, whose first try is 2 |t - t_k|:
-        the one remaining step, unless the error control rejects it.
+        """States at the 1-d array of times, dim x len, landed on by :meth:`_land`
+        with 2 |t - t_k| as the first try: the one remaining step, unless the error
+        control rejects it."""
+        return self._land(_times(times), lambda y, f, span, d: 2.0 * span)
 
-        A side's canonical nodes are its run: its stored steps where it has them,
-        and past them the run continued from the side's resume state by a leg that
-        keeps nothing, in constant memory, once per call, through the side's times
-        in order of |t|.  No side is changed.  Both are the same steps, bit for bit,
-        so a time's state depends on neither earlier reads nor the other times of
-        the call.  A mirrored trajectory reads a backward time t as R times the
-        forward landed state at -t, in the same forward pass."""
-        tt = _times(times)
+    def _land(self, tt, first_try) -> np.ndarray:
+        """States at the times tt, dim x len, by the rule of :meth:`__call__`: t > 0
+        forward, t < 0 backward, t = 0 (or -0.0) the anchor.  Each other time is
+        stepped, landing on t, by a leg of its own that keeps nothing, from its
+        side's last canonical node t_k before t, state y and field value f, with
+        the first try ``first_try(y, f, |t - t_k|, d)``.  A side's canonical nodes
+        are its run: its stored steps, and past them the run continued from the
+        side's resume state by a leg that keeps nothing, in constant memory, once
+        per call, through the side's times in order of |t|.  No side is changed.
+        Both are the same steps, bit for bit, so a time's state depends on neither
+        earlier reads nor the other times of the call.  A mirrored trajectory reads
+        a backward time t as R times the forward landing at -t, in one pass."""
         field, atol, rtol, dim = self.field, self.atol, self._rtol, len(self._y0)
         leg, out, mirrored = _leg(dim), np.empty((dim, len(tt))), self._mirror is not None
         out[:, tt == 0.0] = self._y0[:, None]
@@ -443,7 +441,9 @@ class Trajectory:
                     h_abs, run_y, run_f, run_t, node = leg(field, run_t, t, False, h_abs, d,
                                                            run_y, run_f, atol, rtol)
                 t_k, y, f = node
-                out[:, i] = leg(field, t_k, t, True, 2.0 * (s - d * t_k), d, y, f, atol, rtol)[1]
+                span = s - d * t_k
+                out[:, i] = leg(field, t_k, t, True, first_try(y, f, span, d), d, y, f,
+                                atol, rtol)[1]
         if mirrored:
             out[:, tt < 0.0] *= self._mirror[:, None]
         return out

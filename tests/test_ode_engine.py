@@ -498,7 +498,8 @@ def test_a_read_refuses_a_time_that_is_not_finite(p, q, tau, t):
 @pytest.mark.parametrize("p,q,tau", [(1, 2, 0.1), (1, 3, -0.05), (1, 6, 1e-4)])
 def test_a_mirrored_backward_landed_read_is_the_forward_one_reflected(p, q, tau):
     # landed(-t) is R landed(t) bit for bit, alone, in one batch of both signs,
-    # inside the stored steps and past them, and after either is read
+    # inside the stored steps and past them, and after either is read; and so is
+    # endpoint(-t), which no CLI call reads on a mirrored side
     curve = TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), Tolerances())
     traj, p_tau = curve.trajectory, curve.period.p_tau
     R = traj._mirror[:, None]
@@ -509,6 +510,43 @@ def test_a_mirrored_backward_landed_read_is_the_forward_one_reflected(p, q, tau)
     assert both.tobytes() == np.concatenate([R * forward[:, ::-1], forward], axis=1).tobytes()
     for t, col in zip(ts, forward.T):
         assert traj.landed(np.array([-t]))[:, 0].tobytes() == (R[:, 0] * col).tobytes()
+    for t in ts[::-1]:
+        assert traj.endpoint(-t).tobytes() == (R[:, 0] * traj.endpoint(t)).tobytes()
+
+
+@pytest.mark.parametrize("p,q,tau", [(1, 3, 0.05), (1, 2, -0.1), (2, 3, -0.05)])
+def test_endpoint_and_landed_land_from_the_same_node(p, q, tau, leg_calls):
+    # on a grown side an endpoint is one leg, which keeps nothing, landing on t
+    # from the side's last node before t; a landed read's leg starts from the same
+    # node, and only their first tries differ: scipy's initial step for endpoint,
+    # 2 |t - t_k| for landed.  A mirrored trajectory lands a backward t forward
+    curve = TwistTrajectory(TwistParam(AdmissiblePair(p, q), tau), Tolerances())
+    traj = curve.trajectory
+    traj(np.array([-6.0, 6.0]))
+    grid = traj.time_grid.copy()
+    for t in (-5.9, -2.3, -1e-3, 1e-3, 0.4, 5.2, float(grid[2]), float(grid[-3])):
+        leg_calls.clear()
+        end = traj.endpoint(t)
+        (leg,) = leg_calls
+        landed = traj.landed(np.array([t]))
+        assert np.array_equal(traj.time_grid, grid)         # nothing was stepped
+        assert len(leg_calls) == 2
+        land = leg_calls[1]
+        assert all(c["land"] and c["ts"] is None and c["t1"] == abs(t) * c["direction"]
+                   for c in leg_calls)
+        for key in ("t", "direction", "y", "f", "atol", "rtol"):
+            assert leg[key] == land[key], key
+        side, d, t_k = traj._sides[leg["direction"]], leg["direction"], leg["t"]
+        k = int(np.flatnonzero(side.T == t_k)[0])
+        assert d * side.T[k] < abs(t) <= d * side.T[k + 1]
+        assert leg["y"] == tuple(side.Y[k].tolist())
+        span = abs(t) - d * t_k
+        assert leg["h_abs"] == ode_engine._initial_step(traj.field, leg["y"], leg["f"], span,
+                                                        d, traj.atol, traj._rtol)
+        assert land["h_abs"] == 2.0 * span
+        sign = traj._mirror if t < 0.0 and traj._mirror is not None else 1.0
+        assert end.tobytes() == (sign * np.array(leg["return"][1])).tobytes()
+        assert landed[:, 0].tobytes() == (sign * np.array(land["return"][1])).tobytes()
 
 
 def test_anchor_rejected_and_reads_past_the_extent_grow():

@@ -16,8 +16,8 @@ Prints the sha256 over every exit code, stdout, stderr and written file (its
 name and bytes), in operation order.  A second line gives the same digest over
 the argv of ``PARSER_ARGVS``, which argparse answers alone (help, usage and
 refusals), and a third over those of ``EDGE_ARGVS``, which write rows read at
-t = 0, closure classifications, small-tau refusals and number layouts that
-the operations barely reach or never do; both sets run the same way at a
+t = 0, closure classifications, small-tau refusals, number layouts and necks
+that the operations barely reach or never do; both sets run the same way at a
 fixed width of 80 columns.  With ``--out``, writes one JSON line per call:
 workload (``parser`` and ``edge`` for the two sets), seed, index, argv, exit
 code and the call's own sha256, so that two trees' files can be compared
@@ -74,7 +74,10 @@ PARSER_ARGVS = [
 # below 1e-153) and of an angular-period excess its psi2 side does not confirm;
 # then number layouts no operation writes: exponent-form times next to
 # fixed-form states, Im w1 near 2e-5, the smallest valid mesh, and the
-# refusal of a mesh with 2 angular points
+# refusal of a mesh with 2 angular points; then necks that no operation reads,
+# as every neck operation is (1,2) at a kind-2 waist of degree 2: kind-1 waists
+# of degree 2 (at both signs of tau, and at waist 2) and 3, and a kind-2 waist
+# of degree 3
 EDGE_ARGVS = [[*argv.split(), "--out", "edge.obj" if "obj" in argv else "edge.csv"]
               for argv in (
     "solve --p 1 --q 2 --tau 0 --window 1 --samples 5",
@@ -92,7 +95,12 @@ EDGE_ARGVS = [[*argv.split(), "--out", "edge.obj" if "obj" in argv else "edge.cs
     "export --p 2 --q 3 --tau 0.05 --format csv --window 1e-5 --samples 7",
     "solve --p 1 --q 2 --tau 1e-5 --window 1 --samples 9",
     "export --p 1 --q 2 --tau 0.1 --format obj --samples 3",
-    "export --p 1 --q 2 --tau 0.1 --format obj --samples 2")]
+    "export --p 1 --q 2 --tau 0.1 --format obj --samples 2")] + [argv.split() for argv in (
+    "neck --p 2 --q 3 --tau 0.001 --waist 0 --json",
+    "neck --p 3 --q 3 --tau 0.001 --waist 0",
+    "neck --p 1 --q 3 --tau 0.001",
+    "neck --p 2 --q 2 --tau -0.001 --waist 0 --json",
+    "neck --p 2 --q 5 --tau 1e-4 --waist 2")]
 _SETS = {"parser": ("parser messages", PARSER_ARGVS), "edge": ("edge calls", EDGE_ARGVS)}
 
 
