@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..twisted_curve import AdmissiblePair
+from ..twisted_curve import AdmissiblePair, _twist
 from .immersion import CurveSampler
 
 __all__ = [
@@ -74,7 +74,8 @@ def cs_residual(pair: AdmissiblePair, c: float) -> tuple[float, float, float]:
     t = np.linspace(-20.0, 20.0, 100)
     w1, w2 = sampler(t)
     d1, d2 = sampler.derivative(t)
-    rhs = np.exp(1j * (a + b * t)) * w1.conjugate() ** pair.p * w2.conjugate() ** pair.q
+    zr, zi = _twist(pair.p, pair.q)((w1.real, w1.imag, w2.real, w2.imag))
+    rhs = np.exp(1j * (a + b * t)) * (zr - 1j * zi)        # conj(w1)^p conj(w2)^q
     res = np.max(np.abs([w1.conjugate() * d1 - rhs, -w2.conjugate() * d2 - rhs]))
     return a, b, float(res)
 

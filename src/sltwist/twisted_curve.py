@@ -9,8 +9,11 @@ with the two conserved quantities I1 = |w|^2 and I2 = Im(w1^p w2^q).
 The canonical one-parameter family is labelled by tau = -I2/2 with
 |tau| <= tau_max(p, q); conjugation maps the tau member to the -tau
 member.  The field is written once, in :func:`_field`, and w1^p w2^q
-once, in :func:`_twist`, whose I2 on state arrays :func:`_i2` computes with
-CPython's complex bits.  The radius function y = |w2|^2 obeys
+once, in :func:`_twist`, both as real arithmetic with CPython's complex bits;
+powers of y and squares of w are libm's ``pow`` (``np.float_power``), as
+Python's ``**`` is (but in Q's coefficient, see :func:`_field`).  So a
+function of curve states gives each state the bits it gives that state read
+alone.  The radius function y = |w2|^2 obeys
 
     y'^2 = 4 (f(y) - 4 tau^2),      f(y) = y^q (1 - y)^p,
 
@@ -88,15 +91,14 @@ def alpha_tau(param: TwistParam) -> float:
 
 
 def f_poly(pair: AdmissiblePair, y):
-    """f(y) = y^q (1-y)^p."""
-    y = np.asarray(y, dtype=float) if np.ndim(y) else float(y)
-    return y**pair.q * (1.0 - y) ** pair.p
+    """f(y) = y^q (1-y)^p of a float or an array, by libm's ``pow`` (module docstring)."""
+    return np.float_power(y, pair.q) * np.float_power(1.0 - y, pair.p)
 
 
 def f_prime(pair: AdmissiblePair, y):
-    """f'(y) = y^(q-1) (1-y)^(p-1) (q - n y)."""
-    y = np.asarray(y, dtype=float) if np.ndim(y) else float(y)
-    return y ** (pair.q - 1) * (1.0 - y) ** (pair.p - 1) * (pair.q - pair.n * y)
+    """f'(y) = y^(q-1) (1-y)^(p-1) (q - n y), its powers as in :func:`f_poly`."""
+    return (np.float_power(y, pair.q - 1) * np.float_power(1.0 - y, pair.p - 1)
+            * (pair.q - pair.n * y))
 
 
 def f_taylor_coeffs(a: int, b: int, r) -> np.ndarray:
@@ -258,7 +260,8 @@ def _field(p: int, q: int, linearised: bool = False):
     Generated once per key as straight-line real arithmetic that takes a tuple
     of floats or a (dim, N) array.  Its powers multiply as in :func:`_cpow_source`,
     so it is CPython's complex formula bit for bit.  Q's y^(q-1) (1-y)^(p-1)
-    keeps ``**``, numpy's power on arrays, which may differ in the last bit.
+    keeps ``**``, numpy's power on arrays, which may differ in the last bit:
+    ``np.float_power`` costs a numpy call per scalar stage, and products move every Q bit.
     """
     # a = conj(w1), b = conj(w2); w1' = c = a^(p-1) b^q and w2' = d = -a^p b^(q-1)
     c1 = _cprod("c", f"a{p - 1}", f"b{q}") if p > 1 else f"cr, ci = b{q}r, b{q}i"
@@ -273,35 +276,28 @@ def _field(p: int, q: int, linearised: bool = False):
 
 
 @lru_cache(maxsize=None)
-def _i2(p: int, q: int):
-    """``rhs(s)`` giving I2 = Im(w1^p w2^q) of the real state s, floats or (4, N)
-    arrays: the array form of the scalar :func:`_twist`.  On Python complex
-    numbers the two agree bit for bit; on numpy arrays :func:`_twist` goes
-    through numpy's complex power, which differs in the last bit for about a
-    quarter of the values, so the drift rows read I2 here to keep CPython's bits."""
-    return _compiled(f"I2 p={p} q={q}", [
+def _twist(p: int, q: int):
+    """``rhs(s)`` giving (Re, Im) of w1^p w2^q, Im = I2 = -2 tau, of the real state s,
+    floats or (4, N) arrays: CPython's ``w1 ** p * w2 ** q`` bit for bit, which
+    numpy's complex power on arrays is not in about a third of the values."""
+    return _compiled(f"twist p={p} q={q}", [
         "a1r, a1i, b1r, b1i = s", *_cpow_source("a", [p]), *_cpow_source("b", [q]),
-        f"return a{p}r * b{q}i + a{p}i * b{q}r"])
+        _cprod("z", f"a{p}", f"b{q}"), "return zr, zi"])
 
 
 def _invariants(pair: AdmissiblePair, s) -> tuple[np.ndarray, np.ndarray]:
     """(I1, I2) of real (4, N) states, each number the one CPython's float and complex
     arithmetic gives: I1's squares are libm's pow(x, 2) (``np.float_power``), as
     Python's ``x ** 2`` is, where numpy's ``x ** 2`` is x * x and differs in the
-    last bit now and then; I2 is :func:`_i2`."""
+    last bit now and then; I2 is the imaginary part of :func:`_twist`."""
     sq = np.float_power(s, 2.0)
-    return sq[0] + sq[1] + sq[2] + sq[3], _i2(pair.p, pair.q)(tuple(s))
+    return sq[0] + sq[1] + sq[2] + sq[3], _twist(pair.p, pair.q)(s)[1]
 
 
 def velocity(pair: AdmissiblePair, w1: complex, w2: complex) -> tuple[complex, complex]:
     """(w1', w2') at the point (w1, w2): the field of :func:`_field`, bit for bit."""
     c = _field(pair.p, pair.q)((w1.real, w1.imag, w2.real, w2.imag))
     return complex(c[0], c[1]), complex(c[2], c[3])
-
-
-def _twist(pair: AdmissiblePair, w1, w2):
-    """w1^p w2^q, of complex numbers or arrays; its imaginary part is I2 = -2 tau."""
-    return w1 ** pair.p * w2 ** pair.q
 
 
 def _w(s) -> np.ndarray:
@@ -313,13 +309,13 @@ def _w(s) -> np.ndarray:
 
 
 def _y(s):
-    """y = |w2|^2 of real states on axis 0."""
-    return s[2] ** 2 + s[3] ** 2
+    """y = |w2|^2 of real states on axis 0, its squares as in :func:`_invariants`."""
+    return np.float_power(s[2], 2.0) + np.float_power(s[3], 2.0)
 
 
 def _ydot(pair: AdmissiblePair, s):
-    """y' = -2 Re(w1^p w2^q) of real states on axis 0."""
-    return -2.0 * _twist(pair, *_w(s)).real
+    """y' = -2 Re(w1^p w2^q) of real states on axis 0, w first (:func:`_twist`)."""
+    return -2.0 * _twist(pair.p, pair.q)(s[:4])[0]
 
 
 class TwistTrajectory:
@@ -407,11 +403,10 @@ class TwistTrajectory:
 
     def _lift(self, ts, s):
         """(psi1, psi2) at the times ts from the 4 x len states s there (see :meth:`psi`)."""
-        pair, traj = self.param.pair, self.trajectory
-        p, q = pair.p, pair.q
+        p, q, traj = self.param.pair.p, self.param.pair.q, self.trajectory
         if p == 1 and self.param.tau == 0.0:
             raise ValueError("psi is undefined at tau = 0 for p = 1: w1 passes through 0 at t = 0")
-        w1, w2 = _w(s)
+        w2 = _w(s)[1]
         psi2, forward = np.empty(len(ts)), ts >= 0.0
         for d, on in ((1.0, forward), (-1.0, ~forward)):
             if on.any():
@@ -421,8 +416,9 @@ class TwistTrajectory:
                 nodes = _w(Y[:k.max() + 1].T)[1]
                 lift = np.unwrap(np.angle(nodes / nodes[0]))
                 psi2[on] = lift[k] + np.angle(w2[on] / nodes[k])
-        z0 = _twist(pair, *_w(traj.endpoint(0.0)).tolist())
-        Psi = np.angle(_twist(pair, w1, w2) * np.conj(z0))
+        z, twist = np.empty(len(ts), dtype=complex), _twist(p, q)
+        z.real, z.imag = twist(s)
+        Psi = np.angle(z * complex(*twist(traj.endpoint(0.0))).conjugate())
         return (Psi - q * psi2) / p, psi2
 
 

@@ -2,7 +2,8 @@
 replaced are kept here as references, and each batch must equal its loop bit
 for bit: the finite-difference tangents direction by direction, the drift state
 by state in CPython arithmetic, the symmetry relations one read per time set,
-and the flux one meridian per direction."""
+and the flux one meridian per direction.  The functions of a curve state give
+a state read alone the bits it gets in a batch."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sltwist.geometry.symmetry import _omega_residual, rotation_determinant_resi
 from sltwist.geometry.torque import _meridian_nodes
 from sltwist.ode_engine import Tolerances
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _invariants, _w,
-                                   initial_state, tau_max, velocity)
+                                   _y, _ydot, f_poly, f_prime, initial_state, tau_max, velocity)
 
 PAIRS = [(1, 2), (2, 2), (2, 3), (3, 4), (3, 5), (4, 4), (1, 7)]
 CASES = [(p, q, sign * frac) for p, q in PAIRS for frac in (0.3, 1e-3) for sign in (1.0, -1.0)]
@@ -180,6 +181,25 @@ def test_batched_checks_equal_their_loops(p, q, frac):
 def test_drift_at_tau_zero_equals_its_loop(p, q):
     curve = TwistTrajectory(TwistParam(AdmissiblePair(p, q), 0.0), Tolerances())
     _assert_drift_equals_its_loop(curve, 3.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 4), (1, 7)])
+def test_state_functions_read_a_state_alone_as_in_the_batch(p, q, sign):
+    # events and Q's initial state read one state; the energy, Wronskian and psi
+    # rows read arrays of them.  Over dense reads, nodes, 0.0 and -0.0, of w and
+    # of (w, Q, Q'), and psi over the same times
+    pair = AdmissiblePair(p, q)
+    curve = TwistTrajectory(TwistParam(pair, sign * 0.3 * tau_max(pair)), Tolerances())
+    ts = np.concatenate([np.linspace(-3.0, 3.0, 61), [0.0, -0.0]])
+    reads = [_y, lambda s: _ydot(pair, s), lambda s: f_poly(pair, _y(s)),
+             lambda s: f_prime(pair, _y(s)), lambda s: _invariants(pair, s[:4])]
+    for s in (curve.state(ts), curve.trajectory.states.T, curve.Q(ts), curve.Q.states.T):
+        for read in reads:
+            assert np.array_equal(_bits(read(s)), _bits(np.stack([read(c) for c in s.T], -1)))
+    ts = np.concatenate([ts, curve.trajectory.time_grid])
+    alone = np.stack([np.concatenate(curve.psi(ts[j:j + 1])) for j in range(len(ts))], -1)
+    assert np.array_equal(_bits(curve.psi(ts)), _bits(alone))
 
 
 @pytest.mark.parametrize("p,q", PAIRS)

@@ -17,6 +17,7 @@ from sltwist import cli
 from sltwist import periods
 from sltwist import twisted_curve
 from sltwist import variation
+from sltwist.geometry import symmetry
 from sltwist.cli import main
 
 
@@ -267,11 +268,24 @@ def _scale_linearised_second_derivative(m, factor):
     m.setattr(variation, "_field", scaled)
 
 
+def _scale_f(m, factor):
+    f_poly = cli.f_poly
+    m.setattr(cli, "f_poly", lambda pair, y: factor * f_poly(pair, y))
+
+
+def _turn_rotation_phases(m, factor):
+    # the phases of the diagonal rotation turned by (factor - 1) radians
+    rotation = symmetry.mhat
+    m.setattr(symmetry, "mhat", lambda pair, x: np.exp(1j * (factor - 1.0)) * rotation(pair, x))
+
+
 # each perturbation by a relative 1e-6, with the verify rows it must fail
 _VERIFY_MUTATIONS = [
     (_scale_initial_state, ("I1 drift", "I2 drift", "energy residual")),
     (_scale_quadrature_weights, ("period route gap", "pthat route gap", "pthat psi2 route gap")),
     (_scale_linearised_second_derivative, ("Wronskian drift",)),
+    (_scale_f, ("energy residual",)),
+    (_turn_rotation_phases, ("symmetry translation", "symmetry det_rotation")),
 ]
 
 
@@ -314,21 +328,38 @@ PARSER_ARGVS = BYTE_AUDIT["PARSER_ARGVS"]
 
 
 def test_byte_audit_compare_lists_the_calls_that_differ(tmp_path, capsys):
-    # three calls: the first the same, the second another digest, the third
-    # another digest and exit code; it exits 0 whatever differs
-    def record(index, rc, sha256):
+    # four calls: the first the same, the second another digest, the third
+    # another digest and exit code, the fourth another digest and one of its
+    # checks moved, which is named under it; it exits 0 whatever differs
+    def record(index, rc, sha256, **extra):
         return {"workload": "verify_mix", "seed": 1, "index": index,
-                "argv": ["periods", "--p", "1", "--q", str(index + 2)], "rc": rc, "sha256": sha256}
+                "argv": ["periods", "--p", "1", "--q", str(index + 2)], "rc": rc, "sha256": sha256,
+                **extra}
 
+    rows = {"I1 drift": "1.2e-13", "energy residual": "2.1921908732736028e-12"}
     base, head = tmp_path / "base.jsonl", tmp_path / "head.jsonl"
-    base.write_text("".join(json.dumps(record(i, 0, "a" * 64)) + "\n" for i in range(3)))
+    base.write_text("".join(json.dumps(r) + "\n" for r in (
+        *(record(i, 0, "a" * 64) for i in range(3)), record(3, 0, "a" * 64, checks=rows))))
     head.write_text("".join(json.dumps(r) + "\n" for r in (
-        record(0, 0, "a" * 64), record(1, 0, "b" * 64), record(2, 1, "c" * 64))))
+        record(0, 0, "a" * 64), record(1, 0, "b" * 64), record(2, 1, "c" * 64),
+        record(3, 0, "d" * 64, checks={**rows, "energy residual": "2.1922186288492185e-12"}))))
     assert BYTE_AUDIT["main"](["--compare", str(base), str(head)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "verify_mix 1#1: periods --p 1 --q 3",
         "verify_mix 1#2: periods --p 1 --q 4",
-        "2 of 3 calls differ (1 exit codes changed)"]
+        "verify_mix 1#3: periods --p 1 --q 5",
+        "    energy residual: 2.1921908732736028e-12 -> 2.1922186288492185e-12",
+        "3 of 4 calls differ (1 exit codes changed)"]
+
+
+def test_byte_audit_keeps_the_checks_of_a_verify_json_call(capsys):
+    argv = ["verify", "--p", "2", "--q", "3", "--tau", "0.05", "--json"]
+    record = BYTE_AUDIT["_audited"](cli, argv)
+    code, out, _ = run(capsys, *argv)
+    rows = json.loads(out)["checks"].items()
+    assert record["rc"] == code and record["checks"] == {k: row["value"] for k, row in rows}
+    others = (argv[:-1], ["periods", *argv[1:]], [])         # text, another command, no call
+    assert all("checks" not in BYTE_AUDIT["_audited"](cli, other) for other in others)
 
 
 def test_parser_table_holds_every_subcommands_help():

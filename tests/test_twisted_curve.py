@@ -9,7 +9,7 @@ from hypothesis import strategies as hs
 
 from sltwist.ode_engine import Tolerances, integrate
 from sltwist.twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory,
-                                   _field, _gaps, _twist, _w, f_poly, f_prime, initial_state,
+                                   _field, _gaps, _w, f_poly, f_prime, initial_state,
                                    tau_max, y_extrema)
 
 PAIRS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
@@ -218,14 +218,11 @@ def test_drift_is_computed_on_first_read_as_the_invariants_were(p, q, sign):
     # the per-state I1 and I2 of the invariants hook integrate used to take,
     # each against its reference over the accepted steps of a run over the
     # window; a curve read farther first gives the same drift
-    from sltwist.twisted_curve import _twist
-
     pair = AdmissiblePair(p, q)
     tau = sign * 0.3 * tau_max(pair)
     traj, farther = (TwistTrajectory(TwistParam(pair, tau), Tolerances()) for _ in range(2))
     inv = {"I1": (lambda s: s[0] ** 2 + s[1] ** 2 + s[2] ** 2 + s[3] ** 2, 1.0),
-           "I2": (lambda s: _twist(pair, complex(s[0], s[1]), complex(s[2], s[3])).imag,
-                  -2.0 * tau)}
+           "I2": (lambda s: _twist_of(p, q, s).imag, -2.0 * tau)}
     drift = traj.drift(5.0)
     grid, states = traj.trajectory.time_grid, traj.trajectory.states.tolist()
     assert grid[1] > -5.0 >= grid[0] and grid[-2] < 5.0 <= grid[-1]
@@ -339,13 +336,24 @@ def test_two_sided_curve_reads_as_its_one_sided_spans(p, q, sign):
             assert np.array_equal(a, b)
 
 
+def _twist_of(p, q, s):
+    """w1^p w2^q of one real state, in CPython's complex arithmetic."""
+    return complex(s[0], s[1]) ** p * complex(s[2], s[3]) ** q
+
+
+def _per_state(fn, s):
+    """fn of each state of s, real states on axis 0 (one state, or a (dim, N) array),
+    as Python floats, in the shape of s without its axis 0."""
+    return np.array([fn(c) for c in np.reshape(s, (len(s), -1)).T.tolist()]).reshape(s.shape[1:])
+
+
 def _ascending_lift(curve, ts, s):
     """(psi1, psi2) as the lift over the ascending time grid gave them, the reference
     for the lift over each side's steps: one unwrap outward from the anchor i0 each
     way, and the last node from 0 towards each t found on the whole grid."""
     pair = curve.param.pair
     p, q = pair.p, pair.q
-    w1, w2 = _w(s)
+    w2 = _w(s)[1]
     grid, states = curve.trajectory.time_grid, curve.trajectory.states
     i0 = np.searchsorted(grid, 0.0)
     nodes = _w(states.T)[1]
@@ -355,8 +363,8 @@ def _ascending_lift(curve, ts, s):
     k = np.where(ts >= 0.0, np.searchsorted(grid, ts, side="right") - 1,
                  np.searchsorted(grid, ts))
     psi2 = lift[k] + np.angle(w2 / nodes[k])
-    z0 = _twist(pair, *_w(states[i0]).tolist())
-    Psi = np.angle(_twist(pair, w1, w2) * np.conj(z0))
+    z0 = _twist_of(p, q, states[i0].tolist())
+    Psi = np.angle(_per_state(lambda c: _twist_of(p, q, c), s) * np.conj(z0))
     return (Psi - q * psi2) / p, psi2
 
 
@@ -387,7 +395,8 @@ def test_psi_lifted_per_side_is_the_ascending_grid_lift(p, q, tau):
 def test_state_readers_equal_the_expressions_they_replace(p, q, tau):
     # bit for bit, on the 4-component curve and the 6-component (w, Q, Q')
     # states, at dense reads and grid nodes; at zero twist Im w stays +-0,
-    # and _w keeps the sign of each zero (re + 1j im would not)
+    # and _w keeps the sign of each zero (re + 1j im would not); y and y' are
+    # each state's Python float and complex arithmetic
     from sltwist.twisted_curve import _w, _y, _ydot
 
     pair = AdmissiblePair(p, q)
@@ -405,12 +414,13 @@ def test_state_readers_equal_the_expressions_they_replace(p, q, tau):
         w = np.empty((2,) + s.shape[1:], dtype=complex)
         w.real, w.imag = s[0:4:2], s[1:4:2]
         assert _w(s).tobytes() == w.tobytes()
-        assert np.asarray(_y(s)).tobytes() == np.asarray(s[2] ** 2 + s[3] ** 2).tobytes()
+        assert (np.asarray(_y(s)).tobytes()
+                == _per_state(lambda c: c[2] ** 2 + c[3] ** 2, s).tobytes())
         assert (np.asarray(_ydot(pair, s)).tobytes()
-                == np.asarray(-2.0 * (w[0] ** p * w[1] ** q).real).tobytes())
+                == _per_state(lambda c: -2.0 * _twist_of(p, q, c).real, s).tobytes())
     four = traj.trajectory(ts)
     assert traj.w(ts).tobytes() == _w(four).tobytes()
-    assert traj.y(ts).tobytes() == (four[2] ** 2 + four[3] ** 2).tobytes()
+    assert traj.y(ts).tobytes() == _per_state(lambda c: c[2] ** 2 + c[3] ** 2, four).tobytes()
 
 
 @pytest.mark.parametrize("which", ["partial_periods_quadrature", "solve_Q",

@@ -21,11 +21,13 @@ that the operations barely reach or never do; both sets run the same way at a
 fixed width of 80 columns.  With ``--out``, writes one JSON line per call:
 workload (``parser`` and ``edge`` for the two sets), seed, index, argv, exit
 code and the call's own sha256, so that two trees' files can be compared
-call by call.
+call by call; a ``verify --json`` call's line also keeps the value of each
+check it printed, as ``checks``.
 
 With ``--compare BASE HEAD``, reads two such files instead of running anything,
-prints each call whose argv or sha256 differs, then ``N of M calls differ (K
-exit codes changed)``, and exits 0 whatever it finds.
+prints each call whose argv or sha256 differs, and under it each check whose
+value changed, then ``N of M calls differ (K exit codes changed)``, and exits 0
+whatever it finds.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ PARSER_ARGVS = [
 # refusal of a mesh with 2 angular points; then necks that no operation reads,
 # as every neck operation is (1,2) at a kind-2 waist of degree 2: kind-1 waists
 # of degree 2 (at both signs of tau, and at waist 2) and 3, and a kind-2 waist
-# of degree 3
+# of degree 3; then a solve without --out, which prints its drift, and a pthat
+# excess at p = q, which has no second route to be judged by
 EDGE_ARGVS = [[*argv.split(), "--out", "edge.obj" if "obj" in argv else "edge.csv"]
               for argv in (
     "solve --p 1 --q 2 --tau 0 --window 1 --samples 5",
@@ -100,7 +103,9 @@ EDGE_ARGVS = [[*argv.split(), "--out", "edge.obj" if "obj" in argv else "edge.cs
     "neck --p 3 --q 3 --tau 0.001 --waist 0",
     "neck --p 1 --q 3 --tau 0.001",
     "neck --p 2 --q 2 --tau -0.001 --waist 0 --json",
-    "neck --p 2 --q 5 --tau 1e-4 --waist 2")]
+    "neck --p 2 --q 5 --tau 1e-4 --waist 2",
+    "solve --p 2 --q 3 --tau 0.05",
+    "asymptotics --p 4 --q 4 --tau-list 1e-60")]
 _SETS = {"parser": ("parser messages", PARSER_ARGVS), "edge": ("edge calls", EDGE_ARGVS)}
 
 
@@ -134,9 +139,10 @@ def _run(cli, argv) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
-def _audited(cli, argv) -> tuple[int, str]:
-    """(exit code, sha256 of the exit code, stdout, stderr and written files) of one
-    CLI call, run in an empty directory of its own."""
+def _audited(cli, argv) -> dict:
+    """Exit code (``rc``), sha256 of the exit code, stdout, stderr and written files,
+    and for ``verify --json`` the value of each check (``checks``), of one CLI call
+    run in an empty directory of its own."""
     home = Path.cwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -150,13 +156,17 @@ def _audited(cli, argv) -> tuple[int, str]:
         for path in sorted(Path(tmp).iterdir()):
             data = path.read_bytes()
             h.update(f"{path.name}\0{len(data)}\0".encode() + data)
-    return rc, h.hexdigest()
+    record = {"rc": rc, "sha256": h.hexdigest()}
+    if argv[:1] == ["verify"] and "--json" in argv and rc in (0, 1):
+        rows = json.loads(stdout)["checks"]
+        record["checks"] = {name: row["value"] for name, row in rows.items()}
+    return record
 
 
 def audit(root: Path) -> list[dict]:
     """One record per operation of the tree at root, then one per argv of
     ``PARSER_ARGVS`` and of ``EDGE_ARGVS`` (workloads ``parser`` and ``edge``,
-    seed None): workload, seed, index, argv, exit code and sha256."""
+    seed None): workload, seed, index, argv, exit code, sha256 and any checks."""
     workloads, cli = _import_tree(root)
     records = []
     for workload in workloads.WORKLOADS:
@@ -165,22 +175,21 @@ def audit(root: Path) -> list[dict]:
                 argv = list(op.argv)
                 if op.out is not None:
                     argv[argv.index("--out") + 1] = Path(op.out).name
-                rc, digest = _audited(cli, argv)
                 records.append({"workload": workload, "seed": seed, "index": i,
-                                "argv": list(op.argv), "rc": rc, "sha256": digest})
+                                "argv": list(op.argv), **_audited(cli, argv)})
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):     # argparse wraps help to it
         for workload, (_, argvs) in _SETS.items():
             for i, argv in enumerate(argvs):
-                rc, digest = _audited(cli, argv)
                 records.append({"workload": workload, "seed": None, "index": i,
-                                "argv": argv, "rc": rc, "sha256": digest})
+                                "argv": argv, **_audited(cli, argv)})
     return records
 
 
 def compare(base: list[dict], head: list[dict]) -> list[str]:
     """One line per call whose argv or sha256 differs between two audits' records
-    (with the head's argv where it differs), then the count of such calls and of
-    their changed exit codes; first a line for unequal record counts."""
+    (with the head's argv where it differs), each followed by a line per check
+    whose value changed, then the count of such calls and of their changed exit
+    codes; first a line for unequal record counts."""
     lines = [] if len(base) == len(head) else [f"{len(base)} calls at the base, "
                                                f"{len(head)} at the head"]
     differ = codes = 0
@@ -190,6 +199,9 @@ def compare(base: list[dict], head: list[dict]) -> list[str]:
             codes += b["rc"] != h["rc"]
             lines.append(f"{b['workload']} {b['seed']}#{b['index']}: {' '.join(b['argv'])}"
                          + ("" if b["argv"] == h["argv"] else f" | head: {' '.join(h['argv'])}"))
+            old, new = b.get("checks", {}), h.get("checks", {})
+            lines += [f"    {name}: {old.get(name)} -> {new.get(name)}"
+                      for name in dict.fromkeys([*old, *new]) if old.get(name) != new.get(name)]
     lines.append(f"{differ} of {min(len(base), len(head))} calls differ "
                  f"({codes} exit codes changed)")
     return lines
