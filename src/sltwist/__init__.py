@@ -13,7 +13,7 @@ from .catenoid import (catenoid_lifetime, lifetime_routes, unit_profile,
 from .closure import (BracketingError, ClosedCurveCheck, ClosureReport,
                       RationalTarget,
                       find_tau_for_angular_period, half_period_classification,
-                      k0_from_target, necklace, necklace_scaling_ratio,
+                      k0_from_target, necklace, necklace_scaling_ratio, necklace_target,
                       scan_brackets, verify_closed)
 from .ode_engine import (EventError, IntegrationError, Tolerances, Trajectory,
                          integrate, locate_event)

@@ -18,9 +18,6 @@ from .ode_engine import Tolerances, integrate
 from .periods import _NODES, _WEIGHTS
 from .twisted_curve import _compiled, _cpow_source
 
-__all__ = [
-    "catenoid_lifetime", "lifetime_routes", "unit_profile", "verify_catenoid_symmetry",
-]
 
 def lifetime_routes(n: int) -> tuple[float, float]:
     """Unit-profile lifetime by (quadrature, Beta closed form).

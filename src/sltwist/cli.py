@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry as geo
 from .closure import (RationalTarget, find_tau_for_angular_period, half_period_classification,
-                      necklace, verify_closed)
+                      necklace_target, verify_closed)
 from .geometry.export import report_to_json
 from .ode_engine import EventError, IntegrationError, Tolerances
 from .periods import (partial_periods_quadrature, period_ode, pthat_quadrature,
@@ -106,21 +106,20 @@ def cmd_periods(args) -> int:
     return 0
 
 
-def cmd_closure(args) -> int:
-    pair, target = AdmissiblePair(args.p, args.q), args.target
-    tol = TOL_PRESETS[args.tol]
+def _closed_curve(args, pair: AdmissiblePair, target: RationalTarget) -> int:
+    """Find, classify and check the curve whose angular period is ``target``."""
     report = half_period_classification(pair, target)
-    curve = find_tau_for_angular_period(pair, target, tol=tol)     # refuses k0 above K0_CAP
-    tau, data = curve.param.tau, curve.period
-    check = verify_closed(curve, report.k0, samples=args.samples)
+    curve = find_tau_for_angular_period(pair, target, TOL_PRESETS[args.tol])  # refuses k0 > K0_CAP
+    tau, data, k0 = curve.param.tau, curve.period, report.k0
+    check = verify_closed(curve, k0, samples=args.samples)
     error = abs(data.pthat - target.angle)
-    payload = {"tau": tau, "pthat_error": error,
-               "report": dataclasses.asdict(report),
-               "closure_residual": check.closure_residual,
-               "rotation_residual": check.rotation_residual}
+    payload = {"tau": tau, "k0": k0, "p_tau": data.p_tau, "pthat": data.pthat,
+               "pthat_error": error, "report": dataclasses.asdict(report),
+               **dataclasses.asdict(check)}      # closure_residual, rotation_residual
     _emit(args, payload, [
         f"tau = {tau!r}  (pthat error {error:.2e})",
-        f"k0 = {report.k0}, topology {report.topology}",
+        f"k0 = {k0}  (closes after {2 * k0} half-periods, "
+        f"t-period {2 * k0 * data.p_tau!r}), topology {report.topology}",
         f"generator {report.per_generator}, half-period type {report.half_period_type}",
         f"closure residual {check.closure_residual:.2e}, "
         f"rotation residual {check.rotation_residual:.2e}",
@@ -128,21 +127,13 @@ def cmd_closure(args) -> int:
     return 0
 
 
+def cmd_closure(args) -> int:
+    return _closed_curve(args, AdmissiblePair(args.p, args.q), args.target)
+
+
 def cmd_necklace(args) -> int:
     pair = AdmissiblePair(args.p, args.q)
-    tol = TOL_PRESETS[args.tol]
-    curve, k0 = necklace(pair, args.m, tol)
-    tau, data = curve.param.tau, curve.period
-    check = verify_closed(curve, k0, samples=args.samples)
-    payload = {"tau": tau, "k0": k0, "p_tau": data.p_tau, "pthat": data.pthat,
-               "closure_residual": check.closure_residual}
-    _emit(args, payload, [
-        f"tau = {tau!r}",
-        f"k0 = {k0}  (closes after {2 * k0} half-periods, "
-        f"t-period {2 * k0 * data.p_tau!r})",
-        f"closure residual {check.closure_residual:.2e}",
-    ])
-    return 0
+    return _closed_curve(args, pair, necklace_target(pair, args.m))
 
 
 def cmd_torque(args) -> int:

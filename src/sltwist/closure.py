@@ -19,12 +19,6 @@ from .ode_engine import Tolerances, brent
 from .periods import angular_periods, period_ode, pthat_quadrature  # noqa: F401
 from .twisted_curve import AdmissiblePair, TwistParam, TwistTrajectory, _w, tau_max
 
-__all__ = [
-    "BracketingError", "RationalTarget", "ClosureReport", "ClosedCurveCheck", "K0_CAP",
-    "k0_from_target", "find_tau_for_angular_period", "scan_brackets", "verify_closed",
-    "half_period_classification", "necklace", "necklace_scaling_ratio",
-]
-
 _SCAN_POINTS = 200
 K0_CAP = 10**6           # the search refuses a larger rotational order
 
@@ -226,27 +220,34 @@ def _necklace_index(pair: AdmissiblePair) -> int:
     raise ValueError("necklace construction requires p = 1 or p = q")
 
 
-def necklace(pair: AdmissiblePair, m: int, tol: Tolerances) -> tuple[TwistTrajectory, int]:
-    """Closed curve with odd rotational order from the small-tau window.
+def necklace_target(pair: AdmissiblePair, m: int) -> RationalTarget:
+    """(km / (2km - 1)) pi, the angular period of the m-th necklace; m >= 1.
 
-    With k the family index (n - 1 for p = 1, p for p = q), the target is
-    (km / (2km - 1)) pi, in lowest terms since a common divisor divides
-    2km - (2km - 1) = 1, and k0 = 2km - 1.  Returns (curve, k0) with the
-    curve of :func:`find_tau_for_angular_period`; raises if the target is
-    not bracketed by the angular-period scan.
+    k is the family index, n - 1 for p = 1 and p for p = q.  In lowest terms, as a
+    common divisor divides 2km - (2km - 1) = 1; as lcm(p, q) = k in both families,
+    :func:`k0_from_target` gives k(2km - 1) / gcd(km, k(2km - 1)) = 2km - 1, odd.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     km = _necklace_index(pair) * m
-    target = RationalTarget(km, 2 * km - 1)
-    return find_tau_for_angular_period(pair, target, tol=tol), 2 * km - 1
+    return RationalTarget(km, 2 * km - 1)
+
+
+def necklace(pair: AdmissiblePair, m: int, tol: Tolerances) -> tuple[TwistTrajectory, int]:
+    """Closed curve with odd rotational order from the small-tau window.
+
+    Returns (curve, k0): the curve of :func:`find_tau_for_angular_period` at
+    :func:`necklace_target`, and its order 2km - 1 by :func:`k0_from_target`.
+    """
+    target = necklace_target(pair, m)
+    return find_tau_for_angular_period(pair, target, tol=tol), k0_from_target(pair, target)
 
 
 def necklace_scaling_ratio(pair: AdmissiblePair, m: int, tau: float) -> float:
     """m against its leading-order prediction from the found tau.
 
     Prediction: m ~ c/(tau T_k(tau)) with k the family index of
-    :func:`necklace`, c = pi/(16 k b_k) for p = 1 (k = n-1) and
+    :func:`necklace_target`, c = pi/(16 k b_k) for p = 1 (k = n-1) and
     c = pi/(32 k b_k) for p = q (k = p).  Leading order only; useful as an
     order-of-magnitude diagnostic.
     """

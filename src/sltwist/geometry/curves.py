@@ -9,11 +9,6 @@ import numpy as np
 from ..twisted_curve import AdmissiblePair, _twist
 from .immersion import CurveSampler
 
-__all__ = [
-    "cs_curve", "cs_parameters", "cs_curve_sampler", "cs_residual",
-    "cs_closing_period", "hs_curve", "hs_curve_sampler",
-]
-
 
 def _cs_rates(pair: AdmissiblePair, c: float) -> tuple[float, float, float, float]:
     """(sin c, cos c) and the rotation rates sin^q c cos^(p-2) c and

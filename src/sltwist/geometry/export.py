@@ -56,11 +56,6 @@ import numpy as np
 
 from .immersion import Sampler
 
-__all__ = [
-    "format_float", "trajectory_csv", "report_to_json", "report_from_json",
-    "export", "validate_obj",
-]
-
 # fixed linear projection C^3 -> R^3 used for OBJ output: componentwise
 # real part, which sends the tau -> 0 limit sphere to the round sphere.
 _OBJ_PROJECTION = "Re z1, Re z2, Re z3"

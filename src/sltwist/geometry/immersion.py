@@ -22,12 +22,6 @@ import numpy as np
 
 from ..twisted_curve import TwistTrajectory, velocity
 
-__all__ = [
-    "Sampler", "CurveSampler", "immersion_sampler", "equatorial_factor",
-    "twist_curve_sampler", "legendrian_residual", "lagrangian_phase",
-    "twisted_product", "phase_relation_residual", "contact_pairing",
-]
-
 
 class Sampler:
     """Chart map u in R^dim -> point in C^m, optionally with known phase.

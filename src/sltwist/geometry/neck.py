@@ -20,8 +20,6 @@ from ..twisted_curve import TwistTrajectory, _gaps
 from .spheres import _waist
 from .symmetry import _blocks
 
-__all__ = ["NeckComparison", "neck_rescale"]
-
 _E_MAX = math.log(np.finfo(float).max)      # the largest b whose e^b is finite
 
 

@@ -22,11 +22,6 @@ from ..twisted_curve import TwistTrajectory
 from .immersion import _cone
 from .symmetry import _blocks, reflection_phases, ttilde
 
-__all__ = [
-    "Waist", "Bulge", "MarkedSphere", "waists_and_bulges",
-    "approximating_spheres", "sphere_distance", "bulge_sphere_distance",
-]
-
 
 @dataclass(frozen=True)
 class Waist:

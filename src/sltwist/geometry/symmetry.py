@@ -18,11 +18,6 @@ import numpy as np
 
 from ..twisted_curve import TwistTrajectory, _w, alpha_tau
 
-__all__ = [
-    "mhat", "ttilde", "reflection_phases", "symmetry_residuals",
-    "rotation_determinant_residual",
-]
-
 
 def _blocks(pair, a, b) -> np.ndarray:
     """The diagonal of diag(a Id_p, b Id_q): a p times, then b q times."""

@@ -31,11 +31,6 @@ from .immersion import _cone
 
 _ORDER = 4          # the sphere rule of every meridian (see above)
 
-__all__ = [
-    "TorqueReport", "sphere_volume", "sphere_quadrature", "t_generator",
-    "rotation_generator", "su_basis", "torque", "torque_closed_form",
-]
-
 
 def sphere_volume(m: int) -> float:
     """Volume (m-dimensional measure) of the unit sphere S^m."""

@@ -32,11 +32,6 @@ from .ode_engine import locate_event
 from .twisted_curve import (AdmissiblePair, TwistParam, TwistTrajectory, _extrema, _gaps, _y,
                             _ydot, f_prime, f_taylor_coeffs)
 
-__all__ = [
-    "PeriodData", "partial_periods_quadrature", "pthat_quadrature", "pthat_quadrature_psi2",
-    "angular_periods", "branch_integral", "period_ode",
-]
-
 
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 64-point Gauss-Legendre rule on [0, 1]: Newton on

@@ -30,12 +30,6 @@ import numpy as np
 
 from .ode_engine import Tolerances, Trajectory, integrate
 
-__all__ = [
-    "AdmissiblePair", "TwistParam", "TwistTrajectory",
-    "tau_max", "alpha_tau", "f_poly", "f_prime", "f_taylor_coeffs",
-    "y_extrema", "initial_state", "velocity", "solve_w",
-]
-
 # tau this close to tau_max is treated as the constant-y solution; the two
 # roots of f(y) = 4 tau^2 coalesce and refining them is meaningless.
 _TAU_MAX_MARGIN = 1e-10
@@ -150,7 +144,9 @@ def _extrema(pair: AdmissiblePair, taus) -> np.ndarray:
     b = n - a
     low = np.array([[True], [False]])
 
-    def F(r, e):        # r^a e^b as y^q (1 - y)^p, by int powers as f_poly: y_min keeps its bits
+    # r^a e^b as y^q (1 - y)^p by numpy's int **, where f_poly takes np.float_power: the
+    # two can differ in the last bit, so F in float_power would move every root's bits
+    def F(r, e):
         return np.where(low, r, e) ** q * np.where(low, e, r) ** p
 
     # the leading order r ~ (2 tau)^(2/a), 4x nearer 0: r^a (1 - r)^b <= 4 tau^2 / 4^a, so h < 0

@@ -25,12 +25,6 @@ from .periods import (_branch_halves, partial_periods_quadrature, period_ode,  #
 from .twisted_curve import (TwistParam, TwistTrajectory, _extrema, _field, _gaps, _mirror, _y,
                             _ydot, tau_max)
 
-__all__ = [
-    "AsymptoticsReport", "solve_Q", "wronskian_drift", "dpthat_dtau",
-    "dpthat_dtau_cross_check", "asymptotic_constants", "time_scale",
-    "check_asymptotics", "ASYMPTOTIC_LAWS",
-]
-
 
 def solve_Q(curve: TwistTrajectory) -> Trajectory:
     """(w, Q, Q') of ``curve`` integrated on [-2.2 p_tau, 2.2 p_tau] from t = 0.

@@ -60,6 +60,25 @@ def test_necklace_output(capsys):
     assert 0.15 < float(data["tau"]) < 0.17
 
 
+@pytest.mark.parametrize("p,q,m", [(1, 2, 2), (1, 3, 1), (2, 2, 2), (3, 3, 1)])
+def test_necklace_prints_the_closure_report_at_its_target(p, q, m, capsys):
+    # one curve, one report: necklace is closure at km/(2km - 1), in text and JSON
+    from sltwist import AdmissiblePair, necklace_target
+
+    target = necklace_target(AdmissiblePair(p, q), m)
+    pair = ("--p", str(p), "--q", str(q))
+    for json_flag in ([], ["--json"]):
+        necklace = run(capsys, "necklace", *pair, "--m", str(m), *json_flag)
+        closure = run(capsys, "closure", *pair,
+                      "--target", f"{target.numerator}/{target.denominator}", *json_flag)
+        assert necklace == closure and necklace[0] == 0
+    data = json.loads(necklace[1])
+    assert set(data) == {"tau", "k0", "p_tau", "pthat", "pthat_error", "report",
+                         "closure_residual", "rotation_residual"}
+    assert data["k0"] == data["report"]["k0"] == target.denominator
+    assert float(data["pthat_error"]) == abs(float(data["pthat"]) - target.angle)
+
+
 def test_closure_subcommand(capsys):
     code, out, _ = run(capsys, "closure", "--p", "1", "--q", "2", "--target", "4/7", "--json")
     assert code == 0

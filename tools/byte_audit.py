@@ -79,8 +79,9 @@ PARSER_ARGVS = [
 # refusal of a mesh with 2 angular points; then necks that no operation reads,
 # as every neck operation is (1,2) at a kind-2 waist of degree 2: kind-1 waists
 # of degree 2 (at both signs of tau, and at waist 2) and 3, and a kind-2 waist
-# of degree 3; then a solve without --out, which prints its drift, and a pthat
-# excess at p = q, which has no second route to be judged by
+# of degree 3; then a solve without --out, which prints its drift, a pthat
+# excess at p = q, which has no second route to be judged by, and necklace's
+# two refusals, of m < 1 and of a pair in neither family
 EDGE_ARGVS = [[*argv.split(), "--out", "edge.obj" if "obj" in argv else "edge.csv"]
               for argv in (
     "solve --p 1 --q 2 --tau 0 --window 1 --samples 5",
@@ -105,7 +106,9 @@ EDGE_ARGVS = [[*argv.split(), "--out", "edge.obj" if "obj" in argv else "edge.cs
     "neck --p 2 --q 2 --tau -0.001 --waist 0 --json",
     "neck --p 2 --q 5 --tau 1e-4 --waist 2",
     "solve --p 2 --q 3 --tau 0.05",
-    "asymptotics --p 4 --q 4 --tau-list 1e-60")]
+    "asymptotics --p 4 --q 4 --tau-list 1e-60",
+    "necklace --p 1 --q 2 --m 0",
+    "necklace --p 2 --q 3 --m 1")]
 _SETS = {"parser": ("parser messages", PARSER_ARGVS), "edge": ("edge calls", EDGE_ARGVS)}
 
 
